@@ -140,26 +140,15 @@ fn main() {
         d.tenants, d.queries, d.hit_rate, d.admitted, d.shed, d.reinfers, d.virtual_ns_per_query
     );
     headlines.push_str(&format!(",\n  \"gbd\": {{{}}}", d.json_fields()));
-    // The executor fleet headline: a 512-process FCCD fleet under both
-    // backends. The deterministic virtual makespan and the bit-identity
-    // flag are what `--diff --strict` gates; the backend host-time
-    // comparison is measured paired and interleaved (threads baseline,
-    // events candidate) and decided by the paired sign test, recorded in
-    // its own verdict row. The threads rounds at fleet scale are
-    // precisely the cost this headline exists to document, so the round
-    // budget is small and never goes through the iterating harness.
-    let f = suites::fleet::run(smoke);
+    // The executor fleet headline: a 512-process FCCD fleet, run twice.
+    // The deterministic virtual makespan and the replay-identity flag
+    // are what `--diff --strict` gates; host time is informational.
+    let f = suites::fleet::run();
     println!(
-        "exec fleet: {} procs, events {:.1} ms vs threads {:.1} ms (host, paired medians) \
-         → {:.2}x (sign test: {} faster / {} slower, p={:.4}), identical {}, \
-         makespan {} virtual ns; xl {} procs events-only {:.1} ms",
+        "exec fleet: {} procs in {:.1} ms (host), identical {}, \
+         makespan {} virtual ns; xl {} procs in {:.1} ms",
         f.procs,
         f.events_host_ns as f64 / 1e6,
-        f.threads_host_ns as f64 / 1e6,
-        f.host_speedup,
-        f.paired.sign.less,
-        f.paired.sign.greater,
-        f.paired.sign.p_value,
         f.identical,
         f.virtual_ns,
         f.xl_procs,
@@ -168,10 +157,6 @@ fn main() {
     headlines.push_str(&format!(
         ",\n  \"exec_fleet_speedup\": {{{}}}",
         f.json_fields()
-    ));
-    headlines.push_str(&format!(
-        ",\n  \"fleet_host_speedup\": {{{}}}",
-        f.speedup_json_fields()
     ));
     // The scenario matrix: the scored grid is virtual-time deterministic
     // (bit-identical for any worker count — gated), while the 1-vs-N
@@ -462,28 +447,26 @@ fn diff_gbd(old_path: &str, new_path: &str) -> usize {
 }
 
 /// Compares the executor fleet headline. Two of its fields are
-/// deterministic and therefore gated: the bit-identity flag (`false` in
-/// the new baseline is always a hard regression — the backends diverged)
-/// and the virtual-time fleet makespan (same 10% relative slack as the
-/// other virtual headlines, forgiving intentional scenario re-tuning).
-/// The backend host-time comparison gates only on its own *decided*
-/// verdict row (`fleet_host_speedup`, measured paired and interleaved):
-/// a hard failure requires the paired sign test to find the events
-/// backend significantly slower than threads (`sign_greater > sign_less`
-/// at p < 0.05) **and** the median paired speedup below 0.8 — the events
-/// executor consistently losing to the backend it replaced, which no
-/// amount of runner noise produces under paired A/B/B/A interleaving.
-/// The raw medians stay informational.
+/// deterministic and therefore gated: the replay-identity flag (`false`
+/// in the new baseline is always a hard regression — two runs of one
+/// fleet diverged) and the virtual-time fleet makespan (same 10%
+/// relative slack as the other virtual headlines, forgiving intentional
+/// scenario re-tuning). Host times are informational. Baselines from
+/// when a thread-per-process executor still existed also carry a
+/// `fleet_host_speedup` row comparing the two; it reports as removed.
 fn diff_fleet(old_path: &str, new_path: &str) -> usize {
-    let read = |path: &str| -> Option<String> {
+    let line_with = |path: &str, key: &str| -> Option<String> {
         let text = std::fs::read_to_string(path).ok()?;
-        // `"xl_virtual_ns":` appears only in this headline's line.
-        text.lines()
-            .find(|l| l.contains("\"xl_virtual_ns\":"))
-            .map(str::to_string)
+        text.lines().find(|l| l.contains(key)).map(str::to_string)
     };
-    let Some(new_line) = read(new_path) else {
-        if read(old_path).is_some() {
+    let paired_row = "\"events_median_ns\":";
+    if line_with(old_path, paired_row).is_some() && line_with(new_path, paired_row).is_none() {
+        println!("  removed   fleet_host_speedup");
+    }
+    // `"xl_virtual_ns":` appears only in this headline's line.
+    let headline = "\"xl_virtual_ns\":";
+    let Some(new_line) = line_with(new_path, headline) else {
+        if line_with(old_path, headline).is_some() {
             println!("  removed   exec fleet headline");
         }
         return 0;
@@ -491,35 +474,9 @@ fn diff_fleet(old_path: &str, new_path: &str) -> usize {
     let mut regressed = 0usize;
     if new_line.contains("\"identical\":false") {
         regressed += 1;
-        println!("  REGRESSED exec_fleet_speedup.identical: backends diverged");
+        println!("  REGRESSED exec_fleet_speedup.identical: replays diverged");
     }
-    // The paired verdict row gates on the new file alone — the decision
-    // rule is recorded in the row itself.
-    let speedup_line = |path: &str| -> Option<String> {
-        let text = std::fs::read_to_string(path).ok()?;
-        text.lines()
-            .find(|l| l.contains("\"events_median_ns\":"))
-            .map(str::to_string)
-    };
-    if let Some(line) = speedup_line(new_path) {
-        let speedup = field_num(&line, "speedup").unwrap_or(1.0);
-        let less = field_num(&line, "sign_less").unwrap_or(0.0);
-        let greater = field_num(&line, "sign_greater").unwrap_or(0.0);
-        let p = field_num(&line, "p_value").unwrap_or(1.0);
-        if greater > less && p < 0.05 && speedup < 0.8 {
-            regressed += 1;
-            println!(
-                "  REGRESSED fleet_host_speedup: {speedup:.2}x \
-                 (events significantly slower than threads, p={p:.4})"
-            );
-        } else {
-            println!(
-                "  info      fleet_host_speedup: {speedup:.2}x \
-                 (sign test {less:.0} faster / {greater:.0} slower, p={p:.4})"
-            );
-        }
-    }
-    let Some(old_line) = read(old_path) else {
+    let Some(old_line) = line_with(old_path, headline) else {
         println!("  new       exec fleet headline");
         return regressed;
     };
@@ -535,10 +492,10 @@ fn diff_fleet(old_path: &str, new_path: &str) -> usize {
         }
     }
     if let (Some(old_v), Some(new_v)) = (
-        field_num(&old_line, "host_speedup"),
-        field_num(&new_line, "host_speedup"),
+        field_num(&old_line, "events_host_ns"),
+        field_num(&new_line, "events_host_ns"),
     ) {
-        println!("  info      exec_fleet.host_speedup: {old_v:.2}x → {new_v:.2}x (informational)");
+        println!("  info      exec_fleet.events_host_ns: {old_v:.0} → {new_v:.0} (informational)");
     }
     regressed
 }

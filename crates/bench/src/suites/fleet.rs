@@ -1,33 +1,19 @@
 //! Fleet-scale executor benchmark: hundreds of concurrent FCCD probe
-//! processes, events backend vs threads backend.
+//! processes on the one event-driven executor.
 //!
 //! The paper's inference-control loops only meet realistic contention
-//! when *many* processes probe at once, and the thread-per-process
-//! executor priced that out: every baton handoff is a condvar broadcast
-//! that wakes every sibling thread, so host cost grows superlinearly
-//! with fleet size. The event-driven executor turns each handoff into
-//! one in-process context switch. The headline (`exec_fleet_speedup` in
-//! the baseline file) records both backends' host wall-clock on an
-//! identical 512-process fleet — plus the **deterministic** virtual-time
-//! makespan and a bit-identity flag, which are what `--diff --strict`
-//! gates.
+//! when *many* processes probe at once; the executor makes each handoff
+//! one in-process context switch, so fleets of thousands are affordable.
+//! The headline (`exec_fleet_speedup` in the baseline file — the key
+//! predates the removal of the thread-per-process executor it was
+//! measured against) records the 512-process fleet's host wall-clock,
+//! its **deterministic** virtual-time makespan, and a flag saying two
+//! runs replayed to the same digests. The makespan and the flag are
+//! what `--diff --strict` gates; host time is informational.
 //!
-//! The backend comparison is host wall-clock, so it is measured the only
-//! way this repo trusts host time: paired and interleaved through
-//! [`gray_toolbox::paired_host_compare`] (threads as baseline, events as
-//! candidate, A/B then B/A alternating, outlier pairs dropped whole) and
-//! *decided* by the paired sign test. The verdict row
-//! (`fleet_host_speedup`) records the full measurement, and the strict
-//! diff fails only when the sign test finds the events backend
-//! significantly slower than threads — the one outcome runner noise
-//! cannot produce under paired interleaving.
-//!
-//! An events-only XL row (2048 processes) demonstrates the regime the
-//! thread backend cannot reach affordably at all.
+//! An XL row (2048 processes) records the same at four times the size.
 
 use gray_toolbox::bench::Harness;
-use gray_toolbox::outlier::OutlierPolicy;
-use gray_toolbox::stats::PairedHostReport;
 use graybox::fccd::Fccd;
 use graybox::os::GrayBoxOs;
 use simos::scenario::{fleet_machine, spread_corpus, warm};
@@ -35,19 +21,10 @@ use simos::{exec::Workload, ExecBackend, Sim, SimProc};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Processes in the headline comparison (both backends run it).
+/// Processes in the headline fleet.
 pub const FLEET_PROCS: usize = 512;
-/// Processes in the events-only scale demonstration.
+/// Processes in the scale demonstration.
 pub const XL_PROCS: usize = 2048;
-/// Paired measurement rounds for the backend comparison. The threads
-/// backend at fleet scale costs seconds per round — exactly the cost the
-/// events executor removes — so the round budget stays small and the
-/// sign test simply stays insignificant when that is too few to decide.
-pub const FULL_ROUNDS: usize = 3;
-/// Paired measurement rounds under `--smoke`.
-pub const SMOKE_ROUNDS: usize = 2;
-/// Significance level for the paired sign test.
-pub const ALPHA: f64 = 0.05;
 /// Data disks the fleet's corpus spreads over.
 const FLEET_DISKS: usize = 4;
 /// CPU slots of the fleet machine.
@@ -57,47 +34,37 @@ const FILES_PER_DISK: usize = 4;
 /// Bytes per corpus file.
 const FILE_BYTES: u64 = 256 << 10;
 
-/// The `exec_fleet_speedup` headline plus the paired threads-vs-events
-/// host-time comparison.
+/// The `exec_fleet_speedup` headline.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
-    /// Fleet size of the two-backend comparison.
+    /// Fleet size of the headline run.
     pub procs: usize,
-    /// Median host wall-clock of the events rounds (informational).
+    /// Host wall-clock of the second (warm) headline run (informational).
     pub events_host_ns: u64,
-    /// Median host wall-clock of the threads rounds (informational).
-    pub threads_host_ns: u64,
-    /// Median paired `threads / events` ratio (informational; the
-    /// *decided* verdict lives in the paired row).
-    pub host_speedup: f64,
-    /// Virtual-time makespan of the fleet — deterministic, identical in
-    /// both backends, gated by `--diff --strict`.
+    /// Virtual-time makespan of the fleet — deterministic, gated by
+    /// `--diff --strict`.
     pub virtual_ns: u64,
-    /// Whether the two backends produced bit-identical probe digests and
+    /// Whether two runs produced bit-identical probe digests and
     /// makespans. Gated: `false` is always a hard regression.
     pub identical: bool,
-    /// Fleet size of the events-only scale row.
+    /// Fleet size of the scale row.
     pub xl_procs: usize,
-    /// Host wall-clock of the XL events run (informational).
+    /// Host wall-clock of the XL run (informational).
     pub xl_events_host_ns: u64,
     /// Virtual-time makespan of the XL fleet (deterministic).
     pub xl_virtual_ns: u64,
-    /// Paired threads-baseline vs events-candidate comparison.
-    pub paired: PairedHostReport,
 }
 
 impl FleetResult {
     /// The headline's JSON object fields (one line, parseable by the
-    /// runner's per-line field scanner).
+    /// runner's per-line field scanner). `xl_virtual_ns` is the row's
+    /// locator key.
     pub fn json_fields(&self) -> String {
         format!(
-            "\"procs\":{},\"events_host_ns\":{},\"threads_host_ns\":{},\
-             \"host_speedup\":{:.3},\"virtual_ns\":{},\"identical\":{},\
+            "\"procs\":{},\"events_host_ns\":{},\"virtual_ns\":{},\"identical\":{},\
              \"xl_procs\":{},\"xl_events_host_ns\":{},\"xl_virtual_ns\":{}",
             self.procs,
             self.events_host_ns,
-            self.threads_host_ns,
-            self.host_speedup,
             self.virtual_ns,
             self.identical,
             self.xl_procs,
@@ -105,37 +72,12 @@ impl FleetResult {
             self.xl_virtual_ns
         )
     }
-
-    /// The `fleet_host_speedup` row's JSON fields: the paired measurement
-    /// and its sign-test verdict in full, so the diff can re-apply the
-    /// decision rule without re-running anything. `events_median_ns` is
-    /// the row's locator key.
-    pub fn speedup_json_fields(&self) -> String {
-        let p = &self.paired;
-        format!(
-            "\"threads_median_ns\":{:.0},\"events_median_ns\":{:.0},\
-             \"procs\":{},\"speedup\":{:.3},\"rounds\":{},\"kept\":{},\
-             \"sign_less\":{},\"sign_greater\":{},\"sign_ties\":{},\
-             \"p_value\":{:.6},\"faster\":{}",
-            p.baseline_median_ns,
-            p.candidate_median_ns,
-            self.procs,
-            p.speedup,
-            p.rounds,
-            p.kept,
-            p.sign.less,
-            p.sign.greater,
-            p.sign.ties,
-            p.sign.p_value,
-            p.candidate_faster(ALPHA)
-        )
-    }
 }
 
 /// Boots the fleet machine with its corpus: 16 files over 4 disks, every
 /// other file warm — the ground truth half the fleet should detect.
-fn fleet_sim(exec: ExecBackend) -> (Sim, Vec<(String, u64)>) {
-    let mut sim = fleet_machine(FLEET_DISKS, FLEET_CPUS, exec);
+fn fleet_sim() -> (Sim, Vec<(String, u64)>) {
+    let mut sim = fleet_machine(FLEET_DISKS, FLEET_CPUS, ExecBackend::Events);
     let files = spread_corpus(&mut sim, FLEET_DISKS, FILES_PER_DISK, FILE_BYTES);
     let warm_set: Vec<(String, u64)> = files.iter().skip(1).step_by(2).cloned().collect();
     warm(&mut sim, &warm_set);
@@ -146,8 +88,8 @@ fn fleet_sim(exec: ExecBackend) -> (Sim, Vec<(String, u64)>) {
 /// `i % files` and classifies it with a fixed-seed FCCD probe. Returns
 /// the per-process observation digests and the virtual makespan —
 /// deterministic fingerprints of the whole schedule.
-fn run_fleet(procs: usize, exec: ExecBackend) -> (Vec<u64>, u64) {
-    let (mut sim, files) = fleet_sim(exec);
+fn run_fleet(procs: usize) -> (Vec<u64>, u64) {
+    let (mut sim, files) = fleet_sim();
     let t0 = sim.now();
     let workloads: Vec<(String, Workload<'_, u64>)> = (0..procs)
         .map(|i| {
@@ -173,62 +115,41 @@ fn run_fleet(procs: usize, exec: ExecBackend) -> (Vec<u64>, u64) {
     (digests, sim.now().since(t0).as_nanos())
 }
 
-/// Measures the headline: the 512-process fleet under both backends
-/// (bit-identity and virtual time gated; host time paired, interleaved,
-/// and sign-tested), plus the events-only 2048-process row.
-pub fn run(smoke: bool) -> FleetResult {
-    let rounds = if smoke { SMOKE_ROUNDS } else { FULL_ROUNDS };
-    run_with(FLEET_PROCS, XL_PROCS, rounds)
+/// Measures the headline: the 512-process fleet run twice (replay
+/// identity and virtual time gated, host time informational), plus the
+/// 2048-process row.
+pub fn run() -> FleetResult {
+    run_with(FLEET_PROCS, XL_PROCS)
 }
 
-/// [`run`] with explicit fleet sizes and round count (tests use tiny
-/// fleets).
-pub fn run_with(procs: usize, xl_procs: usize, rounds: usize) -> FleetResult {
-    // Correctness first: the two backends must replay the same schedule.
-    let (events_digests, events_virtual) = run_fleet(procs, ExecBackend::Events);
-    let (threads_digests, threads_virtual) = run_fleet(procs, ExecBackend::Threads);
-    let identical = events_digests == threads_digests && events_virtual == threads_virtual;
-
-    // Then the measurement: threads (baseline) vs events (candidate),
-    // interleaved and sign-tested.
-    let paired = gray_toolbox::paired_host_compare(
-        rounds,
-        || {
-            black_box(run_fleet(procs, ExecBackend::Threads));
-        },
-        || {
-            black_box(run_fleet(procs, ExecBackend::Events));
-        },
-        OutlierPolicy::default(),
-    );
-
-    let xl_start = Instant::now();
-    let (_, xl_virtual) = run_fleet(xl_procs, ExecBackend::Events);
-    let xl_host_ns = xl_start.elapsed().as_nanos() as u64;
+/// [`run`] with explicit fleet sizes (tests use tiny fleets).
+pub fn run_with(procs: usize, xl_procs: usize) -> FleetResult {
+    let timed = |procs: usize| {
+        let start = Instant::now();
+        let fleet = run_fleet(procs);
+        (fleet, start.elapsed().as_nanos() as u64)
+    };
+    let (first, _) = timed(procs);
+    let (second, events_host_ns) = timed(procs);
+    let ((_, xl_virtual_ns), xl_events_host_ns) = timed(xl_procs);
     FleetResult {
         procs,
-        events_host_ns: paired.candidate_median_ns as u64,
-        threads_host_ns: paired.baseline_median_ns as u64,
-        host_speedup: paired.speedup,
-        virtual_ns: events_virtual,
-        identical,
+        events_host_ns,
+        virtual_ns: first.1,
+        identical: first == second,
         xl_procs,
-        xl_events_host_ns: xl_host_ns,
-        xl_virtual_ns: xl_virtual,
-        paired,
+        xl_events_host_ns,
+        xl_virtual_ns,
     }
 }
 
-/// Registers the host-time fleet benches (events backend only — the
-/// harness re-runs its benches many times, and the threads backend at
-/// fleet scale is exactly what this PR makes unnecessary; it is measured
-/// once per baseline in [`run`]).
+/// Registers the host-time fleet benches.
 pub fn register(h: &mut Harness) {
     h.bench_function("exec_fleet_512_events", |b| {
-        b.iter(|| black_box(run_fleet(FLEET_PROCS, ExecBackend::Events)));
+        b.iter(|| black_box(run_fleet(FLEET_PROCS)));
     });
     h.bench_function("exec_fleet_64_events", |b| {
-        b.iter(|| black_box(run_fleet(64, ExecBackend::Events)));
+        b.iter(|| black_box(run_fleet(64)));
     });
 }
 
@@ -237,39 +158,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_fleet_is_bit_identical_across_backends() {
-        // The full 512-process identity is recorded (and gated) in the
-        // baseline headline; pin the same property at test-budget scale.
-        let events = run_fleet(64, ExecBackend::Events);
-        let threads = run_fleet(64, ExecBackend::Threads);
-        assert_eq!(events, threads, "fleet digests/makespan diverge");
-        assert!(events.1 > 0, "fleet must consume virtual time");
-    }
-
-    #[test]
-    fn paired_rows_are_well_formed_and_collision_free() {
-        let f = run_with(16, 32, 2);
-        assert!(f.identical, "backends diverged at test scale");
-        assert_eq!(f.paired.rounds, 2);
-        assert!(f.paired.kept >= 1);
-        assert!(f.paired.speedup > 0.0);
-        assert!(f.threads_host_ns > 0 && f.events_host_ns > 0);
+    fn headline_row_is_well_formed_and_collision_free() {
+        let f = run_with(16, 32);
+        assert!(f.identical, "replays diverged at test scale");
+        assert!(
+            f.virtual_ns > 0 && f.xl_virtual_ns > 0,
+            "fleets must consume virtual time"
+        );
+        assert!(f.events_host_ns > 0 && f.xl_events_host_ns > 0);
         // The baseline diff scans line-by-line with substring probes;
-        // the two fleet rows must carry their own locator keys and no
-        // other headline's.
-        assert!(f.json_fields().contains("\"xl_virtual_ns\":"));
-        assert!(f.speedup_json_fields().contains("\"events_median_ns\":"));
-        for line in [f.json_fields(), f.speedup_json_fields()] {
-            for probe in [
-                "\"serial_virtual_ns\":",
-                "\"virtual_ns_per_query\":",
-                "\"grid_digest\":",
-                "\"one_worker_median_ns\":",
-                "\"covert_digest\":",
-                "\"mean_ns\":",
-            ] {
-                assert!(!line.contains(probe), "{line} collides with {probe}");
-            }
+        // the fleet row must carry its own locator key and no other
+        // headline's.
+        let line = f.json_fields();
+        assert!(line.contains("\"xl_virtual_ns\":"));
+        for probe in [
+            "\"serial_virtual_ns\":",
+            "\"virtual_ns_per_query\":",
+            "\"grid_digest\":",
+            "\"one_worker_median_ns\":",
+            "\"covert_digest\":",
+            "\"mean_ns\":",
+        ] {
+            assert!(!line.contains(probe), "{line} collides with {probe}");
         }
     }
 }

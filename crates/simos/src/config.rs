@@ -184,57 +184,14 @@ pub enum LayoutPolicy {
     Lfs,
 }
 
-/// Which executor backend drives multiprogrammed [`crate::Sim::run`]
-/// calls. Both produce **bit-identical** virtual time: scheduling
-/// decisions depend only on virtual clocks and pids, and the yield
-/// points are the same (`tests/exec_equivalence.rs` pins this).
+/// The executor: one event loop resuming coroutines. Selects nothing —
+/// the spelling survives only because `benchmark/` names it and may not
+/// change in the PR that removed the thread-per-process alternative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// One event loop, one OS thread: each simulated process is a
-    /// resumable coroutine and the driver always resumes the
-    /// minimum-virtual-time runnable one. Scales to thousands of
-    /// processes; the default.
+    /// The one executor ([`crate::exec`]).
     #[default]
     Events,
-    /// One OS thread per simulated process with condvar baton passing —
-    /// the original executor, retained for one release as the
-    /// equivalence baseline. Practical up to tens of processes.
-    Threads,
-}
-
-impl ExecBackend {
-    /// Backend name as used by the `SIMOS_EXEC` environment variable.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Events => "events",
-            ExecBackend::Threads => "threads",
-        }
-    }
-
-    /// Reads `SIMOS_EXEC` (`events` or `threads`); `None` when unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set to an unrecognized value — a silent
-    /// fallback would make an equivalence CI matrix vacuous.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("SIMOS_EXEC") {
-            Ok(v) if v == "events" => Some(ExecBackend::Events),
-            Ok(v) if v == "threads" => Some(ExecBackend::Threads),
-            Ok(v) => panic!("SIMOS_EXEC must be `events` or `threads`, got `{v}`"),
-            Err(_) => None,
-        }
-    }
-
-    /// The default for fresh configurations: `SIMOS_EXEC` if set (so a
-    /// CI matrix can steer a whole test run), otherwise [`Events`].
-    /// Explicit `cfg.exec = …` assignments always win over the
-    /// environment because they happen after construction.
-    ///
-    /// [`Events`]: ExecBackend::Events
-    pub fn env_default() -> Self {
-        Self::from_env().unwrap_or_default()
-    }
 }
 
 /// Periodic writeback ("flusher daemon") parameters.
@@ -343,10 +300,7 @@ pub struct SimConfig {
     pub writeback: WritebackParams,
     /// Master RNG seed (noise, procedural content).
     pub seed: u64,
-    /// Executor backend for multiprogrammed runs (virtual time is
-    /// bit-identical either way; see [`ExecBackend`]).
-    pub exec: ExecBackend,
-    /// Stack size per simulated process under the events backend.
+    /// Stack size per simulated process in a multiprogrammed run.
     /// Heap-allocated and lazily committed by the host, so a generous
     /// default costs little real memory.
     pub coro_stack_bytes: usize,
@@ -370,7 +324,6 @@ impl SimConfig {
             readahead_pages: 32,
             writeback: WritebackParams::disabled(),
             seed: 0xA5A5_5A5A,
-            exec: ExecBackend::env_default(),
             coro_stack_bytes: 512 << 10,
         }
     }
@@ -392,7 +345,6 @@ impl SimConfig {
             readahead_pages: 32,
             writeback: WritebackParams::disabled(),
             seed: 0xA5A5_5A5A,
-            exec: ExecBackend::env_default(),
             coro_stack_bytes: 512 << 10,
         }
     }
@@ -422,11 +374,9 @@ impl SimConfig {
         self
     }
 
-    /// Pins the executor backend, overriding `SIMOS_EXEC` (builder
-    /// style). Equivalence tests use this to run both backends in one
-    /// process regardless of the environment.
-    pub fn with_exec(mut self, exec: ExecBackend) -> Self {
-        self.exec = exec;
+    /// Does nothing; kept source-compatible for `benchmark/` (see
+    /// [`ExecBackend`]).
+    pub fn with_exec(self, _exec: ExecBackend) -> Self {
         self
     }
 
@@ -523,18 +473,6 @@ mod tests {
     fn bad_swap_disk_panics() {
         let mut cfg = SimConfig::small();
         cfg.swap_disk = 9;
-        cfg.validate();
-    }
-
-    #[test]
-    fn exec_backend_defaults_and_builder() {
-        // Never sets SIMOS_EXEC (tests share a process); only the
-        // explicit paths are exercised here.
-        assert_eq!(ExecBackend::default(), ExecBackend::Events);
-        assert_eq!(ExecBackend::Events.name(), "events");
-        assert_eq!(ExecBackend::Threads.name(), "threads");
-        let cfg = SimConfig::small().with_exec(ExecBackend::Threads);
-        assert_eq!(cfg.exec, ExecBackend::Threads);
         cfg.validate();
     }
 

@@ -1,6 +1,6 @@
 //! Minimal in-tree stackful coroutines for the event-driven executor.
 //!
-//! The events backend multiplexes every simulated process onto the one
+//! The executor multiplexes every simulated process onto the one
 //! driver thread, so a process that must wait (another process now holds
 //! the smaller virtual time) has to *suspend mid-call* and resume later
 //! exactly where it left off. Rust has no stable stackful-coroutine
@@ -32,17 +32,20 @@
 //!   executor always drives every coroutine to completion, so this only
 //!   occurs if the driver itself panics mid-run.
 //!
-//! Supported: x86_64 (SysV) and aarch64 (AAPCS64). Other architectures
-//! compile but report [`SUPPORTED`]` == false`, and the executor falls
-//! back to the thread backend.
+//! Supported: x86_64 (SysV) and aarch64 (AAPCS64). Any other
+//! architecture fails at compile time: there is no second scheduler to
+//! fall back to, and a build that could not run a multi-process
+//! experiment would only fail later and less legibly.
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::marker::PhantomData;
 use std::ptr;
 
-/// Whether this build has a context-switch implementation. When false
-/// the executor silently uses the thread backend instead.
-pub(crate) const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+compile_error!(
+    "simos::coro has a context switch for x86_64 and aarch64 only; \
+     port `arch::switch`/`arch::fabricate` to build for this architecture"
+);
 
 /// Smallest stack the executor will fabricate. Probe workloads use a few
 /// KiB; 64 KiB leaves generous headroom for formatting machinery in
@@ -155,12 +158,6 @@ impl<'env> Coro<'env> {
         stack_bytes: usize,
         entry: Box<dyn FnOnce(*mut YieldCore) + 'env>,
     ) -> Coro<'env> {
-        // `Sim::new` falls back to the thread backend on unsupported
-        // architectures, so reaching this constructor there is a bug.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(SUPPORTED, "stackful coroutines unsupported on this arch");
-        }
         let stack = Stack::new(stack_bytes);
         let mut core = Box::new(YieldCore {
             coro_sp: ptr::null_mut(),
@@ -357,23 +354,7 @@ mod arch {
     }
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    use super::StartCtx;
-
-    // No context switch on this architecture; `SUPPORTED` is false and
-    // the executor routes everything to the thread backend, so these are
-    // unreachable.
-    pub(super) unsafe fn switch(_save: *mut *mut u8, _restore: *mut u8) {
-        unreachable!("events executor unsupported on this architecture")
-    }
-
-    pub(super) unsafe fn fabricate(_top: *mut u8, _ctx: *mut StartCtx) -> *mut u8 {
-        unreachable!("events executor unsupported on this architecture")
-    }
-}
-
-#[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::RefCell;

@@ -7,42 +7,44 @@
 //! apply in causal order — a conservative sequential discrete-event
 //! simulation in which workload code is ordinary imperative Rust.
 //!
-//! Two backends provide the control flow ([`ExecBackend`]):
+//! Every process spawned by [`Sim::run`] is a stackful coroutine
+//! ([`crate::coro`]) and one driver loop on the calling thread resumes the
+//! minimum-time runnable one, so fleets of thousands of processes cost
+//! one context switch per handoff. The simulation state lives in one
+//! `Rc<RefCell<State>>` shared by the [`Sim`], its [`SimProc`] handles and
+//! its [`Oracle`]s: each syscall borrows it for exactly one kernel
+//! operation and releases it before the coroutine can suspend, so no
+//! borrow is ever held across a context switch and no lock is needed.
 //!
-//! - **Events** (default): every process is a stackful coroutine
-//!   ([`crate::coro`]) and one driver loop resumes the minimum-time
-//!   runnable one. One OS thread total, so fleets of thousands of
-//!   processes are affordable.
-//! - **Threads**: every process is a real OS thread and a condvar passes
-//!   the baton. The original executor, kept for one release as the
-//!   equivalence baseline.
-//!
-//! Both backends ask [`Kernel::next_runnable`] the same question at the
-//! same points, so the kernel call sequence — and with it every charged
-//! duration, noise draw, and final clock — is **bit-identical** between
-//! them (`tests/exec_equivalence.rs` pins this).
+//! [`Kernel::next_runnable`] is the semantic definition of the resume
+//! rule. The driver answers it from an incremental [`RunQueue`] that is
+//! debug-asserted against the kernel's scan at every decision, and
+//! `tests/exec_equivalence.rs` replays random syscall programs through a
+//! coroutine-free interpreter over a bare `Kernel` to pin that the
+//! executor issues the same kernel call sequence **bit for bit**.
 //!
 //! Determinism: scheduling decisions depend only on virtual times and
 //! pids, never on host timing, so a simulation with a fixed seed replays
 //! identically.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use gray_toolbox::trace;
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, GrayBoxOs, MemRegion, OsResult, ProbeSample, ProbeSpec, Stat};
 
-use crate::config::{ExecBackend, SimConfig};
+use crate::config::SimConfig;
 use crate::coro;
 use crate::kernel::Kernel;
 use crate::oracle::Oracle;
 
 /// A workload closure run as one simulated process.
-pub type Workload<'env, R> = Box<dyn FnOnce(&SimProc) -> R + Send + 'env>;
+pub type Workload<'env, R> = Box<dyn FnOnce(&SimProc) -> R + 'env>;
 
 /// What a finished process left behind: its result, or the payload of
 /// the panic that killed it.
@@ -54,8 +56,7 @@ type Outcome<R> = Result<R, Box<dyn Any + Send + 'static>>;
 #[derive(Debug)]
 pub struct ProcPanic {
     /// Pid of the panicking process. When several processes panic in one
-    /// run, the smallest pid is reported (deterministic in both
-    /// backends).
+    /// run, the smallest pid is reported.
     pub pid: usize,
     /// The workload name passed to [`Sim::run`].
     pub name: String,
@@ -100,27 +101,32 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///   nothing, else the heap would grow without bound);
 /// - superseded and retired entries stay in the heap and are discarded
 ///   lazily when they surface at the top ([`RunQueue::min`]);
-/// - `pushed[pid]` records the single live entry per pid, so staleness
-///   is one vector compare.
+/// - `pushed[pid - base]` records the single live entry per pid, so
+///   staleness is one vector compare.
 ///
 /// Equivalence with the scan is enforced by a `debug_assert` on every
 /// scheduling decision (all tests run with it) and by a dedicated
-/// property test below; `tests/exec_equivalence.rs` additionally pins
-/// both backends' bit-identity end to end.
+/// property test below.
 #[derive(Debug, Default)]
 struct RunQueue {
     heap: BinaryHeap<Reverse<(Nanos, usize)>>,
-    /// `pushed[pid]` is the time of pid's current (valid) heap entry;
-    /// `None` means the pid is not schedulable (finished or inactive).
+    /// First pid of the current run; a run's pids are dense and
+    /// consecutive, so `pushed` is sized by the run, not by every pid the
+    /// machine ever issued.
+    base: usize,
+    /// `pushed[pid - base]` is the time of pid's current (valid) heap
+    /// entry; `None` means the pid has finished.
     pushed: Vec<Option<Nanos>>,
 }
 
 impl RunQueue {
-    /// Rebuilds the queue for a fresh active set (start of a run).
-    fn install(&mut self, active: &[usize], kernel: &Kernel) {
+    /// Rebuilds the queue for a fresh run over the consecutive `pids`.
+    fn install(&mut self, pids: &[usize], kernel: &Kernel) {
         self.heap.clear();
-        self.pushed.iter_mut().for_each(|slot| *slot = None);
-        for &pid in active {
+        self.base = pids[0];
+        self.pushed.clear();
+        self.pushed.resize(pids.len(), None);
+        for &pid in pids {
             self.touch(pid, kernel.proc_time(pid));
         }
     }
@@ -128,27 +134,23 @@ impl RunQueue {
     /// Records that `pid`'s clock is now `now`. No-op when unchanged, so
     /// heap growth is bounded by the number of *time-advancing* syscalls.
     fn touch(&mut self, pid: usize, now: Nanos) {
-        if self.pushed.len() <= pid {
-            self.pushed.resize(pid + 1, None);
-        }
-        if self.pushed[pid] != Some(now) {
-            self.pushed[pid] = Some(now);
+        let slot = &mut self.pushed[pid - self.base];
+        if *slot != Some(now) {
+            *slot = Some(now);
             self.heap.push(Reverse((now, pid)));
         }
     }
 
     /// Removes `pid` from scheduling (its heap entries die lazily).
     fn retire(&mut self, pid: usize) {
-        if let Some(slot) = self.pushed.get_mut(pid) {
-            *slot = None;
-        }
+        self.pushed[pid - self.base] = None;
     }
 
     /// The schedulable pid with the smallest `(time, pid)`, discarding
     /// stale heap entries on the way.
     fn min(&mut self) -> Option<usize> {
         while let Some(&Reverse((time, pid))) = self.heap.peek() {
-            if self.pushed.get(pid).copied().flatten() == Some(time) {
+            if self.pushed[pid - self.base] == Some(time) {
                 return Some(pid);
             }
             self.heap.pop();
@@ -159,11 +161,12 @@ impl RunQueue {
 
 #[derive(Debug)]
 struct Sched {
-    /// The pid currently holding the baton.
+    /// The pid the driver last resumed (or `run_one`'s lone process).
     running: usize,
-    /// Pids participating in the current `run` call.
+    /// Pids of the current `run` call; finished ones stay listed and are
+    /// skipped by liveness.
     active: Vec<usize>,
-    /// Incremental min-(time, pid) structure mirroring `active`.
+    /// Incremental min-(time, pid) structure over the live `active` pids.
     runq: RunQueue,
 }
 
@@ -172,21 +175,21 @@ struct State {
     sched: Sched,
 }
 
-pub(crate) struct SharedHandle {
-    m: Mutex<State>,
-    cv: Condvar,
-}
+/// The simulation state as shared (on the one driver thread) between a
+/// [`Sim`], its [`SimProc`]s and its [`Oracle`]s.
+pub(crate) struct SharedHandle(RefCell<State>);
 
 impl SharedHandle {
-    /// Locks the shared state, riding through poisoning: a panicking
-    /// workload must not strand its siblings (the kernel state stays
-    /// consistent because every mutation happens inside one `call`).
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.m.lock().unwrap_or_else(|e| e.into_inner())
+    /// Borrows the state for one operation. Every borrow ends before
+    /// control can reach another holder — a coroutine releases its borrow
+    /// before it suspends, and unwinding drops it — so this never finds
+    /// the state already borrowed.
+    fn state(&self) -> RefMut<'_, State> {
+        self.0.borrow_mut()
     }
 
     pub(crate) fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.lock().kernel)
+        f(&mut self.state().kernel)
     }
 }
 
@@ -199,71 +202,46 @@ impl SharedHandle {
 /// Kernel state (caches, file systems, clocks) **persists across runs**, so
 /// warm-cache experiments are expressed as consecutive `run_one` calls.
 pub struct Sim {
-    shared: Arc<SharedHandle>,
-    backend: ExecBackend,
+    shared: Rc<SharedHandle>,
     stack_bytes: usize,
 }
 
 impl Sim {
-    /// Boots a simulation from a configuration. If the configuration
-    /// asks for the events backend on an architecture without a context
-    /// switch, the thread backend is substituted (semantics are
-    /// identical, only scalability differs).
+    /// Boots a simulation from a configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        let backend = if cfg.exec == ExecBackend::Events && !coro::SUPPORTED {
-            ExecBackend::Threads
-        } else {
-            cfg.exec
-        };
         let stack_bytes = cfg.coro_stack_bytes;
         Sim {
-            shared: Arc::new(SharedHandle {
-                m: Mutex::new(State {
-                    kernel: Kernel::new(cfg),
-                    sched: Sched {
-                        running: usize::MAX,
-                        active: Vec::new(),
-                        runq: RunQueue::default(),
-                    },
-                }),
-                cv: Condvar::new(),
-            }),
-            backend,
+            shared: Rc::new(SharedHandle(RefCell::new(State {
+                kernel: Kernel::new(cfg),
+                sched: Sched {
+                    running: usize::MAX,
+                    active: Vec::new(),
+                    runq: RunQueue::default(),
+                },
+            }))),
             stack_bytes,
         }
     }
 
-    /// The executor backend actually in use (after any architecture
-    /// fallback).
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// Runs a single process on the calling thread (no coroutine, no
-    /// thread spawn, no baton passing) and returns its result. The
-    /// process starts at the latest virtual time any previous process
-    /// reached.
+    /// Runs a single process directly on the calling stack (no
+    /// coroutine, no run queue: it has nobody to yield to) and returns
+    /// its result. The process starts at the latest virtual time any
+    /// previous process reached.
     pub fn run_one<R>(&mut self, f: impl FnOnce(&SimProc) -> R) -> R {
         let pid = {
-            let mut st = self.shared.lock();
+            let mut st = self.shared.state();
             let start = st.kernel.max_time();
             let pid = st.kernel.add_proc(start);
             st.sched.running = pid;
-            st.sched.active = vec![pid];
-            let State { kernel, sched } = &mut *st;
-            sched.runq.install(&sched.active, kernel);
             pid
         };
         let proc_handle = SimProc {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             pid,
             yielder: None,
         };
         let r = f(&proc_handle);
-        let mut st = self.shared.lock();
-        st.kernel.finish_proc(pid);
-        st.sched.active.clear();
-        st.sched.runq.retire(pid);
+        self.shared.state().kernel.finish_proc(pid);
         r
     }
 
@@ -276,10 +254,7 @@ impl Sim {
     /// If any process panics, panics with the [`ProcPanic`] rendering
     /// (pid, workload name, original message) after every sibling has
     /// run to completion. Use [`Sim::try_run`] to handle it as a value.
-    pub fn run<'env, R: Send + 'env>(
-        &mut self,
-        workloads: Vec<(String, Workload<'env, R>)>,
-    ) -> Vec<R> {
+    pub fn run<'env, R: 'env>(&mut self, workloads: Vec<(String, Workload<'env, R>)>) -> Vec<R> {
         match self.try_run(workloads) {
             Ok(results) => results,
             Err(p) => panic!("{p}"),
@@ -290,25 +265,22 @@ impl Sim {
     /// [`ProcPanic`] error instead of a panic. Surviving siblings still
     /// run to completion (their results are discarded on error); kernel
     /// state remains consistent and the `Sim` stays usable.
-    pub fn try_run<'env, R: Send + 'env>(
+    pub fn try_run<'env, R: 'env>(
         &mut self,
         workloads: Vec<(String, Workload<'env, R>)>,
     ) -> Result<Vec<R>, ProcPanic> {
         if workloads.is_empty() {
             return Ok(Vec::new());
         }
-        let names: Vec<String> = workloads.iter().map(|(name, _)| name.clone()).collect();
-        let (pids, outcomes) = match self.backend {
-            ExecBackend::Threads => self.run_threads(workloads),
-            ExecBackend::Events => self.run_events(workloads),
-        };
+        let (names, workloads): (Vec<String>, Vec<Workload<'env, R>>) =
+            workloads.into_iter().unzip();
+        let (pids, outcomes) = self.run_events(workloads);
         let mut results = Vec::with_capacity(outcomes.len());
         for ((outcome, &pid), name) in outcomes.into_iter().zip(&pids).zip(names) {
             match outcome {
                 Ok(r) => results.push(r),
                 // Pids ascend in input order, so the first error is the
-                // smallest panicking pid — the same one either backend
-                // would report.
+                // smallest panicking pid.
                 Err(payload) => {
                     return Err(ProcPanic {
                         pid,
@@ -324,78 +296,26 @@ impl Sim {
     /// Registers one kernel process per workload, all starting at the
     /// current maximum virtual time, and installs them as the active set.
     fn register_procs(&mut self, n: usize) -> Vec<usize> {
-        let mut st = self.shared.lock();
+        let mut st = self.shared.state();
         let start = st.kernel.max_time();
         let pids: Vec<usize> = (0..n).map(|_| st.kernel.add_proc(start)).collect();
-        st.sched.active = pids.clone();
-        st.sched.running = pids[0];
         let State { kernel, sched } = &mut *st;
-        sched.runq.install(&sched.active, kernel);
+        sched.runq.install(&pids, kernel);
+        sched.active = pids.clone();
         pids
     }
 
-    /// Thread backend: one OS thread per process, condvar baton passing.
-    fn run_threads<'env, R: Send + 'env>(
+    /// Every process is a coroutine; this loop always resumes the
+    /// minimum-virtual-time runnable one until none is left.
+    fn run_events<'env, R: 'env>(
         &mut self,
-        workloads: Vec<(String, Workload<'env, R>)>,
-    ) -> (Vec<usize>, Vec<Outcome<R>>) {
-        let pids = self.register_procs(workloads.len());
-        let slots: Vec<Mutex<Option<Outcome<R>>>> =
-            workloads.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for ((_name, workload), (&pid, slot)) in
-                workloads.into_iter().zip(pids.iter().zip(slots.iter()))
-            {
-                let shared = Arc::clone(&self.shared);
-                scope.spawn(move || {
-                    let proc_handle = SimProc {
-                        shared: Arc::clone(&shared),
-                        pid,
-                        yielder: None,
-                    };
-                    // Wait for the baton before the first instruction.
-                    {
-                        let mut st = shared.lock();
-                        while st.sched.running != pid {
-                            st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                        }
-                    }
-                    // The finisher releases the baton even if the workload
-                    // panics, so sibling processes are not stranded.
-                    let _finisher = ProcFinisher {
-                        shared: &shared,
-                        pid,
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
-                    *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                });
-            }
-        });
-
-        let outcomes = slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("process ran to completion")
-            })
-            .collect();
-        (pids, outcomes)
-    }
-
-    /// Events backend: every process is a coroutine; this (single)
-    /// thread's loop always resumes the minimum-virtual-time runnable
-    /// one — the moral equivalent of the baton, without the threads.
-    fn run_events<'env, R: Send + 'env>(
-        &mut self,
-        workloads: Vec<(String, Workload<'env, R>)>,
+        workloads: Vec<Workload<'env, R>>,
     ) -> (Vec<usize>, Vec<Outcome<R>>) {
         let pids = self.register_procs(workloads.len());
         let base = pids[0];
         let stack_bytes = self.stack_bytes;
-        let slots: Vec<Mutex<Option<Outcome<R>>>> =
-            workloads.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Cell<Option<Outcome<R>>>> =
+            workloads.iter().map(|_| Cell::new(None)).collect();
         {
             // Each process gets its own trace identity (open spans +
             // lane), swapped in around every resume: all coroutines share
@@ -406,24 +326,22 @@ impl Sim {
             let mut coros: Vec<coro::Coro<'_>> = workloads
                 .into_iter()
                 .zip(pids.iter().zip(slots.iter()))
-                .map(|((_name, workload), (&pid, slot))| {
-                    let shared = Arc::clone(&self.shared);
+                .map(|(workload, (&pid, slot))| {
+                    let shared = Rc::clone(&self.shared);
                     coro::Coro::new(
                         stack_bytes,
                         Box::new(move |core| {
                             let proc_handle = SimProc {
-                                shared: Arc::clone(&shared),
+                                shared: Rc::clone(&shared),
                                 pid,
                                 yielder: Some(core),
                             };
                             let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
-                            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                            // Mirror ProcFinisher: retire the process so
-                            // the driver's next_runnable moves past it,
-                            // panic or no panic.
-                            let mut st = shared.lock();
+                            slot.set(Some(outcome));
+                            // Retire the process so the driver's next
+                            // decision moves past it, panic or no panic.
+                            let mut st = shared.state();
                             st.kernel.finish_proc(pid);
-                            st.sched.active.retain(|&p| p != pid);
                             st.sched.runq.retire(pid);
                         }),
                     )
@@ -432,7 +350,7 @@ impl Sim {
 
             loop {
                 let next = {
-                    let mut st = self.shared.lock();
+                    let mut st = self.shared.state();
                     match choose_next(&mut st) {
                         Some(pid) => {
                             st.sched.running = pid;
@@ -447,67 +365,39 @@ impl Sim {
                 coros[idx].resume();
                 trace::swap_ctx(&mut trace_ctxs[idx]);
             }
-            let mut st = self.shared.lock();
+            let mut st = self.shared.state();
             st.sched.running = usize::MAX;
             st.sched.active.clear();
         }
 
         let outcomes = slots
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("process ran to completion")
-            })
+            .map(|slot| slot.into_inner().expect("process ran to completion"))
             .collect();
         (pids, outcomes)
     }
 
     /// Ground-truth inspection (never available to ICL code).
     pub fn oracle(&self) -> Oracle {
-        Oracle::new(Arc::clone(&self.shared))
+        Oracle::new(Rc::clone(&self.shared))
     }
 
     /// Drops all file pages from the cache — the between-runs experimental
     /// flush.
     pub fn flush_file_cache(&mut self) {
-        self.shared.lock().kernel.flush_file_cache();
+        self.shared.state().kernel.flush_file_cache();
     }
 
     /// The latest virtual time any process reached.
     pub fn now(&self) -> Nanos {
-        self.shared.lock().kernel.max_time()
+        self.shared.state().kernel.max_time()
     }
 }
 
-/// Marks a process finished and passes the baton onward, even on panic
-/// (thread backend only; the events driver re-derives the baton from
-/// `next_runnable` on every iteration).
-struct ProcFinisher<'a> {
-    shared: &'a SharedHandle,
-    pid: usize,
-}
-
-impl Drop for ProcFinisher<'_> {
-    fn drop(&mut self) {
-        let mut st = self.shared.lock();
-        st.kernel.finish_proc(self.pid);
-        st.sched.active.retain(|&p| p != self.pid);
-        st.sched.runq.retire(self.pid);
-        if let Some(next) = choose_next(&mut st) {
-            st.sched.running = next;
-        } else {
-            st.sched.running = usize::MAX;
-        }
-        drop(st);
-        self.shared.cv.notify_all();
-    }
-}
-
-/// The runnable process with the smallest (local time, pid) — one
-/// definition shared by both backends. Answered in O(log n) by the
-/// incremental [`RunQueue`]; the kernel's O(n) scan remains the semantic
-/// definition and cross-checks every decision in debug builds.
+/// The runnable process with the smallest (local time, pid). Answered in
+/// O(log n) by the incremental [`RunQueue`]; the kernel's O(n) scan
+/// remains the semantic definition and cross-checks every decision in
+/// debug builds.
 fn choose_next(st: &mut State) -> Option<usize> {
     let State { kernel, sched } = &mut *st;
     let next = sched.runq.min();
@@ -522,10 +412,10 @@ fn choose_next(st: &mut State) -> Option<usize> {
 /// A process's handle to the simulated kernel; implements the full
 /// [`GrayBoxOs`] black-box surface.
 pub struct SimProc {
-    shared: Arc<SharedHandle>,
+    shared: Rc<SharedHandle>,
     pid: usize,
-    /// Under the events backend, the coroutine to suspend when this
-    /// process must wait; `None` under threads and `run_one`.
+    /// The coroutine to suspend when this process must wait; `None`
+    /// under `run_one`, whose lone process never waits.
     yielder: Option<*mut coro::YieldCore>,
 }
 
@@ -535,45 +425,30 @@ impl SimProc {
         self.pid
     }
 
-    /// Runs one kernel operation, then yields if another process now has
-    /// the smallest local time — by suspending this coroutine (events)
-    /// or handing the condvar baton over and blocking (threads). The
-    /// yield *decision* is identical in both backends; only the
-    /// mechanism differs.
+    /// Runs one kernel operation, then suspends this coroutine if another
+    /// process now has the smallest local time.
     fn call<R>(&self, f: impl FnOnce(&mut Kernel, usize) -> R) -> R {
-        let mut st = self.shared.lock();
+        let mut st = self.shared.state();
         debug_assert_eq!(
             st.sched.running, self.pid,
-            "process ran without holding the baton"
+            "process ran without being the one the driver resumed"
         );
         let r = f(&mut st.kernel, self.pid);
-        {
-            // Only the running process's clock can change inside `f`, so
-            // one touch keeps the run queue exact.
-            let State { kernel, sched } = &mut *st;
-            sched.runq.touch(self.pid, kernel.proc_time(self.pid));
-        }
-        if let Some(next) = choose_next(&mut st) {
-            if next != self.pid {
-                match self.yielder {
-                    Some(core) => {
-                        // The driver loop (same OS thread) re-locks the
-                        // state, so the guard must drop before switching.
-                        drop(st);
-                        // SAFETY: `core` is this process's own coroutine
-                        // state; the driver that resumed us is suspended
-                        // in `resume` awaiting exactly this switch.
-                        unsafe { coro::yield_to_driver(core) };
-                    }
-                    None => {
-                        st.sched.running = next;
-                        self.shared.cv.notify_all();
-                        while st.sched.running != self.pid {
-                            st = self.shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                        }
-                    }
-                }
-            }
+        let Some(core) = self.yielder else {
+            return r;
+        };
+        // Only the running process's clock can change inside `f`, so one
+        // touch keeps the run queue exact.
+        let now = st.kernel.proc_time(self.pid);
+        st.sched.runq.touch(self.pid, now);
+        if choose_next(&mut st) != Some(self.pid) {
+            // The driver loop and the process it resumes next borrow the
+            // state again, so this borrow must end before switching.
+            drop(st);
+            // SAFETY: `core` is this process's own coroutine state; the
+            // driver that resumed us is suspended in `resume` awaiting
+            // exactly this switch.
+            unsafe { coro::yield_to_driver(core) };
         }
         r
     }
@@ -585,7 +460,7 @@ impl GrayBoxOs for SimProc {
     }
 
     fn page_size(&self) -> u64 {
-        self.shared.lock().kernel.page_size()
+        self.shared.state().kernel.page_size()
     }
 
     fn open(&self, path: &str) -> OsResult<Fd> {
@@ -672,7 +547,7 @@ impl GrayBoxOs for SimProc {
         self.call(|k, pid| k.sys_mem_touch_read(pid, region.0, page))
     }
 
-    /// The whole batch runs under one kernel lock acquisition, and the
+    /// The whole batch runs under one borrow of the kernel, and the
     /// scheduler is consulted for a yield once per batch (at the end of
     /// `call`) rather than three times per probe. Virtual time is
     /// unaffected — the kernel replays the exact scalar charging sequence
@@ -848,27 +723,18 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_virtual_time() {
-        let run = |exec: ExecBackend| {
-            let mut sim = Sim::new(SimConfig::small().with_exec(exec));
-            assert_eq!(sim.backend(), exec);
-            let r = sim.run(contention_workloads());
-            (r, sim.now())
-        };
-        assert_eq!(
-            run(ExecBackend::Events),
-            run(ExecBackend::Threads),
-            "noise-on clocks must match bit for bit"
-        );
+    fn contention_clocks_match_the_thread_executor_golden() {
+        // Frozen from the thread-per-process executor at the commit that
+        // deleted it: noise-on clocks must still match bit for bit.
+        let mut sim = Sim::new(SimConfig::small());
+        let r = sim.run(contention_workloads());
+        assert_eq!(r, [1_233_716, 1_233_755, 1_233_795]);
+        assert_eq!(sim.now().as_nanos(), 1_233_795);
     }
 
     #[test]
-    fn events_backend_runs_hundreds_of_processes() {
-        let mut sim = Sim::new(
-            SimConfig::small()
-                .without_noise()
-                .with_exec(ExecBackend::Events),
-        );
+    fn runs_hundreds_of_processes() {
+        let mut sim = Sim::new(SimConfig::small().without_noise());
         let workloads: Vec<(String, Workload<'static, usize>)> = (0..300)
             .map(|i| {
                 let wl: Workload<'static, usize> = Box::new(move |os: &SimProc| {
@@ -886,33 +752,31 @@ mod tests {
 
     #[test]
     fn try_run_reports_pid_name_and_message() {
-        for exec in [ExecBackend::Events, ExecBackend::Threads] {
-            let mut sim = Sim::new(SimConfig::small().without_noise().with_exec(exec));
-            let err = sim
-                .try_run::<u64>(vec![
-                    (
-                        "survivor".to_string(),
-                        Box::new(|os: &SimProc| {
-                            os.compute(GrayDuration::from_millis(1));
-                            7
-                        }),
-                    ),
-                    (
-                        "victim".to_string(),
-                        Box::new(|_os: &SimProc| panic!("boom {}", 42)),
-                    ),
-                ])
-                .unwrap_err();
-            assert_eq!(err.name, "victim", "{exec:?}");
-            assert!(err.message.contains("boom 42"), "{exec:?}: {}", err.message);
-            assert!(err.to_string().contains(&format!("process {}", err.pid)));
-            // The sim survives and runs follow-on work.
-            let n = sim.run_one(|os| {
-                os.compute(GrayDuration::from_micros(10));
-                os.now()
-            });
-            assert!(n > Nanos::ZERO, "{exec:?}");
-        }
+        let mut sim = Sim::new(SimConfig::small().without_noise());
+        let err = sim
+            .try_run::<u64>(vec![
+                (
+                    "survivor".to_string(),
+                    Box::new(|os: &SimProc| {
+                        os.compute(GrayDuration::from_millis(1));
+                        7
+                    }),
+                ),
+                (
+                    "victim".to_string(),
+                    Box::new(|_os: &SimProc| panic!("boom {}", 42)),
+                ),
+            ])
+            .unwrap_err();
+        assert_eq!(err.name, "victim");
+        assert!(err.message.contains("boom 42"), "{}", err.message);
+        assert!(err.to_string().contains(&format!("process {}", err.pid)));
+        // The sim survives and runs follow-on work.
+        let n = sim.run_one(|os| {
+            os.compute(GrayDuration::from_micros(10));
+            os.now()
+        });
+        assert!(n > Nanos::ZERO);
     }
 
     #[test]
@@ -924,8 +788,7 @@ mod tests {
         gray_toolbox::prop::check("run_queue_matches_scan", 40, |g| {
             let mut kernel = Kernel::new(SimConfig::small().with_seed(g.u64(0..u64::MAX)));
             let n = g.usize(1..12);
-            let mut active: Vec<usize> =
-                (0..n).map(|_| kernel.add_proc(kernel.max_time())).collect();
+            let active: Vec<usize> = (0..n).map(|_| kernel.add_proc(kernel.max_time())).collect();
             let mut rq = RunQueue::default();
             rq.install(&active, &kernel);
             for _ in 0..g.usize(5..80) {
@@ -936,7 +799,6 @@ mod tests {
                     0 => {
                         // Retirement (process finished).
                         kernel.finish_proc(pid);
-                        active.retain(|&p| p != pid);
                         rq.retire(pid);
                     }
                     1 => {
@@ -953,6 +815,8 @@ mod tests {
                         rq.touch(pid, kernel.proc_time(pid));
                     }
                 }
+                let latest = (0..n).map(|pid| kernel.proc_time(pid)).max();
+                assert_eq!(Some(kernel.max_time()), latest, "high-water mark drifted");
             }
             // Drain: retire everything and the queue must empty out.
             for &pid in &active {
@@ -965,25 +829,19 @@ mod tests {
 
     #[test]
     fn panic_pid_selection_is_deterministic() {
-        // Several panicking processes: both backends must blame the
-        // smallest pid.
-        let run = |exec: ExecBackend| {
-            let mut sim = Sim::new(SimConfig::small().without_noise().with_exec(exec));
-            let workloads: Vec<(String, Workload<'static, ()>)> = (0..4)
-                .map(|i| {
-                    let wl: Workload<'static, ()> = Box::new(move |os: &SimProc| {
-                        os.compute(GrayDuration::from_micros(100 * (4 - i as u64)));
-                        panic!("p{i} down");
-                    });
-                    (format!("p{i}"), wl)
-                })
-                .collect();
-            let err = sim.try_run(workloads).unwrap_err();
-            (err.pid, err.name, err.message)
-        };
-        let a = run(ExecBackend::Events);
-        let b = run(ExecBackend::Threads);
-        assert_eq!(a, b);
-        assert_eq!(a.1, "p0");
+        // Several panicking processes: the smallest pid is blamed, even
+        // though it is the last to die in virtual time.
+        let mut sim = Sim::new(SimConfig::small().without_noise());
+        let workloads: Vec<(String, Workload<'static, ()>)> = (0..4)
+            .map(|i| {
+                let wl: Workload<'static, ()> = Box::new(move |os: &SimProc| {
+                    os.compute(GrayDuration::from_micros(100 * (4 - i as u64)));
+                    panic!("p{i} down");
+                });
+                (format!("p{i}"), wl)
+            })
+            .collect();
+        let err = sim.try_run(workloads).unwrap_err();
+        assert_eq!((err.pid, &*err.name, &*err.message), (0, "p0", "p0 down"));
     }
 }

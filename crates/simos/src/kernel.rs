@@ -89,6 +89,8 @@ pub struct Kernel {
     /// Which disk swap lives on.
     swap_disk: usize,
     procs: Vec<ProcClock>,
+    /// The latest instant any process clock has reached.
+    high_water: Nanos,
     fdt: Vec<HashMap<u32, OpenFile>>,
     next_fd: Vec<u32>,
     stats: KernelStats,
@@ -130,6 +132,7 @@ impl Kernel {
             swap_base,
             swap_disk: cfg.swap_disk,
             procs: Vec::new(),
+            high_water: Nanos::ZERO,
             fdt: Vec::new(),
             next_fd: Vec::new(),
             stats: KernelStats::default(),
@@ -156,9 +159,17 @@ impl Kernel {
             now: start,
             live: true,
         });
+        self.high_water = self.high_water.max(start);
         self.fdt.push(HashMap::new());
         self.next_fd.push(3);
         self.procs.len() - 1
+    }
+
+    /// Moves `pid`'s clock to `to`. Every clock write after `add_proc`
+    /// goes through here so [`Kernel::max_time`] stays exact.
+    fn set_time(&mut self, pid: usize, to: Nanos) {
+        self.procs[pid].now = to;
+        self.high_water = self.high_water.max(to);
     }
 
     /// Marks a process finished.
@@ -178,10 +189,9 @@ impl Kernel {
     }
 
     /// The conservative-DES resume rule: among `active` pids that are
-    /// still live, the one with the smallest `(local time, pid)`. Both
-    /// executor backends defer to this single definition, which is what
-    /// makes their schedules — and therefore every charged duration and
-    /// noise draw — bit-identical.
+    /// still live, the one with the smallest `(local time, pid)`. This
+    /// O(n) scan is the definition; the executor's incremental run queue
+    /// is checked against it at every decision in debug builds.
     pub fn next_runnable(&self, active: &[usize]) -> Option<usize> {
         active
             .iter()
@@ -190,13 +200,10 @@ impl Kernel {
             .min_by_key(|&p| (self.proc_time(p), p))
     }
 
-    /// The latest local time across all processes (experiment epilogue).
+    /// The latest local time across all processes, finished ones
+    /// included (experiment epilogue, and the start time of the next run).
     pub fn max_time(&self) -> Nanos {
-        self.procs
-            .iter()
-            .map(|p| p.now)
-            .max()
-            .unwrap_or(Nanos::ZERO)
+        self.high_water
     }
 
     // --- Charging helpers -------------------------------------------------
@@ -204,7 +211,8 @@ impl Kernel {
     fn charge_cpu(&mut self, pid: usize, d: GrayDuration) {
         let d = self.noise.apply(d);
         let before = self.procs[pid].now;
-        self.procs[pid].now = self.cpus.run(before, d);
+        let done = self.cpus.run(before, d);
+        self.set_time(pid, done);
         // Observation only: the delta was already committed above, so the
         // profiler cannot perturb virtual time (pinned by a tier-1 test).
         profile::charge(
@@ -218,7 +226,7 @@ impl Kernel {
     fn disk_io(&mut self, pid: usize, dev: usize, block: u64, nblocks: u64) {
         let now = self.procs[pid].now;
         let done = self.disks[dev].transfer(now, block, nblocks);
-        self.procs[pid].now = done;
+        self.set_time(pid, done);
         profile::charge(pid as u64, "disk", done.as_nanos() - now.as_nanos());
     }
 
@@ -1100,7 +1108,7 @@ impl Kernel {
     pub fn sys_sleep(&mut self, pid: usize, d: GrayDuration) {
         let _op = profile::op_scope("sys_sleep");
         self.poll_flusher(pid);
-        self.procs[pid].now += d;
+        self.set_time(pid, self.procs[pid].now + d);
         profile::charge(pid as u64, "sleep", d.as_nanos());
     }
 

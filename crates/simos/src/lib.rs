@@ -17,10 +17,9 @@
 //! - a **virtual-memory subsystem** ([`vm`]): demand-zero allocation,
 //!   copy-on-write reads, synchronous-reclaim swap on a dedicated disk;
 //! - a **deterministic process executor** ([`exec`]): simulated processes
-//!   are resumable coroutines driven by one event loop (or, behind the
-//!   `SIMOS_EXEC=threads` selector, one real thread each); exactly one
-//!   runs at a time and all time is virtual, so multi-process experiments
-//!   are exactly repeatable — and bit-identical across both backends;
+//!   are resumable coroutines driven by one event loop on one host
+//!   thread; exactly one runs at a time and all time is virtual, so
+//!   multi-process experiments are exactly repeatable;
 //! - a virtual **clock with a seeded noise model** ([`clock`]), so the
 //!   statistical machinery of the ICLs is genuinely exercised.
 //!

@@ -8,7 +8,7 @@
 //! never receives an `Oracle` — everything the ICLs know arrives through
 //! the `GrayBoxOs` trait.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use graybox::os::OsResult;
 
@@ -18,11 +18,11 @@ use crate::kernel::KernelStats;
 /// Ground-truth accessor for a [`crate::Sim`]. Obtain via
 /// [`crate::Sim::oracle`].
 pub struct Oracle {
-    shared: Arc<super::exec::SharedHandle>,
+    shared: Rc<super::exec::SharedHandle>,
 }
 
 impl Oracle {
-    pub(crate) fn new(shared: Arc<super::exec::SharedHandle>) -> Self {
+    pub(crate) fn new(shared: Rc<super::exec::SharedHandle>) -> Self {
         Oracle { shared }
     }
 

@@ -29,13 +29,11 @@ pub fn daemon_machine(disks: usize, workers: usize) -> Sim {
 
 /// Builds a quiet machine sized for *fleet* experiments: hundreds-to-
 /// thousands of short-lived probe processes sharing `disks` data disks
-/// and `cpus` CPU slots, under an explicitly pinned executor backend.
-/// Both backends build the bit-identical machine — the backend only
-/// decides how the host drives it — which is what lets the fleet bench
-/// and the equivalence suite compare them directly.
-pub fn fleet_machine(disks: usize, cpus: u32, exec: ExecBackend) -> Sim {
+/// and `cpus` CPU slots. The third argument selects nothing; it stays
+/// because `benchmark/` passes it (see [`ExecBackend`]).
+pub fn fleet_machine(disks: usize, cpus: u32, _exec: ExecBackend) -> Sim {
     assert!(disks >= 1, "need at least one disk");
-    let mut cfg = SimConfig::small().without_noise().with_exec(exec);
+    let mut cfg = SimConfig::small().without_noise();
     cfg.disks = vec![DiskParams::small(); disks.max(2)];
     cfg.swap_disk = 1;
     cfg.cpus = cpus.max(1);

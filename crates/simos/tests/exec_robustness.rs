@@ -1,57 +1,133 @@
-//! Executor robustness: panics, baton handoff, and edge conditions of the
-//! kernel's resource accounting.
+//! Executor robustness: panics, handoff between processes, borrows of the
+//! shared state, and edge conditions of the kernel's resource accounting.
 
 use gray_toolbox::GrayDuration;
-use graybox::os::{GrayBoxOs, GrayBoxOsExt, OsError};
+use graybox::os::{GrayBoxOs, GrayBoxOsExt, OsError, ProbeSpec};
 use simos::exec::Workload;
-use simos::{DiskParams, ExecBackend, FsParams, Sim, SimConfig, SimProc};
+use simos::{DiskParams, FsParams, Sim, SimConfig, SimProc};
 
 #[test]
 fn panicking_process_does_not_strand_siblings() {
-    for exec in [ExecBackend::Events, ExecBackend::Threads] {
-        let mut sim = Sim::new(SimConfig::small().without_noise().with_exec(exec));
-        // Run a panicking workload next to a working one. `run` re-raises
-        // the process panic (after every sibling has finished), so catch
-        // it and check the structured rendering.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let workloads: Vec<(String, Workload<'_, u64>)> = vec![
-                (
-                    "doomed".to_string(),
-                    Box::new(|os: &SimProc| {
+    let mut sim = Sim::new(SimConfig::small().without_noise());
+    // Run a panicking workload next to a working one. `run` re-raises
+    // the process panic (after every sibling has finished), so catch
+    // it and check the structured rendering.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let workloads: Vec<(String, Workload<'_, u64>)> = vec![
+            (
+                "doomed".to_string(),
+                Box::new(|os: &SimProc| {
+                    os.compute(GrayDuration::from_millis(1));
+                    panic!("deliberate test panic");
+                }),
+            ),
+            (
+                "survivor".to_string(),
+                Box::new(|os: &SimProc| {
+                    for _ in 0..50 {
                         os.compute(GrayDuration::from_millis(1));
-                        panic!("deliberate test panic");
-                    }),
-                ),
-                (
-                    "survivor".to_string(),
-                    Box::new(|os: &SimProc| {
-                        for _ in 0..50 {
-                            os.compute(GrayDuration::from_millis(1));
-                        }
-                        42
-                    }),
-                ),
-            ];
-            sim.run(workloads)
-        }));
-        // The panic must propagate (not deadlock), it must name the
-        // culprit — regression: the old executor died a second time on an
-        // empty result slot ("workload completed") instead — and the
-        // simulation must stay usable afterwards.
-        let payload = result.expect_err("the workload panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("run panics with a rendered ProcPanic");
-        assert!(
-            message.contains("\"doomed\"") && message.contains("deliberate test panic"),
-            "{exec:?}: panic must name process and cause, got: {message}"
-        );
-        let after = sim.run_one(|os| {
-            os.write_file("/alive", b"yes").unwrap();
-            os.read_to_vec("/alive").unwrap()
-        });
-        assert_eq!(after, b"yes", "{exec:?}");
-    }
+                    }
+                    42
+                }),
+            ),
+        ];
+        sim.run(workloads)
+    }));
+    // The panic must propagate (not deadlock), it must name the
+    // culprit — regression: the old executor died a second time on an
+    // empty result slot ("workload completed") instead — and the
+    // simulation must stay usable afterwards.
+    let payload = result.expect_err("the workload panic must propagate");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("run panics with a rendered ProcPanic");
+    assert!(
+        message.contains("\"doomed\"") && message.contains("deliberate test panic"),
+        "panic must name process and cause, got: {message}"
+    );
+    let after = sim.run_one(|os| {
+        os.write_file("/alive", b"yes").unwrap();
+        os.read_to_vec("/alive").unwrap()
+    });
+    assert_eq!(after, b"yes");
+}
+
+/// The state is one `RefCell` shared by the `Sim`, every `SimProc` and
+/// every `Oracle`: each borrow must end with the operation that took it,
+/// whether the holder returns, suspends, or unwinds.
+fn assert_borrow_free(sim: &mut Sim) {
+    let before = sim.now();
+    sim.run_one(|os| os.compute(GrayDuration::from_micros(10)));
+    assert!(sim.now() > before);
+    let _ = sim.oracle().stats();
+}
+
+#[test]
+fn oracle_reads_between_syscalls_leave_the_sim_borrow_free() {
+    let mut sim = Sim::new(SimConfig::small().without_noise());
+    let oracle = sim.oracle();
+    let peek = |os: &SimProc| {
+        let fd = os.create("/peek").unwrap();
+        let clean = oracle.dirty_pages();
+        os.write_fill(fd, 0, 64 << 10).unwrap();
+        let dirty = oracle.dirty_pages();
+        os.close(fd).unwrap();
+        assert_eq!(oracle.file_presence("/peek").unwrap().len(), 16);
+        dirty - clean
+    };
+    assert_eq!(sim.run_one(peek), 16);
+    // The same reads from inside a coroutine, with a sibling interleaving.
+    let results = sim.run::<usize>(vec![
+        (
+            "peeker".to_string(),
+            Box::new(|os: &SimProc| {
+                os.compute(GrayDuration::from_micros(50));
+                let resident = oracle.resident_pages();
+                os.compute(GrayDuration::from_micros(50));
+                resident
+            }),
+        ),
+        (
+            "sibling".to_string(),
+            Box::new(|os: &SimProc| {
+                os.compute(GrayDuration::from_micros(75));
+                0
+            }),
+        ),
+    ]);
+    assert!(results[0] >= 16);
+    assert_borrow_free(&mut sim);
+}
+
+#[test]
+fn panic_beside_a_process_suspended_in_probe_batch_leaves_the_sim_borrow_free() {
+    let mut sim = Sim::new(SimConfig::small().without_noise());
+    sim.run_one(|os| os.write_file("/cold", &[1u8; 64 << 10]).unwrap());
+    sim.flush_file_cache();
+    let err = sim
+        .try_run::<usize>(vec![
+            (
+                "prober".to_string(),
+                Box::new(|os: &SimProc| {
+                    let fd = os.open("/cold").unwrap();
+                    // A cold batch costs disk time, so the call ends with
+                    // this process suspended behind its sibling.
+                    let specs: Vec<ProbeSpec> =
+                        (0..16u64).map(|p| ProbeSpec { offset: p * 4096 }).collect();
+                    os.probe_batch(fd, &specs).len()
+                }),
+            ),
+            (
+                "doomed".to_string(),
+                Box::new(|os: &SimProc| {
+                    os.compute(GrayDuration::from_micros(20));
+                    panic!("dies while the prober is suspended");
+                }),
+            ),
+        ])
+        .unwrap_err();
+    assert_eq!(err.name, "doomed");
+    assert_borrow_free(&mut sim);
 }
 
 #[test]

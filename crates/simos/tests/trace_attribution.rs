@@ -11,17 +11,13 @@
 use gray_toolbox::{profile, trace, GrayDuration};
 use graybox::os::{GrayBoxOs, GrayBoxOsExt};
 use simos::exec::Workload;
-use simos::{ExecBackend, Sim, SimConfig, SimProc};
+use simos::{Sim, SimConfig, SimProc};
 
 /// Milliseconds, as virtual nanoseconds.
 const MS: u64 = 1_000_000;
 
 fn attribution_sim() -> Sim {
-    Sim::new(
-        SimConfig::small()
-            .without_noise()
-            .with_exec(ExecBackend::Events),
-    )
+    Sim::new(SimConfig::small().without_noise())
 }
 
 #[test]
