@@ -22,6 +22,20 @@ use gray_apps::workload::make_files;
 use graybox::os::GrayBoxOs;
 use simos::{Sim, SimConfig};
 
+/// Holds the process-wide tracer for the length of a unit test that runs
+/// simulations.
+///
+/// The tracer's enable flag, ring and probe-latency histogram are global
+/// to the process, and `cargo test` runs this crate's tests on parallel
+/// threads: while [`suites::accuracy::run`] sits inside its
+/// `trace::capture()`, every probe any other test issues is recorded into
+/// the session it then scores. Each such test therefore takes the same
+/// capture lock, which keeps it out of that window.
+#[cfg(test)]
+pub(crate) fn hold_tracer() -> gray_toolbox::trace::CaptureGuard {
+    gray_toolbox::trace::capture()
+}
+
 /// A tiny simulated machine (16 MB RAM) for microbench-scale work.
 pub fn tiny_sim() -> Sim {
     let mut cfg = SimConfig::small().without_noise();

@@ -158,6 +158,11 @@ mod tests {
         assert!(r.probes_recorded > 0, "probe histogram must be populated");
     }
 
+    /// Two runs score identically — provided nothing else in the process
+    /// probes while a run holds the tracer. The tracer is process-global,
+    /// so a sibling test's probes used to land in this run's histogram
+    /// (`probes_recorded` 28 vs 56) whenever `cargo test` overlapped them;
+    /// the siblings now take the capture lock too (`crate::hold_tracer`).
     #[test]
     fn report_is_deterministic() {
         let a = run();

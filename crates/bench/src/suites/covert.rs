@@ -197,6 +197,7 @@ mod tests {
 
     #[test]
     fn tiny_covert_grid_is_identical_and_emits_clean_json() {
+        let _tracer = crate::hold_tracer();
         let r = run_with(&tiny());
         assert!(r.identical, "grid must not depend on worker count");
         assert_eq!(r.cells, 4);

@@ -263,6 +263,7 @@ mod tests {
 
     #[test]
     fn headline_run_meets_the_acceptance_bar() {
+        let _tracer = crate::hold_tracer();
         let r = run();
         assert!(r.tenants >= 24, "ISSUE 6 floor: ≥ 24 clients");
         assert!(
@@ -285,6 +286,7 @@ mod tests {
 
     #[test]
     fn headline_run_is_deterministic() {
+        let _tracer = crate::hold_tracer();
         let a = run();
         let b = run();
         assert_eq!(a.json_fields(), b.json_fields());

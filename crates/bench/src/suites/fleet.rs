@@ -159,6 +159,7 @@ mod tests {
 
     #[test]
     fn headline_row_is_well_formed_and_collision_free() {
+        let _tracer = crate::hold_tracer();
         let f = run_with(16, 32);
         assert!(f.identical, "replays diverged at test scale");
         assert!(

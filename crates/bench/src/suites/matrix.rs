@@ -235,6 +235,7 @@ mod tests {
 
     #[test]
     fn tiny_matrix_is_identical_and_emits_clean_json() {
+        let _tracer = crate::hold_tracer();
         let m = run_with(&tiny(), 2);
         assert!(m.identical, "grid must not depend on worker count");
         assert_eq!(m.cells, 2);
@@ -267,6 +268,7 @@ mod tests {
 
     #[test]
     fn paired_report_is_well_formed() {
+        let _tracer = crate::hold_tracer();
         let m = run_with(&tiny(), 3);
         assert_eq!(m.paired.rounds, 3);
         assert!(m.paired.kept >= 2);

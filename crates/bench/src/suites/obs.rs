@@ -350,6 +350,7 @@ mod tests {
     /// profiler changes no digest, no clock, and no grid fingerprint.
     #[test]
     fn profiler_toggle_is_bit_identical() {
+        let _tracer = crate::hold_tracer();
         let (off_digests, off_virtual) = run_fleet(24);
         let pool = Pool::with_workers(2);
         let off_grid = grid_digest(&run_grid(&tiny_grid(), &pool));
@@ -381,6 +382,7 @@ mod tests {
 
     #[test]
     fn rows_are_well_formed_and_collision_free() {
+        let _tracer = crate::hold_tracer();
         let r = run(true);
         assert!(r.identical, "profiler perturbed the run at test scale");
         assert!(r.charged_total_ns > 0 && r.profile_leaves > 0);

@@ -123,6 +123,7 @@ mod tests {
 
     #[test]
     fn concurrent_probing_beats_serial_by_the_acceptance_bar() {
+        let _tracer = crate::hold_tracer();
         let s = fccd_multifile_speedup();
         assert!(
             s.speedup >= 1.5,

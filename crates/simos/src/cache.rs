@@ -17,8 +17,13 @@
 //!   most-recently-inserted unreferenced page, so the first-cached portion
 //!   of a file is retained ("once placed in the Solaris file cache, it is
 //!   quite difficult to dislodge") while later scans churn in place.
+//!
+//! Each pool is a *frame table*, as in the kernels it models: one record
+//! per resident page in a slab, linked by slab index onto a recency list
+//! and its owner's page list and found through one hash index, so a page
+//! touch costs one lookup and a list splice (DESIGN.md §19).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::hash::FastMap;
 
 /// What a cached page belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,17 +78,95 @@ enum Policy {
     Sticky,
 }
 
+/// "No frame": the null link of the index-based lists.
+const NIL: u32 = u32::MAX;
+
+/// Which of a frame's two link pairs a list threads through.
+const LRU: usize = 0;
+const OWN: usize = 1;
+
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Position in the LRU order (key into `order`).
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// One resident page: the only per-page record the pool keeps.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    id: PageId,
+    /// Recency stamp, rewritten on every touch; within one LRU list it
+    /// rises from head to tail, and it is what orders the file list's
+    /// head against the anonymous list's.
     seq: u64,
     /// Whether the page has been referenced since insertion (used by the
     /// sticky policy to protect established pages).
     referenced: bool,
+    /// Always false on a free frame, so `dirty_pages` may scan the slab.
     dirty: bool,
+    /// `links[LRU]`: the file or anonymous recency list; `links[OWN]`:
+    /// the owner's page list.
+    links: [Link; 2],
 }
 
-/// One replacement pool.
+/// A doubly linked list of frames, threaded through `links[which]`.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn push_back(&mut self, frames: &mut [Frame], which: usize, i: u32) {
+        frames[i as usize].links[which] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = i,
+            t => frames[t as usize].links[which].next = i,
+        }
+        self.tail = i;
+    }
+
+    fn unlink(&mut self, frames: &mut [Frame], which: usize, i: u32) {
+        let Link { prev, next } = frames[i as usize].links[which];
+        match prev {
+            NIL => self.head = next,
+            p => frames[p as usize].links[which].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => frames[n as usize].links[which].prev = prev,
+        }
+    }
+
+    /// Frame indices from head to tail.
+    fn iter<'f>(&self, frames: &'f [Frame], which: usize) -> impl Iterator<Item = u32> + 'f {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            let i = at;
+            if i == NIL {
+                return None;
+            }
+            at = frames[i as usize].links[which].next;
+            Some(i)
+        })
+    }
+}
+
+/// One replacement pool: a frame table.
+///
+/// Every resident page is one [`Frame`] in the `frames` slab, found through
+/// `index` and threaded on two lists at once: the recency list of its kind
+/// (`lru[0]` file, `lru[1]` anonymous; head = least recently used) and its
+/// owner's page list. All links are slab indices, so a touch is one hash
+/// lookup plus an unlink and a push-tail.
 #[derive(Debug)]
 struct Pool {
     capacity: usize,
@@ -93,131 +176,167 @@ struct Pool {
     /// reclaimable, process memory much less so. Set for the unified
     /// architectures; pools that hold only one kind of page don't care.
     prefer_file_eviction: bool,
-    entries: HashMap<PageId, Entry>,
-    /// LRU order of file pages: ascending seq = least recently used.
-    order_file: BTreeMap<u64, PageId>,
-    /// LRU order of anonymous pages.
-    order_anon: BTreeMap<u64, PageId>,
+    frames: Vec<Frame>,
+    /// Slab slots not holding a page.
+    free: Vec<u32>,
+    index: FastMap<PageId, u32>,
+    lru: [List; 2],
+    /// Each owner's resident pages, in no particular order (listings sort).
+    owners: FastMap<Owner, List>,
     next_seq: u64,
+    /// How many frames have the dirty bit set.
+    dirty: usize,
     /// Sticky policy: per-owner stack of inserted-and-not-yet-referenced
-    /// pages (lazily cleaned).
-    own_stacks: HashMap<Owner, Vec<PageId>>,
+    /// pages (lazily cleaned). Keyed by page identity, not frame: an entry
+    /// whose page left and came back speaks for the new incarnation.
+    own_stacks: FastMap<Owner, Vec<PageId>>,
     /// Sticky policy: global insertion order of unreferenced pages.
     global_stack: Vec<PageId>,
-    /// Per-owner residency index: which pages of each owner are resident.
-    /// Kept exactly in sync with `entries`, so owner-scoped operations
-    /// (purge, flush, residency listing) are lookups instead of scans over
-    /// the whole pool. A sorted set, so listings come out in page order
-    /// deterministically.
-    by_owner: HashMap<Owner, BTreeSet<u64>>,
+}
+
+fn lru_of(owner: Owner) -> usize {
+    if owner.is_file() {
+        0
+    } else {
+        1
+    }
+}
+
+/// The frame of `id` if it is resident and not referenced since insertion:
+/// what a sticky-stack entry must still name to be worth keeping.
+fn unreferenced(index: &FastMap<PageId, u32>, frames: &[Frame], id: &PageId) -> Option<u32> {
+    index
+        .get(id)
+        .copied()
+        .filter(|&i| !frames[i as usize].referenced)
 }
 
 impl Pool {
     fn new(capacity: usize, policy: Policy, prefer_file_eviction: bool) -> Self {
+        assert!(capacity < NIL as usize, "frame links are 32-bit");
         Pool {
             capacity,
             policy,
             prefer_file_eviction,
-            entries: HashMap::new(),
-            order_file: BTreeMap::new(),
-            order_anon: BTreeMap::new(),
+            frames: Vec::new(),
+            free: Vec::new(),
+            index: FastMap::default(),
+            lru: [List::EMPTY; 2],
+            owners: FastMap::default(),
             next_seq: 0,
-            own_stacks: HashMap::new(),
+            dirty: 0,
+            own_stacks: FastMap::default(),
             global_stack: Vec::new(),
-            by_owner: HashMap::new(),
         }
     }
 
-    fn index_insert(&mut self, id: PageId) {
-        self.by_owner.entry(id.owner).or_default().insert(id.page);
-    }
-
-    fn index_remove(&mut self, id: PageId) {
-        if let Some(set) = self.by_owner.get_mut(&id.owner) {
-            set.remove(&id.page);
-            if set.is_empty() {
-                self.by_owner.remove(&id.owner);
-            }
-        }
-    }
-
-    fn order_for<'o>(
-        order_file: &'o mut BTreeMap<u64, PageId>,
-        order_anon: &'o mut BTreeMap<u64, PageId>,
-        owner: Owner,
-    ) -> &'o mut BTreeMap<u64, PageId> {
-        if owner.is_file() {
-            order_file
-        } else {
-            order_anon
-        }
-    }
-
-    fn bump(&mut self, id: PageId) {
-        let Some(e) = self.entries.get_mut(&id) else {
-            return;
+    /// A hit: sets the reference bit (and the dirty bit if asked) and
+    /// moves the frame to the MRU end of its list.
+    fn touch(&mut self, id: PageId, dirty: bool) -> bool {
+        let Some(&i) = self.index.get(&id) else {
+            return false;
         };
-        let order = Self::order_for(&mut self.order_file, &mut self.order_anon, id.owner);
-        order.remove(&e.seq);
-        e.seq = self.next_seq;
+        let list = &mut self.lru[lru_of(id.owner)];
+        if list.tail != i {
+            list.unlink(&mut self.frames, LRU, i);
+            list.push_back(&mut self.frames, LRU, i);
+        }
+        let f = &mut self.frames[i as usize];
+        f.seq = self.next_seq;
         self.next_seq += 1;
-        order.insert(e.seq, id);
+        f.referenced = true;
+        if dirty && !f.dirty {
+            f.dirty = true;
+            self.dirty += 1;
+        }
+        true
     }
 
-    fn lookup_touch(&mut self, id: PageId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.referenced = true;
-                self.bump(id);
-                true
-            }
-            None => false,
+    fn insert(&mut self, id: PageId, dirty: bool) -> Option<Evicted> {
+        if self.touch(id, dirty) {
+            return None;
         }
-    }
-
-    fn mark_dirty(&mut self, id: PageId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.dirty = true;
-                e.referenced = true;
-                self.bump(id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn insert(&mut self, id: PageId, dirty: bool) -> Vec<Evicted> {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.dirty |= dirty;
-            e.referenced = true;
-            self.bump(id);
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        while self.entries.len() >= self.capacity.max(1) {
-            match self.evict_one(id.owner) {
-                Some(v) => evicted.push(v),
-                None => break,
-            }
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(
+        // Only this function grows the pool, one page at a time, so it is
+        // never more than full and one eviction always makes room.
+        debug_assert!(self.index.len() <= self.capacity.max(1));
+        let evicted = if self.index.len() >= self.capacity.max(1) {
+            self.evict_one(id.owner)
+        } else {
+            None
+        };
+        let frame = Frame {
             id,
-            Entry {
-                seq,
-                referenced: false,
-                dirty,
-            },
-        );
-        Self::order_for(&mut self.order_file, &mut self.order_anon, id.owner).insert(seq, id);
-        self.index_insert(id);
+            seq: self.next_seq,
+            referenced: false,
+            dirty,
+            links: [Link {
+                prev: NIL,
+                next: NIL,
+            }; 2],
+        };
+        self.next_seq += 1;
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.frames[i as usize] = frame;
+                i
+            }
+            None => {
+                self.frames.push(frame);
+                (self.frames.len() - 1) as u32
+            }
+        };
+        self.index.insert(id, i);
+        self.lru[lru_of(id.owner)].push_back(&mut self.frames, LRU, i);
+        self.owners
+            .entry(id.owner)
+            .or_insert(List::EMPTY)
+            .push_back(&mut self.frames, OWN, i);
+        self.dirty += usize::from(dirty);
         if self.policy == Policy::Sticky {
             self.own_stacks.entry(id.owner).or_default().push(id);
             self.global_stack.push(id);
         }
         evicted
+    }
+
+    /// Takes frame `i` off the recency list and out of the index and
+    /// returns its slot to the free list. The owner list is the caller's
+    /// business (`release` unlinks one frame, the purges drop whole lists).
+    fn vacate(&mut self, i: u32) -> Evicted {
+        let Frame { id, dirty, .. } = self.frames[i as usize];
+        self.lru[lru_of(id.owner)].unlink(&mut self.frames, LRU, i);
+        self.index.remove(&id);
+        self.dirty -= usize::from(dirty);
+        self.frames[i as usize].dirty = false;
+        self.free.push(i);
+        Evicted { id, dirty }
+    }
+
+    /// Frees one resident frame.
+    fn release(&mut self, i: u32) -> Evicted {
+        let owner = self.frames[i as usize].id.owner;
+        let list = self.owners.get_mut(&owner).expect("resident owner");
+        list.unlink(&mut self.frames, OWN, i);
+        if list.head == NIL {
+            self.owners.remove(&owner);
+        }
+        self.vacate(i)
+    }
+
+    /// Frees every page of `owner`, reporting them in page order.
+    fn release_owner(&mut self, owner: Owner, out: &mut Vec<Evicted>) {
+        let Some(list) = self.owners.remove(&owner) else {
+            return;
+        };
+        let from = out.len();
+        let mut at = list.head;
+        while at != NIL {
+            // `vacate` leaves the owner links alone.
+            let next = self.frames[at as usize].links[OWN].next;
+            out.push(self.vacate(at));
+            at = next;
+        }
+        out[from..].sort_unstable_by_key(|e| e.id.page);
     }
 
     fn evict_one(&mut self, inserting_owner: Owner) -> Option<Evicted> {
@@ -233,55 +352,37 @@ impl Pool {
     /// configured (anonymous memory is only reclaimed once the file cache
     /// is exhausted — the streaming-I/O protection real kernels apply).
     fn evict_lru(&mut self) -> Option<Evicted> {
-        let from_file = match (self.order_file.iter().next(), self.order_anon.iter().next()) {
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-            (Some((&fs, _)), Some((&asq, _))) => self.prefer_file_eviction || fs < asq,
+        let victim = match (self.lru[0].head, self.lru[1].head) {
+            (NIL, NIL) => return None,
+            (file, NIL) => file,
+            (NIL, anon) => anon,
+            (file, anon) => {
+                let older = self.frames[file as usize].seq < self.frames[anon as usize].seq;
+                if self.prefer_file_eviction || older {
+                    file
+                } else {
+                    anon
+                }
+            }
         };
-        let order = if from_file {
-            &mut self.order_file
-        } else {
-            &mut self.order_anon
-        };
-        let (&seq, &id) = order.iter().next()?;
-        order.remove(&seq);
-        let entry = self.entries.remove(&id).expect("order and entries agree");
-        self.index_remove(id);
-        Some(Evicted {
-            id,
-            dirty: entry.dirty,
-        })
+        Some(self.release(victim))
     }
 
     /// Sticky victim selection: the inserting owner's own most recently
     /// inserted unreferenced page, else the globally most recently
     /// inserted unreferenced page.
     fn evict_sticky(&mut self, inserting: Owner) -> Option<Evicted> {
+        // Entries referenced since insertion, or stale, are dropped.
         if let Some(stack) = self.own_stacks.get_mut(&inserting) {
             while let Some(id) = stack.pop() {
-                match self.entries.get(&id) {
-                    Some(e) if !e.referenced => {
-                        let e = self.entries.remove(&id).expect("present");
-                        Self::order_for(&mut self.order_file, &mut self.order_anon, id.owner)
-                            .remove(&e.seq);
-                        self.index_remove(id);
-                        return Some(Evicted { id, dirty: e.dirty });
-                    }
-                    _ => continue, // Referenced since insertion, or stale.
+                if let Some(i) = unreferenced(&self.index, &self.frames, &id) {
+                    return Some(self.release(i));
                 }
             }
         }
         while let Some(id) = self.global_stack.pop() {
-            match self.entries.get(&id) {
-                Some(e) if !e.referenced => {
-                    let e = self.entries.remove(&id).expect("present");
-                    Self::order_for(&mut self.order_file, &mut self.order_anon, id.owner)
-                        .remove(&e.seq);
-                    self.index_remove(id);
-                    return Some(Evicted { id, dirty: e.dirty });
-                }
-                _ => continue,
+            if let Some(i) = unreferenced(&self.index, &self.frames, &id) {
+                return Some(self.release(i));
             }
         }
         None
@@ -289,11 +390,9 @@ impl Pool {
 
     fn remove(&mut self, id: PageId) -> bool {
         // Sticky stacks are cleaned lazily.
-        match self.entries.remove(&id) {
-            Some(e) => {
-                Self::order_for(&mut self.order_file, &mut self.order_anon, id.owner)
-                    .remove(&e.seq);
-                self.index_remove(id);
+        match self.index.get(&id) {
+            Some(&i) => {
+                self.release(i);
                 true
             }
             None => false,
@@ -301,24 +400,25 @@ impl Pool {
     }
 
     fn clean(&mut self, id: PageId) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.dirty = false;
+        if let Some(&i) = self.index.get(&id) {
+            let f = &mut self.frames[i as usize];
+            self.dirty -= usize::from(f.dirty);
+            f.dirty = false;
         }
     }
 
     fn compact_if_bloated(&mut self) {
         // Lazy sticky stacks can accumulate stale ids after heavy churn;
         // compact when they exceed 4x the live population.
-        let live = self.entries.len();
+        let live = self.index.len();
+        let (index, frames) = (&self.index, &self.frames);
+        let keep = |id: &PageId| unreferenced(index, frames, id).is_some();
         if self.global_stack.len() > live * 4 + 64 {
-            let entries = &self.entries;
-            self.global_stack
-                .retain(|id| entries.get(id).is_some_and(|e| !e.referenced));
+            self.global_stack.retain(keep);
         }
         for stack in self.own_stacks.values_mut() {
             if stack.len() > live * 4 + 64 {
-                let entries = &self.entries;
-                stack.retain(|id| entries.get(id).is_some_and(|e| !e.referenced));
+                stack.retain(keep);
             }
         }
     }
@@ -406,17 +506,18 @@ impl PageCache {
 
     /// Whether the page is resident; on a hit, sets its reference bit.
     pub fn lookup_touch(&mut self, id: PageId) -> bool {
-        self.pool_mut(id.owner).lookup_touch(id)
+        self.pool_mut(id.owner).touch(id, false)
     }
 
     /// Whether the page is resident, without touching reference bits.
     pub fn contains(&self, id: PageId) -> bool {
-        self.pool(id.owner).entries.contains_key(&id)
+        self.pool(id.owner).index.contains_key(&id)
     }
 
-    /// Inserts a page, evicting as needed; returns the eviction list (the
-    /// kernel charges write-backs for dirty ones).
-    pub fn insert(&mut self, id: PageId, dirty: bool) -> Vec<Evicted> {
+    /// Inserts a page, or refreshes it if already resident; returns the
+    /// page evicted to make room, if any (the kernel charges the write-back
+    /// of a dirty one).
+    pub fn insert(&mut self, id: PageId, dirty: bool) -> Option<Evicted> {
         let pool = self.pool_mut(id.owner);
         let out = pool.insert(id, dirty);
         pool.compact_if_bloated();
@@ -425,7 +526,7 @@ impl PageCache {
 
     /// Marks a resident page dirty; false if it was not resident.
     pub fn mark_dirty(&mut self, id: PageId) -> bool {
-        self.pool_mut(id.owner).mark_dirty(id)
+        self.pool_mut(id.owner).touch(id, true)
     }
 
     /// Clears the dirty bit after a write-back.
@@ -441,17 +542,8 @@ impl PageCache {
     /// Removes every page of an owner, returning how many were dropped and
     /// which of them were dirty.
     pub fn remove_owner(&mut self, owner: Owner) -> Vec<Evicted> {
-        let pool = self.pool_mut(owner);
-        let Some(pages) = pool.by_owner.remove(&owner) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(pages.len());
-        for page in pages {
-            let id = PageId { owner, page };
-            let e = pool.entries.remove(&id).expect("index and entries agree");
-            Pool::order_for(&mut pool.order_file, &mut pool.order_anon, owner).remove(&e.seq);
-            out.push(Evicted { id, dirty: e.dirty });
-        }
+        let mut out = Vec::new();
+        self.pool_mut(owner).release_owner(owner, &mut out);
         out
     }
 
@@ -461,37 +553,40 @@ impl PageCache {
         let mut out = Vec::new();
         for pool in &mut self.pools {
             let mut owners: Vec<Owner> = pool
-                .by_owner
+                .owners
                 .keys()
                 .filter(|o| o.is_file())
                 .copied()
                 .collect();
-            // The index is a HashMap; sort so the write-back list (and any
-            // cost charged from it) is deterministic.
+            // Sorted so the write-back list (and any cost charged from it)
+            // does not depend on hash-table order.
             owners.sort_unstable();
             for owner in owners {
-                let pages = pool.by_owner.remove(&owner).expect("listed above");
-                for page in pages {
-                    let id = PageId { owner, page };
-                    let e = pool.entries.remove(&id).expect("index and entries agree");
-                    pool.order_file.remove(&e.seq);
-                    out.push(Evicted { id, dirty: e.dirty });
-                }
+                pool.release_owner(owner, &mut out);
             }
             pool.own_stacks.clear();
-            pool.global_stack.retain(|id| pool.entries.contains_key(id));
+            pool.global_stack.retain(|id| pool.index.contains_key(id));
         }
         out
     }
 
+    /// How many resident pages are dirty.
+    pub fn dirty_count(&self) -> usize {
+        self.pools.iter().map(|p| p.dirty).sum()
+    }
+
     /// All dirty pages currently resident (for `sync` and the flusher).
-    /// Sorted: the entry table is a HashMap, and the write-back order
-    /// decides seek-dependent disk costs, which must be deterministic.
+    /// Sorted, so that write-back order — which decides seek-dependent
+    /// disk costs — is a function of page identity, not of where frames
+    /// happen to sit in the slab.
     pub fn dirty_pages(&self) -> Vec<PageId> {
+        if self.dirty_count() == 0 {
+            return Vec::new();
+        }
         let mut out: Vec<PageId> = self
             .pools
             .iter()
-            .flat_map(|p| p.entries.iter().filter(|(_, e)| e.dirty).map(|(id, _)| *id))
+            .flat_map(|p| p.frames.iter().filter(|f| f.dirty).map(|f| f.id))
             .collect();
         out.sort_unstable();
         out
@@ -499,22 +594,27 @@ impl PageCache {
 
     /// Total resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.pools.iter().map(|p| p.entries.len()).sum()
+        self.pools.iter().map(|p| p.index.len()).sum()
     }
 
-    /// Resident pages belonging to `owner`.
+    /// Resident pages belonging to `owner`, in page order.
     pub fn resident_of(&self, owner: Owner) -> Vec<u64> {
-        self.pool(owner)
-            .by_owner
-            .get(&owner)
-            .map(|pages| pages.iter().copied().collect())
-            .unwrap_or_default()
+        let pool = self.pool(owner);
+        let Some(list) = pool.owners.get(&owner) else {
+            return Vec::new();
+        };
+        let mut pages: Vec<u64> = list
+            .iter(&pool.frames, OWN)
+            .map(|i| pool.frames[i as usize].id.page)
+            .collect();
+        pages.sort_unstable();
+        pages
     }
 
     /// Free frames in the pool that would host `owner`.
     pub fn free_pages_for(&self, owner: Owner) -> u64 {
         let pool = self.pool(owner);
-        pool.capacity.saturating_sub(pool.entries.len()) as u64
+        pool.capacity.saturating_sub(pool.index.len()) as u64
     }
 
     /// Capacity of the pool that hosts `owner`.
@@ -546,15 +646,15 @@ mod tests {
     fn lru_evicts_in_insertion_order_without_references() {
         let mut c = PageCache::new(CacheArch::Unified, 3, 4096);
         for p in 0..3 {
-            assert!(c.insert(file_page(1, p), false).is_empty());
+            assert!(c.insert(file_page(1, p), false).is_none());
         }
         let evicted = c.insert(file_page(1, 3), false);
         assert_eq!(
             evicted,
-            vec![Evicted {
+            Some(Evicted {
                 id: file_page(1, 0),
                 dirty: false
-            }]
+            })
         );
     }
 
@@ -567,7 +667,7 @@ mod tests {
         assert!(c.lookup_touch(file_page(1, 0)));
         let evicted = c.insert(file_page(1, 3), false);
         // Page 0 was referenced, so page 1 goes instead.
-        assert_eq!(evicted[0].id, file_page(1, 1));
+        assert_eq!(evicted.unwrap().id, file_page(1, 1));
         assert!(c.contains(file_page(1, 0)));
     }
 
@@ -576,7 +676,7 @@ mod tests {
         let mut c = PageCache::new(CacheArch::Unified, 1, 4096);
         c.insert(file_page(1, 0), true);
         let evicted = c.insert(file_page(1, 1), false);
-        assert!(evicted[0].dirty);
+        assert!(evicted.unwrap().dirty);
     }
 
     #[test]
@@ -683,32 +783,106 @@ mod tests {
         assert!(c.dirty_pages().is_empty());
     }
 
+    /// Walks every list of a pool and checks that the lists, the index,
+    /// the owner lists, the dirty count and the free list all describe the
+    /// same set of frames.
+    fn assert_pool_consistent(pool: &Pool) {
+        let mut seen = vec![false; pool.frames.len()];
+        let mark = |seen: &mut [bool], i: u32, what: &str| {
+            let twice = std::mem::replace(&mut seen[i as usize], true);
+            assert!(!twice, "frame {i} twice ({what})");
+        };
+        let mut dirty = 0;
+        for (kind, list) in pool.lru.iter().enumerate() {
+            let mut prev = NIL;
+            for i in list.iter(&pool.frames, LRU) {
+                let f = &pool.frames[i as usize];
+                mark(&mut seen, i, "lru");
+                assert_eq!(f.links[LRU].prev, prev, "back link of frame {i}");
+                assert_eq!(lru_of(f.id.owner), kind, "frame {i} on the wrong list");
+                assert_eq!(pool.index.get(&f.id), Some(&i), "index entry of frame {i}");
+                if prev != NIL {
+                    assert!(pool.frames[prev as usize].seq < f.seq, "seq order at {i}");
+                }
+                dirty += usize::from(f.dirty);
+                prev = i;
+            }
+            assert_eq!(list.tail, prev);
+        }
+        let listed = seen.iter().filter(|&&s| s).count();
+        assert_eq!(listed, pool.index.len(), "lists and index disagree");
+        assert!(listed <= pool.capacity.max(1));
+        assert_eq!(dirty, pool.dirty, "dirty count");
+
+        let mut owned = 0;
+        for (owner, list) in &pool.owners {
+            assert_ne!(list.head, NIL, "empty owner list kept for {owner:?}");
+            let mut prev = NIL;
+            for i in list.iter(&pool.frames, OWN) {
+                let f = &pool.frames[i as usize];
+                assert!(seen[i as usize], "owner list holds a free frame {i}");
+                assert_eq!(f.id.owner, *owner);
+                assert_eq!(f.links[OWN].prev, prev);
+                prev = i;
+                owned += 1;
+            }
+            assert_eq!(list.tail, prev);
+        }
+        assert_eq!(owned, listed, "owner lists and recency lists disagree");
+
+        for &i in &pool.free {
+            mark(&mut seen, i, "free");
+            assert!(!pool.frames[i as usize].dirty, "free frame {i} left dirty");
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "a slab slot is neither live nor free"
+        );
+    }
+
     #[test]
     fn heavy_churn_keeps_order_and_entries_in_sync() {
-        let mut c = PageCache::new(CacheArch::Unified, 16, 4096);
-        for round in 0..100u64 {
-            for p in 0..16 {
-                c.insert(file_page(round % 3, p), false);
-            }
-            c.remove_owner(Owner::File {
-                dev: 0,
-                ino: round % 3,
-            });
-        }
-        assert_eq!(
-            c.pools[0].order_file.len() + c.pools[0].order_anon.len(),
-            c.pools[0].entries.len()
-        );
-        let indexed: usize = c.pools[0].by_owner.values().map(|s| s.len()).sum();
-        assert_eq!(indexed, c.pools[0].entries.len());
-        for (owner, pages) in &c.pools[0].by_owner {
-            for &page in pages {
-                assert!(c.pools[0].entries.contains_key(&PageId {
-                    owner: *owner,
-                    page
-                }));
+        for arch in [CacheArch::Unified, CacheArch::UnifiedSticky] {
+            let mut c = PageCache::new(arch, 16, 4096);
+            for round in 0..100u64 {
+                for p in 0..16 {
+                    c.insert(file_page(round % 3, p), p % 2 == 0);
+                    c.insert(anon_page(round % 2, p / 2), true);
+                    c.lookup_touch(file_page((round + 1) % 3, p));
+                }
+                assert_pool_consistent(&c.pools[0]);
+                match round % 4 {
+                    0 => drop(c.remove_owner(Owner::File {
+                        dev: 0,
+                        ino: round % 3,
+                    })),
+                    1 => drop(c.remove(anon_page(round % 2, round % 8))),
+                    2 => c.clean(file_page(round % 3, round % 16)),
+                    _ => drop(c.drop_file_pages()),
+                }
+                assert_pool_consistent(&c.pools[0]);
             }
         }
+    }
+
+    #[test]
+    fn dirty_count_follows_every_bit_flip() {
+        let mut c = PageCache::new(CacheArch::Unified, 2, 4096);
+        assert_eq!(c.dirty_count(), 0);
+        c.insert(file_page(1, 0), true);
+        c.insert(file_page(1, 0), true);
+        c.insert(file_page(1, 1), false);
+        assert_eq!(c.dirty_count(), 1);
+        c.mark_dirty(file_page(1, 1));
+        assert_eq!(c.dirty_count(), 2);
+        c.clean(file_page(1, 1));
+        c.clean(file_page(1, 1));
+        assert_eq!(c.dirty_count(), 1);
+        // Evicting the dirty page, then removing a clean one.
+        assert!(c.insert(file_page(1, 2), false).unwrap().dirty);
+        assert_eq!(c.dirty_count(), 0);
+        c.remove(file_page(1, 1));
+        assert_eq!((c.dirty_count(), c.dirty_pages()), (0, vec![]));
     }
 
     #[test]

@@ -230,36 +230,33 @@ impl Kernel {
         profile::charge(pid as u64, "disk", done.as_nanos() - now.as_nanos());
     }
 
-    /// Handles cache evictions: dirty file pages are written back to their
-    /// homes, dirty anonymous pages to swap; clean pages just vanish.
-    fn handle_evictions(&mut self, pid: usize, evicted: Vec<Evicted>) -> OsResult<()> {
-        for e in evicted {
-            if !e.dirty {
-                continue;
-            }
-            match e.id.owner {
-                Owner::File { dev, ino } => {
-                    let dev = dev as usize;
-                    let block = if ino == ITABLE_INO {
-                        // Inode-table pages are cached by disk block.
-                        Some(e.id.page)
-                    } else {
-                        self.fss[dev].block_of(ino, e.id.page)
-                    };
-                    if let Some(block) = block {
-                        self.disk_io(pid, dev, block, 1);
-                        self.stats.file_page_writes += 1;
-                    }
-                }
-                Owner::Anon { region } => {
-                    if !self.vm.region_exists(region) {
-                        continue; // Region died; drop the page.
-                    }
-                    let slot = self.vm.ensure_slot(region, e.id.page)?;
-                    self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
-                    self.stats.swap_outs += 1;
+    /// Handles a cache eviction: a dirty file page is written back to its
+    /// home, a dirty anonymous page to swap; a clean page just vanishes.
+    fn handle_evictions(&mut self, pid: usize, evicted: Option<Evicted>) -> OsResult<()> {
+        let Some(e) = evicted.filter(|e| e.dirty) else {
+            return Ok(());
+        };
+        match e.id.owner {
+            Owner::File { dev, ino } => {
+                let dev = dev as usize;
+                let block = if ino == ITABLE_INO {
+                    // Inode-table pages are cached by disk block.
+                    Some(e.id.page)
+                } else {
+                    self.fss[dev].block_of(ino, e.id.page)
+                };
+                if let Some(block) = block {
+                    self.disk_io(pid, dev, block, 1);
+                    self.stats.file_page_writes += 1;
                 }
             }
+            // A dirty page of a region that died is just dropped.
+            Owner::Anon { region } if self.vm.region_exists(region) => {
+                let slot = self.vm.ensure_slot(region, e.id.page)?;
+                self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
+                self.stats.swap_outs += 1;
+            }
+            Owner::Anon { .. } => {}
         }
         Ok(())
     }
@@ -1004,8 +1001,7 @@ impl Kernel {
             owner: Owner::Anon { region },
             page,
         };
-        if self.cache.lookup_touch(id) {
-            self.cache.mark_dirty(id);
+        if self.cache.mark_dirty(id) {
             self.charge_cpu(pid, self.cfg.costs.mem_touch);
             return Ok(());
         }

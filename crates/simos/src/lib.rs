@@ -56,6 +56,7 @@ mod coro;
 pub mod disk;
 pub mod exec;
 pub mod fs;
+mod hash;
 pub mod kernel;
 pub mod oracle;
 pub mod scenario;

@@ -80,7 +80,7 @@ impl Oracle {
 
     /// Total dirty pages in the cache (file and anonymous).
     pub fn dirty_pages(&self) -> usize {
-        self.shared.with_kernel(|k| k.cache().dirty_pages().len())
+        self.shared.with_kernel(|k| k.cache().dirty_count())
     }
 
     /// The disk blocks backing the file, in page order.

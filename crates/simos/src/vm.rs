@@ -13,27 +13,54 @@
 //! dirty page pays one slot write. Slots are allocated lowest-first, which
 //! clusters swap traffic — pageout streams, as real swap code strives for.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use graybox::os::{OsError, OsResult};
 
-/// State of one anonymous region.
+use crate::hash::FastMap;
+
+/// "No swap slot" in a region's dense slot table.
+const NO_SLOT: u64 = u64::MAX;
+
+/// State of one anonymous region. Both per-page tables are indexed by page
+/// number and grown on demand, so an untouched address range costs nothing.
 #[derive(Debug)]
 pub struct Region {
     /// Size in pages.
     pub pages: u64,
-    /// Pages that have ever been written (materialized).
-    touched: HashSet<u64>,
-    /// Swap slot per page (allocated at first page-out, kept until free).
-    slots: HashMap<u64, u64>,
+    /// One bit per page that has ever been written (materialized).
+    touched: Vec<u64>,
+    /// Swap slot per page (allocated at first page-out, kept until free),
+    /// `NO_SLOT` where there is none.
+    slots: Vec<u64>,
+}
+
+impl Region {
+    /// Rejects a page index outside the region.
+    fn check(&self, page: u64) -> OsResult<()> {
+        if page >= self.pages {
+            return Err(OsError::InvalidArgument);
+        }
+        Ok(())
+    }
+
+    fn slot(&self, page: u64) -> Option<u64> {
+        self.slots
+            .get(page as usize)
+            .copied()
+            .filter(|&s| s != NO_SLOT)
+    }
 }
 
 /// The VM subsystem.
 #[derive(Debug)]
 pub struct Vm {
-    regions: HashMap<u64, Region>,
+    regions: FastMap<u64, Region>,
     next_region: u64,
-    free_slots: BTreeSet<u64>,
+    /// Slots from here up to `total_slots` have never been handed out.
+    never_used: u64,
+    /// Slots below the watermark that were handed out and given back.
+    returned: BTreeSet<u64>,
     total_slots: u64,
 }
 
@@ -54,9 +81,10 @@ impl Vm {
     /// Creates a VM with `swap_slots` pages of swap space.
     pub fn new(swap_slots: u64) -> Self {
         Vm {
-            regions: HashMap::new(),
+            regions: FastMap::default(),
             next_region: 1,
-            free_slots: (0..swap_slots).collect(),
+            never_used: 0,
+            returned: BTreeSet::new(),
             total_slots: swap_slots,
         }
     }
@@ -69,8 +97,8 @@ impl Vm {
             id,
             Region {
                 pages,
-                touched: HashSet::new(),
-                slots: HashMap::new(),
+                touched: Vec::new(),
+                slots: Vec::new(),
             },
         );
         id
@@ -80,31 +108,29 @@ impl Vm {
     /// must separately purge the region's cached pages.
     pub fn free(&mut self, region: u64) -> OsResult<()> {
         let r = self.regions.remove(&region).ok_or(OsError::BadRegion)?;
-        for (_, slot) in r.slots {
-            self.free_slots.insert(slot);
-        }
+        self.returned
+            .extend(r.slots.into_iter().filter(|&s| s != NO_SLOT));
         Ok(())
+    }
+
+    fn region(&self, region: u64) -> OsResult<&Region> {
+        self.regions.get(&region).ok_or(OsError::BadRegion)
     }
 
     /// Validates a (region, page) pair.
     pub fn check(&self, region: u64, page: u64) -> OsResult<()> {
-        let r = self.regions.get(&region).ok_or(OsError::BadRegion)?;
-        if page >= r.pages {
-            return Err(OsError::InvalidArgument);
-        }
-        Ok(())
+        self.region(region)?.check(page)
     }
 
     /// Classifies a page that was *not* found resident in the cache.
     pub fn touch_kind(&self, region: u64, page: u64) -> OsResult<TouchKind> {
-        let r = self.regions.get(&region).ok_or(OsError::BadRegion)?;
-        if page >= r.pages {
-            return Err(OsError::InvalidArgument);
-        }
-        if let Some(&slot) = r.slots.get(&page) {
+        let r = self.region(region)?;
+        r.check(page)?;
+        if let Some(slot) = r.slot(page) {
             return Ok(TouchKind::Swapped(slot));
         }
-        if r.touched.contains(&page) {
+        let word = r.touched.get((page / 64) as usize).copied().unwrap_or(0);
+        if word >> (page % 64) & 1 == 1 {
             return Ok(TouchKind::Materialized);
         }
         Ok(TouchKind::Untouched)
@@ -113,25 +139,37 @@ impl Vm {
     /// Records that a page has been materialized (first write).
     pub fn mark_touched(&mut self, region: u64, page: u64) -> OsResult<()> {
         let r = self.regions.get_mut(&region).ok_or(OsError::BadRegion)?;
-        if page >= r.pages {
-            return Err(OsError::InvalidArgument);
+        r.check(page)?;
+        let word = (page / 64) as usize;
+        if word >= r.touched.len() {
+            r.touched.resize(word + 1, 0);
         }
-        r.touched.insert(page);
+        r.touched[word] |= 1 << (page % 64);
         Ok(())
     }
 
     /// Returns the page's swap slot, allocating one if needed (called when
-    /// a dirty anonymous page is evicted).
+    /// a dirty anonymous page is evicted). Allocation is lowest-first: a
+    /// returned slot, all of which lie below the watermark, before a fresh
+    /// one.
     pub fn ensure_slot(&mut self, region: u64, page: u64) -> OsResult<u64> {
         let r = self.regions.get_mut(&region).ok_or(OsError::BadRegion)?;
-        if let Some(&slot) = r.slots.get(&page) {
+        r.check(page)?;
+        if let Some(slot) = r.slot(page) {
             return Ok(slot);
         }
-        let Some(&slot) = self.free_slots.iter().next() else {
-            return Err(OsError::OutOfMemory); // Swap space exhausted.
+        let slot = match self.returned.pop_first() {
+            Some(slot) => slot,
+            None if self.never_used < self.total_slots => {
+                self.never_used += 1;
+                self.never_used - 1
+            }
+            None => return Err(OsError::OutOfMemory), // Swap space exhausted.
         };
-        self.free_slots.remove(&slot);
-        r.slots.insert(page, slot);
+        if page as usize >= r.slots.len() {
+            r.slots.resize(page as usize + 1, NO_SLOT);
+        }
+        r.slots[page as usize] = slot;
         Ok(slot)
     }
 
@@ -142,15 +180,12 @@ impl Vm {
 
     /// The size of a region in pages.
     pub fn region_pages(&self, region: u64) -> OsResult<u64> {
-        self.regions
-            .get(&region)
-            .map(|r| r.pages)
-            .ok_or(OsError::BadRegion)
+        self.region(region).map(|r| r.pages)
     }
 
     /// Swap slots currently in use.
     pub fn slots_in_use(&self) -> u64 {
-        self.total_slots - self.free_slots.len() as u64
+        self.never_used - self.returned.len() as u64
     }
 
     /// Number of pages of `region` that live in swap *and* may not be
@@ -158,7 +193,7 @@ impl Vm {
     pub fn swapped_pages(&self, region: u64) -> u64 {
         self.regions
             .get(&region)
-            .map(|r| r.slots.len() as u64)
+            .map(|r| r.slots.iter().filter(|&&s| s != NO_SLOT).count() as u64)
             .unwrap_or(0)
     }
 }
@@ -220,6 +255,42 @@ mod tests {
         assert_eq!(vm.check(r, 2), Err(OsError::InvalidArgument));
         assert_eq!(vm.check(r + 99, 0), Err(OsError::BadRegion));
         assert_eq!(vm.mark_touched(r, 5), Err(OsError::InvalidArgument));
+        // An out-of-range page must not grow the region's slot table.
+        assert_eq!(vm.ensure_slot(r, 2), Err(OsError::InvalidArgument));
+        assert_eq!(vm.ensure_slot(r + 99, 0), Err(OsError::BadRegion));
+        assert_eq!((vm.slots_in_use(), vm.swapped_pages(r)), (0, 0));
+    }
+
+    #[test]
+    fn slots_are_allocated_lowest_first_across_regions() {
+        let mut vm = Vm::new(16);
+        let (a, b, c) = (vm.alloc(8), vm.alloc(8), vm.alloc(8));
+        // Fresh slots come off the watermark in order, whoever asks.
+        let got: Vec<u64> = [(a, 3), (b, 0), (a, 7), (c, 5), (b, 6)]
+            .iter()
+            .map(|&(r, p)| vm.ensure_slot(r, p).unwrap())
+            .collect();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(vm.slots_in_use(), 5);
+        // Freeing `a` returns {0, 2}: they go out again before slot 5,
+        // lowest first, and a held page keeps what it has.
+        vm.free(a).unwrap();
+        assert_eq!(vm.slots_in_use(), 3);
+        assert_eq!(vm.ensure_slot(c, 0).unwrap(), 0);
+        assert_eq!(vm.ensure_slot(b, 0).unwrap(), 1);
+        assert_eq!(vm.ensure_slot(b, 1).unwrap(), 2);
+        assert_eq!(vm.ensure_slot(c, 1).unwrap(), 5);
+        assert_eq!(vm.slots_in_use(), 6);
+        // Interleaved frees: the lowest returned slot wins over the rest.
+        vm.free(b).unwrap(); // returns {1, 2, 4}
+        let d = vm.alloc(4);
+        assert_eq!(vm.ensure_slot(d, 3).unwrap(), 1);
+        vm.free(c).unwrap(); // returns {0, 3, 5}
+        assert_eq!(vm.slots_in_use(), 1);
+        let rest: Vec<u64> = (0..3).map(|p| vm.ensure_slot(d, p).unwrap()).collect();
+        assert_eq!(rest, vec![0, 2, 3]);
+        assert_eq!((vm.slots_in_use(), vm.swapped_pages(d)), (4, 4));
+        assert_eq!(vm.touch_kind(d, 3).unwrap(), TouchKind::Swapped(1));
     }
 
     #[test]
