@@ -23,10 +23,12 @@
 //! *content* is kept only for explicitly written data; bulk synthetic data
 //! is a per-block fill marker, so simulating gigabyte files costs megabytes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use gray_toolbox::Nanos;
 use graybox::os::{OsError, OsResult};
+
+use crate::free_set::FreeSet;
 
 /// An i-number.
 pub type Ino = u64;
@@ -142,9 +144,9 @@ impl Inode {
 #[derive(Debug, Clone)]
 struct Group {
     /// Free i-numbers in this group.
-    free_inos: BTreeSet<Ino>,
+    free_inos: FreeSet,
     /// Free data blocks (global disk block numbers).
-    free_blocks: BTreeSet<u64>,
+    free_blocks: FreeSet,
     /// First disk block of the inode table.
     itable_start: u64,
     /// Allocation rotor: the search for a free block starts here and
@@ -185,8 +187,8 @@ impl Fs {
             let data_end = (data_start + params.blocks_per_group).min(disk_blocks);
             let first_ino = g * params.inodes_per_group;
             groups.push(Group {
-                free_inos: (first_ino..first_ino + params.inodes_per_group).collect(),
-                free_blocks: (data_start..data_end).collect(),
+                free_inos: FreeSet::new(first_ino, first_ino + params.inodes_per_group),
+                free_blocks: FreeSet::new(data_start, data_end),
                 itable_start,
                 rotor: data_start,
             });
@@ -204,7 +206,7 @@ impl Fs {
         // Materialize the root directory. I-numbers 0..=2 are reserved;
         // claim them from group 0.
         for reserved in 0..=ROOT_INO {
-            fs.groups[0].free_inos.remove(&reserved);
+            fs.groups[0].free_inos.take(reserved);
         }
         fs.inodes.insert(
             ROOT_INO,
@@ -334,8 +336,8 @@ impl Fs {
         let n = self.groups.len();
         for off in 0..n {
             let g = (group + off) % n;
-            if let Some(&ino) = self.groups[g].free_inos.iter().next() {
-                self.groups[g].free_inos.remove(&ino);
+            if let Some(ino) = self.groups[g].free_inos.first() {
+                self.groups[g].free_inos.take(ino);
                 return Ok((ino, g));
             }
         }
@@ -354,7 +356,7 @@ impl Fs {
         }
         if let Some(want) = near {
             let g = &mut self.groups[group];
-            if g.free_blocks.remove(&want) {
+            if g.free_blocks.take(want) {
                 return Ok(want);
             }
         }
@@ -366,12 +368,10 @@ impl Fs {
             // wrap to the start of the group's data area.
             let found = g
                 .free_blocks
-                .range(g.rotor..)
-                .next()
-                .or_else(|| g.free_blocks.iter().next())
-                .copied();
+                .first_from(g.rotor)
+                .or_else(|| g.free_blocks.first());
             if let Some(b) = found {
-                g.free_blocks.remove(&b);
+                g.free_blocks.take(b);
                 g.rotor = b + 1;
                 return Ok(b);
             }
@@ -387,16 +387,16 @@ impl Fs {
         for off in 0..=n {
             let gi = (self.log_group + off) % n;
             let g = &mut self.groups[gi];
-            let found = g.free_blocks.range(g.rotor..).next().copied().or_else(|| {
+            let found = g.free_blocks.first_from(g.rotor).or_else(|| {
                 // Wrap within the group only when moving to it fresh.
                 if off > 0 {
-                    g.free_blocks.iter().next().copied()
+                    g.free_blocks.first()
                 } else {
                     None
                 }
             });
             if let Some(b) = found {
-                g.free_blocks.remove(&b);
+                g.free_blocks.take(b);
                 g.rotor = b + 1;
                 self.log_group = gi;
                 return Ok(b);
@@ -445,6 +445,19 @@ impl Fs {
         let g = self.group_of_block(block);
         self.groups[g].free_blocks.insert(block);
         self.content.remove(&block);
+    }
+
+    /// Drops an inode no directory names any more: its blocks and its
+    /// i-number become free again.
+    fn release_inode(&mut self, ino: Ino) {
+        let inode = self.inodes.remove(&ino).expect("present");
+        // Highest first: a contiguous file then grows one free run
+        // downwards in place.
+        for block in inode.blocks.into_iter().rev() {
+            self.free_data_block(block);
+        }
+        let g = (ino / self.params.inodes_per_group) as usize;
+        self.groups[g].free_inos.insert(ino);
     }
 
     /// The group with the most free i-numbers (FFS spreads directories).
@@ -513,6 +526,23 @@ impl Fs {
 
     // --- Namespace operations ---------------------------------------------
 
+    /// Enters the freshly made inode `ino` into `dir` as `name`, returning
+    /// the entry's position. If the directory cannot grow to hold the
+    /// entry, the inode is released again: a failed `create` or `mkdir`
+    /// leaves the file system as it found it.
+    fn link(&mut self, dir: Ino, name: &str, ino: Ino, now: Nanos) -> OsResult<usize> {
+        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
+        let idx = dir_inode.push_entry(name.to_string(), ino);
+        if let Err(e) = self.grow_dir(dir) {
+            let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
+            dir_inode.remove_entry_at(idx);
+            self.release_inode(ino);
+            return Err(e);
+        }
+        self.inodes.get_mut(&dir).expect("checked dir").mtime = now;
+        Ok(idx)
+    }
+
     /// Creates a regular file; fails if the path exists.
     pub fn create(&mut self, path: &str, now: Nanos) -> OsResult<Ino> {
         let (dir, name) = self.resolve_parent(path)?;
@@ -535,11 +565,7 @@ impl Fs {
                 group: actual_group,
             },
         );
-        let name = name.to_string();
-        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-        let idx = dir_inode.push_entry(name, ino);
-        dir_inode.mtime = now;
-        self.grow_dir(dir)?;
+        let idx = self.link(dir, name, ino, now)?;
         self.log_dir_write(dir, idx);
         self.log_inode_write(ino);
         self.log_inode_write(dir);
@@ -568,12 +594,11 @@ impl Fs {
                 group: actual_group,
             },
         );
-        self.grow_dir(ino)?;
-        let name = name.to_string();
-        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-        let idx = dir_inode.push_entry(name, ino);
-        dir_inode.mtime = now;
-        self.grow_dir(dir)?;
+        if let Err(e) = self.grow_dir(ino) {
+            self.release_inode(ino);
+            return Err(e);
+        }
+        let idx = self.link(dir, name, ino, now)?;
         self.log_dir_write(dir, idx);
         self.log_inode_write(ino);
         Ok(ino)
@@ -603,12 +628,7 @@ impl Fs {
         let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
         dir_inode.remove_entry_at(idx);
         dir_inode.mtime = now;
-        let inode = self.inodes.remove(&ino).expect("present");
-        for block in inode.blocks {
-            self.free_data_block(block);
-        }
-        let g = (ino / self.params.inodes_per_group) as usize;
-        self.groups[g].free_inos.insert(ino);
+        self.release_inode(ino);
         self.log_dir_write(dir, idx);
         self.log_inode_write(ino);
         Ok(ino)
@@ -631,12 +651,7 @@ impl Fs {
         let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
         dir_inode.remove_entry_at(idx);
         dir_inode.mtime = now;
-        let inode = self.inodes.remove(&ino).expect("present");
-        for block in inode.blocks {
-            self.free_data_block(block);
-        }
-        let g = (ino / self.params.inodes_per_group) as usize;
-        self.groups[g].free_inos.insert(ino);
+        self.release_inode(ino);
         self.log_dir_write(dir, idx);
         Ok(ino)
     }
@@ -705,7 +720,17 @@ impl Fs {
         let have = self.inodes[&ino].blocks.len() as u64;
         for _ in have..=page {
             let near = last.map(|b| b + 1);
-            let b = self.alloc_data_block(group, near)?;
+            let b = match self.alloc_data_block(group, near) {
+                Ok(b) => b,
+                Err(e) => {
+                    // The extension is all or nothing: give back what
+                    // this call took before the disk ran out.
+                    for b in allocated.into_iter().rev() {
+                        self.free_data_block(b);
+                    }
+                    return Err(e);
+                }
+            };
             allocated.push(b);
             last = Some(b);
         }
@@ -786,11 +811,7 @@ impl Fs {
 
     /// Free space in bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|g| g.free_blocks.len() as u64)
-            .sum::<u64>()
-            * self.params.block_size
+        self.groups.iter().map(|g| g.free_blocks.len()).sum::<u64>() * self.params.block_size
     }
 }
 
@@ -995,15 +1016,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn no_space_is_reported() {
-        // Tiny FS: 1 group, 8 data blocks.
+    /// One group of 8 data blocks and 32 i-numbers.
+    fn tiny() -> Fs {
         let params = FsParams {
             blocks_per_group: 8,
             inodes_per_group: 32,
             ..FsParams::default()
         };
-        let mut f = Fs::new(params, 0, 9);
+        Fs::new(params, 0, 9)
+    }
+
+    #[test]
+    fn no_space_is_reported() {
+        let mut f = tiny();
         let a = f.create("/a", Nanos::ZERO).unwrap();
         let mut page = 0;
         let err = loop {
@@ -1013,6 +1038,66 @@ mod tests {
             }
         };
         assert_eq!(err, OsError::NoSpace);
+    }
+
+    #[test]
+    fn failed_extension_gives_its_blocks_back() {
+        let mut f = tiny();
+        let a = f.create("/a", Nanos::ZERO).unwrap(); // Root takes a block.
+        f.ensure_block(a, 2).unwrap();
+        let free = f.free_bytes();
+        assert_eq!(free, 4 * 4096);
+        // Five more blocks do not fit in four; none of the four may leak.
+        assert_eq!(f.ensure_block(a, 7), Err(OsError::NoSpace));
+        assert_eq!(f.free_bytes(), free);
+        assert_eq!(f.inode(a).unwrap().blocks.len(), 3);
+        // A smaller extension then succeeds, and takes the disk's last block.
+        f.ensure_block(a, 6).unwrap();
+        assert_eq!(f.free_bytes(), 0);
+        f.unlink("/a", Nanos::ZERO).unwrap();
+        assert_eq!(f.free_bytes(), 7 * 4096);
+    }
+
+    #[test]
+    fn failed_mkdir_and_create_leave_no_trace() {
+        // 8 i-table + 8 data blocks: i-numbers to spare, blocks not.
+        let params = FsParams {
+            blocks_per_group: 8,
+            inodes_per_group: 256,
+            ..FsParams::default()
+        };
+        let mut f = Fs::new(params, 0, 16);
+        let a = f.create("/a", Nanos::ZERO).unwrap();
+        f.ensure_block(a, 6).unwrap();
+        assert_eq!(f.free_bytes(), 0);
+        // The new directory's own first block cannot be had.
+        assert_eq!(f.mkdir("/d", Nanos::ZERO), Err(OsError::NoSpace));
+        assert!(f.resolve("/d").is_err());
+        assert_eq!(f.create("/f1", Nanos::ZERO).unwrap(), a + 1);
+
+        // Fill root's only block (128 entries), then make one block free.
+        for i in 2..128 {
+            f.create(&format!("/f{i}"), Nanos::ZERO).unwrap();
+        }
+        f.unlink("/a", Nanos::ZERO).unwrap();
+        let b = f.create("/b", Nanos::ZERO).unwrap();
+        f.ensure_block(b, 5).unwrap();
+        let before = (f.free_bytes(), f.groups[0].free_inos.len());
+        assert_eq!(before.0, 4096);
+        // The directory gets its block, but root cannot grow to name it.
+        assert_eq!(f.mkdir("/d", Nanos::ZERO), Err(OsError::NoSpace));
+        assert_eq!((f.free_bytes(), f.groups[0].free_inos.len()), before);
+        f.ensure_block(b, 6).unwrap();
+        // No block at all: a file cannot be entered either.
+        assert_eq!(f.create("/x", Nanos::ZERO), Err(OsError::NoSpace));
+        assert_eq!(f.groups[0].free_inos.len(), before.1);
+        assert!(f.resolve("/d").is_err() && f.resolve("/x").is_err());
+        assert_eq!(f.list_dir("/").unwrap().len(), 128);
+        // With an entry to spare both succeed, on the lowest i-numbers.
+        f.unlink("/f127", Nanos::ZERO).unwrap();
+        assert_eq!(f.create("/x", Nanos::ZERO).unwrap(), a + 127);
+        f.unlink("/b", Nanos::ZERO).unwrap();
+        assert_eq!(f.mkdir("/d", Nanos::ZERO).unwrap(), a);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod config;
 mod coro;
 pub mod disk;
 pub mod exec;
+mod free_set;
 pub mod fs;
 mod hash;
 pub mod kernel;

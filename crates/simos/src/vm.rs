@@ -13,10 +13,9 @@
 //! dirty page pays one slot write. Slots are allocated lowest-first, which
 //! clusters swap traffic — pageout streams, as real swap code strives for.
 
-use std::collections::BTreeSet;
-
 use graybox::os::{OsError, OsResult};
 
+use crate::free_set::FreeSet;
 use crate::hash::FastMap;
 
 /// "No swap slot" in a region's dense slot table.
@@ -57,10 +56,8 @@ impl Region {
 pub struct Vm {
     regions: FastMap<u64, Region>,
     next_region: u64,
-    /// Slots from here up to `total_slots` have never been handed out.
-    never_used: u64,
-    /// Slots below the watermark that were handed out and given back.
-    returned: BTreeSet<u64>,
+    /// Swap slots no page holds.
+    free_slots: FreeSet,
     total_slots: u64,
 }
 
@@ -83,8 +80,7 @@ impl Vm {
         Vm {
             regions: FastMap::default(),
             next_region: 1,
-            never_used: 0,
-            returned: BTreeSet::new(),
+            free_slots: FreeSet::new(0, swap_slots),
             total_slots: swap_slots,
         }
     }
@@ -108,8 +104,9 @@ impl Vm {
     /// must separately purge the region's cached pages.
     pub fn free(&mut self, region: u64) -> OsResult<()> {
         let r = self.regions.remove(&region).ok_or(OsError::BadRegion)?;
-        self.returned
-            .extend(r.slots.into_iter().filter(|&s| s != NO_SLOT));
+        for slot in r.slots.into_iter().filter(|&s| s != NO_SLOT) {
+            self.free_slots.insert(slot);
+        }
         Ok(())
     }
 
@@ -149,23 +146,16 @@ impl Vm {
     }
 
     /// Returns the page's swap slot, allocating one if needed (called when
-    /// a dirty anonymous page is evicted). Allocation is lowest-first: a
-    /// returned slot, all of which lie below the watermark, before a fresh
-    /// one.
+    /// a dirty anonymous page is evicted). Allocation is lowest-first.
     pub fn ensure_slot(&mut self, region: u64, page: u64) -> OsResult<u64> {
         let r = self.regions.get_mut(&region).ok_or(OsError::BadRegion)?;
         r.check(page)?;
         if let Some(slot) = r.slot(page) {
             return Ok(slot);
         }
-        let slot = match self.returned.pop_first() {
-            Some(slot) => slot,
-            None if self.never_used < self.total_slots => {
-                self.never_used += 1;
-                self.never_used - 1
-            }
-            None => return Err(OsError::OutOfMemory), // Swap space exhausted.
-        };
+        // An empty set is exhausted swap space.
+        let slot = self.free_slots.first().ok_or(OsError::OutOfMemory)?;
+        self.free_slots.take(slot);
         if page as usize >= r.slots.len() {
             r.slots.resize(page as usize + 1, NO_SLOT);
         }
@@ -185,7 +175,7 @@ impl Vm {
 
     /// Swap slots currently in use.
     pub fn slots_in_use(&self) -> u64 {
-        self.never_used - self.returned.len() as u64
+        self.total_slots - self.free_slots.len()
     }
 
     /// Number of pages of `region` that live in swap *and* may not be
@@ -265,7 +255,7 @@ mod tests {
     fn slots_are_allocated_lowest_first_across_regions() {
         let mut vm = Vm::new(16);
         let (a, b, c) = (vm.alloc(8), vm.alloc(8), vm.alloc(8));
-        // Fresh slots come off the watermark in order, whoever asks.
+        // Fresh slots come out in order, whoever asks.
         let got: Vec<u64> = [(a, 3), (b, 0), (a, 7), (c, 5), (b, 6)]
             .iter()
             .map(|&(r, p)| vm.ensure_slot(r, p).unwrap())
