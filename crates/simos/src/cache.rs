@@ -20,10 +20,14 @@
 //!
 //! Each pool is a *frame table*, as in the kernels it models: one record
 //! per resident page in a slab, linked by slab index onto a recency list
-//! and its owner's page list and found through one hash index, so a page
-//! touch costs one lookup and a list splice (DESIGN.md §19).
+//! and its owner's page list. A page is found the way a kernel finds it,
+//! through its owner: each file or region with a resident page has a page
+//! table from page number to slab index, so a touch costs one lookup in
+//! the small map of owners, an array index and a list splice, and a scan
+//! walks its owner's table in memory order (DESIGN.md §19).
 
 use crate::hash::FastMap;
+use crate::page_table::PageTable;
 
 /// What a cached page belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -160,13 +164,24 @@ impl List {
     }
 }
 
+/// What a pool keeps per owner with at least one resident page; dropped,
+/// table and all, when the last page leaves.
+#[derive(Debug)]
+struct Resident {
+    /// The owner's frames, in no particular order (listings sort).
+    list: List,
+    /// Page number to frame index, `NIL` where the page is not resident.
+    pages: PageTable<u32>,
+}
+
 /// One replacement pool: a frame table.
 ///
 /// Every resident page is one [`Frame`] in the `frames` slab, found through
-/// `index` and threaded on two lists at once: the recency list of its kind
-/// (`lru[0]` file, `lru[1]` anonymous; head = least recently used) and its
-/// owner's page list. All links are slab indices, so a touch is one hash
-/// lookup plus an unlink and a push-tail.
+/// its owner's page table and threaded on two lists at once: the recency
+/// list of its kind (`lru[0]` file, `lru[1]` anonymous; head = least
+/// recently used) and its owner's page list. All links are slab indices,
+/// so a touch is an owner lookup, an array index, an unlink and a
+/// push-tail.
 #[derive(Debug)]
 struct Pool {
     capacity: usize,
@@ -179,10 +194,10 @@ struct Pool {
     frames: Vec<Frame>,
     /// Slab slots not holding a page.
     free: Vec<u32>,
-    index: FastMap<PageId, u32>,
+    /// How many frames hold a page.
+    resident: usize,
     lru: [List; 2],
-    /// Each owner's resident pages, in no particular order (listings sort).
-    owners: FastMap<Owner, List>,
+    owners: FastMap<Owner, Resident>,
     next_seq: u64,
     /// How many frames have the dirty bit set.
     dirty: usize,
@@ -202,13 +217,16 @@ fn lru_of(owner: Owner) -> usize {
     }
 }
 
+/// The frame holding `id`, if it is resident.
+fn frame_of(owners: &FastMap<Owner, Resident>, id: &PageId) -> Option<u32> {
+    let i = owners.get(&id.owner)?.pages.get(id.page);
+    (i != NIL).then_some(i)
+}
+
 /// The frame of `id` if it is resident and not referenced since insertion:
 /// what a sticky-stack entry must still name to be worth keeping.
-fn unreferenced(index: &FastMap<PageId, u32>, frames: &[Frame], id: &PageId) -> Option<u32> {
-    index
-        .get(id)
-        .copied()
-        .filter(|&i| !frames[i as usize].referenced)
+fn unreferenced(owners: &FastMap<Owner, Resident>, frames: &[Frame], id: &PageId) -> Option<u32> {
+    frame_of(owners, id).filter(|&i| !frames[i as usize].referenced)
 }
 
 impl Pool {
@@ -220,7 +238,7 @@ impl Pool {
             prefer_file_eviction,
             frames: Vec::new(),
             free: Vec::new(),
-            index: FastMap::default(),
+            resident: 0,
             lru: [List::EMPTY; 2],
             owners: FastMap::default(),
             next_seq: 0,
@@ -233,7 +251,7 @@ impl Pool {
     /// A hit: sets the reference bit (and the dirty bit if asked) and
     /// moves the frame to the MRU end of its list.
     fn touch(&mut self, id: PageId, dirty: bool) -> bool {
-        let Some(&i) = self.index.get(&id) else {
+        let Some(i) = frame_of(&self.owners, &id) else {
             return false;
         };
         let list = &mut self.lru[lru_of(id.owner)];
@@ -258,8 +276,8 @@ impl Pool {
         }
         // Only this function grows the pool, one page at a time, so it is
         // never more than full and one eviction always makes room.
-        debug_assert!(self.index.len() <= self.capacity.max(1));
-        let evicted = if self.index.len() >= self.capacity.max(1) {
+        debug_assert!(self.resident <= self.capacity.max(1));
+        let evicted = if self.resident >= self.capacity.max(1) {
             self.evict_one(id.owner)
         } else {
             None
@@ -285,12 +303,14 @@ impl Pool {
                 (self.frames.len() - 1) as u32
             }
         };
-        self.index.insert(id, i);
+        self.resident += 1;
         self.lru[lru_of(id.owner)].push_back(&mut self.frames, LRU, i);
-        self.owners
-            .entry(id.owner)
-            .or_insert(List::EMPTY)
-            .push_back(&mut self.frames, OWN, i);
+        let owner = self.owners.entry(id.owner).or_insert_with(|| Resident {
+            list: List::EMPTY,
+            pages: PageTable::new(NIL),
+        });
+        owner.pages.set(id.page, i);
+        owner.list.push_back(&mut self.frames, OWN, i);
         self.dirty += usize::from(dirty);
         if self.policy == Policy::Sticky {
             self.own_stacks.entry(id.owner).or_default().push(id);
@@ -299,13 +319,13 @@ impl Pool {
         evicted
     }
 
-    /// Takes frame `i` off the recency list and out of the index and
-    /// returns its slot to the free list. The owner list is the caller's
-    /// business (`release` unlinks one frame, the purges drop whole lists).
+    /// Takes frame `i` off the recency list and returns its slot to the
+    /// free list. The owner's record is the caller's business (`release`
+    /// takes one frame out of it, the purges drop whole records).
     fn vacate(&mut self, i: u32) -> Evicted {
         let Frame { id, dirty, .. } = self.frames[i as usize];
         self.lru[lru_of(id.owner)].unlink(&mut self.frames, LRU, i);
-        self.index.remove(&id);
+        self.resident -= 1;
         self.dirty -= usize::from(dirty);
         self.frames[i as usize].dirty = false;
         self.free.push(i);
@@ -314,10 +334,11 @@ impl Pool {
 
     /// Frees one resident frame.
     fn release(&mut self, i: u32) -> Evicted {
-        let owner = self.frames[i as usize].id.owner;
-        let list = self.owners.get_mut(&owner).expect("resident owner");
-        list.unlink(&mut self.frames, OWN, i);
-        if list.head == NIL {
+        let PageId { owner, page } = self.frames[i as usize].id;
+        let record = self.owners.get_mut(&owner).expect("resident owner");
+        record.pages.set(page, NIL);
+        record.list.unlink(&mut self.frames, OWN, i);
+        if record.list.head == NIL {
             self.owners.remove(&owner);
         }
         self.vacate(i)
@@ -325,11 +346,11 @@ impl Pool {
 
     /// Frees every page of `owner`, reporting them in page order.
     fn release_owner(&mut self, owner: Owner, out: &mut Vec<Evicted>) {
-        let Some(list) = self.owners.remove(&owner) else {
+        let Some(record) = self.owners.remove(&owner) else {
             return;
         };
         let from = out.len();
-        let mut at = list.head;
+        let mut at = record.list.head;
         while at != NIL {
             // `vacate` leaves the owner links alone.
             let next = self.frames[at as usize].links[OWN].next;
@@ -375,13 +396,13 @@ impl Pool {
         // Entries referenced since insertion, or stale, are dropped.
         if let Some(stack) = self.own_stacks.get_mut(&inserting) {
             while let Some(id) = stack.pop() {
-                if let Some(i) = unreferenced(&self.index, &self.frames, &id) {
+                if let Some(i) = unreferenced(&self.owners, &self.frames, &id) {
                     return Some(self.release(i));
                 }
             }
         }
         while let Some(id) = self.global_stack.pop() {
-            if let Some(i) = unreferenced(&self.index, &self.frames, &id) {
+            if let Some(i) = unreferenced(&self.owners, &self.frames, &id) {
                 return Some(self.release(i));
             }
         }
@@ -390,8 +411,8 @@ impl Pool {
 
     fn remove(&mut self, id: PageId) -> bool {
         // Sticky stacks are cleaned lazily.
-        match self.index.get(&id) {
-            Some(&i) => {
+        match frame_of(&self.owners, &id) {
+            Some(i) => {
                 self.release(i);
                 true
             }
@@ -400,7 +421,7 @@ impl Pool {
     }
 
     fn clean(&mut self, id: PageId) {
-        if let Some(&i) = self.index.get(&id) {
+        if let Some(i) = frame_of(&self.owners, &id) {
             let f = &mut self.frames[i as usize];
             self.dirty -= usize::from(f.dirty);
             f.dirty = false;
@@ -410,9 +431,9 @@ impl Pool {
     fn compact_if_bloated(&mut self) {
         // Lazy sticky stacks can accumulate stale ids after heavy churn;
         // compact when they exceed 4x the live population.
-        let live = self.index.len();
-        let (index, frames) = (&self.index, &self.frames);
-        let keep = |id: &PageId| unreferenced(index, frames, id).is_some();
+        let live = self.resident;
+        let (owners, frames) = (&self.owners, &self.frames);
+        let keep = |id: &PageId| unreferenced(owners, frames, id).is_some();
         if self.global_stack.len() > live * 4 + 64 {
             self.global_stack.retain(keep);
         }
@@ -511,7 +532,7 @@ impl PageCache {
 
     /// Whether the page is resident, without touching reference bits.
     pub fn contains(&self, id: PageId) -> bool {
-        self.pool(id.owner).index.contains_key(&id)
+        frame_of(&self.pool(id.owner).owners, &id).is_some()
     }
 
     /// Inserts a page, or refreshes it if already resident; returns the
@@ -565,7 +586,8 @@ impl PageCache {
                 pool.release_owner(owner, &mut out);
             }
             pool.own_stacks.clear();
-            pool.global_stack.retain(|id| pool.index.contains_key(id));
+            pool.global_stack
+                .retain(|id| frame_of(&pool.owners, id).is_some());
         }
         out
     }
@@ -594,16 +616,17 @@ impl PageCache {
 
     /// Total resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.pools.iter().map(|p| p.index.len()).sum()
+        self.pools.iter().map(|p| p.resident).sum()
     }
 
     /// Resident pages belonging to `owner`, in page order.
     pub fn resident_of(&self, owner: Owner) -> Vec<u64> {
         let pool = self.pool(owner);
-        let Some(list) = pool.owners.get(&owner) else {
+        let Some(record) = pool.owners.get(&owner) else {
             return Vec::new();
         };
-        let mut pages: Vec<u64> = list
+        let mut pages: Vec<u64> = record
+            .list
             .iter(&pool.frames, OWN)
             .map(|i| pool.frames[i as usize].id.page)
             .collect();
@@ -614,7 +637,7 @@ impl PageCache {
     /// Free frames in the pool that would host `owner`.
     pub fn free_pages_for(&self, owner: Owner) -> u64 {
         let pool = self.pool(owner);
-        pool.capacity.saturating_sub(pool.index.len()) as u64
+        pool.capacity.saturating_sub(pool.resident) as u64
     }
 
     /// Capacity of the pool that hosts `owner`.
@@ -783,9 +806,9 @@ mod tests {
         assert!(c.dirty_pages().is_empty());
     }
 
-    /// Walks every list of a pool and checks that the lists, the index,
-    /// the owner lists, the dirty count and the free list all describe the
-    /// same set of frames.
+    /// Walks every list of a pool and checks that the recency lists, the
+    /// owners' lists and page tables, the resident and dirty counts and the
+    /// free list all describe the same set of frames.
     fn assert_pool_consistent(pool: &Pool) {
         let mut seen = vec![false; pool.frames.len()];
         let mark = |seen: &mut [bool], i: u32, what: &str| {
@@ -800,7 +823,7 @@ mod tests {
                 mark(&mut seen, i, "lru");
                 assert_eq!(f.links[LRU].prev, prev, "back link of frame {i}");
                 assert_eq!(lru_of(f.id.owner), kind, "frame {i} on the wrong list");
-                assert_eq!(pool.index.get(&f.id), Some(&i), "index entry of frame {i}");
+                assert_eq!(frame_of(&pool.owners, &f.id), Some(i), "table slot of {i}");
                 if prev != NIL {
                     assert!(pool.frames[prev as usize].seq < f.seq, "seq order at {i}");
                 }
@@ -810,13 +833,26 @@ mod tests {
             assert_eq!(list.tail, prev);
         }
         let listed = seen.iter().filter(|&&s| s).count();
-        assert_eq!(listed, pool.index.len(), "lists and index disagree");
+        assert_eq!(listed, pool.resident, "lists and resident count disagree");
         assert!(listed <= pool.capacity.max(1));
         assert_eq!(dirty, pool.dirty, "dirty count");
 
-        let mut owned = 0;
-        for (owner, list) in &pool.owners {
-            assert_ne!(list.head, NIL, "empty owner list kept for {owner:?}");
+        let (mut owned, mut slots) = (0, 0);
+        for (owner, Resident { list, pages }) in &pool.owners {
+            assert_ne!(list.head, NIL, "record kept for {owner:?} with no pages");
+            // Table to slab: every slot names a live frame holding that page.
+            for (page, i) in pages.iter() {
+                assert!(
+                    seen[i as usize],
+                    "{owner:?} page {page} names free frame {i}"
+                );
+                let id = PageId {
+                    owner: *owner,
+                    page,
+                };
+                assert_eq!(pool.frames[i as usize].id, id, "slot of frame {i}");
+                slots += 1;
+            }
             let mut prev = NIL;
             for i in list.iter(&pool.frames, OWN) {
                 let f = &pool.frames[i as usize];
@@ -829,6 +865,10 @@ mod tests {
             assert_eq!(list.tail, prev);
         }
         assert_eq!(owned, listed, "owner lists and recency lists disagree");
+        assert_eq!(
+            slots, pool.resident,
+            "table slots and resident count disagree"
+        );
 
         for &i in &pool.free {
             mark(&mut seen, i, "free");
@@ -845,9 +885,10 @@ mod tests {
         for arch in [CacheArch::Unified, CacheArch::UnifiedSticky] {
             let mut c = PageCache::new(arch, 16, 4096);
             for round in 0..100u64 {
-                for p in 0..16 {
+                // File pages straddle a page-table chunk boundary (512).
+                for p in 504..520 {
                     c.insert(file_page(round % 3, p), p % 2 == 0);
-                    c.insert(anon_page(round % 2, p / 2), true);
+                    c.insert(anon_page(round % 2, p % 16 / 2), true);
                     c.lookup_touch(file_page((round + 1) % 3, p));
                 }
                 assert_pool_consistent(&c.pools[0]);
@@ -857,7 +898,7 @@ mod tests {
                         ino: round % 3,
                     })),
                     1 => drop(c.remove(anon_page(round % 2, round % 8))),
-                    2 => c.clean(file_page(round % 3, round % 16)),
+                    2 => c.clean(file_page(round % 3, 504 + round % 16)),
                     _ => drop(c.drop_file_pages()),
                 }
                 assert_pool_consistent(&c.pools[0]);

@@ -29,6 +29,8 @@ use gray_toolbox::Nanos;
 use graybox::os::{OsError, OsResult};
 
 use crate::free_set::FreeSet;
+use crate::hash::FastMap;
+use crate::page_table::PageTable;
 
 /// An i-number.
 pub type Ino = u64;
@@ -63,13 +65,45 @@ pub struct IoLog {
     pub writes: Vec<MetaAccess>,
 }
 
-/// Content of one data block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BlockContent {
-    /// Explicitly written bytes.
-    Data(Box<[u8]>),
-    /// Synthetic fill: every byte equals the pattern.
-    Fill(u8),
+/// What the data blocks hold, by disk block. A block is in at most one of
+/// the two tables, and reads as zeros when it is in neither.
+#[derive(Debug)]
+struct Content {
+    /// Synthetic fill: every byte of the block equals the pattern. Patterns
+    /// are never 0, so 0 is "no fill" and bulk data costs one byte a block.
+    fill: PageTable<u8>,
+    /// Explicitly written bytes; rare next to fill.
+    data: FastMap<u64, Box<[u8]>>,
+}
+
+impl Content {
+    fn new() -> Self {
+        Content {
+            fill: PageTable::new(0),
+            data: FastMap::default(),
+        }
+    }
+
+    /// Replaces what `block` held with fill `pattern`; 0 leaves it empty.
+    fn set_fill(&mut self, block: u64, pattern: u8) {
+        if self.fill.set(block, pattern) == 0 && !self.data.is_empty() {
+            self.data.remove(&block);
+        }
+    }
+
+    /// Moves what `from` held to the empty block `to`.
+    fn relocate(&mut self, from: u64, to: u64) {
+        match self.fill.set(from, 0) {
+            0 => {
+                if let Some(bytes) = self.data.remove(&from) {
+                    self.data.insert(to, bytes);
+                }
+            }
+            pattern => {
+                self.fill.set(to, pattern);
+            }
+        }
+    }
 }
 
 /// An in-core inode.
@@ -163,8 +197,8 @@ pub struct Fs {
     params: crate::config::FsParams,
     dev: u32,
     groups: Vec<Group>,
-    inodes: HashMap<Ino, Inode>,
-    content: HashMap<u64, BlockContent>,
+    inodes: FastMap<Ino, Inode>,
+    content: Content,
     io: IoLog,
     next_fill: u8,
     /// LFS log head: the group index the log is currently writing into
@@ -197,8 +231,8 @@ impl Fs {
             params,
             dev,
             groups,
-            inodes: HashMap::new(),
-            content: HashMap::new(),
+            inodes: FastMap::default(),
+            content: Content::new(),
             io: IoLog::default(),
             next_fill: 1,
             log_group: 0,
@@ -364,6 +398,11 @@ impl Fs {
         for off in 0..n {
             let gi = (group + off) % n;
             let g = &mut self.groups[gi];
+            // A file that has outgrown its home group passes the groups it
+            // filled on the way to every further block.
+            if g.free_blocks.len() == 0 {
+                continue;
+            }
             // Rotor search: first free block at or after the rotor, then
             // wrap to the start of the group's data area.
             let found = g
@@ -417,9 +456,7 @@ impl Fs {
                 .ok_or(OsError::InvalidArgument)?
         };
         let new = self.alloc_log_block()?;
-        if let Some(content) = self.content.remove(&old) {
-            self.content.insert(new, content);
-        }
+        self.content.relocate(old, new);
         self.free_data_block(old);
         let inode = self.inodes.get_mut(&ino).expect("checked above");
         inode.blocks[page as usize] = new;
@@ -444,7 +481,7 @@ impl Fs {
     fn free_data_block(&mut self, block: u64) {
         let g = self.group_of_block(block);
         self.groups[g].free_blocks.insert(block);
-        self.content.remove(&block);
+        self.content.set_fill(block, 0);
     }
 
     /// Drops an inode no directory names any more: its blocks and its
@@ -764,39 +801,36 @@ impl Fs {
     /// Copies stored content of `disk_block` into `buf` (which must be
     /// positioned at `offset` within the block).
     pub fn read_content(&self, disk_block: u64, offset: u64, buf: &mut [u8]) {
-        match self.content.get(&disk_block) {
-            Some(BlockContent::Data(data)) => {
-                let start = offset as usize;
-                let end = (start + buf.len()).min(data.len());
-                if start < end {
-                    buf[..end - start].copy_from_slice(&data[start..end]);
-                }
-                if end - start < buf.len() {
-                    for b in &mut buf[end - start..] {
-                        *b = 0;
+        match self.content.fill.get(disk_block) {
+            0 => match self.content.data.get(&disk_block) {
+                Some(data) => {
+                    let start = offset as usize;
+                    let end = (start + buf.len()).min(data.len());
+                    if start < end {
+                        buf[..end - start].copy_from_slice(&data[start..end]);
+                    }
+                    if end - start < buf.len() {
+                        for b in &mut buf[end - start..] {
+                            *b = 0;
+                        }
                     }
                 }
-            }
-            Some(BlockContent::Fill(pattern)) => buf.fill(*pattern),
-            None => buf.fill(0),
+                None => buf.fill(0),
+            },
+            pattern => buf.fill(pattern),
         }
     }
 
     /// Stores written bytes into `disk_block` at `offset`.
     pub fn write_content(&mut self, disk_block: u64, offset: u64, data: &[u8]) {
         let block_size = self.params.block_size as usize;
-        let entry = self
+        // A filled block becomes real bytes of its pattern first.
+        let pattern = self.content.fill.set(disk_block, 0);
+        let bytes = self
             .content
+            .data
             .entry(disk_block)
-            .and_modify(|c| {
-                if let BlockContent::Fill(p) = *c {
-                    *c = BlockContent::Data(vec![p; block_size].into_boxed_slice());
-                }
-            })
-            .or_insert_with(|| BlockContent::Data(vec![0; block_size].into_boxed_slice()));
-        let BlockContent::Data(bytes) = entry else {
-            unreachable!("fill was converted above");
-        };
+            .or_insert_with(|| vec![pattern; block_size].into_boxed_slice());
         let start = offset as usize;
         let end = (start + data.len()).min(block_size);
         bytes[start..end].copy_from_slice(&data[..end - start]);
@@ -806,7 +840,7 @@ impl Fs {
     pub fn fill_content(&mut self, disk_block: u64) {
         let pattern = self.next_fill;
         self.next_fill = self.next_fill.wrapping_add(1).max(1);
-        self.content.insert(disk_block, BlockContent::Fill(pattern));
+        self.content.set_fill(disk_block, pattern);
     }
 
     /// Free space in bytes.
@@ -984,6 +1018,79 @@ mod tests {
         let mut x = [0u8; 1];
         f.read_content(block, 0, &mut x);
         assert_eq!(&x, b"X");
+    }
+
+    /// What `block` reads as, and which of the two content tables hold it.
+    fn content_of(f: &Fs, block: u64) -> ([u8; 6], bool, bool) {
+        let mut buf = [0xee; 6];
+        f.read_content(block, 2, &mut buf);
+        let filled = f.content.fill.get(block) != 0;
+        (buf, filled, f.content.data.contains_key(&block))
+    }
+
+    #[test]
+    fn content_follows_a_block_through_fill_overwrite_free_and_reuse() {
+        let mut f = tiny();
+        let a = f.create("/a", Nanos::ZERO).unwrap();
+        let block = f.ensure_block(a, 0).unwrap();
+        assert_eq!(content_of(&f, block), ([0; 6], false, false));
+        f.fill_content(block);
+        let (was, ..) = content_of(&f, block);
+        let p = was[0];
+        assert_eq!(content_of(&f, block), ([p; 6], true, false));
+        assert_ne!(p, 0, "a fill pattern of 0 would read as no content");
+        // A partial overwrite turns the fill into bytes of its pattern.
+        f.write_content(block, 4, b"xy");
+        assert_eq!(
+            content_of(&f, block),
+            ([p, p, b'x', b'y', p, p], false, true)
+        );
+        // Filling again replaces the bytes; writing again starts from it.
+        f.fill_content(block);
+        let q = p.wrapping_add(1).max(1);
+        assert_eq!(content_of(&f, block), ([q; 6], true, false));
+        f.write_content(block, 2, b"z");
+        assert_eq!(content_of(&f, block), ([b'z', q, q, q, q, q], false, true));
+        // Freed, the block holds nothing, in either table ...
+        f.unlink("/a", Nanos::ZERO).unwrap();
+        assert_eq!(content_of(&f, block), ([0; 6], false, false));
+        // ... and still nothing when the rotor comes back round to it.
+        let b = f.create("/b", Nanos::ZERO).unwrap();
+        let page = (0..8)
+            .find(|&page| f.ensure_block(b, page).unwrap() == block)
+            .expect("seven free blocks, one of them the freed one");
+        assert_eq!(f.block_of(b, page), Some(block));
+        assert_eq!(content_of(&f, block), ([0; 6], false, false));
+        f.write_content(block, 3, b"w");
+        assert_eq!(content_of(&f, block), ([0, b'w', 0, 0, 0, 0], false, true));
+        // A filled block freed and refilled carries only the new pattern.
+        let other = f.block_of(b, 0).unwrap();
+        f.fill_content(other);
+        f.unlink("/b", Nanos::ZERO).unwrap();
+        assert_eq!(content_of(&f, other), ([0; 6], false, false));
+        assert_eq!(content_of(&f, block), ([0; 6], false, false));
+    }
+
+    #[test]
+    fn relocation_carries_content_to_the_new_block() {
+        let params = FsParams {
+            layout: crate::config::LayoutPolicy::Lfs,
+            ..FsParams::default()
+        };
+        let mut f = Fs::new(params, 0, 32 + 4096);
+        let a = f.create("/a", Nanos::ZERO).unwrap();
+        let (filled, written) = (f.ensure_block(a, 0).unwrap(), f.ensure_block(a, 1).unwrap());
+        f.fill_content(filled);
+        f.write_content(written, 2, b"data");
+        let before = (content_of(&f, filled), content_of(&f, written));
+        let moved = (
+            f.relocate_block(a, 0).unwrap(),
+            f.relocate_block(a, 1).unwrap(),
+        );
+        assert!(moved.0 != filled && moved.1 != written);
+        assert_eq!((content_of(&f, moved.0), content_of(&f, moved.1)), before);
+        assert_eq!(content_of(&f, filled), ([0; 6], false, false));
+        assert_eq!(content_of(&f, written), ([0; 6], false, false));
     }
 
     #[test]

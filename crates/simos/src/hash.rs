@@ -1,10 +1,12 @@
 //! The hasher behind the simulator's hot integer-keyed maps.
 //!
-//! The page cache looks a [`crate::cache::PageId`] up on every simulated
-//! page touch and the VM a region id; both keys are small integers the
-//! simulator itself generates (i-numbers, region ids, page indices), never
-//! input from outside the program, so SipHash's resistance to crafted
-//! collisions buys nothing there and costs most of the lookup. This is
+//! The page cache looks a page's [`crate::cache::Owner`] up on every
+//! simulated page touch, the VM a region id, the file system an i-number
+//! and the kernel a descriptor; all are small integers the simulator
+//! itself generates, never input from outside the program, so SipHash's
+//! resistance to crafted collisions buys nothing there and costs most of
+//! the lookup. (Pages *within* an owner are not hashed at all: see
+//! [`crate::page_table`].) This is
 //! the usual multiply-rotate word hasher: fold each word in with an add
 //! and an odd multiply, and rotate once at the end so the well-mixed high
 //! bits land where the table takes its bucket index from.
@@ -60,12 +62,12 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{Owner, PageId};
-    use std::hash::{BuildHasher, Hasher};
+    use crate::cache::Owner;
+    use std::hash::{BuildHasher, Hash, Hasher};
 
     /// Most keys sharing one 12-bit bucket index (the table's low bits) and
     /// one 7-bit tag (its top bits) among 4096 keys.
-    fn worst_load(keys: impl Iterator<Item = PageId>) -> (usize, usize) {
+    fn worst_load<K: Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
         let build = BuildHasherDefault::<FastHasher>::default();
         let (mut buckets, mut tags) = (vec![0usize; 4096], vec![0usize; 128]);
         for key in keys {
@@ -81,40 +83,36 @@ mod tests {
 
     #[test]
     fn the_key_shapes_the_simulator_makes_do_not_pile_up() {
-        let file = |dev, ino, page| PageId {
-            owner: Owner::File { dev, ino },
-            page,
-        };
-        let anon = |region, page| PageId {
-            owner: Owner::Anon { region },
-            page,
-        };
+        let file = |dev, ino| Owner::File { dev, ino };
         // A uniformly random hash would put about 7 keys in its fullest
         // bucket and about 50 on its commonest tag.
-        let shapes: [(&str, Box<dyn Iterator<Item = PageId>>); 5] = [
+        let owners: [(&str, Box<dyn Iterator<Item = Owner>>); 4] = [
             (
-                "one region, in order",
-                Box::new((0..4096).map(|p| anon(7, p))),
+                "regions, in order",
+                Box::new((1..=4096).map(|region| Owner::Anon { region })),
             ),
             (
-                "one file, stride 64",
-                Box::new((0..4096).map(|p| file(0, 12, p * 64))),
+                "files of one directory",
+                Box::new((0..4096).map(|i| file(0, 3 + i))),
             ),
             (
-                "first page of many files",
-                Box::new((0..4096).map(|i| file(i as u32 % 2, i, 0))),
+                "files on two devices",
+                Box::new((0..4096).map(|i| file(i as u32 % 2, i / 2))),
             ),
             (
-                "64 files interleaved",
-                Box::new((0..4096).map(|i| file(0, i % 64, i / 64))),
-            ),
-            (
-                "64 regions interleaved",
-                Box::new((0..4096).map(|i| anon(i % 64, i / 64))),
+                "one file a cylinder group",
+                Box::new((0..4096).map(|g| file(0, g * 1024))),
             ),
         ];
-        for (shape, keys) in shapes {
-            let (bucket, tag) = worst_load(keys);
+        let words: [(&str, Box<dyn Iterator<Item = u64>>); 2] = [
+            ("i-numbers or region ids", Box::new(1..=4096)),
+            ("disk blocks, stride 8", Box::new((0..4096).map(|b| b * 8))),
+        ];
+        let loads = (owners.into_iter())
+            .map(|(shape, keys)| (shape, worst_load(keys)))
+            .chain(words.into_iter().map(|(s, keys)| (s, worst_load(keys))))
+            .chain([("descriptors", worst_load(3u32..4099))]);
+        for (shape, (bucket, tag)) in loads {
             assert!(
                 bucket <= 7 && tag <= 50,
                 "{shape}: bucket {bucket}, tag {tag}"

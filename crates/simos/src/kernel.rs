@@ -12,8 +12,6 @@
 //! *synchronously* to the process that forced them — the direct-reclaim
 //! behavior that makes memory pressure visible to MAC's probes.
 
-use std::collections::HashMap;
-
 use gray_toolbox::profile;
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, OsError, OsResult, ProbeSample, ProbeSpec, Stat};
@@ -23,6 +21,7 @@ use crate::clock::{CpuBank, Noise};
 use crate::config::SimConfig;
 use crate::disk::Disk;
 use crate::fs::{Fs, Ino, ITABLE_INO};
+use crate::hash::FastMap;
 use crate::vm::{TouchKind, Vm};
 
 /// Cost of reading the high-resolution timer.
@@ -91,7 +90,7 @@ pub struct Kernel {
     procs: Vec<ProcClock>,
     /// The latest instant any process clock has reached.
     high_water: Nanos,
-    fdt: Vec<HashMap<u32, OpenFile>>,
+    fdt: Vec<FastMap<u32, OpenFile>>,
     next_fd: Vec<u32>,
     stats: KernelStats,
     /// Virtual instant of the next flusher epoch (meaningful only when
@@ -160,7 +159,7 @@ impl Kernel {
             live: true,
         });
         self.high_water = self.high_water.max(start);
-        self.fdt.push(HashMap::new());
+        self.fdt.push(FastMap::default());
         self.next_fd.push(3);
         self.procs.len() - 1
     }

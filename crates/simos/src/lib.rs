@@ -60,6 +60,7 @@ pub mod fs;
 mod hash;
 pub mod kernel;
 pub mod oracle;
+mod page_table;
 pub mod scenario;
 pub mod score;
 pub mod vm;

@@ -6,8 +6,13 @@
 //! everything by linear scan — no index, no links, no counters — so the
 //! frame table's list surgery, index upkeep, owner lists, dirty count and
 //! free-list reuse each have something independent to disagree with.
-//! Capacities are tiny so nearly every insert evicts. The sticky stacks
-//! are modelled without compaction, which the cache claims is invisible.
+//! Capacities are tiny so nearly every insert evicts, and owners empty and
+//! refill all the time. The sticky stacks are modelled without compaction,
+//! which the cache claims is invisible. Each owner draws its six page
+//! numbers from one of three shapes, because the cache finds a page through
+//! a per-owner table indexed by page number: dense from zero, straddling a
+//! table chunk boundary, or far apart and far from zero as the inode
+//! table's are.
 //!
 //! CI runs this with `PROP_CASES=500`; `PROP_SEED` replays one case.
 
@@ -200,20 +205,48 @@ fn owners() -> Vec<Owner> {
     ]
 }
 
+/// Pages an owner may hold.
+const PAGES: usize = 6;
+
+/// One owner's page numbers.
+fn page_numbers(g: &mut Gen) -> [u64; PAGES] {
+    let at = |k: usize| k as u64;
+    match g.usize(0..4) {
+        0 => std::array::from_fn(at),
+        // Either side of a chunk boundary, whichever power of two a chunk is.
+        1 => {
+            let boundary = 1u64 << g.u64(8..13);
+            std::array::from_fn(|k| boundary - 3 + at(k))
+        }
+        // Inode-table pages are numbered by disk block: a cylinder group
+        // apart (4128 blocks), beyond 2^21 on a 9 GB disk.
+        2 => {
+            let base = (1u64 << 21) + g.u64(0..1 << 20);
+            std::array::from_fn(|k| base + at(k / 2) * 4128 + at(k % 2))
+        }
+        _ => {
+            let base = g.u64(0..1 << 22);
+            std::array::from_fn(|k| base + at(k) * g.u64(1..2000))
+        }
+    }
+}
+
 fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
     let mut cache = PageCache::new(arch, total_pages, PAGE_SIZE);
     let mut model = Model::new(arch, total_pages);
     let owners = owners();
+    let pages: Vec<[u64; PAGES]> = owners.iter().map(|_| page_numbers(g)).collect();
     let steps = g.usize(1..1200);
     for step in 0..steps {
-        let owner = g.select(&owners);
+        let which = g.usize(0..owners.len());
+        let owner = owners[which];
         let id = PageId {
             owner,
-            page: g.u64(0..6),
+            page: g.select(&pages[which]),
         };
         // A roomy cache is never flushed: the flush would prune the sticky
         // stacks the roomy cases exist to bloat.
-        let what = match g.u64(0..if total_pages < 10 { 100 } else { 97 }) {
+        let what = match g.u64(0..if total_pages < 10 { 103 } else { 100 }) {
             0..=44 => {
                 let dirty = g.bool_with(0.3);
                 assert_eq!(
@@ -253,6 +286,26 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
                 assert_eq!(cache.remove_owner(owner), dropped, "step {step}");
                 "remove_owner"
             }
+            97..=99 => {
+                // The owner empties page by page, then refills.
+                let held = model.resident_of(owner);
+                for &page in &held {
+                    let pool = model.pool(owner);
+                    let at = pool.position(PageId { owner, page }).expect("listed");
+                    pool.take(at);
+                    assert!(cache.remove(PageId { owner, page }), "step {step}");
+                }
+                assert_eq!(cache.resident_of(owner), Vec::<u64>::new(), "step {step}");
+                for &page in held.iter().rev() {
+                    let id = PageId { owner, page };
+                    assert_eq!(
+                        cache.insert(id, false),
+                        model.pool(owner).insert(id, false),
+                        "refill of {id:?} at step {step}"
+                    );
+                }
+                "empty_and_refill"
+            }
             _ => {
                 assert_eq!(cache.drop_file_pages(), model.drop_file_pages());
                 "drop_file_pages"
@@ -264,7 +317,7 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
         assert_eq!(cache.dirty_count(), dirty.len(), "dirty_count {at}");
         let resident: usize = model.pools.iter().map(|p| p.pages.len()).sum();
         assert_eq!(cache.resident_pages(), resident, "resident_pages {at}");
-        for &owner in &owners {
+        for (&owner, pages) in owners.iter().zip(&pages) {
             assert_eq!(
                 cache.resident_of(owner),
                 model.resident_of(owner),
@@ -273,7 +326,8 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
             let pool = model.pool(owner);
             let free = pool.capacity.saturating_sub(pool.pages.len()) as u64;
             assert_eq!(cache.free_pages_for(owner), free, "free_pages_for {at}");
-            for page in 0..6 {
+            // The owner's own pages, and their neighbours in its table.
+            for page in pages.iter().flat_map(|&p| [p, p + 1, p.saturating_sub(1)]) {
                 let id = PageId { owner, page };
                 assert_eq!(cache.contains(id), pool.position(id).is_some());
             }

@@ -170,6 +170,7 @@ pub struct OpGuard {
 }
 
 impl Drop for OpGuard {
+    #[inline]
     fn drop(&mut self) {
         if self.pushed {
             OP_STACK.with(|s| {

@@ -111,16 +111,33 @@ impl Duration {
         self.0 as f64 / 1e9
     }
 
-    /// Scales the span by a non-negative factor, rounding to nearest.
+    /// Scales the span by a non-negative factor, rounding to nearest
+    /// (halves away from zero), exactly as `f64::round` would: the noise
+    /// model and the per-page copy charge call this on every simulated
+    /// page, and baseline x86-64 has no rounding instruction, only libm.
     pub fn mul_f64(self, factor: f64) -> Self {
         debug_assert!(factor >= 0.0, "durations cannot be scaled negative");
-        Duration((self.0 as f64 * factor).round().max(0.0) as u64)
+        Duration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))
     }
+}
+
+/// `x.round().max(0.0) as u64` without the call to `round`.
+fn round_to_u64(x: f64) -> u64 {
+    /// 2^52: from here up every `f64` is an integer.
+    const INTEGERS_FROM: f64 = 4_503_599_627_370_496.0;
+    // Truncates; saturates at the top, and NaN and negatives give 0.
+    let whole = x as u64;
+    if x >= INTEGERS_FROM {
+        return whole;
+    }
+    // Below 2^52 `whole` converts back exactly and so does the difference,
+    // so the tie test sees the true fraction (`x + 0.5` would round).
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 impl Add<Duration> for Nanos {
@@ -258,6 +275,48 @@ mod tests {
     fn scaling_rounds_to_nearest() {
         assert_eq!(Duration(10).mul_f64(0.26), Duration(3));
         assert_eq!(Duration(10).mul_f64(0.0), Duration(0));
+    }
+
+    #[test]
+    fn integer_rounding_is_f64_round_bit_for_bit() {
+        let reference = |x: f64| x.round().max(0.0) as u64;
+        let below_half = 0.499_999_999_999_999_94; // 0.5 - 2^-54
+        for (x, want) in [
+            (0.5, 1),
+            (1.5, 2),
+            (2.5, 3),
+            (below_half, 0),
+            (4_503_599_627_370_495.5, 4_503_599_627_370_496), // 2^52 - 0.5
+            (4_503_599_627_370_497.0, 4_503_599_627_370_497),
+            (1.8e19, 18_000_000_000_000_000_000),
+            (1.9e19, u64::MAX),
+            (f64::INFINITY, u64::MAX),
+            (f64::NAN, 0),
+            (-0.0, 0),
+            (-0.7, 0),
+            (f64::NEG_INFINITY, 0),
+        ] {
+            assert_eq!(round_to_u64(x), want, "{x:e}");
+            assert_eq!(reference(x), want, "reference at {x:e}");
+        }
+        crate::prop::check("round_to_u64", 2000, |g| {
+            let x = match g.usize(0..5) {
+                // Ties and their two neighbours, wherever halves still exist.
+                0 => {
+                    let tie = g.u64(0..1 << 52) as f64 + 0.5;
+                    let nudged = tie.to_bits() + g.u64(0..3) - 1;
+                    f64::from_bits(nudged)
+                }
+                // Any bit pattern: subnormals, negatives, infinities, NaNs.
+                1 => f64::from_bits(g.u64(0..=u64::MAX)),
+                // Around 2^52 and around the saturation point 2^64.
+                2 => g.f64(4.0e15..5.0e15),
+                3 => g.f64(1.0e19..2.0e19),
+                // What the simulator feeds it: a duration times a factor.
+                _ => g.u64(0..10_000_000_000) as f64 * g.f64(0.0..4.0),
+            };
+            assert_eq!(round_to_u64(x), reference(x), "{x:e} ({:#x})", x.to_bits());
+        });
     }
 
     #[test]
