@@ -300,10 +300,6 @@ pub struct SimConfig {
     pub writeback: WritebackParams,
     /// Master RNG seed (noise, procedural content).
     pub seed: u64,
-    /// Stack size per simulated process in a multiprogrammed run.
-    /// Heap-allocated and lazily committed by the host, so a generous
-    /// default costs little real memory.
-    pub coro_stack_bytes: usize,
 }
 
 impl SimConfig {
@@ -324,7 +320,6 @@ impl SimConfig {
             readahead_pages: 32,
             writeback: WritebackParams::disabled(),
             seed: 0xA5A5_5A5A,
-            coro_stack_bytes: 512 << 10,
         }
     }
 
@@ -345,7 +340,6 @@ impl SimConfig {
             readahead_pages: 32,
             writeback: WritebackParams::disabled(),
             seed: 0xA5A5_5A5A,
-            coro_stack_bytes: 512 << 10,
         }
     }
 

@@ -6,9 +6,9 @@
 //! exactly where it left off. Rust has no stable stackful-coroutine
 //! primitive and the zero-new-dependencies rule rules out `corosensei`
 //! et al., so this module implements the smallest thing that works: a
-//! heap-allocated stack per process plus a hand-written context switch
-//! that saves and restores exactly the callee-saved register set of the
-//! platform C ABI.
+//! guard-paged stack per process, drawn from a per-thread pool, plus a
+//! hand-written context switch that saves and restores exactly the
+//! callee-saved register set of the platform C ABI.
 //!
 //! Only two operations exist. [`Coro::resume`] switches from the driver
 //! onto the coroutine's stack; [`yield_to_driver`] switches back. Both
@@ -22,35 +22,69 @@
 //!   wrapper catches every panic ([`std::panic::catch_unwind`]) before
 //!   the final switch back, and aborts the process if the impossible
 //!   happens and the entry returns without switching.
-//! - **Stacks are plain heap allocations** (16-byte aligned, default
-//!   512 KiB, lazily committed by the host kernel) with no guard pages:
-//!   a runaway simulated workload can overflow into the heap. Simulated
-//!   workloads are shallow probe loops; the size is configurable via
-//!   `SimConfig::coro_stack_bytes` for anything deeper.
+//! - **Every stack ends in a guard.** A stack is one anonymous mapping
+//!   of [`STACK_BYTES`] with `GUARD_BYTES` of `PROT_NONE` below it, so a
+//!   workload that outgrows its stack dies by `SIGSEGV`/`SIGBUS` at the
+//!   faulting store (Rust's stack probes keep large frames from
+//!   stepping over the guard) instead of writing into a neighbour. There
+//!   is one size: see [`STACK_BYTES`] for the measured depth behind it.
+//! - **Stacks are pooled per thread and never trimmed.** A finished
+//!   coroutine's stack goes on its thread's free list and the next
+//!   [`Coro::new`] on that thread takes it back, dirty pages and all:
+//!   a new stack per simulated process, unguarded, was a third of a
+//!   one-shot probe process's host time in allocation and demand-zero
+//!   faults, and guarded it was more. The pool holds as many
+//!   stacks as the thread's largest fleet had live at once, which that
+//!   fleet needed anyway, and unmaps them when the thread exits; a
+//!   trim policy would only re-buy the faults between rounds. A recycled
+//!   stack is handed out as it was left: `fabricate` writes the one
+//!   frame that is read before it is written.
 //! - **Dropping a suspended (started, unfinished) coroutine leaks** the
-//!   live frames on its stack — their destructors never run. The
-//!   executor always drives every coroutine to completion, so this only
-//!   occurs if the driver itself panics mid-run.
+//!   live frames on its stack — their destructors never run — and
+//!   returns the stack to the pool like any other. The executor always
+//!   drives every coroutine to completion, so this only occurs if the
+//!   driver itself panics mid-run.
 //!
-//! Supported: x86_64 (SysV) and aarch64 (AAPCS64). Any other
-//! architecture fails at compile time: there is no second scheduler to
-//! fall back to, and a build that could not run a multi-process
-//! experiment would only fail later and less legibly.
+//! Ceiling: each mapped stack is two host mappings (guard, stack), and
+//! Linux caps a process at `vm.max_map_count` of them (65 530 by
+//! default), so about 32 000 coroutines can be live in one process at
+//! once. Mapping one more panics with a message that says so.
+//!
+//! Supported: x86_64 (SysV) and aarch64 (AAPCS64) on Unix. Anything else
+//! fails at compile time: there is no second scheduler to fall back to,
+//! and a build that could not run a multi-process experiment would only
+//! fail later and less legibly.
 
-use std::alloc::{alloc, dealloc, Layout};
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ptr;
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
 compile_error!(
-    "simos::coro has a context switch for x86_64 and aarch64 only; \
-     port `arch::switch`/`arch::fabricate` to build for this architecture"
+    "simos::coro has a context switch for x86_64 and aarch64 and maps its stacks with \
+     mmap: port `arch::switch`/`arch::fabricate` and `sys` to build for this target"
 );
 
-/// Smallest stack the executor will fabricate. Probe workloads use a few
-/// KiB; 64 KiB leaves generous headroom for formatting machinery in
-/// panic paths.
-pub(crate) const MIN_STACK_BYTES: usize = 64 << 10;
+/// Usable bytes of every coroutine stack, the pool's one size.
+///
+/// Sized from what `exec::tests::stack_high_water_marks_leave_headroom`
+/// reads off recycled stacks (table in EXPERIMENTS.md "Host cost: pooled
+/// coroutine stacks"): an FCCD probe process writes 7 KiB of its stack
+/// in a debug build, a panic that prints a backtrace 21 KiB, and the
+/// deepest workload anywhere in the workspace's tests 24 KiB. 256 KiB is
+/// ten times that. Only touched pages cost host memory; the rest is
+/// address space, 4 GiB of it for a 16 384-process fleet.
+pub(crate) const STACK_BYTES: usize = 256 << 10;
+
+/// Inaccessible bytes below every stack: a multiple of every page size
+/// the supported targets run with (4, 16 and 64 KiB), so the pool never
+/// has to ask the host for its page size.
+const GUARD_BYTES: usize = 64 << 10;
+
+const _: () = assert!(STACK_BYTES.is_multiple_of(GUARD_BYTES));
+
+/// One mapping: the guard, then the stack above it.
+const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
 
 /// The two saved stack pointers a suspended coroutine consists of, plus
 /// its completion flag. Lives in a `Box` so its address is stable across
@@ -109,35 +143,167 @@ pub(crate) unsafe fn yield_to_driver(core: *mut YieldCore) {
     }
 }
 
-/// A heap-allocated coroutine stack. 16-byte alignment satisfies both
-/// supported ABIs; the usable top is the highest 16-aligned address.
+/// The host calls behind the stack pool, declared here because the
+/// zero-dependency rule leaves no `libc` crate to take them from. The
+/// constants are the same on every supported Unix except `MAP_ANON`.
+mod sys {
+    use std::ffi::{c_int, c_void};
+
+    pub(super) const PROT_NONE: c_int = 0;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const PROT_WRITE: c_int = 2;
+    pub(super) const MAP_PRIVATE: c_int = 0x02;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub(super) const MAP_ANON: c_int = 0x20;
+    /// macOS, iOS and the BSDs.
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub(super) const MAP_ANON: c_int = 0x1000;
+    pub(super) const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+
+    extern "C" {
+        pub(super) fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    }
+}
+
+/// Maps one stack, guard first, and returns the mapping's base.
+fn map_stack() -> std::io::Result<*mut u8> {
+    // SAFETY: an anonymous private mapping at an address the kernel
+    // picks aliases nothing, and the two calls after it name only bytes
+    // of that mapping.
+    unsafe {
+        let base = sys::mmap(
+            ptr::null_mut(),
+            MAP_BYTES,
+            sys::PROT_READ | sys::PROT_WRITE,
+            sys::MAP_PRIVATE | sys::MAP_ANON,
+            -1,
+            0,
+        );
+        if base == sys::MAP_FAILED {
+            return Err(std::io::Error::last_os_error());
+        }
+        if sys::mprotect(base, GUARD_BYTES, sys::PROT_NONE) != 0 {
+            let err = std::io::Error::last_os_error();
+            sys::munmap(base, MAP_BYTES);
+            return Err(err);
+        }
+        Ok(base.cast())
+    }
+}
+
+/// Unmaps a stack [`map_stack`] returned. Nothing may be running on it.
+fn unmap_stack(base: *mut u8) {
+    // SAFETY: `base` came from `map_stack` with this length and its last
+    // owner — a dropped `Stack` or the pool's free list — is giving it
+    // up, so no pointer into the mapping is used again. A failure would
+    // leak the mapping and nothing else, so the result is ignored.
+    unsafe {
+        sys::munmap(base.cast(), MAP_BYTES);
+    }
+}
+
+/// One thread's stacks: those no coroutine is on, and how many exist.
+struct Pool {
+    /// Bases of idle stacks; the most recently freed is taken first,
+    /// while its pages are still in the host's caches.
+    free: RefCell<Vec<*mut u8>>,
+    /// Stacks this thread has mapped, idle or in use. Nothing unmaps
+    /// before the thread exits, so it only counts up.
+    mapped: Cell<usize>,
+}
+
+thread_local! {
+    static POOL: Pool = const {
+        Pool {
+            free: RefCell::new(Vec::new()),
+            mapped: Cell::new(0),
+        }
+    };
+}
+
+impl Pool {
+    fn take(&self) -> *mut u8 {
+        if let Some(base) = self.free.borrow_mut().pop() {
+            return base;
+        }
+        let held = self.mapped.get();
+        let base = map_stack().unwrap_or_else(|err| {
+            panic!(
+                "cannot map a coroutine stack ({err}): this thread already holds {held} stacks \
+                 of two mappings each, one per live simulated process, and the host allows a \
+                 process vm.max_map_count mappings (65530 unless raised) — run fewer processes \
+                 at once or raise the sysctl"
+            )
+        });
+        self.mapped.set(held + 1);
+        base
+    }
+}
+
+impl Drop for Pool {
+    /// Thread exit. `toolbox::pool` starts fresh worker threads on every
+    /// call, so a pool that outlived its thread would leak a fleet's
+    /// worth of mappings per call.
+    fn drop(&mut self) {
+        for base in self.free.get_mut().drain(..) {
+            unmap_stack(base);
+        }
+    }
+}
+
+/// A coroutine stack on loan from this thread's [`Pool`]: `base` is the
+/// bottom of the guard, the usable bytes sit above it.
 struct Stack {
     base: *mut u8,
-    layout: Layout,
 }
 
 impl Stack {
-    fn new(bytes: usize) -> Stack {
-        let bytes = bytes.max(MIN_STACK_BYTES);
-        let layout = Layout::from_size_align(bytes, 16).expect("stack layout");
-        // SAFETY: layout has non-zero size.
-        let base = unsafe { alloc(layout) };
-        assert!(!base.is_null(), "coroutine stack allocation failed");
-        Stack { base, layout }
+    fn new() -> Stack {
+        Stack {
+            base: POOL.with(Pool::take),
+        }
     }
 
+    /// One past the highest usable byte; page-aligned, so aligned for
+    /// both supported ABIs.
     fn top(&self) -> *mut u8 {
-        // SAFETY: one-past-the-end of the allocation.
-        let top = unsafe { self.base.add(self.layout.size()) };
-        ((top as usize) & !15) as *mut u8
+        self.base.wrapping_add(MAP_BYTES)
     }
 }
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: allocated with this exact layout in `Stack::new`.
-        unsafe { dealloc(self.base, self.layout) }
+        // A coroutine dropped by another thread-local's destructor can
+        // outlive the pool; its stack then has nowhere to go back to.
+        if POOL
+            .try_with(|pool| pool.free.borrow_mut().push(self.base))
+            .is_err()
+        {
+            unmap_stack(self.base);
+        }
     }
+}
+
+/// How deep the most recently freed stack was ever written: the distance
+/// from its top down to its lowest non-zero byte. A fresh mapping reads
+/// as zeros, so for a stack mapped for the coroutine that just finished
+/// this is that coroutine's high-water mark.
+#[cfg(test)]
+pub(crate) fn last_freed_high_water() -> usize {
+    let base = POOL.with(|pool| *pool.free.borrow().last().expect("a stack was freed"));
+    // SAFETY: a stack on the free list is mapped, `STACK_BYTES` readable
+    // bytes above its guard, and no coroutine is running on it.
+    let bytes = unsafe { std::slice::from_raw_parts(base.add(GUARD_BYTES), STACK_BYTES) };
+    STACK_BYTES - bytes.iter().position(|&b| b != 0).unwrap_or(STACK_BYTES)
 }
 
 /// One resumable simulated process: its stack, its saved-stack-pointer
@@ -154,11 +320,8 @@ pub(crate) struct Coro<'env> {
 impl<'env> Coro<'env> {
     /// Fabricates a suspended coroutine that, on first resume, calls
     /// `entry` with a pointer to its own [`YieldCore`].
-    pub(crate) fn new(
-        stack_bytes: usize,
-        entry: Box<dyn FnOnce(*mut YieldCore) + 'env>,
-    ) -> Coro<'env> {
-        let stack = Stack::new(stack_bytes);
+    pub(crate) fn new(entry: Box<dyn FnOnce(*mut YieldCore) + 'env>) -> Coro<'env> {
+        let stack = Stack::new();
         let mut core = Box::new(YieldCore {
             coro_sp: ptr::null_mut(),
             sched_sp: ptr::null_mut(),
@@ -173,8 +336,8 @@ impl<'env> Coro<'env> {
             core: ptr::addr_of_mut!(*core),
             entry: Some(entry),
         });
-        // SAFETY: `stack.top()` is the 16-aligned top of a fresh
-        // allocation large enough for the initial frame; `ctx` is boxed
+        // SAFETY: `stack.top()` is the page-aligned top of `STACK_BYTES`
+        // writable bytes that nothing else is running on; `ctx` is boxed
         // and owned by the returned Coro, so its address is stable.
         core.coro_sp = unsafe { arch::fabricate(stack.top(), ptr::addr_of_mut!(*ctx)) };
         Coro {
@@ -360,20 +523,24 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Suspends the calling test coroutine.
+    fn pause(core: *mut YieldCore) {
+        // SAFETY: every caller below is an entry closure passing on the
+        // `core` it was started with, resumed by its test's own thread.
+        unsafe { yield_to_driver(core) };
+    }
+
     #[test]
     fn resume_yield_ping_pong() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let inner = Rc::clone(&log);
-        let mut c = Coro::new(
-            MIN_STACK_BYTES,
-            Box::new(move |core| {
-                inner.borrow_mut().push("a");
-                unsafe { yield_to_driver(core) };
-                inner.borrow_mut().push("b");
-                unsafe { yield_to_driver(core) };
-                inner.borrow_mut().push("c");
-            }),
-        );
+        let mut c = Coro::new(Box::new(move |core| {
+            inner.borrow_mut().push("a");
+            pause(core);
+            inner.borrow_mut().push("b");
+            pause(core);
+            inner.borrow_mut().push("c");
+        }));
         assert!(!c.resume());
         log.borrow_mut().push("driver1");
         assert!(!c.resume());
@@ -386,23 +553,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn many_coroutines_round_robin() {
+    fn round_robin() {
         const N: usize = 64;
         const ROUNDS: usize = 10;
         let tally = Rc::new(RefCell::new(vec![0usize; N]));
         let mut coros: Vec<Coro<'_>> = (0..N)
             .map(|i| {
                 let tally = Rc::clone(&tally);
-                Coro::new(
-                    MIN_STACK_BYTES,
-                    Box::new(move |core| {
-                        for _ in 0..ROUNDS {
-                            tally.borrow_mut()[i] += 1;
-                            unsafe { yield_to_driver(core) };
-                        }
-                    }),
-                )
+                Coro::new(Box::new(move |core| {
+                    for _ in 0..ROUNDS {
+                        tally.borrow_mut()[i] += 1;
+                        pause(core);
+                    }
+                }))
             })
             .collect();
         while coros.iter().any(|c| !c.finished()) {
@@ -413,36 +576,85 @@ mod tests {
         assert!(tally.borrow().iter().all(|&n| n == ROUNDS));
     }
 
+    /// Every test has its thread, and so its pool, to itself.
+    fn mapped_by_this_thread() -> usize {
+        POOL.with(|pool| pool.mapped.get())
+    }
+
+    #[test]
+    fn many_coroutines_round_robin() {
+        round_robin();
+        assert_eq!(mapped_by_this_thread(), 64);
+        round_robin();
+        assert_eq!(
+            mapped_by_this_thread(),
+            64,
+            "the second fleet ran on the first one's stacks"
+        );
+    }
+
+    #[test]
+    fn freed_stacks_are_reused_most_recent_first() {
+        let (first, second) = (Stack::new(), Stack::new());
+        let (base1, base2) = (first.base, second.base);
+        drop(first);
+        drop(second);
+        let again = Stack::new();
+        assert_eq!(again.base, base2);
+        assert_eq!(Stack::new().base, base1);
+        assert_eq!(mapped_by_this_thread(), 2);
+    }
+
+    #[test]
+    fn stack_dropped_while_suspended_runs_the_next_coroutine() {
+        let mut abandoned = Coro::new(Box::new(|core| {
+            let live = std::hint::black_box([0xA5u8; 2048]);
+            pause(core);
+            unreachable!("never resumed again: {}", live[0]);
+        }));
+        assert!(!abandoned.resume());
+        let base = abandoned._stack.base;
+        drop(abandoned);
+
+        let mut sum = 0u64;
+        let mut next = Coro::new(Box::new(|_| {
+            let fresh = std::hint::black_box([1u64; 512]);
+            sum = fresh.iter().sum();
+        }));
+        assert_eq!(
+            next._stack.base, base,
+            "fabricated over the abandoned frames"
+        );
+        assert!(next.resume());
+        drop(next);
+        assert_eq!(sum, 512);
+        assert_eq!(mapped_by_this_thread(), 1);
+    }
+
     #[test]
     fn deep_stack_use_survives_switches() {
         fn burn(depth: usize, core: *mut YieldCore) -> u64 {
             let frame = [depth as u64; 8];
             if depth == 0 {
-                unsafe { yield_to_driver(core) };
+                pause(core);
                 return 1;
             }
             frame.iter().sum::<u64>() % 7 + burn(depth - 1, core)
         }
-        let mut c = Coro::new(
-            256 << 10,
-            Box::new(|core| {
-                let n = burn(500, core);
-                assert!(n >= 500);
-            }),
-        );
+        let mut c = Coro::new(Box::new(|core| {
+            let n = burn(500, core);
+            assert!(n >= 500);
+        }));
         assert!(!c.resume(), "suspended at the bottom of the recursion");
         assert!(c.resume(), "ran back up and finished");
     }
 
     #[test]
     fn panicking_entry_is_contained() {
-        let mut c = Coro::new(
-            MIN_STACK_BYTES,
-            Box::new(|core| {
-                unsafe { yield_to_driver(core) };
-                panic!("inside coroutine");
-            }),
-        );
+        let mut c = Coro::new(Box::new(|core| {
+            pause(core);
+            panic!("inside coroutine");
+        }));
         assert!(!c.resume());
         // The panic unwinds to coro_start's backstop, which marks the
         // coroutine finished and switches back here.
@@ -453,7 +665,7 @@ mod tests {
     fn captures_environment_borrows() {
         let mut out = 0u64;
         {
-            let mut c = Coro::new(MIN_STACK_BYTES, Box::new(|_| out = 41 + 1));
+            let mut c = Coro::new(Box::new(|_| out = 41 + 1));
             assert!(c.resume());
         }
         assert_eq!(out, 42);

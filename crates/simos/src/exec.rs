@@ -203,13 +203,11 @@ impl SharedHandle {
 /// warm-cache experiments are expressed as consecutive `run_one` calls.
 pub struct Sim {
     shared: Rc<SharedHandle>,
-    stack_bytes: usize,
 }
 
 impl Sim {
     /// Boots a simulation from a configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        let stack_bytes = cfg.coro_stack_bytes;
         Sim {
             shared: Rc::new(SharedHandle(RefCell::new(State {
                 kernel: Kernel::new(cfg),
@@ -219,7 +217,6 @@ impl Sim {
                     runq: RunQueue::default(),
                 },
             }))),
-            stack_bytes,
         }
     }
 
@@ -249,11 +246,24 @@ impl Sim {
     /// their results in input order. All processes start at the same
     /// instant.
     ///
+    /// # Limits
+    ///
+    /// Each process runs on a coroutine stack of fixed size (256 KiB)
+    /// with a guard below it: a workload that recurses past that kills
+    /// the host process with `SIGSEGV` at the guard. A stack is two host
+    /// memory mappings and stays mapped, for the thread's later runs,
+    /// until the thread exits; Linux allows a process `vm.max_map_count`
+    /// mappings, 65 530 by default, so about 32 000 processes can be live
+    /// in one host process at once.
+    ///
     /// # Panics
     ///
     /// If any process panics, panics with the [`ProcPanic`] rendering
     /// (pid, workload name, original message) after every sibling has
     /// run to completion. Use [`Sim::try_run`] to handle it as a value.
+    ///
+    /// If the host refuses to map another stack, with a message naming
+    /// the number already mapped and `vm.max_map_count`.
     pub fn run<'env, R: 'env>(&mut self, workloads: Vec<(String, Workload<'env, R>)>) -> Vec<R> {
         match self.try_run(workloads) {
             Ok(results) => results,
@@ -313,7 +323,6 @@ impl Sim {
     ) -> (Vec<usize>, Vec<Outcome<R>>) {
         let pids = self.register_procs(workloads.len());
         let base = pids[0];
-        let stack_bytes = self.stack_bytes;
         let slots: Vec<Cell<Option<Outcome<R>>>> =
             workloads.iter().map(|_| Cell::new(None)).collect();
         {
@@ -328,23 +337,20 @@ impl Sim {
                 .zip(pids.iter().zip(slots.iter()))
                 .map(|(workload, (&pid, slot))| {
                     let shared = Rc::clone(&self.shared);
-                    coro::Coro::new(
-                        stack_bytes,
-                        Box::new(move |core| {
-                            let proc_handle = SimProc {
-                                shared: Rc::clone(&shared),
-                                pid,
-                                yielder: Some(core),
-                            };
-                            let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
-                            slot.set(Some(outcome));
-                            // Retire the process so the driver's next
-                            // decision moves past it, panic or no panic.
-                            let mut st = shared.state();
-                            st.kernel.finish_proc(pid);
-                            st.sched.runq.retire(pid);
-                        }),
-                    )
+                    coro::Coro::new(Box::new(move |core| {
+                        let proc_handle = SimProc {
+                            shared: Rc::clone(&shared),
+                            pid,
+                            yielder: Some(core),
+                        };
+                        let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
+                        slot.set(Some(outcome));
+                        // Retire the process so the driver's next
+                        // decision moves past it, panic or no panic.
+                        let mut st = shared.state();
+                        st.kernel.finish_proc(pid);
+                        st.sched.runq.retire(pid);
+                    }))
                 })
                 .collect();
 
@@ -777,6 +783,65 @@ mod tests {
             os.now()
         });
         assert!(n > Nanos::ZERO);
+    }
+
+    /// Runs `body` as the only process of a fresh machine, on a
+    /// thread of its own so that its stack is newly mapped, and returns
+    /// how much of that stack it wrote.
+    fn stack_high_water(body: fn(&SimProc)) -> usize {
+        std::thread::spawn(move || {
+            let mut sim = Sim::new(SimConfig::small().without_noise());
+            sim.run_one(|os| os.write_file("/probed", &[3u8; 256 << 10]).unwrap());
+            let workload: Workload<'static, ()> = Box::new(body);
+            let _ = sim.try_run(vec![("measured".to_string(), workload)]);
+            coro::last_freed_high_water()
+        })
+        .join()
+        .expect("measuring thread")
+    }
+
+    /// The measurement `coro::STACK_BYTES` is sized from; run with
+    /// `--nocapture` (debug and `--release`) for EXPERIMENTS.md's rows.
+    #[test]
+    fn stack_high_water_marks_leave_headroom() {
+        use graybox::fccd::{Fccd, FccdParams};
+        use graybox::mac::{Mac, MacParams};
+        let marks = [
+            (
+                "fccd probe_file",
+                stack_high_water(|os| {
+                    let fd = os.open("/probed").unwrap();
+                    let params = FccdParams {
+                        access_unit: 1 << 20,
+                        prediction_unit: 256 << 10,
+                        ..FccdParams::default()
+                    };
+                    Fccd::with_fixed_seed(os, params).probe_file(fd, 256 << 10);
+                    os.close(fd).unwrap();
+                }),
+            ),
+            (
+                "mac available_estimate",
+                stack_high_water(|os| {
+                    Mac::new(os, MacParams::default())
+                        .available_estimate(32 << 20)
+                        .unwrap();
+                }),
+            ),
+            (
+                "panic with a formatted message",
+                stack_high_water(|os| panic!("pid {} down", os.pid())),
+            ),
+        ];
+        for (what, bytes) in marks {
+            println!("stack high-water, {what}: {bytes} bytes");
+            assert!(bytes > 0, "{what} ran on a coroutine stack");
+            assert!(
+                bytes <= coro::STACK_BYTES / 4,
+                "{what} wrote {bytes} of {} stack bytes: less than 4x headroom",
+                coro::STACK_BYTES
+            );
+        }
     }
 
     #[test]
