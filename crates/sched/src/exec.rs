@@ -13,7 +13,7 @@
 //! - [`HostExecutor`] gives each plan a real thread with its own
 //!   [`HostOs`] view over a shared root.
 
-use gray_toolbox::GrayDuration;
+use gray_toolbox::{trace, GrayDuration};
 use graybox::os::GrayBoxOs;
 use hostos::HostOs;
 use simos::exec::Workload;
@@ -137,13 +137,20 @@ impl HostExecutor {
 impl PlanExecutor for HostExecutor {
     fn run_wave(&mut self, wave: &[ProbePlan]) -> WaveOutcome {
         let t0 = std::time::Instant::now();
+        // The wave stamp is the dispatcher thread's; carry it to the workers.
+        let stamp = trace::wave();
         let results: Vec<PlanResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = wave
                 .iter()
                 .map(|plan| {
                     let view = self.root.fork_view();
                     scope.spawn(move || match view {
-                        Ok(os) => execute_plan(&os, plan),
+                        Ok(os) => {
+                            if let Some(index) = stamp {
+                                trace::set_wave(index);
+                            }
+                            execute_plan(&os, plan)
+                        }
                         Err(e) => PlanResult {
                             path: plan.path.clone(),
                             size: 0,

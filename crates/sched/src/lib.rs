@@ -378,6 +378,41 @@ mod tests {
         assert_eq!(sched.waves().len(), 3); // 2 + 2 + 1
     }
 
+    /// `HostExecutor` is the one executor whose probes leave the
+    /// dispatcher's thread; its workers must still carry the wave stamp.
+    #[cfg(unix)]
+    #[test]
+    fn host_executor_workers_carry_the_wave_stamp() {
+        use graybox::os::{GrayBoxOsExt, ProbeSpec};
+        let dir = std::env::temp_dir().join(format!("gray-sched-wave-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let root = hostos::HostOs::new(&dir).unwrap();
+        let mut sched = Scheduler::new(SchedConfig {
+            concurrency: 2,
+            ..SchedConfig::default()
+        });
+        for path in ["/wave-a", "/wave-b", "/wave-c"] {
+            root.write_file(path, &[7u8; 8192]).unwrap();
+            sched.submit(ProbePlan {
+                specs: vec![ProbeSpec { offset: 4096 }],
+                ..plan(path)
+            });
+        }
+        let _capture = trace::capture();
+        sched.dispatch(&mut HostExecutor::new(root));
+        let mut stamps: Vec<(String, Option<u64>)> = trace::drain()
+            .into_iter()
+            .filter(|r| matches!(r.event, TraceEvent::ProbeIssued { .. }))
+            .filter(|r| r.span.starts_with("plan:/wave-"))
+            .map(|r| (r.span, r.wave))
+            .collect();
+        stamps.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        let expect =
+            [("a", 0), ("b", 0), ("c", 1)].map(|(f, w)| (format!("plan:/wave-{f}"), Some(w)));
+        assert_eq!(stamps, expect);
+    }
+
     #[test]
     fn guard_halves_on_high_dispersion_and_recovers_additively() {
         let mut sched = Scheduler::new(SchedConfig {

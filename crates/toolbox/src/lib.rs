@@ -17,14 +17,13 @@
 //! simulated substrate nor on the host backend, so both can use it.
 //!
 //! The crate is also the workspace's *determinism substrate*: seeded
-//! random numbers ([`rng`]), a seeded property-testing harness ([`prop`]),
-//! and an offline timing harness ([`bench`]) — all in-tree, so the
-//! workspace builds and tests with zero external dependencies.
+//! random numbers ([`rng`]) and a seeded property-testing harness
+//! ([`prop`]) — both in-tree, so the workspace builds and tests with zero
+//! external dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cluster;
 pub mod mailbox;
 pub mod metrics;
@@ -48,7 +47,7 @@ pub use profile::ProfileSnapshot;
 pub use repository::{ParamRepository, RepositoryError};
 pub use sampling::{Reservoir, StreamingRegression};
 pub use stats::{
-    correlation, linear_regression, paired_compare, paired_host_compare, paired_sign_test,
-    percentile, Ewma, Log2Histogram, OnlineStats, PairedHostReport, Summary,
+    correlation, linear_regression, paired_sign_test, percentile, Ewma, Log2Histogram, OnlineStats,
+    Summary,
 };
 pub use time::{Duration as GrayDuration, Nanos};

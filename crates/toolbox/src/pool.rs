@@ -47,14 +47,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parses a `GRAY_JOBS`-style override: a positive integer, or `None`
-/// for anything absent or malformed (falling back to the host's
-/// parallelism is safer than dying over a typo).
-fn parse_jobs(var: Option<String>) -> Option<usize> {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// A scoped worker pool of `std::thread`s fed by a channel work queue.
 ///
 /// The pool is just a worker count; threads are spawned per [`Pool::map`]
@@ -71,17 +63,6 @@ impl Pool {
         Pool {
             workers: workers.max(1),
         }
-    }
-
-    /// Worker count from the `GRAY_JOBS` environment variable, or the
-    /// host's available parallelism when unset/malformed.
-    pub fn from_env() -> Self {
-        let workers = parse_jobs(std::env::var("GRAY_JOBS").ok()).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Pool::with_workers(workers)
     }
 
     /// The worker count this pool fans out to.
@@ -208,13 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_parse_and_default() {
-        assert_eq!(parse_jobs(Some("4".to_string())), Some(4));
-        assert_eq!(parse_jobs(Some(" 2 ".to_string())), Some(2));
-        assert_eq!(parse_jobs(Some("0".to_string())), None);
-        assert_eq!(parse_jobs(Some("lots".to_string())), None);
-        assert_eq!(parse_jobs(None), None);
-        assert!(Pool::from_env().workers() >= 1);
+    fn zero_workers_clamps_to_one() {
         assert_eq!(Pool::with_workers(0).workers(), 1);
     }
 }

@@ -407,129 +407,6 @@ pub fn paired_sign_test(before: &[f64], after: &[f64]) -> SignTest {
     }
 }
 
-/// Outcome of a paired host-time comparison ([`paired_compare`] /
-/// [`paired_host_compare`]).
-///
-/// Host time on a shared machine swings 2x between identical runs, which
-/// is why `gray-bench --diff --strict` historically left it
-/// informational. Pairing fixes the methodology instead of accepting the
-/// noise: baseline and candidate are measured **interleaved in one
-/// process** (A/B/B/A), so machine-wide drift hits both sides of every
-/// pair roughly equally and cancels in the comparison. The decision is
-/// the distribution-free paired sign test — not a raw wall-clock ratio.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairedHostReport {
-    /// Pairs measured.
-    pub rounds: usize,
-    /// Pairs surviving outlier rejection (a pair is dropped whole when
-    /// *either* side falls outside its series' acceptance interval).
-    pub kept: usize,
-    /// Median baseline time over kept pairs, in nanoseconds.
-    pub baseline_median_ns: f64,
-    /// Median candidate time over kept pairs, in nanoseconds.
-    pub candidate_median_ns: f64,
-    /// Median of per-pair `baseline / candidate` ratios — > 1 means the
-    /// candidate is faster. Robust to drift because each ratio compares
-    /// two adjacent-in-time measurements.
-    pub speedup: f64,
-    /// Sign test over kept pairs with the baseline as `before`:
-    /// `less` counts pairs where the candidate was faster.
-    pub sign: SignTest,
-}
-
-impl PairedHostReport {
-    /// Whether the sign test says the candidate is faster at level
-    /// `alpha` (conventionally 0.05).
-    pub fn candidate_faster(&self, alpha: f64) -> bool {
-        self.sign.less > self.sign.greater && self.sign.significant_at(alpha)
-    }
-
-    /// Whether the sign test says the candidate is *slower* at level
-    /// `alpha`.
-    pub fn candidate_slower(&self, alpha: f64) -> bool {
-        self.sign.greater > self.sign.less && self.sign.significant_at(alpha)
-    }
-}
-
-/// Decides a paired comparison from already-collected samples:
-/// `baseline[i]` and `candidate[i]` must come from the same round of an
-/// interleaved measurement. Outlier rejection drops *pairs*, never
-/// individual samples, so the series stay aligned; if rejection would
-/// leave fewer than two pairs, all pairs are kept instead.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn paired_compare(
-    baseline: &[f64],
-    candidate: &[f64],
-    policy: crate::outlier::OutlierPolicy,
-) -> PairedHostReport {
-    assert_eq!(
-        baseline.len(),
-        candidate.len(),
-        "paired comparison needs paired samples"
-    );
-    let rounds = baseline.len();
-    let (blo, bhi) = crate::outlier::bounds(baseline, policy);
-    let (clo, chi) = crate::outlier::bounds(candidate, policy);
-    let mut keep: Vec<usize> = (0..rounds)
-        .filter(|&i| {
-            baseline[i] >= blo && baseline[i] <= bhi && candidate[i] >= clo && candidate[i] <= chi
-        })
-        .collect();
-    if keep.len() < 2 {
-        keep = (0..rounds).collect();
-    }
-    let kept_baseline: Vec<f64> = keep.iter().map(|&i| baseline[i]).collect();
-    let kept_candidate: Vec<f64> = keep.iter().map(|&i| candidate[i]).collect();
-    let ratios: Vec<f64> = keep
-        .iter()
-        .map(|&i| baseline[i] / candidate[i].max(f64::MIN_POSITIVE))
-        .collect();
-    PairedHostReport {
-        rounds,
-        kept: keep.len(),
-        baseline_median_ns: Summary::new(&kept_baseline).median(),
-        candidate_median_ns: Summary::new(&kept_candidate).median(),
-        speedup: Summary::new(&ratios).median(),
-        sign: paired_sign_test(&kept_baseline, &kept_candidate),
-    }
-}
-
-/// Measures `baseline` and `candidate` interleaved within this process
-/// for `rounds` pairs and decides with [`paired_compare`].
-///
-/// Each round times both closures back to back; the order alternates
-/// every round (A/B, B/A, A/B, …) so a monotone machine-load drift
-/// biases neither side. Both closures run once untimed as warm-up.
-pub fn paired_host_compare(
-    rounds: usize,
-    mut baseline: impl FnMut(),
-    mut candidate: impl FnMut(),
-    policy: crate::outlier::OutlierPolicy,
-) -> PairedHostReport {
-    let time = |f: &mut dyn FnMut()| {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_nanos() as f64
-    };
-    baseline();
-    candidate();
-    let mut baseline_ns = Vec::with_capacity(rounds);
-    let mut candidate_ns = Vec::with_capacity(rounds);
-    for round in 0..rounds.max(1) {
-        if round % 2 == 0 {
-            baseline_ns.push(time(&mut baseline));
-            candidate_ns.push(time(&mut candidate));
-        } else {
-            candidate_ns.push(time(&mut candidate));
-            baseline_ns.push(time(&mut baseline));
-        }
-    }
-    paired_compare(&baseline_ns, &candidate_ns, policy)
-}
-
 /// A histogram with power-of-two bucket boundaries, for latency
 /// distributions whose interesting structure spans orders of magnitude
 /// (cache hits in microseconds, disk misses in milliseconds).
@@ -833,141 +710,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.buckets()[4], 2);
-    }
-
-    #[test]
-    fn paired_compare_detects_consistent_speedup() {
-        let baseline: Vec<f64> = (0..12).map(|i| 1000.0 + 10.0 * i as f64).collect();
-        let candidate: Vec<f64> = baseline.iter().map(|b| b / 2.0).collect();
-        let r = paired_compare(
-            &baseline,
-            &candidate,
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert_eq!(r.rounds, 12);
-        assert_eq!(r.kept, 12);
-        assert!((r.speedup - 2.0).abs() < 1e-9);
-        assert_eq!(r.sign.less, 12);
-        assert!(r.candidate_faster(0.05));
-        assert!(!r.candidate_slower(0.05));
-    }
-
-    #[test]
-    fn paired_compare_drops_whole_pairs() {
-        let mut baseline = vec![100.0; 10];
-        let mut candidate = vec![50.0; 10];
-        // One round took an interrupt on the candidate side only: the
-        // *pair* must go, not just the candidate sample.
-        candidate[4] = 1e9;
-        let r = paired_compare(
-            &baseline,
-            &candidate,
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert_eq!(r.kept, 9);
-        assert!((r.speedup - 2.0).abs() < 1e-9);
-        assert!(r.candidate_faster(0.05));
-        // And symmetrically on the baseline side.
-        baseline[7] = 1e9;
-        candidate[4] = 50.0;
-        let r = paired_compare(
-            &baseline,
-            &candidate,
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert_eq!(r.kept, 9);
-    }
-
-    #[test]
-    fn paired_compare_null_is_insignificant() {
-        let baseline = [10.0, 20.0, 10.0, 20.0, 10.0, 20.0];
-        let candidate = [20.0, 10.0, 20.0, 10.0, 20.0, 10.0];
-        let r = paired_compare(
-            &baseline,
-            &candidate,
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert!(!r.candidate_faster(0.05));
-        assert!(!r.candidate_slower(0.05));
-        assert!(r.sign.p_value > 0.9);
-    }
-
-    #[test]
-    fn paired_compare_survives_degenerate_rejection() {
-        // MAD of near-constant data is 0: naive rejection would discard
-        // everything; the fallback keeps all pairs.
-        let baseline = [100.0, 100.1, 99.9, 100.2];
-        let candidate = [50.0, 50.1, 49.9, 50.2];
-        let r = paired_compare(
-            &baseline,
-            &candidate,
-            crate::outlier::OutlierPolicy::Mad { k: 5.0 },
-        );
-        assert!(r.kept >= 2);
-        assert!(r.speedup > 1.5);
-    }
-
-    #[test]
-    fn paired_compare_single_pair_is_undecided() {
-        // One pair: rejection cannot apply (bounds are infinite below 3
-        // samples), the medians are the samples themselves, and one vote
-        // is never significant — the comparison degrades to "no verdict",
-        // not to a spurious one.
-        let r = paired_compare(&[100.0], &[50.0], crate::outlier::OutlierPolicy::default());
-        assert_eq!((r.rounds, r.kept), (1, 1));
-        assert_eq!(r.baseline_median_ns, 100.0);
-        assert_eq!(r.candidate_median_ns, 50.0);
-        assert!((r.speedup - 2.0).abs() < 1e-12);
-        assert_eq!((r.sign.less, r.sign.greater), (1, 0));
-        assert!(!r.candidate_faster(0.05), "one pair can never decide");
-        assert!(r.sign.p_value >= 0.99);
-    }
-
-    #[test]
-    fn paired_compare_all_ties_is_null() {
-        let r = paired_compare(
-            &[42.0; 6],
-            &[42.0; 6],
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert_eq!((r.rounds, r.kept), (6, 6));
-        assert_eq!((r.sign.less, r.sign.greater, r.sign.ties), (0, 0, 6));
-        assert_eq!(r.sign.p_value, 1.0);
-        assert_eq!(r.speedup, 1.0);
-        assert!(!r.candidate_faster(0.05) && !r.candidate_slower(0.05));
-    }
-
-    #[test]
-    fn paired_compare_empty_input_is_inert() {
-        let r = paired_compare(&[], &[], crate::outlier::OutlierPolicy::default());
-        assert_eq!((r.rounds, r.kept), (0, 0));
-        assert_eq!(r.sign.p_value, 1.0);
-        assert!(r.baseline_median_ns.is_nan() && r.candidate_median_ns.is_nan());
-        assert!(!r.candidate_faster(0.05) && !r.candidate_slower(0.05));
-    }
-
-    #[test]
-    fn paired_host_compare_smoke() {
-        let spin = |iters: u64| {
-            move || {
-                let mut acc = 0u64;
-                for i in 0..iters {
-                    acc = acc.wrapping_add(i).rotate_left(7);
-                }
-                std::hint::black_box(acc);
-            }
-        };
-        let r = paired_host_compare(
-            8,
-            spin(20_000),
-            spin(20_000),
-            crate::outlier::OutlierPolicy::default(),
-        );
-        assert_eq!(r.rounds, 8);
-        assert!(r.kept >= 2 && r.kept <= 8);
-        assert!(r.baseline_median_ns > 0.0);
-        assert!(r.candidate_median_ns > 0.0);
-        assert!(r.speedup > 0.0);
     }
 
     #[test]

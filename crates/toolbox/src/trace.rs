@@ -39,11 +39,12 @@
 //! Each record carries three coordinates so a timeline can be
 //! reconstructed per wave, per plan, and per process:
 //!
-//! - `wave` — the scheduler stamps the current wave index process-wide
-//!   while a wave is in flight ([`set_wave`]);
+//! - `wave` — the scheduler stamps the current wave index onto its own
+//!   thread while a wave is in flight ([`set_wave`]);
 //! - `span` — a thread-local stack of `kind:label` segments pushed by
-//!   [`span`] guards (e.g. `plan:/f3`); simulated processes are real
-//!   threads, so a span pushed inside a worker names that worker's plan;
+//!   [`span`] guards (e.g. `plan:/f3`); the executor swaps it per
+//!   simulated process ([`swap_ctx`]), so a span pushed inside a worker
+//!   names that worker's plan;
 //! - `lane` — a small per-thread integer; under simos one lane is one
 //!   simulated process.
 //!
@@ -366,7 +367,6 @@ impl TracerState {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static CURRENT_WAVE: AtomicU64 = AtomicU64::new(u64::MAX);
 static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
 
 fn state() -> &'static Mutex<TracerState> {
@@ -389,6 +389,7 @@ fn epoch() -> Instant {
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     static LANE: Cell<u64> = const { Cell::new(u64::MAX) };
+    static CURRENT_WAVE: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn lane_id() -> u64 {
@@ -504,10 +505,6 @@ pub fn emit_with_at(ts: Nanos, f: impl FnOnce() -> TraceEvent) {
 fn record(ts: Option<Nanos>, event: TraceEvent) {
     let lane = lane_id();
     let span = SPAN_STACK.with(|s| s.borrow().join("/"));
-    let wave = match CURRENT_WAVE.load(Ordering::Relaxed) {
-        u64::MAX => None,
-        w => Some(w),
-    };
     let mut st = lock_state();
     let ts = ts.unwrap_or_else(|| match &st.clock {
         Some(clock) => clock(),
@@ -522,7 +519,7 @@ fn record(ts: Option<Nanos>, event: TraceEvent) {
     let rec = TraceRecord {
         seq,
         ts,
-        wave,
+        wave: wave(),
         span,
         lane,
         event,
@@ -614,7 +611,7 @@ pub fn flush() {
 /// in-process ring lost history.
 pub fn shutdown() {
     ENABLED.store(false, Ordering::Relaxed);
-    CURRENT_WAVE.store(u64::MAX, Ordering::Relaxed);
+    clear_wave();
     let mut st = lock_state();
     let (records, dropped, capacity) = (st.seq, st.ring.dropped, st.ring.capacity);
     if let Some(mut sink) = st.sink.take() {
@@ -633,15 +630,23 @@ pub fn set_clock(clock: impl Fn() -> Nanos + Send + 'static) {
     lock_state().clock = Some(Box::new(clock));
 }
 
-/// Stamps the scheduler wave index onto subsequently emitted records,
-/// process-wide (the scheduler dispatches waves one at a time).
+/// Stamps the scheduler wave index onto records subsequently emitted by
+/// this thread. A wave belongs to its dispatcher: simulated processes run
+/// on the dispatcher's thread and inherit the stamp, and two schedulers
+/// on two threads never see each other's.
 pub fn set_wave(index: u64) {
-    CURRENT_WAVE.store(index, Ordering::Relaxed);
+    CURRENT_WAVE.with(|c| c.set(Some(index)));
 }
 
-/// Clears the wave stamp after dispatch finishes.
+/// Clears this thread's wave stamp after dispatch finishes.
 pub fn clear_wave() {
-    CURRENT_WAVE.store(u64::MAX, Ordering::Relaxed);
+    CURRENT_WAVE.with(|c| c.set(None));
+}
+
+/// This thread's wave stamp, for an executor that runs a wave's plans on
+/// threads of its own and must carry the dispatcher's stamp over.
+pub fn wave() -> Option<u64> {
+    CURRENT_WAVE.with(|c| c.get())
 }
 
 /// Pushes a `kind:label` span segment onto this thread's span stack; the
@@ -743,7 +748,7 @@ impl CaptureGuard {
 impl Drop for CaptureGuard {
     fn drop(&mut self) {
         ENABLED.store(false, Ordering::Relaxed);
-        CURRENT_WAVE.store(u64::MAX, Ordering::Relaxed);
+        clear_wave();
     }
 }
 
@@ -1005,6 +1010,39 @@ mod tests {
         let recs: Vec<TraceRecord> = drain().into_iter().filter(|r| r.lane == lane).collect();
         assert_eq!(recs[0].span, "wave:7/plan:/f1");
         assert_eq!(recs[1].span, "", "span popped after guard drop");
+    }
+
+    #[test]
+    fn wave_stamp_is_per_thread() {
+        let _guard = capture();
+        // Both threads stamp before either emits: a stamp shared between
+        // threads would put the later index on both records.
+        let stamped = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for i in 0..2u64 {
+                let stamped = &stamped;
+                scope.spawn(move || {
+                    set_wave(i);
+                    stamped.wait();
+                    emit_with(|| TraceEvent::RepositoryMiss {
+                        key: format!("wave_stamp_is_per_thread:{i}"),
+                    });
+                });
+            }
+        });
+        assert_eq!(wave(), None, "a worker's stamp must not reach its spawner");
+        let mut stamps: Vec<(String, Option<u64>)> = drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RepositoryMiss { key } if key.starts_with("wave_stamp_is_") => {
+                    Some((key, r.wave))
+                }
+                _ => None,
+            })
+            .collect();
+        stamps.sort();
+        let own = [0, 1].map(|i| (format!("wave_stamp_is_per_thread:{i}"), Some(i)));
+        assert_eq!(stamps, own, "a record carries another thread's wave");
     }
 
     #[test]

@@ -7,15 +7,26 @@
 //! crate — rather than in `src/trace.rs`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Counting is switched on for the measuring thread alone: the test
+    // harness's main thread allocates on its own schedule.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the allocator also runs while a thread's locals
+        // are being torn down.
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -25,10 +36,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 #[global_allocator]
-static COUNTING: CountingAlloc = CountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-// One test function only: a second test running on a sibling thread would
-// allocate into the shared counter and make the window flaky.
 #[test]
 fn disabled_emission_and_spans_allocate_nothing() {
     use gray_toolbox::trace::{self, TraceEvent, Verdict};
@@ -44,7 +53,7 @@ fn disabled_emission_and_spans_allocate_nothing() {
         probes: 0,
     });
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     for i in 0..100_000u64 {
         trace::emit_with(|| TraceEvent::ProbePlanned {
             target: format!("file{i}"),
@@ -56,9 +65,9 @@ fn disabled_emission_and_spans_allocate_nothing() {
         });
         let _span = trace::span("plan", || format!("p{i}"));
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(false);
     assert_eq!(
-        after - before,
+        ALLOCATIONS.load(Ordering::Relaxed),
         0,
         "disabled emit_with/span must not run closures or allocate"
     );

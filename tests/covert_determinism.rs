@@ -19,6 +19,7 @@ use graybox_icl::covert::{
 };
 use graybox_icl::simos::Platform;
 use graybox_icl::toolbox::pool::Pool;
+use graybox_icl::toolbox::profile;
 use graybox_icl::toolbox::GrayDuration;
 
 /// The demo's cell shape: 16 bits, 50 ms slots, 4-page groups.
@@ -41,10 +42,19 @@ fn grid_reruns_are_bit_identical_across_worker_counts() {
     let serial = run_grid(&cfg, &Pool::with_workers(1));
     let rerun = run_grid(&cfg, &Pool::with_workers(1));
     let parallel = run_grid(&cfg, &Pool::with_workers(3));
+    let profiled = {
+        let _profiler = profile::capture();
+        run_grid(&cfg, &Pool::with_workers(2))
+    };
 
     assert_eq!(serial, rerun, "same config must replay bit for bit");
     assert_eq!(serial, parallel, "worker count must not leak into scores");
     assert_eq!(grid_digest(&serial), grid_digest(&parallel));
+    assert_eq!(
+        grid_digest(&serial),
+        grid_digest(&profiled),
+        "the virtual-time profiler must only observe"
+    );
     assert_eq!(serial.len(), cfg.cells());
     for cell in &serial {
         let score = cell.as_ref().expect("no cell may panic");

@@ -41,6 +41,7 @@ use graybox_icl::sched::{FccdFleet, SchedConfig, Scheduler, SimExecutor};
 use graybox_icl::simos::exec::Workload;
 use graybox_icl::simos::kernel::Kernel;
 use graybox_icl::simos::{Sim, SimConfig, SimProc};
+use graybox_icl::toolbox::profile;
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::GrayDuration;
 
@@ -321,8 +322,7 @@ const FLEET_GOLDEN: [(u64, u64, usize, u64, u64); 6] = [
     ),
 ];
 
-#[test]
-fn fccd_fleet_classifies_bit_identically_across_backends() {
+fn assert_fleet_goldens() {
     for golden in FLEET_GOLDEN {
         let g = &mut Gen::from_seed(golden.0);
         let access_unit = 1u64 << 20;
@@ -393,6 +393,30 @@ fn fccd_fleet_classifies_bit_identically_across_backends() {
             split.cached, split.uncached, split.separation
         );
     }
+}
+
+#[test]
+fn fccd_fleet_classifies_bit_identically_across_backends() {
+    assert_fleet_goldens();
+    // Once more under the virtual-time profiler: attribution only observes
+    // charges the kernel already computed, so it may move no clock, no
+    // rank and no separation bit — and it must have attributed the run,
+    // every path rooted at `sim` and down to a charge-kind leaf.
+    let _profiler = profile::capture();
+    assert_fleet_goldens();
+    let snap = profile::snapshot();
+    assert!(snap.total_ns > 0, "no charges recorded");
+    assert!(
+        snap.nodes.keys().all(|p| p.starts_with("sim;")),
+        "every path hangs off the root"
+    );
+    assert!(
+        snap.nodes
+            .keys()
+            .any(|p| p.ends_with(";cpu") || p.ends_with(";disk")),
+        "kind leaves missing: {:?}",
+        snap.nodes.keys().take(5).collect::<Vec<_>>()
+    );
 }
 
 /// Per case: `prop::check` case seed, then the blamed pid, its workload
