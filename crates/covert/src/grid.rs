@@ -10,7 +10,6 @@
 //! execution with nothing shared between cells, and a grid digest that is
 //! bit-identical for 1 worker or N.
 
-use gray_toolbox::metrics;
 use gray_toolbox::pool::{JobPanic, Pool};
 use gray_toolbox::rng::splitmix64;
 use gray_toolbox::GrayDuration;
@@ -107,26 +106,10 @@ impl CovertGridConfig {
 /// Runs every cell of `cfg` through `pool`, returning results in grid
 /// order. A panicking cell yields a structured [`JobPanic`] in its own
 /// slot; sibling cells are unaffected. Output is worker-count-invariant.
-///
-/// Each finished cell also publishes its bit/error tallies and its
-/// capacity (in milli-bits/s, gauges being integral) into the global
-/// metrics registry as `covert.*{cell-label}` series, so a metrics
-/// snapshot taken after a grid run carries the per-cell capacity/BER
-/// table without re-deriving it from the score vector.
+/// The returned [`ChannelScore`]s are the one home of each cell's bit and
+/// error tallies, capacity and BER.
 pub fn run_grid(cfg: &CovertGridConfig, pool: &Pool) -> Vec<Result<ChannelScore, JobPanic>> {
-    let cells = pool.map(cfg.expand(), |_idx, spec| spec.run());
-    let reg = metrics::global();
-    for score in cells.iter().flatten() {
-        reg.counter_labeled("covert.cell_bits", &score.label)
-            .add(score.bits);
-        reg.counter_labeled("covert.cell_errors", &score.label)
-            .add(score.errors);
-        reg.gauge_labeled("covert.cell_capacity_mbps", &score.label)
-            .set((score.capacity_bps * 1000.0) as i64);
-        reg.gauge_labeled("covert.cell_ber_ppm", &score.label)
-            .set((score.ber * 1e6) as i64);
-    }
-    cells
+    pool.map(cfg.expand(), |_idx, spec| spec.run())
 }
 
 /// One fingerprint for a whole grid run — what the bench baseline pins

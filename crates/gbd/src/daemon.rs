@@ -884,9 +884,9 @@ impl GbdMetrics {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"lane\":{},\"queries\":{},\"hits\":{},\"shed\":{},\
+                "{{\"name\":{},\"lane\":{},\"queries\":{},\"hits\":{},\"shed\":{},\
                  \"latency_count\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{}}}",
-                t.name,
+                trace::json_string(&t.name),
                 t.lane,
                 t.queries,
                 t.hits,

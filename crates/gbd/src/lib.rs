@@ -446,6 +446,7 @@ mod tests {
         scenario::warm(&mut sim, &files[..2]);
         let a = gbd.register_tenant("alice").unwrap();
         let b = gbd.register_tenant("bob").unwrap();
+        let _weird = gbd.register_tenant("we\"ird\\").unwrap();
 
         // A miss, then a hit, so both latency regimes are on record.
         let q = Query::FccdClassify {
@@ -473,7 +474,7 @@ mod tests {
         // after the tick that served it.
         assert_eq!(m.stats, *gbd.stats());
         assert_eq!(m.cache_len, gbd.cache_len());
-        assert_eq!(m.tenants.len(), 2);
+        assert_eq!(m.tenants.len(), 3);
         let alice = &m.tenants[0];
         assert_eq!(alice.name, "alice");
         assert_eq!(alice.queries, 2);
@@ -489,6 +490,8 @@ mod tests {
         assert!(top.contains("alice") && top.contains("bob"), "{top}");
         let json = m.to_json();
         assert!(json.contains("\"name\":\"alice\""), "{json}");
+        // Names are JSON-escaped: a quote or backslash cannot break the line.
+        assert!(json.contains(r#""name":"we\"ird\\""#), "{json}");
         assert!(json.contains("\"latency_count\":2"), "{json}");
 
         // Identical snapshot queries must never be answered from cache.

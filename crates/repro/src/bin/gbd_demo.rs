@@ -154,10 +154,6 @@ fn main() {
         print!("{}", render_gray_top(&m));
         println!("METRICS_JSON {}", m.to_json());
     }
-    println!(
-        "REGISTRY_JSON {}",
-        gray_toolbox::metrics::global().snapshot().to_json()
-    );
 
     println!();
     println!("== trace timeline (per wave, per tenant/plan lane) ==");

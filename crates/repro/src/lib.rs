@@ -101,34 +101,31 @@ impl Scale {
     }
 }
 
-/// Where `GRAY_PROFILE` asked the folded profile to be written, if set.
+/// Where `--profile` asked the folded profile to be written, if given.
 static PROFILE_SINK: std::sync::OnceLock<String> = std::sync::OnceLock::new();
 
-/// Enables trace export when a figure binary is asked for it: an explicit
-/// `--trace <path>` argument wins; otherwise the `GRAY_TRACE` environment
-/// variable is honored. Returns the sink path when tracing is on, so the
-/// binary can report it via [`finish_tracing`].
-///
-/// Also honors `GRAY_PROFILE=<path>`: the virtual-time profiler is armed
-/// for the whole run and [`finish_tracing`] writes the folded-stack
-/// attribution (one `path ns` line per leaf, flamegraph-ready) to the
-/// path.
+/// The one place observability is switched on, by flags only:
+/// `--trace <path>` streams every trace event to `path` as JSONL (default
+/// `gray-trace.jsonl`) and is returned, so the binary can report it via
+/// [`finish_tracing`]; `--profile <path>` (default `gray-profile.folded`)
+/// arms the virtual-time profiler for the whole run, and
+/// [`finish_tracing`] writes the folded-stack attribution (one `path ns`
+/// line per leaf, flamegraph-ready) there.
 pub fn init_tracing() -> Option<String> {
-    if let Some(path) = gray_toolbox::profile::init_from_env() {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str, default: &str| {
+        let pos = args.iter().position(|a| a == name)?;
+        let path = args.get(pos + 1).filter(|p| !p.starts_with("--"));
+        Some(path.cloned().unwrap_or_else(|| default.to_string()))
+    };
+    if let Some(path) = flag("--profile", "gray-profile.folded") {
+        gray_toolbox::profile::enable();
         let _ = PROFILE_SINK.set(path);
     }
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        let path = args
-            .get(pos + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "gray-trace.jsonl".to_string());
-        gray_toolbox::trace::enable_jsonl(&path)
-            .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
-        return Some(path);
-    }
-    gray_toolbox::trace::init_from_env()
+    let path = flag("--trace", "gray-trace.jsonl")?;
+    gray_toolbox::trace::enable_jsonl(&path)
+        .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
+    Some(path)
 }
 
 /// Flushes and closes the trace sink opened by [`init_tracing`] and tells

@@ -11,7 +11,6 @@
 //! verifies residency per grant, so stale estimates fail closed instead
 //! of overcommitting).
 
-use gray_toolbox::metrics;
 use gray_toolbox::trace::{self, TraceEvent};
 use graybox::mac::{GbAlloc, Mac};
 use graybox::os::{GrayBoxOs, OsResult};
@@ -92,11 +91,6 @@ impl MacAdmissionQueue {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let reg = metrics::global();
-        let granted_ctr = reg.counter("sched.admission.granted");
-        let denied_ctr = reg.counter("sched.admission.denied");
-        let stale_ctr = reg.counter("sched.admission.stale_grants");
-        let granted_bytes = reg.counter("sched.admission.granted_bytes");
         let ceiling: u64 = requests.iter().map(|r| round_down(r.max, r.multiple)).sum();
         if ceiling == 0 {
             return Ok(requests.iter().map(|_| None).collect());
@@ -107,7 +101,6 @@ impl MacAdmissionQueue {
             let min = round_up(req.min.max(req.multiple), req.multiple);
             let max = round_down(req.max, req.multiple);
             if max == 0 || min > max {
-                denied_ctr.inc();
                 trace::emit_with(|| TraceEvent::AdmissionDecision {
                     source: "sched.admission",
                     requested: req.max,
@@ -118,7 +111,6 @@ impl MacAdmissionQueue {
             }
             let grant = round_down(remaining.min(max), req.multiple);
             if grant < min {
-                denied_ctr.inc();
                 trace::emit_with(|| TraceEvent::AdmissionDecision {
                     source: "sched.admission",
                     requested: req.max,
@@ -130,8 +122,6 @@ impl MacAdmissionQueue {
             match mac.gb_alloc_admitted(grant)? {
                 Some(alloc) => {
                     remaining -= alloc.bytes;
-                    granted_ctr.inc();
-                    granted_bytes.add(alloc.bytes);
                     trace::emit_with(|| TraceEvent::AdmissionDecision {
                         source: "sched.admission",
                         requested: req.max,
@@ -141,8 +131,6 @@ impl MacAdmissionQueue {
                 }
                 None => {
                     remaining /= 2;
-                    stale_ctr.inc();
-                    denied_ctr.inc();
                     trace::emit_with(|| TraceEvent::ThresholdCrossed {
                         what: "sched.admission.stale_grant",
                         value: grant as f64,

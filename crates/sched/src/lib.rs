@@ -29,7 +29,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gray_toolbox::metrics;
 use gray_toolbox::repository::{keys, ParamRepository};
 use gray_toolbox::trace::{self, TraceEvent};
 use gray_toolbox::GrayDuration;
@@ -239,13 +238,6 @@ impl Scheduler {
                     self.concurrency += 1;
                 }
             }
-            let reg = metrics::global();
-            reg.counter("sched.waves").inc();
-            reg.counter("sched.plans_dispatched").add(wave.len() as u64);
-            if self.concurrency < concurrency {
-                reg.counter("sched.guard_backoffs").inc();
-            }
-            reg.gauge("sched.concurrency").set(self.concurrency as i64);
             // One transition per wave, even when the count holds, so the
             // worker level over time reconstructs from the trace alone.
             let workers = self.concurrency;
@@ -428,11 +420,27 @@ mod tests {
             rows: vec![vec![100, 10_000, 100, 10_000], vec![100, 100, 100, 100]],
             next: 0,
         };
+        let capture = trace::capture();
         sched.dispatch(&mut exec);
         let sizes: Vec<usize> = sched.waves().iter().map(|w| w.plans).collect();
         assert_eq!(sizes, vec![4, 2, 3, 3]);
         assert!(sched.waves()[0].cv > 0.5);
         assert_eq!(sched.current_concurrency(), 4);
+        // One transition per `WaveStat`, holds included: the event stream
+        // is the only record of the worker level over time.
+        let levels: Vec<(usize, usize)> = trace::drain()
+            .into_iter()
+            .filter(|r| r.lane == capture.lane())
+            .filter_map(|r| match r.event {
+                TraceEvent::GuardTransition {
+                    workers_before,
+                    workers,
+                    ..
+                } => Some((workers_before, workers)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(levels, vec![(4, 2), (2, 3), (3, 4), (4, 4)]);
     }
 
     #[test]

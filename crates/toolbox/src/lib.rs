@@ -20,13 +20,16 @@
 //! random numbers ([`rng`]) and a seeded property-testing harness
 //! ([`prop`]) — both in-tree, so the workspace builds and tests with zero
 //! external dependencies.
+//!
+//! It also hosts the event tracer ([`trace`]) and the virtual-time profiler
+//! ([`profile`]). Both stay off until a binary's flags enable them; the
+//! crate reads no environment beyond [`prop`]'s `PROP_SEED` / `PROP_CASES`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod mailbox;
-pub mod metrics;
 pub mod outlier;
 pub mod pool;
 pub mod profile;
@@ -40,7 +43,6 @@ pub mod trace;
 
 pub use cluster::{kmeans1d, two_means, Clustering};
 pub use mailbox::{Envelope, Mailbox, MailboxClient, Ticket};
-pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
 pub use outlier::{discard_outliers, mad, OutlierPolicy};
 pub use pool::{JobPanic, Pool};
 pub use profile::ProfileSnapshot;

@@ -25,15 +25,15 @@
 //! A full path reads like a flamegraph frame:
 //! `sim;plan:/f3;sys_probe_batch;disk`. [`ProfileSnapshot::folded`]
 //! emits the standard folded-stack format (`path space count`) that
-//! flamegraph tooling consumes; [`ProfileSnapshot::render_tree`] prints
-//! an indented tree with percentages for terminals.
+//! flamegraph tooling consumes (`--profile <path>` on the repro binaries
+//! writes it).
 //!
 //! # Cost model
 //!
 //! Mirrors [`trace`](crate::trace): disabled, every hook is one relaxed
-//! atomic load and a branch — no allocation, no lock (pinned by an
-//! allocation-counting test). Enabled, a charge clones the span stack
-//! and takes one mutex to bump the tree.
+//! atomic load and a branch — no allocation, no lock (pinned by the
+//! allocation-counting test `tests/trace_zero_alloc.rs`). Enabled, a
+//! charge clones the span stack and takes one mutex to bump the tree.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::trace;
-use crate::trace::json_string;
 
 /// Root frame every attribution path starts with.
 pub const ROOT: &str = "sim";
@@ -89,31 +88,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enables profiling (state accumulates until [`reset`]).
+/// Enables profiling (state accumulates until the next [`capture`]).
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Disables profiling. Accumulated state survives until [`reset`].
+/// Disables profiling. Accumulated state stays readable by [`snapshot`].
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Clears the accumulated tree.
-pub fn reset() {
-    *lock_state() = ProfilerState::default();
-}
-
-/// Enables profiling if the `GRAY_PROFILE` environment variable names a
-/// path; returns that path so the caller can write
-/// [`ProfileSnapshot::folded`] there on shutdown.
-pub fn init_from_env() -> Option<String> {
-    let path = std::env::var("GRAY_PROFILE").ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    enable();
-    Some(path)
 }
 
 /// Records a virtual-time charge of `ns` nanoseconds of `kind`
@@ -274,98 +256,6 @@ impl ProfileSnapshot {
         }
         h
     }
-
-    /// Renders an indented tree with subtree totals, percentages of the
-    /// grand total, and leaf charge counts. Children sort by descending
-    /// subtree time (path name breaks ties), so the expensive branch is
-    /// always the first line under its parent.
-    pub fn render_tree(&self) -> String {
-        #[derive(Default)]
-        struct Tree {
-            children: BTreeMap<String, Tree>,
-            self_ns: u64,
-            self_count: u64,
-        }
-        impl Tree {
-            fn subtree_ns(&self) -> u64 {
-                self.self_ns + self.children.values().map(Tree::subtree_ns).sum::<u64>()
-            }
-        }
-        let mut root = Tree::default();
-        for (path, agg) in &self.nodes {
-            let mut node = &mut root;
-            for seg in path.split(';') {
-                node = node.children.entry(seg.to_string()).or_default();
-            }
-            node.self_ns += agg.ns;
-            node.self_count += agg.count;
-        }
-        fn render(node: &Tree, name: &str, depth: usize, total: u64, out: &mut String) {
-            let ns = node.subtree_ns();
-            let pct = if total > 0 {
-                ns as f64 * 100.0 / total as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:indent$}{name:<28} {ns:>14} ns {pct:>6.2}%",
-                "",
-                indent = depth * 2
-            ));
-            if node.self_count > 0 {
-                out.push_str(&format!("  ({} charges)", node.self_count));
-            }
-            out.push('\n');
-            let mut kids: Vec<(&String, &Tree)> = node.children.iter().collect();
-            kids.sort_by(|a, b| b.1.subtree_ns().cmp(&a.1.subtree_ns()).then(a.0.cmp(b.0)));
-            for (kid_name, kid) in kids {
-                render(kid, kid_name, depth + 1, total, out);
-            }
-        }
-        let mut out = String::new();
-        let total = root.subtree_ns();
-        let mut tops: Vec<(&String, &Tree)> = root.children.iter().collect();
-        tops.sort_by(|a, b| b.1.subtree_ns().cmp(&a.1.subtree_ns()).then(a.0.cmp(b.0)));
-        for (name, node) in tops {
-            render(node, name, 0, total, &mut out);
-        }
-        out
-    }
-
-    /// Renders the snapshot as one JSON object (hand-rolled, key-sorted,
-    /// deterministic): grand total, per-kind split, per-pid totals, and
-    /// the leaf list.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"total_ns\":{}", self.total_ns);
-        out.push_str(",\"by_kind\":{");
-        for (i, (kind, ns)) in self.by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{ns}", json_string(kind)));
-        }
-        out.push_str("},\"by_pid\":{");
-        for (i, (pid, ns)) in self.by_pid.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{pid}\":{ns}"));
-        }
-        out.push_str("},\"nodes\":[");
-        for (i, (path, agg)) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":{},\"ns\":{},\"count\":{}}}",
-                json_string(path),
-                agg.ns,
-                agg.count
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -436,19 +326,6 @@ mod tests {
         let folded = a.folded();
         assert!(folded.contains("sim;sys_probe_batch;disk 4000\n"));
         assert!(folded.contains("sim;sleep 2000\n"));
-
-        let tree = a.render_tree();
-        let disk_line = tree.lines().position(|l| l.contains("disk")).unwrap();
-        let cpu_line = tree.lines().position(|l| l.contains("cpu")).unwrap();
-        assert!(
-            disk_line < cpu_line,
-            "children sort by descending time:\n{tree}"
-        );
-        assert!(tree.contains("sim"), "root frame rendered:\n{tree}");
-
-        let json = a.to_json();
-        assert!(json.starts_with("{\"total_ns\":7000"));
-        assert!(json.contains("\"by_kind\":{\"cpu\":1000,\"disk\":4000,\"sleep\":2000}"));
 
         // Re-run the identical session: identical snapshot and digest.
         drop(_guard);

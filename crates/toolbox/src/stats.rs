@@ -456,15 +456,6 @@ impl Log2Histogram {
         self.count += 1;
     }
 
-    /// Reconstructs a histogram from raw bucket counts (bucket `i`
-    /// covers `[2^(i-1), 2^i)`, matching [`Log2Histogram::buckets`]) —
-    /// the bridge from the metrics registry's atomic buckets back into
-    /// percentile math. The count is the bucket sum.
-    pub fn from_buckets(buckets: [u64; 65]) -> Self {
-        let count = buckets.iter().sum();
-        Log2Histogram { buckets, count }
-    }
-
     /// Total values recorded.
     pub fn count(&self) -> u64 {
         self.count

@@ -52,7 +52,7 @@
 //!
 //! The ring buffer ([`drain`]) serves in-process consumers: tests, the
 //! accuracy scorer, and [`render_timeline`]. The JSONL sink
-//! ([`enable_jsonl`], or `GRAY_TRACE=path` via [`init_from_env`]) streams
+//! ([`enable_jsonl`]; `--trace <path>` on the repro binaries) streams
 //! every record as one JSON object per line, so rare-but-important events
 //! (guard transitions) survive even when probe events wrap the ring.
 
@@ -309,8 +309,6 @@ struct Ring {
     capacity: usize,
     /// Index of the oldest record once the ring has wrapped.
     head: usize,
-    /// Total records ever pushed (so tests can observe eviction).
-    pushed: u64,
     /// Records overwritten before being drained — the silent-loss
     /// counter surfaced as [`TraceMetrics::records_dropped`].
     dropped: u64,
@@ -322,13 +320,11 @@ impl Ring {
             buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
-            pushed: 0,
             dropped: 0,
         }
     }
 
     fn push(&mut self, rec: TraceRecord) {
-        self.pushed += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
         } else {
@@ -537,68 +533,21 @@ pub fn enable() {
 
 /// Enables tracing with an explicit ring capacity (tests exercise
 /// wraparound with small rings).
-pub fn enable_with_capacity(capacity: usize) {
+fn enable_with_capacity(capacity: usize) {
     let mut st = lock_state();
     st.ring = Ring::new(capacity);
     ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Enables tracing and streams every record to `path` as JSONL, in
-/// addition to the ring buffer. Ring capacity honours the
-/// `GRAY_TRACE_CAP` environment override (see [`ring_capacity_from_env`]).
+/// addition to the ring buffer.
 pub fn enable_jsonl(path: &str) -> io::Result<()> {
-    enable_jsonl_with_capacity(path, ring_capacity_from_env())
-}
-
-/// Like [`enable_jsonl`], with an explicit ring capacity.
-pub fn enable_jsonl_with_capacity(path: &str, capacity: usize) -> io::Result<()> {
     let file = File::create(path)?;
     let mut st = lock_state();
-    st.ring = Ring::new(capacity);
+    st.ring = Ring::new(DEFAULT_RING_CAPACITY);
     st.sink = Some(BufWriter::new(file));
     ENABLED.store(true, Ordering::Relaxed);
     Ok(())
-}
-
-/// The ring capacity requested by the `GRAY_TRACE_CAP` environment
-/// variable, or [`DEFAULT_RING_CAPACITY`] when unset or unparsable
-/// (a malformed value is reported, not silently zeroed).
-pub fn ring_capacity_from_env() -> usize {
-    match std::env::var("GRAY_TRACE_CAP") {
-        Ok(raw) if !raw.is_empty() => match raw.parse::<usize>() {
-            Ok(cap) => cap.max(1),
-            Err(_) => {
-                eprintln!("gray-trace: ignoring unparsable GRAY_TRACE_CAP={raw:?}");
-                DEFAULT_RING_CAPACITY
-            }
-        },
-        _ => DEFAULT_RING_CAPACITY,
-    }
-}
-
-/// Enables the JSONL sink if the `GRAY_TRACE` environment variable names
-/// a path (ring capacity from `GRAY_TRACE_CAP`, when set). Returns the
-/// path when tracing was turned on.
-pub fn init_from_env() -> Option<String> {
-    let path = std::env::var("GRAY_TRACE").ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    match enable_jsonl(&path) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("gray-trace: cannot open GRAY_TRACE={path}: {e}");
-            None
-        }
-    }
-}
-
-/// Flushes the JSONL sink (no-op without one).
-pub fn flush() {
-    let mut st = lock_state();
-    if let Some(sink) = st.sink.as_mut() {
-        let _ = sink.flush();
-    }
 }
 
 /// Disables tracing, writes the accounting footer to the JSONL sink,
@@ -682,11 +631,6 @@ pub fn drain() -> Vec<TraceRecord> {
     lock_state().ring.drain()
 }
 
-/// Total records ever pushed (drained or evicted records included).
-pub fn records_pushed() -> u64 {
-    lock_state().ring.pushed
-}
-
 /// Records evicted from the bounded ring before being drained.
 pub fn records_dropped() -> u64 {
     lock_state().ring.dropped
@@ -698,11 +642,6 @@ pub fn metrics() -> TraceMetrics {
     let mut m = st.metrics.clone();
     m.records_dropped = st.ring.dropped;
     m
-}
-
-/// Resets counters and histograms (records are untouched).
-pub fn reset_metrics() {
-    lock_state().metrics = TraceMetrics::default();
 }
 
 fn capture_lock() -> &'static Mutex<()> {
@@ -863,7 +802,7 @@ pub fn render_timeline(records: &[TraceRecord]) -> String {
 }
 
 /// Escapes `s` as a JSON string literal (with quotes).
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -927,7 +866,6 @@ mod tests {
                 },
             });
         }
-        assert_eq!(ring.pushed, 7);
         let seqs: Vec<u64> = ring.drain().into_iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5, 6], "oldest evicted, order kept");
         assert!(ring.drain().is_empty(), "drain empties the ring");
@@ -953,21 +891,6 @@ mod tests {
         assert_eq!(records_dropped(), m.records_dropped);
         let mine = drain().into_iter().filter(|r| r.lane == lane).count();
         assert!(mine <= 4, "ring holds at most its capacity");
-    }
-
-    #[test]
-    fn env_cap_parses_and_falls_back() {
-        // Serialise with other capture users; env is process-global.
-        let _guard = capture();
-        std::env::remove_var("GRAY_TRACE_CAP");
-        assert_eq!(ring_capacity_from_env(), DEFAULT_RING_CAPACITY);
-        std::env::set_var("GRAY_TRACE_CAP", "128");
-        assert_eq!(ring_capacity_from_env(), 128);
-        std::env::set_var("GRAY_TRACE_CAP", "0");
-        assert_eq!(ring_capacity_from_env(), 1, "zero clamps to one slot");
-        std::env::set_var("GRAY_TRACE_CAP", "not-a-number");
-        assert_eq!(ring_capacity_from_env(), DEFAULT_RING_CAPACITY);
-        std::env::remove_var("GRAY_TRACE_CAP");
     }
 
     #[test]
@@ -1078,7 +1001,8 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("gray_trace_footer_{}.jsonl", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
-        enable_jsonl_with_capacity(&path_s, 2).unwrap();
+        enable_jsonl(&path_s).unwrap();
+        enable_with_capacity(2); // shrink the session's ring; the sink stays
         for i in 0..5u64 {
             emit_with_at(Nanos(i), || TraceEvent::ProbeIssued {
                 offset: i,

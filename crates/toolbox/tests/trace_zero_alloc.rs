@@ -1,10 +1,11 @@
-//! The disabled tracer's overhead budget, enforced: an emission site whose
-//! sink is off must cost one branch — in particular it must never build
-//! the event, so it must never allocate. A counting global allocator
-//! makes "never allocates" a hard assertion instead of a code-review
-//! promise. (The toolbox lib forbids `unsafe`; a `#[global_allocator]`
-//! needs it, which is why this lives in an integration test — its own
-//! crate — rather than in `src/trace.rs`.)
+//! The disabled tracer's and profiler's overhead budget, enforced: an
+//! emission site or charge hook whose sink is off must cost one branch —
+//! in particular it must never build the event or the attribution path,
+//! so it must never allocate. A counting global allocator makes "never
+//! allocates" a hard assertion instead of a code-review promise. (The
+//! toolbox lib forbids `unsafe`; a `#[global_allocator]` needs it, which
+//! is why this lives in an integration test — its own crate — rather
+//! than in `src/trace.rs`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -40,11 +41,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_emission_and_spans_allocate_nothing() {
+    use gray_toolbox::profile;
     use gray_toolbox::trace::{self, TraceEvent, Verdict};
 
     assert!(
-        !trace::enabled(),
-        "tracing must start disabled in a fresh process"
+        !trace::enabled() && !profile::enabled(),
+        "tracing and profiling must start disabled in a fresh process"
     );
     // Warm up any lazily initialized thread-local machinery outside the
     // measured window.
@@ -64,11 +66,13 @@ fn disabled_emission_and_spans_allocate_nothing() {
             verdict: Verdict::Cached,
         });
         let _span = trace::span("plan", || format!("p{i}"));
+        let _op = profile::op_scope("sys_read");
+        profile::charge(i, "cpu", i);
     }
     COUNTING.set(false);
     assert_eq!(
         ALLOCATIONS.load(Ordering::Relaxed),
         0,
-        "disabled emit_with/span must not run closures or allocate"
+        "disabled emit_with/span/op_scope/charge must not run closures or allocate"
     );
 }
