@@ -643,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn touch_batch_comes_from_repository() {
+    fn touch_batch_comes_from_the_repository() {
         use gray_toolbox::repository::keys;
         use gray_toolbox::ParamRepository;
         let base = SortConfig::new("/in", "/out", PassPolicy::Static(1 << 20));

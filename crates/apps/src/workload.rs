@@ -1,8 +1,8 @@
 //! Synthetic workload generators for the experiments.
 
+use gray_toolbox::rng::SeedableRng;
 use gray_toolbox::rng::SliceRandom;
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use graybox::os::{GrayBoxOs, GrayBoxOsExt, OsResult};
 
 /// Creates a file of `bytes` synthetic bytes at `path` (chunked
@@ -88,26 +88,6 @@ pub fn read_files_in_order<O: GrayBoxOs>(
         os.close(fd)?;
     }
     Ok(os.now().since(t0))
-}
-
-/// Touches a random subset of a file so that roughly `fraction` of it is
-/// cached (experiment setup for classifier tests).
-pub fn warm_fraction<O: GrayBoxOs>(
-    os: &O,
-    path: &str,
-    fraction: f64,
-    rng: &mut StdRng,
-) -> OsResult<()> {
-    let fd = os.open(path)?;
-    let size = os.file_size(fd)?;
-    let page = os.page_size();
-    let pages = size.div_ceil(page);
-    for p in 0..pages {
-        if rng.random_range(0.0..1.0) < fraction {
-            os.read_discard(fd, p * page, 1)?;
-        }
-    }
-    os.close(fd)
 }
 
 #[cfg(test)]

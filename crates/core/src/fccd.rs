@@ -87,19 +87,6 @@ impl Default for FccdParams {
 }
 
 impl FccdParams {
-    /// Loads the access unit from a parameter repository if the
-    /// microbenchmark has published one, keeping defaults otherwise.
-    pub fn from_repository(repo: &gray_toolbox::ParamRepository) -> Self {
-        let mut p = FccdParams::default();
-        if let Ok(Some(au)) = repo.get_u64(gray_toolbox::repository::keys::ACCESS_UNIT_BYTES) {
-            if au > 0 {
-                p.access_unit = au;
-                p.prediction_unit = (au / 4).max(1);
-            }
-        }
-        p
-    }
-
     /// Sets the record alignment (builder style).
     pub fn with_align(mut self, align: u64) -> Self {
         assert!(align > 0, "alignment must be positive");

@@ -30,8 +30,6 @@
 //! atomic — a crash in between needs the "nightly repair script" described
 //! by the paper, which [`Fldc::repair_interrupted_refresh`] implements.
 
-use gray_toolbox::GrayDuration;
-
 use crate::os::{GrayBoxOs, GrayBoxOsExt, OsError, OsResult, Stat};
 use crate::technique::{Technique, TechniqueInventory};
 
@@ -236,39 +234,6 @@ impl<'a, O: GrayBoxOs> Fldc<'a, O> {
             repaired += 1;
         }
         Ok(repaired)
-    }
-
-    /// Estimates whether i-number ordering is still paying off, by timing a
-    /// sample read in i-number order versus directory order (the paper's
-    /// open question of "how often to refresh", answered by historical
-    /// tracking). Returns the measured ratio `inumber_time / random_time`
-    /// (< 1.0 means i-number order is still winning).
-    pub fn layout_health(&self, dir: &str, sample: usize) -> OsResult<f64> {
-        let ranks = self.order_directory(dir)?;
-        if ranks.len() < 2 {
-            return Ok(1.0);
-        }
-        let take = sample.clamp(2, ranks.len());
-        let t_inumber = self.timed_scan(ranks.iter().take(take))?;
-        // Reverse i-number order approximates a worst case.
-        let t_reverse = self.timed_scan(ranks.iter().rev().take(take))?;
-        if t_reverse == GrayDuration::ZERO {
-            return Ok(1.0);
-        }
-        Ok(t_inumber.as_nanos() as f64 / t_reverse.as_nanos() as f64)
-    }
-
-    fn timed_scan<'r>(
-        &self,
-        ranks: impl Iterator<Item = &'r LayoutRank>,
-    ) -> OsResult<GrayDuration> {
-        let t0 = self.os.now();
-        for rank in ranks {
-            let fd = self.os.open(&rank.path)?;
-            self.os.read_discard(fd, 0, rank.stat.size)?;
-            self.os.close(fd)?;
-        }
-        Ok(self.os.now().since(t0))
     }
 
     fn copy_file(&self, src: &str, dst: &str) -> OsResult<()> {

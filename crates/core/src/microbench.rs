@@ -226,8 +226,8 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
     /// batch whose per-probe dispatch cost is within 10% of the best
     /// measured amortization.
     ///
-    /// Dispatch amortization is a *host*-side effect (one kernel entry,
-    /// one lock acquisition per batch — virtual time charges per probe are
+    /// Dispatch amortization is a *host*-side effect (one kernel entry
+    /// per batch — virtual time charges per probe are
     /// identical by construction), so this measurement uses the host
     /// clock on every backend. Larger batches than the knee buy no
     /// further amortization but cost scheduling interleaving: a batch is

@@ -273,8 +273,8 @@ pub trait GrayBoxOs {
     /// spec's offset, clock read — and touches the cache exactly as a lone
     /// [`read_byte`](GrayBoxOs::read_byte) would, in spec order. The value
     /// of batching is dispatch amortization, not semantic change: backends
-    /// may service the whole batch under one kernel entry (one lock
-    /// acquisition, one scheduler pass in `simos`; one descriptor-table
+    /// may service the whole batch under one kernel entry (one kernel
+    /// borrow, one scheduler pass in `simos`; one descriptor-table
     /// borrow and no per-probe allocation in `hostos`), but the pages
     /// touched, their order, and the per-probe observed times must match
     /// the scalar loop this default provides.

@@ -23,7 +23,7 @@ pub struct QueryAdmission {
 }
 
 impl QueryAdmission {
-    /// Creates a budget that starts at its ceiling (`gbd.admission_budget`).
+    /// Creates a budget that starts at its ceiling (`GbdConfig::admission_budget`).
     pub fn new(ceiling: usize) -> Self {
         let ceiling = ceiling.max(1);
         QueryAdmission {

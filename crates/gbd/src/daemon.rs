@@ -106,7 +106,14 @@ impl Query {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push_str(path);
+                    // `,` and `#` delimit: escaped inside a path, two file
+                    // lists can never print the same key.
+                    for c in path.chars() {
+                        if matches!(c, '\\' | ',' | '#') {
+                            s.push('\\');
+                        }
+                        s.push(c);
+                    }
                     s.push('#');
                     s.push_str(&size.to_string());
                 }
@@ -298,9 +305,6 @@ pub struct Gbd {
     admission: QueryAdmission,
     mailbox: Mailbox<Query, Response>,
     tenants: Vec<Tenant>,
-    /// FCCD executions so far; decorrelates probe offsets across repeated
-    /// inferences when `cfg.decorrelate_seeds` is set.
-    fccd_execs: u64,
     stats: GbdStats,
 }
 
@@ -318,13 +322,12 @@ impl Gbd {
             admission,
             mailbox: Mailbox::new(),
             tenants: Vec::new(),
-            fccd_execs: 0,
             stats: GbdStats::default(),
         }
     }
 
     /// Registers a tenant and returns its client handle, allocating the
-    /// tenant a gray-trace lane of its own. Fails once `gbd.max_tenants`
+    /// tenant a gray-trace lane of its own. Fails once `cfg.max_tenants`
     /// tenants exist.
     pub fn register_tenant(&mut self, name: &str) -> Result<GbdClient, GbdError> {
         if self.tenants.len() >= self.cfg.max_tenants {
@@ -365,11 +368,6 @@ impl Gbd {
     /// How many times admission backed off.
     pub fn admission_backoffs(&self) -> u64 {
         self.admission.backoffs()
-    }
-
-    /// The staleness policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Drains and answers every pending query: one tick.
@@ -624,11 +622,7 @@ impl Gbd {
             let Query::FccdClassify { files } = &item.query else {
                 unreachable!("execute_fccd takes FCCD items only");
             };
-            let mut params = self.cfg.fccd.clone();
-            if self.cfg.decorrelate_seeds {
-                params.seed ^= self.fccd_execs.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            }
-            self.fccd_execs += 1;
+            let params = self.cfg.fccd.clone();
             let sub_batch = self.cfg.sched.sub_batch;
             let fleet = sim.run_one(move |os| FccdFleet::with_fixed_seed(os, params, sub_batch));
             let pending = fleet.submit_files(&mut self.sched, files);
@@ -668,31 +662,35 @@ impl Gbd {
     /// `MacAdmissionQueue` probe pass. Grants are measured and released —
     /// the reply reports the admitted size.
     fn execute_allocs(&mut self, sim: &mut Sim, items: &[ExecItem]) -> Vec<Reply> {
-        let requests: Vec<AdmissionRequest> = items
+        // A request with `min > max` is answered, never submitted (the
+        // queue asserts on it); the rest of the tick's requests still pool.
+        let requests: Vec<Option<AdmissionRequest>> = items
             .iter()
             .map(|item| {
                 let Query::GbAlloc { min, max, multiple } = &item.query else {
                     unreachable!("execute_allocs takes allocation items only");
                 };
-                AdmissionRequest {
+                (min <= max).then_some(AdmissionRequest {
                     min: *min,
                     max: *max,
                     multiple: (*multiple).max(1),
-                }
+                })
             })
             .collect();
         let params = self.cfg.mac.clone();
         sim.run_one(move |os| {
             let mac = Mac::new(os, params);
             let mut queue = MacAdmissionQueue::new();
-            for req in &requests {
+            for req in requests.iter().flatten() {
                 queue.submit(*req);
             }
-            match queue.admit_all(&mac) {
-                Err(e) => vec![Reply::Failed(e.to_string()); requests.len()],
-                Ok(grants) => grants
-                    .into_iter()
-                    .map(|grant| match grant {
+            let mut grants = queue.admit_all(&mac).map(Vec::into_iter);
+            requests
+                .iter()
+                .map(|req| match (req, &mut grants) {
+                    (None, _) => Reply::Failed("min exceeds max".to_string()),
+                    (Some(_), Err(e)) => Reply::Failed(e.to_string()),
+                    (Some(_), Ok(grants)) => match grants.next().flatten() {
                         None => Reply::Granted { bytes: 0 },
                         Some(alloc) => {
                             let bytes = alloc.bytes;
@@ -701,9 +699,9 @@ impl Gbd {
                                 Err(e) => Reply::Failed(e.to_string()),
                             }
                         }
-                    })
-                    .collect(),
-            }
+                    },
+                })
+                .collect()
         })
     }
 

@@ -27,9 +27,7 @@
 //!   classification verdicts) carry the lane of the tenant they serve, so
 //!   per-client telemetry falls out of the PR 5 tracer for free.
 //!
-//! Tunables (`gbd.cache_ttl`, `gbd.max_tenants`, `gbd.admission_budget`,
-//! `gbd.cache_capacity`) come from the shared parameter repository, like
-//! the `sched.*` and `fccd.*` keys before them.
+//! Every tunable is a field of [`GbdConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +37,7 @@ pub mod cache;
 pub mod daemon;
 
 use gray_sched::SchedConfig;
-use gray_toolbox::repository::keys;
-use gray_toolbox::{GrayDuration, ParamRepository};
+use gray_toolbox::GrayDuration;
 use graybox::fccd::FccdParams;
 use graybox::mac::MacParams;
 
@@ -56,14 +53,14 @@ use std::fmt;
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct GbdConfig {
-    /// Inference-cache entry lifetime, in virtual time (`gbd.cache_ttl`).
+    /// Inference-cache entry lifetime, in virtual time.
     pub cache_ttl: GrayDuration,
-    /// Most tenants the daemon registers (`gbd.max_tenants`).
+    /// Most tenants the daemon registers.
     pub max_tenants: usize,
-    /// Probe-needing queries admitted per tick at full budget
-    /// (`gbd.admission_budget`); the live budget moves AIMD-style below.
+    /// Probe-needing queries admitted per tick at full budget;
+    /// the live budget moves AIMD-style below.
     pub admission_budget: usize,
-    /// Most inference-cache entries held at once (`gbd.cache_capacity`);
+    /// Most inference-cache entries held at once;
     /// inserting past it evicts the oldest-stamped entries. The default
     /// is far above any benchmark's working set, so the bound only bites
     /// on genuinely long-running daemons.
@@ -75,12 +72,6 @@ pub struct GbdConfig {
     /// Shared probe-scheduler configuration (concurrency cap, sub-batch,
     /// interference guard).
     pub sched: SchedConfig,
-    /// Mix an execution counter into the FCCD probe-offset seed so
-    /// repeated inferences of the same files draw different offsets.
-    /// Off by default: with one seed the daemon's answers are
-    /// bit-identical to the direct one-shot path, which the equivalence
-    /// tests pin.
-    pub decorrelate_seeds: bool,
 }
 
 impl Default for GbdConfig {
@@ -93,46 +84,11 @@ impl Default for GbdConfig {
             fccd: FccdParams::default(),
             mac: MacParams::default(),
             sched: SchedConfig::default(),
-            decorrelate_seeds: false,
         }
     }
 }
 
 impl GbdConfig {
-    /// Builds a config from the parameter repository, falling back to the
-    /// defaults above for absent or zero keys (each absent read emits a
-    /// `RepositoryMiss` trace event, like every repository consumer).
-    /// `sched.*` and `fccd.*` keys are honoured through their own
-    /// `from_repository` constructors.
-    pub fn from_repository(repo: &ParamRepository) -> Self {
-        let mut cfg = GbdConfig {
-            fccd: FccdParams::from_repository(repo),
-            sched: SchedConfig::from_repository(repo),
-            ..GbdConfig::default()
-        };
-        if let Ok(Some(ttl)) = repo.get_duration(keys::GBD_CACHE_TTL) {
-            if ttl.as_nanos() > 0 {
-                cfg.cache_ttl = ttl;
-            }
-        }
-        if let Ok(Some(n)) = repo.get_u64(keys::GBD_MAX_TENANTS) {
-            if n > 0 {
-                cfg.max_tenants = n as usize;
-            }
-        }
-        if let Ok(Some(b)) = repo.get_u64(keys::GBD_ADMISSION_BUDGET) {
-            if b > 0 {
-                cfg.admission_budget = b as usize;
-            }
-        }
-        if let Ok(Some(cap)) = repo.get_u64(keys::GBD_CACHE_CAPACITY) {
-            if cap > 0 {
-                cfg.cache_capacity = cap as usize;
-            }
-        }
-        cfg
-    }
-
     /// The TTL-only staleness policy at this config's TTL.
     pub fn ttl_policy(&self) -> TtlOnly {
         TtlOnly {
@@ -151,7 +107,7 @@ impl GbdConfig {
 /// Daemon errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GbdError {
-    /// `register_tenant` was called with `gbd.max_tenants` tenants live.
+    /// `register_tenant` was called with [`GbdConfig::max_tenants`] tenants live.
     TenantLimit {
         /// The configured limit.
         limit: usize,
@@ -191,46 +147,14 @@ mod tests {
     }
 
     #[test]
-    fn config_reads_gbd_keys_with_defaults() {
-        let mut repo = ParamRepository::in_memory();
-        repo.set_duration(keys::GBD_CACHE_TTL, GrayDuration::from_millis(75));
-        repo.set_raw(keys::GBD_MAX_TENANTS, 3u64);
-        repo.set_raw(keys::GBD_ADMISSION_BUDGET, 5u64);
-        repo.set_raw(keys::GBD_CACHE_CAPACITY, 128u64);
-        let cfg = GbdConfig::from_repository(&repo);
-        assert_eq!(cfg.cache_ttl, GrayDuration::from_millis(75));
-        assert_eq!(cfg.max_tenants, 3);
-        assert_eq!(cfg.admission_budget, 5);
-        assert_eq!(cfg.cache_capacity, 128);
-        let dflt = GbdConfig::from_repository(&ParamRepository::in_memory());
-        assert_eq!(dflt.cache_ttl, GbdConfig::default().cache_ttl);
-        assert_eq!(dflt.max_tenants, GbdConfig::default().max_tenants);
-        assert_eq!(dflt.admission_budget, GbdConfig::default().admission_budget);
-        assert_eq!(dflt.cache_capacity, GbdConfig::default().cache_capacity);
-    }
-
-    #[test]
-    fn absent_gbd_keys_emit_repository_misses() {
-        use gray_toolbox::trace::{self, TraceEvent};
-        let guard = trace::capture();
-        let lane = guard.lane();
-        let _ = GbdConfig::from_repository(&ParamRepository::in_memory());
-        let misses: Vec<String> = trace::drain()
-            .into_iter()
-            .filter(|r| r.lane == lane)
-            .filter_map(|r| match r.event {
-                TraceEvent::RepositoryMiss { key } => Some(key),
-                _ => None,
-            })
-            .collect();
-        for key in [
-            keys::GBD_CACHE_TTL,
-            keys::GBD_MAX_TENANTS,
-            keys::GBD_ADMISSION_BUDGET,
-            keys::GBD_CACHE_CAPACITY,
-        ] {
-            assert!(misses.iter().any(|k| k == key), "no miss for {key}");
-        }
+    fn fingerprints_of_distinct_file_lists_differ() {
+        let fp = |files: &[(&str, u64)]| {
+            let files = files.iter().map(|(p, n)| (p.to_string(), *n)).collect();
+            Query::FccdClassify { files }.fingerprint()
+        };
+        assert_ne!(fp(&[("/d#1,/e", 2)]), fp(&[("/d", 1), ("/e", 2)]));
+        // Paths without `\`, `,` or `#` keep the key they always had.
+        assert_eq!(fp(&[("/d", 1), ("/e f", 2)]), "fccd:/d#1,/e f#2");
     }
 
     #[test]
@@ -433,6 +357,48 @@ mod tests {
                 panic!("expected a grant");
             };
             assert!(bytes >= mb, "idle machine admits the minimum");
+        }
+    }
+
+    #[test]
+    fn malformed_alloc_fails_alone_and_the_daemon_keeps_serving() {
+        let cfg = small_cfg();
+        let policy = cfg.ttl_policy();
+        let mut gbd = Gbd::new(cfg, Box::new(policy));
+        let mut sim = scenario::daemon_machine(2, 2);
+        let c = gbd.register_tenant("t").unwrap();
+        let mb = 1u64 << 20;
+        let good = Query::GbAlloc {
+            min: mb,
+            max: 8 * mb,
+            multiple: mb,
+        };
+        let bad = c.submit(Query::GbAlloc {
+            min: 10 * mb,
+            max: mb,
+            multiple: 4096,
+        });
+        let ok = c.submit(good.clone());
+        gbd.serve(&mut sim);
+        assert_eq!(
+            c.take(bad).expect("served").reply,
+            Reply::Failed("min exceeds max".to_string())
+        );
+        let Reply::Granted { bytes } = c.take(ok).expect("served").reply else {
+            panic!("the well-formed request of the same tick is still pooled");
+        };
+        assert!(bytes >= mb);
+        // A later tick still serves, and maxima that sum past u64::MAX do
+        // not overflow the pooled ceiling.
+        let huge = Query::GbAlloc {
+            min: mb,
+            max: u64::MAX,
+            multiple: mb,
+        };
+        let tickets = [c.submit(huge.clone()), c.submit(huge), c.submit(good)];
+        gbd.serve(&mut sim);
+        for t in tickets {
+            assert!(c.take(t).is_some(), "served");
         }
     }
 

@@ -91,7 +91,9 @@ impl MacAdmissionQueue {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let ceiling: u64 = requests.iter().map(|r| round_down(r.max, r.multiple)).sum();
+        let ceiling = requests.iter().fold(0u64, |sum, r| {
+            sum.saturating_add(round_down(r.max, r.multiple))
+        });
         if ceiling == 0 {
             return Ok(requests.iter().map(|_| None).collect());
         }

@@ -23,18 +23,14 @@
 //!    (multiplicatively, AIMD-style — the same shape MAC uses for memory)
 //!    when plans start interfering.
 //!
-//! Tunables (`sched.concurrency_cap`, `sched.sub_batch_pages`) come from
-//! the parameter repository, populated by `Microbench` and
-//! [`calibrate::calibrate_concurrency`] rather than compile-time constants.
+//! Every tunable is a field of [`SchedConfig`].
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gray_toolbox::repository::{keys, ParamRepository};
 use gray_toolbox::trace::{self, TraceEvent};
 use gray_toolbox::GrayDuration;
 
 pub mod admission;
-pub mod calibrate;
 pub mod exec;
 pub mod fccd;
 pub mod plan;
@@ -47,14 +43,6 @@ pub use plan::{execute_plan, PlanResult, ProbePlan};
 /// Completion handle for a submitted plan; redeem with [`Scheduler::take`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlanHandle(u64);
-
-impl PlanHandle {
-    /// Reconstructs a handle from its raw id (handles count up from 0 in
-    /// submission order). For tooling that iterates results positionally.
-    pub fn from_raw(id: u64) -> Self {
-        PlanHandle(id)
-    }
-}
 
 /// Self-interference guard tuning.
 #[derive(Debug, Clone, Copy)]
@@ -100,27 +88,6 @@ impl Default for SchedConfig {
             sub_batch: 64,
             guard: GuardParams::default(),
         }
-    }
-}
-
-impl SchedConfig {
-    /// Builds a config from the parameter repository, falling back to
-    /// defaults for keys that are absent or zero. `sched.concurrency_cap`
-    /// is published by [`calibrate::calibrate_concurrency`];
-    /// `sched.sub_batch_pages` by `Microbench::run_all`.
-    pub fn from_repository(repo: &ParamRepository) -> Self {
-        let mut cfg = SchedConfig::default();
-        if let Ok(Some(cap)) = repo.get_u64(keys::SCHED_CONCURRENCY_CAP) {
-            if cap > 0 {
-                cfg.concurrency = cap as usize;
-            }
-        }
-        if let Ok(Some(sb)) = repo.get_u64(keys::SCHED_SUB_BATCH_PAGES) {
-            if sb > 0 {
-                cfg.sub_batch = sb as usize;
-            }
-        }
-        cfg
     }
 }
 
@@ -461,20 +428,6 @@ mod tests {
         sched.dispatch(&mut exec);
         assert!(sched.current_concurrency() >= 1);
         assert!(sched.waves().iter().all(|w| w.plans >= 1));
-    }
-
-    #[test]
-    fn config_from_repository_reads_sched_keys() {
-        let mut repo = ParamRepository::in_memory();
-        repo.set_raw(keys::SCHED_CONCURRENCY_CAP, 8u64);
-        repo.set_raw(keys::SCHED_SUB_BATCH_PAGES, 32u64);
-        let cfg = SchedConfig::from_repository(&repo);
-        assert_eq!(cfg.concurrency, 8);
-        assert_eq!(cfg.sub_batch, 32);
-        // Absent keys -> defaults.
-        let cfg = SchedConfig::from_repository(&ParamRepository::in_memory());
-        assert_eq!(cfg.concurrency, SchedConfig::default().concurrency);
-        assert_eq!(cfg.sub_batch, SchedConfig::default().sub_batch);
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl Disk {
         };
         GrayDuration::from_nanos(wait)
     }
-
-    /// Resets head position and queue (new experiment), keeping stats.
-    pub fn reset_position(&mut self) {
-        self.head_block = 0;
-        self.busy_until = Nanos::ZERO;
-    }
 }
 
 #[cfg(test)]

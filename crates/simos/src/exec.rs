@@ -8,7 +8,7 @@
 //! simulation in which workload code is ordinary imperative Rust.
 //!
 //! Every process spawned by [`Sim::run`] is a stackful coroutine
-//! ([`crate::coro`]) and one driver loop on the calling thread resumes the
+//! (`crate::coro`) and one driver loop on the calling thread resumes the
 //! minimum-time runnable one, so fleets of thousands of processes cost
 //! one context switch per handoff. The simulation state lives in one
 //! `Rc<RefCell<State>>` shared by the [`Sim`], its [`SimProc`] handles and
@@ -17,7 +17,7 @@
 //! borrow is ever held across a context switch and no lock is needed.
 //!
 //! [`Kernel::next_runnable`] is the semantic definition of the resume
-//! rule. The driver answers it from an incremental [`RunQueue`] that is
+//! rule. The driver answers it from an incremental `RunQueue` that is
 //! debug-asserted against the kernel's scan at every decision, and
 //! `tests/exec_equivalence.rs` replays random syscall programs through a
 //! coroutine-free interpreter over a bare `Kernel` to pin that the
@@ -556,8 +556,8 @@ impl GrayBoxOs for SimProc {
     /// The whole batch runs under one borrow of the kernel, and the
     /// scheduler is consulted for a yield once per batch (at the end of
     /// `call`) rather than three times per probe. Virtual time is
-    /// unaffected — the kernel replays the exact scalar charging sequence
-    /// per probe — so only host-side dispatch overhead is saved.
+    /// unaffected — the kernel's batch is the scalar `sys_now` / `sys_read`
+    /// / `sys_now` loop — so only host-side dispatch overhead is saved.
     fn probe_batch(&self, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
         self.call(|k, pid| k.sys_probe_batch(pid, fd, specs))
     }

@@ -571,109 +571,19 @@ impl Kernel {
     /// Services a whole batch of timed 1-byte read probes in one kernel
     /// entry.
     ///
-    /// Each probe replays the exact scalar sequence — `sys_now`, 1-byte
+    /// Each probe is the scalar sequence itself — `sys_now`, 1-byte
     /// `sys_read`, `sys_now` — so the charged costs, the noise/quantization
     /// stream, the readahead state machine, and the cache side effects are
     /// bit-identical to a loop of individually dispatched probes. What the
-    /// batch elides is purely executor overhead: the caller holds the
-    /// kernel lock (and the scheduler baton) once for the whole batch
+    /// batch elides is purely executor overhead: the caller borrows the
+    /// kernel (and holds the scheduler baton) once for the whole batch
     /// instead of three times per probe.
     pub fn sys_probe_batch(&mut self, pid: usize, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
         let _op = profile::op_scope("sys_probe_batch");
         let mut out = Vec::with_capacity(specs.len());
-        // Hoist the per-call fd-table and inode lookups: the batch holds
-        // the kernel lock throughout, so no other process can close the
-        // fd, resize the file, or perturb the readahead state mid-batch.
-        // Each probe still pays exactly the scalar charging sequence —
-        // timer read, syscall dispatch, per-page CPU, timer read — in the
-        // same order, so virtual times and the noise stream stay
-        // bit-identical to a loop of individually dispatched probes.
-        let hoisted = self.fdt[pid]
-            .get(&fd.0)
-            .copied()
-            .and_then(|of| self.fss[of.dev].inode(of.ino).map(|i| (of, i.size)));
-        let Some((mut of, size)) = hoisted else {
-            // Bad fd (or vanished inode): replay the scalar loop so every
-            // probe is charged its failed dispatch identically.
-            for spec in specs {
-                let t0 = self.sys_now(pid);
-                let res = self.sys_read(pid, fd, spec.offset, 1, None);
-                let t1 = self.sys_now(pid);
-                let elapsed = t1.since(t0);
-                gray_toolbox::trace::emit_with_at(t1, || {
-                    gray_toolbox::trace::TraceEvent::ProbeIssued {
-                        offset: spec.offset,
-                        latency_ns: elapsed.as_nanos(),
-                    }
-                });
-                out.push(ProbeSample {
-                    offset: spec.offset,
-                    elapsed,
-                    ok: matches!(res, Ok(n) if n > 0),
-                });
-            }
-            return out;
-        };
-        let page_size = self.cfg.page_size;
-        let file_pages = size.div_ceil(page_size);
-        let owner = Owner::File {
-            dev: of.dev as u32,
-            ino: of.ino,
-        };
-        // atime is written once with the last successful probe's clock —
-        // the same final state the scalar loop's per-call updates leave.
-        let mut last_read_at = None;
         for spec in specs {
             let t0 = self.sys_now(pid);
-            self.poll_flusher(pid);
-            self.charge_cpu(pid, self.cfg.costs.syscall);
-            let mut ok = false;
-            if spec.offset < size {
-                // The 1-byte read path of `sys_read`, single page.
-                let page = spec.offset / page_size;
-                let mut window = if page == of.next_seq_page {
-                    (of.ra_window * 2).min(self.cfg.readahead_pages)
-                } else {
-                    RA_INITIAL
-                };
-                let id = PageId { owner, page };
-                let mut err = false;
-                let mut cpu = self.cfg.costs.page_lookup;
-                if self.cache.lookup_touch(id) {
-                    self.stats.cache_hits += 1;
-                } else {
-                    self.stats.cache_misses += 1;
-                    let run = self.plan_fetch_run(of.dev, of.ino, page, file_pages, window);
-                    match self.fss[of.dev].ensure_block(of.ino, page) {
-                        Ok(start_block) => {
-                            self.fss[of.dev].take_io();
-                            self.disk_io(pid, of.dev, start_block, run);
-                            for k in 0..run {
-                                let rid = PageId {
-                                    owner,
-                                    page: page + k,
-                                };
-                                let ev = self.cache.insert(rid, false);
-                                if self.handle_evictions(pid, ev).is_err() {
-                                    err = true;
-                                    break;
-                                }
-                            }
-                            self.stats.file_page_reads += run;
-                            window = (window * 2).min(self.cfg.readahead_pages);
-                        }
-                        Err(_) => err = true,
-                    }
-                }
-                if !err {
-                    cpu += self.cfg.costs.copy_per_page.mul_f64(1.0 / page_size as f64);
-                    self.charge_cpu(pid, cpu);
-                    last_read_at = Some(self.procs[pid].now);
-                    of.ra_window = window;
-                    of.next_seq_page = page + 1;
-                    ok = true;
-                }
-            }
+            let res = self.sys_read(pid, fd, spec.offset, 1, None);
             let t1 = self.sys_now(pid);
             let elapsed = t1.since(t0);
             // Virtual-time probe event: the simulated clock, not the host
@@ -687,13 +597,8 @@ impl Kernel {
             out.push(ProbeSample {
                 offset: spec.offset,
                 elapsed,
-                ok,
+                ok: matches!(res, Ok(n) if n > 0),
             });
-        }
-        if let Some(at) = last_read_at {
-            let _ = self.fss[of.dev].note_read(of.ino, at);
-            let entry = self.fdt[pid].get_mut(&fd.0).expect("checked above");
-            *entry = of;
         }
         out
     }

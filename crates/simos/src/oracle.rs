@@ -56,28 +56,6 @@ impl Oracle {
         Ok(bitmap.iter().filter(|&&b| b).count() as f64 / bitmap.len() as f64)
     }
 
-    /// Dirty bitmap for each page of the file at `path` — the writeback
-    /// analogue of [`Oracle::file_presence`]: which pages hold
-    /// modifications not yet written back to disk.
-    pub fn file_dirty(&self, path: &str) -> OsResult<Vec<bool>> {
-        self.shared.with_kernel(|k| {
-            let (dev, ino) = k.oracle_resolve(path)?;
-            let size = k.fs(dev).inode(ino).map(|i| i.size).unwrap_or(0);
-            let pages = size.div_ceil(k.page_size());
-            let owner = Owner::File {
-                dev: dev as u32,
-                ino,
-            };
-            let mut bitmap = vec![false; pages as usize];
-            for id in k.cache().dirty_pages() {
-                if id.owner == owner && (id.page as usize) < bitmap.len() {
-                    bitmap[id.page as usize] = true;
-                }
-            }
-            Ok(bitmap)
-        })
-    }
-
     /// Total dirty pages in the cache (file and anonymous).
     pub fn dirty_pages(&self) -> usize {
         self.shared.with_kernel(|k| k.cache().dirty_count())
@@ -92,12 +70,6 @@ impl Oracle {
                 .map(|i| i.blocks.clone())
                 .unwrap_or_default())
         })
-    }
-
-    /// The file's i-number and device.
-    pub fn file_identity(&self, path: &str) -> OsResult<(u64, u64)> {
-        self.shared
-            .with_kernel(|k| k.oracle_resolve(path).map(|(dev, ino)| (dev as u64, ino)))
     }
 
     /// Total resident pages (file + anonymous).
@@ -118,10 +90,5 @@ impl Oracle {
     /// Swap slots in use.
     pub fn swap_slots_in_use(&self) -> u64 {
         self.shared.with_kernel(|k| k.vm().slots_in_use())
-    }
-
-    /// Per-disk statistics.
-    pub fn disk_stats(&self, dev: usize) -> crate::disk::DiskStats {
-        self.shared.with_kernel(|k| k.disk(dev).stats())
     }
 }

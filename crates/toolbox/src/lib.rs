@@ -36,7 +36,6 @@ pub mod profile;
 pub mod prop;
 pub mod repository;
 pub mod rng;
-pub mod sampling;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -47,9 +46,7 @@ pub use outlier::{discard_outliers, mad, OutlierPolicy};
 pub use pool::{JobPanic, Pool};
 pub use profile::ProfileSnapshot;
 pub use repository::{ParamRepository, RepositoryError};
-pub use sampling::{Reservoir, StreamingRegression};
 pub use stats::{
-    correlation, linear_regression, paired_sign_test, percentile, Ewma, Log2Histogram, OnlineStats,
-    Summary,
+    correlation, paired_sign_test, percentile, Ewma, Log2Histogram, OnlineStats, Summary,
 };
 pub use time::{Duration as GrayDuration, Nanos};

@@ -13,7 +13,7 @@
 //!
 //! Each charge lands at a leaf addressed by three cooperating stacks:
 //!
-//! 1. the [`trace`](crate::trace) span stack (`plan:/f3`,
+//! 1. the [`trace`] span stack (`plan:/f3`,
 //!    `tenant:4`, …) — per simulated process under the event-driven
 //!    executor thanks to `TraceCtx` swapping, per thread otherwise;
 //! 2. this module's own operation stack, pushed by [`op_scope`] at
@@ -30,7 +30,7 @@
 //!
 //! # Cost model
 //!
-//! Mirrors [`trace`](crate::trace): disabled, every hook is one relaxed
+//! Mirrors [`trace`]: disabled, every hook is one relaxed
 //! atomic load and a branch — no allocation, no lock (pinned by the
 //! allocation-counting test `tests/trace_zero_alloc.rs`). Enabled, a
 //! charge clones the span stack and takes one mutex to bump the tree.

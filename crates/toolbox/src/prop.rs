@@ -4,8 +4,8 @@
 //! zero-dependency runner that fits this workspace's determinism policy:
 //!
 //! - **Seeded generators** ([`Gen`]): every random input is drawn from a
-//!   [`StdRng`](crate::rng::StdRng) whose per-case seed is derived
-//!   deterministically from the property name and case index, so a run is
+//!   [`StdRng`] whose per-case seed is derived deterministically from
+//!   the property name and case index, so a run is
 //!   reproducible bit-for-bit on any machine.
 //! - **Fixed case counts**: a property runs exactly `cases` times (no
 //!   time-based budgets), so CI and laptops execute the same work.

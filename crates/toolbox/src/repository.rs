@@ -35,8 +35,6 @@ pub mod keys {
     pub const PAGE_ALLOC_ZERO_NS: &str = "mem.page_alloc_zero_ns";
     /// Time to touch a resident memory page, ns.
     pub const PAGE_TOUCH_NS: &str = "mem.page_touch_ns";
-    /// Time to fault a memory page in from swap, ns.
-    pub const PAGE_SWAP_IN_NS: &str = "mem.page_swap_in_ns";
     /// Access unit delivering near-peak sequential disk bandwidth, bytes.
     pub const ACCESS_UNIT_BYTES: &str = "fccd.access_unit_bytes";
     /// System page size, bytes.
@@ -45,19 +43,6 @@ pub mod keys {
     /// dispatch cost is within 10% of the best measured amortization.
     /// Larger batches buy nothing and cost scheduling interleaving.
     pub const SCHED_SUB_BATCH_PAGES: &str = "sched.sub_batch_pages";
-    /// Probe-plan concurrency cap: the largest number of concurrent plans
-    /// whose makespan still improved measurably over the next-lower level.
-    pub const SCHED_CONCURRENCY_CAP: &str = "sched.concurrency_cap";
-    /// Daemon inference-cache entry time-to-live, ns of backend time.
-    pub const GBD_CACHE_TTL: &str = "gbd.cache_ttl";
-    /// Most tenants the daemon will register.
-    pub const GBD_MAX_TENANTS: &str = "gbd.max_tenants";
-    /// Most probe-needing queries the daemon admits per serve tick (the
-    /// AIMD recovery ceiling; the live budget moves below it).
-    pub const GBD_ADMISSION_BUDGET: &str = "gbd.admission_budget";
-    /// Most entries the daemon's inference cache holds; the oldest-
-    /// stamped entries are evicted when an insert would exceed it.
-    pub const GBD_CACHE_CAPACITY: &str = "gbd.cache_capacity";
 }
 
 /// Errors produced by repository operations.

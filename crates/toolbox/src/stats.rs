@@ -4,8 +4,8 @@
 //! (interrupts, scheduling, cache effects), so inferences are drawn from
 //! means, variances, correlations, and rank statistics. This module provides
 //! the operations that Section 5 calls out — simple statistics (mean,
-//! standard deviation, median, maximum, minimum), correlations, linear
-//! regression, exponential averaging, and the paired-sample sign test used
+//! standard deviation, median, maximum, minimum), correlations,
+//! exponential averaging, and the paired-sample sign test used
 //! by MS Manners — all implemented so they can run *incrementally*, because
 //! ICL data arrives over time and must be monitored continually.
 
@@ -266,33 +266,6 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
         return 0.0;
     }
     sxy / (sxx * syy).sqrt()
-}
-
-/// Ordinary least-squares regression `y = slope * x + intercept`.
-///
-/// MS Manners uses linear regression over progress counters to estimate
-/// uncontended performance; MAC's calibration path uses it to extrapolate
-/// per-page costs. Returns `(slope, intercept)`; a zero-variance `x` yields
-/// a horizontal line through the mean.
-pub fn linear_regression(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "regression needs equal-length series");
-    let n = xs.len();
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let mx = xs.iter().sum::<f64>() / n as f64;
-    let my = ys.iter().sum::<f64>() / n as f64;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for i in 0..n {
-        sxy += (xs[i] - mx) * (ys[i] - my);
-        sxx += (xs[i] - mx) * (xs[i] - mx);
-    }
-    if sxx == 0.0 {
-        return (0.0, my);
-    }
-    let slope = sxy / sxx;
-    (slope, my - slope * mx)
 }
 
 /// Exponentially weighted moving average, as used by TCP's RTT estimator
@@ -603,22 +576,6 @@ mod tests {
         assert!((correlation(&xs, &up) - 1.0).abs() < 1e-12);
         assert!((correlation(&xs, &down) + 1.0).abs() < 1e-12);
         assert_eq!(correlation(&xs, &[5.0; 4]), 0.0);
-    }
-
-    #[test]
-    fn regression_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + 7.0).collect();
-        let (m, b) = linear_regression(&xs, &ys);
-        assert!((m - 3.0).abs() < 1e-12);
-        assert!((b - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn regression_degenerate_x() {
-        let (m, b) = linear_regression(&[2.0, 2.0], &[1.0, 3.0]);
-        assert_eq!(m, 0.0);
-        assert_eq!(b, 2.0);
     }
 
     #[test]

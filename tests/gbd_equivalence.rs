@@ -13,8 +13,8 @@
 //! `tests/sched_equivalence.rs`: the daemon builds its `FccdFleet` in
 //! its own process and dispatches one plan at a time (`sub_batch` 0),
 //! exactly the configuration that test proves issues the same syscalls
-//! in the same order as inline `Fccd`. `decorrelate_seeds` defaults to
-//! off, so the daemon's probe offsets come from the same fixed seed.
+//! in the same order as inline `Fccd`. The daemon's probe offsets come
+//! from the same fixed seed.
 //!
 //! Replay a failing case with the seed from the harness banner:
 //!

@@ -20,7 +20,7 @@
 use graybox_icl::apps::workload::make_file;
 use graybox_icl::graybox::fccd::{Fccd, FccdParams};
 use graybox_icl::graybox::mock::MockOs;
-use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt};
+use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt, ProbeSample, ProbeSpec};
 use graybox_icl::simos::{Sim, SimConfig};
 use graybox_icl::toolbox::prop::{check, Gen};
 
@@ -94,6 +94,7 @@ fn batched_and_scalar_classify_identically_under_simos() {
             };
             // Warm a random subset of access units.
             let warm: Vec<u64> = (0..units).filter(|_| g.bool()).collect();
+            let edge = g.u64(0..size - (8 << 12));
 
             let run = |batched: bool| {
                 let mut sim = Sim::new(SimConfig::small());
@@ -101,7 +102,7 @@ fn batched_and_scalar_classify_identically_under_simos() {
                 sim.flush_file_cache();
                 let warm = warm.clone();
                 let params = params.clone();
-                sim.run_one(move |os| {
+                let (report, edges, atime) = sim.run_one(move |os| {
                     let fd = os.open("/f").unwrap();
                     for &u in &warm {
                         os.read_discard(fd, u * access_unit, access_unit).unwrap();
@@ -112,14 +113,55 @@ fn batched_and_scalar_classify_identically_under_simos() {
                     } else {
                         fccd.probe_file_scalar(fd, size)
                     };
+                    // The batch's edges, raw: a repeated offset, a run of
+                    // consecutive pages that walks off the initial
+                    // readahead window, an offset past EOF — then the
+                    // same specs on a closed descriptor.
+                    let page = os.page_size();
+                    let specs: Vec<ProbeSpec> = [edge, edge]
+                        .into_iter()
+                        .chain((1..7).map(|k| edge + k * page))
+                        .chain([size + page])
+                        .map(|offset| ProbeSpec { offset })
+                        .collect();
+                    let probe = |fd| {
+                        if batched {
+                            return os.probe_batch(fd, &specs);
+                        }
+                        let one = |spec: &ProbeSpec| {
+                            let (res, elapsed) = os.timed(|os| os.read_byte(fd, spec.offset));
+                            ProbeSample {
+                                offset: spec.offset,
+                                elapsed,
+                                ok: res.is_ok(),
+                            }
+                        };
+                        specs.iter().map(one).collect()
+                    };
+                    let mut edges = probe(fd);
                     os.close(fd).unwrap();
-                    report
-                })
+                    edges.extend(probe(fd));
+                    (report, edges, os.stat("/f").unwrap().atime)
+                });
+                let presence = sim.oracle().file_presence("/f").unwrap();
+                (report, edges, atime, sim.now(), presence)
             };
-            let batched = run(true);
-            let scalar = run(false);
+            let (batched, b_edges, b_atime, b_now, b_presence) = run(true);
+            let (scalar, s_edges, s_atime, s_now, s_presence) = run(false);
             assert_eq!(batched.units, scalar.units, "unit measurements diverge");
             assert_eq!(batched.plan(), scalar.plan(), "plan order diverges");
+            assert_eq!(b_edges, s_edges, "edge samples diverge");
+            assert!(
+                b_edges[..8].iter().all(|s| s.ok),
+                "in-range probes read a byte"
+            );
+            assert!(
+                b_edges[8..].iter().all(|s| !s.ok),
+                "past EOF and closed fd fail"
+            );
+            assert_eq!(b_now, s_now, "virtual clocks diverge");
+            assert_eq!(b_presence, s_presence, "resident pages diverge");
+            assert_eq!(b_atime, s_atime, "atime diverges");
         },
     );
 }
