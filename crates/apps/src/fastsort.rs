@@ -15,7 +15,8 @@
 //!   realistic CPU/memory costs — this is what the figure-scale
 //!   experiments use (gigabytes of "data" at megabytes of host memory).
 //!   Memory traffic is real in the sense that matters: every buffer page
-//!   is write-touched as records land and re-touched during sorting, so an
+//!   is write-touched as records land and re-touched during sorting (in
+//!   batches of [`TOUCH_BATCH`] pages, each one scheduling point), so an
 //!   oversized run genuinely thrashes the simulated VM.
 //! - [`FastSort::run_real`] sorts actual bytes (any `GrayBoxOs` backend)
 //!   with a k-way merge — used by tests and the host-backend example to
@@ -24,6 +25,13 @@
 use gray_toolbox::GrayDuration;
 use graybox::mac::{Mac, MacParams, MacStats};
 use graybox::os::{Fd, GrayBoxOs, OsError, OsResult};
+
+/// Upper bound, in pages, on one `mem_probe_batch` issued by the modelled
+/// sort. A batch is one scheduling point in the simulator — an unbounded
+/// whole-buffer sweep would let four competing sorts reclaim each other's
+/// pages in lock-step convoys instead of the fine-grained interleaving a
+/// real touch loop produces.
+pub const TOUCH_BATCH: u64 = 64;
 
 /// How pass sizes are chosen.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,14 +67,6 @@ pub struct SortConfig {
     pub sort_cost_per_record: GrayDuration,
     /// Read/write chunk for streaming I/O.
     pub chunk: u64,
-    /// Upper bound on one `mem_probe_batch` issued by the modelled sort.
-    /// Batching amortizes syscall dispatch, but a batch is also one
-    /// scheduling point in the simulator — an unbounded whole-buffer sweep
-    /// would let four competing sorts reclaim each other's pages in
-    /// lock-step convoys instead of the fine-grained interleaving a real
-    /// touch loop produces. Calibrate with
-    /// [`SortConfig::with_repository`] (key `sched.sub_batch_pages`).
-    pub touch_batch: u64,
 }
 
 impl SortConfig {
@@ -81,20 +81,7 @@ impl SortConfig {
             model_cpu: true,
             sort_cost_per_record: GrayDuration::from_nanos(300),
             chunk: 1 << 20,
-            touch_batch: 64,
         }
-    }
-
-    /// Replaces the compile-time touch-batch default with the measured
-    /// `sched.sub_batch_pages` bound, when the repository has one.
-    pub fn with_repository(mut self, repo: &gray_toolbox::ParamRepository) -> Self {
-        use gray_toolbox::repository::keys;
-        if let Ok(Some(batch)) = repo.get_u64(keys::SCHED_SUB_BATCH_PAGES) {
-            if batch > 0 {
-                self.touch_batch = batch;
-            }
-        }
-        self
     }
 }
 
@@ -204,9 +191,8 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
                 }
                 let first_page = done / page;
                 let last_page = (done + n - 1) / page;
-                let touch_batch = self.cfg.touch_batch.max(1);
-                for batch_start in (first_page..=last_page).step_by(touch_batch as usize) {
-                    let batch_end = (batch_start + touch_batch - 1).min(last_page);
+                for batch_start in (first_page..=last_page).step_by(TOUCH_BATCH as usize) {
+                    let batch_end = (batch_start + TOUCH_BATCH - 1).min(last_page);
                     let plan: Vec<u64> = (batch_start..=batch_end).collect();
                     if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
                         return Err(OsError::InvalidArgument);
@@ -224,10 +210,9 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
                 self.os
                     .compute(self.cfg.sort_cost_per_record * records * log2.max(1) / 8);
             }
-            let touch_batch = self.cfg.touch_batch.max(1);
             for _ in 0..2 {
-                for batch_start in (0..buf_pages).step_by(touch_batch as usize) {
-                    let batch_end = (batch_start + touch_batch).min(buf_pages);
+                for batch_start in (0..buf_pages).step_by(TOUCH_BATCH as usize) {
+                    let batch_end = (batch_start + TOUCH_BATCH).min(buf_pages);
                     let sweep: Vec<u64> = (batch_start..batch_end).collect();
                     if self
                         .os
@@ -640,20 +625,6 @@ mod tests {
             );
         }
         assert!(report.probe_time > GrayDuration::ZERO);
-    }
-
-    #[test]
-    fn touch_batch_comes_from_the_repository() {
-        use gray_toolbox::repository::keys;
-        use gray_toolbox::ParamRepository;
-        let base = SortConfig::new("/in", "/out", PassPolicy::Static(1 << 20));
-        assert_eq!(base.touch_batch, 64);
-        let mut repo = ParamRepository::in_memory();
-        repo.set_raw(keys::SCHED_SUB_BATCH_PAGES, 32u64);
-        assert_eq!(base.clone().with_repository(&repo).touch_batch, 32);
-        // An empty repository leaves the default alone.
-        let empty = ParamRepository::in_memory();
-        assert_eq!(base.with_repository(&empty).touch_batch, 64);
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! platforms and even across multi-level stores (memory, disk, tape: the
 //! "closest" data simply sorts first).
 //!
+//! Where a caller needs a verdict rather than an order
+//! ([`classify_ranks`]), the cut is [`split_fast_slow`], the toolbox's one
+//! hit/miss rule: FCCD holds no threshold, scale or degenerate case of
+//! its own.
+//!
 //! Probe offsets are *random* within each prediction unit: fixed offsets
 //! would be self-confounding, because a previous probe (by this process or a
 //! concurrent one) leaves exactly the probed page cached and a re-probe
@@ -38,10 +43,11 @@
 
 use std::cell::RefCell;
 
+use gray_toolbox::cluster::{split_fast_slow, TRUST_FLOOR};
 use gray_toolbox::rng::StdRng;
 use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::trace::{self, TraceEvent, Verdict};
-use gray_toolbox::{two_means, GrayDuration};
+use gray_toolbox::GrayDuration;
 
 use crate::os::{Fd, GrayBoxOs, OsResult, ProbeSample, ProbeSpec};
 use crate::technique::{Technique, TechniqueInventory};
@@ -351,50 +357,32 @@ pub fn sort_ranks(ranks: &mut [FileRank]) {
 }
 
 /// Splits sorted ranks into predicted-cached and predicted-uncached groups
-/// by exact two-means clustering of the mean probe times (paper Section
-/// 4.2.4) — the classification core shared by [`Fccd::classify_files`] and
-/// the `gray-sched` multi-file frontend.
+/// by [`split_fast_slow`] over the mean probe times (paper Section 4.2.4) —
+/// the classification core shared by [`Fccd::classify_files`] and the
+/// `gray-sched` multi-file frontend.
 pub fn classify_ranks(ranks: Vec<FileRank>) -> Classified {
-    if ranks.len() < 2 {
-        emit_verdicts(&ranks, Verdict::Uncached);
-        return Classified {
-            cached: Vec::new(),
-            uncached: ranks,
-            separation: 0.0,
-        };
-    }
     let times: Vec<f64> = ranks
         .iter()
         .map(|r| r.mean_probe.as_nanos() as f64)
         .collect();
-    let clustering = two_means(&times);
-    let separation = clustering.separation(&times);
+    let split = split_fast_slow(&times);
     trace::emit_with(|| TraceEvent::ThresholdCrossed {
         what: "fccd.separation",
-        value: separation,
-        threshold: 0.5,
+        value: split.separation,
+        threshold: TRUST_FLOOR,
     });
-    if separation < 0.5 {
-        emit_verdicts(&ranks, Verdict::Uncached);
-        return Classified {
-            cached: Vec::new(),
-            uncached: ranks,
-            separation,
-        };
-    }
     let mut cached = Vec::new();
     let mut uncached = Vec::new();
-    for (rank, &cluster) in ranks.into_iter().zip(&clustering.assignment) {
-        let verdict = if cluster == 0 {
-            Verdict::Cached
-        } else {
-            Verdict::Uncached
-        };
+    for (rank, fast) in ranks.into_iter().zip(split.fast) {
         trace::emit_with(|| TraceEvent::Classified {
             unit: rank.path.clone(),
-            verdict,
+            verdict: if fast {
+                Verdict::Cached
+            } else {
+                Verdict::Uncached
+            },
         });
-        if cluster == 0 {
+        if fast {
             cached.push(rank);
         } else {
             uncached.push(rank);
@@ -403,21 +391,7 @@ pub fn classify_ranks(ranks: Vec<FileRank>) -> Classified {
     Classified {
         cached,
         uncached,
-        separation,
-    }
-}
-
-/// Emits one `Classified` event per rank with a uniform verdict (the
-/// degenerate classification paths: too few files, or no separation).
-fn emit_verdicts(ranks: &[FileRank], verdict: Verdict) {
-    if !trace::enabled() {
-        return;
-    }
-    for rank in ranks {
-        trace::emit_with(|| TraceEvent::Classified {
-            unit: rank.path.clone(),
-            verdict,
-        });
+        separation: split.separation,
     }
 }
 
@@ -586,12 +560,12 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     }
 
     /// Splits files into a predicted-cached and a predicted-uncached group
-    /// using exact two-means clustering of the mean probe times (paper
-    /// Section 4.2.4).
+    /// by [`split_fast_slow`] over the mean probe times (paper Section
+    /// 4.2.4).
     ///
-    /// When the clusters are not well separated (separation below 0.5) the
-    /// split is not trusted: all files are reported uncached, since "fast
-    /// versus slow" carries no signal when everything costs the same.
+    /// When that split is not trusted (separation below [`TRUST_FLOOR`])
+    /// all files are reported uncached, since "fast versus slow" carries
+    /// no signal when everything costs the same.
     pub fn classify_files(&self, paths: &[String]) -> Classified {
         classify_ranks(self.order_files(paths))
     }

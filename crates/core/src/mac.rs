@@ -29,12 +29,13 @@
 //! fixed maximum increment), and collapse back to the initial increment
 //! when a problem is detected.
 //!
-//! Probes are issued through [`GrayBoxOs::mem_probe_batch`] — the first
-//! loop in bounded sub-batches (so daemon detection still stops growth
-//! promptly), the verification loop as one batch (its verdict is monotone
-//! in the slow count, so no early exit is lost). Batching changes which
-//! syscalls carry the probes, not which pages get touched or how each
-//! touch is timed.
+//! Probes are issued through [`GrayBoxOs::mem_probe_batch`] in bounded
+//! sub-batches of [`SUB_BATCH_PAGES`]: a batch is one scheduling point, so
+//! the bound is what lets daemon detection stop growth promptly and lets
+//! competitors run mid-sweep. It is a constant — virtual time charges per
+//! probe, so there is no dispatch cost for a larger batch to amortize and
+//! nothing to measure. Batching changes which syscalls carry the probes,
+//! not which pages get touched or how each touch is timed.
 //!
 //! # Thresholds
 //!
@@ -62,17 +63,13 @@ use gray_toolbox::{GrayDuration, ParamRepository, Summary};
 use crate::os::{GrayBoxOs, MemRegion, OsError, OsResult};
 use crate::technique::{Technique, TechniqueInventory};
 
+/// Pages per probe sub-batch (one scheduling point each, see the module
+/// docs): probing overshoots the page daemon's wake-up by at most one.
+pub const SUB_BATCH_PAGES: u64 = 64;
+
 /// Tuning parameters for the admission controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacParams {
-    /// Pages per first-loop probe sub-batch. Batching amortizes dispatch,
-    /// but the first loop must stop touching soon after the page daemon
-    /// wakes up; a bounded sub-batch caps the overshoot past the detection
-    /// point at one batch while still amortizing the common (all-fast)
-    /// case. The default matches the old compile-time bound; the
-    /// `sched.sub_batch_pages` microbenchmark publishes a measured value
-    /// via [`Mac::with_repository`].
-    pub sub_batch_pages: u64,
     /// First (and post-backoff) probe increment, in bytes.
     pub initial_increment: u64,
     /// Ceiling for the doubling increment, in bytes.
@@ -99,7 +96,6 @@ pub struct MacParams {
 impl Default for MacParams {
     fn default() -> Self {
         MacParams {
-            sub_batch_pages: 64,
             initial_increment: 16 << 20,
             max_increment: 128 << 20,
             slow_run_threshold: 3,
@@ -177,7 +173,6 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             params.slow_multiplier > 1.0,
             "slow multiplier must exceed 1"
         );
-        assert!(params.sub_batch_pages > 0, "sub-batch must be positive");
         Mac {
             os,
             params,
@@ -189,12 +184,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     /// Creates a controller that takes its thresholds from the
     /// microbenchmark repository when present (the paper's preferred
     /// "values calculated once ... and advertised in a file").
-    pub fn with_repository(os: &'a O, mut params: MacParams, repo: &ParamRepository) -> Self {
-        if let Ok(Some(sub)) = repo.get_u64(keys::SCHED_SUB_BATCH_PAGES) {
-            if sub > 0 {
-                params.sub_batch_pages = sub;
-            }
-        }
+    pub fn with_repository(os: &'a O, params: MacParams, repo: &ParamRepository) -> Self {
         let mac = Mac::new(os, params);
         let touch = repo.get_duration(keys::PAGE_TOUCH_NS).ok().flatten();
         let zero = repo.get_duration(keys::PAGE_ALLOC_ZERO_NS).ok().flatten();
@@ -323,13 +313,12 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         let probe_start = self.os.now();
         let region = self.os.mem_alloc(bytes)?;
         let pages = bytes.div_ceil(page);
-        let sub = self.params.sub_batch_pages as usize;
         // First loop: materialize the grant, watching for slow runs that
         // betray the page daemon (the shared estimate is then stale).
         let mut slow_run = 0usize;
         let mut daemon = false;
-        'touch: for batch_start in (0..pages).step_by(sub) {
-            let batch_end = (batch_start + self.params.sub_batch_pages).min(pages);
+        'touch: for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
+            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
             let plan: Vec<u64> = (batch_start..batch_end).collect();
             let samples = self.os.mem_probe_batch(region, &plan);
             self.stats.borrow_mut().pages_probed += samples.len() as u64;
@@ -374,9 +363,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     fn materialize(&self, bytes: u64, page: u64) -> OsResult<GbAlloc> {
         let region = self.os.mem_alloc(bytes)?;
         let pages = bytes.div_ceil(page);
-        let sub = self.params.sub_batch_pages;
-        for batch_start in (0..pages).step_by(sub as usize) {
-            let batch_end = (batch_start + sub).min(pages);
+        for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
+            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
             let plan: Vec<u64> = (batch_start..batch_end).collect();
             if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
                 self.os.mem_free(region)?;
@@ -467,10 +455,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             let mut slow_run = 0usize;
             let mut daemon_suspected = false;
             let mut touched_upto = target;
-            'first: for batch_start in
-                (good_pages..target).step_by(self.params.sub_batch_pages as usize)
-            {
-                let batch_end = (batch_start + self.params.sub_batch_pages).min(target);
+            'first: for batch_start in (good_pages..target).step_by(SUB_BATCH_PAGES as usize) {
+                let batch_end = (batch_start + SUB_BATCH_PAGES).min(target);
                 let plan: Vec<u64> = (batch_start..batch_end).collect();
                 let samples = self.os.mem_probe_batch(region, &plan);
                 self.stats.borrow_mut().pages_probed += samples.len() as u64;
@@ -538,8 +524,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         // re-touch would hide exactly the competition this check exists
         // to detect.
         let mut slow = 0u64;
-        for batch_start in (0..pages).step_by(self.params.sub_batch_pages as usize) {
-            let batch_end = (batch_start + self.params.sub_batch_pages).min(pages);
+        for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
+            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
             let plan: Vec<u64> = (batch_start..batch_end).collect();
             let samples = self.os.mem_probe_batch(region, &plan);
             self.stats.borrow_mut().pages_probed += samples.len() as u64;

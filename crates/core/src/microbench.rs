@@ -17,7 +17,7 @@
 use gray_toolbox::repository::keys;
 use gray_toolbox::rng::StdRng;
 use gray_toolbox::rng::{RngExt, SeedableRng};
-use gray_toolbox::{two_means, GrayDuration, ParamRepository, Summary};
+use gray_toolbox::{split_fast_slow, GrayDuration, ParamRepository, Summary};
 
 use crate::os::{GrayBoxOs, OsError, OsResult};
 
@@ -147,19 +147,16 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         self.os.close(fd)?;
         self.os.unlink(path)?;
 
-        let clustering = two_means(&times);
-        // The slow cluster holds the true misses; if separation is poor the
-        // file fit in cache and the median of everything is our best guess.
-        let miss = if clustering.separation(&times) > 0.5 && clustering.sizes[1] > 0 {
-            let slow: Vec<f64> = clustering
-                .members(1)
-                .into_iter()
-                .map(|i| times[i])
-                .collect();
-            Summary::new(&slow).median()
-        } else {
-            Summary::new(&times).median()
-        };
+        // The slow cluster holds the true misses; if the split is not
+        // trusted the file fit in cache, everything reads as slow, and the
+        // median of everything is our best guess.
+        let split = split_fast_slow(&times);
+        let slow: Vec<f64> = times
+            .iter()
+            .zip(&split.fast)
+            .filter_map(|(&t, &fast)| (!fast).then_some(t))
+            .collect();
+        let miss = Summary::new(&slow).median();
         Ok(DiskProfile {
             random_page_read: GrayDuration::from_nanos(miss as u64),
             sequential_bandwidth: bandwidth,
@@ -222,57 +219,6 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         Ok(chosen)
     }
 
-    /// Measures the probe sub-batch size: the smallest `mem_probe_batch`
-    /// batch whose per-probe dispatch cost is within 10% of the best
-    /// measured amortization.
-    ///
-    /// Dispatch amortization is a *host*-side effect (one kernel entry
-    /// per batch — virtual time charges per probe are
-    /// identical by construction), so this measurement uses the host
-    /// clock on every backend. Larger batches than the knee buy no
-    /// further amortization but cost scheduling interleaving: a batch is
-    /// one atomic scheduling point, and MAC's daemon detection can
-    /// overshoot by up to one batch. Replaces the old compile-time
-    /// `FIRST_LOOP_BATCH`/`TOUCH_BATCH` = 64 constants.
-    pub fn sub_batch_pages(&self) -> OsResult<u64> {
-        const CANDIDATES: [u64; 6] = [8, 16, 32, 64, 128, 256];
-        let page = self.os.page_size();
-        let pages = *CANDIDATES.last().expect("non-empty");
-        let region = self.os.mem_alloc(pages * page)?;
-        // Make the region resident first, so every candidate measures
-        // steady-state touches rather than first-touch allocation.
-        let warm: Vec<u64> = (0..pages).collect();
-        if self.os.mem_probe_batch(region, &warm).iter().any(|s| !s.ok) {
-            self.os.mem_free(region)?;
-            return Err(OsError::InvalidArgument);
-        }
-        let mut per_probe = Vec::with_capacity(CANDIDATES.len());
-        for &batch in &CANDIDATES {
-            let plan: Vec<u64> = (0..batch).collect();
-            // Same total probe count for every candidate, so the
-            // comparison is batch-size only.
-            let reps = (pages / batch).max(1) * 4;
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
-                    self.os.mem_free(region)?;
-                    return Err(OsError::InvalidArgument);
-                }
-            }
-            let elapsed = t0.elapsed().as_nanos() as f64;
-            per_probe.push(elapsed / (reps * batch) as f64);
-        }
-        self.os.mem_free(region)?;
-        let best = per_probe.iter().copied().fold(f64::INFINITY, f64::min);
-        let chosen = CANDIDATES
-            .iter()
-            .zip(&per_probe)
-            .find(|(_, &cost)| cost <= 1.1 * best)
-            .map(|(&b, _)| b)
-            .unwrap_or(64);
-        Ok(chosen)
-    }
-
     /// Runs the full suite and publishes results into the repository under
     /// the well-known keys.
     pub fn run_all(
@@ -302,9 +248,6 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
 
         let unit = self.access_unit(&scratch, file_bytes)?;
         repo.set_raw(keys::ACCESS_UNIT_BYTES, unit);
-
-        let sub_batch = self.sub_batch_pages()?;
-        repo.set_raw(keys::SCHED_SUB_BATCH_PAGES, sub_batch);
         Ok(())
     }
 }
@@ -378,20 +321,8 @@ mod tests {
             keys::DISK_SEEK_NS,
             keys::ACCESS_UNIT_BYTES,
             keys::PAGE_SIZE_BYTES,
-            keys::SCHED_SUB_BATCH_PAGES,
         ] {
             assert!(repo.contains(key), "missing {key}");
         }
-    }
-
-    #[test]
-    fn sub_batch_pages_is_a_candidate() {
-        let os = MockOs::new(64, 1 << 20);
-        let mb = Microbench::new(&os);
-        let sub = mb.sub_batch_pages().unwrap();
-        assert!(
-            [8, 16, 32, 64, 128, 256].contains(&sub),
-            "sub-batch {sub} not a candidate"
-        );
     }
 }

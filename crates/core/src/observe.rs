@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use gray_toolbox::{two_means, GrayDuration, Nanos, OnlineStats};
+use gray_toolbox::{split_fast_slow, GrayDuration, Nanos, OnlineStats};
 
 use crate::os::{Fd, GrayBoxOs, MemRegion, OsResult, Stat};
 
@@ -127,56 +127,38 @@ impl<'a, O: GrayBoxOs> PassiveObserver<'a, O> {
         st.fd_last_end.clear();
     }
 
-    /// Clusters observed per-path latencies into looks-cached /
-    /// looks-uncached, exactly as FCCD clusters probe times — but from
-    /// free-riding on client traffic. Paths with fewer than `min_reads`
-    /// observed reads are reported unknown rather than guessed.
+    /// Splits observed per-path latencies into looks-cached /
+    /// looks-uncached with the same [`split_fast_slow`] FCCD applies to
+    /// probe times — but from free-riding on client traffic. Paths with
+    /// fewer than `min_reads` observed reads are reported unknown rather
+    /// than guessed. All three lists come back sorted.
     pub fn infer_residency(&self, min_reads: u64) -> ResidencyInference {
         let st = self.state.borrow();
-        let mut known: Vec<(&String, f64)> = Vec::new();
-        let mut unknown = Vec::new();
-        for (path, obs) in &st.paths {
-            if obs.reads >= min_reads && obs.latency_per_page.count() > 0 {
-                known.push((path, obs.latency_per_page.mean()));
-            } else {
-                unknown.push(path.clone());
-            }
-        }
-        if known.len() < 2 {
-            return ResidencyInference {
-                looks_cached: Vec::new(),
-                looks_uncached: known.into_iter().map(|(p, _)| p.clone()).collect(),
-                unknown,
-                separation: 0.0,
-            };
-        }
-        let times: Vec<f64> = known.iter().map(|(_, t)| *t).collect();
-        let clustering = two_means(&times);
-        let separation = clustering.separation(&times);
-        if separation < 0.5 {
-            return ResidencyInference {
-                looks_cached: Vec::new(),
-                looks_uncached: known.into_iter().map(|(p, _)| p.clone()).collect(),
-                unknown,
-                separation,
-            };
-        }
+        let mut paths: Vec<(&String, &PathObservation)> = st.paths.iter().collect();
+        paths.sort_by_key(|(path, _)| *path);
+        let (known, unknown): (Vec<_>, Vec<_>) = paths
+            .into_iter()
+            .partition(|(_, obs)| obs.reads >= min_reads && obs.latency_per_page.count() > 0);
+        // `latency_per_page` is in µs; the split wants ns.
+        let times: Vec<f64> = known
+            .iter()
+            .map(|(_, obs)| obs.latency_per_page.mean() * 1e3)
+            .collect();
+        let split = split_fast_slow(&times);
         let mut looks_cached = Vec::new();
         let mut looks_uncached = Vec::new();
-        for ((path, _), &cluster) in known.iter().zip(&clustering.assignment) {
-            if cluster == 0 {
-                looks_cached.push((*path).clone());
+        for ((path, _), fast) in known.into_iter().zip(split.fast) {
+            if fast {
+                looks_cached.push(path.clone());
             } else {
-                looks_uncached.push((*path).clone());
+                looks_uncached.push(path.clone());
             }
         }
-        looks_cached.sort();
-        looks_uncached.sort();
         ResidencyInference {
             looks_cached,
             looks_uncached,
-            unknown,
-            separation,
+            unknown: unknown.into_iter().map(|(path, _)| path.clone()).collect(),
+            separation: split.separation,
         }
     }
 
@@ -447,10 +429,10 @@ mod tests {
         observed.close(fd).unwrap();
         let inference = observed.infer_residency(3);
         assert!(inference.looks_cached.is_empty());
-        assert!(inference.unknown.contains(&"/seen".to_string()));
         // "/unseen" entered the record through its creation write but was
-        // never read, so it is unknown as well — never guessed.
-        assert!(inference.unknown.contains(&"/unseen".to_string()));
+        // never read, so it is unknown as well — never guessed. The list is
+        // sorted, not in hash-map order.
+        assert_eq!(inference.unknown, vec!["/seen", "/unseen"]);
     }
 
     #[test]

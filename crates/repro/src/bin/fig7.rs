@@ -1,15 +1,12 @@
 //! Regenerates Figure 7: four competing fastsorts, static pass sizes vs
-//! gb-fastsort (MAC).
+//! gb-fastsort (MAC). Prints `repro::fig7::run` — virtual time only, so
+//! two runs print the same bytes and `results/fig7.txt` is checked in CI.
 use repro::{print_paper_note, print_table, Scale};
 
 fn main() {
     let sink = repro::init_tracing();
     let scale = Scale::from_args();
-    // Measure the touch-batch bound on this figure's machine first, so the
-    // sorts run with a calibrated `sched.sub_batch_pages` rather than the
-    // compile-time default.
-    let repo = repro::fig7::calibrated_repository(scale);
-    let fig = repro::fig7::run_with_repository(scale, Some(&repo));
+    let fig = repro::fig7::run(scale);
     let rows: Vec<Vec<String>> = fig
         .points
         .iter()

@@ -13,9 +13,7 @@
 
 use gray_apps::fastsort::{FastSort, PassPolicy, SortConfig, SortReport};
 use gray_apps::workload::make_file;
-use gray_toolbox::ParamRepository;
 use graybox::mac::MacParams;
-use graybox::microbench::Microbench;
 use simos::exec::Workload;
 use simos::{DiskParams, Sim, SimConfig};
 
@@ -65,7 +63,7 @@ pub const PROCS: usize = 4;
 fn machine(scale: Scale) -> SimConfig {
     match scale {
         Scale::Paper => SimConfig::paper(),
-        Scale::Small | Scale::Tiny => {
+        Scale::Small => {
             let mut cfg = scale.sim_config();
             cfg.disks = vec![DiskParams::small(); 5];
             cfg.swap_disk = 4;
@@ -75,16 +73,8 @@ fn machine(scale: Scale) -> SimConfig {
     }
 }
 
-/// Runs the whole sweep with fastsort's built-in touch-batch default.
+/// Runs the whole sweep.
 pub fn run(scale: Scale) -> Fig7 {
-    run_with_repository(scale, None)
-}
-
-/// Runs the sweep with each sort's touch-batch bound sourced from a
-/// parameter repository (key `sched.sub_batch_pages`) instead of the
-/// compile-time default — see [`calibrated_repository`]. `None` keeps the
-/// default (64 pages), which is what the deterministic shape tests use.
-pub fn run_with_repository(scale: Scale, repo: Option<&ParamRepository>) -> Fig7 {
     // Paper sweep: 50, 100, 150, 200 MB static passes (plus the 290 MB
     // catastrophe mentioned in the caption), then gb-fastsort.
     let static_passes: Vec<u64> = [50u64 << 20, 100 << 20, 150 << 20, 200 << 20]
@@ -95,7 +85,6 @@ pub fn run_with_repository(scale: Scale, repo: Option<&ParamRepository>) -> Fig7
     let cfg = machine(scale);
     let usable_memory = cfg.usable_pages() * cfg.page_size;
 
-    let touch_batch = touch_batch_from(repo);
     let mut points = Vec::new();
     for &pass in &static_passes {
         let label = format!("{} MB", to_paper_mb(scale, pass));
@@ -105,7 +94,6 @@ pub fn run_with_repository(scale: Scale, repo: Option<&ParamRepository>) -> Fig7
             data_per_proc,
             PassPolicy::Static(pass),
             Some(pass),
-            touch_batch,
         ));
     }
     let mac = MacParams {
@@ -122,37 +110,12 @@ pub fn run_with_repository(scale: Scale, repo: Option<&ParamRepository>) -> Fig7
             min: scale.bytes(100 << 20),
         },
         None,
-        touch_batch,
     ));
     Fig7 {
         points,
         data_per_proc,
         usable_memory,
     }
-}
-
-/// The touch-batch bound a repository prescribes, if any.
-fn touch_batch_from(repo: Option<&ParamRepository>) -> Option<u64> {
-    let repo = repo?;
-    // Round-trip through SortConfig so fig7 and standalone fastsort users
-    // resolve the key identically.
-    let resolved = SortConfig::new("/", "/", PassPolicy::Static(1))
-        .with_repository(repo)
-        .touch_batch;
-    Some(resolved)
-}
-
-/// Builds a repository holding a measured `sched.sub_batch_pages` bound by
-/// running the sub-batch microbenchmark inside a setup process on this
-/// figure's machine. Host-timed (dispatch amortization is a host-side
-/// cost), so the result varies run to run — which is why the shape tests
-/// use [`run`] and only the regeneration binary calibrates.
-pub fn calibrated_repository(scale: Scale) -> ParamRepository {
-    let mut repo = ParamRepository::in_memory();
-    let mut sim = Sim::new(machine(scale));
-    let batch = sim.run_one(|os| Microbench::new(os).sub_batch_pages().unwrap());
-    repo.set_raw(gray_toolbox::repository::keys::SCHED_SUB_BATCH_PAGES, batch);
-    repo
 }
 
 /// A scheduler-dispatched FCCD phase for traced runs of this figure's
@@ -202,7 +165,6 @@ fn to_paper_mb(scale: Scale, pass: u64) -> u64 {
     match scale {
         Scale::Paper => pass >> 20,
         Scale::Small => (pass * 14) >> 20,
-        Scale::Tiny => (pass * 45) >> 20,
     }
 }
 
@@ -212,7 +174,6 @@ fn run_config(
     data_per_proc: u64,
     policy: PassPolicy,
     pass_bytes: Option<u64>,
-    touch_batch: Option<u64>,
 ) -> SweepPoint {
     let cfg = machine(scale);
     let mut sim = Sim::new(cfg);
@@ -247,10 +208,7 @@ fn run_config(
             let policy = policy.clone();
             let name = format!("fastsort{i}");
             let wl: Workload<'_, SortReport> = Box::new(move |os: &simos::SimProc| {
-                let mut cfg = SortConfig::new(&input, &output, policy);
-                if let Some(batch) = touch_batch {
-                    cfg.touch_batch = batch;
-                }
+                let cfg = SortConfig::new(&input, &output, policy);
                 FastSort::new(os, cfg).run_modelled().unwrap()
             });
             (name, wl)

@@ -3,9 +3,9 @@
 //!
 //! Each experiment is a library function (`fig1::run`, `fig2::run`, …)
 //! returning structured rows, so the same code backs the printable
-//! binaries (`cargo run -p repro --bin fig2`), the integration tests that
-//! assert the paper's *shape claims* (who wins, by roughly what factor,
-//! where crossovers fall), and the Criterion smoke benches.
+//! binaries (`cargo run -p repro --bin fig2`) and the integration tests
+//! that assert the paper's *shape claims* (who wins, by roughly what
+//! factor, where crossovers fall).
 //!
 //! Experiments run at two scales:
 //!
@@ -37,9 +37,6 @@ use gray_toolbox::GrayDuration;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Benchmark-sized machine and workloads (seconds per figure; used by
-    /// the Criterion smoke benches — too small for publishable shapes).
-    Tiny,
     /// Scaled-down machine and workloads (default; minutes for the suite).
     Small,
     /// The paper's testbed and workload sizes (`--full`; much slower).
@@ -59,12 +56,6 @@ impl Scale {
     /// The simulator configuration for this scale (Linux personality).
     pub fn sim_config(self) -> simos::SimConfig {
         match self {
-            Scale::Tiny => {
-                let mut cfg = simos::SimConfig::small();
-                cfg.mem_bytes = 24 << 20;
-                cfg.kernel_reserve_bytes = 4 << 20;
-                cfg
-            }
             Scale::Small => simos::SimConfig::small(),
             Scale::Paper => simos::SimConfig::paper(),
         }
@@ -73,7 +64,6 @@ impl Scale {
     /// Number of repetitions per measured point (the paper uses 30).
     pub fn trials(self) -> usize {
         match self {
-            Scale::Tiny => 2,
             Scale::Small => 5,
             Scale::Paper => 30,
         }
@@ -86,7 +76,6 @@ impl Scale {
         match self {
             Scale::Paper => paper_bytes,
             Scale::Small => (paper_bytes / 14).max(4096),
-            Scale::Tiny => (paper_bytes / 45).max(4096),
         }
     }
 

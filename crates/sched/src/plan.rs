@@ -18,8 +18,8 @@ pub struct ProbePlan {
     /// whole plan goes down as one batch. Bounded sub-batches keep each
     /// batch one *scheduling point* rather than an atomic sweep, which is
     /// what preserves multi-process interleaving (and, for MAC, prompt
-    /// page-daemon detection). Sourced from `sched.sub_batch_pages` in
-    /// the parameter repository.
+    /// page-daemon detection). Chosen by the plan's builder;
+    /// `SchedConfig::sub_batch` is the default they take.
     pub sub_batch: usize,
 }
 

@@ -7,6 +7,11 @@
 //! clustering can be done *exactly* (not Lloyd's heuristic) by sorting and
 //! scanning all k-1 split points — deterministic, permutation-invariant, and
 //! O(n log n).
+//!
+//! [`split_fast_slow`] is the one place a clustering becomes a hit/miss
+//! verdict: it owns the scale (log time), the trust floor and the
+//! degenerate inputs; [`two_means`] and [`kmeans1d`] are the scale-free
+//! primitives under it.
 
 /// The result of clustering one-dimensional data into `k` groups.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +74,60 @@ impl Clustering {
 /// ```
 pub fn two_means(data: &[f64]) -> Clustering {
     kmeans1d(data, 2)
+}
+
+/// Below this [`Clustering::separation`] a two-way split found no real
+/// structure (everything cost about the same) and is not trusted.
+pub const TRUST_FLOOR: f64 = 0.5;
+
+/// A fast-versus-slow verdict per input time ([`split_fast_slow`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FastSlow {
+    /// For each input index, whether it fell in the fast cluster. All
+    /// `false` when the split is not trusted.
+    pub fast: Vec<bool>,
+    /// The [`Clustering::separation`] of the split, in [0, 1]; 0.0 for
+    /// fewer than two distinct times.
+    pub separation: f64,
+}
+
+/// The one hit/miss rule: which of `times_ns` (nanoseconds read off the
+/// gray-box clock) are fast — cache hits, resident pages — and which slow.
+///
+/// Clusters the natural log of each time: the signal is orders of
+/// magnitude (µs against ms), while misses alone spread over several ms
+/// with seek distance, so on linear time the variance-optimal cut falls
+/// inside the disk cluster. Times are clamped to ≥ 1 ns first, so a
+/// timer-quantised 0 ns hit is the fastest point rather than −∞.
+///
+/// Fewer than two distinct times, or a separation (in log time) below
+/// [`TRUST_FLOOR`], report everything slow: "fast versus slow" carries no
+/// signal when everything costs the same.
+///
+/// ```
+/// // Two 2 µs hits; misses from 1.8 ms to 6.7 ms.
+/// let split = gray_toolbox::split_fast_slow(&[2e3, 1.8e6, 2e3, 6.7e6, 2.4e6]);
+/// assert_eq!(split.fast, vec![true, false, true, false, false]);
+/// assert!(split.separation > 0.9);
+/// ```
+pub fn split_fast_slow(times_ns: &[f64]) -> FastSlow {
+    let log_times: Vec<f64> = times_ns.iter().map(|t| t.max(1.0).ln()).collect();
+    // Fewer than two distinct times (empty and one-point inputs included):
+    // the rounding noise of summed equal logs must not pass for structure.
+    if log_times.windows(2).all(|w| w[0] == w[1]) {
+        return FastSlow {
+            fast: vec![false; times_ns.len()],
+            separation: 0.0,
+        };
+    }
+    let clustering = two_means(&log_times);
+    let separation = clustering.separation(&log_times);
+    let trusted = separation >= TRUST_FLOOR;
+    let fast = clustering.assignment.iter().map(|&c| trusted && c == 0);
+    FastSlow {
+        fast: fast.collect(),
+        separation,
+    }
 }
 
 /// Exact k-means clustering of one-dimensional data for small `k`.
@@ -265,5 +324,41 @@ mod tests {
         // {0, 1, 2, 10}: best 2-split is {0,1,2} | {10}.
         let c = two_means(&[0.0, 1.0, 2.0, 10.0]);
         assert_eq!(c.assignment, vec![0, 0, 0, 1]);
+    }
+
+    /// ROADMAP's `linux/fresh/n0.00/probe/f12` shape: six hits, eight
+    /// misses spread 1.79–6.7 ms.
+    const HITS_AND_SPREAD_MISSES: [f64; 14] = [
+        1942.0, 1942.0, 1942.0, 1942.0, 1942.0, 1942.0, 1.79e6, 2.14e6, 2.43e6, 2.53e6, 4.0e6,
+        5.1e6, 6.0e6, 6.7e6,
+    ];
+
+    #[test]
+    fn split_keeps_spread_out_misses_together() {
+        let split = split_fast_slow(&HITS_AND_SPREAD_MISSES);
+        let expected: Vec<bool> = (0..14).map(|i| i < 6).collect();
+        assert_eq!(split.fast, expected);
+        assert!(split.separation > 0.98, "{}", split.separation);
+        // On linear ns the variance-optimal cut falls inside the disk
+        // cluster: the four fastest misses join the hits.
+        let raw = two_means(&HITS_AND_SPREAD_MISSES);
+        assert_eq!(raw.sizes, vec![10, 4]);
+        assert!((raw.separation(&HITS_AND_SPREAD_MISSES) - 0.79).abs() < 0.01);
+    }
+
+    #[test]
+    fn split_survives_a_zero_ns_sample() {
+        let split = split_fast_slow(&[0.0, 1800.0, 2100.0, 3.0e6, 5.5e6]);
+        assert_eq!(split.fast, vec![true, true, true, false, false]);
+        assert!(split.separation.is_finite() && split.separation >= TRUST_FLOOR);
+    }
+
+    #[test]
+    fn split_of_degenerate_inputs_is_all_slow() {
+        for data in [&[][..], &[42.0][..], &[7.0; 5][..]] {
+            let split = split_fast_slow(data);
+            assert_eq!(split.fast, vec![false; data.len()]);
+            assert_eq!(split.separation, 0.0);
+        }
     }
 }

@@ -40,7 +40,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use cluster::{kmeans1d, two_means, Clustering};
+pub use cluster::{kmeans1d, split_fast_slow, two_means, Clustering, FastSlow};
 pub use mailbox::{Envelope, Mailbox, MailboxClient, Ticket};
 pub use outlier::{discard_outliers, mad, OutlierPolicy};
 pub use pool::{JobPanic, Pool};

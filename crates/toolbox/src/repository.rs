@@ -39,10 +39,6 @@ pub mod keys {
     pub const ACCESS_UNIT_BYTES: &str = "fccd.access_unit_bytes";
     /// System page size, bytes.
     pub const PAGE_SIZE_BYTES: &str = "os.page_size_bytes";
-    /// Pages per probe sub-batch: the smallest batch whose per-probe
-    /// dispatch cost is within 10% of the best measured amortization.
-    /// Larger batches buy nothing and cost scheduling interleaving.
-    pub const SCHED_SUB_BATCH_PAGES: &str = "sched.sub_batch_pages";
 }
 
 /// Errors produced by repository operations.

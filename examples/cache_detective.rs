@@ -47,18 +47,18 @@ fn main() {
         r
     });
 
-    // Classify by clustering the unit probe times.
+    // Classify the unit probe times with the toolbox's one hit/miss rule.
     let times: Vec<f64> = report
         .units
         .iter()
         .map(|u| u.probe_time.as_nanos() as f64)
         .collect();
-    let clustering = graybox_icl::toolbox::two_means(&times);
+    let split = graybox_icl::toolbox::split_fast_slow(&times);
 
     println!("unit  planted  probe-time      inferred");
     let mut correct = 0;
     for (u, unit_probe) in report.units.iter().enumerate() {
-        let inferred = clustering.assignment[u] == 0;
+        let inferred = split.fast[u];
         let ok = inferred == planted[u];
         correct += ok as usize;
         println!(
@@ -72,7 +72,7 @@ fn main() {
     println!(
         "\ninference accuracy: {correct}/{units} units \
          (separation {:.2}, {} probes issued)",
-        clustering.separation(&times),
+        split.separation,
         report.total_probes()
     );
 }

@@ -6,7 +6,9 @@
 
 use gray_toolbox::prop::{check, Gen};
 use gray_toolbox::rng::{SeedableRng, SliceRandom, StdRng};
-use gray_toolbox::{discard_outliers, kmeans1d, two_means, OnlineStats, OutlierPolicy, Summary};
+use gray_toolbox::{
+    discard_outliers, kmeans1d, split_fast_slow, two_means, OnlineStats, OutlierPolicy, Summary,
+};
 use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt};
 use graybox_icl::simos::{CacheArch, Sim, SimConfig};
 
@@ -72,6 +74,29 @@ fn two_means_is_permutation_invariant() {
         s2.sort_unstable();
         assert_eq!(s1, s2);
     });
+}
+
+#[test]
+fn split_fast_slow_is_permutation_invariant() {
+    check(
+        "split_fast_slow_is_permutation_invariant",
+        64,
+        |g: &mut Gen| {
+            // Hits near 2 µs, misses 1–8 ms, either population possibly empty.
+            let mut xs = g.vec(0..30, |g| g.f64(1.5e3..3e3));
+            xs.extend(g.vec(0..30, |g| g.f64(1e6..8e6)));
+            let seed = g.u64(0..1000);
+            let mut order: Vec<usize> = (0..xs.len()).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+            let shuffled: Vec<f64> = order.iter().map(|&i| xs[i]).collect();
+            let a = split_fast_slow(&xs);
+            let b = split_fast_slow(&shuffled);
+            assert!((a.separation - b.separation).abs() < 1e-9);
+            for (pos, &i) in order.iter().enumerate() {
+                assert_eq!(a.fast[i], b.fast[pos], "verdict for {} moved", xs[i]);
+            }
+        },
+    );
 }
 
 #[test]
