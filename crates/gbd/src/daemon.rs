@@ -1,7 +1,7 @@
 //! The daemon proper: tenants, queries, and the serve loop.
 //!
 //! `Gbd` owns one probe [`Scheduler`], one [`InferenceCache`], and one
-//! AIMD [`QueryAdmission`] budget, shared by every tenant. Tenants hold a
+//! per-tick admission budget, shared by every tenant. Tenants hold a
 //! [`GbdClient`] — a cloneable handle over the in-process mailbox — and
 //! the daemon drains, executes, and answers in *ticks*
 //! ([`Gbd::serve`]), because the simulated substrate runs exactly one
@@ -13,8 +13,8 @@
 //! 1. **Cache.** Each cacheable query is looked up under the staleness
 //!    policy; hits answer immediately. Identical misses within the tick
 //!    coalesce onto one execution.
-//! 2. **Admission.** Probe-needing misses consume the AIMD budget;
-//!    queries over budget are answered [`Reply::Shed`].
+//! 2. **Admission.** Probe-needing misses consume the tick's constant
+//!    budget; queries over budget are answered [`Reply::Shed`].
 //! 3. **Execution.** All admitted FCCD queries submit their plans to the
 //!    shared scheduler and dispatch together, so tenants' probes pool
 //!    into shared waves; MAC allocation requests pool behind one
@@ -22,7 +22,6 @@
 //! 4. **Churn.** The tick's fresh per-file verdicts are handed to the
 //!    staleness policy; contradicted entries are evicted and re-inferred
 //!    (budget permitting).
-//! 5. **AIMD.** The scheduler's wave statistics move the admission budget.
 
 use std::collections::BTreeMap;
 
@@ -45,7 +44,6 @@ use simos::Sim;
 /// entries against fresh WBD passes with no policy changes.
 pub const WBD_DIRTY_VERDICT: &str = "wbd:dirty";
 
-use crate::admission::QueryAdmission;
 use crate::cache::{CacheEntry, InferenceCache, Lookup, StalenessPolicy};
 use crate::{GbdConfig, GbdError};
 
@@ -266,7 +264,7 @@ pub struct TickStats {
     pub executed: usize,
     /// Churn re-inferences.
     pub reinfers: usize,
-    /// Admission budget after the tick's AIMD update.
+    /// The (constant) admission budget; a field because `benchmark/` reads it.
     pub budget: usize,
 }
 
@@ -302,7 +300,6 @@ pub struct Gbd {
     policy: Box<dyn StalenessPolicy>,
     sched: Scheduler,
     cache: InferenceCache,
-    admission: QueryAdmission,
     mailbox: Mailbox<Query, Response>,
     tenants: Vec<Tenant>,
     stats: GbdStats,
@@ -312,14 +309,12 @@ impl Gbd {
     /// Creates a daemon with the given configuration and staleness policy.
     pub fn new(cfg: GbdConfig, policy: Box<dyn StalenessPolicy>) -> Self {
         let sched = Scheduler::new(cfg.sched.clone());
-        let admission = QueryAdmission::new(cfg.admission_budget);
         let cache = InferenceCache::with_capacity(cfg.cache_capacity);
         Gbd {
             cfg,
             policy,
             sched,
             cache,
-            admission,
             mailbox: Mailbox::new(),
             tenants: Vec::new(),
             stats: GbdStats::default(),
@@ -360,14 +355,16 @@ impl Gbd {
         self.cache.len()
     }
 
-    /// The live admission budget (ceiling minus AIMD backoff).
+    /// Probe-needing executions admitted per tick: the configured
+    /// budget, at least 1 so a tick always makes progress.
     pub fn admission_budget(&self) -> usize {
-        self.admission.budget()
+        self.cfg.admission_budget.max(1)
     }
 
-    /// How many times admission backed off.
+    /// Always 0: the budget is a constant and never backs off. Kept
+    /// because `benchmark/` calls it.
     pub fn admission_backoffs(&self) -> u64 {
-        self.admission.backoffs()
+        0
     }
 
     /// Drains and answers every pending query: one tick.
@@ -441,7 +438,7 @@ impl Gbd {
             }
             // Fresh execution: pass admission if it needs probes.
             if env.req.needs_probes() {
-                if admitted >= self.admission.budget() {
+                if admitted >= self.admission_budget() {
                     trace::emit_with_at(now, || TraceEvent::AdmissionDecision {
                         source: "gbd.query",
                         requested: 1,
@@ -563,7 +560,7 @@ impl Gbd {
                     key: key.clone(),
                     outcome: "churned",
                 });
-                if admitted < self.admission.budget() {
+                if admitted < self.admission_budget() {
                     let item = ExecItem {
                         key: key.clone(),
                         query: entry.query,
@@ -596,13 +593,8 @@ impl Gbd {
             }
         }
 
-        // Phase 5: the scheduler's own interference guard moves the
-        // query-admission budget, AIMD-style.
-        let waves = self.sched.take_waves();
-        self.stats.waves += waves.len() as u64;
-        self.admission
-            .observe_waves(&waves, self.cfg.sched.guard.cv_threshold);
-        tick.budget = self.admission.budget();
+        self.stats.waves += self.sched.take_waves().len() as u64;
+        tick.budget = self.admission_budget();
         tick
     }
 
@@ -793,8 +785,7 @@ impl Gbd {
             at,
             stats: self.stats,
             cache_len: self.cache.len(),
-            admission_budget: self.admission.budget(),
-            admission_backoffs: self.admission.backoffs(),
+            admission_budget: self.admission_budget(),
             policy: self.policy.name(),
             tenants: self
                 .tenants
@@ -839,10 +830,8 @@ pub struct GbdMetrics {
     pub stats: GbdStats,
     /// Live inference-cache entries.
     pub cache_len: usize,
-    /// Live admission budget (ceiling minus AIMD backoff).
+    /// Probe-needing executions admitted per tick.
     pub admission_budget: usize,
-    /// Times admission backed off.
-    pub admission_backoffs: u64,
     /// The staleness policy's name.
     pub policy: &'static str,
     /// Per-tenant rows, in registration order.
@@ -859,7 +848,7 @@ impl GbdMetrics {
             "{{\"at_ns\":{},\"policy\":\"{}\",\"ticks\":{},\"queries\":{},\"hits\":{},\
              \"coalesced\":{},\"shed\":{},\"expired\":{},\"invalidated\":{},\"reinfers\":{},\
              \"capacity_evictions\":{},\"admitted\":{},\"waves\":{},\"cache_len\":{},\
-             \"admission_budget\":{},\"admission_backoffs\":{},\"tenants\":[",
+             \"admission_budget\":{},\"tenants\":[",
             self.at.as_nanos(),
             self.policy,
             s.ticks,
@@ -875,7 +864,6 @@ impl GbdMetrics {
             s.waves,
             self.cache_len,
             self.admission_budget,
-            self.admission_backoffs,
         );
         for (i, t) in self.tenants.iter().enumerate() {
             if i > 0 {
@@ -931,8 +919,8 @@ pub fn render_gray_top(m: &GbdMetrics) -> String {
     );
     let _ = writeln!(
         out,
-        "admission budget {}  backoffs {}  waves {}",
-        m.admission_budget, m.admission_backoffs, s.waves
+        "admission budget {}  waves {}",
+        m.admission_budget, s.waves
     );
     let _ = writeln!(
         out,

@@ -12,16 +12,16 @@
 //!
 //! - **One scheduler, many tenants.** Every tenant's FCCD probe plans
 //!   submit to one shared `gray-sched` [`Scheduler`](gray_sched::Scheduler)
-//!   and dispatch together, so independent queries pool into shared waves
-//!   and the AIMD self-interference guard judges the *combined* load.
+//!   and dispatch together, so independent queries pool into shared,
+//!   fixed-width waves.
 //! - **An inference cache with pluggable staleness.** Repeated queries
 //!   are answered from cache under a [`StalenessPolicy`]: [`TtlOnly`]
 //!   serves entries until they age out; [`ChurnAware`] additionally
 //!   evicts (and re-infers) any entry a fresh probe pass contradicts.
-//! - **Admission over its own load.** A per-tick AIMD budget — halved
-//!   when the scheduler's guard sees probes interfering, recovered one
-//!   slot per clean tick — sheds excess queries instead of letting the
-//!   daemon invalidate its own measurements.
+//! - **Admission over its own load.** A constant per-tick budget of
+//!   probe-needing executions; queries over it are shed, not queued (the
+//!   client retries, as after `gb_alloc`'s deny), so one tick's probing
+//!   is bounded whatever the tenants send.
 //! - **A trace lane per tenant.** Each tenant gets its own gray-trace
 //!   lane; daemon-side events (cache accesses, admission decisions,
 //!   classification verdicts) carry the lane of the tenant they serve, so
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod cache;
 pub mod daemon;
 
@@ -41,7 +40,6 @@ use gray_toolbox::GrayDuration;
 use graybox::fccd::FccdParams;
 use graybox::mac::MacParams;
 
-pub use admission::QueryAdmission;
 pub use cache::{CacheEntry, ChurnAware, Disposition, InferenceCache, StalenessPolicy, TtlOnly};
 pub use daemon::{
     render_gray_top, Gbd, GbdClient, GbdMetrics, GbdStats, Query, Reply, Response, Tenant,
@@ -57,8 +55,8 @@ pub struct GbdConfig {
     pub cache_ttl: GrayDuration,
     /// Most tenants the daemon registers.
     pub max_tenants: usize,
-    /// Probe-needing queries admitted per tick at full budget;
-    /// the live budget moves AIMD-style below.
+    /// Probe-needing executions admitted per tick (at least 1); queries
+    /// over it are shed.
     pub admission_budget: usize,
     /// Most inference-cache entries held at once;
     /// inserting past it evicts the oldest-stamped entries. The default
@@ -69,8 +67,7 @@ pub struct GbdConfig {
     pub fccd: FccdParams,
     /// MAC parameters for estimates and pooled allocations.
     pub mac: MacParams,
-    /// Shared probe-scheduler configuration (concurrency cap, sub-batch,
-    /// interference guard).
+    /// Shared probe-scheduler configuration (wave width, sub-batch).
     pub sched: SchedConfig,
 }
 
@@ -176,11 +173,13 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_cache_and_coalesce() {
         let cfg = small_cfg();
+        let width = cfg.sched.concurrency;
         let policy = cfg.churn_policy();
         let mut gbd = Gbd::new(cfg, Box::new(policy));
         let mut sim = scenario::daemon_machine(2, 4);
-        let files = scenario::spread_corpus(&mut sim, 2, 2, 512 << 10);
-        scenario::warm(&mut sim, &files[..2]);
+        let files = scenario::spread_corpus(&mut sim, 2, 4, 512 << 10);
+        let warm: Vec<_> = files.iter().step_by(2).cloned().collect();
+        scenario::warm(&mut sim, &warm);
 
         let a = gbd.register_tenant("a").unwrap();
         let b = gbd.register_tenant("b").unwrap();
@@ -195,6 +194,9 @@ mod tests {
         assert_eq!(tick.queries, 2);
         assert_eq!(tick.executed, 1);
         assert_eq!(tick.coalesced, 1);
+        // One plan per file, pooled into full-width waves: hits beside
+        // misses in a wave are the signal, not a reason to narrow it.
+        assert_eq!(gbd.stats().waves as usize, files.len().div_ceil(width));
         let ra = a.take(ta).expect("served");
         let rb = b.take(tb).expect("served");
         assert_eq!(ra.reply, rb.reply);

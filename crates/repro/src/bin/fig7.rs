@@ -46,15 +46,5 @@ fn main() {
          290 MB); gb-fastsort never pages, picks ~154 MB passes, and costs \
          ~1.54x the best static setting (probe + wait overhead)",
     );
-    // Traced runs append a scheduler-dispatched FCCD phase so the export
-    // carries GuardTransition events (the sweep itself never uses the
-    // scheduler).
-    if gray_toolbox::trace::enabled() {
-        let waves = repro::fig7::traced_guard_phase(scale);
-        eprintln!(
-            "trace: guard phase dispatched {waves} waves at concurrency {}",
-            repro::fig7::PROCS
-        );
-    }
     repro::finish_tracing(sink);
 }

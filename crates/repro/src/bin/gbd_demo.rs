@@ -46,7 +46,6 @@ fn main() {
         sched: SchedConfig {
             concurrency: disks,
             sub_batch: 1,
-            ..SchedConfig::default()
         },
         ..GbdConfig::default()
     };
@@ -70,8 +69,8 @@ fn main() {
     let t_b = bob.submit(bob_q.clone());
     let tick = gbd.serve(&mut sim);
     println!(
-        "   {} queries, {} executed, {} hits; budget {}",
-        tick.queries, tick.executed, tick.hits, tick.budget
+        "   {} queries, {} executed, {} hits",
+        tick.queries, tick.executed, tick.hits
     );
     for (name, client, ticket) in [("alice", &alice, t_a), ("bob", &bob, t_b)] {
         let resp = client.take(ticket).expect("served");

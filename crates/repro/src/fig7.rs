@@ -118,48 +118,6 @@ pub fn run(scale: Scale) -> Fig7 {
     }
 }
 
-/// A scheduler-dispatched FCCD phase for traced runs of this figure's
-/// binary: classifies twelve candidate files spread over the machine's
-/// four data disks through a concurrency-4 [`gray_sched::Scheduler`], so
-/// the AIMD self-interference guard emits one `GuardTransition` trace
-/// event per wave and the exported JSONL reconstructs the worker count
-/// over time. Pure observability — the sweep itself never calls this;
-/// the binary runs it only when tracing is enabled. Returns the number
-/// of dispatched waves.
-pub fn traced_guard_phase(scale: Scale) -> usize {
-    use gray_sched::{FccdFleet, SchedConfig, Scheduler, SimExecutor};
-    const FILES: usize = 12;
-    let mut sim = Sim::new(machine(scale));
-    let bytes = scale.bytes(32 << 20);
-    let files: Vec<(String, u64)> = (0..FILES)
-        .map(|i| {
-            let disk = i % 4;
-            let path = if disk == 0 {
-                format!("/guard{i}")
-            } else {
-                format!("/d{disk}/guard{i}")
-            };
-            (path, bytes)
-        })
-        .collect();
-    let setup = files.clone();
-    sim.run_one(move |os| {
-        for (path, b) in &setup {
-            make_file(os, path, *b).unwrap();
-        }
-    });
-    sim.flush_file_cache();
-    let fleet = sim.run_one(|os| FccdFleet::with_fixed_seed(os, scale.fccd_params(), 1));
-    let mut sched = Scheduler::new(SchedConfig {
-        concurrency: PROCS,
-        ..SchedConfig::default()
-    });
-    let mut exec = SimExecutor::new(&mut sim);
-    let classified = fleet.classify_files(&mut sched, &mut exec, &files);
-    assert_eq!(classified.cached.len() + classified.uncached.len(), FILES);
-    sched.waves().len()
-}
-
 /// Converts a scaled pass size back to its paper-scale label.
 fn to_paper_mb(scale: Scale, pass: u64) -> u64 {
     match scale {

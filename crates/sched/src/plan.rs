@@ -36,24 +36,6 @@ pub struct PlanResult {
     pub error: Option<OsError>,
 }
 
-impl PlanResult {
-    /// Mean per-probe time in nanoseconds over the `ok` samples, or
-    /// `None` if no probe succeeded. This is the signal the scheduler's
-    /// self-interference guard compares across the plans of a wave.
-    pub fn mean_probe_ns(&self) -> Option<f64> {
-        let ok: Vec<u64> = self
-            .samples
-            .iter()
-            .filter(|s| s.ok)
-            .map(|s| s.elapsed.as_nanos())
-            .collect();
-        if ok.is_empty() {
-            return None;
-        }
-        Some(ok.iter().sum::<u64>() as f64 / ok.len() as f64)
-    }
-}
-
 /// Executes one plan against a backend: open, size, probe in sub-batches,
 /// close.
 ///

@@ -1,7 +1,7 @@
 //! gray-trace: structured tracing and metrics for the probe lifecycle.
 //!
 //! Every ICL inference rests on a chain of small decisions — an offset was
-//! drawn, a probe was timed, a unit was classified, a guard backed off —
+//! drawn, a probe was timed, a unit was classified, a request was admitted —
 //! and when an inference goes wrong the figure output alone cannot say
 //! which link broke. This module records that chain as typed events:
 //!
@@ -11,9 +11,7 @@
 //!   under hostos);
 //! - [`TraceEvent::Classified`] — a prediction unit received a verdict;
 //! - [`TraceEvent::ThresholdCrossed`] — a detector tripped (page-daemon
-//!   slow-run, two-means separation, admission budget halving);
-//! - [`TraceEvent::GuardTransition`] — the scheduler's AIMD guard moved
-//!   (or held) its worker count after a wave;
+//!   slow-run, two-means separation, a stale pooled grant);
 //! - [`TraceEvent::AdmissionDecision`] — a memory request was granted or
 //!   denied, and for how many bytes;
 //! - [`TraceEvent::Estimated`] — an ICL published a scalar estimate
@@ -54,7 +52,7 @@
 //! accuracy scorer, and [`render_timeline`]. The JSONL sink
 //! ([`enable_jsonl`]; `--trace <path>` on the repro binaries) streams
 //! every record as one JSON object per line, so rare-but-important events
-//! (guard transitions) survive even when probe events wrap the ring.
+//! (threshold crossings) survive even when probe events wrap the ring.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -131,17 +129,6 @@ pub enum TraceEvent {
         /// The threshold it was compared against.
         threshold: f64,
     },
-    /// The scheduler's AIMD guard finished judging a wave. Emitted once
-    /// per wave even when the worker count holds, so the full worker
-    /// count over time can be reconstructed from the event stream alone.
-    GuardTransition {
-        /// Coefficient of variation of per-plan mean probe times.
-        cv: f64,
-        /// Worker count the wave ran at.
-        workers_before: usize,
-        /// Worker count after the guard's verdict.
-        workers: usize,
-    },
     /// A memory request was admitted (or not).
     AdmissionDecision {
         /// Who decided (e.g. `mac.gb_alloc`, `sched.admission`).
@@ -181,7 +168,6 @@ impl TraceEvent {
             TraceEvent::ProbeIssued { .. } => "ProbeIssued",
             TraceEvent::Classified { .. } => "Classified",
             TraceEvent::ThresholdCrossed { .. } => "ThresholdCrossed",
-            TraceEvent::GuardTransition { .. } => "GuardTransition",
             TraceEvent::AdmissionDecision { .. } => "AdmissionDecision",
             TraceEvent::Estimated { .. } => "Estimated",
             TraceEvent::RepositoryMiss { .. } => "RepositoryMiss",
@@ -215,14 +201,6 @@ impl TraceEvent {
                 json_string(what),
                 json_f64(*value),
                 json_f64(*threshold)
-            ),
-            TraceEvent::GuardTransition {
-                cv,
-                workers_before,
-                workers,
-            } => format!(
-                "\"cv\":{},\"workers_before\":{workers_before},\"workers\":{workers}",
-                json_f64(*cv)
             ),
             TraceEvent::AdmissionDecision {
                 source,
@@ -693,7 +671,8 @@ impl Drop for CaptureGuard {
 
 /// Renders records as a per-wave lane view: one section per scheduler
 /// wave (plus one for out-of-wave events), one lane per span/thread, with
-/// probe counts, latency ranges, and the wave's guard verdict.
+/// probe counts, latency ranges, and the verdicts, threshold crossings
+/// and admission decisions made on it.
 pub fn render_timeline(records: &[TraceRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -782,19 +761,6 @@ pub fn render_timeline(records: &[TraceRecord]) -> String {
                     }
                     _ => {}
                 }
-            }
-        }
-        for r in &in_wave {
-            if let TraceEvent::GuardTransition {
-                cv,
-                workers_before,
-                workers,
-            } = r.event
-            {
-                let _ = writeln!(
-                    out,
-                    "  guard: cv={cv:.3} workers {workers_before} -> {workers}"
-                );
             }
         }
     }
@@ -1053,18 +1019,18 @@ mod tests {
             wave: Some(2),
             span: "plan:/a \"b\"".to_string(),
             lane: 1,
-            event: TraceEvent::GuardTransition {
-                cv: 0.75,
-                workers_before: 4,
-                workers: 2,
+            event: TraceEvent::ThresholdCrossed {
+                what: "mac.page_daemon",
+                value: 0.75,
+                threshold: 4.0,
             },
         };
         let line = rec.to_json();
         assert_eq!(
             line,
             "{\"seq\":3,\"ts_ns\":100,\"lane\":1,\"wave\":2,\
-             \"span\":\"plan:/a \\\"b\\\"\",\"type\":\"GuardTransition\",\
-             \"cv\":0.75,\"workers_before\":4,\"workers\":2}"
+             \"span\":\"plan:/a \\\"b\\\"\",\"type\":\"ThresholdCrossed\",\
+             \"what\":\"mac.page_daemon\",\"value\":0.75,\"threshold\":4}"
         );
         assert_eq!(json_f64(f64::NAN), "0");
         assert_eq!(json_string("a\nb"), "\"a\\nb\"");
@@ -1090,16 +1056,16 @@ mod tests {
                 wave: Some(0),
                 span: String::new(),
                 lane: 0,
-                event: TraceEvent::GuardTransition {
-                    cv: 0.1,
-                    workers_before: 2,
-                    workers: 3,
+                event: TraceEvent::ThresholdCrossed {
+                    what: "fccd.separation",
+                    value: 0.1,
+                    threshold: 0.5,
                 },
             },
         ];
         let text = render_timeline(&recs);
         assert!(text.contains("wave 0"));
         assert!(text.contains("plan:/f0"));
-        assert!(text.contains("workers 2 -> 3"));
+        assert!(text.contains("threshold fccd.separation: 0.100 vs 0.500"));
     }
 }

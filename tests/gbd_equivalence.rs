@@ -52,7 +52,6 @@ fn serial_daemon(fccd: FccdParams) -> Gbd {
         sched: SchedConfig {
             concurrency: 1,
             sub_batch: 0,
-            ..SchedConfig::default()
         },
         ..GbdConfig::default()
     };

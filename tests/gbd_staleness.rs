@@ -63,7 +63,6 @@ fn daemon(seed: u64, churn_aware: bool) -> Gbd {
         sched: SchedConfig {
             concurrency: 1,
             sub_batch: 0,
-            ..SchedConfig::default()
         },
         ..GbdConfig::default()
     };

