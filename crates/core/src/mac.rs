@@ -55,12 +55,13 @@
 
 use core::fmt;
 use std::cell::RefCell;
+use std::ops::Range;
 
 use gray_toolbox::repository::keys;
 use gray_toolbox::trace::{self, TraceEvent};
 use gray_toolbox::{GrayDuration, ParamRepository, Summary};
 
-use crate::os::{GrayBoxOs, MemRegion, OsError, OsResult};
+use crate::os::{GrayBoxOs, MemRegion, OsError, OsResult, ProbeSample};
 use crate::technique::{Technique, TechniqueInventory};
 
 /// Pages per probe sub-batch (one scheduling point each, see the module
@@ -159,6 +160,11 @@ pub struct Mac<'a, O: GrayBoxOs> {
     params: MacParams,
     thresholds: RefCell<Option<Thresholds>>,
     stats: RefCell<MacStats>,
+    /// The page numbers of the sub-batch in flight. One buffer, refilled:
+    /// an estimate issues thousands of sub-batches, and the samples that
+    /// come back are the only vector each may cost
+    /// (`tests/mac_alloc_budget.rs`).
+    plan: RefCell<Vec<u64>>,
 }
 
 impl<'a, O: GrayBoxOs> Mac<'a, O> {
@@ -178,6 +184,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             params,
             thresholds: RefCell::new(None),
             stats: RefCell::new(MacStats::default()),
+            plan: RefCell::new(Vec::with_capacity(SUB_BATCH_PAGES as usize)),
         }
     }
 
@@ -317,10 +324,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         // betray the page daemon (the shared estimate is then stale).
         let mut slow_run = 0usize;
         let mut daemon = false;
-        'touch: for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
-            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
-            let plan: Vec<u64> = (batch_start..batch_end).collect();
-            let samples = self.os.mem_probe_batch(region, &plan);
+        'touch: for batch in sub_batches(0..pages) {
+            let samples = self.probe_pages(region, batch);
             self.stats.borrow_mut().pages_probed += samples.len() as u64;
             for s in &samples {
                 if !s.ok {
@@ -363,10 +368,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     fn materialize(&self, bytes: u64, page: u64) -> OsResult<GbAlloc> {
         let region = self.os.mem_alloc(bytes)?;
         let pages = bytes.div_ceil(page);
-        for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
-            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
-            let plan: Vec<u64> = (batch_start..batch_end).collect();
-            if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
+        for batch in sub_batches(0..pages) {
+            if self.probe_pages(region, batch).iter().any(|s| !s.ok) {
                 self.os.mem_free(region)?;
                 return Err(OsError::InvalidArgument);
             }
@@ -455,10 +458,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             let mut slow_run = 0usize;
             let mut daemon_suspected = false;
             let mut touched_upto = target;
-            'first: for batch_start in (good_pages..target).step_by(SUB_BATCH_PAGES as usize) {
-                let batch_end = (batch_start + SUB_BATCH_PAGES).min(target);
-                let plan: Vec<u64> = (batch_start..batch_end).collect();
-                let samples = self.os.mem_probe_batch(region, &plan);
+            'first: for batch in sub_batches(good_pages..target) {
+                let samples = self.probe_pages(region, batch);
                 self.stats.borrow_mut().pages_probed += samples.len() as u64;
                 for s in &samples {
                     if !s.ok {
@@ -510,6 +511,14 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         Ok(result)
     }
 
+    /// One sub-batch of timed write-touches: pages `batch` of `region`.
+    fn probe_pages(&self, region: MemRegion, batch: Range<u64>) -> Vec<ProbeSample> {
+        let mut plan = self.plan.borrow_mut();
+        plan.clear();
+        plan.extend(batch);
+        self.os.mem_probe_batch(region, &plan)
+    }
+
     /// Timed re-touch of pages `0..pages`; true if at most the tolerated
     /// fraction was slow.
     fn verify_resident(&self, region: MemRegion, pages: u64, th: Thresholds) -> OsResult<bool> {
@@ -524,10 +533,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         // re-touch would hide exactly the competition this check exists
         // to detect.
         let mut slow = 0u64;
-        for batch_start in (0..pages).step_by(SUB_BATCH_PAGES as usize) {
-            let batch_end = (batch_start + SUB_BATCH_PAGES).min(pages);
-            let plan: Vec<u64> = (batch_start..batch_end).collect();
-            let samples = self.os.mem_probe_batch(region, &plan);
+        for batch in sub_batches(0..pages) {
+            let samples = self.probe_pages(region, batch);
             self.stats.borrow_mut().pages_probed += samples.len() as u64;
             for s in &samples {
                 if !s.ok {
@@ -597,6 +604,14 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         *self.thresholds.borrow_mut() = Some(th);
         Ok(th)
     }
+}
+
+/// `pages` cut into runs of at most [`SUB_BATCH_PAGES`], in order.
+fn sub_batches(pages: Range<u64>) -> impl Iterator<Item = Range<u64>> {
+    let end = pages.end;
+    pages
+        .step_by(SUB_BATCH_PAGES as usize)
+        .map(move |start| start..(start + SUB_BATCH_PAGES).min(end))
 }
 
 fn round_up(x: u64, m: u64) -> u64 {

@@ -21,10 +21,13 @@
 //! Each pool is a *frame table*, as in the kernels it models: one record
 //! per resident page in a slab, linked by slab index onto a recency list
 //! and its owner's page list. A page is found the way a kernel finds it,
-//! through its owner: each file or region with a resident page has a page
-//! table from page number to slab index, so a touch costs one lookup in
-//! the small map of owners, an array index and a list splice, and a scan
-//! walks its owner's table in memory order (DESIGN.md §19).
+//! through its owner: each file or region with a resident page has a
+//! record, also in a slab, holding a page table from page number to frame
+//! index. Touches come in runs on one owner, so the pool remembers the last
+//! owner it found: a touch costs one compare against that memo, two array
+//! indices and a list splice — the map of owners is hashed into once per
+//! run, not once per page — and a scan walks its owner's table in memory
+//! order (DESIGN.md §19).
 
 use crate::hash::FastMap;
 use crate::page_table::PageTable;
@@ -174,14 +177,105 @@ struct Resident {
     pages: PageTable<u32>,
 }
 
+impl Resident {
+    /// No pages and nothing allocated: a new record, and what a vacant
+    /// slot of the record slab holds.
+    fn empty() -> Self {
+        Resident {
+            list: List::EMPTY,
+            pages: PageTable::new(NIL),
+        }
+    }
+}
+
+/// A pool's owner records: a slab, the map from owner to slab index, and
+/// a memo of the last owner a touch or insert found, which turns one hash
+/// per page of a scan or probe sweep into one per run. The memo can only
+/// go stale by naming a record that is gone, and records go in exactly one
+/// place, [`Owners::drop_record`], which clears it; a record's index never
+/// changes while it lives.
+#[derive(Debug, Default)]
+struct Owners {
+    records: Vec<Resident>,
+    /// Slab slots holding no record.
+    vacant: Vec<u32>,
+    /// Every owner with a resident page, to its record.
+    index: FastMap<Owner, u32>,
+    memo: Option<(Owner, u32)>,
+}
+
+impl Owners {
+    /// The record of `owner`, if it has a resident page.
+    #[inline]
+    fn find(&self, owner: Owner) -> Option<u32> {
+        match self.memo {
+            Some((o, r)) if o == owner => Some(r),
+            _ => self.index.get(&owner).copied(),
+        }
+    }
+
+    /// [`Owners::find`] for the paths that come in runs: remembers what
+    /// it found.
+    #[inline]
+    fn find_run(&mut self, owner: Owner) -> Option<u32> {
+        let r = self.find(owner)?;
+        self.memo = Some((owner, r));
+        Some(r)
+    }
+
+    /// The record of `owner`, made empty if it had none.
+    fn find_or_add(&mut self, owner: Owner) -> u32 {
+        if let Some(r) = self.find_run(owner) {
+            return r;
+        }
+        let r = self.vacant.pop().unwrap_or_else(|| {
+            self.records.push(Resident::empty());
+            (self.records.len() - 1) as u32
+        });
+        self.index.insert(owner, r);
+        self.memo = Some((owner, r));
+        r
+    }
+
+    /// Takes `owner`'s record out, table and all.
+    fn drop_record(&mut self, owner: Owner) -> Option<Resident> {
+        let r = self.index.remove(&owner)?;
+        if self.memo.is_some_and(|(o, _)| o == owner) {
+            self.memo = None;
+        }
+        self.vacant.push(r);
+        Some(std::mem::replace(
+            &mut self.records[r as usize],
+            Resident::empty(),
+        ))
+    }
+
+    /// The frame holding `id`, if it is resident.
+    #[inline]
+    fn frame_of(&self, id: &PageId) -> Option<u32> {
+        let i = self.records[self.find(id.owner)? as usize]
+            .pages
+            .get(id.page);
+        (i != NIL).then_some(i)
+    }
+
+    /// The frame of `id` if it is resident and not referenced since
+    /// insertion: what a sticky-stack entry must still name to be worth
+    /// keeping.
+    fn unreferenced(&self, frames: &[Frame], id: &PageId) -> Option<u32> {
+        self.frame_of(id)
+            .filter(|&i| !frames[i as usize].referenced)
+    }
+}
+
 /// One replacement pool: a frame table.
 ///
 /// Every resident page is one [`Frame`] in the `frames` slab, found through
 /// its owner's page table and threaded on two lists at once: the recency
 /// list of its kind (`lru[0]` file, `lru[1]` anonymous; head = least
 /// recently used) and its owner's page list. All links are slab indices,
-/// so a touch is an owner lookup, an array index, an unlink and a
-/// push-tail.
+/// so a touch is an owner compare (a hash only when the run of touches
+/// changes owner), two array indices, an unlink and a push-tail.
 #[derive(Debug)]
 struct Pool {
     capacity: usize,
@@ -197,7 +291,7 @@ struct Pool {
     /// How many frames hold a page.
     resident: usize,
     lru: [List; 2],
-    owners: FastMap<Owner, Resident>,
+    owners: Owners,
     next_seq: u64,
     /// How many frames have the dirty bit set.
     dirty: usize,
@@ -217,18 +311,6 @@ fn lru_of(owner: Owner) -> usize {
     }
 }
 
-/// The frame holding `id`, if it is resident.
-fn frame_of(owners: &FastMap<Owner, Resident>, id: &PageId) -> Option<u32> {
-    let i = owners.get(&id.owner)?.pages.get(id.page);
-    (i != NIL).then_some(i)
-}
-
-/// The frame of `id` if it is resident and not referenced since insertion:
-/// what a sticky-stack entry must still name to be worth keeping.
-fn unreferenced(owners: &FastMap<Owner, Resident>, frames: &[Frame], id: &PageId) -> Option<u32> {
-    frame_of(owners, id).filter(|&i| !frames[i as usize].referenced)
-}
-
 impl Pool {
     fn new(capacity: usize, policy: Policy, prefer_file_eviction: bool) -> Self {
         assert!(capacity < NIL as usize, "frame links are 32-bit");
@@ -240,7 +322,7 @@ impl Pool {
             free: Vec::new(),
             resident: 0,
             lru: [List::EMPTY; 2],
-            owners: FastMap::default(),
+            owners: Owners::default(),
             next_seq: 0,
             dirty: 0,
             own_stacks: FastMap::default(),
@@ -250,10 +332,15 @@ impl Pool {
 
     /// A hit: sets the reference bit (and the dirty bit if asked) and
     /// moves the frame to the MRU end of its list.
+    #[inline]
     fn touch(&mut self, id: PageId, dirty: bool) -> bool {
-        let Some(i) = frame_of(&self.owners, &id) else {
+        let Some(r) = self.owners.find_run(id.owner) else {
             return false;
         };
+        let i = self.owners.records[r as usize].pages.get(id.page);
+        if i == NIL {
+            return false;
+        }
         let list = &mut self.lru[lru_of(id.owner)];
         if list.tail != i {
             list.unlink(&mut self.frames, LRU, i);
@@ -305,10 +392,8 @@ impl Pool {
         };
         self.resident += 1;
         self.lru[lru_of(id.owner)].push_back(&mut self.frames, LRU, i);
-        let owner = self.owners.entry(id.owner).or_insert_with(|| Resident {
-            list: List::EMPTY,
-            pages: PageTable::new(NIL),
-        });
+        let r = self.owners.find_or_add(id.owner);
+        let owner = &mut self.owners.records[r as usize];
         owner.pages.set(id.page, i);
         owner.list.push_back(&mut self.frames, OWN, i);
         self.dirty += usize::from(dirty);
@@ -335,18 +420,19 @@ impl Pool {
     /// Frees one resident frame.
     fn release(&mut self, i: u32) -> Evicted {
         let PageId { owner, page } = self.frames[i as usize].id;
-        let record = self.owners.get_mut(&owner).expect("resident owner");
+        let r = self.owners.find(owner).expect("resident owner");
+        let record = &mut self.owners.records[r as usize];
         record.pages.set(page, NIL);
         record.list.unlink(&mut self.frames, OWN, i);
         if record.list.head == NIL {
-            self.owners.remove(&owner);
+            self.owners.drop_record(owner);
         }
         self.vacate(i)
     }
 
     /// Frees every page of `owner`, reporting them in page order.
     fn release_owner(&mut self, owner: Owner, out: &mut Vec<Evicted>) {
-        let Some(record) = self.owners.remove(&owner) else {
+        let Some(record) = self.owners.drop_record(owner) else {
             return;
         };
         let from = out.len();
@@ -396,13 +482,13 @@ impl Pool {
         // Entries referenced since insertion, or stale, are dropped.
         if let Some(stack) = self.own_stacks.get_mut(&inserting) {
             while let Some(id) = stack.pop() {
-                if let Some(i) = unreferenced(&self.owners, &self.frames, &id) {
+                if let Some(i) = self.owners.unreferenced(&self.frames, &id) {
                     return Some(self.release(i));
                 }
             }
         }
         while let Some(id) = self.global_stack.pop() {
-            if let Some(i) = unreferenced(&self.owners, &self.frames, &id) {
+            if let Some(i) = self.owners.unreferenced(&self.frames, &id) {
                 return Some(self.release(i));
             }
         }
@@ -411,7 +497,7 @@ impl Pool {
 
     fn remove(&mut self, id: PageId) -> bool {
         // Sticky stacks are cleaned lazily.
-        match frame_of(&self.owners, &id) {
+        match self.owners.frame_of(&id) {
             Some(i) => {
                 self.release(i);
                 true
@@ -421,7 +507,7 @@ impl Pool {
     }
 
     fn clean(&mut self, id: PageId) {
-        if let Some(i) = frame_of(&self.owners, &id) {
+        if let Some(i) = self.owners.frame_of(&id) {
             let f = &mut self.frames[i as usize];
             self.dirty -= usize::from(f.dirty);
             f.dirty = false;
@@ -433,7 +519,7 @@ impl Pool {
         // compact when they exceed 4x the live population.
         let live = self.resident;
         let (owners, frames) = (&self.owners, &self.frames);
-        let keep = |id: &PageId| unreferenced(owners, frames, id).is_some();
+        let keep = |id: &PageId| owners.unreferenced(frames, id).is_some();
         if self.global_stack.len() > live * 4 + 64 {
             self.global_stack.retain(keep);
         }
@@ -445,33 +531,13 @@ impl Pool {
     }
 }
 
-/// Which pool a page belongs to under a given architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolSel {
-    Single,
-    FilePool,
-    AnonPool,
-}
-
 /// The machine-wide page cache.
 #[derive(Debug)]
 pub struct PageCache {
     pools: Vec<Pool>,
-    select: fn(Owner) -> PoolSel,
-    file_pool_idx: usize,
-    anon_pool_idx: usize,
-}
-
-fn select_unified(_o: Owner) -> PoolSel {
-    PoolSel::Single
-}
-
-fn select_split(o: Owner) -> PoolSel {
-    if o.is_file() {
-        PoolSel::FilePool
-    } else {
-        PoolSel::AnonPool
-    }
+    /// Which pool hosts file pages and which anonymous ones, indexed as
+    /// [`lru_of`] numbers the two kinds.
+    pool_of: [usize; 2],
 }
 
 impl PageCache {
@@ -481,15 +547,11 @@ impl PageCache {
         match arch {
             crate::config::CacheArch::Unified => PageCache {
                 pools: vec![Pool::new(total_pages as usize, Policy::Lru, true)],
-                select: select_unified,
-                file_pool_idx: 0,
-                anon_pool_idx: 0,
+                pool_of: [0, 0],
             },
             crate::config::CacheArch::UnifiedSticky => PageCache {
                 pools: vec![Pool::new(total_pages as usize, Policy::Sticky, true)],
-                select: select_unified,
-                file_pool_idx: 0,
-                anon_pool_idx: 0,
+                pool_of: [0, 0],
             },
             crate::config::CacheArch::SplitFixed { file_cache_bytes } => {
                 let file_pages = (file_cache_bytes / page_size).min(total_pages.saturating_sub(1));
@@ -499,40 +561,31 @@ impl PageCache {
                         Pool::new(file_pages as usize, Policy::Lru, false),
                         Pool::new(anon_pages as usize, Policy::Lru, false),
                     ],
-                    select: select_split,
-                    file_pool_idx: 0,
-                    anon_pool_idx: 1,
+                    pool_of: [0, 1],
                 }
             }
         }
     }
 
+    #[inline]
     fn pool_mut(&mut self, owner: Owner) -> &mut Pool {
-        let idx = match (self.select)(owner) {
-            PoolSel::Single => 0,
-            PoolSel::FilePool => self.file_pool_idx,
-            PoolSel::AnonPool => self.anon_pool_idx,
-        };
-        &mut self.pools[idx]
+        &mut self.pools[self.pool_of[lru_of(owner)]]
     }
 
+    #[inline]
     fn pool(&self, owner: Owner) -> &Pool {
-        let idx = match (self.select)(owner) {
-            PoolSel::Single => 0,
-            PoolSel::FilePool => self.file_pool_idx,
-            PoolSel::AnonPool => self.anon_pool_idx,
-        };
-        &self.pools[idx]
+        &self.pools[self.pool_of[lru_of(owner)]]
     }
 
     /// Whether the page is resident; on a hit, sets its reference bit.
+    #[inline]
     pub fn lookup_touch(&mut self, id: PageId) -> bool {
         self.pool_mut(id.owner).touch(id, false)
     }
 
     /// Whether the page is resident, without touching reference bits.
     pub fn contains(&self, id: PageId) -> bool {
-        frame_of(&self.pool(id.owner).owners, &id).is_some()
+        self.pool(id.owner).owners.frame_of(&id).is_some()
     }
 
     /// Inserts a page, or refreshes it if already resident; returns the
@@ -546,6 +599,7 @@ impl PageCache {
     }
 
     /// Marks a resident page dirty; false if it was not resident.
+    #[inline]
     pub fn mark_dirty(&mut self, id: PageId) -> bool {
         self.pool_mut(id.owner).touch(id, true)
     }
@@ -575,6 +629,7 @@ impl PageCache {
         for pool in &mut self.pools {
             let mut owners: Vec<Owner> = pool
                 .owners
+                .index
                 .keys()
                 .filter(|o| o.is_file())
                 .copied()
@@ -587,7 +642,7 @@ impl PageCache {
             }
             pool.own_stacks.clear();
             pool.global_stack
-                .retain(|id| frame_of(&pool.owners, id).is_some());
+                .retain(|id| pool.owners.frame_of(id).is_some());
         }
         out
     }
@@ -622,9 +677,10 @@ impl PageCache {
     /// Resident pages belonging to `owner`, in page order.
     pub fn resident_of(&self, owner: Owner) -> Vec<u64> {
         let pool = self.pool(owner);
-        let Some(record) = pool.owners.get(&owner) else {
+        let Some(r) = pool.owners.find(owner) else {
             return Vec::new();
         };
+        let record = &pool.owners.records[r as usize];
         let mut pages: Vec<u64> = record
             .list
             .iter(&pool.frames, OWN)
@@ -823,7 +879,7 @@ mod tests {
                 mark(&mut seen, i, "lru");
                 assert_eq!(f.links[LRU].prev, prev, "back link of frame {i}");
                 assert_eq!(lru_of(f.id.owner), kind, "frame {i} on the wrong list");
-                assert_eq!(frame_of(&pool.owners, &f.id), Some(i), "table slot of {i}");
+                assert_eq!(pool.owners.frame_of(&f.id), Some(i), "table slot of {i}");
                 if prev != NIL {
                     assert!(pool.frames[prev as usize].seq < f.seq, "seq order at {i}");
                 }
@@ -838,7 +894,24 @@ mod tests {
         assert_eq!(dirty, pool.dirty, "dirty count");
 
         let (mut owned, mut slots) = (0, 0);
-        for (owner, Resident { list, pages }) in &pool.owners {
+        let owners = &pool.owners;
+        if let Some((owner, r)) = owners.memo {
+            assert_eq!(
+                owners.index.get(&owner),
+                Some(&r),
+                "memo names a dead record"
+            );
+        }
+        assert_eq!(
+            owners.index.len() + owners.vacant.len(),
+            owners.records.len()
+        );
+        for &r in &owners.vacant {
+            let Resident { list, pages } = &owners.records[r as usize];
+            assert!(list.head == NIL && pages.iter().next().is_none());
+        }
+        for (owner, &r) in &owners.index {
+            let Resident { list, pages } = &owners.records[r as usize];
             assert_ne!(list.head, NIL, "record kept for {owner:?} with no pages");
             // Table to slab: every slot names a live frame holding that page.
             for (page, i) in pages.iter() {

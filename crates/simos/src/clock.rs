@@ -46,9 +46,14 @@ impl Noise {
         out
     }
 
-    /// Quantizes a clock reading to the configured timer granularity.
+    /// Quantizes a clock reading to the configured timer granularity. A
+    /// quantum of 0 or 1 ns is an exact clock: no division on that path.
+    #[inline]
     pub fn quantize(&self, t: Nanos) -> Nanos {
-        let q = self.params.timer_quantum_ns.max(1);
+        let q = self.params.timer_quantum_ns;
+        if q <= 1 {
+            return t;
+        }
         Nanos(t.0 / q * q)
     }
 }
@@ -69,35 +74,40 @@ impl CpuBank {
     }
 
     /// Runs `work` for a process whose local clock reads `now`, returning
-    /// the completion instant. Picks the earliest-free CPU; the work starts
-    /// when both the process and the CPU are ready.
+    /// the completion instant. Picks the earliest-free CPU, the lowest
+    /// index among equals (the test-only `earliest_free` is the definition);
+    /// the work starts when both the process and the CPU are ready.
+    #[inline]
     pub fn run(&mut self, now: Nanos, work: GrayDuration) -> Nanos {
-        let slot = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &t)| (t, *i))
-            .map(|(i, _)| i)
-            .expect("at least one CPU");
-        let start = now.max(self.free_at[slot]);
-        let end = start + work;
+        // Every kernel entry charges CPU, a page touch three times: one
+        // compare per CPU, and `<` keeps the first of equals.
+        let mut slot = 0;
+        for i in 1..self.free_at.len() {
+            if self.free_at[i] < self.free_at[slot] {
+                slot = i;
+            }
+        }
+        let end = now.max(self.free_at[slot]) + work;
         self.free_at[slot] = end;
         end
     }
 
-    /// The number of CPUs.
-    pub fn len(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Whether the bank is empty (never true; kept for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
+    /// The CPU `run` must pick, as a definition: the minimum `(free
+    /// instant, index)`. `run`'s loop is checked against it.
+    #[cfg(test)]
+    fn earliest_free(&self) -> usize {
+        let cpus = self.free_at.iter().enumerate();
+        let (slot, _) = cpus
+            .min_by_key(|(i, &t)| (t, *i))
+            .expect("at least one CPU");
+        slot
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use gray_toolbox::prop::{check, Gen};
+
     use super::*;
 
     #[test]
@@ -164,6 +174,46 @@ mod tests {
         );
         assert_eq!(n.quantize(Nanos(1999)), Nanos(1000));
         assert_eq!(n.quantize(Nanos(2000)), Nanos(2000));
+    }
+
+    #[test]
+    fn quantize_model_matches_truncating_division() {
+        check("quantize_model", 60, |g: &mut Gen| {
+            for timer_quantum_ns in [0, 1, 1000] {
+                let params = NoiseParams {
+                    timer_quantum_ns,
+                    ..NoiseParams::none()
+                };
+                let n = Noise::new(params, 0);
+                let q = timer_quantum_ns.max(1);
+                // Either side of a quantum boundary, and anywhere.
+                let near = g.u64(0..1 << 40) * 1000 + g.u64(0..3);
+                for t in [0, near.saturating_sub(1), near, g.u64(0..u64::MAX)] {
+                    assert_eq!(n.quantize(Nanos(t)), Nanos(t / q * q), "q {q}, t {t}");
+                }
+            }
+        });
+    }
+
+    /// CI runs the two `_model` tests here with `PROP_CASES=500`.
+    #[test]
+    fn cpu_bank_model_matches_min_by_key() {
+        check("cpu_bank_model", 60, |g: &mut Gen| {
+            let mut bank = CpuBank::new(g.u64(1..9) as u32);
+            let mut now = Nanos::ZERO;
+            for step in 0..g.usize(1..200) {
+                // Few distinct durations, zero among them, and a caller that
+                // is sometimes ahead of every CPU and sometimes behind: free
+                // instants tie all the time.
+                now += GrayDuration(g.u64(0..4) * 10);
+                let work = GrayDuration(g.u64(0..3) * 10);
+                let slot = bank.earliest_free();
+                let mut expect = bank.free_at.clone();
+                expect[slot] = now.max(expect[slot]) + work;
+                assert_eq!(bank.run(now, work), expect[slot], "step {step}");
+                assert_eq!(bank.free_at, expect, "step {step}");
+            }
+        });
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The hasher behind the simulator's hot integer-keyed maps.
 //!
-//! The page cache looks a page's [`crate::cache::Owner`] up on every
-//! simulated page touch, the VM a region id, the file system an i-number
-//! and the kernel a descriptor; all are small integers the simulator
-//! itself generates, never input from outside the program, so SipHash's
-//! resistance to crafted collisions buys nothing there and costs most of
-//! the lookup. (Pages *within* an owner are not hashed at all: see
-//! [`crate::page_table`].) This is
+//! The page cache looks a page's [`crate::cache::Owner`] up whenever a run
+//! of page touches moves to another owner (within a run it compares against
+//! the owner it found last and hashes nothing), the VM a region id on every
+//! touch, the file system an i-number and the kernel a descriptor; all are
+//! small integers the simulator itself generates, never input from outside
+//! the program, so SipHash's resistance to crafted collisions buys nothing
+//! there and costs most of the lookup. (Pages *within* an owner are not
+//! hashed at all: see [`crate::page_table`].) This is
 //! the usual multiply-rotate word hasher: fold each word in with an add
 //! and an odd multiply, and rotate once at the end so the well-mixed high
 //! bits land where the table takes its bucket index from.

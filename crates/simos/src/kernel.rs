@@ -166,6 +166,7 @@ impl Kernel {
 
     /// Moves `pid`'s clock to `to`. Every clock write after `add_proc`
     /// goes through here so [`Kernel::max_time`] stays exact.
+    #[inline]
     fn set_time(&mut self, pid: usize, to: Nanos) {
         self.procs[pid].now = to;
         self.high_water = self.high_water.max(to);
@@ -207,6 +208,7 @@ impl Kernel {
 
     // --- Charging helpers -------------------------------------------------
 
+    #[inline]
     fn charge_cpu(&mut self, pid: usize, d: GrayDuration) {
         let d = self.noise.apply(d);
         let before = self.procs[pid].now;
@@ -273,11 +275,17 @@ impl Kernel {
     /// FCFS queue starting at the epoch instant, so foreground I/O
     /// issued afterwards waits behind it. That queueing delay is the
     /// side effect WBD observes.
+    #[inline]
     fn poll_flusher(&mut self, pid: usize) {
-        if !self.cfg.writeback.enabled {
-            return;
-        }
         let now = self.procs[pid].now;
+        if self.cfg.writeback.enabled && self.next_flush <= now {
+            self.run_flusher(now);
+        }
+    }
+
+    /// The flusher epochs up to `now`; almost no kernel entry gets here.
+    #[cold]
+    fn run_flusher(&mut self, now: Nanos) {
         let interval = self.cfg.writeback.interval;
         while self.next_flush <= now {
             let epoch = self.next_flush;
@@ -386,6 +394,7 @@ impl Kernel {
     // --- Syscalls -------------------------------------------------------------
 
     /// The high-resolution clock, with read cost and quantization.
+    #[inline]
     pub fn sys_now(&mut self, pid: usize) -> Nanos {
         let _op = profile::op_scope("sys_now");
         self.poll_flusher(pid);
@@ -909,6 +918,18 @@ impl Kernel {
             self.charge_cpu(pid, self.cfg.costs.mem_touch);
             return Ok(());
         }
+        self.fault_write(pid, region, page)
+    }
+
+    /// The write-touch of a page that is not resident: a demand-zero fault
+    /// or a swap-in, either of which may evict. Out of line, so the
+    /// resident case above is all a probe loop carries.
+    #[inline(never)]
+    fn fault_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
+        let id = PageId {
+            owner: Owner::Anon { region },
+            page,
+        };
         match self.vm.touch_kind(region, page)? {
             TouchKind::Untouched => {
                 self.stats.zero_faults += 1;

@@ -168,11 +168,6 @@ impl Vm {
         self.regions.contains_key(&region)
     }
 
-    /// The size of a region in pages.
-    pub fn region_pages(&self, region: u64) -> OsResult<u64> {
-        self.region(region).map(|r| r.pages)
-    }
-
     /// Swap slots currently in use.
     pub fn slots_in_use(&self) -> u64 {
         self.total_slots - self.free_slots.len()

@@ -7,7 +7,10 @@
 //! frame table's list surgery, index upkeep, owner lists, dirty count and
 //! free-list reuse each have something independent to disagree with.
 //! Capacities are tiny so nearly every insert evicts, and owners empty and
-//! refill all the time. The sticky stacks are modelled without compaction,
+//! refill all the time — also straight after a run of touches on the owner
+//! that empties, with a second owner moving in at the same page numbers,
+//! which is what a remembered "last owner" has to survive. The sticky stacks
+//! are modelled without compaction,
 //! which the cache claims is invisible. Each owner draws its six page
 //! numbers from one of three shapes, because the cache finds a page through
 //! a per-owner table indexed by page number: dense from zero, straddling a
@@ -287,24 +290,48 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
                 "remove_owner"
             }
             97..=99 => {
-                // The owner empties page by page, then refills.
+                // A run of touches on one owner, the way a scan or a probe
+                // sweep makes them, leaves the cache remembering that owner.
+                // The owner then empties (page by page or wholesale) and
+                // refills at once, and a second owner moves in beside it:
+                // whatever was remembered across the release now names a
+                // record that is gone, or somebody else's.
                 let held = model.resident_of(owner);
                 for &page in &held {
-                    let pool = model.pool(owner);
-                    let at = pool.position(PageId { owner, page }).expect("listed");
-                    pool.take(at);
-                    assert!(cache.remove(PageId { owner, page }), "step {step}");
+                    let id = PageId { owner, page };
+                    assert!(cache.lookup_touch(id) && model.pool(owner).touch(id, false));
+                }
+                if g.bool() {
+                    let dropped = model.pool(owner).purge(|o| o == owner);
+                    assert_eq!(cache.remove_owner(owner), dropped, "step {step}");
+                } else {
+                    for &page in &held {
+                        let pool = model.pool(owner);
+                        let at = pool.position(PageId { owner, page }).expect("listed");
+                        pool.take(at);
+                        assert!(cache.remove(PageId { owner, page }), "step {step}");
+                    }
                 }
                 assert_eq!(cache.resident_of(owner), Vec::<u64>::new(), "step {step}");
+                let other = owners[(which + g.usize(1..owners.len())) % owners.len()];
                 for &page in held.iter().rev() {
+                    // The second owner holds the same page numbers, so a
+                    // lookup that lands in the wrong record finds a frame.
+                    for id in [PageId { owner, page }, PageId { owner: other, page }] {
+                        assert_eq!(
+                            cache.insert(id, false),
+                            model.pool(id.owner).insert(id, false),
+                            "refill of {id:?} at step {step}"
+                        );
+                    }
                     let id = PageId { owner, page };
-                    assert_eq!(
-                        cache.insert(id, false),
-                        model.pool(owner).insert(id, false),
-                        "refill of {id:?} at step {step}"
-                    );
+                    assert_eq!(cache.mark_dirty(id), model.pool(owner).touch(id, true));
                 }
-                "empty_and_refill"
+                for &page in &held {
+                    let id = PageId { owner: other, page };
+                    assert_eq!(cache.contains(id), model.pool(other).position(id).is_some());
+                }
+                "run_empty_and_refill"
             }
             _ => {
                 assert_eq!(cache.drop_file_pages(), model.drop_file_pages());

@@ -6,7 +6,10 @@
 //! the same fastest-first sort order. Under simos this is bit-exact by
 //! construction — the kernel's batch services each probe with the exact
 //! scalar charging sequence, so virtual times and the noise stream
-//! match; the tests here are the executable form of that claim.
+//! match; the tests here are the executable form of that claim. The
+//! memory-side batch (`mem_probe_batch`, MAC's probe) gets the same
+//! treatment at the kernel's own surface, where a second process can be
+//! stepped at fixed points.
 //!
 //! Replay recipes — the harness prints the failing case's seed in a
 //! banner; rerun it (or widen the sweep) with:
@@ -14,6 +17,7 @@
 //! ```text
 //! PROP_SEED=0x<seed> cargo test -q batched_and_scalar_classify_identically_under_mock
 //! PROP_SEED=0x<seed> cargo test -q batched_and_scalar_classify_identically_under_simos
+//! PROP_SEED=0x<seed> cargo test -q mem_batch_and_scalar_touch_identically_under_simos
 //! PROP_CASES=200 cargo test -q --test probe_equivalence
 //! ```
 
@@ -21,8 +25,11 @@ use graybox_icl::apps::workload::make_file;
 use graybox_icl::graybox::fccd::{Fccd, FccdParams};
 use graybox_icl::graybox::mock::MockOs;
 use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt, ProbeSample, ProbeSpec};
-use graybox_icl::simos::{Sim, SimConfig};
+use graybox_icl::simos::cache::Owner;
+use graybox_icl::simos::kernel::Kernel;
+use graybox_icl::simos::{NoiseParams, Sim, SimConfig};
 use graybox_icl::toolbox::prop::{check, Gen};
+use graybox_icl::toolbox::{GrayDuration, Nanos};
 
 /// Random file geometry, random warm pages, mock backend: both probe
 /// paths must yield identical unit measurements and identical plans.
@@ -162,6 +169,118 @@ fn batched_and_scalar_classify_identically_under_simos() {
             assert_eq!(b_now, s_now, "virtual clocks diverge");
             assert_eq!(b_presence, s_presence, "resident pages diverge");
             assert_eq!(b_atime, s_atime, "atime diverges");
+        },
+    );
+}
+
+/// `sys_mem_probe_batch` is the loop over `sys_now` / `sys_mem_touch_write`
+/// / `sys_now`, so on two identically driven kernels the batch and the
+/// hand-written loop must agree sample for sample and in every clock and
+/// counter — on the noisiest matrix machine (amplitude 0.15, six CPUs), with
+/// the writeback flusher on and a second process dirtying file pages between
+/// batches. The batches are chosen to leave the resident fast case: one
+/// crosses flusher epochs, one runs past physical memory (zero-fault, then
+/// eviction to swap, then swap-in), and the region is freed and allocated
+/// again in between, which is when anything the cache remembers about "the
+/// last owner" must have been forgotten.
+#[test]
+fn mem_batch_and_scalar_touch_identically_under_simos() {
+    check(
+        "mem_batch_and_scalar_touch_identically_under_simos",
+        6,
+        |g: &mut Gen| {
+            let seed = g.u64(1..u64::MAX);
+            let first = g.u64(300..500);
+            let overshoot = g.u64(32..128);
+            // Revisits, in no order, one of them past the region's end.
+            let mut revisit = g.vec(50..150, |g| g.u64(0..first));
+            revisit[25] = first;
+
+            let run = |batched: bool| {
+                let mut cfg = SimConfig::small()
+                    .with_seed(seed)
+                    .with_writeback(GrayDuration::from_millis(1));
+                cfg.mem_bytes = 10 << 20; // 512 usable pages.
+                cfg.cpus = 6;
+                cfg.noise = NoiseParams {
+                    jitter_frac: 0.15,
+                    spike_prob: 0.0015,
+                    ..NoiseParams::default()
+                };
+                let usable = cfg.usable_pages();
+                let page_size = cfg.page_size;
+                let mut k = Kernel::new(cfg);
+                let prober = k.add_proc(Nanos::ZERO);
+                let writer = k.add_proc(Nanos::ZERO);
+                let fd = k.sys_create(writer, "/churn").unwrap();
+                let mut churned = 0;
+                let mut churn = |k: &mut Kernel| {
+                    k.sys_write(writer, fd, churned, 96 << 10, None).unwrap();
+                    churned += 96 << 10;
+                };
+                let probe = |k: &mut Kernel, region: u64, pages: &[u64]| {
+                    if batched {
+                        return k.sys_mem_probe_batch(prober, region, pages);
+                    }
+                    let one = |&page: &u64| {
+                        let t0 = k.sys_now(prober);
+                        let res = k.sys_mem_touch_write(prober, region, page);
+                        let t1 = k.sys_now(prober);
+                        ProbeSample {
+                            offset: page,
+                            elapsed: t1.since(t0),
+                            ok: res.is_ok(),
+                        }
+                    };
+                    pages.iter().map(one).collect()
+                };
+                let ascending = |pages: std::ops::Range<u64>| pages.collect::<Vec<u64>>();
+                let mut samples = Vec::new();
+
+                // Zero faults across flusher epochs, the writer's pages dirty.
+                churn(&mut k);
+                let region = k.sys_mem_alloc(prober, first * page_size).unwrap();
+                let flushed = k.stats().flusher_pages;
+                samples.push(probe(&mut k, region, &ascending(0..first)));
+                assert!(
+                    k.stats().flusher_pages > flushed,
+                    "no epoch inside the batch"
+                );
+                // The same region again, all resident, then out of order and
+                // out of range.
+                samples.push(probe(&mut k, region, &ascending(0..first)));
+                samples.push(probe(&mut k, region, &revisit));
+
+                // Freed and allocated again, larger than memory: fresh zero
+                // faults, evictions to swap, and swap-ins on the way back.
+                churn(&mut k);
+                k.sys_mem_free(prober, region).unwrap();
+                let big = k
+                    .sys_mem_alloc(prober, (usable + overshoot) * page_size)
+                    .unwrap();
+                samples.push(probe(&mut k, region, &revisit[..8]));
+                samples.push(probe(&mut k, big, &ascending(0..usable + overshoot)));
+                churn(&mut k);
+                samples.push(probe(&mut k, big, &ascending(0..2 * overshoot)));
+                let stats = k.stats();
+                assert!(stats.swap_outs > 0 && stats.swap_ins > 0, "{stats:?}");
+
+                let clocks = (k.proc_time(prober), k.proc_time(writer), k.max_time());
+                let resident = k.cache().resident_of(Owner::Anon { region: big });
+                (samples, clocks, stats, resident, k.cache().dirty_pages())
+            };
+            let (b_samples, b_clocks, b_stats, b_resident, b_dirty) = run(true);
+            let (s_samples, s_clocks, s_stats, s_resident, s_dirty) = run(false);
+            for (batch, (b, s)) in b_samples.iter().zip(&s_samples).enumerate() {
+                assert_eq!(b, s, "samples of batch {batch} diverge");
+            }
+            assert!(b_samples[1].iter().all(|s| s.ok), "resident touches");
+            assert!(b_samples[2].iter().any(|s| !s.ok), "a page out of range");
+            assert!(b_samples[3].iter().all(|s| !s.ok), "a freed region");
+            assert_eq!(b_clocks, s_clocks, "virtual clocks diverge");
+            assert_eq!(b_stats, s_stats, "kernel counters diverge");
+            assert_eq!(b_resident, s_resident, "resident pages diverge");
+            assert_eq!(b_dirty, s_dirty, "dirty pages diverge");
         },
     );
 }
