@@ -43,6 +43,9 @@ pub enum GrepMode {
     Layout,
 }
 
+/// Modelled scan cost per byte (PIII-era grep ≈ 80 MB/s).
+pub const SCAN_COST_PER_BYTE: GrayDuration = GrayDuration::from_nanos(12);
+
 /// Tunables for the scanner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrepOptions {
@@ -51,11 +54,9 @@ pub struct GrepOptions {
     /// Whether to stop at the first matching file (the Figure 4 search
     /// benchmark) or scan everything (the Figure 3 throughput benchmark).
     pub stop_at_first_match: bool,
-    /// Charge scan CPU through `compute` (keep on for the simulator, off
-    /// on the host where real cycles burn).
+    /// Charge [`SCAN_COST_PER_BYTE`] through `compute` (keep on for the
+    /// simulator, off on the host where real cycles burn).
     pub model_cpu: bool,
-    /// Modelled scan cost per byte (PIII-era grep ≈ 80 MB/s).
-    pub scan_cost_per_byte: GrayDuration,
 }
 
 impl Default for GrepOptions {
@@ -64,7 +65,6 @@ impl Default for GrepOptions {
             chunk: 256 << 10,
             stop_at_first_match: false,
             model_cpu: true,
-            scan_cost_per_byte: GrayDuration::from_nanos(12), // ~80 MB/s
         }
     }
 }
@@ -192,7 +192,7 @@ impl<'a, O: GrayBoxOs> Grep<'a, O> {
                 break;
             }
             if self.options.model_cpu {
-                self.os.compute(self.options.scan_cost_per_byte * n);
+                self.os.compute(SCAN_COST_PER_BYTE * n);
             }
             off += n;
         }

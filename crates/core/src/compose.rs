@@ -4,8 +4,10 @@
 //! access the files that are *in cache* (FCCD) and then access the rest in
 //! their probable *on-disk order* (FLDC). The difficulty is that FCCD does
 //! not natively identify which files are cached — it only ranks them by
-//! probe time — so the composition applies two-means clustering to the
-//! probe times, treats the fast cluster as cached, and sorts **both**
+//! probe time — so the composition splits the probe times fast from slow
+//! with [`classify_ranks`](crate::fccd::classify_ranks) (the toolbox's
+//! `split_fast_slow` on log time), treats the fast group as cached, and
+//! sorts **both**
 //! groups by i-number: the predictions may be wrong (e.g. everything is on
 //! disk), and i-number order is a safe fallback either way.
 

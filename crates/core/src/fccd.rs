@@ -52,6 +52,12 @@ use gray_toolbox::GrayDuration;
 use crate::os::{Fd, GrayBoxOs, OsResult, ProbeSample, ProbeSpec};
 use crate::technique::{Technique, TechniqueInventory};
 
+/// Fake probe time reported for files too small to probe without pulling
+/// them entirely into the cache (smaller than one page), for failed probes
+/// and for files that cannot be opened. The paper returns "a fake high
+/// probe-time for them".
+pub const SMALL_FILE_PENALTY: GrayDuration = GrayDuration::from_millis(20);
+
 /// Tuning parameters for the detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FccdParams {
@@ -71,10 +77,6 @@ pub struct FccdParams {
     /// kept. More rounds increase confidence against interrupt noise at the
     /// cost of more Heisenberg perturbation.
     pub probe_rounds: u32,
-    /// Fake probe time reported for files too small to probe without
-    /// pulling them entirely into the cache (smaller than one page). The
-    /// paper returns "a fake high probe-time for them".
-    pub small_file_penalty: GrayDuration,
     /// Seed for the probe-offset randomization.
     pub seed: u64,
 }
@@ -86,7 +88,6 @@ impl Default for FccdParams {
             prediction_unit: 5 << 20,
             align: 1,
             probe_rounds: 1,
-            small_file_penalty: GrayDuration::from_millis(20),
             seed: 0x9e3779b97f4a7c15,
         }
     }
@@ -214,7 +215,8 @@ impl FccdPlanner {
     }
 
     /// Creates a planner whose offsets depend *only* on `params.seed` —
-    /// for tests and ablations needing bit-exact probe placement.
+    /// the planner behind [`Fccd::with_fixed_seed`], whose callers it
+    /// shares.
     pub fn with_fixed_seed(params: FccdParams) -> Self {
         let seed = params.seed;
         let mut planner = FccdPlanner::new(params, gray_toolbox::Nanos::ZERO);
@@ -288,7 +290,7 @@ impl FccdPlanner {
         let mut cursor = samples.iter();
         for (&(offset, len), &probes) in plan.units.iter().zip(&plan.unit_probes) {
             let probe_time = if probes == 0 {
-                self.params.small_file_penalty
+                SMALL_FILE_PENALTY
             } else {
                 let mut total = GrayDuration::ZERO;
                 for _ in 0..probes / rounds {
@@ -300,7 +302,7 @@ impl FccdPlanner {
                         } else {
                             // A failed probe tells us nothing good about
                             // residency.
-                            self.params.small_file_penalty
+                            SMALL_FILE_PENALTY
                         };
                         best = Some(match best {
                             None => t,
@@ -339,8 +341,8 @@ impl FccdPlanner {
     pub fn rank_unopenable(&self, path: &str) -> FileRank {
         FileRank {
             path: path.to_string(),
-            mean_probe: self.params.small_file_penalty,
-            total_probe: self.params.small_file_penalty,
+            mean_probe: SMALL_FILE_PENALTY,
+            total_probe: SMALL_FILE_PENALTY,
             size: 0,
         }
     }
@@ -458,8 +460,13 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// This reinstates the fixed-offset behavior the paper warns against
     /// (and that [`Fccd::new`] deliberately avoids): two detectors built
     /// with the same seed probe the same bytes, so a prior run's probes
-    /// skew the next run's measurements. It exists for the ablation suite
-    /// and for tests that need bit-exact probe placement.
+    /// skew the next run's measurements. Not only the ablation suite and
+    /// tests needing bit-exact probe placement build FCCD this way: gbd's
+    /// daemon (through the same planner, `FccdFleet::with_fixed_seed`),
+    /// both phases of the scenario matrix and graybench's `fleet_probe`
+    /// do too, so every process of a fleet draws the same first offset.
+    /// Whether those paths move to [`Fccd::new`] is ROADMAP item 1's call
+    /// (cause B, the probe's residue).
     pub fn with_fixed_seed(os: &'a O, params: FccdParams) -> Self {
         // Keep the clock read `Fccd::new` performs, so both constructors
         // issue the same syscall sequence (the equivalence tests compare
@@ -485,8 +492,7 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// Returns measurements in file order; call [`FileProbeReport::plan`]
     /// for the fastest-first ordering. Files smaller than one page are not
     /// probed at all (probing would pull the whole file in — pure
-    /// Heisenberg) and instead receive
-    /// [`FccdParams::small_file_penalty`].
+    /// Heisenberg) and instead receive [`SMALL_FILE_PENALTY`].
     pub fn probe_file(&self, fd: Fd, size: u64) -> FileProbeReport {
         self.probe_file_impl(fd, size, true)
     }
@@ -497,8 +503,8 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     ///
     /// Same plan, same RNG draws, same fold — only the dispatch differs.
     /// Kept public to pin the batched engine: the equivalence property
-    /// tests assert both paths classify identical cache states
-    /// identically, and the benches report the speedup between them.
+    /// tests (`tests/probe_equivalence.rs`) assert both paths classify
+    /// identical cache states identically.
     pub fn probe_file_scalar(&self, fd: Fd, size: u64) -> FileProbeReport {
         self.probe_file_impl(fd, size, false)
     }
@@ -741,10 +747,7 @@ mod tests {
         let report = fccd.probe_file(fd, 16);
         assert_eq!(report.total_probes(), 0, "tiny files must not be probed");
         assert_eq!(report.units.len(), 1);
-        assert_eq!(
-            report.units[0].probe_time,
-            small_params().small_file_penalty
-        );
+        assert_eq!(report.units[0].probe_time, SMALL_FILE_PENALTY);
         assert!(!os.page_cached("/tiny", 0), "no Heisenberg on tiny files");
     }
 

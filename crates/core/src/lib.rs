@@ -58,7 +58,6 @@ pub mod fldc;
 pub mod mac;
 pub mod microbench;
 pub mod mock;
-pub mod observe;
 pub mod os;
 pub mod technique;
 pub mod wbd;
@@ -67,7 +66,6 @@ pub use compose::ComposedOrderer;
 pub use fccd::{Fccd, FccdParams};
 pub use fldc::{Fldc, RefreshAdvisor, RefreshOrder};
 pub use mac::{GbAlloc, Mac, MacParams};
-pub use observe::PassiveObserver;
 pub use os::{GrayBoxOs, OsError, OsResult};
 pub use technique::{Technique, TechniqueInventory};
 pub use wbd::{Wbd, WbdCalibration, WbdParams};

@@ -68,6 +68,22 @@ use crate::technique::{Technique, TechniqueInventory};
 /// docs): probing overshoots the page daemon's wake-up by at most one.
 pub const SUB_BATCH_PAGES: u64 = 64;
 
+/// How many *consecutive* slow first-loop touches indicate the page daemon
+/// woke up. Isolated slow points are scheduling noise.
+pub const SLOW_RUN_THRESHOLD: usize = 3;
+
+/// A touch is "slow" if it exceeds the calibrated fast time by this factor
+/// ("significantly larger").
+pub const SLOW_MULTIPLIER: f64 = 8.0;
+
+/// Fraction of second-loop pages allowed to be slow before the chunk is
+/// declared not to fit (tolerates stray evictions and interrupts).
+pub const SLOW_TOLERANCE: f64 = 0.02;
+
+/// How long to wait between admission attempts when the minimum does not
+/// fit (plus up to half again of jitter).
+pub const RETRY_WAIT: GrayDuration = GrayDuration::from_millis(500);
+
 /// Tuning parameters for the admission controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacParams {
@@ -75,22 +91,10 @@ pub struct MacParams {
     pub initial_increment: u64,
     /// Ceiling for the doubling increment, in bytes.
     pub max_increment: u64,
-    /// How many *consecutive* slow first-loop touches indicate the page
-    /// daemon woke up. Isolated slow points are scheduling noise.
-    pub slow_run_threshold: usize,
-    /// A touch is "slow" if it exceeds the calibrated fast time by this
-    /// factor ("significantly larger").
-    pub slow_multiplier: f64,
-    /// Fraction of second-loop pages allowed to be slow before the chunk
-    /// is declared not to fit (tolerates stray evictions and interrupts).
-    pub slow_tolerance: f64,
     /// Pages used for self-calibration when the repository has no numbers.
     pub calibration_pages: u64,
-    /// How long to wait between admission attempts when the minimum does
-    /// not fit.
-    pub retry_wait: GrayDuration,
-    /// How many times to retry before giving up (the "wait until memory is
-    /// available" loop). 0 means a single attempt.
+    /// How many times to retry, [`RETRY_WAIT`] apart, before giving up (the
+    /// "wait until memory is available" loop). 0 means a single attempt.
     pub max_retries: u32,
 }
 
@@ -99,11 +103,7 @@ impl Default for MacParams {
         MacParams {
             initial_increment: 16 << 20,
             max_increment: 128 << 20,
-            slow_run_threshold: 3,
-            slow_multiplier: 8.0,
-            slow_tolerance: 0.02,
             calibration_pages: 64,
-            retry_wait: GrayDuration::from_millis(500),
             max_retries: 0,
         }
     }
@@ -175,10 +175,6 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             params.max_increment >= params.initial_increment,
             "max increment below initial increment"
         );
-        assert!(
-            params.slow_multiplier > 1.0,
-            "slow multiplier must exceed 1"
-        );
         Mac {
             os,
             params,
@@ -196,10 +192,9 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         let touch = repo.get_duration(keys::PAGE_TOUCH_NS).ok().flatten();
         let zero = repo.get_duration(keys::PAGE_ALLOC_ZERO_NS).ok().flatten();
         if let (Some(touch), Some(zero)) = (touch, zero) {
-            let mult = mac.params.slow_multiplier;
             *mac.thresholds.borrow_mut() = Some(Thresholds {
-                touch_slow: touch.mul_f64(mult),
-                zero_slow: zero.max(touch).mul_f64(mult),
+                touch_slow: touch.mul_f64(SLOW_MULTIPLIER),
+                zero_slow: zero.max(touch).mul_f64(SLOW_MULTIPLIER),
             });
         }
         mac
@@ -242,8 +237,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
                 // lockstep; the clock's low bits are as good a seed as a
                 // gray-box layer gets.
                 let jitter = self.os.now().as_nanos() % 1000;
-                let wait =
-                    self.params.retry_wait + self.params.retry_wait.mul_f64(jitter as f64 / 2000.0);
+                let wait = RETRY_WAIT + RETRY_WAIT.mul_f64(jitter as f64 / 2000.0);
                 self.os.sleep(wait);
                 self.stats.borrow_mut().wait_time += wait;
             }
@@ -320,35 +314,22 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         let probe_start = self.os.now();
         let region = self.os.mem_alloc(bytes)?;
         let pages = bytes.div_ceil(page);
-        // First loop: materialize the grant, watching for slow runs that
-        // betray the page daemon (the shared estimate is then stale).
-        let mut slow_run = 0usize;
-        let mut daemon = false;
-        'touch: for batch in sub_batches(0..pages) {
-            let samples = self.probe_pages(region, batch);
-            self.stats.borrow_mut().pages_probed += samples.len() as u64;
-            for s in &samples {
-                if !s.ok {
-                    self.os.mem_free(region)?;
-                    return Err(OsError::InvalidArgument);
-                }
-                if s.elapsed > th.zero_slow {
-                    slow_run += 1;
-                    if slow_run >= self.params.slow_run_threshold {
-                        daemon = true;
-                        trace::emit_with(|| TraceEvent::ThresholdCrossed {
-                            what: "mac.page_daemon",
-                            value: slow_run as f64,
-                            threshold: self.params.slow_run_threshold as f64,
-                        });
-                        break 'touch;
-                    }
-                } else {
-                    slow_run = 0;
-                }
+        // First loop: materialize the grant; a page-daemon run means the
+        // shared estimate is stale. Second loop: verify residency. A failed
+        // touch gives the region back before the error goes up.
+        let checked = self
+            .first_touch(region, 0..pages, th)
+            .and_then(|daemon| match daemon {
+                Some(_) => Ok(false),
+                None => self.verify_resident(region, pages, th),
+            });
+        let fits = match checked {
+            Ok(fits) => fits,
+            Err(e) => {
+                self.os.mem_free(region)?;
+                return Err(e);
             }
-        }
-        let fits = !daemon && self.verify_resident(region, pages, th)?;
+        };
         self.stats.borrow_mut().probe_time += self.os.now().since(probe_start);
         trace::emit_with(|| TraceEvent::AdmissionDecision {
             source: "mac.gb_alloc_admitted",
@@ -447,51 +428,21 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         while good_pages < max_pages {
             let target = (good_pages + increment_pages).min(max_pages);
 
-            // First loop: move the new chunk to a known state, watching for
-            // runs of slow points that betray the page daemon. If the
+            // First loop: move the new chunk to a known state. If the
             // daemon fires we stop touching promptly — pressing on would
             // force other processes' memory out (MAC must assume their
-            // resident pages are their working sets). Probes go down in
-            // bounded sub-batches, so the dispatch amortization never
-            // overshoots the daemon's wake-up point by more than one
-            // sub-batch.
-            let mut slow_run = 0usize;
-            let mut daemon_suspected = false;
-            let mut touched_upto = target;
-            'first: for batch in sub_batches(good_pages..target) {
-                let samples = self.probe_pages(region, batch);
-                self.stats.borrow_mut().pages_probed += samples.len() as u64;
-                for s in &samples {
-                    if !s.ok {
-                        return Err(OsError::InvalidArgument);
-                    }
-                    if s.elapsed > th.zero_slow {
-                        slow_run += 1;
-                        if slow_run >= self.params.slow_run_threshold {
-                            daemon_suspected = true;
-                            touched_upto = s.offset + 1;
-                            trace::emit_with(|| TraceEvent::ThresholdCrossed {
-                                what: "mac.page_daemon",
-                                value: slow_run as f64,
-                                threshold: self.params.slow_run_threshold as f64,
-                            });
-                            break 'first;
-                        }
-                    } else {
-                        slow_run = 0;
-                    }
-                }
-            }
+            // resident pages are their working sets).
+            let daemon_at = self.first_touch(region, good_pages..target, th)?;
 
             // Second loop: verify that everything touched so far is still
-            // resident (only materialized pages — `touched_upto` — can be
-            // meaningfully verified).
-            let candidate = touched_upto;
+            // resident (only materialized pages can be meaningfully
+            // verified).
+            let candidate = daemon_at.map_or(target, |page| page + 1);
             let fits = self.verify_resident(region, candidate, th)?;
 
             if fits {
                 good_pages = candidate;
-                if daemon_suspected {
+                if daemon_at.is_some() {
                     // It fits, but our growth activated the page daemon:
                     // stop here rather than squeeze competitors further.
                     result = (good_pages, Some(candidate));
@@ -511,6 +462,44 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         Ok(result)
     }
 
+    /// The first loop: write-touches `pages` of `region` in sub-batches,
+    /// watching for runs of [`SLOW_RUN_THRESHOLD`] slow points that betray
+    /// the page daemon. Returns the page at which the daemon was suspected
+    /// (touching stopped there, so the sweep overshoots the daemon's
+    /// wake-up by less than one sub-batch), or `None` when every page was
+    /// touched.
+    fn first_touch(
+        &self,
+        region: MemRegion,
+        pages: Range<u64>,
+        th: Thresholds,
+    ) -> OsResult<Option<u64>> {
+        let mut slow_run = 0usize;
+        for batch in sub_batches(pages) {
+            let samples = self.probe_pages(region, batch);
+            self.stats.borrow_mut().pages_probed += samples.len() as u64;
+            for s in &samples {
+                if !s.ok {
+                    return Err(OsError::InvalidArgument);
+                }
+                if s.elapsed > th.zero_slow {
+                    slow_run += 1;
+                    if slow_run >= SLOW_RUN_THRESHOLD {
+                        trace::emit_with(|| TraceEvent::ThresholdCrossed {
+                            what: "mac.page_daemon",
+                            value: slow_run as f64,
+                            threshold: SLOW_RUN_THRESHOLD as f64,
+                        });
+                        return Ok(Some(s.offset));
+                    }
+                } else {
+                    slow_run = 0;
+                }
+            }
+        }
+        Ok(None)
+    }
+
     /// One sub-batch of timed write-touches: pages `batch` of `region`.
     fn probe_pages(&self, region: MemRegion, batch: Range<u64>) -> Vec<ProbeSample> {
         let mut plan = self.plan.borrow_mut();
@@ -525,7 +514,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         if pages == 0 {
             return Ok(true);
         }
-        let allowed = (pages as f64 * self.params.slow_tolerance).floor() as u64;
+        let allowed = (pages as f64 * SLOW_TOLERANCE).floor() as u64;
         // The verdict is monotone in the slow count, so batching reaches
         // the same answer the scalar early-exit loop did. Batches stay
         // bounded (rather than one whole-region batch) so competitors
@@ -596,10 +585,9 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         let floor = (quantum * 4) as f64;
         let touch = Summary::new(&touch_times).median().max(1.0);
         let zero = Summary::new(&zero_times).median().max(touch);
-        let mult = self.params.slow_multiplier;
         let th = Thresholds {
-            touch_slow: GrayDuration::from_nanos((touch * mult).max(floor) as u64),
-            zero_slow: GrayDuration::from_nanos((zero * mult).max(floor) as u64),
+            touch_slow: GrayDuration::from_nanos((touch * SLOW_MULTIPLIER).max(floor) as u64),
+            zero_slow: GrayDuration::from_nanos((zero * SLOW_MULTIPLIER).max(floor) as u64),
         };
         *self.thresholds.borrow_mut() = Some(th);
         Ok(th)

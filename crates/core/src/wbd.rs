@@ -37,20 +37,18 @@ use gray_toolbox::GrayDuration;
 use crate::os::{GrayBoxOs, OsResult};
 use crate::technique::{Technique, TechniqueInventory};
 
+/// Floor for the learned per-page cost, so a degenerate calibration (e.g.
+/// a backend with free syncs) cannot divide by zero downstream.
+pub const MIN_PAGE_COST: GrayDuration = GrayDuration::from_nanos(1);
+
 /// Tuning parameters for the detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WbdParams {
     /// Path of the scratch file calibration creates, dirties, and unlinks.
     pub scratch_path: String,
-    /// Number of scratch pages dirtied per calibration round. More pages
-    /// average out fixed per-sync overhead but write more.
+    /// Number of scratch pages calibration dirties. More pages average
+    /// out fixed per-sync overhead but write more.
     pub calib_pages: u64,
-    /// Calibration rounds; the minimum per-page cost across rounds is kept
-    /// (the least-disturbed round, mirroring FCCD's min-over-rounds).
-    pub calib_rounds: u32,
-    /// Floor for the learned per-page cost, so a degenerate calibration
-    /// (e.g. a backend with free syncs) cannot divide by zero downstream.
-    pub min_page_cost: GrayDuration,
 }
 
 impl Default for WbdParams {
@@ -58,8 +56,6 @@ impl Default for WbdParams {
         WbdParams {
             scratch_path: "/.wbd_scratch".to_string(),
             calib_pages: 32,
-            calib_rounds: 1,
-            min_page_cost: GrayDuration::from_nanos(1),
         }
     }
 }
@@ -99,15 +95,9 @@ impl<'a, O: GrayBoxOs> Wbd<'a, O> {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are inconsistent (zero calibration pages
-    /// or rounds).
+    /// Panics if `params.calib_pages` is zero.
     pub fn new(os: &'a O, params: WbdParams) -> Self {
         assert!(params.calib_pages > 0, "at least one calibration page");
-        assert!(params.calib_rounds > 0, "at least one calibration round");
-        assert!(
-            params.min_page_cost > GrayDuration::ZERO,
-            "page-cost floor must be positive"
-        );
         Wbd { os, params }
     }
 
@@ -125,30 +115,20 @@ impl<'a, O: GrayBoxOs> Wbd<'a, O> {
     }
 
     /// Learns the `sync` cost model: drains existing residue, times a
-    /// clean `sync` (intercept), then repeatedly dirties
-    /// [`WbdParams::calib_pages`] scratch pages and times the `sync` that
-    /// flushes them, keeping the minimum per-page cost (slope).
+    /// clean `sync` (intercept), then dirties [`WbdParams::calib_pages`]
+    /// scratch pages and times the `sync` that flushes them (slope, floored
+    /// at [`MIN_PAGE_COST`]).
     pub fn calibrate(&self) -> OsResult<WbdCalibration> {
         self.os.sync()?;
         let clean_sync = self.sync_cost()?;
-        let page_size = self.os.page_size();
-        let mut best: Option<GrayDuration> = None;
-        for _ in 0..self.params.calib_rounds {
-            let fd = self.os.create(&self.params.scratch_path)?;
-            self.os
-                .write_fill(fd, 0, self.params.calib_pages * page_size)?;
-            let dirty_sync = self.sync_cost()?;
-            self.os.close(fd)?;
-            self.os.unlink(&self.params.scratch_path)?;
-            let per = dirty_sync.saturating_sub(clean_sync) / self.params.calib_pages;
-            best = Some(match best {
-                None => per,
-                Some(b) => b.min(per),
-            });
-        }
-        let page_cost = best
-            .expect("calib_rounds >= 1")
-            .max(self.params.min_page_cost);
+        let bytes = self.params.calib_pages * self.os.page_size();
+        let fd = self.os.create(&self.params.scratch_path)?;
+        self.os.write_fill(fd, 0, bytes)?;
+        let dirty_sync = self.sync_cost()?;
+        self.os.close(fd)?;
+        self.os.unlink(&self.params.scratch_path)?;
+        let page_cost =
+            (dirty_sync.saturating_sub(clean_sync) / self.params.calib_pages).max(MIN_PAGE_COST);
         trace::emit_with(|| TraceEvent::Estimated {
             quantity: "wbd.page_cost_ns",
             value: page_cost.as_nanos() as f64,
@@ -279,7 +259,7 @@ mod tests {
         let os = MockOs::with_costs(1 << 20, 16, costs);
         let wbd = Wbd::new(&os, small_params());
         let cal = wbd.calibrate().unwrap();
-        assert_eq!(cal.page_cost, small_params().min_page_cost);
+        assert_eq!(cal.page_cost, MIN_PAGE_COST);
         assert_eq!(cal.estimate_pages(cal.clean_sync), 0);
     }
 

@@ -294,7 +294,6 @@ impl ChannelSpec {
                         WbdParams {
                             scratch_path: "/.wbd-cal".to_string(),
                             calib_pages: k,
-                            ..WbdParams::default()
                         },
                     );
                     let cal = wbd.calibrate().unwrap();

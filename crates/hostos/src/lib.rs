@@ -79,19 +79,6 @@ impl HostOs {
         &self.root
     }
 
-    /// Creates an independent backend instance over the *same* scratch
-    /// root — a worker's view for thread-pool dispatch.
-    ///
-    /// `HostOs` holds its descriptor and region tables in `RefCell`s (the
-    /// gray-box surface takes `&self`), so one instance must not be
-    /// shared across threads. The `gray-sched` host executor instead
-    /// gives each worker thread its own view: same files underneath —
-    /// and therefore the same page cache, which is the whole point of
-    /// concurrent probing — but private descriptor state.
-    pub fn fork_view(&self) -> io::Result<HostOs> {
-        HostOs::new(&self.root)
-    }
-
     /// Maps a gray-box path (`/a/b`) onto the scratch root, rejecting
     /// escapes.
     fn host_path(&self, path: &str) -> OsResult<PathBuf> {

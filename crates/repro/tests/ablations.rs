@@ -2,7 +2,8 @@
 //! are regression tests for behaviors the paper motivates qualitatively.
 
 use gray_apps::workload::make_file;
-use graybox::fccd::{Fccd, FccdParams};
+use gray_toolbox::GrayDuration;
+use graybox::fccd::{Fccd, FccdParams, FileProbeReport, UnitProbe};
 use graybox::fldc::{Fldc, RefreshOrder};
 use graybox::mac::{Mac, MacParams};
 use graybox::os::GrayBoxOs;
@@ -181,18 +182,31 @@ fn ablation_refresh_small_files_first_beats_directory_order() {
 /// and a "tape-slow" region modelled by a queue-saturated disk).
 #[test]
 fn ablation_sorting_handles_multilevel_latencies() {
-    // Synthetic: three probe-time populations; sorting must order them
-    // memory < disk < tape without knowing any thresholds.
-    let times = [
-        3_000.0,      // memory ~3us
-        5_000_000.0,  // disk ~5ms
-        2_500.0,      // memory
-        80_000_000.0, // tape ~80ms
-        6_000_000.0,  // disk
-        2_800.0,      // memory
+    // Synthetic: three probe-time populations, one access unit each;
+    // `plan()` must order them memory < disk < tape without knowing any
+    // thresholds.
+    let times_ns = [
+        3_000,      // memory ~3us
+        5_000_000,  // disk ~5ms
+        2_500,      // memory
+        80_000_000, // tape ~80ms
+        6_000_000,  // disk
+        2_800,      // memory
     ];
-    let clustering = gray_toolbox::kmeans1d(&times, 3);
-    assert_eq!(clustering.assignment, vec![0, 1, 0, 2, 1, 0]);
+    let unit = 1 << 20;
+    let report = FileProbeReport {
+        units: (0..)
+            .zip(times_ns)
+            .map(|(i, ns)| UnitProbe {
+                offset: i * unit,
+                len: unit,
+                probe_time: GrayDuration::from_nanos(ns),
+                probes: 1,
+            })
+            .collect(),
+    };
+    let order: Vec<u64> = report.plan().iter().map(|e| e.offset / unit).collect();
+    assert_eq!(order, vec![2, 5, 0, 1, 4, 3]);
 }
 
 /// Timer resolution (paper §5: "we often time operations that complete

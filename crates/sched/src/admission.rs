@@ -85,7 +85,8 @@ impl MacAdmissionQueue {
     ///
     /// Returns one slot per request, in submission order (index with the
     /// ticket): `Some(alloc)` on success, `None` if the request was not
-    /// admitted or its grant went stale. The queue is drained.
+    /// admitted or its grant went stale. The queue is drained. On `Err`
+    /// every grant already made has been freed.
     pub fn admit_all<O: GrayBoxOs>(&mut self, mac: &Mac<'_, O>) -> OsResult<Vec<Option<GbAlloc>>> {
         let requests = std::mem::take(&mut self.requests);
         if requests.is_empty() {
@@ -121,7 +122,19 @@ impl MacAdmissionQueue {
                 grants.push(None);
                 continue;
             }
-            match mac.gb_alloc_admitted(grant)? {
+            let admitted = match mac.gb_alloc_admitted(grant) {
+                Ok(admitted) => admitted,
+                Err(e) => {
+                    // Simulated memory outlives the caller's process (gbd
+                    // serves a whole fleet from one machine): give back
+                    // what was already granted before reporting the error.
+                    for alloc in grants.into_iter().flatten() {
+                        mac.gb_free(alloc)?;
+                    }
+                    return Err(e);
+                }
+            };
+            match admitted {
                 Some(alloc) => {
                     remaining -= alloc.bytes;
                     trace::emit_with(|| TraceEvent::AdmissionDecision {
@@ -162,6 +175,12 @@ fn round_down(x: u64, m: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    use gray_toolbox::{GrayDuration, Nanos};
+    use graybox::mac::MacParams;
+    use graybox::mock::MockOs;
+    use graybox::os::{Fd, MemRegion, ProbeSample, Stat};
 
     #[test]
     fn tickets_index_submission_order() {
@@ -197,5 +216,163 @@ mod tests {
         assert_eq!(round_up(12, 4), 12);
         assert_eq!(round_down(10, 4), 8);
         assert_eq!(round_down(3, 4), 0);
+    }
+
+    const PAGE: u64 = 4096;
+
+    /// The mock, except that its `fail_at`-th write-touch through
+    /// `mem_probe_batch` (counted over the backend's life) comes back
+    /// `ok: false`.
+    struct FailingTouch {
+        os: MockOs,
+        fail_at: u64,
+        touches: Cell<u64>,
+    }
+
+    impl GrayBoxOs for FailingTouch {
+        fn now(&self) -> Nanos {
+            self.os.now()
+        }
+        fn page_size(&self) -> u64 {
+            self.os.page_size()
+        }
+        fn open(&self, path: &str) -> OsResult<Fd> {
+            self.os.open(path)
+        }
+        fn create(&self, path: &str) -> OsResult<Fd> {
+            self.os.create(path)
+        }
+        fn close(&self, fd: Fd) -> OsResult<()> {
+            self.os.close(fd)
+        }
+        fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> OsResult<usize> {
+            self.os.read_at(fd, offset, buf)
+        }
+        fn read_discard(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
+            self.os.read_discard(fd, offset, len)
+        }
+        fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> OsResult<usize> {
+            self.os.write_at(fd, offset, data)
+        }
+        fn write_fill(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
+            self.os.write_fill(fd, offset, len)
+        }
+        fn file_size(&self, fd: Fd) -> OsResult<u64> {
+            self.os.file_size(fd)
+        }
+        fn sync(&self) -> OsResult<()> {
+            self.os.sync()
+        }
+        fn stat(&self, path: &str) -> OsResult<Stat> {
+            self.os.stat(path)
+        }
+        fn list_dir(&self, path: &str) -> OsResult<Vec<String>> {
+            self.os.list_dir(path)
+        }
+        fn mkdir(&self, path: &str) -> OsResult<()> {
+            self.os.mkdir(path)
+        }
+        fn rmdir(&self, path: &str) -> OsResult<()> {
+            self.os.rmdir(path)
+        }
+        fn unlink(&self, path: &str) -> OsResult<()> {
+            self.os.unlink(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> OsResult<()> {
+            self.os.rename(from, to)
+        }
+        fn set_times(&self, path: &str, atime: Nanos, mtime: Nanos) -> OsResult<()> {
+            self.os.set_times(path, atime, mtime)
+        }
+        fn mem_alloc(&self, bytes: u64) -> OsResult<MemRegion> {
+            self.os.mem_alloc(bytes)
+        }
+        fn mem_free(&self, region: MemRegion) -> OsResult<()> {
+            self.os.mem_free(region)
+        }
+        fn mem_touch_write(&self, region: MemRegion, page: u64) -> OsResult<()> {
+            self.os.mem_touch_write(region, page)
+        }
+        fn mem_touch_read(&self, region: MemRegion, page: u64) -> OsResult<u8> {
+            self.os.mem_touch_read(region, page)
+        }
+        fn compute(&self, work: GrayDuration) {
+            self.os.compute(work)
+        }
+        fn sleep(&self, d: GrayDuration) {
+            self.os.sleep(d)
+        }
+        fn yield_now(&self) {
+            self.os.yield_now()
+        }
+        fn mem_probe_batch(&self, region: MemRegion, pages: &[u64]) -> Vec<ProbeSample> {
+            let mut samples = self.os.mem_probe_batch(region, pages);
+            for s in &mut samples {
+                self.touches.set(self.touches.get() + 1);
+                s.ok &= self.touches.get() != self.fail_at;
+            }
+            samples
+        }
+    }
+
+    /// Every MAC entry point once, in order, freeing whatever it granted.
+    fn every_entry_point(os: &FailingTouch) {
+        let mac = Mac::new(
+            os,
+            MacParams {
+                initial_increment: 4 * PAGE,
+                max_increment: 64 * PAGE,
+                calibration_pages: 8,
+                ..MacParams::default()
+            },
+        );
+        let _ = mac.available_estimate(64 * PAGE);
+        if let Ok(Some(alloc)) = mac.gb_alloc(8 * PAGE, 48 * PAGE, PAGE) {
+            mac.gb_free(alloc).unwrap();
+        }
+        if let Ok(Some(alloc)) = mac.gb_alloc_admitted(32 * PAGE) {
+            mac.gb_free(alloc).unwrap();
+        }
+        let mut queue = MacAdmissionQueue::new();
+        for _ in 0..3 {
+            queue.submit(AdmissionRequest {
+                min: 4 * PAGE,
+                max: 16 * PAGE,
+                multiple: PAGE,
+            });
+        }
+        if let Ok(grants) = queue.admit_all(&mac) {
+            for alloc in grants.into_iter().flatten() {
+                mac.gb_free(alloc).unwrap();
+            }
+        }
+    }
+
+    /// Simulated memory is global, not per process: whatever a failed
+    /// probe path does not give back stays resident for the machine's
+    /// life (under gbd, the daemon's shared machine). Fail each touch of
+    /// the whole sequence in turn; nothing may stay resident.
+    #[test]
+    fn a_failed_touch_leaves_no_memory_resident() {
+        let backend = |fail_at| FailingTouch {
+            os: MockOs::new(16, 256),
+            fail_at,
+            touches: Cell::new(0),
+        };
+        let clean = backend(0);
+        every_entry_point(&clean);
+        assert_eq!(clean.os.resident_anon_pages(), 0);
+        let touches = clean.touches.get();
+        assert!(touches > 100, "{touches} touches");
+        for k in 1..=touches {
+            let os = backend(k);
+            every_entry_point(&os);
+            assert!(os.touches.get() >= k, "touch {k} was never issued");
+            assert_eq!(
+                os.os.resident_anon_pages(),
+                0,
+                "failing touch {k} of {touches} leaked memory"
+            );
+        }
     }
 }

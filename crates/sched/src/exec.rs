@@ -9,13 +9,10 @@
 //!   equivalence tests;
 //! - [`SimExecutor`] turns each plan into one `simos` process and runs the
 //!   wave through [`Sim::run`], so probe latency overlaps disk service in
-//!   virtual time;
-//! - [`HostExecutor`] gives each plan a real thread with its own
-//!   [`HostOs`] view over a shared root.
+//!   virtual time.
 
-use gray_toolbox::{trace, GrayDuration};
+use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOs;
-use hostos::HostOs;
 use simos::exec::Workload;
 use simos::{Sim, SimProc};
 
@@ -26,8 +23,7 @@ use crate::plan::{execute_plan, PlanResult, ProbePlan};
 pub struct WaveOutcome {
     /// One result per plan, in wave order.
     pub results: Vec<PlanResult>,
-    /// Wall-clock span of the wave as the backend experiences time
-    /// (virtual under `simos`, host time under `hostos`), measured from
+    /// Span of the wave in the backend's virtual time, measured from
     /// *outside* the worker processes so it adds no syscalls to them.
     /// `None` when the executor has no out-of-band clock (inline).
     pub span: Option<GrayDuration>,
@@ -110,62 +106,6 @@ impl PlanExecutor for SimExecutor<'_> {
             .try_run(workloads)
             .unwrap_or_else(|p| panic!("probe plan process died: {p}"));
         let span = self.sim.now().since(t0);
-        WaveOutcome {
-            results,
-            span: Some(span),
-        }
-    }
-}
-
-/// Runs each plan of a wave on its own thread against the real OS.
-///
-/// [`HostOs`] keeps per-process state in `RefCell`s, so instances cannot
-/// be shared across threads; instead every worker gets its own
-/// [`HostOs::fork_view`] over the shared root — same files, same page
-/// cache underneath, private descriptor tables.
-pub struct HostExecutor {
-    root: HostOs,
-}
-
-impl HostExecutor {
-    /// Creates an executor whose workers fork views of `root`.
-    pub fn new(root: HostOs) -> Self {
-        HostExecutor { root }
-    }
-}
-
-impl PlanExecutor for HostExecutor {
-    fn run_wave(&mut self, wave: &[ProbePlan]) -> WaveOutcome {
-        let t0 = std::time::Instant::now();
-        // The wave stamp is the dispatcher thread's; carry it to the workers.
-        let stamp = trace::wave();
-        let results: Vec<PlanResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|plan| {
-                    let view = self.root.fork_view();
-                    scope.spawn(move || match view {
-                        Ok(os) => {
-                            if let Some(index) = stamp {
-                                trace::set_wave(index);
-                            }
-                            execute_plan(&os, plan)
-                        }
-                        Err(e) => PlanResult {
-                            path: plan.path.clone(),
-                            size: 0,
-                            samples: Vec::new(),
-                            error: Some(graybox::os::OsError::Io(e.to_string())),
-                        },
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("probe worker panicked"))
-                .collect()
-        });
-        let span = GrayDuration::from_nanos(t0.elapsed().as_nanos() as u64);
         WaveOutcome {
             results,
             span: Some(span),

@@ -157,8 +157,8 @@ impl FccdFleet {
     }
 
     /// Splits `files` into predicted-cached and predicted-uncached groups
-    /// (two-means over the fleet-probed mean probe times), mirroring
-    /// `Fccd::classify_files`.
+    /// (`classify_ranks`: `split_fast_slow` on the log of the
+    /// fleet-probed mean probe times), mirroring `Fccd::classify_files`.
     pub fn classify_files<E: PlanExecutor>(
         &self,
         sched: &mut Scheduler,

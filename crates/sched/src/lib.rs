@@ -4,8 +4,9 @@
 //! touches (MAC) — and until now every ICL dispatched its own probes
 //! inline, serially. This crate centralises dispatch: clients describe
 //! probes as inert [`ProbePlan`]s, submit them to a [`Scheduler`], and the
-//! scheduler fans waves of plans out across processes (simulated processes
-//! under `simos`, real threads under `hostos`) through a [`PlanExecutor`].
+//! scheduler fans waves of plans out across processes (one simulated
+//! process per plan under `simos`, or inline on a borrowed backend) through
+//! a [`PlanExecutor`].
 //! Results come back through completion handles.
 //!
 //! Two properties matter more than raw throughput:
@@ -36,7 +37,7 @@ pub mod fccd;
 pub mod plan;
 
 pub use admission::{AdmissionRequest, AdmissionTicket, MacAdmissionQueue};
-pub use exec::{HostExecutor, InlineExecutor, PlanExecutor, SimExecutor, WaveOutcome};
+pub use exec::{InlineExecutor, PlanExecutor, SimExecutor, WaveOutcome};
 pub use fccd::{FccdFleet, PendingFiles};
 pub use plan::{execute_plan, PlanResult, ProbePlan};
 
@@ -221,28 +222,27 @@ mod tests {
         assert_eq!(sizes, [2, 2, 1]);
     }
 
-    /// `HostExecutor` is the one executor whose probes leave the
-    /// dispatcher's thread; its workers must still carry the wave stamp.
     /// Stamps count every wave of the scheduler's life: draining the
     /// statistics between two dispatches (gbd does, every tick) must not
-    /// hand the second dispatch the first one's indices again.
-    #[cfg(unix)]
+    /// hand the second dispatch the first one's indices again. Each plan
+    /// runs as its own simulated process, and its probes carry the stamp.
     #[test]
-    fn host_executor_workers_carry_the_wave_stamp() {
+    fn sim_executor_wave_stamps_survive_take_waves() {
         use gray_toolbox::trace::TraceEvent;
         use graybox::os::{GrayBoxOsExt, ProbeSpec};
-        let dir = std::env::temp_dir().join(format!("gray-sched-wave-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let root = hostos::HostOs::new(&dir).unwrap();
+        use simos::{Sim, SimConfig};
+        let mut sim = Sim::new(SimConfig::small());
         let mut sched = Scheduler::new(SchedConfig {
             concurrency: 2,
             ..SchedConfig::default()
         });
         let ticks = [&["/wave-a", "/wave-b", "/wave-c"][..], &["/wave-d"]];
-        for path in ticks.concat() {
-            root.write_file(path, &[7u8; 8192]).unwrap();
-        }
-        let mut exec = HostExecutor::new(root);
+        sim.run_one(|os| {
+            for path in ticks.concat() {
+                os.write_file(path, &[7u8; 8192]).unwrap();
+            }
+        });
+        let mut exec = SimExecutor::new(&mut sim);
         let _capture = trace::capture();
         for tick in ticks {
             for path in tick {
@@ -261,7 +261,6 @@ mod tests {
             .map(|r| (r.span, r.wave))
             .collect();
         stamps.sort();
-        let _ = std::fs::remove_dir_all(&dir);
         let expect = [("a", 0), ("b", 0), ("c", 1), ("d", 2)]
             .map(|(f, w)| (format!("plan:/wave-{f}"), Some(w)));
         assert_eq!(stamps, expect);

@@ -18,8 +18,8 @@ use crate::oracle::Oracle;
 /// oracle's residency ground truth.
 ///
 /// "Positive" means *predicted cached*; truth is "majority of the file's
-/// pages resident" (`cached_fraction >= 0.5`), matching the two-means
-/// split FCCD itself performs.
+/// pages resident" (`cached_fraction >= 0.5`), matching the two-way
+/// fast/slow split FCCD itself performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FccdScore {
     /// Predicted cached, actually cached.

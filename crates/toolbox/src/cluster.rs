@@ -3,21 +3,20 @@
 //! Section 4.2.4 of the paper composes FCCD with FLDC by clustering probe
 //! times "into two groups, minimizing the intragroup variance and maximizing
 //! the intergroup variance": the fast cluster is predicted in-cache, the
-//! slow cluster on-disk. Because the data is one-dimensional and k is tiny,
-//! clustering can be done *exactly* (not Lloyd's heuristic) by sorting and
-//! scanning all k-1 split points — deterministic, permutation-invariant, and
-//! O(n log n).
+//! slow cluster on-disk. Because the data is one-dimensional and there are
+//! two groups, clustering can be done *exactly* (not Lloyd's heuristic) by
+//! sorting and scanning every split point — deterministic,
+//! permutation-invariant, and O(n log n).
 //!
 //! [`split_fast_slow`] is the one place a clustering becomes a hit/miss
 //! verdict: it owns the scale (log time), the trust floor and the
-//! degenerate inputs; [`two_means`] and [`kmeans1d`] are the scale-free
-//! primitives under it.
+//! degenerate inputs; [`two_means`] is the scale-free primitive under it.
 
-/// The result of clustering one-dimensional data into `k` groups.
+/// The result of clustering one-dimensional data into two groups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
-    /// For each input index, the cluster id in `0..k`, ordered so that
-    /// cluster 0 has the smallest centroid.
+    /// For each input index, the cluster id (0 or 1), ordered so that
+    /// cluster 0 has the smaller centroid.
     pub assignment: Vec<usize>,
     /// Cluster centroids in ascending order.
     pub centroids: Vec<f64>,
@@ -28,15 +27,6 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Indices of the inputs assigned to `cluster`.
-    pub fn members(&self, cluster: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| (c == cluster).then_some(i))
-            .collect()
-    }
-
     /// A separation score in [0, 1]: 1 - within_ss / total_ss. A score near
     /// 1 means the clusters are well separated; near 0 means the split is
     /// arbitrary (e.g. all points are on disk). ICLs use this to decide
@@ -57,9 +47,16 @@ impl Clustering {
 
 /// Exact two-means clustering of one-dimensional data.
 ///
-/// Sorts the data and chooses the split point that minimizes the total
-/// within-cluster sum of squares. This is the clustering the paper uses to
-/// discern in-cache from on-disk probe times.
+/// Sorts the data and scans every split point of the sorted order, O(n)
+/// after sorting with prefix sums, keeping the one that minimizes the
+/// total within-cluster sum of squares; among equal sums the smallest
+/// fast cluster wins. This is the clustering the paper uses to discern
+/// in-cache from on-disk probe times. A single point is cluster 0, with
+/// cluster 1 empty (size 0, centroid repeated).
+///
+/// # Panics
+///
+/// Panics if `data` is empty or holds a NaN.
 ///
 /// # Examples
 ///
@@ -73,7 +70,77 @@ impl Clustering {
 /// assert_eq!(c.sizes, vec![3, 2]);
 /// ```
 pub fn two_means(data: &[f64]) -> Clustering {
-    kmeans1d(data, 2)
+    assert!(!data.is_empty(), "cannot cluster an empty data set");
+
+    // Sort indices by value so clusters are contiguous runs.
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    order.sort_by(|&a, &b| {
+        data[a]
+            .partial_cmp(&data[b])
+            .expect("clustering rejects NaN inputs")
+            .then(a.cmp(&b))
+    });
+    let sorted: Vec<f64> = order.iter().map(|&i| data[i]).collect();
+    let n = sorted.len();
+
+    // Prefix sums for O(1) interval cost queries.
+    let mut pre = vec![0.0f64; n + 1];
+    let mut pre2 = vec![0.0f64; n + 1];
+    for i in 0..n {
+        pre[i + 1] = pre[i] + sorted[i];
+        pre2[i + 1] = pre2[i] + sorted[i] * sorted[i];
+    }
+    // Within-SS of the half-open interval [lo, hi).
+    let cost = |lo: usize, hi: usize| -> f64 {
+        if hi <= lo {
+            return 0.0;
+        }
+        let cnt = (hi - lo) as f64;
+        let s = pre[hi] - pre[lo];
+        let s2 = pre2[hi] - pre2[lo];
+        (s2 - s * s / cnt).max(0.0)
+    };
+
+    // Cluster 0 is sorted[..split], cluster 1 sorted[split..].
+    let split = if n == 1 {
+        1
+    } else {
+        let mut best = (f64::INFINITY, 0);
+        for split in 1..n {
+            let c = cost(0, split) + cost(split, n);
+            if c < best.0 {
+                best = (c, split);
+            }
+        }
+        best.1
+    };
+
+    let mut centroids = Vec::with_capacity(2);
+    let mut sizes = Vec::with_capacity(2);
+    let mut within_ss = 0.0;
+    for (lo, hi) in [(0, split), (split, n)] {
+        let centroid = if hi == lo {
+            *centroids.last().unwrap_or(&sorted[0])
+        } else {
+            (pre[hi] - pre[lo]) / (hi - lo) as f64
+        };
+        centroids.push(centroid);
+        sizes.push(hi - lo);
+        within_ss += cost(lo, hi);
+    }
+
+    // Undo the sort permutation.
+    let mut assignment = vec![0usize; n];
+    for (pos, &orig) in order.iter().enumerate() {
+        assignment[orig] = usize::from(pos >= split);
+    }
+
+    Clustering {
+        assignment,
+        centroids,
+        sizes,
+        within_ss,
+    }
 }
 
 /// Below this [`Clustering::separation`] a two-way split found no real
@@ -130,124 +197,142 @@ pub fn split_fast_slow(times_ns: &[f64]) -> FastSlow {
     }
 }
 
-/// Exact k-means clustering of one-dimensional data for small `k`.
-///
-/// For `k == 2` this scans every split point of the sorted data (O(n) after
-/// sorting, using prefix sums). For larger `k` it uses interval dynamic
-/// programming, O(k·n²), which is fine for the toolbox's measurement-sized
-/// inputs. With fewer distinct points than clusters, the extra clusters come
-/// back empty (size 0, centroid repeated).
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `data` is empty.
-pub fn kmeans1d(data: &[f64], k: usize) -> Clustering {
-    assert!(k > 0, "k must be positive");
-    assert!(!data.is_empty(), "cannot cluster an empty data set");
-
-    // Sort indices by value so clusters are contiguous runs.
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    order.sort_by(|&a, &b| {
-        data[a]
-            .partial_cmp(&data[b])
-            .expect("clustering rejects NaN inputs")
-            .then(a.cmp(&b))
-    });
-    let sorted: Vec<f64> = order.iter().map(|&i| data[i]).collect();
-    let n = sorted.len();
-
-    // Prefix sums for O(1) interval cost queries.
-    let mut pre = vec![0.0f64; n + 1];
-    let mut pre2 = vec![0.0f64; n + 1];
-    for i in 0..n {
-        pre[i + 1] = pre[i] + sorted[i];
-        pre2[i + 1] = pre2[i] + sorted[i] * sorted[i];
-    }
-    // Within-SS of the half-open interval [lo, hi).
-    let cost = |lo: usize, hi: usize| -> f64 {
-        if hi <= lo {
-            return 0.0;
-        }
-        let cnt = (hi - lo) as f64;
-        let s = pre[hi] - pre[lo];
-        let s2 = pre2[hi] - pre2[lo];
-        (s2 - s * s / cnt).max(0.0)
-    };
-
-    let k_eff = k.min(n);
-    // boundaries[j] = start of cluster j (in the sorted order); cluster j is
-    // [boundaries[j], boundaries[j + 1]).
-    let boundaries = if k_eff == 1 {
-        vec![0, n]
-    } else {
-        // DP over (clusters used, prefix length): dp[j][i] = best within-SS
-        // of splitting sorted[..i] into j clusters.
-        let mut dp = vec![vec![f64::INFINITY; n + 1]; k_eff + 1];
-        let mut arg = vec![vec![0usize; n + 1]; k_eff + 1];
-        dp[0][0] = 0.0;
-        for j in 1..=k_eff {
-            for i in j..=n {
-                for split in (j - 1)..i {
-                    let c = dp[j - 1][split] + cost(split, i);
-                    if c < dp[j][i] {
-                        dp[j][i] = c;
-                        arg[j][i] = split;
-                    }
-                }
-            }
-        }
-        let mut bounds = vec![0usize; k_eff + 1];
-        bounds[k_eff] = n;
-        let mut i = n;
-        for j in (1..=k_eff).rev() {
-            i = arg[j][i];
-            bounds[j - 1] = i;
-        }
-        bounds
-    };
-
-    let mut centroids = Vec::with_capacity(k);
-    let mut sizes = Vec::with_capacity(k);
-    let mut within_ss = 0.0;
-    let mut assignment_sorted = vec![0usize; n];
-    for j in 0..k_eff {
-        let (lo, hi) = (boundaries[j], boundaries[j + 1]);
-        let cnt = hi - lo;
-        let centroid = if cnt == 0 {
-            *centroids.last().unwrap_or(&sorted[0])
-        } else {
-            (pre[hi] - pre[lo]) / cnt as f64
-        };
-        centroids.push(centroid);
-        sizes.push(cnt);
-        within_ss += cost(lo, hi);
-        for slot in assignment_sorted.iter_mut().take(hi).skip(lo) {
-            *slot = j;
-        }
-    }
-    // Pad out degenerate clusters when k > number of points.
-    while centroids.len() < k {
-        centroids.push(*centroids.last().expect("k_eff >= 1"));
-        sizes.push(0);
-    }
-
-    // Undo the sort permutation.
-    let mut assignment = vec![0usize; n];
-    for (pos, &orig) in order.iter().enumerate() {
-        assignment[orig] = assignment_sorted[pos];
-    }
-
-    Clustering {
-        assignment,
-        centroids,
-        sizes,
-        within_ss,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop::{check, Gen};
+    use crate::rng::SliceRandom;
+
+    /// The definition [`two_means`] scans for: exact k-means for k = 2 as
+    /// the interval dynamic program over the sorted data (O(n²)) that the
+    /// toolbox shipped for any k before the scan replaced it.
+    fn two_means_by_dp(data: &[f64]) -> Clustering {
+        const K: usize = 2;
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.sort_by(|&a, &b| data[a].partial_cmp(&data[b]).unwrap().then(a.cmp(&b)));
+        let sorted: Vec<f64> = order.iter().map(|&i| data[i]).collect();
+        let n = sorted.len();
+        let mut pre = vec![0.0f64; n + 1];
+        let mut pre2 = vec![0.0f64; n + 1];
+        for i in 0..n {
+            pre[i + 1] = pre[i] + sorted[i];
+            pre2[i + 1] = pre2[i] + sorted[i] * sorted[i];
+        }
+        let cost = |lo: usize, hi: usize| -> f64 {
+            if hi <= lo {
+                return 0.0;
+            }
+            let cnt = (hi - lo) as f64;
+            let s = pre[hi] - pre[lo];
+            let s2 = pre2[hi] - pre2[lo];
+            (s2 - s * s / cnt).max(0.0)
+        };
+        let k_eff = K.min(n);
+        let boundaries = if k_eff == 1 {
+            vec![0, n]
+        } else {
+            // dp[j][i] = best within-SS of splitting sorted[..i] into j
+            // clusters.
+            let mut dp = vec![vec![f64::INFINITY; n + 1]; k_eff + 1];
+            let mut arg = vec![vec![0usize; n + 1]; k_eff + 1];
+            dp[0][0] = 0.0;
+            for j in 1..=k_eff {
+                for i in j..=n {
+                    for split in (j - 1)..i {
+                        let c = dp[j - 1][split] + cost(split, i);
+                        if c < dp[j][i] {
+                            dp[j][i] = c;
+                            arg[j][i] = split;
+                        }
+                    }
+                }
+            }
+            let mut bounds = vec![0usize; k_eff + 1];
+            bounds[k_eff] = n;
+            let mut i = n;
+            for j in (1..=k_eff).rev() {
+                i = arg[j][i];
+                bounds[j - 1] = i;
+            }
+            bounds
+        };
+        let mut centroids = Vec::new();
+        let mut sizes = Vec::new();
+        let mut within_ss = 0.0;
+        let mut assignment_sorted = vec![0usize; n];
+        for j in 0..k_eff {
+            let (lo, hi) = (boundaries[j], boundaries[j + 1]);
+            let centroid = if hi == lo {
+                *centroids.last().unwrap_or(&sorted[0])
+            } else {
+                (pre[hi] - pre[lo]) / (hi - lo) as f64
+            };
+            centroids.push(centroid);
+            sizes.push(hi - lo);
+            within_ss += cost(lo, hi);
+            assignment_sorted[lo..hi].fill(j);
+        }
+        while centroids.len() < K {
+            centroids.push(*centroids.last().unwrap());
+            sizes.push(0);
+        }
+        let mut assignment = vec![0usize; n];
+        for (pos, &orig) in order.iter().enumerate() {
+            assignment[orig] = assignment_sorted[pos];
+        }
+        Clustering {
+            assignment,
+            centroids,
+            sizes,
+            within_ss,
+        }
+    }
+
+    /// One input of a shape the scan must get exactly right: one point,
+    /// all equal, heavy ties, two well-separated modes, log probe times
+    /// (hits near 2 µs, misses spread over milliseconds, either possibly
+    /// absent), or no structure at all.
+    fn shaped_input(g: &mut Gen) -> Vec<f64> {
+        match g.usize(0..6) {
+            0 => vec![g.f64(-1e6..1e6)],
+            1 => vec![g.f64(-1e3..1e3); g.usize(2..40)],
+            2 => {
+                let levels = g.vec(1..4, |g| g.u64(0..6) as f64);
+                g.vec(2..40, |g| g.select(&levels))
+            }
+            3 => {
+                let mut xs = g.vec(1..20, |g| g.f64(0.0..10.0));
+                xs.extend(g.vec(1..20, |g| g.f64(1e3..1e4)));
+                xs
+            }
+            4 => {
+                let mut xs = g.vec(0..20, |g| g.f64(1.5e3..3e3).ln());
+                xs.extend(g.vec(0..20, |g| g.f64(1e6..8e6).ln()));
+                xs.push(g.f64(1.0..1e7).ln());
+                xs
+            }
+            _ => g.vec(2..60, |g| g.f64(-1e6..1e6)),
+        }
+    }
+
+    #[test]
+    fn two_means_matches_its_dp_definition() {
+        check("two_means_matches_its_dp_definition", 256, |g: &mut Gen| {
+            let mut xs = shaped_input(g);
+            xs.shuffle(g.rng());
+            let scan = two_means(&xs);
+            let dp = two_means_by_dp(&xs);
+            assert_eq!(scan.assignment, dp.assignment, "{xs:?}");
+            assert_eq!(scan.centroids, dp.centroids, "{xs:?}");
+            assert_eq!(scan.sizes, dp.sizes, "{xs:?}");
+            assert_eq!(scan.within_ss.to_bits(), dp.within_ss.to_bits(), "{xs:?}");
+            assert_eq!(
+                scan.separation(&xs).to_bits(),
+                dp.separation(&xs).to_bits(),
+                "{xs:?}"
+            );
+        });
+    }
 
     #[test]
     fn two_means_separates_bimodal_data() {
@@ -285,31 +370,6 @@ mod tests {
         assert_eq!(c.assignment, vec![0]);
         assert_eq!(c.sizes, vec![1, 0]);
         assert_eq!(c.centroids[0], 42.0);
-    }
-
-    #[test]
-    fn kmeans_three_way() {
-        // Memory, disk, tape — the multi-level store from the paper.
-        let data = [1.0, 2.0, 1000.0, 1100.0, 1e6, 1e6 + 100.0];
-        let c = kmeans1d(&data, 3);
-        assert_eq!(c.assignment, vec![0, 0, 1, 1, 2, 2]);
-        assert_eq!(c.sizes, vec![2, 2, 2]);
-    }
-
-    #[test]
-    fn kmeans_one_cluster_is_mean() {
-        let data = [1.0, 2.0, 3.0];
-        let c = kmeans1d(&data, 1);
-        assert_eq!(c.centroids, vec![2.0]);
-        assert_eq!(c.sizes, vec![3]);
-    }
-
-    #[test]
-    fn members_returns_original_indices() {
-        let data = [100.0, 1.0, 101.0, 2.0];
-        let c = two_means(&data);
-        assert_eq!(c.members(0), vec![1, 3]);
-        assert_eq!(c.members(1), vec![0, 2]);
     }
 
     #[test]

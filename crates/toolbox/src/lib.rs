@@ -10,8 +10,9 @@
 //! 2. **Measuring output** — low-overhead, high-resolution timers
 //!    ([`time`]).
 //! 3. **Interpreting measurements** — incremental statistics, correlation,
-//!    clustering, outlier rejection, and sorting helpers ([`stats`],
-//!    [`cluster`], [`outlier`]).
+//!    exact two-way clustering (under [`split_fast_slow`], the one hit/miss
+//!    rule FCCD and the disk microbenchmark share), outlier rejection, and
+//!    sorting helpers ([`stats`], [`cluster`], [`outlier`]).
 //!
 //! Everything in this crate is OS-agnostic: it depends neither on the
 //! simulated substrate nor on the host backend, so both can use it.
@@ -40,7 +41,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use cluster::{kmeans1d, split_fast_slow, two_means, Clustering, FastSlow};
+pub use cluster::{split_fast_slow, two_means, Clustering, FastSlow};
 pub use mailbox::{Envelope, Mailbox, MailboxClient, Ticket};
 pub use outlier::{discard_outliers, mad, OutlierPolicy};
 pub use pool::{JobPanic, Pool};

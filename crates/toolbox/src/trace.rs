@@ -11,7 +11,7 @@
 //!   under hostos);
 //! - [`TraceEvent::Classified`] — a prediction unit received a verdict;
 //! - [`TraceEvent::ThresholdCrossed`] — a detector tripped (page-daemon
-//!   slow-run, two-means separation, a stale pooled grant);
+//!   slow-run, the fast/slow split's separation, a stale pooled grant);
 //! - [`TraceEvent::AdmissionDecision`] — a memory request was granted or
 //!   denied, and for how many bytes;
 //! - [`TraceEvent::Estimated`] — an ICL published a scalar estimate
@@ -570,9 +570,8 @@ pub fn clear_wave() {
     CURRENT_WAVE.with(|c| c.set(None));
 }
 
-/// This thread's wave stamp, for an executor that runs a wave's plans on
-/// threads of its own and must carry the dispatcher's stamp over.
-pub fn wave() -> Option<u64> {
+/// This thread's wave stamp.
+fn wave() -> Option<u64> {
     CURRENT_WAVE.with(|c| c.get())
 }
 

@@ -475,37 +475,3 @@ fn refresh_advisor_fires_under_real_aging() {
         "fresh directory must look healthy"
     );
 }
-
-#[test]
-fn passive_observer_learns_without_probing() {
-    use graybox_icl::graybox::observe::PassiveObserver;
-    // An application scans a mixed-warmth corpus through the observer; the
-    // observer's residency picture must match the oracle's — with zero
-    // probes issued (every byte read was the application's own traffic).
-    let mut sim = Sim::new(SimConfig::small());
-    let paths = sim.run_one(|os| make_files(os, "/watch", 8, 1 << 20).unwrap());
-    sim.flush_file_cache();
-    for warm in [1usize, 5, 6] {
-        let p = paths[warm].clone();
-        sim.run_one(move |os| {
-            let fd = os.open(&p).unwrap();
-            os.read_discard(fd, 0, 1 << 20).unwrap();
-            os.close(fd).unwrap();
-        });
-    }
-    let inference = sim.run_one({
-        let paths = paths.clone();
-        move |os| {
-            let observed = PassiveObserver::new(os);
-            for p in &paths {
-                let fd = observed.open(p).unwrap();
-                observed.read_discard(fd, 0, 1 << 20).unwrap();
-                observed.close(fd).unwrap();
-            }
-            observed.infer_residency(1)
-        }
-    });
-    let expect: Vec<String> = vec![paths[1].clone(), paths[5].clone(), paths[6].clone()];
-    assert_eq!(inference.looks_cached, expect);
-    assert_eq!(inference.looks_uncached.len(), 5);
-}

@@ -7,7 +7,7 @@
 use gray_toolbox::prop::{check, Gen};
 use gray_toolbox::rng::{SeedableRng, SliceRandom, StdRng};
 use gray_toolbox::{
-    discard_outliers, kmeans1d, split_fast_slow, two_means, OnlineStats, OutlierPolicy, Summary,
+    discard_outliers, split_fast_slow, two_means, OnlineStats, OutlierPolicy, Summary,
 };
 use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt};
 use graybox_icl::simos::{CacheArch, Sim, SimConfig};
@@ -99,15 +99,19 @@ fn split_fast_slow_is_permutation_invariant() {
     );
 }
 
+/// Two clusters never fit worse than one: the split's within-cluster sum
+/// of squares is at most the data's total sum of squares (the one-cluster
+/// within-SS), so its separation lies in [0, 1].
 #[test]
 fn kmeans_within_ss_decreases_with_k() {
     check("kmeans_within_ss_decreases_with_k", 64, |g: &mut Gen| {
         let xs = g.vec(4..40, |g| g.f64(0.0..1e4));
-        let w1 = kmeans1d(&xs, 1).within_ss;
-        let w2 = kmeans1d(&xs, 2).within_ss;
-        let w3 = kmeans1d(&xs, 3).within_ss;
-        assert!(w2 <= w1 + 1e-9);
-        assert!(w3 <= w2 + 1e-9);
+        let c = two_means(&xs);
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let total_ss: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
+        assert!(c.within_ss <= total_ss + 1e-9 * (1.0 + total_ss));
+        let separation = c.separation(&xs);
+        assert!((0.0..=1.0).contains(&separation), "{separation}");
     });
 }
 
