@@ -20,6 +20,7 @@ use std::process::ExitCode;
 use gray_apps::gbp::{Gbp, GbpMode};
 use graybox::fccd::FccdParams;
 use graybox::fldc::Fldc;
+use graybox::os::OsError;
 use hostos::HostOs;
 
 fn usage() -> ExitCode {
@@ -69,12 +70,17 @@ fn main() -> ExitCode {
             eprintln!("gbp: -out takes exactly one file");
             return ExitCode::from(2);
         }
-        let stdout = std::io::stdout();
-        let mut lock = stdout.lock();
-        match gbp.stream_file(&gb_paths[0], |_off, bytes| {
-            let _ = lock.write_all(bytes);
-        }) {
-            Ok(_) => return ExitCode::SUCCESS,
+        // A failed write (full disk, closed pipe) ends the stream: the
+        // caller must not take a truncated copy for the whole file.
+        let mut stdout = std::io::stdout().lock();
+        let io_error = |e: std::io::Error| OsError::Io(e.to_string());
+        let streamed = gbp
+            .stream_file(&gb_paths[0], |_off, bytes| {
+                stdout.write_all(bytes).map_err(io_error)
+            })
+            .and_then(|_| stdout.flush().map_err(io_error));
+        match streamed {
+            Ok(()) => return ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("gbp: {e}");
                 return ExitCode::FAILURE;

@@ -97,8 +97,13 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
     /// `gbp -mem -out <file>`: probes the file, then streams its access
     /// units to `consume` in best probe order. Returns total bytes
     /// streamed. The consumer sees the extents (offset, data) so a real
-    /// filter can process them; modelled pipelines pass a no-op.
-    pub fn stream_file(&self, path: &str, mut consume: impl FnMut(u64, &[u8])) -> OsResult<u64> {
+    /// filter can process them; the first error it returns stops the
+    /// stream and is returned.
+    pub fn stream_file(
+        &self,
+        path: &str,
+        mut consume: impl FnMut(u64, &[u8]) -> OsResult<()>,
+    ) -> OsResult<u64> {
         if self.model_cpu {
             self.os.compute(self.fork_exec_cost);
         }
@@ -124,7 +129,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
                         n as f64 / self.pipe_bandwidth as f64,
                     ));
                 }
-                consume(off, &buf[..n]);
+                consume(off, &buf[..n])?;
                 off += n as u64;
                 total += n as u64;
             }
@@ -224,6 +229,7 @@ mod tests {
                         seen[idx] = true;
                         payload[idx] = b;
                     }
+                    Ok(())
                 })
                 .unwrap();
             assert_eq!(total, data.len() as u64);

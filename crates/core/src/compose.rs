@@ -86,81 +86,3 @@ pub fn techniques() -> TechniqueInventory {
         ],
     )
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fccd::FccdParams;
-    use crate::mock::MockOs;
-    use crate::os::GrayBoxOsExt;
-
-    fn small_params() -> FccdParams {
-        FccdParams {
-            access_unit: 4 * 4096,
-            prediction_unit: 4096,
-            ..FccdParams::default()
-        }
-    }
-
-    #[test]
-    fn cached_first_then_inumber_order_within_groups() {
-        let os = MockOs::new(1 << 20, 16);
-        // Created (i-number) order: f0, f1, f2, f3.
-        let paths: Vec<String> = (0..4).map(|i| format!("/f{i}")).collect();
-        for p in &paths {
-            os.write_file(p, &vec![0u8; 8 * 4096]).unwrap();
-        }
-        os.flush_cache();
-        // Warm f3 and f1: cached group must come out in i-number order
-        // (f1 before f3) even though probe order found them otherwise.
-        os.warm("/f3", 0..8);
-        os.warm("/f1", 0..8);
-        let fccd = Fccd::new(&os, small_params());
-        let fldc = Fldc::new(&os);
-        let composed = ComposedOrderer::new(&fccd, &fldc);
-        // Present the paths scrambled.
-        let scrambled = vec![
-            "/f2".to_string(),
-            "/f3".to_string(),
-            "/f0".to_string(),
-            "/f1".to_string(),
-        ];
-        let order = composed.order_files(&scrambled).unwrap();
-        let names: Vec<&str> = order.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(names, vec!["/f1", "/f3", "/f0", "/f2"]);
-        assert!(order[0].predicted_cached && order[1].predicted_cached);
-        assert!(!order[2].predicted_cached && !order[3].predicted_cached);
-    }
-
-    #[test]
-    fn all_cold_falls_back_to_pure_inumber_order() {
-        let os = MockOs::new(1 << 20, 16);
-        let paths: Vec<String> = (0..3).map(|i| format!("/f{i}")).collect();
-        for p in &paths {
-            os.write_file(p, &vec![0u8; 8 * 4096]).unwrap();
-        }
-        os.flush_cache();
-        let fccd = Fccd::new(&os, small_params());
-        let fldc = Fldc::new(&os);
-        let composed = ComposedOrderer::new(&fccd, &fldc);
-        let scrambled = vec!["/f2".to_string(), "/f0".to_string(), "/f1".to_string()];
-        let order = composed.order_files(&scrambled).unwrap();
-        let names: Vec<&str> = order.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(names, vec!["/f0", "/f1", "/f2"]);
-        assert!(order.iter().all(|r| !r.predicted_cached));
-    }
-
-    #[test]
-    fn vanished_files_keep_a_place_in_the_ordering() {
-        let os = MockOs::new(1 << 20, 16);
-        os.write_file("/real", &vec![0u8; 8 * 4096]).unwrap();
-        let fccd = Fccd::new(&os, small_params());
-        let fldc = Fldc::new(&os);
-        let composed = ComposedOrderer::new(&fccd, &fldc);
-        let order = composed
-            .order_files(&["/real".to_string(), "/ghost".to_string()])
-            .unwrap();
-        assert_eq!(order.len(), 2);
-        assert!(order.iter().any(|r| r.path == "/ghost" && r.ino.is_none()));
-    }
-}

@@ -684,13 +684,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "prediction unit cannot exceed")]
     fn inconsistent_params_panic() {
-        let os = crate::mock::MockOs::new(16, 16);
         let params = FccdParams {
             access_unit: 1,
             prediction_unit: 2,
             ..FccdParams::default()
         };
-        let _ = Fccd::new(&os, params);
+        let _ = FccdPlanner::new(params, gray_toolbox::Nanos::ZERO);
     }
 
     #[test]
@@ -701,114 +700,109 @@ mod tests {
         assert!(!inv.uses(Technique::KnownState));
     }
 
-    // Behavioral tests against the in-crate MockOs. One "page" of the mock
-    // is 4 KiB; these tests shrink the FCCD units to a few pages so small
-    // files exercise the real logic.
+    // The planner half of FCCD's behaviour: plans drawn, then folded from
+    // synthetic probe timings (a hit costs microseconds, a miss
+    // milliseconds), with no OS. `crates/core/tests/fccd.rs` holds the
+    // same claims end to end, with the timings a simulated disk produces.
+    const PAGE: u64 = 4096;
+    const HIT: GrayDuration = GrayDuration::from_micros(3);
+    const MISS: GrayDuration = GrayDuration::from_millis(5);
+
     fn small_params() -> FccdParams {
         FccdParams {
-            access_unit: 4 * 4096,
-            prediction_unit: 4096,
+            access_unit: 4 * PAGE,
+            prediction_unit: PAGE,
             ..FccdParams::default()
         }
     }
 
+    fn planner() -> FccdPlanner {
+        FccdPlanner::with_fixed_seed(small_params())
+    }
+
+    /// Executes `plan` against a cache in which exactly the bytes `cached`
+    /// says are resident.
+    fn samples(plan: &FccdFilePlan, cached: impl Fn(u64) -> bool) -> Vec<ProbeSample> {
+        plan.specs
+            .iter()
+            .map(|spec| ProbeSample {
+                offset: spec.offset,
+                elapsed: if cached(spec.offset) { HIT } else { MISS },
+                ok: true,
+            })
+            .collect()
+    }
+
+    /// Draws, executes and folds the plan of one file.
+    fn report(planner: &FccdPlanner, size: u64, cached: impl Fn(u64) -> bool) -> FileProbeReport {
+        let plan = planner.draw_plan(size, PAGE);
+        planner.fold(&plan, &samples(&plan, cached))
+    }
+
+    /// Ranks files of eight pages each; the files in `warm` are cached.
+    fn ranks(names: &[&str], warm: &[&str]) -> Vec<FileRank> {
+        let planner = planner();
+        let mut ranks: Vec<FileRank> = names
+            .iter()
+            .map(|&name| {
+                let hot = warm.contains(&name);
+                planner.rank(name, 8 * PAGE, &report(&planner, 8 * PAGE, |_| hot))
+            })
+            .collect();
+        sort_ranks(&mut ranks);
+        ranks
+    }
+
     #[test]
     fn cached_units_sort_before_uncached_units() {
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        let size = 16 * 4096u64;
-        {
-            use crate::os::GrayBoxOsExt;
-            os.write_file("/big", &vec![0u8; size as usize]).unwrap();
-        }
-        os.flush_cache();
-        // Warm only the second access unit (pages 4..8).
-        os.warm("/big", 4..8);
-        let fccd = Fccd::new(&os, small_params());
-        let fd = os.open("/big").unwrap();
-        let plan = fccd.plan_file(fd, size);
+        // Only the second access unit (pages 4..8) is resident.
+        let plan = report(&planner(), 16 * PAGE, |off| {
+            (4 * PAGE..8 * PAGE).contains(&off)
+        })
+        .plan();
         assert_eq!(plan.len(), 4);
         assert_eq!(
             plan[0].offset,
-            4 * 4096,
+            4 * PAGE,
             "the warm access unit must sort first: {plan:?}"
         );
     }
 
     #[test]
     fn small_file_is_not_probed() {
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        {
-            use crate::os::GrayBoxOsExt;
-            os.write_file("/tiny", b"just a few bytes").unwrap();
-        }
-        os.flush_cache();
-        let fccd = Fccd::new(&os, small_params());
-        let fd = os.open("/tiny").unwrap();
-        let report = fccd.probe_file(fd, 16);
+        let planner = planner();
+        let plan = planner.draw_plan(16, PAGE);
+        assert!(plan.specs.is_empty(), "no Heisenberg on tiny files");
+        let report = planner.fold(&plan, &[]);
         assert_eq!(report.total_probes(), 0, "tiny files must not be probed");
         assert_eq!(report.units.len(), 1);
         assert_eq!(report.units[0].probe_time, SMALL_FILE_PENALTY);
-        assert!(!os.page_cached("/tiny", 0), "no Heisenberg on tiny files");
     }
 
     #[test]
     fn order_files_puts_warm_files_first() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        let paths: Vec<String> = (0..4).map(|i| format!("/f{i}")).collect();
-        for p in &paths {
-            os.write_file(p, &vec![0u8; 8 * 4096]).unwrap();
-        }
-        os.flush_cache();
-        os.warm("/f2", 0..8);
-        let fccd = Fccd::new(&os, small_params());
-        let ranks = fccd.order_files(&paths);
+        let ranks = ranks(&["/f0", "/f1", "/f2", "/f3"], &["/f2"]);
         assert_eq!(ranks[0].path, "/f2");
     }
 
     #[test]
     fn classify_separates_warm_from_cold() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        let paths: Vec<String> = (0..6).map(|i| format!("/f{i}")).collect();
-        for p in &paths {
-            os.write_file(p, &vec![0u8; 8 * 4096]).unwrap();
-        }
-        os.flush_cache();
-        os.warm("/f1", 0..8);
-        os.warm("/f4", 0..8);
-        let fccd = Fccd::new(&os, small_params());
-        let classified = fccd.classify_files(&paths);
+        let names = ["/f0", "/f1", "/f2", "/f3", "/f4", "/f5"];
+        let classified = classify_ranks(ranks(&names, &["/f1", "/f4"]));
         let cached: Vec<&str> = classified.cached.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(cached, vec!["/f1", "/f4"]);
         assert_eq!(classified.uncached.len(), 4);
-        assert!(classified.separation > 0.9);
-    }
-
-    #[test]
-    fn classify_all_cold_trusts_nothing() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        let paths: Vec<String> = (0..5).map(|i| format!("/f{i}")).collect();
-        for p in &paths {
-            os.write_file(p, &vec![0u8; 8 * 4096]).unwrap();
-        }
-        os.flush_cache();
-        let fccd = Fccd::new(&os, small_params());
-        let classified = fccd.classify_files(&paths);
-        assert!(
-            classified.cached.is_empty(),
-            "no split should be trusted when everything is cold: {classified:?}"
-        );
+        assert!(classified.separation > 0.9, "{}", classified.separation);
     }
 
     #[test]
     fn missing_file_ranks_last() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        os.write_file("/real", &vec![0u8; 8 * 4096]).unwrap();
-        let fccd = Fccd::new(&os, small_params());
-        let ranks = fccd.order_files(&["/ghost".to_string(), "/real".to_string()]);
+        let planner = planner();
+        let mut ranks = vec![
+            planner.rank_unopenable("/ghost"),
+            planner.rank("/real", 8 * PAGE, &report(&planner, 8 * PAGE, |_| false)),
+        ];
+        sort_ranks(&mut ranks);
         assert_eq!(ranks[0].path, "/real");
         assert_eq!(ranks[1].path, "/ghost");
         assert_eq!(ranks[1].size, 0);
@@ -816,42 +810,39 @@ mod tests {
 
     #[test]
     fn empty_file_yields_empty_plan() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        os.write_file("/empty", b"").unwrap();
-        let fccd = Fccd::new(&os, small_params());
-        assert!(fccd.plan_path("/empty").unwrap().is_empty());
+        let planner = planner();
+        let plan = planner.draw_plan(0, PAGE);
+        assert!(plan.specs.is_empty());
+        assert!(planner.fold(&plan, &[]).plan().is_empty());
     }
 
     #[test]
     fn plan_respects_record_alignment() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        let size = 100 * 1000u64;
-        os.write_file("/rec", &vec![0u8; size as usize]).unwrap();
         let params = FccdParams {
-            access_unit: 3 * 4096,
-            prediction_unit: 4096,
+            access_unit: 3 * PAGE,
+            prediction_unit: PAGE,
             ..FccdParams::default()
         }
         .with_align(100);
-        let fccd = Fccd::new(&os, params);
-        let fd = os.open("/rec").unwrap();
-        for e in fccd.plan_file(fd, size) {
+        let planner = FccdPlanner::with_fixed_seed(params);
+        let plan = report(&planner, 100 * 1000, |off| off % 3 == 0).plan();
+        assert!(plan.len() > 1);
+        for e in plan {
             assert_eq!(e.offset % 100, 0, "extent must be record-aligned: {e:?}");
         }
     }
 
     #[test]
     fn repeated_probing_is_deterministic_per_seed() {
-        use crate::os::GrayBoxOsExt;
-        let os = crate::mock::MockOs::new(1 << 20, 16);
-        os.write_file("/f", &vec![0u8; 16 * 4096]).unwrap();
-        os.flush_cache();
-        let fd = os.open("/f").unwrap();
-        let plan1 = Fccd::new(&os, small_params()).plan_file(fd, 16 * 4096);
-        os.flush_cache();
-        let plan2 = Fccd::new(&os, small_params()).plan_file(fd, 16 * 4096);
-        assert_eq!(plan1, plan2);
+        let draw = |seed, clock| {
+            let params = FccdParams {
+                seed,
+                ..small_params()
+            };
+            FccdPlanner::new(params, gray_toolbox::Nanos(clock)).draw_plan(16 * PAGE, PAGE)
+        };
+        assert_eq!(draw(1, 7), draw(1, 7));
+        assert_ne!(draw(1, 7).specs, draw(2, 7).specs);
+        assert_ne!(draw(1, 7).specs, draw(1, 8).specs);
     }
 }

@@ -397,166 +397,12 @@ pub fn techniques() -> TechniqueInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockOs;
-
-    fn populate(os: &MockOs, dir: &str, names: &[&str]) {
-        os.mkdir(dir).unwrap();
-        for name in names {
-            os.write_file(&format!("{dir}/{name}"), name.as_bytes())
-                .unwrap();
-        }
-    }
-
-    #[test]
-    fn inumber_order_matches_creation_order() {
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/d", &["z", "a", "m"]);
-        let fldc = Fldc::new(&os);
-        let ranks = fldc.order_directory("/d").unwrap();
-        let order: Vec<&str> = ranks.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(order, vec!["/d/z", "/d/a", "/d/m"]);
-    }
-
-    #[test]
-    fn missing_files_are_counted_not_fatal() {
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/d", &["a"]);
-        let fldc = Fldc::new(&os);
-        let (ranks, failed) = fldc.order_by_inumber(&["/d/a".to_string(), "/d/ghost".to_string()]);
-        assert_eq!(ranks.len(), 1);
-        assert_eq!(failed, 1);
-    }
-
-    #[test]
-    fn directory_grouping_preserves_inner_order() {
-        let os = MockOs::new(1 << 20, 16);
-        let fldc = Fldc::new(&os);
-        let paths = vec![
-            "/b/1".to_string(),
-            "/a/1".to_string(),
-            "/b/2".to_string(),
-            "/a/2".to_string(),
-        ];
-        let grouped = fldc.order_by_directory(&paths);
-        assert_eq!(grouped, vec!["/a/1", "/a/2", "/b/1", "/b/2"]);
-    }
-
-    #[test]
-    fn refresh_reassigns_inumbers_smallest_first() {
-        let os = MockOs::new(1 << 20, 16);
-        os.mkdir("/d").unwrap();
-        os.write_file("/d/big", &[0u8; 1000]).unwrap();
-        os.write_file("/d/small", &[0u8; 10]).unwrap();
-        os.write_file("/d/mid", &[0u8; 100]).unwrap();
-        let fldc = Fldc::new(&os);
-        let n = fldc
-            .refresh_directory("/d", RefreshOrder::SmallestFirst)
-            .unwrap();
-        assert_eq!(n, 3);
-        let ranks = fldc.order_directory("/d").unwrap();
-        let order: Vec<&str> = ranks.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(order, vec!["/d/small", "/d/mid", "/d/big"]);
-    }
-
-    #[test]
-    fn refresh_preserves_contents_and_times() {
-        use gray_toolbox::Nanos;
-        let os = MockOs::new(1 << 20, 16);
-        os.mkdir("/d").unwrap();
-        os.write_file("/d/f", b"precious bytes").unwrap();
-        os.set_times("/d/f", Nanos::from_secs(11), Nanos::from_secs(22))
-            .unwrap();
-        let fldc = Fldc::new(&os);
-        fldc.refresh_directory("/d", RefreshOrder::SmallestFirst)
-            .unwrap();
-        assert_eq!(os.read_to_vec("/d/f").unwrap(), b"precious bytes");
-        let st = os.stat("/d/f").unwrap();
-        assert_eq!(st.atime, Nanos::from_secs(11));
-        assert_eq!(st.mtime, Nanos::from_secs(22));
-    }
-
-    #[test]
-    fn refresh_moves_subdirectories_intact() {
-        let os = MockOs::new(1 << 20, 16);
-        os.mkdir("/d").unwrap();
-        os.mkdir("/d/sub").unwrap();
-        os.write_file("/d/sub/x", b"deep").unwrap();
-        os.write_file("/d/f", b"top").unwrap();
-        let fldc = Fldc::new(&os);
-        fldc.refresh_directory("/d", RefreshOrder::SmallestFirst)
-            .unwrap();
-        assert_eq!(os.read_to_vec("/d/sub/x").unwrap(), b"deep");
-        assert_eq!(os.read_to_vec("/d/f").unwrap(), b"top");
-    }
-
-    #[test]
-    fn refresh_leaves_no_temp_directory() {
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/d", &["a", "b"]);
-        Fldc::new(&os)
-            .refresh_directory("/d", RefreshOrder::ByName)
-            .unwrap();
-        let top = os.list_dir("/").unwrap();
-        assert_eq!(top, vec!["d"]);
-    }
-
-    #[test]
-    fn repair_completes_a_lost_rename() {
-        let os = MockOs::new(1 << 20, 16);
-        // Simulate the crash window: temp dir exists, original is gone.
-        os.mkdir("/d.gbrefresh").unwrap();
-        os.write_file("/d.gbrefresh/f", b"x").unwrap();
-        let fldc = Fldc::new(&os);
-        assert_eq!(fldc.repair_interrupted_refresh("/").unwrap(), 1);
-        assert_eq!(os.read_to_vec("/d/f").unwrap(), b"x");
-    }
-
-    #[test]
-    fn repair_discards_a_partial_copy() {
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/d", &["f"]);
-        // Crash before the delete: both directories present.
-        os.mkdir("/d.gbrefresh").unwrap();
-        os.write_file("/d.gbrefresh/f", b"partial").unwrap();
-        let fldc = Fldc::new(&os);
-        assert_eq!(fldc.repair_interrupted_refresh("/").unwrap(), 1);
-        assert_eq!(os.read_to_vec("/d/f").unwrap(), b"f");
-        assert!(os.stat("/d.gbrefresh").is_err());
-    }
-
-    #[test]
-    fn repair_ignores_unrelated_names() {
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/plain", &["f"]);
-        let fldc = Fldc::new(&os);
-        assert_eq!(fldc.repair_interrupted_refresh("/").unwrap(), 0);
-    }
 
     #[test]
     fn techniques_include_known_state() {
         let inv = techniques();
         assert!(inv.uses(Technique::KnownState));
         assert!(!inv.uses(Technique::Feedback));
-    }
-
-    #[test]
-    fn mtime_order_sorts_by_write_time() {
-        use gray_toolbox::Nanos;
-        let os = MockOs::new(1 << 20, 16);
-        populate(&os, "/d", &["a", "b", "c"]);
-        // Rewrite in the order c, a, b (mtimes via set_times for clarity).
-        os.set_times("/d/c", Nanos::from_secs(1), Nanos::from_secs(10))
-            .unwrap();
-        os.set_times("/d/a", Nanos::from_secs(1), Nanos::from_secs(20))
-            .unwrap();
-        os.set_times("/d/b", Nanos::from_secs(1), Nanos::from_secs(30))
-            .unwrap();
-        let fldc = Fldc::new(&os);
-        let paths = vec!["/d/a".to_string(), "/d/b".to_string(), "/d/c".to_string()];
-        let (ranks, failed) = fldc.order_by_mtime(&paths);
-        assert_eq!(failed, 0);
-        let order: Vec<&str> = ranks.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(order, vec!["/d/c", "/d/a", "/d/b"]);
     }
 
     #[test]

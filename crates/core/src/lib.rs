@@ -32,7 +32,18 @@
 //! **no** internal OS state: everything the ICLs learn, they learn by
 //! probing through this interface and measuring. Two backends exist in this
 //! workspace: `simos` (a deterministic simulated OS, used for the paper's
-//! experiments) and `hostos` (the real OS underneath, via `std`).
+//! experiments and for this crate's own tests in `tests/`) and `hostos`
+//! (the real OS underneath, via `std`).
+//!
+//! # Supporting modules
+//!
+//! - [`compose`] — FCCD and FLDC together: cached files first, each group
+//!   in i-number order (paper Section 4.2.4).
+//! - [`microbench`] — the configuration microbenchmarks that fill the
+//!   shared parameter repository.
+//! - [`technique`] — the paper's Table 2 taxonomy, per ICL.
+//! - [`mock`] — a minimal in-memory backend kept only for two graybench
+//!   rungs; no test outside its own module uses it.
 //!
 //! # Quick start
 //!

@@ -632,134 +632,6 @@ pub fn techniques() -> TechniqueInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockOs;
-
-    const PAGE: u64 = 4096;
-
-    fn small_params() -> MacParams {
-        MacParams {
-            initial_increment: 4 * PAGE,
-            max_increment: 64 * PAGE,
-            calibration_pages: 8,
-            ..MacParams::default()
-        }
-    }
-
-    #[test]
-    fn estimates_available_memory_within_one_increment() {
-        // 256 pages of memory, nothing else running.
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let est = mac.available_estimate(512 * PAGE).unwrap();
-        let est_pages = est / PAGE;
-        assert!(
-            (200..=256).contains(&est_pages),
-            "estimate {est_pages} pages of 256"
-        );
-    }
-
-    #[test]
-    fn estimate_respects_competitor_usage() {
-        let os = MockOs::new(16, 256);
-        // A competitor holds 100 pages resident.
-        let competitor = os.mem_alloc(100 * PAGE).unwrap();
-        for p in 0..100 {
-            os.mem_touch_write(competitor, p).unwrap();
-        }
-        let mac = Mac::new(&os, small_params());
-        let est = mac.available_estimate(512 * PAGE).unwrap() / PAGE;
-        // The competitor is *idle*, so under the mock's global LRU its
-        // pages are legitimately reclaimable: the estimate must cover at
-        // least the 156 free pages, and never exceed physical memory.
-        // (Active-competitor dynamics are exercised against simos in the
-        // integration tests.)
-        assert!(
-            (156..=256).contains(&est),
-            "estimate {est} pages with 156 free of 256"
-        );
-    }
-
-    #[test]
-    fn gb_alloc_returns_multiple_and_fits() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let alloc = mac
-            .gb_alloc(10 * PAGE, 100 * PAGE, 3 * PAGE)
-            .unwrap()
-            .expect("plenty of memory");
-        assert_eq!(alloc.bytes % (3 * PAGE), 0);
-        assert!(alloc.bytes >= 10 * PAGE);
-        assert!(alloc.bytes <= 100 * PAGE);
-        mac.gb_free(alloc).unwrap();
-    }
-
-    #[test]
-    fn gb_alloc_denies_impossible_minimum() {
-        let os = MockOs::new(16, 64);
-        let mac = Mac::new(&os, small_params());
-        let alloc = mac.gb_alloc(1 << 30, 1 << 30, PAGE).unwrap();
-        assert!(alloc.is_none(), "1 GiB cannot fit in 64 pages");
-    }
-
-    #[test]
-    fn gb_alloc_min_equal_max_is_all_or_nothing() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let alloc = mac.gb_alloc(64 * PAGE, 64 * PAGE, PAGE).unwrap().unwrap();
-        assert_eq!(alloc.bytes, 64 * PAGE);
-        mac.gb_free(alloc).unwrap();
-    }
-
-    #[test]
-    fn zero_max_yields_none() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        assert!(mac.gb_alloc(0, 0, PAGE).unwrap().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "min exceeds max")]
-    fn min_above_max_panics() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let _ = mac.gb_alloc(2 * PAGE, PAGE, PAGE);
-    }
-
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let _ = mac.available_estimate(64 * PAGE).unwrap();
-        let stats = mac.take_stats();
-        assert!(stats.pages_probed > 0);
-        assert!(stats.probe_time > GrayDuration::ZERO);
-        assert_eq!(mac.take_stats(), MacStats::default());
-    }
-
-    #[test]
-    fn repository_thresholds_skip_calibration() {
-        let os = MockOs::new(16, 256);
-        let mut repo = ParamRepository::in_memory();
-        repo.set_duration(keys::PAGE_TOUCH_NS, GrayDuration::from_nanos(300));
-        repo.set_duration(keys::PAGE_ALLOC_ZERO_NS, GrayDuration::from_micros(4));
-        let mac = Mac::with_repository(&os, small_params(), &repo);
-        assert!(mac.thresholds.borrow().is_some());
-        let est = mac.available_estimate(64 * PAGE).unwrap();
-        assert!(est > 0);
-    }
-
-    #[test]
-    fn allocation_is_resident_after_admission() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let before = os.resident_anon_pages();
-        let alloc = mac.gb_alloc(32 * PAGE, 32 * PAGE, PAGE).unwrap().unwrap();
-        assert!(
-            os.resident_anon_pages() >= before + 32,
-            "admitted pages must be resident"
-        );
-        mac.gb_free(alloc).unwrap();
-    }
 
     #[test]
     fn techniques_include_known_state_and_feedback() {
@@ -767,41 +639,6 @@ mod tests {
         assert!(inv.uses(Technique::KnownState));
         assert!(inv.uses(Technique::Feedback));
         assert!(inv.uses(Technique::InsertProbes));
-    }
-
-    #[test]
-    fn fair_alloc_divides_by_peers() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        let solo = mac.gb_alloc(PAGE, 256 * PAGE, PAGE).unwrap().unwrap();
-        let solo_bytes = solo.bytes;
-        mac.gb_free(solo).unwrap();
-        let shared = mac
-            .gb_alloc_fair(PAGE, 256 * PAGE, PAGE, 4)
-            .unwrap()
-            .unwrap();
-        assert!(
-            shared.bytes <= solo_bytes / 2,
-            "a fair 1-of-4 share must be much less than the solo grab: {} vs {}",
-            shared.bytes,
-            solo_bytes
-        );
-        assert!(shared.bytes >= PAGE);
-        mac.gb_free(shared).unwrap();
-    }
-
-    #[test]
-    fn fair_alloc_still_honors_minimum() {
-        let os = MockOs::new(16, 256);
-        let mac = Mac::new(&os, small_params());
-        // Fair share of 1/200 would be below the minimum; the minimum
-        // wins if it fits at all.
-        let a = mac
-            .gb_alloc_fair(32 * PAGE, 256 * PAGE, PAGE, 200)
-            .unwrap()
-            .unwrap();
-        assert!(a.bytes >= 32 * PAGE);
-        mac.gb_free(a).unwrap();
     }
 
     #[test]

@@ -251,78 +251,3 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         Ok(())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mock::MockOs;
-
-    #[test]
-    fn page_costs_orders_touch_below_zero() {
-        let os = MockOs::new(1 << 20, 1 << 20);
-        let mb = Microbench::new(&os).with_samples(16);
-        let costs = mb.page_costs().unwrap();
-        assert!(costs.touch < costs.zero, "{costs:?}");
-        assert!(costs.touch >= GrayDuration::from_nanos(1));
-    }
-
-    #[test]
-    fn disk_profile_separates_hit_from_miss() {
-        // Cache of 32 pages, file of 256 pages: most random reads miss.
-        let os = MockOs::new(32, 64);
-        let mb = Microbench::new(&os).with_samples(32);
-        let profile = mb.disk_profile("/scratch", 256 * 4096).unwrap();
-        assert!(
-            profile.random_page_read > profile.page_hit * 10,
-            "{profile:?}"
-        );
-        // Scratch file must be gone.
-        assert!(os.stat("/scratch").is_err());
-    }
-
-    #[test]
-    fn disk_profile_rejects_tiny_files() {
-        let os = MockOs::new(32, 64);
-        let mb = Microbench::new(&os);
-        assert!(mb.disk_profile("/s", 4096).is_err());
-    }
-
-    #[test]
-    fn access_unit_picks_a_candidate_within_bounds() {
-        let os = MockOs::new(64, 64);
-        let mb = Microbench::new(&os).with_samples(8);
-        let unit = mb.access_unit("/scratch", 16 << 20).unwrap();
-        // Candidates are powers of two megabytes; the file allows up to
-        // 4 MB (needs 4x headroom).
-        assert!(unit.is_power_of_two());
-        assert!((1 << 20..=4 << 20).contains(&unit), "unit {unit}");
-        assert!(os.stat("/scratch").is_err(), "scratch must be removed");
-    }
-
-    #[test]
-    fn access_unit_rejects_files_too_small_to_sweep() {
-        let os = MockOs::new(64, 64);
-        let mb = Microbench::new(&os);
-        assert!(mb.access_unit("/s", 1 << 20).is_err());
-    }
-
-    #[test]
-    fn run_all_populates_the_repository() {
-        let os = MockOs::new(64, 1 << 20);
-        let mb = Microbench::new(&os).with_samples(16);
-        let mut repo = ParamRepository::in_memory();
-        mb.run_all("/", 8 << 20, &mut repo).unwrap();
-        for key in [
-            keys::PAGE_TOUCH_NS,
-            keys::PAGE_ALLOC_ZERO_NS,
-            keys::PAGE_UNCACHED_READ_NS,
-            keys::PAGE_CACHED_READ_NS,
-            keys::DISK_BANDWIDTH_BPS,
-            keys::DISK_SEEK_NS,
-            keys::ACCESS_UNIT_BYTES,
-            keys::PAGE_SIZE_BYTES,
-        ] {
-            assert!(repo.contains(key), "missing {key}");
-        }
-    }
-}

@@ -1,275 +1,169 @@
-//! A miniature in-memory [`GrayBoxOs`] for unit tests and examples.
+//! A minimal in-memory [`GrayBoxOs`] that exists only for graybench.
 //!
-//! `MockOs` models just enough OS behavior for the ICLs to be exercised
-//! deterministically without the full `simos` substrate: an in-memory file
-//! system with sequential i-number assignment, an LRU file cache of
-//! configurable capacity with fixed hit/miss costs, and an anonymous-memory
-//! pool with fixed touch/allocate/swap costs. There is no noise and no
-//! concurrency; the clock advances by exactly the configured cost of each
-//! call.
+//! Two per-layer rungs of the benchmark, `core.fccd.classify_self_ns` and
+//! `core.mac.estimate_self_ns`, time FCCD and MAC over this backend so that
+//! the simulator's cost is left out. Nothing else uses it: every ICL,
+//! scheduler and equivalence test runs on `simos`. It goes once the
+//! benchmark-only change of ROADMAP item 2 drops those two reads.
 //!
-//! This is *not* the experimental substrate (see the `simos` crate for
-//! that); it exists so that `graybox`'s own unit tests, doctests, and
-//! downstream users' tests can run the ICL logic hermetically.
+//! It models exactly what the two rungs exercise: flat files with
+//! sequential i-numbers and no stored bytes (reads return zeros), an LRU
+//! file cache with fixed hit and miss costs, and an LRU pool of anonymous
+//! memory with fixed touch, zero-fill and swap-in costs. The clock advances
+//! by exactly the cost of each call; there is no noise, no readahead and no
+//! concurrency. Every other [`GrayBoxOs`] call fails with
+//! [`OsError::Unsupported`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use gray_toolbox::{GrayDuration, Nanos};
 
 use crate::os::{Fd, GrayBoxOs, MemRegion, OsError, OsResult, Stat};
 
-/// Cost model for [`MockOs`] operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MockCosts {
-    /// Cost of a page read served from the mock file cache.
-    pub cache_hit: GrayDuration,
-    /// Cost of a page read served from the mock disk.
-    pub cache_miss: GrayDuration,
-    /// Cost of touching a resident anonymous page.
-    pub mem_touch: GrayDuration,
-    /// Cost of allocating and zeroing a fresh anonymous page.
-    pub mem_zero: GrayDuration,
-    /// Cost of faulting an anonymous page back in from swap.
-    pub swap_in: GrayDuration,
-    /// Cost of a metadata operation (`stat`, `open`, directory ops).
-    pub meta: GrayDuration,
-    /// Cost `sync` pays per dirty file page written back (on top of one
-    /// `meta` charge) — the observable side effect the WBD infers from.
-    pub sync_page: GrayDuration,
+const PAGE_SIZE: u64 = 4096;
+/// A page read served from the file cache.
+const CACHE_HIT: GrayDuration = GrayDuration::from_micros(3);
+/// A page read served from the disk.
+const CACHE_MISS: GrayDuration = GrayDuration::from_millis(5);
+/// A write-touch of a resident anonymous page.
+const MEM_TOUCH: GrayDuration = GrayDuration::from_nanos(300);
+/// A first touch: allocate and zero a fresh anonymous page.
+const MEM_ZERO: GrayDuration = GrayDuration::from_micros(4);
+/// A touch of a swapped-out anonymous page.
+const SWAP_IN: GrayDuration = GrayDuration::from_millis(6);
+
+/// One LRU set of pages, keyed by (owner, page).
+#[derive(Debug)]
+struct Lru {
+    capacity: usize,
+    order: VecDeque<(u64, u64)>,
+    members: HashSet<(u64, u64)>,
 }
 
-impl Default for MockCosts {
-    fn default() -> Self {
-        MockCosts {
-            cache_hit: GrayDuration::from_micros(3),
-            cache_miss: GrayDuration::from_millis(5),
-            mem_touch: GrayDuration::from_nanos(300),
-            mem_zero: GrayDuration::from_micros(4),
-            swap_in: GrayDuration::from_millis(6),
-            meta: GrayDuration::from_micros(10),
-            sync_page: GrayDuration::from_millis(2),
+impl Lru {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            order: VecDeque::new(),
+            members: HashSet::new(),
         }
     }
-}
 
-#[derive(Debug, Clone)]
-struct MockFile {
-    ino: u64,
-    data: Vec<u8>,
-    atime: Nanos,
-    mtime: Nanos,
-}
+    /// Moves a member to the most-recently-used end; false if absent.
+    fn touch(&mut self, key: (u64, u64)) -> bool {
+        if !self.members.contains(&key) {
+            return false;
+        }
+        if let Some(pos) = self.order.iter().position(|&k| k == key) {
+            self.order.remove(pos);
+            self.order.push_back(key);
+        }
+        true
+    }
 
-#[derive(Debug, Default)]
-struct MockDir {
-    ino: u64,
-    entries: Vec<String>,
-}
+    /// Adds a non-member, returning the members evicted to make room.
+    fn insert(&mut self, key: (u64, u64)) -> Vec<(u64, u64)> {
+        let mut evicted = Vec::new();
+        while self.members.len() >= self.capacity {
+            let Some(victim) = self.order.pop_front() else {
+                break;
+            };
+            self.members.remove(&victim);
+            evicted.push(victim);
+        }
+        self.order.push_back(key);
+        self.members.insert(key);
+        evicted
+    }
 
-#[derive(Debug)]
-struct Region {
-    pages: u64,
-    /// Page index -> resident? (absent = never touched, false = swapped).
-    state: HashMap<u64, bool>,
-    data: HashMap<u64, u8>,
+    /// Drops every member owned by `owner`.
+    fn remove_owner(&mut self, owner: u64) {
+        self.order.retain(|&(o, _)| o != owner);
+        self.members.retain(|&(o, _)| o != owner);
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
     clock: Nanos,
-    files: BTreeMap<String, MockFile>,
-    dirs: BTreeMap<String, MockDir>,
-    next_ino: u64,
-    fds: HashMap<u32, String>,
+    /// Path -> i-number; file sizes are indexed by i-number.
+    names: HashMap<String, u64>,
+    sizes: Vec<u64>,
+    /// Open descriptor -> i-number.
+    fds: HashMap<u32, u64>,
     next_fd: u32,
-    /// LRU queue of (ino, page) with membership set.
-    cache_lru: VecDeque<(u64, u64)>,
-    cache_set: HashMap<(u64, u64), ()>,
-    /// Dirty (ino, page) pairs: written but not yet synced.
-    dirty_set: HashMap<(u64, u64), ()>,
-    cache_capacity_pages: usize,
-    regions: HashMap<u64, Region>,
+    /// Resident file pages, keyed by (i-number, page).
+    cache: Lru,
+    /// Region -> page count and, per page ever touched, whether it is
+    /// resident (false: swapped out).
+    regions: HashMap<u64, (u64, HashMap<u64, bool>)>,
     next_region: u64,
-    /// LRU of resident anon pages (region, page).
-    anon_lru: VecDeque<(u64, u64)>,
-    mem_capacity_pages: usize,
-    resident_anon: usize,
-    page_size: u64,
-}
-
-/// The mock OS. See the [module documentation](self).
-#[derive(Debug)]
-pub struct MockOs {
-    inner: RefCell<Inner>,
-    costs: MockCosts,
-}
-
-impl MockOs {
-    /// Creates a mock with the given file-cache and memory capacities (in
-    /// pages) and default costs. The root directory `/` exists.
-    pub fn new(cache_capacity_pages: usize, mem_capacity_pages: usize) -> Self {
-        Self::with_costs(
-            cache_capacity_pages,
-            mem_capacity_pages,
-            MockCosts::default(),
-        )
-    }
-
-    /// Creates a mock with explicit costs.
-    pub fn with_costs(
-        cache_capacity_pages: usize,
-        mem_capacity_pages: usize,
-        costs: MockCosts,
-    ) -> Self {
-        let mut dirs = BTreeMap::new();
-        dirs.insert(
-            "/".to_string(),
-            MockDir {
-                ino: 2,
-                entries: Vec::new(),
-            },
-        );
-        MockOs {
-            inner: RefCell::new(Inner {
-                clock: Nanos::ZERO,
-                files: BTreeMap::new(),
-                dirs,
-                next_ino: 3,
-                fds: HashMap::new(),
-                next_fd: 3,
-                cache_lru: VecDeque::new(),
-                cache_set: HashMap::new(),
-                dirty_set: HashMap::new(),
-                cache_capacity_pages,
-                regions: HashMap::new(),
-                next_region: 1,
-                anon_lru: VecDeque::new(),
-                mem_capacity_pages,
-                resident_anon: 0,
-                page_size: 4096,
-            }),
-            costs,
-        }
-    }
-
-    /// Test oracle: whether a given page of a file is in the mock cache.
-    pub fn page_cached(&self, path: &str, page: u64) -> bool {
-        let inner = self.inner.borrow();
-        let Some(f) = inner.files.get(path) else {
-            return false;
-        };
-        inner.cache_set.contains_key(&(f.ino, page))
-    }
-
-    /// Test oracle: number of resident anonymous pages.
-    pub fn resident_anon_pages(&self) -> usize {
-        self.inner.borrow().resident_anon
-    }
-
-    /// Test oracle: number of cached file pages.
-    pub fn cached_file_pages(&self) -> usize {
-        self.inner.borrow().cache_set.len()
-    }
-
-    /// Test oracle: number of dirty file pages awaiting writeback.
-    pub fn dirty_file_pages(&self) -> usize {
-        self.inner.borrow().dirty_set.len()
-    }
-
-    /// Drops every cached file page (a "flush" between experiments).
-    /// Dirty pages are discarded, not written back.
-    pub fn flush_cache(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.cache_lru.clear();
-        inner.cache_set.clear();
-        inner.dirty_set.clear();
-    }
-
-    /// Pre-loads a page range of a file into the cache without advancing
-    /// the clock (test setup helper).
-    pub fn warm(&self, path: &str, pages: impl IntoIterator<Item = u64>) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(ino) = inner.files.get(path).map(|f| f.ino) else {
-            return;
-        };
-        for p in pages {
-            inner.cache_insert(ino, p);
-        }
-    }
-
-    fn charge(&self, inner: &mut Inner, cost: GrayDuration) {
-        inner.clock += cost;
-    }
-
-    fn parent_of(path: &str) -> OsResult<(&str, &str)> {
-        let path = path.trim_end_matches('/');
-        if path.is_empty() {
-            return Err(OsError::InvalidArgument);
-        }
-        match path.rfind('/') {
-            Some(0) => Ok(("/", &path[1..])),
-            Some(i) => Ok((&path[..i], &path[i + 1..])),
-            None => Err(OsError::InvalidArgument),
-        }
-    }
+    /// Resident anonymous pages, keyed by (region, page).
+    anon: Lru,
 }
 
 impl Inner {
-    fn cache_insert(&mut self, ino: u64, page: u64) {
-        if self.cache_set.contains_key(&(ino, page)) {
-            return;
-        }
-        while self.cache_set.len() >= self.cache_capacity_pages {
-            let Some(victim) = self.cache_lru.pop_front() else {
-                break;
-            };
-            self.cache_set.remove(&victim);
-        }
-        self.cache_lru.push_back((ino, page));
-        self.cache_set.insert((ino, page), ());
+    fn ino(&self, fd: Fd) -> OsResult<u64> {
+        self.fds.get(&fd.0).copied().ok_or(OsError::BadFd)
     }
 
-    fn cache_touch(&mut self, ino: u64, page: u64) -> bool {
-        if self.cache_set.contains_key(&(ino, page)) {
-            // Move to MRU position.
-            if let Some(pos) = self.cache_lru.iter().position(|&e| e == (ino, page)) {
-                self.cache_lru.remove(pos);
-                self.cache_lru.push_back((ino, page));
-            }
-            true
+    /// Reads `page` of file `ino` through the cache, returning its cost.
+    fn read_page(&mut self, ino: u64, page: u64) -> GrayDuration {
+        if self.cache.touch((ino, page)) {
+            CACHE_HIT
         } else {
-            false
+            self.cache.insert((ino, page));
+            CACHE_MISS
+        }
+    }
+}
+
+/// The graybench double. See the [module documentation](self).
+#[derive(Debug)]
+pub struct MockOs {
+    inner: RefCell<Inner>,
+}
+
+impl MockOs {
+    /// Creates a backend with the given file-cache and memory capacities,
+    /// in pages.
+    pub fn new(cache_capacity_pages: usize, mem_capacity_pages: usize) -> Self {
+        MockOs {
+            inner: RefCell::new(Inner {
+                clock: Nanos::ZERO,
+                names: HashMap::new(),
+                sizes: Vec::new(),
+                fds: HashMap::new(),
+                next_fd: 3,
+                cache: Lru::new(cache_capacity_pages),
+                regions: HashMap::new(),
+                next_region: 1,
+                anon: Lru::new(mem_capacity_pages),
+            }),
         }
     }
 
-    fn evict_one_anon(&mut self) {
-        if let Some((rid, page)) = self.anon_lru.pop_front() {
-            if let Some(region) = self.regions.get_mut(&rid) {
-                if let Some(state) = region.state.get_mut(&page) {
-                    *state = false;
-                }
-            }
-            self.resident_anon -= 1;
+    /// Drops every cached file page.
+    pub fn flush_cache(&self) {
+        let mut inner = self.inner.borrow_mut();
+        let capacity = inner.cache.capacity;
+        inner.cache = Lru::new(capacity);
+    }
+
+    /// Loads pages of a file into the cache without advancing the clock.
+    pub fn warm(&self, path: &str, pages: impl IntoIterator<Item = u64>) {
+        let mut inner = self.inner.borrow_mut();
+        let Some(&ino) = inner.names.get(path) else {
+            return;
+        };
+        for page in pages {
+            inner.read_page(ino, page);
         }
     }
 
-    fn anon_make_resident(&mut self, rid: u64, page: u64) {
-        while self.resident_anon >= self.mem_capacity_pages {
-            self.evict_one_anon();
-        }
-        self.anon_lru.push_back((rid, page));
-        self.resident_anon += 1;
-        if let Some(region) = self.regions.get_mut(&rid) {
-            region.state.insert(page, true);
-        }
-    }
-
-    fn anon_touch_lru(&mut self, rid: u64, page: u64) {
-        if let Some(pos) = self.anon_lru.iter().position(|&e| e == (rid, page)) {
-            self.anon_lru.remove(pos);
-            self.anon_lru.push_back((rid, page));
-        }
+    fn advance(&self, d: GrayDuration) {
+        self.inner.borrow_mut().clock += d;
     }
 }
 
@@ -279,54 +173,29 @@ impl GrayBoxOs for MockOs {
     }
 
     fn page_size(&self) -> u64 {
-        self.inner.borrow().page_size
+        PAGE_SIZE
     }
 
     fn open(&self, path: &str) -> OsResult<Fd> {
         let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        if !inner.files.contains_key(path) {
-            return Err(OsError::NotFound);
-        }
+        let ino = *inner.names.get(path).ok_or(OsError::NotFound)?;
         let fd = inner.next_fd;
         inner.next_fd += 1;
-        inner.fds.insert(fd, path.to_string());
+        inner.fds.insert(fd, ino);
         Ok(Fd(fd))
     }
 
     fn create(&self, path: &str) -> OsResult<Fd> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        if inner.files.contains_key(path) || inner.dirs.contains_key(path) {
-            return Err(OsError::AlreadyExists);
+        {
+            let mut inner = self.inner.borrow_mut();
+            if inner.names.contains_key(path) {
+                return Err(OsError::AlreadyExists);
+            }
+            let ino = inner.sizes.len() as u64;
+            inner.sizes.push(0);
+            inner.names.insert(path.to_string(), ino);
         }
-        let (dir, name) = MockOs::parent_of(path)?;
-        let name = name.to_string();
-        if !inner.dirs.contains_key(dir) {
-            return Err(OsError::NotFound);
-        }
-        let ino = inner.next_ino;
-        inner.next_ino += 1;
-        let now = inner.clock;
-        inner.files.insert(
-            path.to_string(),
-            MockFile {
-                ino,
-                data: Vec::new(),
-                atime: now,
-                mtime: now,
-            },
-        );
-        inner
-            .dirs
-            .get_mut(dir)
-            .expect("checked above")
-            .entries
-            .push(name);
-        let fd = inner.next_fd;
-        inner.next_fd += 1;
-        inner.fds.insert(fd, path.to_string());
-        Ok(Fd(fd))
+        self.open(path)
     }
 
     fn close(&self, fd: Fd) -> OsResult<()> {
@@ -336,264 +205,79 @@ impl GrayBoxOs for MockOs {
 
     fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> OsResult<usize> {
         let mut inner = self.inner.borrow_mut();
-        let path = inner.fds.get(&fd.0).ok_or(OsError::BadFd)?.clone();
-        let (ino, size) = {
-            let f = inner.files.get(&path).ok_or(OsError::NotFound)?;
-            (f.ino, f.data.len() as u64)
-        };
-        if offset >= size {
+        let ino = inner.ino(fd)?;
+        let size = inner.sizes[ino as usize];
+        if offset >= size || buf.is_empty() {
             return Ok(0);
         }
         let len = (buf.len() as u64).min(size - offset);
-        let page_size = inner.page_size;
-        let first = offset / page_size;
-        let last = (offset + len - 1) / page_size;
-        let mut cost = GrayDuration::ZERO;
-        for page in first..=last {
-            if inner.cache_touch(ino, page) {
-                cost += self.costs.cache_hit;
-            } else {
-                cost += self.costs.cache_miss;
-                inner.cache_insert(ino, page);
-            }
-        }
-        self.charge(&mut inner, cost);
-        let f = inner.files.get(&path).expect("checked above");
-        buf[..len as usize].copy_from_slice(&f.data[offset as usize..(offset + len) as usize]);
+        let cost: GrayDuration = (offset / PAGE_SIZE..=(offset + len - 1) / PAGE_SIZE)
+            .map(|page| inner.read_page(ino, page))
+            .sum();
+        inner.clock += cost;
+        buf[..len as usize].fill(0);
         Ok(len as usize)
     }
 
-    fn read_discard(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
-        let mut scratch = vec![0u8; len.min(1 << 20) as usize];
-        let mut covered = 0u64;
-        while covered < len {
-            let want = (len - covered).min(scratch.len() as u64) as usize;
-            let n = self.read_at(fd, offset + covered, &mut scratch[..want])?;
-            if n == 0 {
-                break;
-            }
-            covered += n as u64;
-        }
-        Ok(covered)
+    fn read_discard(&self, _fd: Fd, _offset: u64, _len: u64) -> OsResult<u64> {
+        Err(OsError::Unsupported)
     }
 
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> OsResult<usize> {
-        let mut inner = self.inner.borrow_mut();
-        let path = inner.fds.get(&fd.0).ok_or(OsError::BadFd)?.clone();
-        let now = inner.clock;
-        let page_size = inner.page_size;
-        let (ino, pages) = {
-            let f = inner.files.get_mut(&path).ok_or(OsError::NotFound)?;
-            let end = offset as usize + data.len();
-            if f.data.len() < end {
-                f.data.resize(end, 0);
-            }
-            f.data[offset as usize..end].copy_from_slice(data);
-            f.mtime = now;
-            if data.is_empty() {
-                (f.ino, 0..0)
-            } else {
-                (
-                    f.ino,
-                    offset / page_size..(offset + data.len() as u64 - 1) / page_size + 1,
-                )
-            }
-        };
-        let mut cost = GrayDuration::ZERO;
-        for page in pages {
-            if !inner.cache_touch(ino, page) {
-                inner.cache_insert(ino, page);
-            }
-            inner.dirty_set.insert((ino, page), ());
-            cost += self.costs.cache_hit;
-        }
-        self.charge(&mut inner, cost);
-        Ok(data.len())
+    fn write_at(&self, _fd: Fd, _offset: u64, _data: &[u8]) -> OsResult<usize> {
+        Err(OsError::Unsupported)
     }
 
+    /// Extends the file; the written pages become cached at the hit cost.
     fn write_fill(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
-        let data = vec![0xAB; len as usize];
-        self.write_at(fd, offset, &data).map(|n| n as u64)
+        let mut inner = self.inner.borrow_mut();
+        let ino = inner.ino(fd)?;
+        if len == 0 {
+            return Ok(0);
+        }
+        let size = &mut inner.sizes[ino as usize];
+        *size = (*size).max(offset + len);
+        for page in offset / PAGE_SIZE..=(offset + len - 1) / PAGE_SIZE {
+            inner.read_page(ino, page);
+            inner.clock += CACHE_HIT;
+        }
+        Ok(len)
     }
 
     fn file_size(&self, fd: Fd) -> OsResult<u64> {
         let inner = self.inner.borrow();
-        let path = inner.fds.get(&fd.0).ok_or(OsError::BadFd)?;
-        Ok(inner.files.get(path).ok_or(OsError::NotFound)?.data.len() as u64)
+        Ok(inner.sizes[inner.ino(fd)? as usize])
     }
 
     fn sync(&self) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        let dirty = inner.dirty_set.len() as u64;
-        inner.dirty_set.clear();
-        let cost = self.costs.meta + self.costs.sync_page * dirty;
-        self.charge(&mut inner, cost);
-        Ok(())
+        Err(OsError::Unsupported)
     }
 
-    fn stat(&self, path: &str) -> OsResult<Stat> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        if let Some(f) = inner.files.get(path) {
-            return Ok(Stat {
-                ino: f.ino,
-                dev: 1,
-                size: f.data.len() as u64,
-                is_dir: false,
-                atime: f.atime,
-                mtime: f.mtime,
-            });
-        }
-        if let Some(d) = inner.dirs.get(path) {
-            return Ok(Stat {
-                ino: d.ino,
-                dev: 1,
-                size: 0,
-                is_dir: true,
-                atime: Nanos::ZERO,
-                mtime: Nanos::ZERO,
-            });
-        }
-        Err(OsError::NotFound)
+    fn stat(&self, _path: &str) -> OsResult<Stat> {
+        Err(OsError::Unsupported)
     }
 
-    fn list_dir(&self, path: &str) -> OsResult<Vec<String>> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        inner
-            .dirs
-            .get(path)
-            .map(|d| d.entries.clone())
-            .ok_or(OsError::NotFound)
+    fn list_dir(&self, _path: &str) -> OsResult<Vec<String>> {
+        Err(OsError::Unsupported)
     }
 
-    fn mkdir(&self, path: &str) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        if inner.dirs.contains_key(path) || inner.files.contains_key(path) {
-            return Err(OsError::AlreadyExists);
-        }
-        let (dir, name) = MockOs::parent_of(path)?;
-        let name = name.to_string();
-        if !inner.dirs.contains_key(dir) {
-            return Err(OsError::NotFound);
-        }
-        let ino = inner.next_ino;
-        inner.next_ino += 1;
-        inner.dirs.insert(
-            path.to_string(),
-            MockDir {
-                ino,
-                entries: Vec::new(),
-            },
-        );
-        inner
-            .dirs
-            .get_mut(dir)
-            .expect("checked above")
-            .entries
-            .push(name);
-        Ok(())
+    fn mkdir(&self, _path: &str) -> OsResult<()> {
+        Err(OsError::Unsupported)
     }
 
-    fn rmdir(&self, path: &str) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        match inner.dirs.get(path) {
-            None => return Err(OsError::NotFound),
-            Some(d) if !d.entries.is_empty() => return Err(OsError::NotEmpty),
-            Some(_) => {}
-        }
-        inner.dirs.remove(path);
-        let (dir, name) = MockOs::parent_of(path)?;
-        let (dir, name) = (dir.to_string(), name.to_string());
-        if let Some(parent) = inner.dirs.get_mut(&dir) {
-            parent.entries.retain(|e| *e != name);
-        }
-        Ok(())
+    fn rmdir(&self, _path: &str) -> OsResult<()> {
+        Err(OsError::Unsupported)
     }
 
-    fn unlink(&self, path: &str) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        let file = inner.files.remove(path).ok_or(OsError::NotFound)?;
-        inner.cache_lru.retain(|&(ino, _)| ino != file.ino);
-        inner.cache_set.retain(|&(ino, _), _| ino != file.ino);
-        inner.dirty_set.retain(|&(ino, _), _| ino != file.ino);
-        let (dir, name) = MockOs::parent_of(path)?;
-        let (dir, name) = (dir.to_string(), name.to_string());
-        if let Some(parent) = inner.dirs.get_mut(&dir) {
-            parent.entries.retain(|e| *e != name);
-        }
-        Ok(())
+    fn unlink(&self, _path: &str) -> OsResult<()> {
+        Err(OsError::Unsupported)
     }
 
-    fn rename(&self, from: &str, to: &str) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        if let Some(file) = inner.files.remove(from) {
-            let (fdir, fname) = MockOs::parent_of(from)?;
-            let (tdir, tname) = MockOs::parent_of(to)?;
-            let (fdir, fname) = (fdir.to_string(), fname.to_string());
-            let (tdir, tname) = (tdir.to_string(), tname.to_string());
-            inner.files.insert(to.to_string(), file);
-            if let Some(p) = inner.dirs.get_mut(&fdir) {
-                p.entries.retain(|e| *e != fname);
-            }
-            if let Some(p) = inner.dirs.get_mut(&tdir) {
-                p.entries.push(tname);
-            }
-            return Ok(());
-        }
-        if inner.dirs.contains_key(from) {
-            if inner.dirs.contains_key(to) {
-                return Err(OsError::AlreadyExists);
-            }
-            // Move the directory and every path beneath it.
-            let moved: Vec<String> = inner
-                .dirs
-                .keys()
-                .filter(|k| *k == from || k.starts_with(&format!("{from}/")))
-                .cloned()
-                .collect();
-            for old in moved {
-                let new = format!("{to}{}", &old[from.len()..]);
-                let d = inner.dirs.remove(&old).expect("key listed above");
-                inner.dirs.insert(new, d);
-            }
-            let moved_files: Vec<String> = inner
-                .files
-                .keys()
-                .filter(|k| k.starts_with(&format!("{from}/")))
-                .cloned()
-                .collect();
-            for old in moved_files {
-                let new = format!("{to}{}", &old[from.len()..]);
-                let f = inner.files.remove(&old).expect("key listed above");
-                inner.files.insert(new, f);
-            }
-            let (fdir, fname) = MockOs::parent_of(from)?;
-            let (tdir, tname) = MockOs::parent_of(to)?;
-            let (fdir, fname) = (fdir.to_string(), fname.to_string());
-            let (tdir, tname) = (tdir.to_string(), tname.to_string());
-            if let Some(p) = inner.dirs.get_mut(&fdir) {
-                p.entries.retain(|e| *e != fname);
-            }
-            if let Some(p) = inner.dirs.get_mut(&tdir) {
-                p.entries.push(tname);
-            }
-            return Ok(());
-        }
-        Err(OsError::NotFound)
+    fn rename(&self, _from: &str, _to: &str) -> OsResult<()> {
+        Err(OsError::Unsupported)
     }
 
-    fn set_times(&self, path: &str, atime: Nanos, mtime: Nanos) -> OsResult<()> {
-        let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        let f = inner.files.get_mut(path).ok_or(OsError::NotFound)?;
-        f.atime = atime;
-        f.mtime = mtime;
-        Ok(())
+    fn set_times(&self, _path: &str, _atime: Nanos, _mtime: Nanos) -> OsResult<()> {
+        Err(OsError::Unsupported)
     }
 
     fn mem_alloc(&self, bytes: u64) -> OsResult<MemRegion> {
@@ -601,98 +285,61 @@ impl GrayBoxOs for MockOs {
             return Err(OsError::InvalidArgument);
         }
         let mut inner = self.inner.borrow_mut();
-        self.charge(&mut inner, self.costs.meta);
-        let pages = bytes.div_ceil(inner.page_size);
         let rid = inner.next_region;
         inner.next_region += 1;
-        inner.regions.insert(
-            rid,
-            Region {
-                pages,
-                state: HashMap::new(),
-                data: HashMap::new(),
-            },
-        );
+        inner
+            .regions
+            .insert(rid, (bytes.div_ceil(PAGE_SIZE), HashMap::new()));
         Ok(MemRegion(rid))
     }
 
     fn mem_free(&self, region: MemRegion) -> OsResult<()> {
         let mut inner = self.inner.borrow_mut();
-        let r = inner.regions.remove(&region.0).ok_or(OsError::BadRegion)?;
-        let resident = r.state.values().filter(|&&v| v).count();
-        inner.resident_anon -= resident;
-        inner.anon_lru.retain(|&(rid, _)| rid != region.0);
+        inner.regions.remove(&region.0).ok_or(OsError::BadRegion)?;
+        inner.anon.remove_owner(region.0);
         Ok(())
     }
 
     fn mem_touch_write(&self, region: MemRegion, page: u64) -> OsResult<()> {
         let mut inner = self.inner.borrow_mut();
-        let state = {
-            let r = inner.regions.get(&region.0).ok_or(OsError::BadRegion)?;
-            if page >= r.pages {
-                return Err(OsError::InvalidArgument);
-            }
-            r.state.get(&page).copied()
-        };
-        let cost = match state {
-            Some(true) => {
-                inner.anon_touch_lru(region.0, page);
-                self.costs.mem_touch
-            }
-            Some(false) => {
-                inner.anon_make_resident(region.0, page);
-                self.costs.swap_in
-            }
-            None => {
-                inner.anon_make_resident(region.0, page);
-                self.costs.mem_zero
-            }
-        };
-        if let Some(r) = inner.regions.get_mut(&region.0) {
-            r.data.insert(page, 0xCD);
+        let (pages, state) = inner.regions.get(&region.0).ok_or(OsError::BadRegion)?;
+        if page >= *pages {
+            return Err(OsError::InvalidArgument);
         }
-        self.charge(&mut inner, cost);
+        let cost = match state.get(&page).copied() {
+            Some(true) => {
+                inner.anon.touch((region.0, page));
+                MEM_TOUCH
+            }
+            touched => {
+                for (rid, victim) in inner.anon.insert((region.0, page)) {
+                    if let Some((_, state)) = inner.regions.get_mut(&rid) {
+                        state.insert(victim, false);
+                    }
+                }
+                let (_, state) = inner.regions.get_mut(&region.0).expect("checked above");
+                state.insert(page, true);
+                if touched.is_some() {
+                    SWAP_IN
+                } else {
+                    MEM_ZERO
+                }
+            }
+        };
+        inner.clock += cost;
         Ok(())
     }
 
-    fn mem_touch_read(&self, region: MemRegion, page: u64) -> OsResult<u8> {
-        let mut inner = self.inner.borrow_mut();
-        let state = {
-            let r = inner.regions.get(&region.0).ok_or(OsError::BadRegion)?;
-            if page >= r.pages {
-                return Err(OsError::InvalidArgument);
-            }
-            r.state.get(&page).copied()
-        };
-        let cost = match state {
-            Some(true) => {
-                inner.anon_touch_lru(region.0, page);
-                self.costs.mem_touch
-            }
-            Some(false) => {
-                inner.anon_make_resident(region.0, page);
-                self.costs.swap_in
-            }
-            // Copy-on-write zero page: a read does NOT allocate.
-            None => self.costs.mem_touch,
-        };
-        let value = inner
-            .regions
-            .get(&region.0)
-            .and_then(|r| r.data.get(&page).copied())
-            .unwrap_or(0);
-        self.charge(&mut inner, cost);
-        Ok(value)
+    fn mem_touch_read(&self, _region: MemRegion, _page: u64) -> OsResult<u8> {
+        Err(OsError::Unsupported)
     }
 
     fn compute(&self, work: GrayDuration) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock += work;
+        self.advance(work);
     }
 
     fn sleep(&self, d: GrayDuration) {
-        let mut inner = self.inner.borrow_mut();
-        inner.clock += d;
+        self.advance(d);
     }
 
     fn yield_now(&self) {}
@@ -701,33 +348,20 @@ impl GrayBoxOs for MockOs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::os::GrayBoxOsExt;
+    use crate::fccd::{Fccd, FccdParams};
+    use crate::mac::{Mac, MacParams};
 
-    #[test]
-    fn create_write_read_round_trip() {
-        let os = MockOs::new(1024, 1024);
-        os.write_file("/a.txt", b"hello").unwrap();
-        assert_eq!(os.read_to_vec("/a.txt").unwrap(), b"hello");
-    }
-
-    #[test]
-    fn inode_numbers_follow_creation_order() {
-        let os = MockOs::new(1024, 1024);
-        os.write_file("/a", b"x").unwrap();
-        os.write_file("/b", b"x").unwrap();
-        os.write_file("/c", b"x").unwrap();
-        let ia = os.stat("/a").unwrap().ino;
-        let ib = os.stat("/b").unwrap().ino;
-        let ic = os.stat("/c").unwrap().ino;
-        assert!(ia < ib && ib < ic);
+    fn file(os: &MockOs, path: &str, bytes: u64) -> Fd {
+        let fd = os.create(path).unwrap();
+        os.write_fill(fd, 0, bytes).unwrap();
+        fd
     }
 
     #[test]
     fn cached_reads_are_faster_than_uncached() {
         let os = MockOs::new(1024, 1024);
-        os.write_file("/f", &vec![7u8; 8192]).unwrap();
+        let fd = file(&os, "/f", 8192);
         os.flush_cache();
-        let fd = os.open("/f").unwrap();
         let (_, cold) = os.timed(|os| os.read_byte(fd, 0).unwrap());
         let (_, warm) = os.timed(|os| os.read_byte(fd, 1).unwrap());
         assert!(cold > warm * 10, "cold {cold} vs warm {warm}");
@@ -736,31 +370,20 @@ mod tests {
     #[test]
     fn cache_evicts_lru_beyond_capacity() {
         let os = MockOs::new(2, 1024);
-        os.write_file("/f", &vec![0u8; 4096 * 4]).unwrap();
+        let fd = file(&os, "/f", 4 * PAGE_SIZE);
         os.flush_cache();
-        let fd = os.open("/f").unwrap();
-        for page in 0..3u64 {
-            os.read_byte(fd, page * 4096).unwrap();
+        for page in 0..3 {
+            os.read_byte(fd, page * PAGE_SIZE).unwrap();
         }
-        assert!(!os.page_cached("/f", 0), "page 0 should have been evicted");
-        assert!(os.page_cached("/f", 1));
-        assert!(os.page_cached("/f", 2));
-    }
-
-    #[test]
-    fn mem_write_touch_allocates_and_read_does_not() {
-        let os = MockOs::new(16, 16);
-        let r = os.mem_alloc(4096 * 4).unwrap();
-        os.mem_touch_read(r, 0).unwrap();
-        assert_eq!(os.resident_anon_pages(), 0, "CoW read must not allocate");
-        os.mem_touch_write(r, 0).unwrap();
-        assert_eq!(os.resident_anon_pages(), 1);
+        let (_, newest) = os.timed(|os| os.read_byte(fd, 2 * PAGE_SIZE).unwrap());
+        let (_, oldest) = os.timed(|os| os.read_byte(fd, 0).unwrap());
+        assert_eq!((newest, oldest), (CACHE_HIT, CACHE_MISS));
     }
 
     #[test]
     fn over_commit_swaps_and_swap_in_is_slow() {
         let os = MockOs::new(16, 2);
-        let r = os.mem_alloc(4096 * 3).unwrap();
+        let r = os.mem_alloc(PAGE_SIZE * 3).unwrap();
         for p in 0..3 {
             os.mem_touch_write(r, p).unwrap();
         }
@@ -772,52 +395,59 @@ mod tests {
     #[test]
     fn mem_free_releases_residency() {
         let os = MockOs::new(16, 8);
-        let r = os.mem_alloc(4096 * 4).unwrap();
+        let r = os.mem_alloc(PAGE_SIZE * 4).unwrap();
         for p in 0..4 {
             os.mem_touch_write(r, p).unwrap();
         }
         os.mem_free(r).unwrap();
-        assert_eq!(os.resident_anon_pages(), 0);
         assert!(os.mem_touch_write(r, 0).is_err());
-    }
-
-    #[test]
-    fn rename_moves_directories_recursively() {
-        let os = MockOs::new(16, 16);
-        os.mkdir("/d").unwrap();
-        os.write_file("/d/f", b"x").unwrap();
-        os.rename("/d", "/e").unwrap();
-        assert!(os.stat("/e/f").is_ok());
-        assert!(os.stat("/d/f").is_err());
-        assert_eq!(os.list_dir("/").unwrap(), vec!["e".to_string()]);
-    }
-
-    #[test]
-    fn unlink_purges_cache_entries() {
-        let os = MockOs::new(16, 16);
-        os.write_file("/f", &vec![0u8; 4096]).unwrap();
-        assert!(os.cached_file_pages() > 0);
-        os.unlink("/f").unwrap();
-        assert_eq!(os.cached_file_pages(), 0);
-    }
-
-    #[test]
-    fn list_dir_preserves_creation_order() {
-        let os = MockOs::new(16, 16);
-        for name in ["z", "a", "m"] {
-            os.write_file(&format!("/{name}"), b"").unwrap();
+        // All eight pages fit again: none of them is ever swapped out.
+        let r = os.mem_alloc(PAGE_SIZE * 8).unwrap();
+        for p in 0..8 {
+            os.mem_touch_write(r, p).unwrap();
         }
-        assert_eq!(os.list_dir("/").unwrap(), vec!["z", "a", "m"]);
+        for p in 0..8 {
+            let (_, t) = os.timed(|os| os.mem_touch_write(r, p).unwrap());
+            assert_eq!(t, MEM_TOUCH, "page {p}");
+        }
     }
 
+    /// The calls of graybench's two `_self` rungs, as the rungs make them
+    /// (`benchmark/src/ladder.rs`). A trim that stubs something they need
+    /// fails here, in the workspace's own tests.
     #[test]
-    fn set_times_round_trips() {
-        let os = MockOs::new(16, 16);
-        os.write_file("/f", b"x").unwrap();
-        os.set_times("/f", Nanos::from_secs(1), Nanos::from_secs(2))
-            .unwrap();
-        let st = os.stat("/f").unwrap();
-        assert_eq!(st.atime, Nanos::from_secs(1));
-        assert_eq!(st.mtime, Nanos::from_secs(2));
+    fn graybench_self_rungs_run() {
+        let fccd_params = FccdParams {
+            access_unit: 1 << 20,
+            prediction_unit: 256 << 10,
+            ..FccdParams::default()
+        };
+        let os = MockOs::new(4096, 4096);
+        let paths: Vec<String> = (0..12).map(|i| format!("/m{i:02}")).collect();
+        for (i, path) in paths.iter().enumerate() {
+            let fd = file(&os, path, 512 << 10);
+            os.close(fd).unwrap();
+            if i % 2 == 1 {
+                os.flush_cache();
+            }
+        }
+        os.flush_cache();
+        for path in paths.iter().step_by(2) {
+            os.warm(path, 0..128);
+        }
+        let classified = Fccd::with_fixed_seed(&os, fccd_params).classify_files(&paths);
+        let mut cached: Vec<String> = classified.cached.into_iter().map(|r| r.path).collect();
+        cached.sort();
+        assert_eq!(cached, paths.iter().step_by(2).cloned().collect::<Vec<_>>());
+
+        let mac_params = MacParams {
+            initial_increment: 1 << 20,
+            max_increment: 4 << 20,
+            ..MacParams::default()
+        };
+        let os = MockOs::new(16, 14_336);
+        assert!(Mac::new(&os, mac_params)
+            .available_estimate(128 << 20)
+            .is_ok());
     }
 }

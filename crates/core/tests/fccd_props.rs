@@ -1,10 +1,14 @@
-//! Property-based tests for the FCCD planner against the in-crate mock
-//! OS, on the in-tree deterministic harness (`gray_toolbox::prop`).
+//! Property-based tests for the FCCD planner, on the in-tree
+//! deterministic harness (`gray_toolbox::prop`): plan geometry OS-free,
+//! probing on the simulated OS.
 
+mod common;
+
+use common::{cold_machine, warm};
 use gray_toolbox::prop::{check, Gen};
-use graybox::fccd::{Fccd, FccdParams};
-use graybox::mock::MockOs;
-use graybox::os::{GrayBoxOs, GrayBoxOsExt};
+use gray_toolbox::Nanos;
+use graybox::fccd::{Fccd, FccdParams, FccdPlanner};
+use graybox::os::GrayBoxOs;
 
 /// The plan's extents must partition [0, size) exactly: no gaps, no
 /// overlap, regardless of file size, unit sizes, or alignment.
@@ -17,19 +21,13 @@ fn plan_partitions_the_file() {
         let align = g.select(&[1u64, 100, 512, 4096]);
         let access_unit = access_kb * 1024;
         let prediction_unit = (access_unit / pred_div).max(1);
-        let os = MockOs::new(1 << 16, 16);
-        os.write_file("/f", b"").unwrap();
-        let fd = os.open("/f").unwrap();
-        // Plan geometry is independent of content; probing an empty file
-        // returns an empty plan, so plan over the declared size instead.
         let params = FccdParams {
             access_unit,
             prediction_unit,
             align,
             ..FccdParams::default()
         };
-        let fccd = Fccd::new(&os, params);
-        let units = fccd.access_units(size);
+        let units = FccdPlanner::new(params, Nanos::ZERO).access_units(size);
         // Partition: contiguous from 0, total = size.
         let mut expected_offset = 0u64;
         for &(off, len) in &units {
@@ -42,53 +40,42 @@ fn plan_partitions_the_file() {
         for &(off, _) in &units {
             assert_eq!(off % align, 0, "unaligned boundary at {}", off);
         }
-        let _ = fd;
     });
 }
 
-/// With zero noise (the mock is deterministic), sorting by probe time
-/// ranks every fully-resident unit strictly before every cold unit.
+/// Sorting by probe time ranks every fully-resident unit strictly before
+/// every cold unit. Units are four 64-page prediction units: a warmed
+/// unit's readahead spills at most 32 pages into its neighbour, and a
+/// probe's 4-page residue rarely reaches the next prediction unit, so no
+/// cold unit's probes can all hit.
 #[test]
 fn resident_units_always_sort_first() {
     check("resident_units_always_sort_first", 64, |g: &mut Gen| {
-        let units = g.usize(2..12);
+        let units = g.u64(2..12);
         let warm_mask = g.range(1u32..4096);
-        let unit_pages = 4u64;
-        let os = MockOs::new(1 << 16, 16);
-        let size = units as u64 * unit_pages * 4096;
-        os.write_file("/f", &vec![0u8; size as usize]).unwrap();
-        os.flush_cache();
-        let mut warm = Vec::new();
-        for u in 0..units {
-            if warm_mask & (1 << u) != 0 {
-                os.warm("/f", (u as u64 * unit_pages)..((u as u64 + 1) * unit_pages));
-                warm.push(u as u64);
-            }
+        let unit = 1u64 << 20;
+        let size = units * unit;
+        let mut sim = cold_machine(&[("/f", size)]);
+        let warm_units: Vec<u64> = (0..units).filter(|u| warm_mask & (1 << u) != 0).collect();
+        for &u in &warm_units {
+            warm(&mut sim, "/f", u * unit, unit);
         }
         let params = FccdParams {
-            access_unit: unit_pages * 4096,
-            prediction_unit: 4096,
+            access_unit: unit,
+            prediction_unit: unit / 4,
             ..FccdParams::default()
         };
-        let fd = os.open("/f").unwrap();
-        let plan = Fccd::new(&os, params).plan_file(fd, size);
-        let warm_count = warm.len();
-        if warm_count < units {
-            let ranked_units: Vec<u64> = plan
-                .iter()
-                .map(|e| e.offset / (unit_pages * 4096))
-                .collect();
-            for (rank, u) in ranked_units.iter().enumerate() {
-                let is_warm = warm.contains(u);
-                if rank < warm_count {
-                    assert!(
-                        is_warm,
-                        "rank {rank} = unit {u} should be warm: {ranked_units:?}, warm {warm:?}"
-                    );
-                } else {
-                    assert!(!is_warm, "cold ranks must follow warm ones");
-                }
-            }
+        let plan = sim.run_one(|os| {
+            let fd = os.open("/f").unwrap();
+            Fccd::new(os, params).plan_file(fd, size)
+        });
+        let ranked: Vec<u64> = plan.iter().map(|e| e.offset / unit).collect();
+        for (rank, u) in ranked.iter().enumerate() {
+            assert_eq!(
+                rank < warm_units.len(),
+                warm_units.contains(u),
+                "rank {rank} = unit {u}: {ranked:?}, warm {warm_units:?}"
+            );
         }
     });
 }
@@ -98,21 +85,19 @@ fn resident_units_always_sort_first() {
 fn order_files_is_a_permutation() {
     check("order_files_is_a_permutation", 64, |g: &mut Gen| {
         let present = g.vec(1..12, |g| g.bool());
-        let os = MockOs::new(1 << 16, 16);
-        let mut paths = Vec::new();
-        for (i, &exists) in present.iter().enumerate() {
-            let p = format!("/f{i}");
-            if exists {
-                os.write_file(&p, &vec![0u8; 8192]).unwrap();
-            }
-            paths.push(p);
-        }
+        let paths: Vec<String> = (0..present.len()).map(|i| format!("/f{i}")).collect();
+        let files: Vec<(&str, u64)> = paths
+            .iter()
+            .zip(&present)
+            .filter(|&(_, &exists)| exists)
+            .map(|(p, _)| (p.as_str(), 8192))
+            .collect();
         let params = FccdParams {
             access_unit: 8192,
             prediction_unit: 4096,
             ..FccdParams::default()
         };
-        let ranks = Fccd::new(&os, params).order_files(&paths);
+        let ranks = cold_machine(&files).run_one(|os| Fccd::new(os, params).order_files(&paths));
         assert_eq!(ranks.len(), paths.len());
         let mut seen: Vec<String> = ranks.into_iter().map(|r| r.path).collect();
         seen.sort();

@@ -179,8 +179,8 @@ mod tests {
 
     use gray_toolbox::{GrayDuration, Nanos};
     use graybox::mac::MacParams;
-    use graybox::mock::MockOs;
     use graybox::os::{Fd, MemRegion, ProbeSample, Stat};
+    use simos::{Sim, SimConfig, SimProc};
 
     #[test]
     fn tickets_index_submission_order() {
@@ -220,16 +220,16 @@ mod tests {
 
     const PAGE: u64 = 4096;
 
-    /// The mock, except that its `fail_at`-th write-touch through
-    /// `mem_probe_batch` (counted over the backend's life) comes back
-    /// `ok: false`.
-    struct FailingTouch {
-        os: MockOs,
+    /// A simulated process, except that its `fail_at`-th write-touch
+    /// through `mem_probe_batch` (counted over the wrapper's life) comes
+    /// back `ok: false`.
+    struct FailingTouch<'a> {
+        os: &'a SimProc,
         fail_at: u64,
         touches: Cell<u64>,
     }
 
-    impl GrayBoxOs for FailingTouch {
+    impl GrayBoxOs for FailingTouch<'_> {
         fn now(&self) -> Nanos {
             self.os.now()
         }
@@ -316,7 +316,7 @@ mod tests {
     }
 
     /// Every MAC entry point once, in order, freeing whatever it granted.
-    fn every_entry_point(os: &FailingTouch) {
+    fn every_entry_point(os: &FailingTouch<'_>) {
         let mac = Mac::new(
             os,
             MacParams {
@@ -351,28 +351,34 @@ mod tests {
     /// Simulated memory is global, not per process: whatever a failed
     /// probe path does not give back stays resident for the machine's
     /// life (under gbd, the daemon's shared machine). Fail each touch of
-    /// the whole sequence in turn; nothing may stay resident.
+    /// the whole sequence in turn, each on a fresh quiet machine of 256
+    /// pages; nothing may stay resident.
     #[test]
     fn a_failed_touch_leaves_no_memory_resident() {
-        let backend = |fail_at| FailingTouch {
-            os: MockOs::new(16, 256),
-            fail_at,
-            touches: Cell::new(0),
+        // Returns (touches issued, pages resident after the sequence).
+        let run = |fail_at| {
+            let mut cfg = SimConfig::small().without_noise();
+            cfg.mem_bytes = cfg.kernel_reserve_bytes + 256 * PAGE;
+            let mut sim = Sim::new(cfg);
+            let oracle = sim.oracle();
+            let touches = sim.run_one(|os| {
+                let failing = FailingTouch {
+                    os,
+                    fail_at,
+                    touches: Cell::new(0),
+                };
+                every_entry_point(&failing);
+                failing.touches.get()
+            });
+            (touches, oracle.resident_pages())
         };
-        let clean = backend(0);
-        every_entry_point(&clean);
-        assert_eq!(clean.os.resident_anon_pages(), 0);
-        let touches = clean.touches.get();
+        let (touches, resident) = run(0);
+        assert_eq!(resident, 0);
         assert!(touches > 100, "{touches} touches");
         for k in 1..=touches {
-            let os = backend(k);
-            every_entry_point(&os);
-            assert!(os.touches.get() >= k, "touch {k} was never issued");
-            assert_eq!(
-                os.os.resident_anon_pages(),
-                0,
-                "failing touch {k} of {touches} leaked memory"
-            );
+            let (issued, resident) = run(k);
+            assert!(issued >= k, "touch {k} was never issued");
+            assert_eq!(resident, 0, "failing touch {k} of {touches} leaked memory");
         }
     }
 }

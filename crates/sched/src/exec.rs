@@ -40,8 +40,8 @@ pub trait PlanExecutor {
 ///
 /// No concurrency, no extra processes, no extra syscalls: a wave of N
 /// plans issues exactly the syscalls of N direct dispatches. Use it where
-/// the probing must happen inside an existing process (mock tests, or a
-/// `run_one` workload under simos).
+/// the probing must happen inside an existing process, such as a
+/// `run_one` workload under simos (the concurrency-1 equivalence tests).
 pub struct InlineExecutor<'a, O: GrayBoxOs> {
     os: &'a O,
 }

@@ -15,7 +15,6 @@
 //! banner; rerun it (or widen the sweep) with:
 //!
 //! ```text
-//! PROP_SEED=0x<seed> cargo test -q batched_and_scalar_classify_identically_under_mock
 //! PROP_SEED=0x<seed> cargo test -q batched_and_scalar_classify_identically_under_simos
 //! PROP_SEED=0x<seed> cargo test -q mem_batch_and_scalar_touch_identically_under_simos
 //! PROP_CASES=200 cargo test -q --test probe_equivalence
@@ -23,85 +22,47 @@
 
 use graybox_icl::apps::workload::make_file;
 use graybox_icl::graybox::fccd::{Fccd, FccdParams};
-use graybox_icl::graybox::mock::MockOs;
-use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt, ProbeSample, ProbeSpec};
+use graybox_icl::graybox::os::{GrayBoxOs, ProbeSample, ProbeSpec};
 use graybox_icl::simos::cache::Owner;
 use graybox_icl::simos::kernel::Kernel;
 use graybox_icl::simos::{NoiseParams, Sim, SimConfig};
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::{GrayDuration, Nanos};
 
-/// Random file geometry, random warm pages, mock backend: both probe
-/// paths must yield identical unit measurements and identical plans.
-#[test]
-fn batched_and_scalar_classify_identically_under_mock() {
-    check(
-        "batched_and_scalar_classify_identically_under_mock",
-        48,
-        |g: &mut Gen| {
-            let page = 4096u64;
-            let unit_pages = g.u64(1..6);
-            let access_unit = unit_pages * page;
-            let units = g.u64(1..10);
-            // A ragged tail exercises the final short access unit.
-            let size = units * access_unit + g.u64(0..access_unit);
-            let params = FccdParams {
-                access_unit,
-                prediction_unit: page,
-                probe_rounds: g.range(1u32..4),
-                seed: g.u64(1..u64::MAX),
-                ..FccdParams::default()
-            };
-            let total_pages = size.div_ceil(page);
-            let warm: Vec<u64> = (0..total_pages).filter(|_| g.bool()).collect();
-
-            let run = |batched: bool| {
-                let os = MockOs::new(1 << 20, 16);
-                os.write_file("/f", &vec![0u8; size as usize]).unwrap();
-                os.flush_cache();
-                os.warm("/f", warm.iter().copied());
-                let fccd = Fccd::with_fixed_seed(&os, params.clone());
-                let fd = os.open("/f").unwrap();
-                let report = if batched {
-                    fccd.probe_file(fd, size)
-                } else {
-                    fccd.probe_file_scalar(fd, size)
-                };
-                os.close(fd).unwrap();
-                report
-            };
-            let batched = run(true);
-            let scalar = run(false);
-            assert_eq!(batched.units, scalar.units, "unit measurements diverge");
-            assert_eq!(batched.plan(), scalar.plan(), "plan order diverges");
-        },
-    );
-}
-
-/// The same property end to end through the simulated kernel: two
-/// identically prepared machines, one probed through the vectored
-/// batch syscall, one through individual timed reads, must report
-/// bit-identical measurements (the batch replays the scalar charging
-/// sequence per probe) and therefore identical plans.
+/// End to end through the simulated kernel: two identically prepared
+/// machines, one probed through the vectored batch syscall, one through
+/// individual timed reads, must report bit-identical measurements (the
+/// batch replays the scalar charging sequence per probe) and therefore
+/// identical plans. Half the cases use megabyte units warmed a unit at a
+/// time; half use 1–5-page access units of 1-page prediction units,
+/// warmed page by page at random, where every probe's readahead reaches
+/// the next units. Either way the last access unit may be ragged and
+/// each unit is probed 1–3 rounds.
 #[test]
 fn batched_and_scalar_classify_identically_under_simos() {
     check(
         "batched_and_scalar_classify_identically_under_simos",
         12,
         |g: &mut Gen| {
-            let access_unit = 1u64 << 20;
-            let units = g.u64(1..6);
-            let size = units * access_unit;
+            let page = 4096u64;
+            let (prediction_unit, access_unit, warm_unit) = if g.bool() {
+                (256 << 10, 1u64 << 20, 1u64 << 20)
+            } else {
+                (page, g.u64(1..6) * page, page)
+            };
+            // At least nine pages, so the edge probes below fit in range.
+            let min_units = (9 * page).div_ceil(access_unit);
+            let units = g.u64(min_units..min_units + 6);
+            let size = units * access_unit + g.u64(0..access_unit);
             let params = FccdParams {
                 access_unit,
-                prediction_unit: 256 << 10,
-                probe_rounds: g.range(1u32..3),
+                prediction_unit,
+                probe_rounds: g.range(1u32..4),
                 seed: g.u64(1..u64::MAX),
                 ..FccdParams::default()
             };
-            // Warm a random subset of access units.
-            let warm: Vec<u64> = (0..units).filter(|_| g.bool()).collect();
-            let edge = g.u64(0..size - (8 << 12));
+            let warm: Vec<u64> = (0..size.div_ceil(warm_unit)).filter(|_| g.bool()).collect();
+            let edge = g.u64(0..size - 8 * page);
 
             let run = |batched: bool| {
                 let mut sim = Sim::new(SimConfig::small());
@@ -112,7 +73,7 @@ fn batched_and_scalar_classify_identically_under_simos() {
                 let (report, edges, atime) = sim.run_one(move |os| {
                     let fd = os.open("/f").unwrap();
                     for &u in &warm {
-                        os.read_discard(fd, u * access_unit, access_unit).unwrap();
+                        os.read_discard(fd, u * warm_unit, warm_unit).unwrap();
                     }
                     let fccd = Fccd::with_fixed_seed(os, params);
                     let report = if batched {
@@ -124,7 +85,6 @@ fn batched_and_scalar_classify_identically_under_simos() {
                     // consecutive pages that walks off the initial
                     // readahead window, an offset past EOF — then the
                     // same specs on a closed descriptor.
-                    let page = os.page_size();
                     let specs: Vec<ProbeSpec> = [edge, edge]
                         .into_iter()
                         .chain((1..7).map(|k| edge + k * page))

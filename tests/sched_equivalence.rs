@@ -4,11 +4,14 @@
 //! per-file probe plans to a one-worker [`Scheduler`] and dispatching
 //! them through an executor must issue the same syscalls in the same
 //! order as the inline `Fccd` path, and therefore rank and classify any
-//! cache state bit-identically. Under simos this holds even with timing
-//! noise enabled, because each dispatched process starts at the latest
-//! virtual time the previous one reached — exactly where the inline
-//! path's single process would have been — so the charge sequence, the
-//! CPU-bank bookings, and the noise stream all align.
+//! cache state bit-identically. On simos this holds with timing noise and
+//! readahead on. Through an [`InlineExecutor`] the plans run inside the
+//! process that built the fleet, so both paths are one process issuing
+//! one syscall sequence. Through a [`SimExecutor`] each plan is a process
+//! of its own that starts at the latest virtual time the previous one
+//! reached, exactly where the inline path's single process would have
+//! been, so the charge sequence, the CPU-bank bookings and the noise
+//! stream all align.
 //!
 //! Above concurrency 1 the scheduler must earn its keep, in virtual time:
 //! `concurrent_waves_overlap_disk_service` pins that one wave over four
@@ -26,8 +29,9 @@
 //! banner; rerun it (or widen the sweep) with:
 //!
 //! ```text
-//! PROP_SEED=0x<seed> cargo test -q sched_and_direct_classify_identically_under_mock
+//! PROP_SEED=0x<seed> cargo test -q sched_and_direct_classify_identically_inline
 //! PROP_SEED=0x<seed> cargo test -q sched_and_direct_classify_identically_under_simos
+//! PROP_SEED=0x<seed> cargo test -q serial_dispatch_trace_is_deterministic
 //! PROP_CASES=100 cargo test -q --test sched_equivalence
 //! ```
 
@@ -36,8 +40,7 @@ use std::collections::BTreeSet;
 use graybox_icl::apps::workload::make_file;
 use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FileRank};
 use graybox_icl::graybox::mac::{Mac, MacParams};
-use graybox_icl::graybox::mock::MockOs;
-use graybox_icl::graybox::os::{GrayBoxOs, GrayBoxOsExt};
+use graybox_icl::graybox::os::GrayBoxOs;
 use graybox_icl::sched::{
     AdmissionRequest, FccdFleet, InlineExecutor, MacAdmissionQueue, SchedConfig, Scheduler,
     SimExecutor,
@@ -56,12 +59,38 @@ fn serial_scheduler() -> Scheduler {
     })
 }
 
-/// Random file set, random warm pages, mock backend: ranking through a
-/// concurrency-1 scheduler must be bit-identical to inline `Fccd`.
+/// A fresh `SimConfig::small()` machine holding `files`, flushed, then
+/// with units `warm[i]` (each `unit` bytes) of file `i` read back in one
+/// process. Machines built from the same arguments are identical up to
+/// the moment a detector is built on them.
+fn machine_with(files: &[(String, u64)], warm: &[Vec<u64>], unit: u64) -> Sim {
+    let mut sim = Sim::new(SimConfig::small());
+    sim.run_one(|os| {
+        for (path, size) in files {
+            make_file(os, path, *size).unwrap();
+        }
+    });
+    sim.flush_file_cache();
+    sim.run_one(|os| {
+        for ((path, _), units) in files.iter().zip(warm) {
+            let fd = os.open(path).unwrap();
+            for &u in units {
+                os.read_discard(fd, u * unit, unit).unwrap();
+            }
+            os.close(fd).unwrap();
+        }
+    });
+    sim
+}
+
+/// Random file set with ragged tails, random warm pages, page-sized
+/// units: inside one simulated process, ranking through a concurrency-1
+/// scheduler and an [`InlineExecutor`] must be bit-identical to inline
+/// `Fccd`.
 #[test]
-fn sched_and_direct_classify_identically_under_mock() {
+fn sched_and_direct_classify_identically_inline() {
     check(
-        "sched_and_direct_classify_identically_under_mock",
+        "sched_and_direct_classify_identically_inline",
         32,
         |g: &mut Gen| {
             let page = 4096u64;
@@ -86,34 +115,18 @@ fn sched_and_direct_classify_identically_under_mock() {
                 .map(|(_, size)| (0..size.div_ceil(page)).filter(|_| g.bool()).collect())
                 .collect();
 
-            // Both sides get their own identically-prepared backend: same
-            // files, same flush, same warm pages.
-            let fresh = || {
-                let os = MockOs::new(1 << 20, 16);
-                for (path, size) in &files {
-                    os.write_file(path, &vec![0u8; *size as usize]).unwrap();
-                }
-                os.flush_cache();
-                for ((path, _), pages) in files.iter().zip(&warm) {
-                    os.warm(path, pages.iter().copied());
-                }
-                os
-            };
-
             let direct = {
-                let os = fresh();
                 let paths: Vec<String> = files.iter().map(|(p, _)| p.clone()).collect();
-                Fccd::with_fixed_seed(&os, params.clone()).order_files(&paths)
+                machine_with(&files, &warm, page)
+                    .run_one(|os| Fccd::with_fixed_seed(os, params.clone()).order_files(&paths))
             };
-            let sched = {
-                let os = fresh();
+            let sched = machine_with(&files, &warm, page).run_one(|os| {
                 // sub_batch 0: one probe_batch per file, exactly like the
                 // inline path's single vectored call.
-                let fleet = FccdFleet::with_fixed_seed(&os, params.clone(), 0);
-                let mut sched = serial_scheduler();
-                let mut exec = InlineExecutor::new(&os);
-                fleet.order_files(&mut sched, &mut exec, &files)
-            };
+                let fleet = FccdFleet::with_fixed_seed(os, params.clone(), 0);
+                let mut exec = InlineExecutor::new(os);
+                fleet.order_files(&mut serial_scheduler(), &mut exec, &files)
+            });
             assert_eq!(direct, sched, "concurrency-1 scheduler ranks diverge");
             // Classification is a pure function of the ranks, so equal
             // ranks force equal splits; assert it anyway as the headline.
@@ -124,13 +137,13 @@ fn sched_and_direct_classify_identically_under_mock() {
     );
 }
 
-/// The same property end to end through the simulated kernel, with
-/// timing noise on: the inline path probes all files from one process;
-/// the scheduler path builds the fleet in one process and then runs one
-/// process per plan. Each plan process starts at the latest virtual time
-/// reached — exactly where the inline process would have opened that
-/// file — so every charge lands at the same absolute time, the noise
-/// stream stays in step, and the ranks are bit-identical.
+/// The same property with one simulated process per plan: the inline
+/// path probes all files from one process; the scheduler path builds the
+/// fleet in one process and then runs one process per plan. Each plan
+/// process starts at the latest virtual time reached — exactly where the
+/// inline process would have opened that file — so every charge lands at
+/// the same absolute time, the noise stream stays in step, and the ranks
+/// are bit-identical.
 #[test]
 fn sched_and_direct_classify_identically_under_simos() {
     check(
@@ -155,42 +168,14 @@ fn sched_and_direct_classify_identically_under_simos() {
                 .map(|(_, size)| (0..size / access_unit).filter(|_| g.bool()).collect())
                 .collect();
 
-            // Identical machines up to the moment the detector is built:
-            // create the files, flush, warm — each in the same processes.
-            let boot = || {
-                let mut sim = Sim::new(SimConfig::small());
-                let setup = files.clone();
-                sim.run_one(move |os| {
-                    for (path, size) in &setup {
-                        make_file(os, path, *size).unwrap();
-                    }
-                });
-                sim.flush_file_cache();
-                let warm_files: Vec<(String, Vec<u64>)> = files
-                    .iter()
-                    .zip(&warm)
-                    .map(|((p, _), u)| (p.clone(), u.clone()))
-                    .collect();
-                sim.run_one(move |os| {
-                    for (path, units) in &warm_files {
-                        let fd = os.open(path).unwrap();
-                        for &u in units {
-                            os.read_discard(fd, u * access_unit, access_unit).unwrap();
-                        }
-                        os.close(fd).unwrap();
-                    }
-                });
-                sim
-            };
-
             let direct = {
-                let mut sim = boot();
                 let paths: Vec<String> = files.iter().map(|(p, _)| p.clone()).collect();
                 let params = params.clone();
-                sim.run_one(move |os| Fccd::with_fixed_seed(os, params).order_files(&paths))
+                machine_with(&files, &warm, access_unit)
+                    .run_one(move |os| Fccd::with_fixed_seed(os, params).order_files(&paths))
             };
             let sched = {
-                let mut sim = boot();
+                let mut sim = machine_with(&files, &warm, access_unit);
                 let params = params.clone();
                 let fleet = sim.run_one(move |os| FccdFleet::with_fixed_seed(os, params, 0));
                 let mut sched = serial_scheduler();
@@ -210,8 +195,8 @@ fn sched_and_direct_classify_identically_under_simos() {
 /// streams. Sequence numbers and timestamps are excluded — seq is global
 /// across threads and other tests in this binary may emit while our
 /// capture is open (which is also why records are filtered to this
-/// thread's lane; `MockOs` plus [`InlineExecutor`] keeps every event of
-/// the dispatch on the test thread).
+/// thread's lane; `run_one` plus [`InlineExecutor`] keeps every event of
+/// the dispatch, the kernel's probe events included, on the test thread).
 #[test]
 fn serial_dispatch_trace_is_deterministic() {
     use graybox_icl::toolbox::trace;
@@ -235,18 +220,11 @@ fn serial_dispatch_trace_is_deterministic() {
                 .collect();
             let run = || {
                 let cap = trace::capture();
-                let os = MockOs::new(1 << 20, 16);
-                for (path, size) in &files {
-                    os.write_file(path, &vec![0u8; *size as usize]).unwrap();
-                }
-                os.flush_cache();
-                for ((path, _), pages) in files.iter().zip(&warm) {
-                    os.warm(path, pages.iter().copied());
-                }
-                let fleet = FccdFleet::with_fixed_seed(&os, params.clone(), 0);
-                let mut sched = serial_scheduler();
-                let mut exec = InlineExecutor::new(&os);
-                let _ = fleet.classify_files(&mut sched, &mut exec, &files);
+                machine_with(&files, &warm, page).run_one(|os| {
+                    let fleet = FccdFleet::with_fixed_seed(os, params.clone(), 0);
+                    let mut exec = InlineExecutor::new(os);
+                    let _ = fleet.classify_files(&mut serial_scheduler(), &mut exec, &files);
+                });
                 let lane = cap.lane();
                 trace::drain()
                     .into_iter()
