@@ -36,7 +36,7 @@ fn spec(index: usize, channel: ChannelKind, defender: DefenderKind) -> ChannelSp
 }
 
 fn main() {
-    let sink = repro::init_tracing();
+    let tracing = repro::init_tracing();
 
     let message = message_bits(0x00DE_C0DE, 16);
     let rendered: String = message.iter().map(|&b| if b { '1' } else { '0' }).collect();
@@ -74,9 +74,7 @@ fn main() {
     // Replay the contested WBD-vs-noise cell with tracing on: the
     // transmitter's writes, the receiver's per-slot threshold decisions,
     // and the defender's bursts each land on their own process lane.
-    if sink.is_none() {
-        trace::enable();
-    }
+    let _ring = (!trace::enabled()).then(trace::capture);
     let _ = trace::drain();
     let replay = spec(99, ChannelKind::Wbd, DefenderKind::Noise).run();
     println!(
@@ -84,5 +82,5 @@ fn main() {
         replay.label
     );
     print!("{}", trace::render_timeline(&trace::drain()));
-    repro::finish_tracing(sink);
+    repro::finish_tracing(tracing);
 }

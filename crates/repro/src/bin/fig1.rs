@@ -2,7 +2,7 @@
 use repro::{print_paper_note, print_table, Scale};
 
 fn main() {
-    let sink = repro::init_tracing();
+    let tracing = repro::init_tracing();
     let scale = Scale::from_args();
     let fig = repro::fig1::run(scale);
     let mut header = vec!["pred unit".to_string()];
@@ -30,5 +30,5 @@ fn main() {
         "correlation is high while the prediction unit is <= the access \
          unit and falls off noticeably beyond it",
     );
-    repro::finish_tracing(sink);
+    repro::finish_tracing(tracing);
 }

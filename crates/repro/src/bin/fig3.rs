@@ -2,7 +2,7 @@
 use repro::{print_paper_note, print_table, Scale};
 
 fn main() {
-    let sink = repro::init_tracing();
+    let tracing = repro::init_tracing();
     let scale = Scale::from_args();
     let fig = repro::fig3::run(scale);
     let mut rows = Vec::new();
@@ -25,5 +25,5 @@ fn main() {
          of the benefit; fastsort (55s read phase) benefits less because \
          its heap and write buffering compete for memory",
     );
-    repro::finish_tracing(sink);
+    repro::finish_tracing(tracing);
 }

@@ -4,7 +4,7 @@
 use repro::{print_paper_note, print_table, Scale};
 
 fn main() {
-    let sink = repro::init_tracing();
+    let tracing = repro::init_tracing();
     let scale = Scale::from_args();
     let fig = repro::fig7::run(scale);
     let rows: Vec<Vec<String>> = fig
@@ -46,5 +46,5 @@ fn main() {
          290 MB); gb-fastsort never pages, picks ~154 MB passes, and costs \
          ~1.54x the best static setting (probe + wait overhead)",
     );
-    repro::finish_tracing(sink);
+    repro::finish_tracing(tracing);
 }

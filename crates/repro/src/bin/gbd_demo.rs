@@ -20,11 +20,9 @@ use graybox::fccd::FccdParams;
 use simos::scenario;
 
 fn main() {
-    let sink = repro::init_tracing();
-    if sink.is_none() {
-        // No JSONL sink: still capture into the ring for the timeline.
-        trace::enable();
-    }
+    let tracing = repro::init_tracing();
+    // No JSONL sink: still capture into the ring for the timeline.
+    let _ring = (!trace::enabled()).then(trace::capture);
 
     let disks = 4;
     let mut sim = scenario::daemon_machine(disks, disks);
@@ -157,5 +155,5 @@ fn main() {
     println!();
     println!("== trace timeline (per wave, per tenant/plan lane) ==");
     print!("{}", trace::render_timeline(&trace::drain()));
-    repro::finish_tracing(sink);
+    repro::finish_tracing(tracing);
 }

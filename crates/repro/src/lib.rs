@@ -32,7 +32,7 @@ pub mod fig7;
 pub mod sleds;
 pub mod tables;
 
-use gray_toolbox::GrayDuration;
+use gray_toolbox::{profile, trace, GrayDuration};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,43 +90,46 @@ impl Scale {
     }
 }
 
-/// Where `--profile` asked the folded profile to be written, if given.
-static PROFILE_SINK: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+/// The captures a binary's flags armed on its main thread, each with the
+/// file it ends in; they record until [`finish_tracing`] ends them.
+pub struct Tracing {
+    trace: Option<(String, trace::CaptureGuard)>,
+    profile: Option<(String, profile::CaptureGuard)>,
+}
 
 /// The one place observability is switched on, by flags only:
 /// `--trace <path>` streams every trace event to `path` as JSONL (default
-/// `gray-trace.jsonl`) and is returned, so the binary can report it via
-/// [`finish_tracing`]; `--profile <path>` (default `gray-profile.folded`)
+/// `gray-trace.jsonl`); `--profile <path>` (default `gray-profile.folded`)
 /// arms the virtual-time profiler for the whole run, and
 /// [`finish_tracing`] writes the folded-stack attribution (one `path ns`
 /// line per leaf, flamegraph-ready) there.
-pub fn init_tracing() -> Option<String> {
+pub fn init_tracing() -> Tracing {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str, default: &str| {
         let pos = args.iter().position(|a| a == name)?;
         let path = args.get(pos + 1).filter(|p| !p.starts_with("--"));
         Some(path.cloned().unwrap_or_else(|| default.to_string()))
     };
-    if let Some(path) = flag("--profile", "gray-profile.folded") {
-        gray_toolbox::profile::enable();
-        let _ = PROFILE_SINK.set(path);
+    Tracing {
+        profile: flag("--profile", "gray-profile.folded").map(|path| (path, profile::capture())),
+        trace: flag("--trace", "gray-trace.jsonl").map(|path| {
+            let guard = trace::enable_jsonl(&path)
+                .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
+            (path, guard)
+        }),
     }
-    let path = flag("--trace", "gray-trace.jsonl")?;
-    gray_toolbox::trace::enable_jsonl(&path)
-        .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
-    Some(path)
 }
 
-/// Flushes and closes the trace sink opened by [`init_tracing`] and tells
-/// the user where the events went.
-pub fn finish_tracing(sink: Option<String>) {
-    gray_toolbox::trace::shutdown();
-    if let Some(path) = sink {
+/// Ends the captures [`init_tracing`] armed — the JSONL sink closes with
+/// its footer — and tells the user where the output went.
+pub fn finish_tracing(tracing: Tracing) {
+    if let Some((path, guard)) = tracing.trace {
+        drop(guard);
         eprintln!("trace: events written to {path}");
     }
-    if let Some(path) = PROFILE_SINK.get() {
-        let snap = gray_toolbox::profile::snapshot();
-        match std::fs::write(path, snap.folded()) {
+    if let Some((path, _guard)) = tracing.profile {
+        let snap = profile::snapshot();
+        match std::fs::write(&path, snap.folded()) {
             Ok(()) => eprintln!(
                 "profile: {} virtual ns attributed; folded stacks written to {path}",
                 snap.total_ns

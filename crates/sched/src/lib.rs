@@ -257,7 +257,6 @@ mod tests {
         let mut stamps: Vec<(String, Option<u64>)> = trace::drain()
             .into_iter()
             .filter(|r| matches!(r.event, TraceEvent::ProbeIssued { .. }))
-            .filter(|r| r.span.starts_with("plan:/wave-"))
             .map(|r| (r.span, r.wave))
             .collect();
         stamps.sort();

@@ -14,12 +14,15 @@
 //!
 //! **Parallelism contract.** A cell shares *nothing* mutable with its
 //! siblings: its own `Sim` (kernel, disks, caches, RNG), its own oracle,
-//! its own result struct. Scoring deliberately bypasses the global
-//! tracer ([`crate::score::score_fccd_verdicts`]) because trace capture
-//! is process-wide and would serialize — or interleave — concurrent
-//! cells. That is what makes [`run_grid`] safe to fan across host cores:
-//! the grid is bit-identical for 1 worker or N, and only wall-clock time
-//! changes with the worker count.
+//! its own result struct. Scoring joins the classification result value
+//! against that oracle ([`crate::score::score_fccd_verdicts`]), so a
+//! score never depends on what else was traced. That is what makes
+//! [`run_grid`] safe to fan across host cores: the grid is bit-identical
+//! for 1 worker or N, and only wall-clock time changes with the worker
+//! count. A cell's trace records go wherever its thread's capture is
+//! (see [`gray_toolbox::trace`]): a capture armed inside the cell holds
+//! that cell's alone, and one armed around [`run_grid`] collects every
+//! cell's, through the pool's workers.
 
 use gray_toolbox::pool::{JobPanic, Pool};
 use gray_toolbox::rng::splitmix64;
@@ -249,8 +252,7 @@ impl ScenarioSpec {
     }
 
     /// Builds, runs, and scores this cell. Deterministic: depends only
-    /// on the spec (virtual time throughout, no host state, no global
-    /// tracer).
+    /// on the spec (virtual time throughout, no host state).
     pub fn run(&self) -> CellResult {
         let mut cfg = SimConfig::small()
             .with_platform(self.platform)
@@ -325,7 +327,7 @@ impl ScenarioSpec {
         }
 
         // Inference phase: classify the whole corpus, then join the
-        // verdicts straight off the result value (tracer-free).
+        // verdicts straight off the result value.
         let paths: Vec<String> = files.iter().map(|(p, _)| p.clone()).collect();
         let classified = sim.run_one(move |os| {
             let fccd = Fccd::with_fixed_seed(os, fccd_params());

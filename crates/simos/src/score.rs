@@ -1,16 +1,16 @@
-//! Inference-accuracy scoring: joining trace events against the oracle.
+//! Inference-accuracy scoring: joining ICL verdicts against the oracle.
 //!
 //! The paper scored FCCD by comparing its cached/uncached calls against a
 //! modified kernel's per-page presence bitmaps, and MAC by comparing its
 //! availability estimate against known memory pressure. This module is the
-//! reproduction's scorer: it consumes the [`gray_toolbox::trace`] records an
-//! instrumented run produced (the `Classified` and `Estimated` events the
-//! ICLs emit) and joins them against [`crate::Oracle`] ground truth.
+//! reproduction's scorer: it joins FCCD's `(path, cached)` verdicts against
+//! [`crate::Oracle`] ground truth ([`score_fccd_verdicts`]), and pairs a
+//! MAC estimate with the oracle's free memory ([`MacScore`]). The verdicts
+//! may come straight off a [`graybox::fccd::Classified`] value or from the
+//! `Classified` events of a trace capture; the join is the same.
 //!
 //! Scoring happens strictly *after* the inference ran — the ICLs never see
 //! the oracle, so the join cannot leak truth back into the gray-box code.
-
-use gray_toolbox::trace::{TraceEvent, TraceRecord, Verdict};
 
 use crate::oracle::Oracle;
 
@@ -30,8 +30,8 @@ pub struct FccdScore {
     pub false_negatives: u64,
     /// Predicted uncached, actually uncached.
     pub true_negatives: u64,
-    /// `Classified` events that could not be joined (unit not a path the
-    /// oracle resolves, or a non-FCCD verdict such as `Present`/`Absent`).
+    /// Verdicts that could not be joined: the unit is not a path the
+    /// oracle resolves.
     pub skipped: u64,
 }
 
@@ -72,76 +72,39 @@ impl FccdScore {
     }
 }
 
-/// Joins every FCCD `Classified` event in `records` against the oracle.
+/// Joins `(path, predicted_cached)` verdicts against the oracle. Truth
+/// for a file is `oracle.cached_fraction(path) >= 0.5`; a path the oracle
+/// cannot resolve is counted in [`FccdScore::skipped`].
 ///
-/// Only `Cached`/`Uncached` verdicts participate; `Present`/`Absent`
-/// (fig1-style prediction units) and units the oracle cannot resolve are
-/// counted in [`FccdScore::skipped`]. Truth for a file is
-/// `oracle.cached_fraction(path) >= 0.5`.
-///
-/// Note the oracle reads *current* residency: score immediately after the
+/// The oracle reads *current* residency: score immediately after the
 /// classification ran, before further workload perturbs the cache.
-pub fn score_fccd(oracle: &Oracle, records: &[TraceRecord]) -> FccdScore {
-    let mut score = FccdScore::default();
-    for rec in records {
-        let (unit, verdict) = match &rec.event {
-            TraceEvent::Classified { unit, verdict } => (unit, *verdict),
-            _ => continue,
-        };
-        let predicted_cached = match verdict {
-            Verdict::Cached => true,
-            Verdict::Uncached => false,
-            Verdict::Present | Verdict::Absent => {
-                score.skipped += 1;
-                continue;
-            }
-        };
-        tally(oracle, unit, predicted_cached, &mut score);
-    }
-    score
-}
-
-/// Joins `(path, predicted_cached)` verdicts directly against the
-/// oracle — the tracer-free scoring path.
-///
-/// The global tracer serializes captures process-wide, so host-parallel
-/// scenario cells cannot route verdicts through trace records. They
-/// don't need to: a [`graybox::fccd::Classified`] already carries the
-/// ranked verdicts, and this function scores them straight off the
-/// result value. Semantics are identical to [`score_fccd`] (same truth
-/// rule, same skip handling for unresolvable paths).
 pub fn score_fccd_verdicts<'a>(
     oracle: &Oracle,
     verdicts: impl IntoIterator<Item = (&'a str, bool)>,
 ) -> FccdScore {
     let mut score = FccdScore::default();
     for (unit, predicted_cached) in verdicts {
-        tally(oracle, unit, predicted_cached, &mut score);
+        let truth_cached = match oracle.cached_fraction(unit) {
+            Ok(frac) => frac >= 0.5,
+            Err(_) => {
+                score.skipped += 1;
+                continue;
+            }
+        };
+        match (predicted_cached, truth_cached) {
+            (true, true) => score.true_positives += 1,
+            (true, false) => score.false_positives += 1,
+            (false, true) => score.false_negatives += 1,
+            (false, false) => score.true_negatives += 1,
+        }
     }
     score
 }
 
-/// Joins one verdict against ground truth and tallies it.
-fn tally(oracle: &Oracle, unit: &str, predicted_cached: bool, score: &mut FccdScore) {
-    let truth_cached = match oracle.cached_fraction(unit) {
-        Ok(frac) => frac >= 0.5,
-        Err(_) => {
-            score.skipped += 1;
-            return;
-        }
-    };
-    match (predicted_cached, truth_cached) {
-        (true, true) => score.true_positives += 1,
-        (true, false) => score.false_positives += 1,
-        (false, true) => score.false_negatives += 1,
-        (false, false) => score.true_negatives += 1,
-    }
-}
-
-/// MAC's final availability estimate joined against known free memory.
+/// MAC's availability estimate joined against known free memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacScore {
-    /// The last `Estimated { quantity: "mac.available_bytes" }` value.
+    /// MAC's estimate of available memory, in bytes.
     pub estimated_bytes: f64,
     /// Caller-supplied ground truth (e.g. free pages × page size at the
     /// moment the probe ran).
@@ -163,38 +126,9 @@ impl MacScore {
     }
 }
 
-/// Extracts MAC's most recent availability estimate from `records` and
-/// pairs it with `truth_bytes`. Returns `None` if no MAC `Estimated`
-/// event is present (MAC never ran, or tracing was off).
-pub fn score_mac(records: &[TraceRecord], truth_bytes: f64) -> Option<MacScore> {
-    let estimated_bytes = records.iter().rev().find_map(|rec| match rec.event {
-        TraceEvent::Estimated {
-            quantity: "mac.available_bytes",
-            value,
-        } => Some(value),
-        _ => None,
-    })?;
-    Some(MacScore {
-        estimated_bytes,
-        truth_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gray_toolbox::time::Nanos;
-
-    fn rec(event: TraceEvent) -> TraceRecord {
-        TraceRecord {
-            seq: 0,
-            ts: Nanos(0),
-            wave: None,
-            span: String::new(),
-            lane: 0,
-            event,
-        }
-    }
 
     #[test]
     fn confusion_counts_and_rates() {
@@ -217,28 +151,6 @@ mod tests {
         assert_eq!(s.precision(), 1.0);
         assert_eq!(s.recall(), 1.0);
         assert_eq!(s.accuracy(), 1.0);
-    }
-
-    #[test]
-    fn mac_score_uses_last_estimate() {
-        let records = vec![
-            rec(TraceEvent::Estimated {
-                quantity: "mac.available_bytes",
-                value: 100.0,
-            }),
-            rec(TraceEvent::Estimated {
-                quantity: "other.thing",
-                value: 5.0,
-            }),
-            rec(TraceEvent::Estimated {
-                quantity: "mac.available_bytes",
-                value: 90.0,
-            }),
-        ];
-        let score = score_mac(&records, 100.0).unwrap();
-        assert_eq!(score.estimated_bytes, 90.0);
-        assert!((score.abs_error() - 0.1).abs() < 1e-12);
-        assert!(score_mac(&[], 100.0).is_none());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! external dependencies.
 //!
 //! It also hosts the event tracer ([`trace`]) and the virtual-time profiler
-//! ([`profile`]). Both stay off until a binary's flags enable them; the
+//! ([`profile`]). Both stay off until a capture arms them on the thread
+//! that runs the code (a binary's flags, a test, a benchmark pass); the
 //! crate reads no environment beyond [`prop`]'s `PROP_SEED` / `PROP_CASES`.
 
 #![forbid(unsafe_code)]

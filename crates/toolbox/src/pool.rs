@@ -14,9 +14,16 @@
 //! A panicking job is contained by `catch_unwind` and surfaces as a
 //! structured per-job [`JobPanic`] in that job's slot; sibling jobs and
 //! the pool itself are unaffected (no poisoned queue, no lost results).
+//!
+//! Each worker runs under its spawner's observability recorder (see
+//! [`crate::trace`]), so a job traces and profiles into whatever capture
+//! was armed where `map` was called, exactly as it would on the serial
+//! path, and a capture a job arms itself is that job's alone.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
+
+use crate::trace;
 
 /// One job died by panic. Carries the job's input index so callers can
 /// report *which* cell failed while the rest of the grid stands.
@@ -103,16 +110,23 @@ impl Pool {
         }
         drop(tx);
         let queue = Mutex::new(rx);
+        let recorder = trace::with_recorder(Clone::clone);
         std::thread::scope(|scope| {
-            let (queue, slots, run) = (&queue, &slots, &run);
+            let (queue, slots, run, recorder) = (&queue, &slots, &run, &recorder);
             for _ in 0..self.workers.min(n) {
-                scope.spawn(move || loop {
-                    // Hold the queue lock only to dequeue; the job runs
-                    // unlocked so workers genuinely overlap.
-                    let job = queue.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
-                    let Ok((idx, item)) = job else { break };
-                    let outcome = run(idx, item);
-                    *slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+                scope.spawn(move || {
+                    trace::update_recorder(|r| *r = recorder.clone());
+                    loop {
+                        // Hold the queue lock only to dequeue; the job runs
+                        // unlocked so workers genuinely overlap.
+                        let job = queue.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
+                        let Ok((idx, item)) = job else { break };
+                        let outcome = run(idx, item);
+                        *slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+                    }
+                    // Let go of the spawner's capture before `map` returns,
+                    // not whenever this thread's locals are torn down.
+                    drop(trace::update_recorder(std::mem::take));
                 });
             }
         });

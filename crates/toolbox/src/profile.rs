@@ -28,24 +28,26 @@
 //! flamegraph tooling consumes (`--profile <path>` on the repro binaries
 //! writes it).
 //!
-//! # Cost model
+//! # Ownership and cost
 //!
-//! Mirrors [`trace`]: disabled, every hook is one relaxed
-//! atomic load and a branch — no allocation, no lock (pinned by the
-//! allocation-counting test `tests/trace_zero_alloc.rs`). Enabled, a
-//! charge clones the span stack and takes one mutex to bump the tree.
+//! The tree is the profile half of the thread's recorder (see
+//! [`trace`]'s "Ownership"): [`capture`] arms a fresh one on the calling
+//! thread, pool workers charge into their spawner's, and nothing is
+//! process-global. Mirroring [`trace`], while the half is unarmed every
+//! hook is one thread-local load and a branch — no allocation, no lock
+//! (pinned by the allocation-counting test `tests/trace_zero_alloc.rs`).
+//! Armed, a charge clones the span stack and takes the half's mutex to
+//! bump the tree.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::mem;
+use std::sync::{Arc, Mutex};
 
 use crate::trace;
 
 /// Root frame every attribution path starts with.
 pub const ROOT: &str = "sim";
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static OP_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
@@ -60,8 +62,9 @@ pub struct NodeAgg {
     pub count: u64,
 }
 
+/// The profile half of a recorder: one capture's attribution tree.
 #[derive(Debug, Default)]
-struct ProfilerState {
+pub(crate) struct Profiler {
     total_ns: u64,
     nodes: BTreeMap<String, NodeAgg>,
     by_pid: BTreeMap<u64, u64>,
@@ -69,33 +72,11 @@ struct ProfilerState {
     by_kind: BTreeMap<&'static str, u64>,
 }
 
-fn state() -> &'static Mutex<ProfilerState> {
-    static STATE: OnceLock<Mutex<ProfilerState>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(ProfilerState::default()))
-}
-
-fn lock_state() -> MutexGuard<'static, ProfilerState> {
-    match state().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Whether profiling is enabled. One relaxed load — the entire cost of
-/// every hook in a disabled run.
+/// Whether this thread's recorder has its profile half armed. One
+/// thread-local load — the entire cost of every hook while it is not.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables profiling (state accumulates until the next [`capture`]).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Disables profiling. Accumulated state stays readable by [`snapshot`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    trace::armed() & trace::PROFILE_ARMED != 0
 }
 
 /// Records a virtual-time charge of `ns` nanoseconds of `kind`
@@ -125,14 +106,17 @@ fn charge_slow(pid: u64, kind: &'static str, ns: u64) {
     path.push(';');
     path.push_str(kind);
     let lane = trace::current_lane();
-    let mut st = lock_state();
-    st.total_ns += ns;
-    let agg = st.nodes.entry(path).or_default();
-    agg.ns += ns;
-    agg.count += 1;
-    *st.by_pid.entry(pid).or_insert(0) += ns;
-    *st.by_lane.entry(lane).or_insert(0) += ns;
-    *st.by_kind.entry(kind).or_insert(0) += ns;
+    trace::with_recorder(|r| {
+        let Some(half) = &r.profile else { return };
+        let mut st = trace::lock(half);
+        st.total_ns += ns;
+        let agg = st.nodes.entry(path).or_default();
+        agg.ns += ns;
+        agg.count += 1;
+        *st.by_pid.entry(pid).or_insert(0) += ns;
+        *st.by_lane.entry(lane).or_insert(0) += ns;
+        *st.by_kind.entry(kind).or_insert(0) += ns;
+    });
 }
 
 /// Pushes a named operation frame (a kernel syscall) onto this thread's
@@ -162,48 +146,49 @@ impl Drop for OpGuard {
     }
 }
 
-/// Snapshot of the accumulated attribution tree.
+/// Snapshot of this thread's capture's attribution tree (empty when no
+/// capture is armed).
 pub fn snapshot() -> ProfileSnapshot {
-    let st = lock_state();
-    ProfileSnapshot {
-        total_ns: st.total_ns,
-        nodes: st.nodes.clone(),
-        by_pid: st.by_pid.clone(),
-        by_lane: st.by_lane.clone(),
-        by_kind: st
-            .by_kind
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect(),
+    trace::with_recorder(|r| {
+        let st = trace::lock(r.profile.as_deref()?);
+        Some(ProfileSnapshot {
+            total_ns: st.total_ns,
+            nodes: st.nodes.clone(),
+            by_pid: st.by_pid.clone(),
+            by_lane: st.by_lane.clone(),
+            by_kind: st
+                .by_kind
+                .iter()
+                .map(|(k, v)| (k.to_string(), *v))
+                .collect(),
+        })
+    })
+    .unwrap_or_default()
+}
+
+/// Starts a capture on this thread: arms a fresh, empty profile half in
+/// place of whatever profile half the thread's recorder held, and leaves
+/// its trace half alone. The guard puts the displaced half back, so
+/// captures nest. Call [`snapshot`] before dropping it.
+pub fn capture() -> CaptureGuard {
+    let fresh = Some(Arc::new(Mutex::new(Profiler::default())));
+    CaptureGuard {
+        prev: trace::update_recorder(|r| mem::replace(&mut r.profile, fresh)),
     }
 }
 
-fn capture_lock() -> &'static Mutex<()> {
-    static CAPTURE: OnceLock<Mutex<()>> = OnceLock::new();
-    CAPTURE.get_or_init(|| Mutex::new(()))
-}
-
-/// Exclusive profiling session: serialises concurrent users (tests)
-/// behind one lock, resets state, enables profiling, and disables it
-/// when the guard drops (panic-safe). Call [`snapshot`] before dropping.
-pub fn capture() -> CaptureGuard {
-    let lock = match capture_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *lock_state() = ProfilerState::default();
-    ENABLED.store(true, Ordering::Relaxed);
-    CaptureGuard { _lock: lock }
-}
-
-/// Guard returned by [`capture`]; ends the session on drop.
+/// Guard returned by [`capture`]; ends the capture on drop and re-arms
+/// the profile half it displaced, if any.
 pub struct CaptureGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<Arc<Mutex<Profiler>>>,
 }
 
 impl Drop for CaptureGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
+        let prev = self.prev.take();
+        drop(trace::update_recorder(|r| {
+            mem::replace(&mut r.profile, prev)
+        }));
     }
 }
 
@@ -264,8 +249,7 @@ mod tests {
 
     #[test]
     fn disabled_charge_is_inert() {
-        let guard = capture();
-        drop(guard); // definitely disabled now
+        drop(capture()); // an ended capture leaves nothing armed
         charge(0, "cpu", 1_000_000);
         let _op = op_scope("sys_read");
         assert!(
@@ -344,11 +328,10 @@ mod tests {
 
     #[test]
     fn op_guard_restores_on_early_toggle() {
-        let _guard = capture();
+        let guard = capture();
         let op = op_scope("sys_write");
-        disable();
+        drop(guard);
         drop(op); // pushed while enabled → must still pop
         assert!(OP_STACK.with(|s| s.borrow().is_empty()));
-        enable();
     }
 }

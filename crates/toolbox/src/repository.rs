@@ -341,19 +341,16 @@ mod tests {
     #[test]
     fn missing_key_emits_trace_event() {
         use crate::trace::{self, TraceEvent};
-        let guard = trace::capture();
-        let lane = guard.lane();
+        let _guard = trace::capture();
         let repo = ParamRepository::in_memory();
         assert_eq!(repo.get_u64("fccd.uncalibrated_key").unwrap(), None);
-        let misses: Vec<String> = trace::drain()
-            .into_iter()
-            .filter(|r| r.lane == lane)
-            .filter_map(|r| match r.event {
-                TraceEvent::RepositoryMiss { key } => Some(key),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(misses, vec!["fccd.uncalibrated_key".to_string()]);
+        let events: Vec<TraceEvent> = trace::drain().into_iter().map(|r| r.event).collect();
+        assert_eq!(
+            events,
+            [TraceEvent::RepositoryMiss {
+                key: "fccd.uncalibrated_key".to_string()
+            }]
+        );
     }
 
     #[test]

@@ -21,16 +21,28 @@
 //! - [`TraceEvent::CacheAccess`] — a service-side inference cache answered
 //!   (or declined to answer) a query: hit, miss, expired, churned.
 //!
+//! # Ownership
+//!
+//! Nothing here is process-global except the lane-id counter. What a run
+//! records lives in one recorder held by the thread that runs it: a trace
+//! half (the ring, the JSONL sink, the sequence counter, the per-kind
+//! counts, the probe-latency histogram and the timestamp source) and a
+//! profile half ([`crate::profile`]'s attribution tree). [`capture`] arms
+//! a fresh trace half on the calling thread, and its guard puts back
+//! whatever was there: captures on two threads never see each other's
+//! records, and a capture inside a capture nests. [`crate::pool::Pool`]
+//! installs the spawner's recorder in each worker for the length of one
+//! `map`; a thread spawned any other way starts with nothing armed.
+//!
 //! # Cost model
 //!
-//! The subsystem is designed to be compiled in everywhere and *always on*
-//! in the sense that call sites never need `#[cfg]`s: when tracing is
-//! disabled (the default), [`emit_with`] is one relaxed atomic load and a
-//! branch — no allocation, no lock, and the event-constructing closure is
-//! never called. When enabled, records go through one mutex into a bounded
-//! ring buffer (and, if configured, a buffered JSONL sink), and counters
-//! plus a log2 latency histogram aggregate alongside. "Lock-free-ish":
-//! the fast path (disabled check) is lock-free; recording is not.
+//! Call sites never need `#[cfg]`s: while nothing is armed on the thread
+//! (the default), [`emit_with`] is one thread-local load and a branch —
+//! no allocation, no lock, and the event-constructing closure is never
+//! called. Armed, a record takes the trace half's mutex (shared only with
+//! the pool workers of the same run) to push into a bounded ring buffer
+//! and, if configured, a buffered JSONL sink; counters plus a log2 latency
+//! histogram aggregate alongside.
 //!
 //! # Identity
 //!
@@ -53,13 +65,15 @@
 //! ([`enable_jsonl`]; `--trace <path>` on the repro binaries) streams
 //! every record as one JSON object per line, so rare-but-important events
 //! (threshold crossings) survive even when probe events wrap the ring.
+//! Dropping its guard ends the file with an accounting footer.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::mem;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::stats::Log2Histogram;
@@ -226,11 +240,13 @@ impl TraceEvent {
 /// One recorded event with its identity coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Global sequence number (total order across threads).
+    /// Sequence number within its capture, from 0 (a total order across
+    /// the pool workers that share the capture).
     pub seq: u64,
     /// Timestamp in nanoseconds. From the emitting backend's clock when
-    /// the site used [`emit_with_at`]; otherwise host-monotonic
-    /// nanoseconds since the tracer first initialised.
+    /// the site used [`emit_with_at`]; otherwise from the clock given to
+    /// [`set_clock`], or host-monotonic nanoseconds since the capture
+    /// began.
     pub ts: Nanos,
     /// Scheduler wave index in flight when the event fired, if any.
     pub wave: Option<u64>,
@@ -320,65 +336,128 @@ impl Ring {
     }
 }
 
-struct TracerState {
+/// The trace half of a [`Recorder`]: one capture's records and aggregates.
+struct Tracer {
     seq: u64,
     ring: Ring,
     sink: Option<BufWriter<File>>,
     metrics: TraceMetrics,
     clock: Option<Box<dyn Fn() -> Nanos + Send>>,
+    epoch: Instant,
 }
 
-impl TracerState {
-    fn new(capacity: usize) -> Self {
-        TracerState {
+impl Tracer {
+    fn new(capacity: usize, sink: Option<BufWriter<File>>) -> Self {
+        Tracer {
             seq: 0,
             ring: Ring::new(capacity),
-            sink: None,
+            sink,
             metrics: TraceMetrics::default(),
             clock: None,
+            epoch: Instant::now(),
+        }
+    }
+
+    /// The registered clock's reading, or host time since the capture.
+    fn now(&self) -> Nanos {
+        match &self.clock {
+            Some(clock) => clock(),
+            None => Nanos(self.epoch.elapsed().as_nanos() as u64),
         }
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
-
-fn state() -> &'static Mutex<TracerState> {
-    static STATE: OnceLock<Mutex<TracerState>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(TracerState::new(DEFAULT_RING_CAPACITY)))
-}
-
-fn lock_state() -> MutexGuard<'static, TracerState> {
-    match state().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+impl Drop for Tracer {
+    /// Ends the JSONL sink, if any, with its accounting footer:
+    /// `{"type":"Footer","records":N,"ring_dropped":M,"ring_capacity":C}`,
+    /// so a consumer can verify it received every record and see whether
+    /// the in-process ring lost history.
+    fn drop(&mut self) {
+        if let Some(mut sink) = self.sink.take() {
+            let _ = writeln!(
+                sink,
+                "{{\"type\":\"Footer\",\"records\":{},\"ring_dropped\":{},\"ring_capacity\":{}}}",
+                self.seq, self.ring.dropped, self.ring.capacity
+            );
+            let _ = sink.flush();
+        }
     }
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+/// Everything one run records: a trace half armed by [`capture`] and a
+/// profile half armed by [`crate::profile::capture`], either possibly
+/// unarmed. The halves are shared, so pool workers that install their
+/// spawner's recorder push into the same ring and the same tree.
+#[derive(Clone, Default)]
+pub(crate) struct Recorder {
+    trace: Option<Arc<Mutex<Tracer>>>,
+    pub(crate) profile: Option<Arc<Mutex<crate::profile::Profiler>>>,
 }
 
+/// [`armed`] bit of a recorder whose trace half is armed.
+const TRACE_ARMED: u8 = 1;
+/// [`armed`] bit of a recorder whose profile half is armed.
+pub(crate) const PROFILE_ARMED: u8 = 2;
+
+static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
+    static RECORDER: RefCell<Recorder> = const {
+        RefCell::new(Recorder { trace: None, profile: None })
+    };
+    /// Which halves of `RECORDER` are armed. A plain `Copy` cell beside
+    /// it, so the disabled check is one load and a branch, without the
+    /// destructor bookkeeping `RECORDER` needs.
+    static ARMED: Cell<u8> = const { Cell::new(0) };
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     static LANE: Cell<u64> = const { Cell::new(u64::MAX) };
     static CURRENT_WAVE: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-fn lane_id() -> u64 {
+/// The [`TRACE_ARMED`]/[`PROFILE_ARMED`] bits of this thread's recorder.
+#[inline]
+pub(crate) fn armed() -> u8 {
+    ARMED.get()
+}
+
+/// Edits this thread's recorder and refreshes its [`armed`] bits.
+pub(crate) fn update_recorder<R>(edit: impl FnOnce(&mut Recorder) -> R) -> R {
+    RECORDER.with(|slot| {
+        let mut rec = slot.borrow_mut();
+        let out = edit(&mut rec);
+        ARMED.set(
+            (u8::from(rec.trace.is_some()) * TRACE_ARMED)
+                | (u8::from(rec.profile.is_some()) * PROFILE_ARMED),
+        );
+        out
+    })
+}
+
+/// Reads this thread's recorder.
+pub(crate) fn with_recorder<R>(read: impl FnOnce(&Recorder) -> R) -> R {
+    RECORDER.with(|slot| read(&slot.borrow()))
+}
+
+/// Locks a recorder half. A panic while one was held (a pool job's, say)
+/// leaves only whole records behind, so a poisoned lock is taken as is.
+pub(crate) fn lock<T>(half: &Mutex<T>) -> MutexGuard<'_, T> {
+    half.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` on this thread's trace half, if one is armed.
+fn with_tracer<R>(f: impl FnOnce(&mut Tracer) -> R) -> Option<R> {
+    with_recorder(|r| r.trace.as_deref().map(|t| f(&mut lock(t))))
+}
+
+/// This thread's lane id (allocated lazily), also the profiler's
+/// per-lane attribution key.
+pub(crate) fn current_lane() -> u64 {
     LANE.with(|c| {
         if c.get() == u64::MAX {
             c.set(NEXT_LANE.fetch_add(1, Ordering::Relaxed));
         }
         c.get()
     })
-}
-
-/// This thread's lane id (allocated lazily), for the profiler's per-lane
-/// attribution table.
-pub(crate) fn current_lane() -> u64 {
-    lane_id()
 }
 
 /// A copy of this thread's open span stack, root first, for the
@@ -447,11 +526,12 @@ pub fn swap_ctx(ctx: &mut TraceCtx) {
     ctx.lane = LANE.with(|c| c.replace(ctx.lane));
 }
 
-/// Whether tracing is currently enabled. One relaxed atomic load — this
-/// is the entire cost of every instrumentation site in a disabled build.
+/// Whether this thread's recorder has its trace half armed. One
+/// thread-local load — the entire cost of every instrumentation site
+/// while nothing is armed.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    armed() & TRACE_ARMED != 0
 }
 
 /// Records an event if tracing is enabled; the closure is never called
@@ -477,84 +557,74 @@ pub fn emit_with_at(ts: Nanos, f: impl FnOnce() -> TraceEvent) {
 }
 
 fn record(ts: Option<Nanos>, event: TraceEvent) {
-    let lane = lane_id();
+    let lane = current_lane();
     let span = SPAN_STACK.with(|s| s.borrow().join("/"));
-    let mut st = lock_state();
-    let ts = ts.unwrap_or_else(|| match &st.clock {
-        Some(clock) => clock(),
-        None => Nanos(epoch().elapsed().as_nanos() as u64),
+    let wave = wave();
+    with_tracer(|t| {
+        let ts = ts.unwrap_or_else(|| t.now());
+        let seq = t.seq;
+        t.seq += 1;
+        *t.metrics.counts.entry(event.kind()).or_insert(0) += 1;
+        if let TraceEvent::ProbeIssued { latency_ns, .. } = event {
+            t.metrics.probe_latency.record(latency_ns);
+        }
+        let rec = TraceRecord {
+            seq,
+            ts,
+            wave,
+            span,
+            lane,
+            event,
+        };
+        if let Some(sink) = t.sink.as_mut() {
+            let _ = writeln!(sink, "{}", rec.to_json());
+        }
+        t.ring.push(rec);
     });
-    let seq = st.seq;
-    st.seq += 1;
-    *st.metrics.counts.entry(event.kind()).or_insert(0) += 1;
-    if let TraceEvent::ProbeIssued { latency_ns, .. } = event {
-        st.metrics.probe_latency.record(latency_ns);
+}
+
+/// Starts a capture on this thread: arms a fresh trace half — empty ring,
+/// zeroed counters, `seq` from 0 — in place of whatever trace half the
+/// thread's recorder held, and leaves its profile half alone. The guard
+/// puts the displaced half back, so captures on different threads never
+/// share records and a capture inside a capture nests. [`drain`] and
+/// [`metrics`] read the capture before its guard drops.
+pub fn capture() -> CaptureGuard {
+    arm(Tracer::new(DEFAULT_RING_CAPACITY, None))
+}
+
+/// Like [`capture`], and also streams every record to `path` as JSONL.
+/// Dropping the guard ends the file with the accounting footer.
+pub fn enable_jsonl(path: &str) -> io::Result<CaptureGuard> {
+    let sink = BufWriter::new(File::create(path)?);
+    Ok(arm(Tracer::new(DEFAULT_RING_CAPACITY, Some(sink))))
+}
+
+fn arm(tracer: Tracer) -> CaptureGuard {
+    let fresh = Some(Arc::new(Mutex::new(tracer)));
+    CaptureGuard {
+        prev: update_recorder(|r| mem::replace(&mut r.trace, fresh)),
     }
-    let rec = TraceRecord {
-        seq,
-        ts,
-        wave: wave(),
-        span,
-        lane,
-        event,
-    };
-    if let Some(sink) = st.sink.as_mut() {
-        let _ = writeln!(sink, "{}", rec.to_json());
+}
+
+/// Guard returned by [`capture`] and [`enable_jsonl`]; ends the capture
+/// on drop and re-arms the trace half it displaced, if any.
+pub struct CaptureGuard {
+    prev: Option<Arc<Mutex<Tracer>>>,
+}
+
+impl Drop for CaptureGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        drop(update_recorder(|r| mem::replace(&mut r.trace, prev)));
     }
-    st.ring.push(rec);
 }
 
-/// Enables tracing into the in-process ring buffer only.
-pub fn enable() {
-    enable_with_capacity(DEFAULT_RING_CAPACITY);
-}
-
-/// Enables tracing with an explicit ring capacity (tests exercise
-/// wraparound with small rings).
-fn enable_with_capacity(capacity: usize) {
-    let mut st = lock_state();
-    st.ring = Ring::new(capacity);
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Enables tracing and streams every record to `path` as JSONL, in
-/// addition to the ring buffer.
-pub fn enable_jsonl(path: &str) -> io::Result<()> {
-    let file = File::create(path)?;
-    let mut st = lock_state();
-    st.ring = Ring::new(DEFAULT_RING_CAPACITY);
-    st.sink = Some(BufWriter::new(file));
-    ENABLED.store(true, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Disables tracing, writes the accounting footer to the JSONL sink,
-/// flushes and closes it, and clears the registered clock. Ring contents
-/// survive until [`drain`].
-///
-/// The footer is one final JSON line,
-/// `{"type":"Footer","records":N,"ring_dropped":M,"ring_capacity":C}`,
-/// so a consumer can verify it received every record and see whether the
-/// in-process ring lost history.
-pub fn shutdown() {
-    ENABLED.store(false, Ordering::Relaxed);
-    clear_wave();
-    let mut st = lock_state();
-    let (records, dropped, capacity) = (st.seq, st.ring.dropped, st.ring.capacity);
-    if let Some(mut sink) = st.sink.take() {
-        let _ = writeln!(
-            sink,
-            "{{\"type\":\"Footer\",\"records\":{records},\"ring_dropped\":{dropped},\"ring_capacity\":{capacity}}}"
-        );
-        let _ = sink.flush();
-    }
-    st.clock = None;
-}
-
-/// Registers the default timestamp source for records emitted without an
-/// explicit time (e.g. hostos registers its calibrated `FastTimer`).
+/// Registers the timestamp source for records this capture takes
+/// without an explicit time (e.g. hostos registers its calibrated
+/// `FastTimer`). Does nothing while no capture is armed on the thread.
 pub fn set_clock(clock: impl Fn() -> Nanos + Send + 'static) {
-    lock_state().clock = Some(Box::new(clock));
+    with_tracer(|t| t.clock = Some(Box::new(clock)));
 }
 
 /// Stamps the scheduler wave index onto records subsequently emitted by
@@ -576,12 +646,12 @@ fn wave() -> Option<u64> {
 }
 
 /// Pushes a `kind:label` span segment onto this thread's span stack; the
-/// guard pops it on drop. When neither tracing nor the virtual-time
-/// profiler is enabled nothing is pushed and the label closure is never
-/// called. (The profiler reads the same span stack for its attribution
-/// tree, so spans must open whenever either consumer is live.)
+/// guard pops it on drop. When neither half of the thread's recorder is
+/// armed nothing is pushed and the label closure is never called. (The
+/// profiler reads the same span stack for its attribution tree, so spans
+/// must open whenever either consumer is live.)
 pub fn span(kind: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
-    if !enabled() && !crate::profile::enabled() {
+    if armed() == 0 {
         return SpanGuard { pushed: false };
     }
     SPAN_STACK.with(|s| s.borrow_mut().push(format!("{kind}:{}", label())));
@@ -603,69 +673,20 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Removes and returns every record in the ring, oldest first.
+/// Removes and returns every record in this thread's capture, oldest
+/// first (nothing when no capture is armed).
 pub fn drain() -> Vec<TraceRecord> {
-    lock_state().ring.drain()
+    with_tracer(|t| t.ring.drain()).unwrap_or_default()
 }
 
-/// Records evicted from the bounded ring before being drained.
-pub fn records_dropped() -> u64 {
-    lock_state().ring.dropped
-}
-
-/// Snapshot of the aggregated counters and latency histogram.
+/// Snapshot of this thread's capture's counters and latency histogram
+/// (all zero when no capture is armed).
 pub fn metrics() -> TraceMetrics {
-    let st = lock_state();
-    let mut m = st.metrics.clone();
-    m.records_dropped = st.ring.dropped;
-    m
-}
-
-fn capture_lock() -> &'static Mutex<()> {
-    static CAPTURE: OnceLock<Mutex<()>> = OnceLock::new();
-    CAPTURE.get_or_init(|| Mutex::new(()))
-}
-
-/// Exclusive tracing session for tests and in-process scorers.
-///
-/// The global tracer is process-wide state; concurrent tests that each
-/// enabled it would interleave their events. `capture()` serialises such
-/// users behind one lock, clears the ring and metrics, enables tracing,
-/// and disables it again when the guard drops (panic-safe). Callers
-/// [`drain`] before dropping the guard.
-pub fn capture() -> CaptureGuard {
-    let lock = match capture_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    {
-        let mut st = lock_state();
-        st.ring = Ring::new(DEFAULT_RING_CAPACITY);
-        st.metrics = TraceMetrics::default();
-    }
-    ENABLED.store(true, Ordering::Relaxed);
-    CaptureGuard { _lock: lock }
-}
-
-/// Guard returned by [`capture`]; ends the tracing session on drop.
-pub struct CaptureGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl CaptureGuard {
-    /// This thread's lane id, for filtering records down to events the
-    /// capturing test emitted itself (other test threads in the same
-    /// process may emit while the session is open).
-    pub fn lane(&self) -> u64 {
-        lane_id()
-    }
-}
-
-impl Drop for CaptureGuard {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
-        clear_wave();
-    }
+    with_tracer(|t| TraceMetrics {
+        records_dropped: t.ring.dropped,
+        ..t.metrics.clone()
+    })
+    .unwrap_or_default()
 }
 
 /// Renders records as a per-wave lane view: one section per scheduler
@@ -801,12 +822,31 @@ pub(crate) fn json_f64(x: f64) -> String {
 mod tests {
     use super::*;
 
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A `RepositoryMiss` carrying `key`: an event a test can recognise.
+    fn miss(key: &str) {
+        emit_with(|| TraceEvent::RepositoryMiss {
+            key: key.to_string(),
+        });
+    }
+
+    fn miss_keys(records: Vec<TraceRecord>) -> Vec<String> {
+        records
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RepositoryMiss { key } => Some(key),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_emit_is_inert_and_closure_never_runs() {
-        // Not under `capture()`: tracing must be off unless some other
-        // test holds the capture lock — so take it to be sure.
-        let guard = capture();
-        drop(guard); // now definitely disabled, and we still hold no lock
+        // A test thread starts with nothing armed, and a capture that
+        // ended leaves nothing armed behind.
+        drop(capture());
         let mut ran = false;
         emit_with(|| {
             ran = true;
@@ -836,32 +876,38 @@ mod tests {
         assert!(ring.drain().is_empty(), "drain empties the ring");
     }
 
+    /// A fresh trace half of `capacity` records streaming to `path`.
+    fn capture_jsonl_with_capacity(path: &str, capacity: usize) -> CaptureGuard {
+        let sink = BufWriter::new(File::create(path).unwrap());
+        arm(Tracer::new(capacity, Some(sink)))
+    }
+
+    /// A per-test, per-process scratch path.
+    fn temp_jsonl(test: &str) -> String {
+        let name = format!("gray_trace_{test}_{}.jsonl", std::process::id());
+        std::env::temp_dir()
+            .join(name)
+            .to_string_lossy()
+            .into_owned()
+    }
+
     #[test]
     fn ring_eviction_is_accounted() {
-        let guard = capture();
-        enable_with_capacity(4); // shrink the session's ring
-        let lane = guard.lane();
+        let _guard = arm(Tracer::new(4, None));
         for i in 0..7u64 {
             emit_with_at(Nanos(i), || TraceEvent::ProbeIssued {
                 offset: i,
                 latency_ns: 1,
             });
         }
-        let m = metrics();
-        assert!(
-            m.records_dropped >= 3,
-            "7 pushes into a 4-slot ring must drop >= 3, saw {}",
-            m.records_dropped
-        );
-        assert_eq!(records_dropped(), m.records_dropped);
-        let mine = drain().into_iter().filter(|r| r.lane == lane).count();
-        assert!(mine <= 4, "ring holds at most its capacity");
+        assert_eq!(metrics().records_dropped, 3, "7 pushes into a 4-slot ring");
+        let seqs: Vec<u64> = drain().into_iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [3, 4, 5, 6], "the ring keeps the newest 4");
     }
 
     #[test]
     fn capture_records_and_counts() {
-        let guard = capture();
-        let lane = guard.lane();
+        let _guard = capture();
         emit_with(|| TraceEvent::Classified {
             unit: "/f0".to_string(),
             verdict: Verdict::Cached,
@@ -870,19 +916,18 @@ mod tests {
             offset: 4096,
             latency_ns: 2500,
         });
-        let recs: Vec<TraceRecord> = drain().into_iter().filter(|r| r.lane == lane).collect();
+        let recs = drain();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].ts, Nanos(42), "explicit ts honoured");
         let m = metrics();
-        assert!(m.counts["Classified"] >= 1);
-        assert!(m.counts["ProbeIssued"] >= 1);
-        assert!(m.probe_latency.count() >= 1);
+        assert_eq!(m.counts["Classified"], 1);
+        assert_eq!(m.counts["ProbeIssued"], 1);
+        assert_eq!(m.probe_latency.count(), 1);
     }
 
     #[test]
     fn spans_nest_and_pop() {
-        let guard = capture();
-        let lane = guard.lane();
+        let _guard = capture();
         {
             let _wave = span("wave", || "7".to_string());
             let _plan = span("plan", || "/f1".to_string());
@@ -895,48 +940,71 @@ mod tests {
             target: "/f2".to_string(),
             probes: 3,
         });
-        let recs: Vec<TraceRecord> = drain().into_iter().filter(|r| r.lane == lane).collect();
+        let recs = drain();
         assert_eq!(recs[0].span, "wave:7/plan:/f1");
         assert_eq!(recs[1].span, "", "span popped after guard drop");
     }
 
     #[test]
+    fn captures_on_two_threads_run_at_once() {
+        // Each thread holds its capture open across two handshakes with
+        // the other: both captures are open before either emits, and both
+        // have emitted before either drains.
+        let (a_tx, a_rx) = mpsc::channel();
+        let (b_tx, b_rx) = mpsc::channel();
+        let side = |me: &'static str, tx: mpsc::Sender<()>, rx: mpsc::Receiver<()>| {
+            move || {
+                let _guard = capture();
+                let handshake = || {
+                    tx.send(()).unwrap();
+                    rx.recv_timeout(Duration::from_secs(5))
+                        .expect("the other thread's capture must be open at the same time");
+                };
+                handshake();
+                miss(me);
+                handshake();
+                miss_keys(drain())
+            }
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(side("a", a_tx, b_rx));
+            let b = scope.spawn(side("b", b_tx, a_rx));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, ["a"], "thread a drains only its own record");
+        assert_eq!(b, ["b"], "thread b drains only its own record");
+    }
+
+    #[test]
     fn wave_stamp_is_per_thread() {
         let _guard = capture();
-        // Both threads stamp before either emits: a stamp shared between
-        // threads would put the later index on both records.
+        // Both workers stamp before either emits: a stamp shared between
+        // threads would put the later index on both records. Each worker
+        // records into the spawner's capture.
         let stamped = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for i in 0..2u64 {
-                let stamped = &stamped;
-                scope.spawn(move || {
-                    set_wave(i);
-                    stamped.wait();
-                    emit_with(|| TraceEvent::RepositoryMiss {
-                        key: format!("wave_stamp_is_per_thread:{i}"),
-                    });
-                });
-            }
+        let done = crate::pool::Pool::with_workers(2).map(vec![0u64, 1], |_, i| {
+            set_wave(i);
+            stamped.wait();
+            miss(&format!("worker {i}"));
         });
+        assert!(done.iter().all(Result::is_ok));
         assert_eq!(wave(), None, "a worker's stamp must not reach its spawner");
         let mut stamps: Vec<(String, Option<u64>)> = drain()
             .into_iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::RepositoryMiss { key } if key.starts_with("wave_stamp_is_") => {
-                    Some((key, r.wave))
-                }
-                _ => None,
+            .map(|r| match r.event {
+                TraceEvent::RepositoryMiss { key } => (key, r.wave),
+                other => panic!("unexpected {other:?}"),
             })
             .collect();
         stamps.sort();
-        let own = [0, 1].map(|i| (format!("wave_stamp_is_per_thread:{i}"), Some(i)));
+        let own = [0, 1].map(|i| (format!("worker {i}"), Some(i)));
         assert_eq!(stamps, own, "a record carries another thread's wave");
     }
 
     #[test]
     fn lane_scope_overrides_and_restores() {
-        let guard = capture();
-        let thread_lane = guard.lane();
+        let _guard = capture();
+        let thread_lane = current_lane();
         let tenant = allocate_lane();
         assert_ne!(tenant, thread_lane);
         {
@@ -950,44 +1018,59 @@ mod tests {
             key: "fccd:/a".to_string(),
             outcome: "miss",
         });
-        let recs: Vec<TraceRecord> = drain()
-            .into_iter()
-            .filter(|r| matches!(r.event, TraceEvent::CacheAccess { .. }))
-            .filter(|r| r.lane == tenant || r.lane == thread_lane)
-            .collect();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].lane, tenant, "scoped record on the tenant lane");
-        assert_eq!(recs[1].lane, thread_lane, "lane restored after drop");
+        let lanes: Vec<u64> = drain().into_iter().map(|r| r.lane).collect();
+        assert_eq!(lanes, [tenant, thread_lane], "scoped, then restored");
     }
 
     #[test]
     fn jsonl_footer_reports_drop_accounting() {
-        let _guard = capture();
-        let path =
-            std::env::temp_dir().join(format!("gray_trace_footer_{}.jsonl", std::process::id()));
-        let path_s = path.to_string_lossy().to_string();
-        enable_jsonl(&path_s).unwrap();
-        enable_with_capacity(2); // shrink the session's ring; the sink stays
+        let path = temp_jsonl("drops");
+        let guard = capture_jsonl_with_capacity(&path, 2);
         for i in 0..5u64 {
             emit_with_at(Nanos(i), || TraceEvent::ProbeIssued {
                 offset: i,
                 latency_ns: 1,
             });
         }
-        shutdown();
-        let text = std::fs::read_to_string(&path_s).unwrap();
-        let _ = std::fs::remove_file(&path_s);
-        assert!(
-            text.lines().count() >= 6,
+        drop(guard);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text.lines().count(),
+            6,
             "sink keeps every record plus the footer"
         );
         let last = text.lines().last().unwrap();
-        assert!(
-            last.starts_with("{\"type\":\"Footer\""),
-            "footer line: {last}"
+        assert_eq!(
+            last,
+            "{\"type\":\"Footer\",\"records\":5,\"ring_dropped\":3,\"ring_capacity\":2}"
         );
-        assert!(last.contains("\"ring_dropped\":3"), "footer line: {last}");
-        assert!(last.contains("\"ring_capacity\":2"), "footer line: {last}");
+    }
+
+    #[test]
+    fn jsonl_footer_counts_only_its_own_records() {
+        let path = temp_jsonl("own");
+        let _outer = capture();
+        for key in ["a", "b", "c"] {
+            miss(key);
+        }
+        let sink = enable_jsonl(&path).unwrap();
+        for key in ["d", "e"] {
+            miss(key);
+        }
+        drop(sink);
+        miss("f");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "two records and the footer:\n{text}");
+        assert!(lines[0].starts_with("{\"seq\":0,"), "{}", lines[0]);
+        assert!(lines[2].contains("\"records\":2,"), "{}", lines[2]);
+        assert_eq!(
+            miss_keys(drain()),
+            ["a", "b", "c", "f"],
+            "the outer capture resumes, without the inner one's records"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn disabled_emission_and_spans_allocate_nothing() {
 
     assert!(
         !trace::enabled() && !profile::enabled(),
-        "tracing and profiling must start disabled in a fresh process"
+        "tracing and profiling must start disabled on a fresh thread"
     );
     // Warm up any lazily initialized thread-local machinery outside the
     // measured window.

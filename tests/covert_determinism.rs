@@ -42,10 +42,15 @@ fn grid_reruns_are_bit_identical_across_worker_counts() {
     let serial = run_grid(&cfg, &Pool::with_workers(1));
     let rerun = run_grid(&cfg, &Pool::with_workers(1));
     let parallel = run_grid(&cfg, &Pool::with_workers(3));
-    let profiled = {
+    // Pool workers charge into the capture armed where the grid was
+    // started, so the tree is the same for one worker or two.
+    let profile_grid = |workers| {
         let _profiler = profile::capture();
-        run_grid(&cfg, &Pool::with_workers(2))
+        let grid = run_grid(&cfg, &Pool::with_workers(workers));
+        (grid, profile::snapshot())
     };
+    let (profiled, tree) = profile_grid(2);
+    let (_, serial_tree) = profile_grid(1);
 
     assert_eq!(serial, rerun, "same config must replay bit for bit");
     assert_eq!(serial, parallel, "worker count must not leak into scores");
@@ -54,6 +59,12 @@ fn grid_reruns_are_bit_identical_across_worker_counts() {
         grid_digest(&serial),
         grid_digest(&profiled),
         "the virtual-time profiler must only observe"
+    );
+    assert!(tree.total_ns > 0, "pool workers must profile");
+    assert_eq!(
+        tree.digest(),
+        serial_tree.digest(),
+        "two workers must attribute what one does"
     );
     assert_eq!(serial.len(), cfg.cells());
     for cell in &serial {

@@ -192,11 +192,10 @@ fn sched_and_direct_classify_identically_under_simos() {
 
 /// The trace a concurrency-1 dispatch emits is a pure function of the
 /// case seed: two identical runs produce identical `(wave, span, event)`
-/// streams. Sequence numbers and timestamps are excluded — seq is global
-/// across threads and other tests in this binary may emit while our
-/// capture is open (which is also why records are filtered to this
-/// thread's lane; `run_one` plus [`InlineExecutor`] keeps every event of
-/// the dispatch, the kernel's probe events included, on the test thread).
+/// streams. Timestamps are host time and are excluded; lanes are drawn
+/// from a process-wide counter and are excluded too. (`run_one` plus
+/// [`InlineExecutor`] keeps every event of the dispatch, the kernel's
+/// probe events included, on the test thread and so in its capture.)
 #[test]
 fn serial_dispatch_trace_is_deterministic() {
     use graybox_icl::toolbox::trace;
@@ -219,17 +218,15 @@ fn serial_dispatch_trace_is_deterministic() {
                 .map(|(_, size)| (0..size.div_ceil(page)).filter(|_| g.bool()).collect())
                 .collect();
             let run = || {
-                let cap = trace::capture();
+                let _cap = trace::capture();
                 machine_with(&files, &warm, page).run_one(|os| {
                     let fleet = FccdFleet::with_fixed_seed(os, params.clone(), 0);
                     let mut exec = InlineExecutor::new(os);
                     let _ = fleet.classify_files(&mut serial_scheduler(), &mut exec, &files);
                 });
-                let lane = cap.lane();
                 trace::drain()
                     .into_iter()
-                    .filter(|r| r.lane == lane)
-                    .map(|r| (r.wave, r.span, r.event))
+                    .map(|r| (r.seq, r.wave, r.span, r.event))
                     .collect::<Vec<_>>()
             };
             let a = run();

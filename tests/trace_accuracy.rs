@@ -3,20 +3,24 @@
 //!
 //! A noise-free simulated machine gets a corpus whose residency is forced
 //! by construction (half the files re-read after a flush, half left
-//! cold), so FCCD's verdicts — emitted as `Classified` trace events and
+//! cold), so FCCD's verdicts — read back as `Classified` trace events and
 //! joined against the oracle by `simos::score` — have an exactly
 //! computable confusion matrix: all six files right, precision and recall
-//! both 1.0. MAC's availability estimate on the same idle machine must
-//! land within 10% of the oracle's free-page count — the bar the paper's
-//! "reliably returns (830 − x) MB" claim sets.
+//! both 1.0. MAC's availability estimate on the same idle machine, read
+//! back as its last `Estimated` event, must land within 10% of the
+//! oracle's free-page count — the bar the paper's "reliably returns
+//! (830 − x) MB" claim sets. And a capture armed inside a pool job holds
+//! that job's records alone: per-cell traces from a parallel matrix run.
 
 use graybox_icl::apps::workload::make_files;
 use graybox_icl::graybox::fccd::{Fccd, FccdParams};
 use graybox_icl::graybox::mac::{Mac, MacParams};
 use graybox_icl::graybox::os::GrayBoxOs;
-use graybox_icl::simos::score::{score_fccd, score_mac};
+use graybox_icl::simos::scenario::matrix::MatrixConfig;
+use graybox_icl::simos::score::{score_fccd_verdicts, MacScore};
 use graybox_icl::simos::{Sim, SimConfig};
-use graybox_icl::toolbox::trace;
+use graybox_icl::toolbox::pool::Pool;
+use graybox_icl::toolbox::trace::{self, TraceEvent, Verdict};
 
 const FILES: usize = 6;
 const FILE_BYTES: u64 = 512 << 10;
@@ -47,11 +51,15 @@ fn fccd_verdicts_score_exactly_against_the_oracle() {
     let probe_paths = paths.clone();
     sim.run_one(move |os| Fccd::with_fixed_seed(os, fccd_params()).classify_files(&probe_paths));
 
-    // No lane filtering: Classified events fire on sim-proc lanes, and
-    // the scorer already ignores every foreign event shape.
     let records = trace::drain();
     drop(cap);
-    let score = score_fccd(&sim.oracle(), &records);
+    let verdicts = records.iter().filter_map(|r| match &r.event {
+        TraceEvent::Classified { unit, verdict } => {
+            Some((unit.as_str(), *verdict == Verdict::Cached))
+        }
+        _ => None,
+    });
+    let score = score_fccd_verdicts(&sim.oracle(), verdicts);
     assert_eq!(
         score.scored(),
         FILES as u64,
@@ -86,7 +94,21 @@ fn mac_estimate_lands_within_ten_percent_of_oracle_truth() {
     });
     let records = trace::drain();
     drop(cap);
-    let score = score_mac(&records, truth_bytes).expect("MAC probe emits its estimate");
+    let estimated_bytes = records
+        .iter()
+        .rev()
+        .find_map(|r| match r.event {
+            TraceEvent::Estimated {
+                quantity: "mac.available_bytes",
+                value,
+            } => Some(value),
+            _ => None,
+        })
+        .expect("MAC probe emits its estimate");
+    let score = MacScore {
+        estimated_bytes,
+        truth_bytes,
+    };
     assert!(
         score.abs_error() <= 0.10,
         "MAC estimate {:.0} vs oracle free {:.0}: {:.1}% off",
@@ -94,4 +116,29 @@ fn mac_estimate_lands_within_ten_percent_of_oracle_truth() {
         score.truth_bytes,
         score.abs_error() * 100.0
     );
+}
+
+#[test]
+fn pool_jobs_capture_their_own_cells() {
+    // Each job arms its own capture, so a cell's `Classified` count is
+    // that cell's alone, whichever worker ran it and whatever ran beside
+    // it.
+    let cells = MatrixConfig::smoke().expand();
+    let classified_per_cell = |workers| -> Vec<usize> {
+        Pool::with_workers(workers)
+            .map(cells.clone(), |_, spec| {
+                let _cap = trace::capture();
+                spec.run();
+                trace::drain()
+                    .iter()
+                    .filter(|r| matches!(r.event, TraceEvent::Classified { .. }))
+                    .count()
+            })
+            .into_iter()
+            .map(|cell| cell.expect("no cell may panic"))
+            .collect()
+    };
+    let serial = classified_per_cell(1);
+    assert!(serial.iter().all(|&n| n > 0), "{serial:?}");
+    assert_eq!(classified_per_cell(2), serial);
 }
