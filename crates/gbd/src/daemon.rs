@@ -97,34 +97,43 @@ pub enum Query {
 impl Query {
     /// The cache key: a stable fingerprint of the query's content.
     pub fn fingerprint(&self) -> String {
-        match self {
+        let mut key = String::new();
+        self.write_fingerprint(&mut key);
+        key
+    }
+
+    /// Writes [`Query::fingerprint`] into `key`, replacing what it held:
+    /// the daemon keys every query of every tick in one buffer.
+    pub(crate) fn write_fingerprint(&self, key: &mut String) {
+        use std::fmt::Write as _;
+        key.clear();
+        // Writing to a `String` cannot fail.
+        let _ = match self {
             Query::FccdClassify { files } => {
-                let mut s = String::from("fccd:");
-                for (i, (path, size)) in files.iter().enumerate() {
+                key.push_str("fccd:");
+                files.iter().enumerate().try_for_each(|(i, (path, size))| {
                     if i > 0 {
-                        s.push(',');
+                        key.push(',');
                     }
                     // `,` and `#` delimit: escaped inside a path, two file
                     // lists can never print the same key.
                     for c in path.chars() {
                         if matches!(c, '\\' | ',' | '#') {
-                            s.push('\\');
+                            key.push('\\');
                         }
-                        s.push(c);
+                        key.push(c);
                     }
-                    s.push('#');
-                    s.push_str(&size.to_string());
-                }
-                s
+                    write!(key, "#{size}")
+                })
             }
-            Query::MacAvailable { ceiling } => format!("mac.available:{ceiling}"),
+            Query::MacAvailable { ceiling } => write!(key, "mac.available:{ceiling}"),
             Query::GbAlloc { min, max, multiple } => {
-                format!("mac.alloc:{min}:{max}:{multiple}")
+                write!(key, "mac.alloc:{min}:{max}:{multiple}")
             }
-            Query::FldcOrder { dir } => format!("fldc:{dir}"),
-            Query::WbdResidue { calib_pages } => format!("wbd.residue:{calib_pages}"),
-            Query::MetricsSnapshot => "gbd.metrics".to_string(),
-        }
+            Query::FldcOrder { dir } => write!(key, "fldc:{dir}"),
+            Query::WbdResidue { calib_pages } => write!(key, "wbd.residue:{calib_pages}"),
+            Query::MetricsSnapshot => write!(key, "gbd.metrics"),
+        };
     }
 
     /// Whether the answer may be served from cache. Allocation requests
@@ -303,6 +312,9 @@ pub struct Gbd {
     mailbox: Mailbox<Query, Response>,
     tenants: Vec<Tenant>,
     stats: GbdStats,
+    /// The key buffer every query of every tick is fingerprinted into; a
+    /// cache hit allocates no key.
+    key: String,
 }
 
 impl Gbd {
@@ -318,6 +330,7 @@ impl Gbd {
             mailbox: Mailbox::new(),
             tenants: Vec::new(),
             stats: GbdStats::default(),
+            key: String::new(),
         }
     }
 
@@ -382,16 +395,17 @@ impl Gbd {
         let mut exec_by_key: BTreeMap<String, usize> = BTreeMap::new();
         let mut admitted = 0usize;
         let now = sim.now();
+        let mut key = std::mem::take(&mut self.key);
         for env in batch {
             let tenant = env.client as usize;
-            let (lane, name) = {
+            let lane = {
                 let t = &mut self.tenants[tenant];
                 t.stats.queries += 1;
-                (t.lane, t.name.clone())
+                t.lane
             };
             let _lane = trace::lane_scope(lane);
-            let _span = trace::span("tenant", || name);
-            let key = env.req.fingerprint();
+            let _span = trace::span("tenant", || self.tenants[tenant].name.clone());
+            env.req.write_fingerprint(&mut key);
             if env.req.cacheable() {
                 match self.cache.lookup(&key, now, self.policy.as_ref()) {
                     Lookup::Hit(reply) => {
@@ -429,7 +443,7 @@ impl Gbd {
                     }
                 }
                 // An identical query already executing this tick? Join it.
-                if let Some(&i) = exec_by_key.get(&key) {
+                if let Some(&i) = exec_by_key.get(key.as_str()) {
                     exec[i].waiters.push((tenant, env.ticket));
                     self.stats.coalesced += 1;
                     tick.coalesced += 1;
@@ -469,11 +483,12 @@ impl Gbd {
                 exec_by_key.insert(key.clone(), exec.len());
             }
             exec.push(ExecItem {
-                key,
+                key: key.clone(),
                 query: env.req,
                 waiters: vec![(tenant, env.ticket)],
             });
         }
+        self.key = key;
 
         // Phase 3: execution, grouped so probes pool into shared waves.
         tick.executed = exec.len();
@@ -761,20 +776,35 @@ impl Gbd {
                 });
             }
         }
-        for (tenant, ticket) in &item.waiters {
-            let t = &mut self.tenants[*tenant];
-            t.stats.latency.record(latency_ns);
-            let _lane = trace::lane_scope(t.lane);
-            let _span = trace::span("tenant", || t.name.clone());
-            self.mailbox.reply(
-                *ticket,
-                Response {
-                    reply: reply.clone(),
-                    from_cache: false,
-                    served_at,
-                },
-            );
+        // Every waiter but the last gets a copy; the last takes the reply.
+        if let Some((&last, rest)) = item.waiters.split_last() {
+            for &waiter in rest {
+                self.post(waiter, reply.clone(), served_at, latency_ns);
+            }
+            self.post(last, reply, served_at, latency_ns);
         }
+    }
+
+    /// Posts an executed reply to one waiting `(tenant, ticket)`.
+    fn post(
+        &mut self,
+        (tenant, ticket): (usize, Ticket),
+        reply: Reply,
+        served_at: Nanos,
+        latency_ns: u64,
+    ) {
+        let t = &mut self.tenants[tenant];
+        t.stats.latency.record(latency_ns);
+        let _lane = trace::lane_scope(t.lane);
+        let _span = trace::span("tenant", || t.name.clone());
+        self.mailbox.reply(
+            ticket,
+            Response {
+                reply,
+                from_cache: false,
+                served_at,
+            },
+        );
     }
 
     /// Captures the daemon's service-level metrics as of `at` (virtual

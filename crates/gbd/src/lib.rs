@@ -152,6 +152,15 @@ mod tests {
         assert_ne!(fp(&[("/d#1,/e", 2)]), fp(&[("/d", 1), ("/e", 2)]));
         // Paths without `\`, `,` or `#` keep the key they always had.
         assert_eq!(fp(&[("/d", 1), ("/e f", 2)]), "fccd:/d#1,/e f#2");
+        assert_eq!(fp(&[("a\\b,c#d", 3)]), r"fccd:a\\b\,c\#d#3");
+        // The daemon's reused key buffer holds the last query's key only.
+        let mut key = String::new();
+        Query::FldcOrder {
+            dir: "/long".repeat(8),
+        }
+        .write_fingerprint(&mut key);
+        Query::MacAvailable { ceiling: 7 }.write_fingerprint(&mut key);
+        assert_eq!(key, "mac.available:7");
     }
 
     #[test]

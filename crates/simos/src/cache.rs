@@ -29,7 +29,8 @@
 //! run, not once per page — and a scan walks its owner's table in memory
 //! order (DESIGN.md §19).
 
-use crate::hash::FastMap;
+use gray_toolbox::hash::FastMap;
+
 use crate::page_table::PageTable;
 
 /// What a cached page belongs to.
@@ -718,6 +719,51 @@ mod tests {
         PageId {
             owner: Owner::Anon { region },
             page,
+        }
+    }
+
+    /// The owner map's key shapes against the workspace hasher
+    /// (`gray_toolbox::hash`, whose own test covers plain words): most of
+    /// 4096 owners sharing one 12-bit bucket index (the table's low bits)
+    /// and one 7-bit tag (its top bits).
+    #[test]
+    fn the_owner_shapes_the_simulator_makes_do_not_pile_up() {
+        use std::hash::BuildHasher;
+        let build = std::hash::BuildHasherDefault::<gray_toolbox::hash::FastHasher>::default();
+        let file = |dev, ino| Owner::File { dev, ino };
+        let shapes: [(&str, Vec<Owner>); 4] = [
+            (
+                "regions, in order",
+                (1..=4096).map(|region| Owner::Anon { region }).collect(),
+            ),
+            (
+                "files of one directory",
+                (0..4096).map(|i| file(0, 3 + i)).collect(),
+            ),
+            (
+                "files on two devices",
+                (0..4096).map(|i| file(i as u32 % 2, i / 2)).collect(),
+            ),
+            (
+                "one file a cylinder group",
+                (0..4096).map(|g| file(0, g * 1024)).collect(),
+            ),
+        ];
+        for (shape, owners) in shapes {
+            let (mut buckets, mut tags) = (vec![0usize; 4096], vec![0usize; 128]);
+            for owner in owners {
+                let h = build.hash_one(owner);
+                buckets[(h & 0xfff) as usize] += 1;
+                tags[(h >> 57) as usize] += 1;
+            }
+            let bucket = buckets.into_iter().max().unwrap();
+            let tag = tags.into_iter().max().unwrap();
+            // A uniformly random hash would put about 7 keys in its fullest
+            // bucket and about 50 on its commonest tag.
+            assert!(
+                bucket <= 7 && tag <= 50,
+                "{shape}: bucket {bucket}, tag {tag}"
+            );
         }
     }
 

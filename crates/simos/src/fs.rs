@@ -25,11 +25,11 @@
 
 use std::collections::HashMap;
 
+use gray_toolbox::hash::FastMap;
 use gray_toolbox::Nanos;
 use graybox::os::{OsError, OsResult};
 
 use crate::free_set::FreeSet;
-use crate::hash::FastMap;
 use crate::page_table::PageTable;
 
 /// An i-number.

@@ -12,6 +12,7 @@
 //! *synchronously* to the process that forced them — the direct-reclaim
 //! behavior that makes memory pressure visible to MAC's probes.
 
+use gray_toolbox::hash::FastMap;
 use gray_toolbox::profile;
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, OsError, OsResult, ProbeSample, ProbeSpec, Stat};
@@ -21,7 +22,6 @@ use crate::clock::{CpuBank, Noise};
 use crate::config::SimConfig;
 use crate::disk::Disk;
 use crate::fs::{Fs, Ino, ITABLE_INO};
-use crate::hash::FastMap;
 use crate::vm::{TouchKind, Vm};
 
 /// Cost of reading the high-resolution timer.

@@ -57,7 +57,6 @@ pub mod disk;
 pub mod exec;
 mod free_set;
 pub mod fs;
-mod hash;
 pub mod kernel;
 pub mod oracle;
 mod page_table;

@@ -13,10 +13,10 @@
 //! dirty page pays one slot write. Slots are allocated lowest-first, which
 //! clusters swap traffic — pageout streams, as real swap code strives for.
 
+use gray_toolbox::hash::FastMap;
 use graybox::os::{OsError, OsResult};
 
 use crate::free_set::FreeSet;
-use crate::hash::FastMap;
 
 /// "No swap slot" in a region's dense slot table.
 const NO_SLOT: u64 = u64::MAX;

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+pub mod hash;
 pub mod mailbox;
 pub mod outlier;
 pub mod pool;

@@ -18,9 +18,16 @@
 //! Everything lives behind one mutex; there is no blocking send or
 //! receive, so the mailbox cannot deadlock against the simulator's own
 //! thread choreography.
+//!
+//! Posted replies wait in a hash map keyed by ticket ([`FastMap`]: tickets
+//! are minted here, never taken from outside). Nothing iterates it — a
+//! reply leaves only by its own ticket — so its order cannot reach a
+//! result. A drain leaves the inbox with the capacity of the batch it took,
+//! so a steady load of sends does not regrow it from empty every tick.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::hash::FastMap;
 
 /// Redeemable receipt for an enqueued request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,7 +57,7 @@ struct State<Req, Resp> {
     next_ticket: u64,
     next_client: u64,
     inbox: Vec<Envelope<Req>>,
-    replies: BTreeMap<u64, Resp>,
+    replies: FastMap<u64, Resp>,
 }
 
 /// The server side: create clients, drain requests, post replies.
@@ -96,7 +103,7 @@ impl<Req, Resp> Mailbox<Req, Resp> {
                 next_ticket: 0,
                 next_client: 0,
                 inbox: Vec::new(),
-                replies: BTreeMap::new(),
+                replies: FastMap::default(),
             })),
         }
     }
@@ -114,7 +121,9 @@ impl<Req, Resp> Mailbox<Req, Resp> {
 
     /// Takes every pending request, in enqueue order across all clients.
     pub fn drain(&self) -> Vec<Envelope<Req>> {
-        std::mem::take(&mut lock(&self.shared).inbox)
+        let mut st = lock(&self.shared);
+        let room = Vec::with_capacity(st.inbox.len());
+        std::mem::replace(&mut st.inbox, room)
     }
 
     /// Number of requests waiting to be drained.

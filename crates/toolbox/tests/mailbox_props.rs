@@ -7,13 +7,14 @@
 //! tickets count up in global enqueue order, a drain yields pending
 //! requests in that order (so per-client subsequences are FIFO), and
 //! replies route by ticket regardless of which envelopes a server
-//! chooses to shed (drop unanswered).
+//! chooses to shed (drop unanswered), of the order clients redeem in, and
+//! of how many ticks a reply waits unredeemed.
 //!
 //! Replay a failing case from the harness banner:
 //!
 //! ```text
 //! PROP_SEED=0x<seed> cargo test -q -p gray-toolbox --test mailbox_props
-//! PROP_CASES=200 cargo test -q -p gray-toolbox --test mailbox_props
+//! PROP_CASES=500 cargo test -q -p gray-toolbox --test mailbox_props
 //! ```
 
 use gray_toolbox::mailbox::{Mailbox, Ticket};
@@ -24,24 +25,33 @@ fn ticket_order_and_per_client_fifo_survive_interleaved_ticks() {
     check("mailbox_interleaved_ticks", 40, |g: &mut Gen| {
         let mbox: Mailbox<u64, u64> = Mailbox::new();
         let clients: Vec<_> = (0..g.usize(1..6)).map(|_| mbox.client()).collect();
+        let client_of = |ticket: Ticket, sent: &[(u64, Ticket, u64)]| {
+            let (id, _, _) = sent.iter().find(|(_, t, _)| *t == ticket).unwrap();
+            clients.iter().find(|c| c.id() == *id).unwrap().clone()
+        };
 
         // Everything ever sent, in send order: (client, ticket, payload).
         let mut sent: Vec<(u64, Ticket, u64)> = Vec::new();
         // Tickets the server shed (drained but dropped without a reply).
         let mut shed: Vec<Ticket> = Vec::new();
-        // Tickets answered, with the expected reply value.
-        let mut answered: Vec<(Ticket, u64)> = Vec::new();
+        // Replies posted and not yet redeemed, with the expected value.
+        let mut outstanding: Vec<(Ticket, u64)> = Vec::new();
         let mut drained_total: Vec<Ticket> = Vec::new();
         let mut payload = 0u64;
 
         let ticks = g.usize(2..8);
         for _ in 0..ticks {
-            // Submit phase: a random burst from random clients.
+            // Submit phase: a random burst from random clients. A ticket
+            // redeemed before the server has answered it yields nothing,
+            // and does not lose the reply that comes later.
             for _ in 0..g.usize(0..10) {
                 let c = &clients[g.usize(0..clients.len())];
                 let t = c.send(payload);
                 sent.push((c.id(), t, payload));
                 payload += 1;
+                if g.bool_with(0.2) {
+                    assert_eq!(c.try_take(t), None, "no reply before the server's");
+                }
             }
             // Serve phase: drain everything; shed some, answer the rest.
             let before = mbox.pending();
@@ -54,9 +64,19 @@ fn ticket_order_and_per_client_fifo_survive_interleaved_ticks() {
                     shed.push(env.ticket);
                 } else {
                     mbox.reply(env.ticket, env.req * 3 + 1);
-                    answered.push((env.ticket, env.req * 3 + 1));
+                    outstanding.push((env.ticket, env.req * 3 + 1));
                 }
             }
+            // Redeem phase: a random share of every reply still waiting,
+            // this tick's or earlier ones', in random order. Each redeems
+            // exactly its own reply, once; the rest wait for a later tick.
+            for _ in 0..g.usize(0..outstanding.len() + 1) {
+                let (ticket, expect) = outstanding.swap_remove(g.usize(0..outstanding.len()));
+                let client = client_of(ticket, &sent);
+                assert_eq!(client.try_take(ticket), Some(expect));
+                assert_eq!(client.try_take(ticket), None, "redeem is consuming");
+            }
+            assert_eq!(mbox.unredeemed(), outstanding.len(), "unredeemed is exact");
         }
         mbox.drain().into_iter().for_each(|env| {
             drained_total.push(env.ticket);
@@ -95,18 +115,16 @@ fn ticket_order_and_per_client_fifo_survive_interleaved_ticks() {
                 .collect();
             assert_eq!(drained_by_c, sent_by_c, "client {} FIFO", c.id());
         }
-        // Reply routing: every answered ticket redeems exactly its own
-        // reply (once), and shed tickets redeem nothing.
-        assert_eq!(mbox.unredeemed(), answered.len());
-        for (ticket, expect) in &answered {
-            let (client_id, _, _) = sent.iter().find(|(_, t, _)| t == ticket).unwrap();
-            let client = clients.iter().find(|c| c.id() == *client_id).unwrap();
-            assert_eq!(client.try_take(*ticket), Some(*expect));
-            assert_eq!(client.try_take(*ticket), None, "redeem is consuming");
+        // Reply routing: every reply still waiting redeems exactly its own
+        // value (once), in random order, and shed tickets redeem nothing.
+        while !outstanding.is_empty() {
+            let (ticket, expect) = outstanding.swap_remove(g.usize(0..outstanding.len()));
+            let client = client_of(ticket, &sent);
+            assert_eq!(client.try_take(ticket), Some(expect));
+            assert_eq!(client.try_take(ticket), None, "redeem is consuming");
         }
         for ticket in &shed {
-            let (client_id, _, _) = sent.iter().find(|(_, t, _)| t == ticket).unwrap();
-            let client = clients.iter().find(|c| c.id() == *client_id).unwrap();
+            let client = client_of(*ticket, &sent);
             assert_eq!(client.try_take(*ticket), None, "shed ticket has no reply");
         }
         assert_eq!(mbox.unredeemed(), 0, "every reply was redeemed");
