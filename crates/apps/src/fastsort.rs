@@ -19,7 +19,7 @@
 //! simulated VM.
 
 use gray_toolbox::GrayDuration;
-use graybox::mac::{Mac, MacParams, MacStats};
+use graybox::mac::{Mac, MacParams};
 use graybox::os::{GrayBoxOs, OsError, OsResult};
 
 /// Upper bound, in pages, on one `mem_probe_batch` issued by the modelled
@@ -37,6 +37,10 @@ pub const SORT_COST_PER_RECORD: GrayDuration = GrayDuration::from_nanos(300);
 
 /// Read/write chunk for streaming I/O, in bytes.
 pub const CHUNK: u64 = 1 << 20;
+
+/// How long gb-fastsort sleeps after MAC turns a pass down before it asks
+/// again.
+pub const ADMISSION_WAIT: GrayDuration = GrayDuration::from_millis(500);
 
 /// How pass sizes are chosen.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +96,7 @@ pub struct SortReport {
     pub write_time: GrayDuration,
     /// MAC overhead: probing.
     pub probe_time: GrayDuration,
-    /// MAC overhead: waiting for memory.
+    /// MAC overhead: sleeping after MAC turned a pass down.
     pub wait_time: GrayDuration,
     /// Actual pass sizes used, in bytes.
     pub passes: Vec<u64>,
@@ -159,7 +163,8 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
                             None => {
                                 // Wait for memory, then try again — the
                                 // admission-control loop.
-                                self.os.sleep(GrayDuration::from_millis(500));
+                                self.os.sleep(ADMISSION_WAIT);
+                                report.wait_time += ADMISSION_WAIT;
                             }
                         }
                     };
@@ -247,9 +252,7 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
         self.os.close(in_fd)?;
 
         if let Some(mac) = &mac {
-            let stats: MacStats = mac.take_stats();
-            report.probe_time = stats.probe_time;
-            report.wait_time = stats.wait_time;
+            report.probe_time = mac.take_stats().probe_time;
         }
         report.total = self.os.now().since(t_start);
         Ok(report)
@@ -264,7 +267,8 @@ fn round_to(x: u64, m: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::workload::make_file;
-    use simos::{Sim, SimConfig};
+    use simos::exec::Workload;
+    use simos::{Sim, SimConfig, SimProc};
 
     #[test]
     fn modelled_sort_reports_phases_and_runs() {
@@ -323,7 +327,6 @@ mod tests {
                     mac: MacParams {
                         initial_increment: 1 << 20,
                         max_increment: 16 << 20,
-                        ..MacParams::default()
                     },
                     min: 4 << 20,
                 },
@@ -339,5 +342,45 @@ mod tests {
             );
         }
         assert!(report.probe_time > GrayDuration::ZERO);
+    }
+
+    #[test]
+    fn graybox_sort_reports_the_waits_it_sleeps() {
+        // A hog holds three quarters of memory for the first second, so
+        // the sort's first request, for all of its 24 MB (over two fifths
+        // of memory), is turned down until the hog lets go. The input
+        // starts cold, so MAC calibrates on free memory.
+        let mut sim = Sim::new(SimConfig::small().without_noise());
+        sim.run_one(|os| make_file(os, "/in", 24 << 20).unwrap());
+        sim.flush_file_cache();
+        let usable = sim.oracle().total_pages() * 4096;
+        let hog: Workload<'_, Option<SortReport>> = Box::new(move |os: &SimProc| {
+            let region = os.mem_alloc(usable / 4 * 3).unwrap();
+            for p in 0..usable / 4 * 3 / 4096 {
+                os.mem_touch_write(region, p).unwrap();
+            }
+            os.sleep(GrayDuration::from_secs(1));
+            os.mem_free(region).unwrap();
+            None
+        });
+        let sort: Workload<'_, Option<SortReport>> = Box::new(move |os: &SimProc| {
+            os.sleep(GrayDuration::from_millis(200));
+            let policy = PassPolicy::GrayBox {
+                mac: MacParams {
+                    initial_increment: 1 << 20,
+                    max_increment: 16 << 20,
+                },
+                min: 24 << 20,
+            };
+            let cfg = SortConfig::new("/in", "/out", policy);
+            Some(FastSort::new(os, cfg).run_modelled().unwrap())
+        });
+        let reports = sim.run(vec![("hog".into(), hog), ("sort".into(), sort)]);
+        let report = reports[1].as_ref().expect("the sort reports");
+        assert!(
+            report.wait_time >= ADMISSION_WAIT,
+            "denied at least once, so at least one wait: {report:?}"
+        );
+        assert_eq!(report.wait_time.as_nanos() % ADMISSION_WAIT.as_nanos(), 0);
     }
 }

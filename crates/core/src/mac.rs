@@ -3,7 +3,8 @@
 //! MAC keeps a set of cooperating processes from actively using more memory
 //! than is physically present: it *infers* the amount of currently
 //! available memory by timed page-touch probing, *allocates* memory only
-//! when the requested minimum fits, and makes callers *wait* otherwise.
+//! when the requested minimum fits, and otherwise answers `None`, the
+//! paper's NULL return, so that the caller waits and asks again.
 //!
 //! # Gray-box knowledge
 //!
@@ -80,9 +81,8 @@ pub const SLOW_MULTIPLIER: f64 = 8.0;
 /// declared not to fit (tolerates stray evictions and interrupts).
 pub const SLOW_TOLERANCE: f64 = 0.02;
 
-/// How long to wait between admission attempts when the minimum does not
-/// fit (plus up to half again of jitter).
-pub const RETRY_WAIT: GrayDuration = GrayDuration::from_millis(500);
+/// Pages used for self-calibration when the repository has no numbers.
+pub const CALIBRATION_PAGES: u64 = 64;
 
 /// Tuning parameters for the admission controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,11 +91,6 @@ pub struct MacParams {
     pub initial_increment: u64,
     /// Ceiling for the doubling increment, in bytes.
     pub max_increment: u64,
-    /// Pages used for self-calibration when the repository has no numbers.
-    pub calibration_pages: u64,
-    /// How many times to retry, [`RETRY_WAIT`] apart, before giving up (the
-    /// "wait until memory is available" loop). 0 means a single attempt.
-    pub max_retries: u32,
 }
 
 impl Default for MacParams {
@@ -103,8 +98,6 @@ impl Default for MacParams {
         MacParams {
             initial_increment: 16 << 20,
             max_increment: 128 << 20,
-            calibration_pages: 64,
-            max_retries: 0,
         }
     }
 }
@@ -127,9 +120,7 @@ pub struct GbAlloc {
 pub struct MacStats {
     /// Time spent inside probe loops.
     pub probe_time: GrayDuration,
-    /// Time spent sleeping while waiting for memory.
-    pub wait_time: GrayDuration,
-    /// Number of admission attempts (including retries).
+    /// Number of admission attempts.
     pub attempts: u64,
     /// Total pages touched by probes.
     pub pages_probed: u64,
@@ -139,8 +130,8 @@ impl fmt::Display for MacStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "probe {} over {} pages, waited {} in {} attempts",
-            self.probe_time, self.pages_probed, self.wait_time, self.attempts
+            "probe {} over {} pages in {} attempts",
+            self.probe_time, self.pages_probed, self.attempts
         )
     }
 }
@@ -211,8 +202,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     }
 
     /// Allocates between `min` and `max` bytes, in multiples of `multiple`,
-    /// returning `None` if `min` bytes are not available after the
-    /// configured retries (the paper's NULL return).
+    /// returning `None` if `min` bytes are not available now (the paper's
+    /// NULL return): the caller waits, and asks again when it chooses.
     ///
     /// An application that cannot adapt its memory use passes
     /// `min == max`.
@@ -224,44 +215,27 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         assert!(multiple > 0, "multiple must be positive");
         assert!(min <= max, "min exceeds max");
         let page = self.os.page_size();
-        let min = round_up(min.max(multiple), multiple);
+        let min = min.max(multiple).next_multiple_of(multiple);
         let max = round_down(max, multiple);
         if max == 0 || min > max {
             return Ok(None);
         }
-
-        for attempt in 0..=self.params.max_retries {
-            self.stats.borrow_mut().attempts += 1;
-            if attempt > 0 {
-                // Jitter the wait so competing MACs do not retry in
-                // lockstep; the clock's low bits are as good a seed as a
-                // gray-box layer gets.
-                let jitter = self.os.now().as_nanos() % 1000;
-                let wait = RETRY_WAIT + RETRY_WAIT.mul_f64(jitter as f64 / 2000.0);
-                self.os.sleep(wait);
-                self.stats.borrow_mut().wait_time += wait;
-            }
-            let fit = self.probe_available(max, page)?;
-            let admitted = round_down(fit, multiple);
-            if admitted >= min {
-                trace::emit_with(|| TraceEvent::AdmissionDecision {
-                    source: "mac.gb_alloc",
-                    requested: max,
-                    granted: admitted,
-                });
-                // Re-allocate exactly the admitted amount and make it
-                // resident, so the caller starts from a known state and
-                // the identify-and-allocate step is atomic from the
-                // caller's perspective.
-                return self.materialize(admitted, page).map(Some);
-            }
-        }
+        self.stats.borrow_mut().attempts += 1;
+        let fit = self.probe_available(max, page)?;
+        let admitted = round_down(fit, multiple);
+        let granted = if admitted >= min { admitted } else { 0 };
         trace::emit_with(|| TraceEvent::AdmissionDecision {
             source: "mac.gb_alloc",
             requested: max,
-            granted: 0,
+            granted,
         });
-        Ok(None)
+        if granted == 0 {
+            return Ok(None);
+        }
+        // Re-allocate exactly the admitted amount and make it resident, so
+        // the caller starts from a known state and the identify-and-allocate
+        // step is atomic from the caller's perspective.
+        self.materialize(admitted, page).map(Some)
     }
 
     /// A fairness-aware variant of [`Mac::gb_alloc`] — the "higher-level
@@ -547,11 +521,10 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             return Ok(th);
         }
         let page = self.os.page_size();
-        let pages = self.params.calibration_pages.max(8);
-        let region = self.os.mem_alloc(pages * page)?;
-        let plan: Vec<u64> = (0..pages).collect();
+        let region = self.os.mem_alloc(CALIBRATION_PAGES * page)?;
+        let plan: Vec<u64> = (0..CALIBRATION_PAGES).collect();
         let mut zero_times = Vec::new();
-        let mut touch_times = Vec::with_capacity(2 * pages as usize);
+        let mut touch_times = Vec::with_capacity(2 * CALIBRATION_PAGES as usize);
         for round in 0..4 {
             let samples = self.os.mem_probe_batch(region, &plan);
             if samples.iter().any(|s| !s.ok) {
@@ -602,11 +575,9 @@ fn sub_batches(pages: Range<u64>) -> impl Iterator<Item = Range<u64>> {
         .map(move |start| start..(start + SUB_BATCH_PAGES).min(end))
 }
 
-fn round_up(x: u64, m: u64) -> u64 {
-    x.div_ceil(m) * m
-}
-
-fn round_down(x: u64, m: u64) -> u64 {
+/// `x` rounded down to a multiple of `m`: how a grant is cut to its
+/// request's `multiple`.
+pub fn round_down(x: u64, m: u64) -> u64 {
     x / m * m
 }
 
@@ -643,9 +614,8 @@ mod tests {
 
     #[test]
     fn rounding_helpers() {
-        assert_eq!(round_up(5, 4), 8);
-        assert_eq!(round_up(8, 4), 8);
         assert_eq!(round_down(5, 4), 4);
+        assert_eq!(round_down(8, 4), 8);
         assert_eq!(round_down(3, 4), 0);
     }
 }

@@ -21,6 +21,12 @@ use gray_toolbox::{split_fast_slow, GrayDuration, ParamRepository, Summary};
 
 use crate::os::{GrayBoxOs, OsError, OsResult};
 
+/// Observations per measurement.
+pub const SAMPLES: usize = 64;
+
+/// Seed of the random offsets the disk benchmarks read.
+const SEED: u64 = 0xB16B00B5;
+
 /// Measured memory-page costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageCosts {
@@ -45,32 +51,19 @@ pub struct DiskProfile {
 /// The microbenchmark suite.
 pub struct Microbench<'a, O: GrayBoxOs> {
     os: &'a O,
-    samples: usize,
-    seed: u64,
 }
 
 impl<'a, O: GrayBoxOs> Microbench<'a, O> {
-    /// Creates a suite taking `samples` observations per measurement.
+    /// Creates a suite taking [`SAMPLES`] observations per measurement.
     pub fn new(os: &'a O) -> Self {
-        Microbench {
-            os,
-            samples: 64,
-            seed: 0xB16B00B5,
-        }
-    }
-
-    /// Overrides the number of samples per measurement.
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        assert!(samples >= 4, "too few samples for a median");
-        self.samples = samples;
-        self
+        Microbench { os }
     }
 
     /// Measures the cost of touching resident pages and of first-touch
     /// allocate-and-zero.
     pub fn page_costs(&self) -> OsResult<PageCosts> {
         let page = self.os.page_size();
-        let pages = self.samples as u64;
+        let pages = SAMPLES as u64;
         let region = self.os.mem_alloc(pages * page)?;
         let mut zero_times = Vec::with_capacity(pages as usize);
         for p in 0..pages {
@@ -126,19 +119,19 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         };
 
         // Random single-page reads; cluster to split hits from misses.
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let pages = file_bytes / page;
-        let mut times = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
+        let mut times = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
             let p = rng.random_range(0..pages);
             let (res, t) = self.os.timed(|os| os.read_byte(fd, p * page));
             res?;
             times.push(t.as_nanos() as f64);
         }
         // Re-read the same offsets immediately: guaranteed hits.
-        let mut hit_times = Vec::with_capacity(self.samples);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..self.samples {
+        let mut hit_times = Vec::with_capacity(SAMPLES);
+        let mut rng = StdRng::seed_from_u64(SEED);
+        for _ in 0..SAMPLES {
             let p = rng.random_range(0..pages);
             let (res, t) = self.os.timed(|os| os.read_byte(fd, p * page));
             res?;
@@ -186,7 +179,7 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         }
         self.os.sync()?;
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut rates = Vec::with_capacity(usable.len());
         for &unit in &usable {
             let trials = 3u64;

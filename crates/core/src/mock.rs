@@ -443,7 +443,6 @@ mod tests {
         let mac_params = MacParams {
             initial_increment: 1 << 20,
             max_increment: 4 << 20,
-            ..MacParams::default()
         };
         let os = MockOs::new(16, 14_336);
         assert!(Mac::new(&os, mac_params)

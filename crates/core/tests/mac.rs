@@ -11,7 +11,7 @@
 
 use gray_toolbox::repository::keys;
 use gray_toolbox::{GrayDuration, ParamRepository};
-use graybox::mac::{Mac, MacParams, MacStats};
+use graybox::mac::{Mac, MacParams, MacStats, CALIBRATION_PAGES};
 use graybox::os::GrayBoxOs;
 use simos::{Sim, SimConfig};
 
@@ -28,8 +28,6 @@ fn small_params() -> MacParams {
     MacParams {
         initial_increment: 4 * PAGE,
         max_increment: 64 * PAGE,
-        calibration_pages: 8,
-        ..MacParams::default()
     }
 }
 
@@ -138,7 +136,7 @@ fn stats_accumulate_and_reset() {
 }
 
 /// With both costs in the repository, MAC never builds its calibration
-/// region: an estimate takes exactly `calibration_pages` fewer
+/// region: an estimate takes exactly [`CALIBRATION_PAGES`] fewer
 /// demand-zero faults than the same estimate self-calibrated.
 #[test]
 fn repository_thresholds_skip_calibration() {
@@ -160,7 +158,7 @@ fn repository_thresholds_skip_calibration() {
     let (est, faults) = estimate(Some(&repo));
     let (_, calibrated_faults) = estimate(None);
     assert!(est > 0);
-    assert_eq!(calibrated_faults - faults, small_params().calibration_pages);
+    assert_eq!(calibrated_faults - faults, CALIBRATION_PAGES);
 }
 
 #[test]

@@ -21,8 +21,6 @@ fn params() -> MacParams {
     MacParams {
         initial_increment: 2 * PAGE,
         max_increment: 32 * PAGE,
-        calibration_pages: 8,
-        ..MacParams::default()
     }
 }
 

@@ -6,7 +6,7 @@
 
 use gray_toolbox::repository::keys;
 use gray_toolbox::{GrayDuration, ParamRepository};
-use graybox::microbench::Microbench;
+use graybox::microbench::{Microbench, SAMPLES};
 use graybox::os::GrayBoxOs;
 use simos::{Sim, SimConfig};
 
@@ -22,22 +22,22 @@ fn machine(pages: u64) -> Sim {
 #[test]
 fn page_costs_orders_touch_below_zero() {
     let costs = Sim::new(SimConfig::small())
-        .run_one(|os| Microbench::new(os).with_samples(16).page_costs())
+        .run_one(|os| Microbench::new(os).page_costs())
         .unwrap();
     assert!(costs.touch < costs.zero, "{costs:?}");
     assert!(costs.touch >= GrayDuration::from_nanos(1));
 }
 
 /// Each cold single-page read also fetches the 4-page initial readahead
-/// window, so the 32 re-read offsets stay resident only in a cache of
-/// more than 32 × 4 pages: 256 pages of memory, and a 1 024-page file
-/// so that the first reads still miss.
+/// window, so the [`SAMPLES`] re-read offsets stay resident only in a
+/// cache of more than `SAMPLES` × 4 pages: twice that in memory, and a
+/// file four times the memory so that the first reads still miss.
 #[test]
 fn disk_profile_separates_hit_from_miss() {
-    machine(256).run_one(|os| {
+    let pages = 2 * 4 * SAMPLES as u64;
+    machine(pages).run_one(|os| {
         let profile = Microbench::new(os)
-            .with_samples(32)
-            .disk_profile("/scratch", 1024 * PAGE)
+            .disk_profile("/scratch", 4 * pages * PAGE)
             .unwrap();
         assert!(
             profile.random_page_read > profile.page_hit * 10,
@@ -57,7 +57,6 @@ fn disk_profile_rejects_tiny_files() {
 fn access_unit_picks_a_candidate_within_bounds() {
     machine(64).run_one(|os| {
         let unit = Microbench::new(os)
-            .with_samples(8)
             .access_unit("/scratch", 16 << 20)
             .unwrap();
         // Candidates are powers of two megabytes; the file allows up to
@@ -78,7 +77,6 @@ fn run_all_populates_the_repository() {
     let mut repo = ParamRepository::in_memory();
     machine(256).run_one(|os| {
         Microbench::new(os)
-            .with_samples(16)
             .run_all("/", 8 << 20, &mut repo)
             .unwrap()
     });

@@ -12,9 +12,8 @@
 use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOsExt;
 use graybox::wbd::{Wbd, WbdParams};
-use simos::{DiskParams, Sim, SimConfig};
-
-const PAGE: u64 = 4096;
+use simos::disk::{BANDWIDTH, SEEK_AVG};
+use simos::{Sim, SimConfig, PAGE_SIZE};
 
 fn small_params() -> WbdParams {
     WbdParams {
@@ -27,15 +26,11 @@ fn small_params() -> WbdParams {
 fn calibration_learns_the_per_page_sync_cost() {
     let cal = Sim::new(SimConfig::small()).run_one(|os| Wbd::new(os, small_params()).calibrate());
     let cal = cal.unwrap();
-    let disk = DiskParams::small();
-    let transfer = GrayDuration::from_secs_f64(PAGE as f64 / disk.bandwidth as f64);
+    let transfer = GrayDuration::from_secs_f64(PAGE_SIZE as f64 / BANDWIDTH as f64);
     // A clean sync writes nothing; the slope costs at least one page's
     // media transfer and, amortized over the run, less than a seek.
     assert!(cal.clean_sync < transfer, "{cal:?}");
-    assert!(
-        (transfer..disk.seek_avg).contains(&cal.page_cost),
-        "{cal:?}"
-    );
+    assert!((transfer..SEEK_AVG).contains(&cal.page_cost), "{cal:?}");
 }
 
 #[test]
@@ -45,7 +40,8 @@ fn residue_estimates_the_dirty_page_count() {
     sim.run_one(|os| {
         let wbd = Wbd::new(os, small_params());
         let cal = wbd.calibrate().unwrap();
-        os.write_file("/f", &vec![0u8; 8 * PAGE as usize]).unwrap();
+        os.write_file("/f", &vec![0u8; 8 * PAGE_SIZE as usize])
+            .unwrap();
         let dirty = oracle.dirty_pages() as u64;
         assert!(dirty >= 8, "the data pages and their metadata: {dirty}");
         let estimate = wbd.residue_pages(&cal).unwrap();
@@ -61,7 +57,8 @@ fn flushed_flips_once_the_residue_is_drained() {
     Sim::new(SimConfig::small()).run_one(|os| {
         let wbd = Wbd::new(os, small_params());
         let cal = wbd.calibrate().unwrap();
-        os.write_file("/f", &vec![0u8; 8 * PAGE as usize]).unwrap();
+        os.write_file("/f", &vec![0u8; 8 * PAGE_SIZE as usize])
+            .unwrap();
         assert!(!wbd.flushed(&cal, 8).unwrap(), "residue still present");
         assert!(wbd.flushed(&cal, 8).unwrap(), "probe drained it");
     });

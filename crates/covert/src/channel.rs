@@ -59,7 +59,7 @@ use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOs;
 use graybox::wbd::{Wbd, WbdParams};
 use simos::exec::Workload;
-use simos::{Platform, Sim, SimConfig, SimProc};
+use simos::{Platform, Sim, SimConfig, SimProc, PAGE_SIZE};
 
 use crate::defender::{defender_workload, DefenderKind};
 use crate::score::{join_errors, ChannelScore};
@@ -189,7 +189,6 @@ impl ChannelSpec {
         // One-page readahead: stream detection must not couple adjacent
         // slot groups (see the module docs).
         cfg.readahead_pages = 1;
-        let page = cfg.page_size;
         let mut sim = Sim::new(cfg);
         let t0 = sim.now();
 
@@ -203,7 +202,7 @@ impl ChannelSpec {
         // full probe-sized run), drain the dirty residue, start cold.
         sim.run_one(|os| {
             let fd = os.create(data_path).unwrap();
-            os.write_fill(fd, 0, (region_pages + 2 * k + 3) * page)
+            os.write_fill(fd, 0, (region_pages + 2 * k + 3) * PAGE_SIZE)
                 .unwrap();
             os.sync().unwrap();
             os.close(fd).unwrap();
@@ -229,13 +228,13 @@ impl ChannelSpec {
             for (i, &bit) in tx_bits.iter().enumerate() {
                 late += sleep_until(os, base + i as u64 * s) as u64;
                 if bit {
-                    let off = i as u64 * k * page;
+                    let off = i as u64 * k * PAGE_SIZE;
                     let (_, d) = os.timed(|os| match kind {
                         ChannelKind::Fccd => {
-                            os.read_discard(fd, off, k * page).unwrap();
+                            os.read_discard(fd, off, k * PAGE_SIZE).unwrap();
                         }
                         ChannelKind::Wbd => {
-                            os.write_fill(fd, off, k * page).unwrap();
+                            os.write_fill(fd, off, k * PAGE_SIZE).unwrap();
                         }
                     });
                     work_ns += d.as_nanos();
@@ -262,15 +261,15 @@ impl ChannelSpec {
                     // (see the module docs). A warm re-read of the same
                     // page gives the in-cache side.
                     late += sleep_until(os, base - 2 * s) as u64;
-                    let calib_a = (region_pages + k - 1) * page;
-                    let calib_b = (region_pages + 2 * k - 1) * page;
+                    let calib_a = (region_pages + k - 1) * PAGE_SIZE;
+                    let calib_b = (region_pages + 2 * k - 1) * PAGE_SIZE;
                     os.read_byte(fd, calib_a).unwrap();
                     let (_, cold) = os.timed(|os| os.read_byte(fd, calib_b).unwrap());
                     let (_, warm) = os.timed(|os| os.read_byte(fd, calib_b).unwrap());
                     let threshold = warm + cold.saturating_sub(warm) / 2;
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
-                        let probe_off = (i as u64 * k + (k - 1)) * page;
+                        let probe_off = (i as u64 * k + (k - 1)) * PAGE_SIZE;
                         let (_, t) = os.timed(|os| os.read_byte(fd, probe_off).unwrap());
                         trace::emit_with(|| TraceEvent::ProbeIssued {
                             offset: probe_off,
@@ -316,7 +315,6 @@ impl ChannelSpec {
             self.defender,
             data_path,
             region_pages,
-            page,
             base,
             s,
             end,

@@ -31,7 +31,7 @@ use gray_toolbox::rng::{RngExt, SeedableRng, StdRng};
 use gray_toolbox::trace::{self, TraceEvent};
 use graybox::os::GrayBoxOs;
 use simos::exec::Workload;
-use simos::SimProc;
+use simos::{SimProc, PAGE_SIZE};
 
 use crate::channel::{sleep_until, ProcOut};
 
@@ -67,12 +67,10 @@ const NOISE_SCRATCH_PAGES: u64 = 8;
 /// Builds the defender's workload: a process that wakes four times per
 /// slot from `base` until `end` and runs its burst, accounting its own
 /// virtual cost.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn defender_workload(
     kind: DefenderKind,
     data_path: &'static str,
     region_pages: u64,
-    page: u64,
     base: u64,
     slot: u64,
     end: u64,
@@ -89,7 +87,7 @@ pub(crate) fn defender_workload(
             DefenderKind::Noise => {
                 let fd = os.open(data_path).unwrap();
                 let scratch = os.create("/.defender-noise").unwrap();
-                os.write_fill(scratch, 0, NOISE_SCRATCH_PAGES * page)
+                os.write_fill(scratch, 0, NOISE_SCRATCH_PAGES * PAGE_SIZE)
                     .unwrap();
                 // The scratch setup must not linger as residue the
                 // receiver would count before the first burst.
@@ -105,9 +103,9 @@ pub(crate) fn defender_workload(
                     let (_, d) = os.timed(|os| {
                         for _ in 0..NOISE_TOUCHES {
                             let p = rng.random_range(0..region_pages);
-                            os.read_byte(fd, p * page).unwrap();
+                            os.read_byte(fd, p * PAGE_SIZE).unwrap();
                         }
-                        os.write_fill(scratch, (j % NOISE_SCRATCH_PAGES) * page, page)
+                        os.write_fill(scratch, (j % NOISE_SCRATCH_PAGES) * PAGE_SIZE, PAGE_SIZE)
                             .unwrap();
                     });
                     work_ns += d.as_nanos();

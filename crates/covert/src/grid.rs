@@ -10,7 +10,7 @@
 //! execution with nothing shared between cells, and a grid digest that is
 //! bit-identical for 1 worker or N.
 
-use gray_toolbox::pool::{JobPanic, Pool};
+use gray_toolbox::pool::{self, JobPanic, Pool};
 use gray_toolbox::rng::splitmix64;
 use gray_toolbox::GrayDuration;
 use simos::Platform;
@@ -116,19 +116,7 @@ pub fn run_grid(cfg: &CovertGridConfig, pool: &Pool) -> Vec<Result<ChannelScore,
 /// across worker counts. Panicked cells fold in their index and message,
 /// so even failure modes are compared deterministically.
 pub fn grid_digest(cells: &[Result<ChannelScore, JobPanic>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for cell in cells {
-        match cell {
-            Ok(c) => h = (h ^ c.digest).wrapping_mul(0x100_0000_01b3),
-            Err(p) => {
-                h = (h ^ p.index as u64).wrapping_mul(0x100_0000_01b3);
-                for b in p.message.bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
+    pool::grid_digest(cells, |c| c.digest)
 }
 
 #[cfg(test)]

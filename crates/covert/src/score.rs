@@ -20,6 +20,7 @@
 //! count, virtual times, flusher activity) so baseline comparisons never
 //! depend on floating-point transcendentals.
 
+use gray_toolbox::hash::{fnv, FNV_OFFSET};
 use gray_toolbox::GrayDuration;
 
 /// Counts positions where `sent` and `received` disagree.
@@ -44,11 +45,6 @@ pub fn binary_entropy(p: f64) -> f64 {
         return 0.0;
     }
     -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
-}
-
-/// FNV-1a fold helper shared by the run digest.
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
 }
 
 /// Scores and fingerprints from one executed channel cell.
@@ -107,7 +103,7 @@ impl ChannelScore {
         let raw_bps = 1e9 / slot.as_nanos() as f64;
         let capacity_bps = raw_bps * (1.0 - binary_entropy(ber)).max(0.0);
 
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         for &b in received {
             digest = fnv(digest, b as u64);
         }

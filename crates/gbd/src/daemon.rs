@@ -219,8 +219,8 @@ pub struct TenantStats {
     pub latency: Log2Histogram,
 }
 
-/// A registered tenant.
-#[derive(Debug)]
+/// A registered tenant: also its row in a [`GbdMetrics`] snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tenant {
     /// The tenant's name (spans read `tenant:<name>`).
     pub name: String,
@@ -817,37 +817,9 @@ impl Gbd {
             cache_len: self.cache.len(),
             admission_budget: self.admission_budget(),
             policy: self.policy.name(),
-            tenants: self
-                .tenants
-                .iter()
-                .map(|t| TenantMetrics {
-                    name: t.name.clone(),
-                    lane: t.lane,
-                    queries: t.stats.queries,
-                    hits: t.stats.hits,
-                    shed: t.stats.shed,
-                    latency: t.stats.latency.clone(),
-                })
-                .collect(),
+            tenants: self.tenants.clone(),
         }
     }
-}
-
-/// One tenant's row in a [`GbdMetrics`] snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantMetrics {
-    /// The tenant's registered name.
-    pub name: String,
-    /// The tenant's gray-trace lane.
-    pub lane: u64,
-    /// Queries submitted.
-    pub queries: u64,
-    /// Served from cache.
-    pub hits: u64,
-    /// Shed by admission.
-    pub shed: u64,
-    /// Virtual-time service latency histogram (ns).
-    pub latency: Log2Histogram,
 }
 
 /// The daemon's service-level snapshot: the answer to
@@ -865,7 +837,7 @@ pub struct GbdMetrics {
     /// The staleness policy's name.
     pub policy: &'static str,
     /// Per-tenant rows, in registration order.
-    pub tenants: Vec<TenantMetrics>,
+    pub tenants: Vec<Tenant>,
 }
 
 impl GbdMetrics {
@@ -895,21 +867,21 @@ impl GbdMetrics {
             self.cache_len,
             self.admission_budget,
         );
-        for (i, t) in self.tenants.iter().enumerate() {
+        for (i, Tenant { name, lane, stats }) in self.tenants.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "{{\"name\":{},\"lane\":{},\"queries\":{},\"hits\":{},\"shed\":{},\
                  \"latency_count\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{}}}",
-                trace::json_string(&t.name),
-                t.lane,
-                t.queries,
-                t.hits,
-                t.shed,
-                t.latency.count(),
-                t.latency.percentile_bound(50.0),
-                t.latency.percentile_bound(99.0),
+                trace::json_string(name),
+                lane,
+                stats.queries,
+                stats.hits,
+                stats.shed,
+                stats.latency.count(),
+                stats.latency.percentile_bound(50.0),
+                stats.latency.percentile_bound(99.0),
             ));
         }
         out.push_str("]}");
@@ -957,22 +929,22 @@ pub fn render_gray_top(m: &GbdMetrics) -> String {
         "{:<16} {:>8} {:>8} {:>6} {:>6} {:>12} {:>12}",
         "tenant", "queries", "hits", "hit%", "shed", "p50(ns)", "p99(ns)"
     );
-    for t in &m.tenants {
-        let rate = if t.queries > 0 {
-            t.hits as f64 * 100.0 / t.queries as f64
+    for Tenant { name, stats, .. } in &m.tenants {
+        let rate = if stats.queries > 0 {
+            stats.hits as f64 * 100.0 / stats.queries as f64
         } else {
             0.0
         };
         let _ = writeln!(
             out,
             "{:<16} {:>8} {:>8} {:>5.1}% {:>6} {:>12} {:>12}",
-            t.name,
-            t.queries,
-            t.hits,
+            name,
+            stats.queries,
+            stats.hits,
             rate,
-            t.shed,
-            t.latency.percentile_bound(50.0),
-            t.latency.percentile_bound(99.0),
+            stats.shed,
+            stats.latency.percentile_bound(50.0),
+            stats.latency.percentile_bound(99.0),
         );
     }
     out

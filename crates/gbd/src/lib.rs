@@ -43,7 +43,7 @@ use graybox::mac::MacParams;
 pub use cache::{CacheEntry, ChurnAware, Disposition, InferenceCache, StalenessPolicy, TtlOnly};
 pub use daemon::{
     render_gray_top, Gbd, GbdClient, GbdMetrics, GbdStats, Query, Reply, Response, Tenant,
-    TenantMetrics, TickStats, WBD_DIRTY_VERDICT,
+    TickStats, WBD_DIRTY_VERDICT,
 };
 
 use std::fmt;
@@ -454,12 +454,12 @@ mod tests {
         assert_eq!(m.tenants.len(), 3);
         let alice = &m.tenants[0];
         assert_eq!(alice.name, "alice");
-        assert_eq!(alice.queries, 2);
-        assert_eq!(alice.hits, 1);
+        assert_eq!(alice.stats.queries, 2);
+        assert_eq!(alice.stats.hits, 1);
         // Both the miss and the hit recorded a latency sample; the hit
         // is instantaneous, the miss is not.
-        assert_eq!(alice.latency.count(), 2);
-        assert!(alice.latency.percentile_bound(99.0) > 0);
+        assert_eq!(alice.stats.latency.count(), 2);
+        assert!(alice.stats.latency.percentile_bound(99.0) > 0);
         assert_eq!(tick.queries, 1);
 
         // The human and machine renderings carry the same story.

@@ -19,7 +19,7 @@ use gray_toolbox::rng::StdRng;
 use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::trace;
 use graybox::os::GrayBoxOs;
-use simos::Sim;
+use simos::{Sim, PAGE_SIZE};
 
 use crate::Scale;
 
@@ -48,19 +48,18 @@ pub struct Fig1 {
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Fig1 {
     let cfg = scale.sim_config();
-    let cache_bytes = cfg.usable_pages() * cfg.page_size;
+    let cache_bytes = cfg.usable_pages() * PAGE_SIZE;
     let file_size = cache_bytes * 2;
-    let page = cfg.page_size;
 
     // Paper-scale series: 1 MB, 10 MB, 100 MB access units.
     let access_units: Vec<u64> = [1u64 << 20, 10 << 20, 100 << 20]
         .iter()
-        .map(|&b| scale.bytes(b).next_multiple_of(page))
+        .map(|&b| scale.bytes(b).next_multiple_of(PAGE_SIZE))
         .collect();
     // Paper-scale x-axis: 1..50 MB prediction units.
     let prediction_units: Vec<u64> = [1u64 << 20, 2 << 20, 5 << 20, 10 << 20, 20 << 20, 50 << 20]
         .iter()
-        .map(|&b| scale.bytes(b).next_multiple_of(page))
+        .map(|&b| scale.bytes(b).next_multiple_of(PAGE_SIZE))
         .collect();
     let trials = scale.trials();
 
@@ -77,7 +76,7 @@ pub fn run(scale: Scale) -> Fig1 {
                 let seed = 0x9000 + (si as u64) * 131 + pu + trial as u64;
                 run_access_pattern(&mut sim, "/fig1", file_size, au, seed);
                 let bitmap = sim.oracle().file_presence("/fig1").unwrap();
-                corrs.push(probe_correlation(&bitmap, pu / page, &mut rng));
+                corrs.push(probe_correlation(&bitmap, pu / PAGE_SIZE, &mut rng));
             }
             let s = gray_toolbox::Summary::new(&corrs);
             cells[si].push(Cell {

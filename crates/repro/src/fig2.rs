@@ -12,7 +12,7 @@
 use gray_apps::scan::{graybox_scan, linear_scan};
 use gray_apps::workload::make_file;
 use gray_toolbox::GrayDuration;
-use simos::Sim;
+use simos::{disk::BANDWIDTH, Sim, COSTS, PAGE_SIZE};
 
 use crate::{Scale, TrialStats};
 
@@ -44,11 +44,10 @@ pub struct Fig2 {
 /// Runs the sweep.
 pub fn run(scale: Scale) -> Fig2 {
     let cfg = scale.sim_config();
-    let cache_bytes = cfg.usable_pages() * cfg.page_size;
-    let disk_bw = cfg.disks[0].bandwidth as f64;
+    let cache_bytes = cfg.usable_pages() * PAGE_SIZE;
+    let disk_bw = BANDWIDTH as f64;
     // Effective memory-copy rate for a cached page visible to a scan.
-    let mem_rate =
-        cfg.page_size as f64 / (cfg.costs.copy_per_page + cfg.costs.page_lookup).as_secs_f64();
+    let mem_rate = PAGE_SIZE as f64 / (COSTS.copy_per_page + COSTS.page_lookup).as_secs_f64();
     let fractions = [0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5];
     let chunk = 1u64 << 20;
     let trials = scale.trials();
@@ -56,7 +55,7 @@ pub fn run(scale: Scale) -> Fig2 {
 
     let mut points = Vec::new();
     for &f in &fractions {
-        let file_size = ((cache_bytes as f64 * f) as u64 / cfg.page_size).max(4) * cfg.page_size;
+        let file_size = ((cache_bytes as f64 * f) as u64 / PAGE_SIZE).max(4) * PAGE_SIZE;
         // Fresh machine per point so sweeps are independent.
         let mut sim = Sim::new(cfg.clone());
         sim.run_one(|os| make_file(os, "/sweep", file_size).unwrap());

@@ -16,7 +16,7 @@ use gray_apps::workload::{make_file, make_files};
 use gray_toolbox::GrayDuration;
 use graybox::fccd::{Fccd, FccdParams};
 use graybox::os::GrayBoxOs;
-use simos::Sim;
+use simos::{Sim, PAGE_SIZE};
 
 use crate::{Scale, TrialStats};
 
@@ -200,7 +200,7 @@ fn fastsort_read_phase<O: GrayBoxOs>(
 fn run_fastsort(scale: Scale) -> AppBars {
     let cfg = scale.sim_config();
     let input_bytes = scale.bytes(1 << 30) / 100 * 100;
-    let cache_bytes = cfg.usable_pages() * cfg.page_size;
+    let cache_bytes = cfg.usable_pages() * PAGE_SIZE;
     // The sort's in-memory run buffer (heap pressure on the cache).
     let buffer_bytes = cache_bytes / 3;
     let params = scale.fccd_params().with_align(100);

@@ -21,7 +21,7 @@ use gray_apps::grep::{Grep, GrepMode, GrepOptions, Needle};
 use gray_apps::scan::{graybox_scan, linear_scan};
 use gray_apps::workload::{make_file, make_files};
 use graybox::os::GrayBoxOs;
-use simos::{Platform, Sim};
+use simos::{Platform, Sim, PAGE_SIZE};
 
 use crate::{Scale, TrialStats};
 
@@ -89,7 +89,7 @@ fn run_scan(scale: Scale, platform: Platform) -> Bars {
         Platform::NetBsdLike => scale.bytes(65 << 20),
         _ => scale.bytes(1 << 30),
     }
-    .next_multiple_of(cfg.page_size);
+    .next_multiple_of(PAGE_SIZE);
     let chunk = 1u64 << 20;
     let trials = scale.trials();
     // FCCD units must be meaningfully finer than the cache for a
@@ -103,8 +103,8 @@ fn run_scan(scale: Scale, platform: Platform) -> Bars {
                 _ => unreachable!("NetBSD personality uses a fixed file cache"),
             };
             graybox::fccd::FccdParams {
-                access_unit: (cache / 16).next_multiple_of(cfg.page_size),
-                prediction_unit: (cache / 64).next_multiple_of(cfg.page_size),
+                access_unit: (cache / 16).next_multiple_of(PAGE_SIZE),
+                prediction_unit: (cache / 64).next_multiple_of(PAGE_SIZE),
                 ..graybox::fccd::FccdParams::default()
             }
         }

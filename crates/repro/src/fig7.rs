@@ -15,7 +15,7 @@ use gray_apps::fastsort::{FastSort, PassPolicy, SortConfig, SortReport};
 use gray_apps::workload::make_file;
 use graybox::mac::MacParams;
 use simos::exec::Workload;
-use simos::{DiskParams, Sim, SimConfig};
+use simos::{DiskParams, Sim, SimConfig, PAGE_SIZE};
 
 use crate::Scale;
 
@@ -36,7 +36,7 @@ pub struct SweepPoint {
     pub write: f64,
     /// Mean MAC probe overhead, seconds (gb only).
     pub probe_overhead: f64,
-    /// Mean MAC wait time, seconds (gb only).
+    /// Mean time slept after MAC turned a pass down, seconds (gb only).
     pub wait_overhead: f64,
     /// Mean pass size actually used, bytes.
     pub mean_pass: u64,
@@ -83,7 +83,7 @@ pub fn run(scale: Scale) -> Fig7 {
         .collect();
     let data_per_proc = scale.bytes(477 << 20) / 100 * 100;
     let cfg = machine(scale);
-    let usable_memory = cfg.usable_pages() * cfg.page_size;
+    let usable_memory = cfg.usable_pages() * PAGE_SIZE;
 
     let mut points = Vec::new();
     for &pass in &static_passes {
@@ -99,7 +99,6 @@ pub fn run(scale: Scale) -> Fig7 {
     let mac = MacParams {
         initial_increment: scale.bytes(16 << 20).max(4096),
         max_increment: scale.bytes(128 << 20).max(8192),
-        ..MacParams::default()
     };
     points.push(run_config(
         scale,
@@ -266,5 +265,6 @@ mod tests {
         );
         // The overhead is attributable: probing plus waiting.
         assert!(gb.probe_overhead > 0.0);
+        assert!(gb.wait_overhead > 0.0, "four sorts contend: {gb:?}");
     }
 }

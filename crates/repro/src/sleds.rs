@@ -22,7 +22,7 @@ use gray_apps::scan::{graybox_scan, linear_scan};
 use gray_apps::workload::make_file;
 use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOs;
-use simos::Sim;
+use simos::{disk::BANDWIDTH, Sim, COSTS, PAGE_SIZE};
 
 use crate::{Scale, TrialStats};
 
@@ -48,15 +48,14 @@ pub struct Sleds {
 /// harvest the resident tail).
 pub fn run(scale: Scale) -> Sleds {
     let cfg = scale.sim_config();
-    let cache_bytes = cfg.usable_pages() * cfg.page_size;
+    let cache_bytes = cfg.usable_pages() * PAGE_SIZE;
     let file_size = cache_bytes / 2 * 3;
     let params = scale.fccd_params();
     let unit = params.access_unit;
     let chunk = 1u64 << 20;
     let trials = scale.trials();
-    let disk_bw = cfg.disks[0].bandwidth as f64;
-    let mem_rate =
-        cfg.page_size as f64 / (cfg.costs.copy_per_page + cfg.costs.page_lookup).as_secs_f64();
+    let disk_bw = BANDWIDTH as f64;
+    let mem_rate = PAGE_SIZE as f64 / (COSTS.copy_per_page + COSTS.page_lookup).as_secs_f64();
 
     let mut sim = Sim::new(cfg);
     sim.run_one(|os| make_file(os, "/sled", file_size).unwrap());

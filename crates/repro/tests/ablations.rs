@@ -102,7 +102,6 @@ fn ablation_mac_doubling_probes_fewer_pages_than_fixed() {
                 MacParams {
                     initial_increment: 1 << 20,
                     max_increment,
-                    ..MacParams::default()
                 },
             );
             let est = mac.available_estimate(128 << 20).unwrap();
@@ -278,7 +277,6 @@ fn ablation_mac_survives_microsecond_timer() {
             MacParams {
                 initial_increment: 1 << 20,
                 max_increment: 16 << 20,
-                ..MacParams::default()
             },
         );
         mac.available_estimate(128 << 20).unwrap()

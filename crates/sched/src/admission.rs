@@ -12,7 +12,7 @@
 //! of overcommitting).
 
 use gray_toolbox::trace::{self, TraceEvent};
-use graybox::mac::{GbAlloc, Mac};
+use graybox::mac::{round_down, GbAlloc, Mac};
 use graybox::os::{GrayBoxOs, OsResult};
 
 /// One pending `gb_alloc`-shaped request: at least `min`, at most `max`,
@@ -101,7 +101,7 @@ impl MacAdmissionQueue {
         let mut remaining = mac.available_estimate(ceiling)?;
         let mut grants = Vec::with_capacity(requests.len());
         for req in &requests {
-            let min = round_up(req.min.max(req.multiple), req.multiple);
+            let min = req.min.max(req.multiple).next_multiple_of(req.multiple);
             let max = round_down(req.max, req.multiple);
             if max == 0 || min > max {
                 trace::emit_with(|| TraceEvent::AdmissionDecision {
@@ -164,14 +164,6 @@ impl MacAdmissionQueue {
     }
 }
 
-fn round_up(x: u64, m: u64) -> u64 {
-    x.div_ceil(m) * m
-}
-
-fn round_down(x: u64, m: u64) -> u64 {
-    (x / m) * m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,14 +200,6 @@ mod tests {
             max: 2,
             multiple: 0,
         });
-    }
-
-    #[test]
-    fn rounding_helpers() {
-        assert_eq!(round_up(10, 4), 12);
-        assert_eq!(round_up(12, 4), 12);
-        assert_eq!(round_down(10, 4), 8);
-        assert_eq!(round_down(3, 4), 0);
     }
 
     const PAGE: u64 = 4096;
@@ -322,8 +306,6 @@ mod tests {
             MacParams {
                 initial_increment: 4 * PAGE,
                 max_increment: 64 * PAGE,
-                calibration_pages: 8,
-                ..MacParams::default()
             },
         );
         let _ = mac.available_estimate(64 * PAGE);

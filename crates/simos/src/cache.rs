@@ -544,7 +544,7 @@ pub struct PageCache {
 impl PageCache {
     /// Builds the cache for the given architecture over `total_pages`
     /// usable frames.
-    pub fn new(arch: crate::config::CacheArch, total_pages: u64, page_size: u64) -> Self {
+    pub fn new(arch: crate::config::CacheArch, total_pages: u64) -> Self {
         match arch {
             crate::config::CacheArch::Unified => PageCache {
                 pools: vec![Pool::new(total_pages as usize, Policy::Lru, true)],
@@ -555,7 +555,8 @@ impl PageCache {
                 pool_of: [0, 0],
             },
             crate::config::CacheArch::SplitFixed { file_cache_bytes } => {
-                let file_pages = (file_cache_bytes / page_size).min(total_pages.saturating_sub(1));
+                let file_pages = (file_cache_bytes / crate::config::PAGE_SIZE)
+                    .min(total_pages.saturating_sub(1));
                 let anon_pages = total_pages - file_pages;
                 PageCache {
                     pools: vec![
@@ -769,7 +770,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_in_insertion_order_without_references() {
-        let mut c = PageCache::new(CacheArch::Unified, 3, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 3);
         for p in 0..3 {
             assert!(c.insert(file_page(1, p), false).is_none());
         }
@@ -785,7 +786,7 @@ mod tests {
 
     #[test]
     fn referenced_pages_get_a_second_chance() {
-        let mut c = PageCache::new(CacheArch::Unified, 3, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 3);
         for p in 0..3 {
             c.insert(file_page(1, p), false);
         }
@@ -798,7 +799,7 @@ mod tests {
 
     #[test]
     fn dirty_flag_travels_with_eviction() {
-        let mut c = PageCache::new(CacheArch::Unified, 1, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 1);
         c.insert(file_page(1, 0), true);
         let evicted = c.insert(file_page(1, 1), false);
         assert!(evicted.unwrap().dirty);
@@ -806,7 +807,7 @@ mod tests {
 
     #[test]
     fn reinsert_is_a_refresh_not_a_duplicate() {
-        let mut c = PageCache::new(CacheArch::Unified, 2, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 2);
         c.insert(file_page(1, 0), false);
         c.insert(file_page(1, 0), true);
         assert_eq!(c.resident_pages(), 1);
@@ -819,7 +820,7 @@ mod tests {
         let arch = CacheArch::SplitFixed {
             file_cache_bytes: 2 * 4096,
         };
-        let mut c = PageCache::new(arch, 10, 4096);
+        let mut c = PageCache::new(arch, 10);
         assert_eq!(c.capacity_for(Owner::File { dev: 0, ino: 1 }), 2);
         assert_eq!(c.capacity_for(Owner::Anon { region: 1 }), 8);
         // Fill the file pool; anon stays untouched.
@@ -833,7 +834,7 @@ mod tests {
 
     #[test]
     fn sticky_scan_retains_head_of_file() {
-        let mut c = PageCache::new(CacheArch::UnifiedSticky, 4, 4096);
+        let mut c = PageCache::new(CacheArch::UnifiedSticky, 4);
         // Scan 8 pages of one file through a 4-page cache.
         for p in 0..8 {
             c.insert(file_page(1, p), false);
@@ -847,7 +848,7 @@ mod tests {
 
     #[test]
     fn sticky_second_file_does_not_dislodge_first() {
-        let mut c = PageCache::new(CacheArch::UnifiedSticky, 4, 4096);
+        let mut c = PageCache::new(CacheArch::UnifiedSticky, 4);
         for p in 0..4 {
             c.insert(file_page(1, p), false);
         }
@@ -870,7 +871,7 @@ mod tests {
     fn unified_clock_scan_evicts_everything() {
         // Contrast with sticky: a 2x-cache scan under pure clock leaves
         // only the most recent pages.
-        let mut c = PageCache::new(CacheArch::Unified, 4, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 4);
         for p in 0..8 {
             c.insert(file_page(1, p), false);
         }
@@ -880,7 +881,7 @@ mod tests {
 
     #[test]
     fn remove_owner_purges_only_that_owner() {
-        let mut c = PageCache::new(CacheArch::Unified, 8, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 8);
         c.insert(file_page(1, 0), false);
         c.insert(file_page(2, 0), true);
         let dropped = c.remove_owner(Owner::File { dev: 0, ino: 2 });
@@ -892,7 +893,7 @@ mod tests {
 
     #[test]
     fn drop_file_pages_keeps_anon() {
-        let mut c = PageCache::new(CacheArch::Unified, 8, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 8);
         c.insert(file_page(1, 0), false);
         c.insert(anon_page(1, 0), true);
         c.drop_file_pages();
@@ -902,7 +903,7 @@ mod tests {
 
     #[test]
     fn clean_clears_dirty() {
-        let mut c = PageCache::new(CacheArch::Unified, 8, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 8);
         c.insert(file_page(1, 0), true);
         c.clean(file_page(1, 0));
         assert!(c.dirty_pages().is_empty());
@@ -1002,7 +1003,7 @@ mod tests {
     #[test]
     fn heavy_churn_keeps_order_and_entries_in_sync() {
         for arch in [CacheArch::Unified, CacheArch::UnifiedSticky] {
-            let mut c = PageCache::new(arch, 16, 4096);
+            let mut c = PageCache::new(arch, 16);
             for round in 0..100u64 {
                 // File pages straddle a page-table chunk boundary (512).
                 for p in 504..520 {
@@ -1027,7 +1028,7 @@ mod tests {
 
     #[test]
     fn dirty_count_follows_every_bit_flip() {
-        let mut c = PageCache::new(CacheArch::Unified, 2, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 2);
         assert_eq!(c.dirty_count(), 0);
         c.insert(file_page(1, 0), true);
         c.insert(file_page(1, 0), true);
@@ -1047,7 +1048,7 @@ mod tests {
 
     #[test]
     fn free_pages_accounting() {
-        let mut c = PageCache::new(CacheArch::Unified, 4, 4096);
+        let mut c = PageCache::new(CacheArch::Unified, 4);
         let owner = Owner::File { dev: 0, ino: 1 };
         assert_eq!(c.free_pages_for(owner), 4);
         c.insert(file_page(1, 0), false);

@@ -12,6 +12,9 @@ use gray_toolbox::{GrayDuration, Nanos};
 
 use crate::config::NoiseParams;
 
+/// Mean extra latency of an "interrupt" spike (exponentially distributed).
+pub const SPIKE_MEAN: GrayDuration = GrayDuration::from_micros(150);
+
 /// Deterministic latency noise generator.
 #[derive(Debug)]
 pub struct Noise {
@@ -40,7 +43,7 @@ impl Noise {
         if self.params.spike_prob > 0.0 && self.rng.random_bool(self.params.spike_prob) {
             // Exponentially distributed spike via inverse transform.
             let u: f64 = self.rng.random_range(f64::EPSILON..1.0);
-            let extra = self.params.spike_mean.mul_f64(-u.ln());
+            let extra = SPIKE_MEAN.mul_f64(-u.ln());
             out += extra;
         }
         out
@@ -142,14 +145,28 @@ mod tests {
             NoiseParams {
                 jitter_frac: 0.0,
                 spike_prob: 0.05,
-                spike_mean: GrayDuration::from_micros(100),
                 timer_quantum_ns: 1,
             },
             7,
         );
         let d = GrayDuration::from_micros(1);
-        let spikes = (0..10_000).filter(|_| n.apply(d) > d * 2).count();
-        assert!((300..=800).contains(&spikes), "spike count {spikes}");
+        let extras: Vec<f64> = (0..10_000)
+            .map(|_| n.apply(d).as_nanos() - d.as_nanos())
+            .filter(|&extra| extra > 0)
+            .map(|extra| extra as f64)
+            .collect();
+        // 500 spikes expected; ±100 is over four standard deviations.
+        assert!(
+            (400..=600).contains(&extras.len()),
+            "spike count {}",
+            extras.len()
+        );
+        let mean = extras.iter().sum::<f64>() / extras.len() as f64;
+        let want = SPIKE_MEAN.as_nanos() as f64;
+        assert!(
+            (0.8 * want..=1.2 * want).contains(&mean),
+            "mean spike {mean:.0} ns, SPIKE_MEAN {want} ns"
+        );
     }
 
     #[test]

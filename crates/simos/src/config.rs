@@ -1,5 +1,6 @@
-//! Simulation configuration: platform personalities, cost model, disk
-//! geometry, file-system parameters, and noise.
+//! Simulation configuration: platform personalities, memory and disks,
+//! file-system parameters, and noise — plus the testbed's fixed facts,
+//! its page size and cost model.
 //!
 //! The defaults model the paper's testbed — two Pentium-III processors,
 //! 896 MB of RAM, and five IBM 9LZX (10k RPM) disks — under Linux 2.2-era
@@ -55,7 +56,10 @@ pub enum CacheArch {
     UnifiedSticky,
 }
 
-/// CPU-side cost model (Pentium-III-era defaults).
+/// The VM page size, which is also every file system's block size.
+pub const PAGE_SIZE: u64 = 4096;
+
+/// CPU-side costs of one kernel operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostParams {
     /// Fixed syscall entry/exit overhead.
@@ -72,18 +76,16 @@ pub struct CostParams {
     pub page_lookup: GrayDuration,
 }
 
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            syscall: GrayDuration::from_nanos(1_500),
-            copy_per_page: GrayDuration::from_nanos(9_000),
-            mem_touch: GrayDuration::from_nanos(250),
-            page_zero: GrayDuration::from_nanos(4_000),
-            fault_overhead: GrayDuration::from_nanos(1_500),
-            page_lookup: GrayDuration::from_nanos(400),
-        }
-    }
-}
+/// The testbed's cost model: a Pentium III under Linux 2.2-era software.
+/// One machine is modelled, so its costs are facts, not settings.
+pub const COSTS: CostParams = CostParams {
+    syscall: GrayDuration::from_nanos(1_500),
+    copy_per_page: GrayDuration::from_nanos(9_000),
+    mem_touch: GrayDuration::from_nanos(250),
+    page_zero: GrayDuration::from_nanos(4_000),
+    fault_overhead: GrayDuration::from_nanos(1_500),
+    page_lookup: GrayDuration::from_nanos(400),
+};
 
 /// Timing-noise model, applied by the kernel to every charged duration.
 ///
@@ -95,10 +97,9 @@ pub struct NoiseParams {
     /// Multiplicative jitter: each duration is scaled by
     /// `1 ± uniform(0, jitter_frac)`.
     pub jitter_frac: f64,
-    /// Probability that an operation is hit by an "interrupt" spike.
+    /// Probability that an operation is hit by an "interrupt" spike of
+    /// [`crate::clock::SPIKE_MEAN`] mean latency.
     pub spike_prob: f64,
-    /// Mean extra latency of a spike (exponentially distributed).
-    pub spike_mean: GrayDuration,
     /// Clock read granularity in nanoseconds (1 = rdtsc-like; 1000 =
     /// microsecond gettimeofday-like).
     pub timer_quantum_ns: u64,
@@ -109,7 +110,6 @@ impl Default for NoiseParams {
         NoiseParams {
             jitter_frac: 0.05,
             spike_prob: 0.0005,
-            spike_mean: GrayDuration::from_micros(150),
             timer_quantum_ns: 1,
         }
     }
@@ -121,52 +121,29 @@ impl NoiseParams {
         NoiseParams {
             jitter_frac: 0.0,
             spike_prob: 0.0,
-            spike_mean: GrayDuration::ZERO,
             timer_quantum_ns: 1,
         }
     }
 }
 
-/// Mechanical parameters of one disk (IBM 9LZX-flavored defaults).
+/// One disk: an IBM 9LZX, whose mechanics are [`crate::disk`]'s
+/// constants. Only the capacity varies between machines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Capacity in bytes.
     pub capacity: u64,
-    /// Spindle speed, revolutions per minute.
-    pub rpm: u32,
-    /// Minimum (track-to-track) seek time.
-    pub seek_min: GrayDuration,
-    /// Average seek time (used to fit the seek curve).
-    pub seek_avg: GrayDuration,
-    /// Media transfer bandwidth, bytes per second.
-    pub bandwidth: u64,
-    /// Blocks per track.
-    pub blocks_per_track: u32,
-    /// Tracks per cylinder (number of recording surfaces).
-    pub heads: u32,
 }
 
 impl Default for DiskParams {
     fn default() -> Self {
-        DiskParams {
-            capacity: 9 << 30,
-            rpm: 10_000,
-            seek_min: GrayDuration::from_micros(600),
-            seek_avg: GrayDuration::from_micros(6_500),
-            bandwidth: 20 << 20,
-            blocks_per_track: 64,
-            heads: 10,
-        }
+        DiskParams { capacity: 9 << 30 }
     }
 }
 
 impl DiskParams {
     /// A small disk for fast tests (1 GB, same mechanics).
     pub fn small() -> Self {
-        DiskParams {
-            capacity: 1 << 30,
-            ..DiskParams::default()
-        }
+        DiskParams { capacity: 1 << 30 }
     }
 }
 
@@ -194,77 +171,24 @@ pub enum ExecBackend {
     Events,
 }
 
-/// Periodic writeback ("flusher daemon") parameters.
-///
-/// Real kernels run a background daemon (Linux's `bdflush`/`kupdate`,
-/// BSD's `syncer`) that walks dirty pages and writes them back on a
-/// fixed period. The simulated flusher is charged **on the virtual
-/// clock**: its I/O occupies the disks' own FCFS timelines (so
-/// foreground requests queue behind it — the observable side effect),
-/// and epochs fire deterministically when the first process whose local
-/// clock has crossed an epoch boundary enters the kernel. Disabled by
-/// default so existing scenarios are byte-for-byte unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WritebackParams {
-    /// Whether the periodic flusher runs at all.
-    pub enabled: bool,
-    /// Flush period: one epoch every `interval` of virtual time.
-    pub interval: GrayDuration,
-    /// Maximum dirty *file* pages written back per epoch (kupdate-style
-    /// bounded sweep). Anonymous pages are the swap path's business.
-    pub max_pages_per_epoch: u64,
-}
-
-impl Default for WritebackParams {
-    fn default() -> Self {
-        WritebackParams::disabled()
-    }
-}
-
-impl WritebackParams {
-    /// No flusher: dirty pages persist until `gb_sync` or eviction.
-    pub fn disabled() -> Self {
-        WritebackParams {
-            enabled: false,
-            interval: GrayDuration::from_millis(500),
-            max_pages_per_epoch: 64,
-        }
-    }
-
-    /// A flusher with the given period and the default per-epoch bound.
-    pub fn every(interval: GrayDuration) -> Self {
-        WritebackParams {
-            enabled: true,
-            interval,
-            max_pages_per_epoch: 64,
-        }
-    }
-}
-
 /// File-system layout parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsParams {
     /// Allocation discipline.
     pub layout: LayoutPolicy,
-    /// Block size in bytes; must equal the VM page size.
-    pub block_size: u64,
     /// Data blocks per cylinder group (FFS groups a few cylinders; 4096
     /// blocks = 16 MB per group at 4 KB blocks).
     pub blocks_per_group: u64,
     /// Inodes per cylinder group.
     pub inodes_per_group: u64,
-    /// Inodes stored per on-disk block (128-byte inodes in 4 KB blocks).
-    pub inodes_per_block: u64,
 }
 
 impl Default for FsParams {
     fn default() -> Self {
         FsParams {
             layout: LayoutPolicy::default(),
-            block_size: 4096,
             blocks_per_group: 4096,
             inodes_per_group: 1024,
-            inodes_per_block: 32,
         }
     }
 }
@@ -279,8 +203,6 @@ pub struct SimConfig {
     /// Memory reserved for the kernel itself (not available to the cache
     /// or to processes). The paper's 896 MB machine exposes ~830 MB.
     pub kernel_reserve_bytes: u64,
-    /// VM page size in bytes.
-    pub page_size: u64,
     /// Number of CPUs (the paper's machine had two).
     pub cpus: u32,
     /// Data disks; disk *i* is mounted at `/` (i = 0) or `/d<i>`.
@@ -288,16 +210,23 @@ pub struct SimConfig {
     /// Index of the disk used for swap. It may coincide with a data disk
     /// (contention included) or be dedicated, as in the paper's Figure 7.
     pub swap_disk: usize,
-    /// Software cost model.
-    pub costs: CostParams,
     /// Timing-noise model.
     pub noise: NoiseParams,
     /// File-system parameters (shared by all mounted file systems).
     pub fs: FsParams,
     /// Maximum readahead window, in pages.
     pub readahead_pages: u64,
-    /// Periodic dirty-page writeback (off by default).
-    pub writeback: WritebackParams,
+    /// The periodic flusher's epoch interval, or `None` (the default)
+    /// for no flusher: dirty pages persist until `sync` or eviction.
+    ///
+    /// Real kernels run a background daemon (Linux's `bdflush`/`kupdate`,
+    /// BSD's `syncer`) that writes dirty pages back on a fixed period. The
+    /// simulated flusher is charged **on the virtual clock**: its I/O
+    /// occupies the disks' own FCFS timelines (so foreground requests queue
+    /// behind it — the observable side effect), and epochs fire
+    /// deterministically when the first process whose local clock has
+    /// crossed an epoch boundary enters the kernel.
+    pub writeback: Option<GrayDuration>,
     /// Master RNG seed (noise, procedural content).
     pub seed: u64,
 }
@@ -310,15 +239,13 @@ impl SimConfig {
             platform: Platform::LinuxLike,
             mem_bytes: 896 << 20,
             kernel_reserve_bytes: 66 << 20,
-            page_size: 4096,
             cpus: 2,
             disks: vec![DiskParams::default(); 5],
             swap_disk: 4,
-            costs: CostParams::default(),
             noise: NoiseParams::default(),
             fs: FsParams::default(),
             readahead_pages: 32,
-            writeback: WritebackParams::disabled(),
+            writeback: None,
             seed: 0xA5A5_5A5A,
         }
     }
@@ -330,15 +257,13 @@ impl SimConfig {
             platform: Platform::LinuxLike,
             mem_bytes: 64 << 20,
             kernel_reserve_bytes: 8 << 20,
-            page_size: 4096,
             cpus: 1,
             disks: vec![DiskParams::small(), DiskParams::small()],
             swap_disk: 1,
-            costs: CostParams::default(),
             noise: NoiseParams::default(),
             fs: FsParams::default(),
             readahead_pages: 32,
-            writeback: WritebackParams::disabled(),
+            writeback: None,
             seed: 0xA5A5_5A5A,
         }
     }
@@ -375,10 +300,9 @@ impl SimConfig {
     }
 
     /// Enables the periodic flusher with the given epoch interval
-    /// (builder style). The per-epoch page bound stays at the default;
-    /// assign `writeback` directly for full control.
+    /// (builder style).
     pub fn with_writeback(mut self, interval: GrayDuration) -> Self {
-        self.writeback = WritebackParams::every(interval);
+        self.writeback = Some(interval);
         self
     }
 
@@ -389,7 +313,7 @@ impl SimConfig {
             // The paper's NetBSD box used a fixed 64 MB file cache out of
             // 896 MB; scale that ratio (1/14) to the configured memory.
             Platform::NetBsdLike => CacheArch::SplitFixed {
-                file_cache_bytes: (self.mem_bytes / 14).max(4 * self.page_size),
+                file_cache_bytes: (self.mem_bytes / 14).max(4 * PAGE_SIZE),
             },
             Platform::SolarisLike => CacheArch::UnifiedSticky,
         }
@@ -397,7 +321,7 @@ impl SimConfig {
 
     /// Usable physical pages (total minus kernel reserve).
     pub fn usable_pages(&self) -> u64 {
-        (self.mem_bytes - self.kernel_reserve_bytes) / self.page_size
+        (self.mem_bytes - self.kernel_reserve_bytes) / PAGE_SIZE
     }
 
     /// Validates internal consistency.
@@ -406,11 +330,6 @@ impl SimConfig {
     ///
     /// Panics with a description if the configuration is inconsistent.
     pub fn validate(&self) {
-        assert!(self.page_size.is_power_of_two(), "page size must be 2^k");
-        assert_eq!(
-            self.fs.block_size, self.page_size,
-            "FS block size must equal the page size"
-        );
         assert!(
             self.kernel_reserve_bytes < self.mem_bytes,
             "kernel reserve exceeds memory"
@@ -420,17 +339,12 @@ impl SimConfig {
         assert!(self.cpus >= 1, "at least one CPU");
         assert!(self.usable_pages() >= 16, "too little usable memory");
         for d in &self.disks {
-            assert!(d.capacity >= self.page_size * 1024, "disk too small");
-            assert!(d.bandwidth > 0 && d.rpm > 0, "disk parameters degenerate");
+            assert!(d.capacity >= PAGE_SIZE * 1024, "disk too small");
         }
-        if self.writeback.enabled {
+        if let Some(interval) = self.writeback {
             assert!(
-                self.writeback.interval > GrayDuration::ZERO,
+                interval > GrayDuration::ZERO,
                 "flusher interval must be positive"
-            );
-            assert!(
-                self.writeback.max_pages_per_epoch > 0,
-                "flusher epoch page bound must be positive"
             );
         }
     }

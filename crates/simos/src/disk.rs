@@ -1,4 +1,5 @@
-//! The mechanical disk model.
+//! The mechanical disk model: the IBM 9LZX of the paper's testbed, whose
+//! mechanics are this module's constants.
 //!
 //! Service time for a request decomposes classically into **seek** (a
 //! min-plus-square-root curve over cylinder distance), **rotational
@@ -16,7 +17,27 @@
 
 use gray_toolbox::{GrayDuration, Nanos};
 
-use crate::config::DiskParams;
+use crate::config::{DiskParams, PAGE_SIZE};
+
+/// Spindle speed, revolutions per minute.
+pub const RPM: u64 = 10_000;
+
+/// Minimum (track-to-track) seek time.
+pub const SEEK_MIN: GrayDuration = GrayDuration::from_micros(600);
+
+/// Average seek time, which fits the seek curve.
+pub const SEEK_AVG: GrayDuration = GrayDuration::from_micros(6_500);
+
+/// Media transfer bandwidth, bytes per second.
+pub const BANDWIDTH: u64 = 20 << 20;
+
+/// Blocks per track.
+pub const BLOCKS_PER_TRACK: u64 = 64;
+
+/// Tracks per cylinder (recording surfaces).
+pub const HEADS: u64 = 10;
+
+const BLOCKS_PER_CYLINDER: u64 = BLOCKS_PER_TRACK * HEADS;
 
 /// Running counters for one disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,12 +55,10 @@ pub struct DiskStats {
 /// One simulated disk.
 #[derive(Debug, Clone)]
 pub struct Disk {
-    params: DiskParams,
     blocks: u64,
-    blocks_per_cylinder: u64,
     rot_period: GrayDuration,
     block_time: GrayDuration,
-    /// Seek curve: `seek_min + coef * sqrt(cylinder_distance)` ns.
+    /// Seek curve: `SEEK_MIN + coef * sqrt(cylinder_distance)` ns.
     seek_coef_ns: f64,
     head_block: u64,
     busy_until: Nanos,
@@ -47,24 +66,19 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Builds a disk from its mechanical parameters, using `block_size`
-    /// bytes per block.
-    pub fn new(params: DiskParams, block_size: u64) -> Self {
-        let blocks = params.capacity / block_size;
-        let blocks_per_cylinder = (params.blocks_per_track * params.heads) as u64;
-        let cylinders = (blocks / blocks_per_cylinder).max(1);
-        let rot_period = GrayDuration::from_secs_f64(60.0 / params.rpm as f64);
-        let block_time = GrayDuration::from_secs_f64(block_size as f64 / params.bandwidth as f64);
+    /// Builds a disk of `params.capacity` bytes in [`PAGE_SIZE`] blocks.
+    pub fn new(params: DiskParams) -> Self {
+        let blocks = params.capacity / PAGE_SIZE;
+        let cylinders = (blocks / BLOCKS_PER_CYLINDER).max(1);
+        let rot_period = GrayDuration::from_secs_f64(60.0 / RPM as f64);
+        let block_time = GrayDuration::from_secs_f64(PAGE_SIZE as f64 / BANDWIDTH as f64);
         // Fit the curve so that the average seek (distance ≈ cylinders/3)
-        // matches `seek_avg`.
+        // matches `SEEK_AVG`.
         let avg_dist = (cylinders as f64 / 3.0).max(1.0);
-        let seek_coef_ns = (params.seek_avg.as_nanos() as f64 - params.seek_min.as_nanos() as f64)
-            .max(0.0)
-            / avg_dist.sqrt();
+        let seek_coef_ns =
+            (SEEK_AVG.as_nanos() as f64 - SEEK_MIN.as_nanos() as f64).max(0.0) / avg_dist.sqrt();
         Disk {
-            params,
             blocks,
-            blocks_per_cylinder,
             rot_period,
             block_time,
             seek_coef_ns,
@@ -124,15 +138,14 @@ impl Disk {
 
     /// Seek time from the current head position to `block`'s cylinder.
     fn seek_time(&self, block: u64) -> GrayDuration {
-        let from = self.head_block / self.blocks_per_cylinder;
-        let to = block / self.blocks_per_cylinder;
+        let from = self.head_block / BLOCKS_PER_CYLINDER;
+        let to = block / BLOCKS_PER_CYLINDER;
         let dist = from.abs_diff(to);
         if dist == 0 {
-            // Same cylinder: at most a head switch, folded into seek_min.
-            self.params.seek_min / 2
+            // Same cylinder: at most a head switch, folded into SEEK_MIN.
+            SEEK_MIN / 2
         } else {
-            self.params.seek_min
-                + GrayDuration::from_nanos((self.seek_coef_ns * (dist as f64).sqrt()) as u64)
+            SEEK_MIN + GrayDuration::from_nanos((self.seek_coef_ns * (dist as f64).sqrt()) as u64)
         }
     }
 
@@ -141,8 +154,7 @@ impl Disk {
     fn rotation_wait(&self, t: Nanos, block: u64) -> GrayDuration {
         let period = self.rot_period.as_nanos();
         let current = t.as_nanos() % period;
-        let target_frac = (block % self.params.blocks_per_track as u64) as f64
-            / self.params.blocks_per_track as f64;
+        let target_frac = (block % BLOCKS_PER_TRACK) as f64 / BLOCKS_PER_TRACK as f64;
         let target = (target_frac * period as f64) as u64;
         let wait = if target >= current {
             target - current
@@ -158,14 +170,14 @@ mod tests {
     use super::*;
 
     fn disk() -> Disk {
-        Disk::new(DiskParams::default(), 4096)
+        Disk::new(DiskParams::default())
     }
 
     #[test]
     fn geometry_is_derived() {
         let d = disk();
         assert_eq!(d.blocks(), (9u64 << 30) / 4096);
-        assert_eq!(d.blocks_per_cylinder, 640);
+        assert_eq!(BLOCKS_PER_CYLINDER, 640);
     }
 
     #[test]

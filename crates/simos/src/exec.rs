@@ -38,7 +38,7 @@ use gray_toolbox::trace;
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, GrayBoxOs, MemRegion, OsResult, ProbeSample, ProbeSpec, Stat};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, PAGE_SIZE};
 use crate::coro;
 use crate::kernel::Kernel;
 use crate::oracle::Oracle;
@@ -466,7 +466,7 @@ impl GrayBoxOs for SimProc {
     }
 
     fn page_size(&self) -> u64 {
-        self.shared.state().kernel.page_size()
+        PAGE_SIZE
     }
 
     fn open(&self, path: &str) -> OsResult<Fd> {

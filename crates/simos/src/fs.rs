@@ -29,6 +29,7 @@ use gray_toolbox::hash::FastMap;
 use gray_toolbox::Nanos;
 use graybox::os::{OsError, OsResult};
 
+use crate::config::PAGE_SIZE;
 use crate::free_set::FreeSet;
 use crate::page_table::PageTable;
 
@@ -41,8 +42,12 @@ pub const ROOT_INO: Ino = 2;
 /// Pseudo-i-number under which inode-table blocks are cached.
 pub const ITABLE_INO: Ino = 1;
 
-/// Bytes per directory entry (name + i-number), FFS-flavored.
-const DIRENT_BYTES: u64 = 32;
+/// Inodes stored per on-disk block (128-byte inodes in 4 KB blocks).
+pub const INODES_PER_BLOCK: u64 = 32;
+
+/// Directory entries per block: 32-byte entries (name + i-number),
+/// FFS-flavored.
+const DIRENTS_PER_BLOCK: u64 = PAGE_SIZE / 32;
 
 /// One metadata block access: the cacheable identity and the disk block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +215,7 @@ impl Fs {
     /// Creates an empty file system covering `disk_blocks` blocks of device
     /// `dev`.
     pub fn new(params: crate::config::FsParams, dev: u32, disk_blocks: u64) -> Self {
-        let itable_blocks = params.inodes_per_group.div_ceil(params.inodes_per_block);
+        let itable_blocks = params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
         let group_span = itable_blocks + params.blocks_per_group;
         let n_groups = (disk_blocks / group_span).max(1) as usize;
         let mut groups = Vec::with_capacity(n_groups);
@@ -286,7 +291,7 @@ impl Fs {
     fn inode_disk_block(&self, ino: Ino) -> u64 {
         let g = (ino / self.params.inodes_per_group) as usize;
         let idx_in_group = ino % self.params.inodes_per_group;
-        self.groups[g].itable_start + idx_in_group / self.params.inodes_per_block
+        self.groups[g].itable_start + idx_in_group / INODES_PER_BLOCK
     }
 
     fn log_inode_read(&mut self, ino: Ino) {
@@ -311,8 +316,7 @@ impl Fs {
 
     /// Directory blocks holding entries `[0, upto)`.
     fn log_dir_read(&mut self, dir: Ino, upto_entry: usize) {
-        let per_block = (self.params.block_size / DIRENT_BYTES).max(1);
-        let nblocks = (upto_entry as u64).div_ceil(per_block).max(1);
+        let nblocks = (upto_entry as u64).div_ceil(DIRENTS_PER_BLOCK).max(1);
         let dir_inode = &self.inodes[&dir];
         for page in 0..nblocks {
             let disk_block = match dir_inode.blocks.get(page as usize) {
@@ -328,8 +332,7 @@ impl Fs {
     }
 
     fn log_dir_write(&mut self, dir: Ino, entry_index: usize) {
-        let per_block = (self.params.block_size / DIRENT_BYTES).max(1);
-        let page = entry_index as u64 / per_block;
+        let page = entry_index as u64 / DIRENTS_PER_BLOCK;
         if let Some(&disk_block) = self.inodes[&dir].blocks.get(page as usize) {
             self.io.writes.push(MetaAccess {
                 ino: dir,
@@ -341,12 +344,11 @@ impl Fs {
 
     /// Ensures the directory has enough data blocks for its entries.
     fn grow_dir(&mut self, dir: Ino) -> OsResult<()> {
-        let per_block = (self.params.block_size / DIRENT_BYTES).max(1);
         let (needed, group, last) = {
             let inode = &self.inodes[&dir];
             let n = inode.entries.as_ref().map(|e| e.len()).unwrap_or(0) as u64;
             (
-                n.div_ceil(per_block).max(1) as usize,
+                n.div_ceil(DIRENTS_PER_BLOCK).max(1) as usize,
                 inode.group,
                 inode.blocks.last().copied(),
             )
@@ -470,10 +472,7 @@ impl Fs {
     }
 
     fn group_of_block(&self, block: u64) -> usize {
-        let itable_blocks = self
-            .params
-            .inodes_per_group
-            .div_ceil(self.params.inodes_per_block);
+        let itable_blocks = self.params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
         let span = itable_blocks + self.params.blocks_per_group;
         (block / span) as usize
     }
@@ -823,7 +822,7 @@ impl Fs {
 
     /// Stores written bytes into `disk_block` at `offset`.
     pub fn write_content(&mut self, disk_block: u64, offset: u64, data: &[u8]) {
-        let block_size = self.params.block_size as usize;
+        let block_size = PAGE_SIZE as usize;
         // A filled block becomes real bytes of its pattern first.
         let pattern = self.content.fill.set(disk_block, 0);
         let bytes = self
@@ -845,7 +844,7 @@ impl Fs {
 
     /// Free space in bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.free_blocks.len()).sum::<u64>() * self.params.block_size
+        self.groups.iter().map(|g| g.free_blocks.len()).sum::<u64>() * PAGE_SIZE
     }
 }
 

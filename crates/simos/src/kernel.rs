@@ -19,7 +19,7 @@ use graybox::os::{Fd, OsError, OsResult, ProbeSample, ProbeSpec, Stat};
 
 use crate::cache::{Evicted, Owner, PageCache, PageId};
 use crate::clock::{CpuBank, Noise};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, COSTS, PAGE_SIZE};
 use crate::disk::Disk;
 use crate::fs::{Fs, Ino, ITABLE_INO};
 use crate::vm::{TouchKind, Vm};
@@ -29,6 +29,11 @@ const TIMER_READ: GrayDuration = GrayDuration(40);
 
 /// Initial readahead window in pages.
 const RA_INITIAL: u64 = 4;
+
+/// Most dirty *file* pages the flusher writes back per epoch (a
+/// kupdate-style bounded sweep). Anonymous pages are the swap path's
+/// business.
+pub const FLUSH_PAGES_PER_EPOCH: u64 = 64;
 
 /// Kernel-wide event counters (oracle / debugging).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,8 +98,8 @@ pub struct Kernel {
     fdt: Vec<FastMap<u32, OpenFile>>,
     next_fd: Vec<u32>,
     stats: KernelStats,
-    /// Virtual instant of the next flusher epoch (meaningful only when
-    /// `cfg.writeback.enabled`).
+    /// Virtual instant of the next flusher epoch; never reached when the
+    /// flusher is off, so every kernel entry checks it with one compare.
     next_flush: Nanos,
 }
 
@@ -102,11 +107,7 @@ impl Kernel {
     /// Boots a kernel from a validated configuration.
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
-        let mut disks: Vec<Disk> = cfg
-            .disks
-            .iter()
-            .map(|d| Disk::new(*d, cfg.page_size))
-            .collect();
+        let mut disks: Vec<Disk> = cfg.disks.iter().map(|d| Disk::new(*d)).collect();
         let mut fss = Vec::with_capacity(disks.len());
         let mut swap_base = 0;
         for (i, disk) in disks.iter_mut().enumerate() {
@@ -120,7 +121,7 @@ impl Kernel {
             fss.push(Fs::new(cfg.fs, i as u32, blocks));
         }
         let swap_slots = disks[cfg.swap_disk].blocks() - swap_base;
-        let cache = PageCache::new(cfg.cache_arch(), cfg.usable_pages(), cfg.page_size);
+        let cache = PageCache::new(cfg.cache_arch(), cfg.usable_pages());
         Kernel {
             cpus: CpuBank::new(cfg.cpus),
             noise: Noise::new(cfg.noise, cfg.seed),
@@ -135,7 +136,7 @@ impl Kernel {
             fdt: Vec::new(),
             next_fd: Vec::new(),
             stats: KernelStats::default(),
-            next_flush: Nanos::ZERO + cfg.writeback.interval,
+            next_flush: cfg.writeback.map_or(Nanos(u64::MAX), |i| Nanos::ZERO + i),
             cfg,
         }
     }
@@ -240,13 +241,7 @@ impl Kernel {
         match e.id.owner {
             Owner::File { dev, ino } => {
                 let dev = dev as usize;
-                let block = if ino == ITABLE_INO {
-                    // Inode-table pages are cached by disk block.
-                    Some(e.id.page)
-                } else {
-                    self.fss[dev].block_of(ino, e.id.page)
-                };
-                if let Some(block) = block {
+                if let Some(block) = self.home_block(dev, ino, e.id.page) {
                     self.disk_io(pid, dev, block, 1);
                     self.stats.file_page_writes += 1;
                 }
@@ -260,6 +255,17 @@ impl Kernel {
             Owner::Anon { .. } => {}
         }
         Ok(())
+    }
+
+    /// The disk block a cached file page is written back to: inode-table
+    /// pages are cached by their disk block, data pages map through their
+    /// file (`None` for a page with no block behind it).
+    fn home_block(&self, dev: usize, ino: Ino, page: u64) -> Option<u64> {
+        if ino == ITABLE_INO {
+            Some(page)
+        } else {
+            self.fss[dev].block_of(ino, page)
+        }
     }
 
     /// Fires any flusher epochs the calling process's clock has crossed.
@@ -278,7 +284,7 @@ impl Kernel {
     #[inline]
     fn poll_flusher(&mut self, pid: usize) {
         let now = self.procs[pid].now;
-        if self.cfg.writeback.enabled && self.next_flush <= now {
+        if self.next_flush <= now {
             self.run_flusher(now);
         }
     }
@@ -286,7 +292,7 @@ impl Kernel {
     /// The flusher epochs up to `now`; almost no kernel entry gets here.
     #[cold]
     fn run_flusher(&mut self, now: Nanos) {
-        let interval = self.cfg.writeback.interval;
+        let interval = self.cfg.writeback.expect("epochs fire only with a flusher");
         while self.next_flush <= now {
             let epoch = self.next_flush;
             self.next_flush += interval;
@@ -303,7 +309,7 @@ impl Kernel {
                 }
                 continue;
             }
-            let mut budget = self.cfg.writeback.max_pages_per_epoch;
+            let mut budget = FLUSH_PAGES_PER_EPOCH;
             for id in dirty {
                 if budget == 0 {
                     break;
@@ -312,12 +318,7 @@ impl Kernel {
                     continue; // Anonymous pages belong to the swap path.
                 };
                 let dev = dev as usize;
-                let block = if ino == ITABLE_INO {
-                    Some(id.page)
-                } else {
-                    self.fss[dev].block_of(ino, id.page)
-                };
-                if let Some(block) = block {
+                if let Some(block) = self.home_block(dev, ino, id.page) {
                     // On the disk's own timeline; the return (completion
                     // instant) is deliberately not charged to `pid`.
                     self.disks[dev].transfer(epoch, block, 1);
@@ -342,12 +343,12 @@ impl Kernel {
                 page: r.page,
             };
             if self.cache.lookup_touch(id) {
-                self.charge_cpu(pid, self.cfg.costs.page_lookup);
+                self.charge_cpu(pid, COSTS.page_lookup);
             } else {
                 self.disk_io(pid, dev, r.disk_block, 1);
                 let ev = self.cache.insert(id, false);
                 self.handle_evictions(pid, ev)?;
-                self.charge_cpu(pid, self.cfg.costs.page_lookup);
+                self.charge_cpu(pid, COSTS.page_lookup);
             }
         }
         for w in io.writes {
@@ -360,7 +361,7 @@ impl Kernel {
             };
             let ev = self.cache.insert(id, true);
             self.handle_evictions(pid, ev)?;
-            self.charge_cpu(pid, self.cfg.costs.page_lookup);
+            self.charge_cpu(pid, COSTS.page_lookup);
         }
         Ok(())
     }
@@ -402,16 +403,11 @@ impl Kernel {
         self.noise.quantize(self.procs[pid].now)
     }
 
-    /// The VM page size.
-    pub fn page_size(&self) -> u64 {
-        self.cfg.page_size
-    }
-
     /// Opens an existing file.
     pub fn sys_open(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
         let _op = profile::op_scope("sys_open");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let ino = {
             let r = self.fss[dev].resolve(&local);
@@ -429,7 +425,7 @@ impl Kernel {
     pub fn sys_create(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
         let _op = profile::op_scope("sys_create");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let now = self.procs[pid].now;
         let ino = {
@@ -459,7 +455,7 @@ impl Kernel {
     pub fn sys_close(&mut self, pid: usize, fd: Fd) -> OsResult<()> {
         let _op = profile::op_scope("sys_close");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         self.fdt[pid]
             .remove(&fd.0)
             .map(|_| ())
@@ -478,7 +474,7 @@ impl Kernel {
     ) -> OsResult<u64> {
         let _op = profile::op_scope("sys_read");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let of = *self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
         let size = self.fss[of.dev]
             .inode(of.ino)
@@ -488,9 +484,8 @@ impl Kernel {
             return Ok(0);
         }
         let len = len.min(size - offset);
-        let page_size = self.cfg.page_size;
-        let first_page = offset / page_size;
-        let last_page = (offset + len - 1) / page_size;
+        let first_page = offset / PAGE_SIZE;
+        let last_page = (offset + len - 1) / PAGE_SIZE;
 
         // Sequential-read detection feeds the readahead window.
         let mut window = if first_page == of.next_seq_page {
@@ -499,7 +494,7 @@ impl Kernel {
             RA_INITIAL
         };
 
-        let file_pages = size.div_ceil(page_size);
+        let file_pages = size.div_ceil(PAGE_SIZE);
         let mut cpu = GrayDuration::ZERO;
         let mut page = first_page;
         // Pages below `run_end` were fetched by this call's own readahead:
@@ -521,7 +516,7 @@ impl Kernel {
             // reference); genuine hits bump the LRU position.
             if page < run_end || self.cache.lookup_touch(id) {
                 self.stats.cache_hits += 1;
-                cpu += self.cfg.costs.page_lookup;
+                cpu += COSTS.page_lookup;
             } else {
                 self.stats.cache_misses += 1;
                 // Fetch a readahead run: contiguous on disk, not cached,
@@ -546,18 +541,14 @@ impl Kernel {
                 self.stats.file_page_reads += run;
                 run_end = page + run;
                 window = (window * 2).min(self.cfg.readahead_pages);
-                cpu += self.cfg.costs.page_lookup;
+                cpu += COSTS.page_lookup;
             }
             // Copy the requested fraction of this page to the user.
-            let page_start = page * page_size;
+            let page_start = page * PAGE_SIZE;
             let copy_from = offset.max(page_start);
-            let copy_to = (offset + len).min(page_start + page_size);
+            let copy_to = (offset + len).min(page_start + PAGE_SIZE);
             let bytes = copy_to - copy_from;
-            cpu += self
-                .cfg
-                .costs
-                .copy_per_page
-                .mul_f64(bytes as f64 / page_size as f64);
+            cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
             if let Some(out) = buf.as_deref_mut() {
                 if let Some(disk_block) = self.fss[of.dev].block_of(of.ino, page) {
                     let dst_start = (copy_from - offset) as usize;
@@ -660,14 +651,13 @@ impl Kernel {
             debug_assert_eq!(d.len() as u64, len);
         }
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         if len == 0 {
             return Ok(0);
         }
         let of = *self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-        let page_size = self.cfg.page_size;
-        let first_page = offset / page_size;
-        let last_page = (offset + len - 1) / page_size;
+        let first_page = offset / PAGE_SIZE;
+        let last_page = (offset + len - 1) / PAGE_SIZE;
         let mut cpu = GrayDuration::ZERO;
         for page in first_page..=last_page {
             let disk_block = {
@@ -682,9 +672,9 @@ impl Kernel {
                 self.charge_meta(pid, of.dev)?;
                 r?
             };
-            let page_start = page * page_size;
+            let page_start = page * PAGE_SIZE;
             let copy_from = offset.max(page_start);
-            let copy_to = (offset + len).min(page_start + page_size);
+            let copy_to = (offset + len).min(page_start + PAGE_SIZE);
             let bytes = copy_to - copy_from;
             // A partial overwrite of an uncached page must read it first
             // (read-modify-write).
@@ -695,7 +685,7 @@ impl Kernel {
                 },
                 page,
             };
-            let whole_page = bytes == page_size;
+            let whole_page = bytes == PAGE_SIZE;
             if !self.cache.lookup_touch(id) && !whole_page {
                 let within_old_size =
                     page_start < self.fss[of.dev].inode(of.ino).map(|i| i.size).unwrap_or(0);
@@ -716,11 +706,7 @@ impl Kernel {
                     self.fss[of.dev].fill_content(disk_block);
                 }
             }
-            cpu += self
-                .cfg
-                .costs
-                .copy_per_page
-                .mul_f64(bytes as f64 / page_size as f64);
+            cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
         }
         self.charge_cpu(pid, cpu);
         let now = self.procs[pid].now;
@@ -733,7 +719,7 @@ impl Kernel {
     pub fn sys_file_size(&mut self, pid: usize, fd: Fd) -> OsResult<u64> {
         let _op = profile::op_scope("sys_file_size");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let of = self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
         Ok(self.fss[of.dev]
             .inode(of.ino)
@@ -745,18 +731,13 @@ impl Kernel {
     pub fn sys_sync(&mut self, pid: usize) -> OsResult<()> {
         let _op = profile::op_scope("sys_sync");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let dirty = self.cache.dirty_pages();
         for id in dirty {
             match id.owner {
                 Owner::File { dev, ino } => {
                     let dev = dev as usize;
-                    let block = if ino == ITABLE_INO {
-                        Some(id.page)
-                    } else {
-                        self.fss[dev].block_of(ino, id.page)
-                    };
-                    if let Some(block) = block {
+                    if let Some(block) = self.home_block(dev, ino, id.page) {
                         self.disk_io(pid, dev, block, 1);
                         self.stats.file_page_writes += 1;
                     }
@@ -774,7 +755,7 @@ impl Kernel {
     pub fn sys_stat(&mut self, pid: usize, path: &str) -> OsResult<Stat> {
         let _op = profile::op_scope("sys_stat");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let ino = {
             let r = self.fss[dev].resolve(&local);
@@ -796,7 +777,7 @@ impl Kernel {
     pub fn sys_list_dir(&mut self, pid: usize, path: &str) -> OsResult<Vec<String>> {
         let _op = profile::op_scope("sys_list_dir");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let r = self.fss[dev].list_dir(&local);
         self.charge_meta(pid, dev)?;
@@ -807,7 +788,7 @@ impl Kernel {
     pub fn sys_mkdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
         let _op = profile::op_scope("sys_mkdir");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let now = self.procs[pid].now;
         let r = self.fss[dev].mkdir(&local, now).map(|_| ());
@@ -819,7 +800,7 @@ impl Kernel {
     pub fn sys_rmdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
         let _op = profile::op_scope("sys_rmdir");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let now = self.procs[pid].now;
         let r = self.fss[dev].rmdir(&local, now);
@@ -833,7 +814,7 @@ impl Kernel {
     pub fn sys_unlink(&mut self, pid: usize, path: &str) -> OsResult<()> {
         let _op = profile::op_scope("sys_unlink");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let now = self.procs[pid].now;
         let r = self.fss[dev].unlink(&local, now);
@@ -855,7 +836,7 @@ impl Kernel {
     pub fn sys_rename(&mut self, pid: usize, from: &str, to: &str) -> OsResult<()> {
         let _op = profile::op_scope("sys_rename");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (fdev, flocal) = self.mount_of(from)?;
         let (tdev, tlocal) = self.mount_of(to)?;
         if fdev != tdev {
@@ -877,7 +858,7 @@ impl Kernel {
     ) -> OsResult<()> {
         let _op = profile::op_scope("sys_set_times");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         let (dev, local) = self.mount_of(path)?;
         let r = self.fss[dev].set_times(&local, atime, mtime);
         self.charge_meta(pid, dev)?;
@@ -891,15 +872,15 @@ impl Kernel {
             return Err(OsError::InvalidArgument);
         }
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
-        Ok(self.vm.alloc(bytes.div_ceil(self.cfg.page_size)))
+        self.charge_cpu(pid, COSTS.syscall);
+        Ok(self.vm.alloc(bytes.div_ceil(PAGE_SIZE)))
     }
 
     /// Frees a region and purges its pages.
     pub fn sys_mem_free(&mut self, pid: usize, region: u64) -> OsResult<()> {
         let _op = profile::op_scope("sys_mem_free");
         self.poll_flusher(pid);
-        self.charge_cpu(pid, self.cfg.costs.syscall);
+        self.charge_cpu(pid, COSTS.syscall);
         self.vm.free(region)?;
         let _ = self.cache.remove_owner(Owner::Anon { region });
         Ok(())
@@ -915,7 +896,7 @@ impl Kernel {
             page,
         };
         if self.cache.mark_dirty(id) {
-            self.charge_cpu(pid, self.cfg.costs.mem_touch);
+            self.charge_cpu(pid, COSTS.mem_touch);
             return Ok(());
         }
         self.fault_write(pid, region, page)
@@ -936,20 +917,14 @@ impl Kernel {
                 self.vm.mark_touched(region, page)?;
                 let ev = self.cache.insert(id, true);
                 self.handle_evictions(pid, ev)?;
-                self.charge_cpu(
-                    pid,
-                    self.cfg.costs.fault_overhead + self.cfg.costs.page_zero,
-                );
+                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.page_zero);
             }
             TouchKind::Swapped(slot) => {
                 self.stats.swap_ins += 1;
                 self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
                 let ev = self.cache.insert(id, true);
                 self.handle_evictions(pid, ev)?;
-                self.charge_cpu(
-                    pid,
-                    self.cfg.costs.fault_overhead + self.cfg.costs.mem_touch,
-                );
+                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
             }
             TouchKind::Materialized => {
                 unreachable!("materialized page missing from cache and swap")
@@ -993,23 +968,20 @@ impl Kernel {
             page,
         };
         if self.cache.lookup_touch(id) {
-            self.charge_cpu(pid, self.cfg.costs.mem_touch);
+            self.charge_cpu(pid, COSTS.mem_touch);
             return Ok(0);
         }
         match self.vm.touch_kind(region, page)? {
             TouchKind::Untouched => {
                 // Copy-on-write zero page: reads allocate nothing.
-                self.charge_cpu(pid, self.cfg.costs.mem_touch);
+                self.charge_cpu(pid, COSTS.mem_touch);
             }
             TouchKind::Swapped(slot) => {
                 self.stats.swap_ins += 1;
                 self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
                 let ev = self.cache.insert(id, false);
                 self.handle_evictions(pid, ev)?;
-                self.charge_cpu(
-                    pid,
-                    self.cfg.costs.fault_overhead + self.cfg.costs.mem_touch,
-                );
+                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
             }
             TouchKind::Materialized => {
                 unreachable!("materialized page missing from cache and swap")
@@ -1412,20 +1384,30 @@ mod tests {
 
     #[test]
     fn flusher_epoch_bound_limits_pages_per_epoch() {
-        let cfg = SimConfig::small().without_noise();
-        let mut cfg = cfg.with_writeback(GrayDuration::from_millis(10));
-        cfg.writeback.max_pages_per_epoch = 4;
-        let mut k = Kernel::new(cfg);
-        let pid = k.add_proc(Nanos::ZERO);
+        let (mut k, pid) = flusher_kernel(10);
         let fd = k.sys_create(pid, "/f").unwrap();
-        k.sys_write(pid, fd, 0, 64 << 10, None).unwrap(); // 16 dirty pages.
-        let dirty_before = k.cache().dirty_pages().len();
-        k.sys_sleep(pid, GrayDuration::from_millis(11));
-        k.sys_now(pid); // Exactly one epoch crossed.
-        let swept = dirty_before - k.cache().dirty_pages().len();
-        assert!(
-            (1..=4).contains(&swept),
-            "epoch sweep must respect the page bound, swept {swept}"
-        );
+        // Four epochs' worth of dirty data pages, written before the first
+        // epoch at 10 ms.
+        let bytes = 4 * FLUSH_PAGES_PER_EPOCH * PAGE_SIZE;
+        k.sys_write(pid, fd, 0, bytes, None).unwrap();
+        assert_eq!(k.stats().flusher_runs, 0);
+        for epoch in 1..=3 {
+            let dirty_before = k.cache().dirty_pages().len() as u64;
+            let written_before = k.stats().flusher_pages;
+            k.sys_sleep(pid, GrayDuration::from_millis(10));
+            k.sys_now(pid); // Exactly one more epoch crossed.
+            assert_eq!(k.stats().flusher_runs, epoch);
+            let swept = dirty_before - k.cache().dirty_pages().len() as u64;
+            let written = k.stats().flusher_pages - written_before;
+            assert_eq!(
+                swept, FLUSH_PAGES_PER_EPOCH,
+                "epoch {epoch}: the bound, not the supply, ends the sweep"
+            );
+            assert!(
+                written <= FLUSH_PAGES_PER_EPOCH,
+                "epoch {epoch} wrote {written}"
+            );
+        }
+        assert!(k.cache().dirty_pages().len() as u64 >= FLUSH_PAGES_PER_EPOCH);
     }
 }

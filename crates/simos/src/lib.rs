@@ -66,7 +66,7 @@ pub mod vm;
 
 pub use config::{
     CacheArch, CostParams, DiskParams, ExecBackend, FsParams, LayoutPolicy, NoiseParams, Platform,
-    SimConfig, WritebackParams,
+    SimConfig, COSTS, PAGE_SIZE,
 };
 pub use exec::{ProcPanic, Sim, SimProc};
 pub use oracle::Oracle;

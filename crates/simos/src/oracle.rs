@@ -13,6 +13,7 @@ use std::rc::Rc;
 use graybox::os::OsResult;
 
 use crate::cache::Owner;
+use crate::config::PAGE_SIZE;
 use crate::kernel::KernelStats;
 
 /// Ground-truth accessor for a [`crate::Sim`]. Obtain via
@@ -32,7 +33,7 @@ impl Oracle {
         self.shared.with_kernel(|k| {
             let (dev, ino) = k.oracle_resolve(path)?;
             let size = k.fs(dev).inode(ino).map(|i| i.size).unwrap_or(0);
-            let pages = size.div_ceil(k.page_size());
+            let pages = size.div_ceil(PAGE_SIZE);
             let resident = k.cache().resident_of(Owner::File {
                 dev: dev as u32,
                 ino,

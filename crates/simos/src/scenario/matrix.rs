@@ -24,7 +24,8 @@
 //! that cell's alone, and one armed around [`run_grid`] collects every
 //! cell's, through the pool's workers.
 
-use gray_toolbox::pool::{JobPanic, Pool};
+use gray_toolbox::hash::{fnv, fnv_bytes, FNV_OFFSET};
+use gray_toolbox::pool::{self, JobPanic, Pool};
 use gray_toolbox::rng::splitmix64;
 use graybox::fccd::{Fccd, FccdParams};
 use graybox::mac::{Mac, MacParams};
@@ -232,11 +233,6 @@ fn noise_for(amp: f64) -> NoiseParams {
     }
 }
 
-/// FNV-1a fold helper shared by the cell digest.
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
 impl ScenarioSpec {
     /// Cell coordinates as a stable label, e.g.
     /// `linux/aged/n0.05/probe/f12`.
@@ -307,7 +303,7 @@ impl ScenarioSpec {
                     let fccd = Fccd::with_fixed_seed(os, fccd_params());
                     let report = fccd.probe_file(fd, bytes);
                     os.close(fd).unwrap();
-                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    let mut h = FNV_OFFSET;
                     for unit in &report.units {
                         for v in [unit.offset, unit.probe_time.as_nanos(), unit.probes as u64] {
                             h = fnv(h, v);
@@ -358,7 +354,6 @@ impl ScenarioSpec {
                 MacParams {
                     initial_increment: 1 << 20,
                     max_increment: 4 << 20,
-                    ..MacParams::default()
                 },
             );
             mac.available_estimate(ceiling).unwrap()
@@ -369,15 +364,12 @@ impl ScenarioSpec {
         };
 
         let virtual_ns = sim.now().since(t0).as_nanos();
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         for d in &fleet_digests {
             digest = fnv(digest, *d);
         }
         for (path, verdict) in &verdicts {
-            for b in path.bytes() {
-                digest = fnv(digest, b as u64);
-            }
-            digest = fnv(digest, *verdict as u64);
+            digest = fnv(fnv_bytes(digest, path.as_bytes()), *verdict as u64);
         }
         digest = fnv(digest, classified.separation.to_bits());
         digest = fnv(digest, estimate);
@@ -419,19 +411,7 @@ pub fn run_grid(cfg: &MatrixConfig, pool: &Pool) -> Vec<Result<CellResult, JobPa
 /// across worker counts. Panicked cells fold in their index and message,
 /// so even failure modes are compared deterministically.
 pub fn grid_digest(cells: &[Result<CellResult, JobPanic>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for cell in cells {
-        match cell {
-            Ok(c) => h = fnv(h, c.digest),
-            Err(p) => {
-                h = fnv(h, p.index as u64);
-                for b in p.message.bytes() {
-                    h = fnv(h, b as u64);
-                }
-            }
-        }
-    }
-    h
+    pool::grid_digest(cells, |c| c.digest)
 }
 
 #[cfg(test)]

@@ -23,9 +23,7 @@ use std::collections::BTreeMap;
 
 use gray_toolbox::prop::{check, Gen};
 use simos::cache::{Evicted, Owner, PageCache, PageId};
-use simos::CacheArch;
-
-const PAGE_SIZE: u64 = 4096;
+use simos::{CacheArch, PAGE_SIZE};
 
 struct ModelPage {
     id: PageId,
@@ -235,7 +233,7 @@ fn page_numbers(g: &mut Gen) -> [u64; PAGES] {
 }
 
 fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
-    let mut cache = PageCache::new(arch, total_pages, PAGE_SIZE);
+    let mut cache = PageCache::new(arch, total_pages);
     let mut model = Model::new(arch, total_pages);
     let owners = owners();
     let pages: Vec<[u64; PAGES]> = owners.iter().map(|_| page_numbers(g)).collect();

@@ -185,10 +185,7 @@ fn filesystem_full_surfaces_no_space() {
     // A tiny disk: writing past its data capacity must yield NoSpace, and
     // the failure must leave the file system consistent.
     let mut cfg = SimConfig::small().without_noise();
-    cfg.disks = vec![DiskParams {
-        capacity: 40 << 20,
-        ..DiskParams::small()
-    }];
+    cfg.disks = vec![DiskParams { capacity: 40 << 20 }];
     cfg.swap_disk = 0;
     cfg.fs = FsParams::default();
     let mut sim = Sim::new(cfg);
@@ -218,10 +215,7 @@ fn swap_exhaustion_surfaces_out_of_memory() {
     let mut cfg = SimConfig::small().without_noise();
     cfg.mem_bytes = 16 << 20;
     cfg.kernel_reserve_bytes = 2 << 20;
-    cfg.disks = vec![DiskParams {
-        capacity: 48 << 20,
-        ..DiskParams::small()
-    }];
+    cfg.disks = vec![DiskParams { capacity: 48 << 20 }];
     cfg.swap_disk = 0; // Swap area = top quarter of 48 MB = 12 MB.
     let mut sim = Sim::new(cfg);
     sim.run_one(|os| {

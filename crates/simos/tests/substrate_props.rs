@@ -15,7 +15,7 @@ fn disk_service_time_is_bounded_and_monotone() {
         48,
         |g: &mut Gen| {
             let requests = g.vec(1..60, |g| (g.u64(0..200_000), g.u64(1..64)));
-            let mut disk = Disk::new(DiskParams::small(), 4096);
+            let mut disk = Disk::new(DiskParams::small());
             let mut now = Nanos::ZERO;
             let full_stroke = gray_toolbox::GrayDuration::from_millis(30);
             for (block, len) in requests {
@@ -39,8 +39,8 @@ fn disk_service_time_is_bounded_and_monotone() {
 fn sequential_runs_beat_scattered_runs() {
     check("sequential_runs_beat_scattered_runs", 48, |g: &mut Gen| {
         let stride = g.u64(2..1000);
-        let mut seq = Disk::new(DiskParams::small(), 4096);
-        let mut scattered = Disk::new(DiskParams::small(), 4096);
+        let mut seq = Disk::new(DiskParams::small());
+        let mut scattered = Disk::new(DiskParams::small());
         let mut t_seq = Nanos::ZERO;
         let mut t_scat = Nanos::ZERO;
         // Position heads identically first.

@@ -1,5 +1,5 @@
 //! The workspace's one hasher for maps keyed by integers the program
-//! mints itself.
+//! mints itself, and its one digest fold.
 //!
 //! The simulator looks a page's owner up whenever a run of page touches
 //! moves to another owner, the VM a region id on every touch, the file
@@ -11,6 +11,10 @@
 //! odd multiply, and rotate once at the end so the well-mixed high bits
 //! land where the table takes its bucket index from. Keys a caller
 //! supplies (paths, names) keep the default hasher.
+//!
+//! The digests the libraries compute (cell, channel and grid digests,
+//! profile trees) and the property harness's seeds are FNV-1a folds,
+//! through [`fnv`] and [`fnv_bytes`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -19,6 +23,20 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// FNV-1a's offset basis: where every digest starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one word into an FNV-1a digest.
+#[inline]
+pub fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x100_0000_01b3)
+}
+
+/// Folds bytes into an FNV-1a digest, one word per byte.
+pub fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv(h, u64::from(b)))
+}
 
 /// The multiply-rotate word hasher behind [`FastMap`].
 #[derive(Default, Clone, Copy)]

@@ -23,6 +23,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
 
+use crate::hash::{fnv, fnv_bytes, FNV_OFFSET};
 use crate::trace;
 
 /// One job died by panic. Carries the job's input index so callers can
@@ -139,6 +140,16 @@ impl Pool {
             })
             .collect()
     }
+}
+
+/// One fingerprint for a whole grid run of [`Pool::map`]: every cell's
+/// own `digest` in grid order, and a panicked cell's index and message,
+/// so even failure modes compare deterministically.
+pub fn grid_digest<T>(cells: &[Result<T, JobPanic>], digest: impl Fn(&T) -> u64) -> u64 {
+    cells.iter().fold(FNV_OFFSET, |h, cell| match cell {
+        Ok(c) => fnv(h, digest(c)),
+        Err(p) => fnv_bytes(fnv(h, p.index as u64), p.message.as_bytes()),
+    })
 }
 
 #[cfg(test)]

@@ -44,6 +44,7 @@ use std::collections::BTreeMap;
 use std::mem;
 use std::sync::{Arc, Mutex};
 
+use crate::hash::{fnv, fnv_bytes, FNV_OFFSET};
 use crate::trace;
 
 /// Root frame every attribution path starts with.
@@ -226,18 +227,12 @@ impl ProfileSnapshot {
     /// allocation order across the whole process, which other subsystems
     /// influence; everything folded here is virtual-time deterministic.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+        let mut h = FNV_OFFSET;
         for (path, agg) in &self.nodes {
-            for b in path.bytes() {
-                fold(b as u64);
-            }
-            fold(agg.ns);
-            fold(agg.count);
+            h = fnv(fnv(fnv_bytes(h, path.as_bytes()), agg.ns), agg.count);
         }
         for (&pid, &ns) in &self.by_pid {
-            fold(pid);
-            fold(ns);
+            h = fnv(fnv(h, pid), ns);
         }
         h
     }

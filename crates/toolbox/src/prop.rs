@@ -113,12 +113,7 @@ impl RngCore for Gen {
 /// FNV-1a over the property name: a stable, platform-independent base
 /// seed so each property explores its own input stream.
 fn name_seed(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::hash::fnv_bytes(crate::hash::FNV_OFFSET, name.as_bytes())
 }
 
 /// The per-case seed: the property's base seed advanced `case` steps

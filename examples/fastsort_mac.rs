@@ -88,7 +88,6 @@ fn main() {
             mac: MacParams {
                 initial_increment: 1 << 20,
                 max_increment: 16 << 20,
-                ..MacParams::default()
             },
             min: 4 << 20,
         },

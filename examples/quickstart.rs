@@ -79,7 +79,6 @@ fn simulated_tour() {
             MacParams {
                 initial_increment: 1 << 20,
                 max_increment: 16 << 20,
-                ..MacParams::default()
             },
         );
         mac.available_estimate(128 << 20).unwrap()

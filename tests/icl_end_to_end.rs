@@ -209,7 +209,6 @@ fn mac_returns_total_minus_competitor_usage() {
                         MacParams {
                             initial_increment: 1 << 20,
                             max_increment: 8 << 20,
-                            ..MacParams::default()
                         },
                     );
                     mac.available_estimate(usable * 2).unwrap()
@@ -231,30 +230,39 @@ fn mac_returns_total_minus_competitor_usage() {
 
 #[test]
 fn mac_admission_prevents_thrashing_under_competition() {
-    // Two processes each want "everything": with MAC, neither thrashes.
+    // Two processes each want "everything" and cannot both hold their
+    // minimum of three fifths: with MAC, one waits and neither thrashes.
     let mut sim = Sim::new(SimConfig::small());
     let usable = sim.oracle().total_pages() * 4096;
-    let results = sim.run::<u64>(
+    let min = usable / 5 * 3;
+    // Each worker returns (pages worked, times MAC turned it down).
+    let results = sim.run::<(u64, u64)>(
         (0..2)
             .map(|i| {
                 let name = format!("worker{i}");
-                let wl: graybox_icl::simos::exec::Workload<'_, u64> =
+                let wl: graybox_icl::simos::exec::Workload<'_, (u64, u64)> =
                     Box::new(move |os: &graybox_icl::simos::SimProc| {
                         let mac = Mac::new(
                             os,
                             MacParams {
                                 initial_increment: 1 << 20,
                                 max_increment: 8 << 20,
-                                max_retries: 20,
-                                ..MacParams::default()
                             },
                         );
-                        let mut total_work = 0u64;
+                        let (mut total_work, mut denied) = (0u64, 0u64);
                         for _pass in 0..3 {
                             let alloc = loop {
-                                match mac.gb_alloc(4 << 20, usable, 4096).unwrap() {
+                                match mac.gb_alloc(min, usable, 4096).unwrap() {
                                     Some(a) => break a,
-                                    None => os.sleep(gray_toolbox::GrayDuration::from_millis(100)),
+                                    None => {
+                                        // Unequal waits, so the two do not
+                                        // probe in lockstep and split the
+                                        // memory between them forever.
+                                        denied += 1;
+                                        os.sleep(gray_toolbox::GrayDuration::from_millis(
+                                            100 + 50 * i,
+                                        ))
+                                    }
                                 }
                             };
                             let pages = alloc.bytes / 4096;
@@ -264,13 +272,17 @@ fn mac_admission_prevents_thrashing_under_competition() {
                             total_work += pages;
                             mac.gb_free(alloc).unwrap();
                         }
-                        total_work
+                        (total_work, denied)
                     });
                 (name, wl)
             })
             .collect(),
     );
-    assert!(results.iter().all(|&w| w > 0));
+    assert!(results.iter().all(|&(w, _)| w > 0));
+    // They competed: at least once one of them asked while the other
+    // held the memory, and was turned down.
+    let denied: u64 = results.iter().map(|&(_, d)| d).sum();
+    assert!(denied >= 1, "no worker was ever denied: {results:?}");
     let stats = sim.oracle().stats();
     // Bounded collateral from probing is fine; thrashing is not. Under
     // thrash, swap traffic rivals the demand-zero fault count (a broken

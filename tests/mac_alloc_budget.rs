@@ -31,7 +31,6 @@ fn an_estimate_allocates_one_vector_per_sub_batch() {
     let params = MacParams {
         initial_increment: 1 << 20,
         max_increment: 4 << 20,
-        ..MacParams::default()
     };
     let mut sim = Sim::new(SimConfig::small());
     let (calls, pages) = sim.run_one(move |os| {

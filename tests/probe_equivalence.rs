@@ -25,7 +25,7 @@ use graybox_icl::graybox::fccd::{Fccd, FccdParams};
 use graybox_icl::graybox::os::{GrayBoxOs, ProbeSample, ProbeSpec};
 use graybox_icl::simos::cache::Owner;
 use graybox_icl::simos::kernel::Kernel;
-use graybox_icl::simos::{NoiseParams, Sim, SimConfig};
+use graybox_icl::simos::{NoiseParams, Sim, SimConfig, PAGE_SIZE};
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::{GrayDuration, Nanos};
 
@@ -168,7 +168,6 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
                     ..NoiseParams::default()
                 };
                 let usable = cfg.usable_pages();
-                let page_size = cfg.page_size;
                 let mut k = Kernel::new(cfg);
                 let prober = k.add_proc(Nanos::ZERO);
                 let writer = k.add_proc(Nanos::ZERO);
@@ -199,7 +198,7 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
 
                 // Zero faults across flusher epochs, the writer's pages dirty.
                 churn(&mut k);
-                let region = k.sys_mem_alloc(prober, first * page_size).unwrap();
+                let region = k.sys_mem_alloc(prober, first * PAGE_SIZE).unwrap();
                 let flushed = k.stats().flusher_pages;
                 samples.push(probe(&mut k, region, &ascending(0..first)));
                 assert!(
@@ -216,7 +215,7 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
                 churn(&mut k);
                 k.sys_mem_free(prober, region).unwrap();
                 let big = k
-                    .sys_mem_alloc(prober, (usable + overshoot) * page_size)
+                    .sys_mem_alloc(prober, (usable + overshoot) * PAGE_SIZE)
                     .unwrap();
                 samples.push(probe(&mut k, region, &revisit[..8]));
                 samples.push(probe(&mut k, big, &ascending(0..usable + overshoot)));

@@ -215,8 +215,7 @@ fn cache_never_exceeds_capacity() {
     check("cache_never_exceeds_capacity", 64, |g: &mut Gen| {
         let accesses = g.vec(1..300, |g| (g.u64(0..4), g.u64(0..64), g.bool()));
         let capacity = g.u64(4..64);
-        let mut cache =
-            graybox_icl::simos::cache::PageCache::new(CacheArch::Unified, capacity, 4096);
+        let mut cache = graybox_icl::simos::cache::PageCache::new(CacheArch::Unified, capacity);
         for (ino, page, dirty) in accesses {
             let id = graybox_icl::simos::cache::PageId {
                 owner: graybox_icl::simos::cache::Owner::File { dev: 0, ino },
@@ -239,7 +238,7 @@ fn sticky_cache_never_exceeds_capacity_either() {
             let accesses = g.vec(1..300, |g| (g.u64(0..4), g.u64(0..64)));
             let capacity = g.u64(4..64);
             let mut cache =
-                graybox_icl::simos::cache::PageCache::new(CacheArch::UnifiedSticky, capacity, 4096);
+                graybox_icl::simos::cache::PageCache::new(CacheArch::UnifiedSticky, capacity);
             for (ino, page) in accesses {
                 let id = graybox_icl::simos::cache::PageId {
                     owner: graybox_icl::simos::cache::Owner::File { dev: 0, ino },

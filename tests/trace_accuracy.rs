@@ -87,7 +87,6 @@ fn mac_estimate_lands_within_ten_percent_of_oracle_truth() {
             MacParams {
                 initial_increment: 1 << 20,
                 max_increment: 4 << 20,
-                ..MacParams::default()
             },
         );
         mac.available_estimate(ceiling).unwrap()
