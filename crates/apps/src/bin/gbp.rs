@@ -8,18 +8,21 @@
 //! gbp -mem -out big.dat | wc -c    # intra-file reordering via a pipe
 //! ```
 //!
-//! Modes: `-mem` (FCCD cache order), `-file` (FLDC i-number order),
-//! `-compose` (cached first, i-number within groups), `-mtime` (LFS-style
-//! write-time order). With `-out` and exactly one file, streams the
+//! Modes: `-mem` (FCCD cache order, the default), `-file` (FLDC i-number
+//! order), `-compose` (cached first, i-number within groups), `-mtime`
+//! (LFS-style write-time order); the last one given wins. Every mode
+//! prints every path it was given: `-file` and `-mtime` list the ones
+//! they cannot stat last, and FCCD ranks the ones it cannot open with
+//! its small-file penalty. With `-out` and exactly one file, streams the
 //! file's bytes to stdout in predicted-fastest order instead of printing
 //! names. Paths are interpreted relative to the current directory.
 
 use std::io::Write;
 use std::process::ExitCode;
 
-use gray_apps::gbp::{Gbp, GbpMode};
+use gray_apps::gbp::Gbp;
+use gray_apps::grep::GrepMode;
 use graybox::fccd::FccdParams;
-use graybox::fldc::Fldc;
 use graybox::os::OsError;
 use hostos::HostOs;
 
@@ -29,25 +32,26 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode = None;
+    // Real-OS probing wants real timing behavior: keep the paper's default
+    // unit sizes.
+    let params = FccdParams::default();
+    let mut mode = GrepMode::GrayBox(params.clone());
     let mut out = false;
     let mut files = Vec::new();
-    for a in &args {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "-mem" => mode = Some(GbpMode::Mem),
-            "-file" => mode = Some(GbpMode::File),
-            "-compose" => mode = Some(GbpMode::Compose),
-            "-mtime" => mode = None, // handled specially below
+            "-mem" => mode = GrepMode::GrayBox(params.clone()),
+            "-file" => mode = GrepMode::Layout,
+            "-compose" => mode = GrepMode::Composed(params.clone()),
+            "-mtime" => mode = GrepMode::WriteTime,
             "-out" => out = true,
             _ if a.starts_with('-') => return usage(),
-            _ => files.push(a.clone()),
+            _ => files.push(a),
         }
     }
     if files.is_empty() {
         return usage();
     }
-    let mtime_mode = args.iter().any(|a| a == "-mtime");
     let os = match HostOs::new(std::env::current_dir().expect("cwd")) {
         Ok(os) => os,
         Err(e) => {
@@ -58,11 +62,9 @@ fn main() -> ExitCode {
     // Host paths are confined under the cwd root; present them as
     // absolute gray-box paths.
     let gb_paths: Vec<String> = files.iter().map(|f| format!("/{f}")).collect();
-
-    // Real-OS probing wants real timing behavior: keep the paper's default
-    // unit sizes, and do not charge modelled CPU.
-    let params = FccdParams::default();
-    let mut gbp = Gbp::new(&os, params.clone());
+    // The host pays the real fork/exec and pipe costs: charge no modelled
+    // ones.
+    let mut gbp = Gbp::new(&os, params);
     gbp.model_cpu = false;
 
     if out {
@@ -88,13 +90,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let ordered = if mtime_mode {
-        let (ranks, _missing) = Fldc::new(&os).order_by_mtime(&gb_paths);
-        Ok(ranks.into_iter().map(|r| r.path).collect::<Vec<_>>())
-    } else {
-        gbp.order_files(&gb_paths, mode.unwrap_or(GbpMode::Mem))
-    };
-    match ordered {
+    match gbp.order_files(&gb_paths, &mode) {
         Ok(list) => {
             for p in list {
                 // Strip the synthetic leading slash back off.

@@ -66,8 +66,6 @@ pub struct SortConfig {
     pub output: String,
     /// Pass-size policy.
     pub pass_policy: PassPolicy,
-    /// Charge modelled CPU costs through `compute`.
-    pub model_cpu: bool,
 }
 
 impl SortConfig {
@@ -77,7 +75,6 @@ impl SortConfig {
             input: input.to_string(),
             output: output.to_string(),
             pass_policy,
-            model_cpu: true,
         }
     }
 }
@@ -201,7 +198,7 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
             // Sort phase: CPU plus two more sweeps of memory traffic.
             let t0 = self.os.now();
             let records = pass_bytes / RECORD_BYTES;
-            if self.cfg.model_cpu && records > 1 {
+            if records > 1 {
                 let log2 = 64 - (records - 1).leading_zeros() as u64;
                 self.os
                     .compute(SORT_COST_PER_RECORD * records * log2.max(1) / 8);

@@ -16,31 +16,25 @@
 //! backend.
 
 use gray_toolbox::GrayDuration;
-use graybox::compose::ComposedOrderer;
 use graybox::fccd::{Fccd, FccdParams};
-use graybox::fldc::Fldc;
 use graybox::os::{GrayBoxOs, OsResult};
 
-/// Which ordering gbp applies (its command-line flags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GbpMode {
-    /// `-mem`: order by predicted cache residency (FCCD).
-    Mem,
-    /// `-file`: order by predicted disk layout (FLDC i-numbers).
-    File,
-    /// `-compose`: cached files first, i-number order within groups.
-    Compose,
-}
+use crate::grep::GrepMode;
+
+/// Modelled cost of one fork+exec of the utility.
+pub const FORK_EXEC_COST: GrayDuration = GrayDuration::from_millis(3);
+
+/// Modelled bandwidth of the extra copy through the pipe, bytes per
+/// second.
+pub const PIPE_BANDWIDTH: u64 = 200 << 20;
 
 /// The gbp utility.
 pub struct Gbp<'a, O: GrayBoxOs> {
     os: &'a O,
     fccd_params: FccdParams,
-    /// Modelled cost of fork+exec of the utility.
-    pub fork_exec_cost: GrayDuration,
-    /// Modelled pipe copy bandwidth (extra copy through the kernel).
-    pub pipe_bandwidth: u64,
-    /// Whether to charge the modelled costs.
+    /// Whether to charge the modelled fork/exec and pipe costs: on for
+    /// the simulator, off for the `gbp` binary on the host, where the real
+    /// costs are paid.
     pub model_cpu: bool,
 }
 
@@ -50,48 +44,30 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         Gbp {
             os,
             fccd_params,
-            fork_exec_cost: GrayDuration::from_millis(3),
-            pipe_bandwidth: 200 << 20,
             model_cpu: true,
         }
     }
 
-    /// `gbp [mode] <files…>`: returns the file list in predicted best
-    /// order, charging the fork/exec overhead of running the utility.
-    pub fn order_files(&self, paths: &[String], mode: GbpMode) -> OsResult<Vec<String>> {
+    /// Charges a modelled cost, when costs are modelled.
+    fn charge(&self, cost: GrayDuration) {
         if self.model_cpu {
-            self.os.compute(self.fork_exec_cost);
+            self.os.compute(cost);
         }
-        match mode {
-            GbpMode::Mem => {
-                let fccd = Fccd::new(self.os, self.fccd_params.clone());
-                Ok(fccd
-                    .order_files(paths)
-                    .into_iter()
-                    .map(|r| r.path)
-                    .collect())
-            }
-            GbpMode::File => {
-                let fldc = Fldc::new(self.os);
-                let (ranks, _) = fldc.order_by_inumber(paths);
-                let mut out: Vec<String> = ranks.into_iter().map(|r| r.path).collect();
-                for p in paths {
-                    if !out.contains(p) {
-                        out.push(p.clone());
-                    }
-                }
-                Ok(out)
-            }
-            GbpMode::Compose => {
-                let fccd = Fccd::new(self.os, self.fccd_params.clone());
-                let fldc = Fldc::new(self.os);
-                Ok(ComposedOrderer::new(&fccd, &fldc)
-                    .order_files(paths)?
-                    .into_iter()
-                    .map(|r| r.path)
-                    .collect())
-            }
-        }
+    }
+
+    /// Charges the extra copy of `bytes` through the pipe.
+    fn charge_pipe(&self, bytes: u64) {
+        self.charge(GrayDuration::from_secs_f64(
+            bytes as f64 / PIPE_BANDWIDTH as f64,
+        ));
+    }
+
+    /// `gbp [mode] <files…>`: returns the file list in `mode`'s order (the
+    /// utility's flags name [`GrepMode`]'s orders), charging the fork/exec
+    /// overhead of running the utility.
+    pub fn order_files(&self, paths: &[String], mode: &GrepMode) -> OsResult<Vec<String>> {
+        self.charge(FORK_EXEC_COST);
+        mode.order(self.os, paths)
     }
 
     /// `gbp -mem -out <file>`: probes the file, then streams its access
@@ -104,9 +80,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         path: &str,
         mut consume: impl FnMut(u64, &[u8]) -> OsResult<()>,
     ) -> OsResult<u64> {
-        if self.model_cpu {
-            self.os.compute(self.fork_exec_cost);
-        }
+        self.charge(FORK_EXEC_COST);
         let fccd = Fccd::new(self.os, self.fccd_params.clone());
         let fd = self.os.open(path)?;
         let size = self.os.file_size(fd)?;
@@ -123,12 +97,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
                 if n == 0 {
                     break;
                 }
-                // The extra copy through the pipe.
-                if self.model_cpu {
-                    self.os.compute(GrayDuration::from_secs_f64(
-                        n as f64 / self.pipe_bandwidth as f64,
-                    ));
-                }
+                self.charge_pipe(n as u64);
                 consume(off, &buf[..n])?;
                 off += n as u64;
                 total += n as u64;
@@ -141,9 +110,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
     /// Like [`Gbp::stream_file`] but discards data (modelled pipelines);
     /// still charges the pipe copy.
     pub fn stream_file_discard(&self, path: &str) -> OsResult<u64> {
-        if self.model_cpu {
-            self.os.compute(self.fork_exec_cost);
-        }
+        self.charge(FORK_EXEC_COST);
         let fccd = Fccd::new(self.os, self.fccd_params.clone());
         let fd = self.os.open(path)?;
         let size = self.os.file_size(fd)?;
@@ -151,11 +118,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         let mut total = 0u64;
         for extent in plan {
             let n = self.os.read_discard(fd, extent.offset, extent.len)?;
-            if self.model_cpu {
-                self.os.compute(GrayDuration::from_secs_f64(
-                    n as f64 / self.pipe_bandwidth as f64,
-                ));
-            }
+            self.charge_pipe(n);
             total += n;
         }
         self.os.close(fd)?;
@@ -192,7 +155,7 @@ mod tests {
         let paths2 = paths.clone();
         let ordered = sim.run_one(move |os| {
             Gbp::new(os, small_fccd())
-                .order_files(&paths2, GbpMode::Mem)
+                .order_files(&paths2, &GrepMode::GrayBox(small_fccd()))
                 .unwrap()
         });
         assert_eq!(ordered[0], paths[4]);
@@ -206,7 +169,7 @@ mod tests {
             let paths = make_files(os, "/d", 5, 8192).unwrap();
             let scrambled = crate::workload::shuffled(&paths, 9);
             let ordered = Gbp::new(os, small_fccd())
-                .order_files(&scrambled, GbpMode::File)
+                .order_files(&scrambled, &GrepMode::Layout)
                 .unwrap();
             assert_eq!(ordered, paths, "creation order == i-number order");
         });
@@ -257,7 +220,7 @@ mod tests {
         let scrambled = crate::workload::shuffled(&paths, 44);
         let ordered = sim.run_one(move |os| {
             Gbp::new(os, small_fccd())
-                .order_files(&scrambled, GbpMode::Compose)
+                .order_files(&scrambled, &GrepMode::Composed(small_fccd()))
                 .unwrap()
         });
         assert_eq!(
@@ -307,7 +270,7 @@ mod tests {
         let via_gbp = sim.run_one(move |os| {
             let t0 = os.now();
             let _ = Gbp::new(os, small_fccd())
-                .order_files(&p3, GbpMode::Mem)
+                .order_files(&p3, &GrepMode::GrayBox(small_fccd()))
                 .unwrap();
             os.now().since(t0)
         });

@@ -9,6 +9,9 @@
 //!   [`crate::gbp`]); gets almost all the benefit, minus fork/exec and the
 //!   redundant opens.
 //!
+//! Both reorder with [`GrepMode::order`], the one file-list ordering in
+//! the crate; `gbp`'s command-line flags name its modes.
+//!
 //! Two needle modes support both real and modelled workloads: a literal
 //! byte pattern genuinely searched in file contents, or a synthetic oracle
 //! ("the match is in file X") for bulk experiments whose files carry fill
@@ -17,7 +20,7 @@
 use gray_toolbox::GrayDuration;
 use graybox::compose::ComposedOrderer;
 use graybox::fccd::{Fccd, FccdParams};
-use graybox::fldc::Fldc;
+use graybox::fldc::{Fldc, LayoutRank};
 use graybox::os::{GrayBoxOs, OsResult};
 
 /// What grep is looking for.
@@ -35,38 +38,74 @@ pub enum Needle {
 pub enum GrepMode {
     /// Command-line order (the unmodified application).
     Unmodified,
-    /// Reordered by FCCD: predicted-cached files first.
+    /// Reordered by FCCD: predicted-cached files first (`gbp -mem`).
     GrayBox(FccdParams),
-    /// Reordered by FCCD + FLDC composition (cached first, then i-number).
+    /// Reordered by FCCD + FLDC composition (cached first, then i-number;
+    /// `gbp -compose`).
     Composed(FccdParams),
-    /// Reordered by FLDC only (i-number order).
+    /// Reordered by FLDC only (i-number order; `gbp -file`).
     Layout,
+    /// Reordered by modification time, FLDC's predictor for a
+    /// log-structured file system (`gbp -mtime`).
+    WriteTime,
 }
 
-/// Modelled scan cost per byte (PIII-era grep ≈ 80 MB/s).
+impl GrepMode {
+    /// `paths` in this mode's order. No path is dropped: the two stat
+    /// orders list the paths they cannot stat last, in command-line order
+    /// (such a file may still open by the time it is read), and FCCD ranks
+    /// a file it cannot open with its small-file penalty, behind every
+    /// file it finds cached.
+    pub fn order<O: GrayBoxOs>(&self, os: &O, paths: &[String]) -> OsResult<Vec<String>> {
+        Ok(match self {
+            GrepMode::Unmodified => paths.to_vec(),
+            GrepMode::GrayBox(params) => Fccd::new(os, params.clone())
+                .order_files(paths)
+                .into_iter()
+                .map(|r| r.path)
+                .collect(),
+            GrepMode::Composed(params) => {
+                let fccd = Fccd::new(os, params.clone());
+                let fldc = Fldc::new(os);
+                ComposedOrderer::new(&fccd, &fldc)
+                    .order_files(paths)?
+                    .into_iter()
+                    .map(|r| r.path)
+                    .collect()
+            }
+            GrepMode::Layout => unstat_last(paths, Fldc::new(os).order_by_inumber(paths)),
+            GrepMode::WriteTime => unstat_last(paths, Fldc::new(os).order_by_mtime(paths)),
+        })
+    }
+}
+
+/// A stat order's ranked paths, then the `unstated` paths of `paths` it
+/// could not rank, in their given order.
+fn unstat_last(paths: &[String], (ranks, unstated): (Vec<LayoutRank>, usize)) -> Vec<String> {
+    let mut out: Vec<String> = ranks.into_iter().map(|r| r.path).collect();
+    if unstated > 0 {
+        for p in paths {
+            if !out.contains(p) {
+                out.push(p.clone());
+            }
+        }
+    }
+    out
+}
+
+/// Modelled scan cost per byte (PIII-era grep ≈ 80 MB/s), charged
+/// through `compute` for every byte read.
 pub const SCAN_COST_PER_BYTE: GrayDuration = GrayDuration::from_nanos(12);
 
+/// Read-buffer size per `read` call.
+pub const CHUNK: u64 = 256 << 10;
+
 /// Tunables for the scanner.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GrepOptions {
-    /// Read-buffer size per `read` call.
-    pub chunk: u64,
     /// Whether to stop at the first matching file (the Figure 4 search
     /// benchmark) or scan everything (the Figure 3 throughput benchmark).
     pub stop_at_first_match: bool,
-    /// Charge [`SCAN_COST_PER_BYTE`] through `compute` (keep on for the
-    /// simulator, off on the host where real cycles burn).
-    pub model_cpu: bool,
-}
-
-impl Default for GrepOptions {
-    fn default() -> Self {
-        GrepOptions {
-            chunk: 256 << 10,
-            stop_at_first_match: false,
-            model_cpu: true,
-        }
-    }
 }
 
 /// Result of a grep run.
@@ -91,14 +130,13 @@ pub struct Grep<'a, O: GrayBoxOs> {
 impl<'a, O: GrayBoxOs> Grep<'a, O> {
     /// Creates a grep over the backend.
     pub fn new(os: &'a O, options: GrepOptions) -> Self {
-        assert!(options.chunk > 0, "chunk must be positive");
         Grep { os, options }
     }
 
     /// Runs the search over `paths` in the order implied by `mode`.
     pub fn run(&self, paths: &[String], needle: &Needle, mode: &GrepMode) -> OsResult<GrepReport> {
         let t0 = self.os.now();
-        let ordered = self.order(paths, mode)?;
+        let ordered = mode.order(self.os, paths)?;
         let mut report = GrepReport {
             elapsed: GrayDuration::ZERO,
             files_scanned: 0,
@@ -120,40 +158,6 @@ impl<'a, O: GrayBoxOs> Grep<'a, O> {
         Ok(report)
     }
 
-    fn order(&self, paths: &[String], mode: &GrepMode) -> OsResult<Vec<String>> {
-        Ok(match mode {
-            GrepMode::Unmodified => paths.to_vec(),
-            GrepMode::GrayBox(params) => {
-                let fccd = Fccd::new(self.os, params.clone());
-                fccd.order_files(paths)
-                    .into_iter()
-                    .map(|r| r.path)
-                    .collect()
-            }
-            GrepMode::Composed(params) => {
-                let fccd = Fccd::new(self.os, params.clone());
-                let fldc = Fldc::new(self.os);
-                ComposedOrderer::new(&fccd, &fldc)
-                    .order_files(paths)?
-                    .into_iter()
-                    .map(|r| r.path)
-                    .collect()
-            }
-            GrepMode::Layout => {
-                let fldc = Fldc::new(self.os);
-                let (ranks, _) = fldc.order_by_inumber(paths);
-                let mut out: Vec<String> = ranks.into_iter().map(|r| r.path).collect();
-                // Unstat-able paths still get scanned, last.
-                for p in paths {
-                    if !out.contains(p) {
-                        out.push(p.clone());
-                    }
-                }
-                out
-            }
-        })
-    }
-
     /// Scans one file; returns whether it matched.
     fn scan_one(&self, path: &str, needle: &Needle) -> OsResult<bool> {
         let Ok(fd) = self.os.open(path) else {
@@ -167,9 +171,9 @@ impl<'a, O: GrayBoxOs> Grep<'a, O> {
         };
         let mut off = 0u64;
         let mut carry: Vec<u8> = Vec::new();
-        let mut buf = vec![0u8; self.options.chunk as usize];
+        let mut buf = vec![0u8; CHUNK as usize];
         while off < size {
-            let want = self.options.chunk.min(size - off) as usize;
+            let want = CHUNK.min(size - off) as usize;
             let n = match needle {
                 Needle::Literal(pattern) => {
                     let n = self.os.read_at(fd, off, &mut buf[..want])?;
@@ -191,9 +195,7 @@ impl<'a, O: GrayBoxOs> Grep<'a, O> {
             if n == 0 {
                 break;
             }
-            if self.options.model_cpu {
-                self.os.compute(SCAN_COST_PER_BYTE * n);
-            }
+            self.os.compute(SCAN_COST_PER_BYTE * n);
             off += n;
         }
         self.os.close(fd)?;
@@ -251,18 +253,11 @@ mod tests {
         let mut sim = Sim::new(SimConfig::small().without_noise());
         sim.run_one(|os| {
             // Place the pattern exactly across the chunk boundary.
-            let chunk = 8192usize;
-            let mut data = vec![b'.'; chunk - 3];
+            let mut data = vec![b'.'; CHUNK as usize - 3];
             data.extend_from_slice(b"needle");
             data.extend(vec![b'.'; 100]);
             os.write_file("/f", &data).unwrap();
-            let grep = Grep::new(
-                os,
-                GrepOptions {
-                    chunk: chunk as u64,
-                    ..GrepOptions::default()
-                },
-            );
+            let grep = Grep::new(os, GrepOptions::default());
             let report = grep
                 .run(
                     &["/f".to_string()],
@@ -333,7 +328,6 @@ mod tests {
         let needle = Needle::SyntheticIn(Some(target.clone()));
         let opts = GrepOptions {
             stop_at_first_match: true,
-            ..GrepOptions::default()
         };
         let gb = sim.run_one(|os| {
             Grep::new(os, opts.clone())
@@ -361,6 +355,19 @@ mod tests {
                 .run(&scrambled, &Needle::SyntheticIn(None), &GrepMode::Layout)
                 .unwrap();
             assert_eq!(report.files_scanned, 5);
+        });
+    }
+
+    #[test]
+    fn stat_orders_list_unstatable_paths_last() {
+        let mut sim = Sim::new(SimConfig::small().without_noise());
+        sim.run_one(|os| {
+            let paths = make_files(os, "/d", 2, 8192).unwrap();
+            let given = [paths[1].clone(), "/d/ghost".to_string(), paths[0].clone()];
+            for mode in [GrepMode::Layout, GrepMode::WriteTime] {
+                let ordered = mode.order(os, &given).unwrap();
+                assert_eq!(ordered, [&paths[0], &paths[1], "/d/ghost"], "{mode:?}");
+            }
         });
     }
 }

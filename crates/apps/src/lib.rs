@@ -14,9 +14,10 @@
 //!   experiments.
 //!
 //! Applications charge their CPU costs explicitly through
-//! [`graybox::os::GrayBoxOs::compute`] when `model_cpu` is set (the
-//! simulated backend advances virtual time; on the host backend you would
-//! normally turn this off and let real CPU burn).
+//! [`graybox::os::GrayBoxOs::compute`], which advances virtual time on the
+//! simulated backend. Only [`Gbp`] can turn its charges off
+//! (`Gbp::model_cpu`): the `gbp` binary runs on the host, where real CPU
+//! burns.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,6 +29,6 @@ pub mod scan;
 pub mod workload;
 
 pub use fastsort::{FastSort, PassPolicy, SortConfig, SortReport};
-pub use gbp::{Gbp, GbpMode};
+pub use gbp::Gbp;
 pub use grep::{Grep, GrepMode, GrepReport, Needle};
 pub use scan::{graybox_scan, linear_scan, ScanReport};

@@ -75,21 +75,7 @@ impl<'a, O: GrayBoxOs> Fldc<'a, O> {
     /// (they cannot be read anyway); the second element of the return
     /// counts them.
     pub fn order_by_inumber(&self, paths: &[String]) -> (Vec<LayoutRank>, usize) {
-        let mut ranks = Vec::with_capacity(paths.len());
-        let mut failed = 0usize;
-        for path in paths {
-            match self.os.stat(path) {
-                Ok(stat) => ranks.push(LayoutRank {
-                    path: path.clone(),
-                    stat,
-                }),
-                Err(_) => failed += 1,
-            }
-        }
-        ranks.sort_by(|a, b| {
-            (a.stat.dev, a.stat.ino, &a.path).cmp(&(b.stat.dev, b.stat.ino, &b.path))
-        });
-        (ranks, failed)
+        self.order_by(paths, |s| (s.dev, s.ino))
     }
 
     /// Stats every path and returns them sorted by **modification time** —
@@ -99,20 +85,27 @@ impl<'a, O: GrayBoxOs> Fldc<'a, O> {
     /// path. Unstat-able paths are counted, as in
     /// [`Fldc::order_by_inumber`].
     pub fn order_by_mtime(&self, paths: &[String]) -> (Vec<LayoutRank>, usize) {
+        self.order_by(paths, |s| (s.mtime, s.ino))
+    }
+
+    /// The one stat loop behind both orders: ranks every path that stats,
+    /// sorted by `key` and then by path, and counts the ones that do not.
+    fn order_by<K: Ord>(
+        &self,
+        paths: &[String],
+        key: impl Fn(&Stat) -> K,
+    ) -> (Vec<LayoutRank>, usize) {
         let mut ranks = Vec::with_capacity(paths.len());
-        let mut failed = 0usize;
         for path in paths {
-            match self.os.stat(path) {
-                Ok(stat) => ranks.push(LayoutRank {
+            if let Ok(stat) = self.os.stat(path) {
+                ranks.push(LayoutRank {
                     path: path.clone(),
                     stat,
-                }),
-                Err(_) => failed += 1,
+                });
             }
         }
-        ranks.sort_by(|a, b| {
-            (a.stat.mtime, a.stat.ino, &a.path).cmp(&(b.stat.mtime, b.stat.ino, &b.path))
-        });
+        ranks.sort_by(|a, b| (key(&a.stat), &a.path).cmp(&(key(&b.stat), &b.path)));
+        let failed = paths.len() - ranks.len();
         (ranks, failed)
     }
 

@@ -46,6 +46,13 @@
 //! self-calibration: time repeated touches of a few certainly-resident
 //! pages, and call anything "significantly larger" slow.
 //!
+//! # Pooled requests
+//!
+//! Requests that arrive together (gbd's `GbAlloc` queries of one tick)
+//! go through [`Mac::admit_all`]: one probe pass for all of them instead
+//! of one each, with every grant still verified resident. It and
+//! `gb_alloc` read a request through the same rounding rule.
+//!
 //! # Deadlock
 //!
 //! `gb_alloc` is admission control, not a transaction manager: two
@@ -113,6 +120,36 @@ pub struct GbAlloc {
     pub region: MemRegion,
     /// The admitted size in bytes (a multiple of the request's `multiple`).
     pub bytes: u64,
+}
+
+/// One `gb_alloc`-shaped request: at least `min`, at most `max`, in units
+/// of `multiple` (all in bytes). [`Mac::gb_alloc`] answers one;
+/// [`Mac::admit_all`] pools many behind one probe pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmissionRequest {
+    /// Smallest useful grant; the request is denied rather than take less.
+    pub min: u64,
+    /// Largest useful grant.
+    pub max: u64,
+    /// Grants are rounded down to a multiple of this (e.g. a sort's
+    /// record size). Must be positive.
+    pub multiple: u64,
+}
+
+impl AdmissionRequest {
+    /// The request cut to its `multiple`: the smallest and the largest
+    /// grant it accepts. A grant exists only if the first is at most the
+    /// second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `multiple` is zero or `min > max`.
+    fn bounds(&self) -> (u64, u64) {
+        assert!(self.multiple > 0, "multiple must be positive");
+        assert!(self.min <= self.max, "min exceeds max");
+        let min = self.min.max(self.multiple).next_multiple_of(self.multiple);
+        (min, round_down(self.max, self.multiple))
+    }
 }
 
 /// Cumulative cost accounting for Figure 7's overhead breakdown.
@@ -212,14 +249,11 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     ///
     /// Panics if `multiple` is zero or `min > max`.
     pub fn gb_alloc(&self, min: u64, max: u64, multiple: u64) -> OsResult<Option<GbAlloc>> {
-        assert!(multiple > 0, "multiple must be positive");
-        assert!(min <= max, "min exceeds max");
-        let page = self.os.page_size();
-        let min = min.max(multiple).next_multiple_of(multiple);
-        let max = round_down(max, multiple);
-        if max == 0 || min > max {
+        let (min, max) = AdmissionRequest { min, max, multiple }.bounds();
+        if min > max {
             return Ok(None);
         }
+        let page = self.os.page_size();
         self.stats.borrow_mut().attempts += 1;
         let fit = self.probe_available(max, page)?;
         let admitted = round_down(fit, multiple);
@@ -266,22 +300,100 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         self.os.mem_free(alloc.region)
     }
 
-    /// Allocates exactly `bytes` that some *shared* probe pass already
-    /// admitted, without re-probing availability.
+    /// Admits every request against one shared availability probe.
     ///
-    /// This is the grant half of the `gray-sched` MAC admission queue:
-    /// the queue runs one probe-and-verify calibration pass for all
-    /// pending requests (instead of each `gb_alloc` perturbing the
-    /// others), then carves grants from the single estimate through this
-    /// method. The first-touch loop keeps the page-daemon run detection,
-    /// and the region is verified resident afterwards — so if the shared
-    /// estimate went stale between the probe pass and this grant (a
-    /// competitor grabbed memory), the grant fails with `None` rather
-    /// than silently overcommitting.
-    pub fn gb_alloc_admitted(&self, bytes: u64) -> OsResult<Option<GbAlloc>> {
-        if bytes == 0 {
-            return Ok(None);
+    /// Back-to-back [`Mac::gb_alloc`] calls would each run their own
+    /// probe, and each probe allocates and touches memory, perturbing
+    /// exactly what the next caller is about to measure. Here one
+    /// [`Mac::available_estimate`] pass, bounded by the sum of the
+    /// requests' (rounded) maxima, serves them all, and grants are carved
+    /// from it in request order: each request gets `min(remaining, max)`
+    /// rounded down to its multiple, provided that still covers its
+    /// minimum. Every grant is first-touched with page-daemon detection
+    /// and verified resident, so a grant that comes back `None` means the
+    /// shared estimate went stale (memory was taken between the probe and
+    /// the grant). The remaining budget is then halved before the next
+    /// request: the estimate overstated reality.
+    ///
+    /// Returns one slot per request, in request order: `Some(alloc)` on
+    /// success, `None` if the request was not admitted or its grant went
+    /// stale. On `Err` every grant already made has been freed.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before probing, if any request has a zero `multiple` or
+    /// `min > max`.
+    pub fn admit_all(&self, requests: &[AdmissionRequest]) -> OsResult<Vec<Option<GbAlloc>>> {
+        let bounds: Vec<(u64, u64)> = requests.iter().map(AdmissionRequest::bounds).collect();
+        let ceiling = bounds
+            .iter()
+            .fold(0u64, |sum, &(_, max)| sum.saturating_add(max));
+        if ceiling == 0 {
+            return Ok(requests.iter().map(|_| None).collect());
         }
+        let mut remaining = self.available_estimate(ceiling)?;
+        let mut grants = Vec::with_capacity(requests.len());
+        for (req, &(min, max)) in requests.iter().zip(&bounds) {
+            let deny = || {
+                trace::emit_with(|| TraceEvent::AdmissionDecision {
+                    source: "mac.admit_all",
+                    requested: req.max,
+                    granted: 0,
+                })
+            };
+            // A request whose rounded bounds cross is denied here too:
+            // its grant is at most `max`, which is below its `min`.
+            let grant = round_down(remaining.min(max), req.multiple);
+            if grant < min {
+                deny();
+                grants.push(None);
+                continue;
+            }
+            let admitted = match self.gb_alloc_admitted(grant) {
+                Ok(admitted) => admitted,
+                Err(e) => {
+                    // Simulated memory outlives the caller's process (gbd
+                    // serves a whole fleet from one machine): give back
+                    // what was already granted before reporting the error.
+                    for alloc in grants.into_iter().flatten() {
+                        self.gb_free(alloc)?;
+                    }
+                    return Err(e);
+                }
+            };
+            match admitted {
+                Some(alloc) => {
+                    remaining -= alloc.bytes;
+                    trace::emit_with(|| TraceEvent::AdmissionDecision {
+                        source: "mac.admit_all",
+                        requested: req.max,
+                        granted: alloc.bytes,
+                    });
+                    grants.push(Some(alloc));
+                }
+                None => {
+                    remaining /= 2;
+                    trace::emit_with(|| TraceEvent::ThresholdCrossed {
+                        what: "mac.admit_all.stale_grant",
+                        value: grant as f64,
+                        threshold: remaining as f64,
+                    });
+                    deny();
+                    grants.push(None);
+                }
+            }
+        }
+        Ok(grants)
+    }
+
+    /// Allocates exactly `bytes` (positive) that [`Mac::admit_all`]'s
+    /// shared probe pass already admitted, without re-probing
+    /// availability. The first-touch loop keeps the page-daemon run
+    /// detection, and the region is verified resident afterwards, so if
+    /// the shared estimate went stale between the probe pass and this
+    /// grant (a competitor grabbed memory), the grant fails with `None`
+    /// rather than silently overcommitting.
+    fn gb_alloc_admitted(&self, bytes: u64) -> OsResult<Option<GbAlloc>> {
         let page = self.os.page_size();
         let th = self.ensure_thresholds()?;
         self.stats.borrow_mut().attempts += 1;
@@ -520,27 +632,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         if let Some(th) = *self.thresholds.borrow() {
             return Ok(th);
         }
-        let page = self.os.page_size();
-        let region = self.os.mem_alloc(CALIBRATION_PAGES * page)?;
-        let plan: Vec<u64> = (0..CALIBRATION_PAGES).collect();
-        let mut zero_times = Vec::new();
-        let mut touch_times = Vec::with_capacity(2 * CALIBRATION_PAGES as usize);
-        for round in 0..4 {
-            let samples = self.os.mem_probe_batch(region, &plan);
-            if samples.iter().any(|s| !s.ok) {
-                self.os.mem_free(region)?;
-                return Err(OsError::InvalidArgument);
-            }
-            let times = samples.iter().map(|s| s.elapsed.as_nanos() as f64);
-            match round {
-                // Round 0 pays allocation + zeroing; rounds 2-3 are pure
-                // resident re-touches (round 1 is a settling pass).
-                0 => zero_times.extend(times),
-                1 => {}
-                _ => touch_times.extend(times),
-            }
-        }
-        self.os.mem_free(region)?;
+        let (touch, zero) = page_cost_medians(self.os)?;
         // Calibrate the timer's own granularity: with a coarse clock
         // (e.g. microsecond gettimeofday), sub-quantum touches measure as
         // zero and a naive multiple-of-the-median threshold classifies
@@ -556,8 +648,6 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         }
         let quantum = if quantum == u64::MAX { 1 } else { quantum };
         let floor = (quantum * 4) as f64;
-        let touch = Summary::new(&touch_times).median().max(1.0);
-        let zero = Summary::new(&zero_times).median().max(touch);
         let th = Thresholds {
             touch_slow: GrayDuration::from_nanos((touch * SLOW_MULTIPLIER).max(floor) as u64),
             zero_slow: GrayDuration::from_nanos((zero * SLOW_MULTIPLIER).max(floor) as u64),
@@ -565,6 +655,38 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         *self.thresholds.borrow_mut() = Some(th);
         Ok(th)
     }
+}
+
+/// The calibration pass: write-touches [`CALIBRATION_PAGES`] fresh pages
+/// in four rounds. Round 0 pays allocation and zeroing, round 1 settles,
+/// and rounds 2 and 3 are resident re-touches. Returns the medians of the
+/// resident touches and of the first touches, in nanoseconds (the first
+/// at least 1, the second at least the first). MAC scales its thresholds
+/// from them, and the microbenchmark suite publishes them
+/// ([`crate::microbench::Microbench::page_costs`]). The scratch region is
+/// freed on every path.
+pub(crate) fn page_cost_medians<O: GrayBoxOs>(os: &O) -> OsResult<(f64, f64)> {
+    let region = os.mem_alloc(CALIBRATION_PAGES * os.page_size())?;
+    let plan: Vec<u64> = (0..CALIBRATION_PAGES).collect();
+    let mut zero_times = Vec::new();
+    let mut touch_times = Vec::with_capacity(2 * CALIBRATION_PAGES as usize);
+    for round in 0..4 {
+        let samples = os.mem_probe_batch(region, &plan);
+        if samples.iter().any(|s| !s.ok) {
+            os.mem_free(region)?;
+            return Err(OsError::InvalidArgument);
+        }
+        let times = samples.iter().map(|s| s.elapsed.as_nanos() as f64);
+        match round {
+            0 => zero_times.extend(times),
+            1 => {}
+            _ => touch_times.extend(times),
+        }
+    }
+    os.mem_free(region)?;
+    let touch = Summary::new(&touch_times).median().max(1.0);
+    let zero = Summary::new(&zero_times).median().max(touch);
+    Ok((touch, zero))
 }
 
 /// `pages` cut into runs of at most [`SUB_BATCH_PAGES`], in order.
@@ -577,7 +699,7 @@ fn sub_batches(pages: Range<u64>) -> impl Iterator<Item = Range<u64>> {
 
 /// `x` rounded down to a multiple of `m`: how a grant is cut to its
 /// request's `multiple`.
-pub fn round_down(x: u64, m: u64) -> u64 {
+fn round_down(x: u64, m: u64) -> u64 {
     x / m * m
 }
 
@@ -617,5 +739,26 @@ mod tests {
         assert_eq!(round_down(5, 4), 4);
         assert_eq!(round_down(8, 4), 8);
         assert_eq!(round_down(3, 4), 0);
+    }
+
+    #[test]
+    fn requests_round_min_up_and_max_down() {
+        let req = |min, max, multiple| AdmissionRequest { min, max, multiple }.bounds();
+        assert_eq!(req(10, 20, 4), (12, 20));
+        assert_eq!(req(0, 7, 4), (4, 4));
+        // Bounds that cross leave no grant: 5..=7 holds no multiple of 4.
+        assert_eq!(req(5, 7, 4), (8, 4));
+        assert_eq!(req(0, 0, 4), (4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple must be positive")]
+    fn zero_multiple_rejected() {
+        AdmissionRequest {
+            min: 1,
+            max: 2,
+            multiple: 0,
+        }
+        .bounds();
     }
 }

@@ -19,9 +19,10 @@ use gray_toolbox::rng::StdRng;
 use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::{split_fast_slow, GrayDuration, ParamRepository, Summary};
 
-use crate::os::{GrayBoxOs, OsError, OsResult};
+use crate::mac;
+use crate::os::{Fd, GrayBoxOs, OsError, OsResult};
 
-/// Observations per measurement.
+/// Observations per disk measurement.
 pub const SAMPLES: usize = 64;
 
 /// Seed of the random offsets the disk benchmarks read.
@@ -54,36 +55,18 @@ pub struct Microbench<'a, O: GrayBoxOs> {
 }
 
 impl<'a, O: GrayBoxOs> Microbench<'a, O> {
-    /// Creates a suite taking [`SAMPLES`] observations per measurement.
+    /// Creates a suite; each disk measurement takes [`SAMPLES`]
+    /// observations.
     pub fn new(os: &'a O) -> Self {
         Microbench { os }
     }
 
     /// Measures the cost of touching resident pages and of first-touch
-    /// allocate-and-zero.
+    /// allocate-and-zero, with MAC's own calibration pass (the medians over
+    /// [`crate::mac::CALIBRATION_PAGES`] pages, rounded down to whole
+    /// nanoseconds).
     pub fn page_costs(&self) -> OsResult<PageCosts> {
-        let page = self.os.page_size();
-        let pages = SAMPLES as u64;
-        let region = self.os.mem_alloc(pages * page)?;
-        let mut zero_times = Vec::with_capacity(pages as usize);
-        for p in 0..pages {
-            let (res, t) = self.os.timed(|os| os.mem_touch_write(region, p));
-            res?;
-            zero_times.push(t.as_nanos() as f64);
-        }
-        let mut touch_times = Vec::new();
-        for round in 0..4 {
-            for p in 0..pages {
-                let (res, t) = self.os.timed(|os| os.mem_touch_write(region, p));
-                res?;
-                if round > 0 {
-                    touch_times.push(t.as_nanos() as f64);
-                }
-            }
-        }
-        self.os.mem_free(region)?;
-        let touch = Summary::new(&touch_times).median().max(1.0);
-        let zero = Summary::new(&zero_times).median().max(touch);
+        let (touch, zero) = mac::page_cost_medians(self.os)?;
         Ok(PageCosts {
             touch: GrayDuration::from_nanos(touch as u64),
             zero: GrayDuration::from_nanos(zero as u64),
@@ -98,51 +81,40 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         if file_bytes < 4 * page {
             return Err(OsError::InvalidArgument);
         }
-        let fd = self.os.create(path)?;
-        let mut off = 0u64;
-        while off < file_bytes {
-            let chunk = (file_bytes - off).min(8 << 20);
-            self.os.write_fill(fd, off, chunk)?;
-            off += chunk;
-        }
-        self.os.sync()?;
+        let (bandwidth, times, hit_times) = self.on_scratch(path, file_bytes, |fd| {
+            // Sequential bandwidth over the whole file (also evicts the
+            // pages our own writes left cached, when the file exceeds the
+            // cache).
+            let t0 = self.os.now();
+            self.os.read_discard(fd, 0, file_bytes)?;
+            let seq = self.os.now().since(t0);
+            let bandwidth = if seq == GrayDuration::ZERO {
+                u64::MAX
+            } else {
+                (file_bytes as f64 / seq.as_secs_f64()) as u64
+            };
+            // Random single-page reads, then the same offsets again
+            // immediately: guaranteed hits.
+            let pages = file_bytes / page;
+            let sweep = || -> OsResult<Vec<f64>> {
+                let mut rng = StdRng::seed_from_u64(SEED);
+                let mut times = Vec::with_capacity(SAMPLES);
+                for _ in 0..SAMPLES {
+                    let p = rng.random_range(0..pages);
+                    let (res, t) = self.os.timed(|os| os.read_byte(fd, p * page));
+                    res?;
+                    times.push(t.as_nanos() as f64);
+                }
+                Ok(times)
+            };
+            let times = sweep()?;
+            Ok((bandwidth, times, sweep()?))
+        })?;
 
-        // Sequential bandwidth over the whole file (also evicts the pages
-        // our own writes left cached, when the file exceeds the cache).
-        let t0 = self.os.now();
-        self.os.read_discard(fd, 0, file_bytes)?;
-        let seq = self.os.now().since(t0);
-        let bandwidth = if seq == GrayDuration::ZERO {
-            u64::MAX
-        } else {
-            (file_bytes as f64 / seq.as_secs_f64()) as u64
-        };
-
-        // Random single-page reads; cluster to split hits from misses.
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let pages = file_bytes / page;
-        let mut times = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let p = rng.random_range(0..pages);
-            let (res, t) = self.os.timed(|os| os.read_byte(fd, p * page));
-            res?;
-            times.push(t.as_nanos() as f64);
-        }
-        // Re-read the same offsets immediately: guaranteed hits.
-        let mut hit_times = Vec::with_capacity(SAMPLES);
-        let mut rng = StdRng::seed_from_u64(SEED);
-        for _ in 0..SAMPLES {
-            let p = rng.random_range(0..pages);
-            let (res, t) = self.os.timed(|os| os.read_byte(fd, p * page));
-            res?;
-            hit_times.push(t.as_nanos() as f64);
-        }
-        self.os.close(fd)?;
-        self.os.unlink(path)?;
-
-        // The slow cluster holds the true misses; if the split is not
-        // trusted the file fit in cache, everything reads as slow, and the
-        // median of everything is our best guess.
+        // Cluster the first reads to split hits from misses. The slow
+        // cluster holds the true misses; if the split is not trusted the
+        // file fit in cache, everything reads as slow, and the median of
+        // everything is our best guess.
         let split = split_fast_slow(&times);
         let slow: Vec<f64> = times
             .iter()
@@ -170,37 +142,29 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
         if usable.is_empty() {
             return Err(OsError::InvalidArgument);
         }
-        let fd = self.os.create(path)?;
-        let mut off = 0u64;
-        while off < file_bytes {
-            let chunk = (file_bytes - off).min(8 << 20);
-            self.os.write_fill(fd, off, chunk)?;
-            off += chunk;
-        }
-        self.os.sync()?;
-
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let mut rates = Vec::with_capacity(usable.len());
-        for &unit in &usable {
-            let trials = 3u64;
-            let mut total = GrayDuration::ZERO;
-            for _ in 0..trials {
-                let max_start = file_bytes - unit;
-                let start = rng.random_range(0..=max_start);
-                let t0 = self.os.now();
-                self.os.read_discard(fd, start, unit)?;
-                total += self.os.now().since(t0);
+        let rates = self.on_scratch(path, file_bytes, |fd| {
+            let mut rng = StdRng::seed_from_u64(SEED);
+            let mut rates = Vec::with_capacity(usable.len());
+            for &unit in &usable {
+                let trials = 3u64;
+                let mut total = GrayDuration::ZERO;
+                for _ in 0..trials {
+                    let max_start = file_bytes - unit;
+                    let start = rng.random_range(0..=max_start);
+                    let t0 = self.os.now();
+                    self.os.read_discard(fd, start, unit)?;
+                    total += self.os.now().since(t0);
+                }
+                let secs = total.as_secs_f64();
+                let rate = if secs == 0.0 {
+                    f64::INFINITY
+                } else {
+                    (unit * trials) as f64 / secs
+                };
+                rates.push(rate);
             }
-            let secs = total.as_secs_f64();
-            let rate = if secs == 0.0 {
-                f64::INFINITY
-            } else {
-                (unit * trials) as f64 / secs
-            };
-            rates.push(rate);
-        }
-        self.os.close(fd)?;
-        self.os.unlink(path)?;
+            Ok(rates)
+        })?;
 
         let peak = rates.iter().copied().fold(0.0f64, f64::max);
         let chosen = usable
@@ -210,6 +174,34 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
             .map(|(&u, _)| u)
             .unwrap_or(*usable.last().expect("non-empty"));
         Ok(chosen)
+    }
+
+    /// Creates `path` holding `file_bytes` of fill, synced to disk, runs
+    /// `measure` on it, then closes and deletes it, whether or not
+    /// `measure` or the fill succeeded.
+    fn on_scratch<T>(
+        &self,
+        path: &str,
+        file_bytes: u64,
+        measure: impl FnOnce(Fd) -> OsResult<T>,
+    ) -> OsResult<T> {
+        let fd = self.os.create(path)?;
+        let fill = || -> OsResult<()> {
+            let mut off = 0u64;
+            while off < file_bytes {
+                let chunk = (file_bytes - off).min(8 << 20);
+                self.os.write_fill(fd, off, chunk)?;
+                off += chunk;
+            }
+            self.os.sync()
+        };
+        let measured = fill().and_then(|()| measure(fd));
+        let closed = self.os.close(fd);
+        let unlinked = self.os.unlink(path);
+        let value = measured?;
+        closed?;
+        unlinked?;
+        Ok(value)
     }
 
     /// Runs the full suite and publishes results into the repository under

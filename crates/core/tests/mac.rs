@@ -9,11 +9,14 @@
 //! pass of fewer than 50 pages (where the 2 % slow tolerance allows
 //! none) reads as paging and collapses an estimate.
 
+use std::cell::Cell;
+
 use gray_toolbox::repository::keys;
-use gray_toolbox::{GrayDuration, ParamRepository};
-use graybox::mac::{Mac, MacParams, MacStats, CALIBRATION_PAGES};
-use graybox::os::GrayBoxOs;
-use simos::{Sim, SimConfig};
+use gray_toolbox::{GrayDuration, Nanos, ParamRepository};
+use graybox::mac::{AdmissionRequest, Mac, MacParams, MacStats, CALIBRATION_PAGES};
+use graybox::microbench::Microbench;
+use graybox::os::{Fd, GrayBoxOs, MemRegion, OsError, OsResult, ProbeSample, Stat};
+use simos::{Sim, SimConfig, SimProc};
 
 const PAGE: u64 = 4096;
 
@@ -212,4 +215,211 @@ fn fair_alloc_still_honors_minimum() {
         assert!(a.bytes >= 32 * PAGE);
         mac.gb_free(a).unwrap();
     });
+}
+
+/// Pooled requests are answered slot for slot, in request order: the one
+/// that cannot fit is denied in its own slot while the requests around it
+/// are granted.
+#[test]
+fn admit_all_answers_each_request_in_order() {
+    machine(256).run_one(|os| {
+        let mac = Mac::new(os, small_params());
+        assert!(mac.admit_all(&[]).unwrap().is_empty());
+        let request = |min, max| AdmissionRequest {
+            min: min * PAGE,
+            max: max * PAGE,
+            multiple: PAGE,
+        };
+        let grants = mac
+            .admit_all(&[request(4, 8), request(300, 300), request(2, 2)])
+            .unwrap();
+        let sizes: Vec<Option<u64>> = grants.iter().map(|g| g.as_ref().map(|g| g.bytes)).collect();
+        assert_eq!(sizes, [Some(8 * PAGE), None, Some(2 * PAGE)]);
+        for alloc in grants.into_iter().flatten() {
+            mac.gb_free(alloc).unwrap();
+        }
+    });
+}
+
+/// A simulated process whose `fail_at`-th memory write-touch or file read
+/// (counted together over the wrapper's life) fails: a touch inside
+/// `mem_probe_batch` comes back `ok: false`, and a lone touch or a read
+/// returns an error without happening.
+struct FailingTouch<'a> {
+    os: &'a SimProc,
+    fail_at: u64,
+    ops: Cell<u64>,
+}
+
+impl FailingTouch<'_> {
+    /// Counts one touch or read; true if it is the one to fail.
+    fn fails(&self) -> bool {
+        self.ops.set(self.ops.get() + 1);
+        self.ops.get() == self.fail_at
+    }
+}
+
+fn injected() -> OsError {
+    OsError::Io("injected failure".into())
+}
+
+impl GrayBoxOs for FailingTouch<'_> {
+    fn now(&self) -> Nanos {
+        self.os.now()
+    }
+    fn page_size(&self) -> u64 {
+        self.os.page_size()
+    }
+    fn open(&self, path: &str) -> OsResult<Fd> {
+        self.os.open(path)
+    }
+    fn create(&self, path: &str) -> OsResult<Fd> {
+        self.os.create(path)
+    }
+    fn close(&self, fd: Fd) -> OsResult<()> {
+        self.os.close(fd)
+    }
+    fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> OsResult<usize> {
+        if self.fails() {
+            return Err(injected());
+        }
+        self.os.read_at(fd, offset, buf)
+    }
+    fn read_discard(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
+        if self.fails() {
+            return Err(injected());
+        }
+        self.os.read_discard(fd, offset, len)
+    }
+    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> OsResult<usize> {
+        self.os.write_at(fd, offset, data)
+    }
+    fn write_fill(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
+        self.os.write_fill(fd, offset, len)
+    }
+    fn file_size(&self, fd: Fd) -> OsResult<u64> {
+        self.os.file_size(fd)
+    }
+    fn sync(&self) -> OsResult<()> {
+        self.os.sync()
+    }
+    fn stat(&self, path: &str) -> OsResult<Stat> {
+        self.os.stat(path)
+    }
+    fn list_dir(&self, path: &str) -> OsResult<Vec<String>> {
+        self.os.list_dir(path)
+    }
+    fn mkdir(&self, path: &str) -> OsResult<()> {
+        self.os.mkdir(path)
+    }
+    fn rmdir(&self, path: &str) -> OsResult<()> {
+        self.os.rmdir(path)
+    }
+    fn unlink(&self, path: &str) -> OsResult<()> {
+        self.os.unlink(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> OsResult<()> {
+        self.os.rename(from, to)
+    }
+    fn set_times(&self, path: &str, atime: Nanos, mtime: Nanos) -> OsResult<()> {
+        self.os.set_times(path, atime, mtime)
+    }
+    fn mem_alloc(&self, bytes: u64) -> OsResult<MemRegion> {
+        self.os.mem_alloc(bytes)
+    }
+    fn mem_free(&self, region: MemRegion) -> OsResult<()> {
+        self.os.mem_free(region)
+    }
+    fn mem_touch_write(&self, region: MemRegion, page: u64) -> OsResult<()> {
+        if self.fails() {
+            return Err(injected());
+        }
+        self.os.mem_touch_write(region, page)
+    }
+    fn mem_touch_read(&self, region: MemRegion, page: u64) -> OsResult<u8> {
+        self.os.mem_touch_read(region, page)
+    }
+    fn compute(&self, work: GrayDuration) {
+        self.os.compute(work)
+    }
+    fn sleep(&self, d: GrayDuration) {
+        self.os.sleep(d)
+    }
+    fn yield_now(&self) {
+        self.os.yield_now()
+    }
+    fn mem_probe_batch(&self, region: MemRegion, pages: &[u64]) -> Vec<ProbeSample> {
+        let mut samples = self.os.mem_probe_batch(region, pages);
+        for s in &mut samples {
+            s.ok &= !self.fails();
+        }
+        samples
+    }
+}
+
+/// The scratch file the microbenchmarks create and must delete.
+const SCRATCH: &str = "/scratch";
+
+/// Every MAC entry point and every microbenchmark once, in order, freeing
+/// whatever was granted.
+fn every_entry_point(os: &FailingTouch<'_>) {
+    let mac = Mac::new(os, small_params());
+    let _ = mac.available_estimate(64 * PAGE);
+    if let Ok(Some(alloc)) = mac.gb_alloc(8 * PAGE, 48 * PAGE, PAGE) {
+        mac.gb_free(alloc).unwrap();
+    }
+    let requests = [AdmissionRequest {
+        min: 4 * PAGE,
+        max: 16 * PAGE,
+        multiple: PAGE,
+    }; 3];
+    if let Ok(grants) = mac.admit_all(&requests) {
+        for alloc in grants.into_iter().flatten() {
+            mac.gb_free(alloc).unwrap();
+        }
+    }
+    let bench = Microbench::new(os);
+    let _ = bench.page_costs();
+    let _ = bench.disk_profile(SCRATCH, 16 * PAGE);
+    let _ = bench.access_unit(SCRATCH, 4 << 20);
+}
+
+/// Simulated memory is global, not per process: whatever a failed probe
+/// path does not give back stays resident for the machine's life (under
+/// gbd, the daemon's shared machine), and so does a scratch file nobody
+/// deletes. Fail each touch and each read of the whole sequence in turn,
+/// each on a fresh quiet machine of 256 pages; no scratch file may be
+/// left, and once the file cache is dropped (the file system's metadata
+/// pages stay cached after a file is deleted) no page may stay resident.
+#[test]
+fn a_failed_touch_leaves_no_memory_resident() {
+    // Returns (touches and reads issued, pages resident after the
+    // sequence, whether the scratch file is left).
+    let run = |fail_at| {
+        let mut sim = machine(256);
+        let oracle = sim.oracle();
+        let (ops, left) = sim.run_one(|os| {
+            let failing = FailingTouch {
+                os,
+                fail_at,
+                ops: Cell::new(0),
+            };
+            every_entry_point(&failing);
+            (failing.ops.get(), os.stat(SCRATCH).is_ok())
+        });
+        sim.flush_file_cache();
+        (ops, oracle.resident_pages(), left)
+    };
+    let (ops, resident, left) = run(0);
+    assert_eq!((resident, left), (0, false));
+    assert!(ops > 1000, "{ops} touches and reads");
+    for k in 1..=ops {
+        let (issued, resident, left) = run(k);
+        assert!(issued >= k, "operation {k} was never issued");
+        assert_eq!(resident, 0, "failing operation {k} of {ops} leaked memory");
+        assert!(
+            !left,
+            "failing operation {k} of {ops} left the scratch file"
+        );
+    }
 }

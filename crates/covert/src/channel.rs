@@ -2,12 +2,12 @@
 //!
 //! # Protocol
 //!
-//! Time is divided into fixed slots of [`ChannelSpec::slot`] virtual
-//! nanoseconds, one message bit per slot. A shared file holds
-//! `pages_per_bit` pages per slot ("the slot's group") plus two
-//! calibration groups and three guard pages at the tail; slot `i` uses
-//! group `i` and **groups are never reused**, so the receiver's own
-//! probes (the Heisenberg effect) cannot poison later slots.
+//! Time is divided into fixed slots of [`SLOT`] of virtual time, one
+//! message bit per slot. A shared file holds [`PAGES_PER_BIT`] pages per
+//! slot ("the slot's group") plus two calibration groups and three guard
+//! pages at the tail; slot `i` uses group `i` and **groups are never
+//! reused**, so the receiver's own probes (the Heisenberg effect) cannot
+//! poison later slots.
 //!
 //! - **FCCD channel** (read side): at the start of slot `i` the
 //!   transmitter *reads* group `i` iff the bit is 1, warming its pages.
@@ -16,7 +16,7 @@
 //!   the first slot. The last page is probed because a cold probe triggers
 //!   an initial readahead fetch of up to `RA_INITIAL` pages — probing the
 //!   last page keeps that spill inside the *next* group's leading pages,
-//!   never reaching any future probe page (hence `pages_per_bit >= 4`).
+//!   never reaching any future probe page (hence `PAGES_PER_BIT >= 4`).
 //!
 //!   The cold side of the threshold must be the probe-cost **floor**, not
 //!   a typical cold read: seek distance dominates a random cold fetch, so
@@ -25,12 +25,12 @@
 //!   at media rate right behind the previous probe's disk position. The
 //!   receiver therefore reads the tail calibration groups back to back:
 //!   the first pays the seek, the second streams — a pure
-//!   `pages_per_bit`-page media-rate transfer, the cheapest a cold probe
+//!   `PAGES_PER_BIT`-page media-rate transfer, the cheapest a cold probe
 //!   can ever be. The threshold sits halfway between that floor and a
 //!   warm (in-cache) read.
 //! - **WBD channel** (write side): at the start of slot `i` the
 //!   transmitter *writes* group `i` iff the bit is 1, leaving
-//!   `pages_per_bit` dirty pages. Mid-slot, the receiver estimates the
+//!   `PAGES_PER_BIT` dirty pages. Mid-slot, the receiver estimates the
 //!   dirty residue with a calibrated timed `sync`
 //!   ([`graybox::wbd::Wbd::residue_pages`]); at least half a group
 //!   decodes as a 1. The probe's `sync` also drains the residue,
@@ -64,6 +64,17 @@ use simos::{Platform, Sim, SimConfig, SimProc, PAGE_SIZE};
 use crate::defender::{defender_workload, DefenderKind};
 use crate::score::{join_errors, ChannelScore};
 
+/// Slot length in virtual time, one message bit each; also the kernel
+/// flusher's interval.
+pub const SLOT: GrayDuration = GrayDuration::from_millis(50);
+
+/// Pages per slot group.
+pub const PAGES_PER_BIT: u64 = 4;
+
+// The probe page must clear the initial readahead window, and the slot
+// must be long enough to phase-align (see the module docs).
+const _: () = assert!(PAGES_PER_BIT >= 4 && SLOT.as_nanos() >= 8);
+
 /// Which side effect carries the bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelKind {
@@ -76,6 +87,9 @@ pub enum ChannelKind {
 }
 
 impl ChannelKind {
+    /// Every channel, in the grid's order.
+    pub const ALL: [ChannelKind; 2] = [ChannelKind::Fccd, ChannelKind::Wbd];
+
     /// Short tag for labels and JSON.
     pub fn name(&self) -> &'static str {
         match self {
@@ -135,21 +149,8 @@ pub struct ChannelSpec {
     pub defender: DefenderKind,
     /// Message length in bits (one slot each).
     pub bits: usize,
-    /// Slot length in virtual time; also the flusher interval.
-    pub slot: GrayDuration,
-    /// Pages per slot group (at least 4 — see the module docs).
-    pub pages_per_bit: u64,
     /// Seed: drives the message bits, the machine, and the defender RNG.
     pub seed: u64,
-}
-
-/// Stable tag for a platform (mirrors the scenario matrix's labels).
-fn platform_tag(platform: Platform) -> &'static str {
-    match platform {
-        Platform::LinuxLike => "linux",
-        Platform::NetBsdLike => "netbsd",
-        Platform::SolarisLike => "solaris",
-    }
 }
 
 impl ChannelSpec {
@@ -157,7 +158,7 @@ impl ChannelSpec {
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/b{}",
-            platform_tag(self.platform),
+            self.platform.tag(),
             self.channel.name(),
             self.defender.name(),
             self.bits
@@ -170,29 +171,23 @@ impl ChannelSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is inconsistent (no bits, a zero slot, or a
-    /// group smaller than the initial readahead window).
+    /// Panics if the spec has no bits.
     pub fn run(&self) -> ChannelScore {
         assert!(self.bits > 0, "at least one bit");
-        assert!(
-            self.pages_per_bit >= 4,
-            "probe page must clear the initial readahead window"
-        );
-        let s = self.slot.as_nanos();
-        assert!(s >= 8, "slot too short to phase-align");
+        let s = SLOT.as_nanos();
 
         let mut cfg = SimConfig::small()
             .with_platform(self.platform)
             .with_seed(self.seed)
             .without_noise()
-            .with_writeback(self.slot);
+            .with_writeback(SLOT);
         // One-page readahead: stream detection must not couple adjacent
         // slot groups (see the module docs).
         cfg.readahead_pages = 1;
         let mut sim = Sim::new(cfg);
         let t0 = sim.now();
 
-        let k = self.pages_per_bit;
+        let k = PAGES_PER_BIT;
         let bits_n = self.bits;
         let region_pages = bits_n as u64 * k;
         let data_path = "/covert.dat";
@@ -356,7 +351,6 @@ impl ChannelSpec {
             self.label(),
             &received,
             errors,
-            self.slot,
             tx_work_ns,
             def_work_ns,
             sim.oracle().stats().flusher_runs,
@@ -377,8 +371,6 @@ mod tests {
             channel,
             defender,
             bits: 16,
-            slot: GrayDuration::from_millis(50),
-            pages_per_bit: 4,
             seed: 0xC0DE,
         }
     }

@@ -49,6 +49,13 @@ pub enum DefenderKind {
 }
 
 impl DefenderKind {
+    /// Every defender, in the grid's order.
+    pub const ALL: [DefenderKind; 3] = [
+        DefenderKind::Idle,
+        DefenderKind::Noise,
+        DefenderKind::EagerFlush,
+    ];
+
     /// Short tag for labels and JSON.
     pub fn name(&self) -> &'static str {
         match self {

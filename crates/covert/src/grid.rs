@@ -12,28 +12,22 @@
 
 use gray_toolbox::pool::{self, JobPanic, Pool};
 use gray_toolbox::rng::splitmix64;
-use gray_toolbox::GrayDuration;
 use simos::Platform;
 
 use crate::channel::{ChannelKind, ChannelSpec};
 use crate::defender::DefenderKind;
 use crate::score::ChannelScore;
 
-/// The axes of the sweep plus the shared channel knobs.
+/// The platforms to sweep and the message to send. Every grid sweeps
+/// both channels ([`ChannelKind::ALL`]) against every defender
+/// ([`DefenderKind::ALL`]), at the channel's one slot length and group
+/// size.
 #[derive(Debug, Clone)]
 pub struct CovertGridConfig {
     /// Platform cache policies to sweep.
     pub platforms: Vec<Platform>,
-    /// Channel kinds to sweep.
-    pub channels: Vec<ChannelKind>,
-    /// Defenders to sweep.
-    pub defenders: Vec<DefenderKind>,
     /// Message length in bits.
     pub bits: usize,
-    /// Slot length (also the flusher interval).
-    pub slot: GrayDuration,
-    /// Pages per slot group.
-    pub pages_per_bit: u64,
     /// Grid seed; each cell derives its own seed from this and its index.
     pub seed: u64,
 }
@@ -48,15 +42,7 @@ impl CovertGridConfig {
                 Platform::NetBsdLike,
                 Platform::SolarisLike,
             ],
-            channels: vec![ChannelKind::Fccd, ChannelKind::Wbd],
-            defenders: vec![
-                DefenderKind::Idle,
-                DefenderKind::Noise,
-                DefenderKind::EagerFlush,
-            ],
             bits: 32,
-            slot: GrayDuration::from_millis(50),
-            pages_per_bit: 4,
             seed: 0x636F_7665_7274, // "covert"
         }
     }
@@ -73,7 +59,7 @@ impl CovertGridConfig {
 
     /// Number of cells the config expands to.
     pub fn cells(&self) -> usize {
-        self.platforms.len() * self.channels.len() * self.defenders.len()
+        self.platforms.len() * ChannelKind::ALL.len() * DefenderKind::ALL.len()
     }
 
     /// Expands the cross product into self-contained cell specs, in a
@@ -81,8 +67,8 @@ impl CovertGridConfig {
     pub fn expand(&self) -> Vec<ChannelSpec> {
         let mut specs = Vec::with_capacity(self.cells());
         for &platform in &self.platforms {
-            for &channel in &self.channels {
-                for &defender in &self.defenders {
+            for channel in ChannelKind::ALL {
+                for defender in DefenderKind::ALL {
                     let index = specs.len();
                     let mut state = self.seed ^ (index as u64).wrapping_mul(0x9E37);
                     let seed = splitmix64(&mut state);
@@ -92,8 +78,6 @@ impl CovertGridConfig {
                         channel,
                         defender,
                         bits: self.bits,
-                        slot: self.slot,
-                        pages_per_bit: self.pages_per_bit,
                         seed,
                     });
                 }
@@ -126,11 +110,7 @@ mod tests {
     fn tiny() -> CovertGridConfig {
         CovertGridConfig {
             platforms: vec![Platform::LinuxLike],
-            channels: vec![ChannelKind::Fccd, ChannelKind::Wbd],
-            defenders: vec![DefenderKind::Idle, DefenderKind::EagerFlush],
             bits: 8,
-            slot: GrayDuration::from_millis(50),
-            pages_per_bit: 4,
             seed: 11,
         }
     }

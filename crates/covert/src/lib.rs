@@ -25,7 +25,6 @@
 //!
 //! ```
 //! use covert::{ChannelKind, ChannelSpec, DefenderKind};
-//! use gray_toolbox::GrayDuration;
 //! use simos::Platform;
 //!
 //! let score = ChannelSpec {
@@ -34,8 +33,6 @@
 //!     channel: ChannelKind::Fccd,
 //!     defender: DefenderKind::Idle,
 //!     bits: 8,
-//!     slot: GrayDuration::from_millis(50),
-//!     pages_per_bit: 4,
 //!     seed: 7,
 //! }
 //! .run();

@@ -21,7 +21,8 @@
 //! depend on floating-point transcendentals.
 
 use gray_toolbox::hash::{fnv, FNV_OFFSET};
-use gray_toolbox::GrayDuration;
+
+use crate::channel::SLOT;
 
 /// Counts positions where `sent` and `received` disagree.
 ///
@@ -87,7 +88,6 @@ impl ChannelScore {
         label: String,
         received: &[bool],
         errors: u64,
-        slot: GrayDuration,
         transmitter_work_ns: u64,
         defender_work_ns: u64,
         flusher_runs: u64,
@@ -100,7 +100,7 @@ impl ChannelScore {
         } else {
             errors as f64 / bits as f64
         };
-        let raw_bps = 1e9 / slot.as_nanos() as f64;
+        let raw_bps = 1e9 / SLOT.as_nanos() as f64;
         let capacity_bps = raw_bps * (1.0 - binary_entropy(ber)).max(0.0);
 
         let mut digest = FNV_OFFSET;
@@ -164,9 +164,8 @@ mod tests {
 
     #[test]
     fn capacity_collapses_at_half_ber() {
-        let slot = GrayDuration::from_millis(50);
-        let clean = ChannelScore::new("a".into(), &[true; 16], 0, slot, 0, 0, 0, 1, 0);
-        let coin = ChannelScore::new("b".into(), &[true; 16], 8, slot, 0, 0, 0, 1, 0);
+        let clean = ChannelScore::new("a".into(), &[true; 16], 0, 0, 0, 0, 1, 0);
+        let coin = ChannelScore::new("b".into(), &[true; 16], 8, 0, 0, 0, 1, 0);
         assert!((clean.capacity_bps - clean.raw_bps).abs() < 1e-9);
         assert!(coin.capacity_bps < 1e-9, "BER 0.5 must score ~0 capacity");
         assert_ne!(clean.digest, coin.digest);

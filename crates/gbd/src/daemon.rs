@@ -18,22 +18,21 @@
 //! 3. **Execution.** All admitted FCCD queries submit their plans to the
 //!    shared scheduler and dispatch together, so tenants' probes pool
 //!    into shared waves; MAC allocation requests pool behind one
-//!    [`MacAdmissionQueue`] pass; the rest run one by one.
+//!    [`Mac::admit_all`] probe pass; the rest run one by one.
 //! 4. **Churn.** The tick's fresh per-file verdicts are handed to the
 //!    staleness policy; contradicted entries are evicted and re-inferred
 //!    (budget permitting).
 
 use std::collections::BTreeMap;
 
-use gray_sched::AdmissionRequest;
-use gray_sched::{FccdFleet, MacAdmissionQueue, Scheduler, SimExecutor};
+use gray_sched::{FccdFleet, Scheduler, SimExecutor};
 use gray_toolbox::mailbox::{Mailbox, MailboxClient, Ticket};
 use gray_toolbox::stats::Log2Histogram;
 use gray_toolbox::trace::{self, TraceEvent};
 use gray_toolbox::Nanos;
 use graybox::fccd::{classify_ranks, FileRank};
 use graybox::fldc::Fldc;
-use graybox::mac::Mac;
+use graybox::mac::{AdmissionRequest, Mac, MacParams};
 use graybox::os::GrayBoxOs;
 use graybox::wbd::{Wbd, WbdParams};
 use simos::Sim;
@@ -527,11 +526,10 @@ impl Gbd {
         for item in &other_items {
             let (reply, verdicts) = match &item.query {
                 Query::MacAvailable { ceiling } => {
-                    let params = self.cfg.mac.clone();
                     let ceiling = *ceiling;
-                    let reply = match sim
-                        .run_one(move |os| Mac::new(os, params).available_estimate(ceiling))
-                    {
+                    let reply = match sim.run_one(move |os| {
+                        Mac::new(os, MacParams::default()).available_estimate(ceiling)
+                    }) {
                         Ok(bytes) => Reply::Available { bytes },
                         Err(e) => Reply::Failed(e.to_string()),
                     };
@@ -666,11 +664,11 @@ impl Gbd {
     }
 
     /// Pools every allocation request of the tick behind one
-    /// `MacAdmissionQueue` probe pass. Grants are measured and released —
+    /// [`Mac::admit_all`] probe pass. Grants are measured and released —
     /// the reply reports the admitted size.
     fn execute_allocs(&mut self, sim: &mut Sim, items: &[ExecItem]) -> Vec<Reply> {
-        // A request with `min > max` is answered, never submitted (the
-        // queue asserts on it); the rest of the tick's requests still pool.
+        // A request with `min > max` is answered, never admitted (MAC
+        // asserts on it); the rest of the tick's requests still pool.
         let requests: Vec<Option<AdmissionRequest>> = items
             .iter()
             .map(|item| {
@@ -684,14 +682,10 @@ impl Gbd {
                 })
             })
             .collect();
-        let params = self.cfg.mac.clone();
         sim.run_one(move |os| {
-            let mac = Mac::new(os, params);
-            let mut queue = MacAdmissionQueue::new();
-            for req in requests.iter().flatten() {
-                queue.submit(*req);
-            }
-            let mut grants = queue.admit_all(&mac).map(Vec::into_iter);
+            let mac = Mac::new(os, MacParams::default());
+            let pooled: Vec<AdmissionRequest> = requests.iter().flatten().copied().collect();
+            let mut grants = mac.admit_all(&pooled).map(Vec::into_iter);
             requests
                 .iter()
                 .map(|req| match (req, &mut grants) {

@@ -22,12 +22,16 @@
 //!   probe-needing executions; queries over it are shed, not queued (the
 //!   client retries, as after `gb_alloc`'s deny), so one tick's probing
 //!   is bounded whatever the tenants send.
+//! - **Pooled grants.** A tick's `GbAlloc` queries are admitted together
+//!   by `graybox`'s `Mac::admit_all`, behind one probe pass.
 //! - **A trace lane per tenant.** Each tenant gets its own gray-trace
 //!   lane; daemon-side events (cache accesses, admission decisions,
 //!   classification verdicts) carry the lane of the tenant they serve, so
 //!   per-client telemetry falls out of the PR 5 tracer for free.
 //!
-//! Every tunable is a field of [`GbdConfig`].
+//! Every tunable is a field of [`GbdConfig`]. MAC runs at its default
+//! parameters, the ones every gray-box allocator in the workspace uses
+//! unless it sizes a figure's machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +42,6 @@ pub mod daemon;
 use gray_sched::SchedConfig;
 use gray_toolbox::GrayDuration;
 use graybox::fccd::FccdParams;
-use graybox::mac::MacParams;
 
 pub use cache::{CacheEntry, ChurnAware, Disposition, InferenceCache, StalenessPolicy, TtlOnly};
 pub use daemon::{
@@ -65,8 +68,6 @@ pub struct GbdConfig {
     pub cache_capacity: usize,
     /// FCCD planner parameters shared by every tenant's queries.
     pub fccd: FccdParams,
-    /// MAC parameters for estimates and pooled allocations.
-    pub mac: MacParams,
     /// Shared probe-scheduler configuration (wave width, sub-batch).
     pub sched: SchedConfig,
 }
@@ -79,7 +80,6 @@ impl Default for GbdConfig {
             admission_budget: 8,
             cache_capacity: 4096,
             fccd: FccdParams::default(),
-            mac: MacParams::default(),
             sched: SchedConfig::default(),
         }
     }

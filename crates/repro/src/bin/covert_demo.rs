@@ -18,10 +18,10 @@
 
 use covert::{message_bits, ChannelKind, ChannelSpec, DefenderKind};
 use gray_toolbox::trace;
-use gray_toolbox::GrayDuration;
 use simos::Platform;
 
-/// The demo's fixed cell shape: 16 bits, 50 ms slots, 4-page groups.
+/// The demo's fixed cell shape: 16 bits (in the channel's 50 ms slots and
+/// 4-page groups).
 fn spec(index: usize, channel: ChannelKind, defender: DefenderKind) -> ChannelSpec {
     ChannelSpec {
         index,
@@ -29,8 +29,6 @@ fn spec(index: usize, channel: ChannelKind, defender: DefenderKind) -> ChannelSp
         channel,
         defender,
         bits: 16,
-        slot: GrayDuration::from_millis(50),
-        pages_per_bit: 4,
         seed: 0x00DE_C0DE,
     }
 }
@@ -43,17 +41,12 @@ fn main() {
     println!("== covert channels: 16-bit message {rendered}, 50ms slots ==");
     println!();
 
-    let defenders = [
-        DefenderKind::Idle,
-        DefenderKind::Noise,
-        DefenderKind::EagerFlush,
-    ];
     for (channel, what) in [
         (ChannelKind::Fccd, "fccd — bits ride page-cache residency"),
         (ChannelKind::Wbd, "wbd  — bits ride dirty-page residue"),
     ] {
         println!("-- {what} --");
-        for (i, &defender) in defenders.iter().enumerate() {
+        for (i, defender) in DefenderKind::ALL.into_iter().enumerate() {
             let score = spec(i, channel, defender).run();
             println!(
                 "   {:<22} {:>2}/{} errors  ber {:.3}  capacity {:>6.1} bits/s  \

@@ -10,7 +10,7 @@
 //! smaller than grep's because the sort's own heap and write buffering
 //! compete for memory).
 
-use gray_apps::gbp::{Gbp, GbpMode};
+use gray_apps::gbp::Gbp;
 use gray_apps::grep::{Grep, GrepMode, GrepOptions, Needle};
 use gray_apps::workload::{make_file, make_files};
 use gray_toolbox::GrayDuration;
@@ -98,8 +98,8 @@ fn run_grep(scale: Scale) -> AppBars {
                     MeasureMode::Gbp => {
                         // Unmodified grep fed by `gbp -mem`.
                         let t0 = os.now();
-                        let ordered = Gbp::new(os, params)
-                            .order_files(&paths, GbpMode::Mem)
+                        let ordered = Gbp::new(os, params.clone())
+                            .order_files(&paths, &GrepMode::GrayBox(params))
                             .unwrap();
                         let r = grep.run(&ordered, &needle, &GrepMode::Unmodified).unwrap();
                         let _ = r;

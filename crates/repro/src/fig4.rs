@@ -156,7 +156,6 @@ fn run_search(scale: Scale, platform: Platform) -> Bars {
     let params = scale.fccd_params();
     let opts = GrepOptions {
         stop_at_first_match: true,
-        ..GrepOptions::default()
     };
 
     let mut sim = Sim::new(cfg);

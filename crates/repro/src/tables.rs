@@ -25,11 +25,8 @@ pub fn render_table1() -> String {
     );
     out.push_str("\nMeasured evidence (this reproduction):\n");
 
-    let wired = priorart::tcp::run(&priorart::tcp::TcpConfig::default());
-    let wireless = priorart::tcp::run(&priorart::tcp::TcpConfig {
-        wireless_loss: 0.03,
-        ..priorart::tcp::TcpConfig::default()
-    });
+    let wired = priorart::tcp::run(0.0);
+    let wireless = priorart::tcp::run(0.03);
     out.push_str(&format!(
         "  TCP: wired util {:.0}% fairness {:.2} inference-accuracy {:.0}%; \
          wireless(3% loss) util {:.0}% accuracy {:.0}% (gray-box rule breaks)\n",
@@ -40,14 +37,10 @@ pub fn render_table1() -> String {
         wireless.inference_accuracy * 100.0,
     ));
 
-    let cfg = priorart::cosched::CoschedConfig::default();
-    let block = priorart::cosched::run(&cfg, priorart::cosched::WaitPolicy::BlockImmediately);
-    let spin = priorart::cosched::run(
-        &cfg,
-        priorart::cosched::WaitPolicy::SpinBlock {
-            spin: priorart::cosched::baseline_spin(&cfg),
-        },
-    );
+    let block = priorart::cosched::run(priorart::cosched::WaitPolicy::BlockImmediately);
+    let spin = priorart::cosched::run(priorart::cosched::WaitPolicy::SpinBlock {
+        spin: priorart::cosched::BASELINE_SPIN,
+    });
     out.push_str(&format!(
         "  Implicit cosched: spin-block {:.0} ticks vs block {:.0} ticks \
          ({:.1}x), spin hit-rate {:.0}%\n",
@@ -57,7 +50,7 @@ pub fn render_table1() -> String {
         spin.spin_hits * 100.0,
     ));
 
-    let manners = priorart::manners::run(&priorart::manners::MannersConfig::default());
+    let manners = priorart::manners::run(&priorart::manners::BUSY);
     out.push_str(&format!(
         "  MS Manners: detection latency {:.0} ticks, interference {:.0}% of \
          busy time, idle utilization {:.0}%\n",
@@ -67,9 +60,8 @@ pub fn render_table1() -> String {
     ));
 
     // Bonus: the paper's Section 2.2 AFS control example, quantified.
-    let afs_cfg = priorart::afs::AfsConfig::default();
-    let demand = priorart::afs::run_demand(&afs_cfg);
-    let prefetch = priorart::afs::run_prefetch(&afs_cfg);
+    let demand = priorart::afs::run_demand();
+    let prefetch = priorart::afs::run_prefetch();
     out.push_str(&format!(
         "  AFS prefetch (\u{00a7}2.2): demand {:.1}s vs 1-byte-probe prefetch {:.1}s \
          ({:.0}% of fetch stall hidden)\n",

@@ -1,8 +1,8 @@
 //! gray-sched: a shared probe-scheduler runtime for gray-box ICLs.
 //!
-//! ICLs learn about the OS by *probing* it — timed reads (FCCD), page
-//! touches (MAC) — and until now every ICL dispatched its own probes
-//! inline, serially. This crate centralises dispatch: clients describe
+//! ICLs learn about the OS by *probing* it, and an ICL on its own
+//! dispatches its probes inline, serially. This crate centralises the
+//! dispatch of file probes (FCCD's timed reads): clients describe
 //! probes as inert [`ProbePlan`]s, submit them to a [`Scheduler`], and the
 //! scheduler fans waves of plans out across processes (one simulated
 //! process per plan under `simos`, or inline on a borrowed backend) through
@@ -24,6 +24,10 @@
 //! signal, not interference, so whether probe times can be trusted is
 //! the fold's call (`graybox::fccd::classify_ranks`' separation floor).
 //!
+//! The crate schedules probes and nothing else: what an ICL concludes
+//! from them stays in `graybox`, including MAC's pooling of allocation
+//! requests (`Mac::admit_all`).
+//!
 //! Every tunable is a field of [`SchedConfig`].
 
 use std::collections::{BTreeMap, VecDeque};
@@ -31,12 +35,10 @@ use std::collections::{BTreeMap, VecDeque};
 use gray_toolbox::trace;
 use gray_toolbox::GrayDuration;
 
-pub mod admission;
 pub mod exec;
 pub mod fccd;
 pub mod plan;
 
-pub use admission::{AdmissionRequest, AdmissionTicket, MacAdmissionQueue};
 pub use exec::{InlineExecutor, PlanExecutor, SimExecutor, WaveOutcome};
 pub use fccd::{FccdFleet, PendingFiles};
 pub use plan::{execute_plan, PlanResult, ProbePlan};

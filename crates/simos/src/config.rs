@@ -38,6 +38,16 @@ impl Platform {
             Platform::SolarisLike => "Solaris 7",
         }
     }
+
+    /// Short stable tag for cell labels (`linux`, `netbsd`, `solaris`),
+    /// shared by the scenario matrix and the covert grid.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Platform::LinuxLike => "linux",
+            Platform::NetBsdLike => "netbsd",
+            Platform::SolarisLike => "solaris",
+        }
+    }
 }
 
 /// How physical memory is divided between the file cache and anonymous
@@ -389,5 +399,12 @@ mod tests {
         assert_eq!(Platform::LinuxLike.name(), "Linux 2.2");
         assert_eq!(Platform::NetBsdLike.name(), "NetBSD 1.5");
         assert_eq!(Platform::SolarisLike.name(), "Solaris 7");
+        let tags = [
+            Platform::LinuxLike,
+            Platform::NetBsdLike,
+            Platform::SolarisLike,
+        ]
+        .map(Platform::tag);
+        assert_eq!(tags, ["linux", "netbsd", "solaris"]);
     }
 }

@@ -34,6 +34,7 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
+use gray_toolbox::pool::panic_message;
 use gray_toolbox::trace;
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, GrayBoxOs, MemRegion, OsResult, ProbeSample, ProbeSpec, Stat};
@@ -76,16 +77,6 @@ impl std::fmt::Display for ProcPanic {
 }
 
 impl std::error::Error for ProcPanic {}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Incremental view of [`Kernel::next_runnable`]: a `(time, pid)` binary
 /// min-heap with lazy invalidation.

@@ -211,14 +211,6 @@ pub struct CellResult {
     pub digest: u64,
 }
 
-fn platform_tag(platform: Platform) -> &'static str {
-    match platform {
-        Platform::LinuxLike => "linux",
-        Platform::NetBsdLike => "netbsd",
-        Platform::SolarisLike => "solaris",
-    }
-}
-
 /// Noise parameters for an amplitude: jitter scales directly, spike
 /// probability scales proportionally off the default profile.
 fn noise_for(amp: f64) -> NoiseParams {
@@ -239,7 +231,7 @@ impl ScenarioSpec {
     pub fn label(&self) -> String {
         format!(
             "{}/{}/n{:.2}/{}/f{}",
-            platform_tag(self.platform),
+            self.platform.tag(),
             if self.aging { "aged" } else { "fresh" },
             self.noise_amp,
             self.mix.name(),

@@ -112,7 +112,6 @@ fn run_script(layout: LayoutPolicy) -> Row {
         layout,
         blocks_per_group: 512,
         inodes_per_group: 128,
-        ..FsParams::default()
     };
     let fs = Fs::new(params, 0, 6 * 516 + 200);
     assert_eq!(fs.group_count(), 6);

@@ -82,7 +82,6 @@ fn run_script(platform: Platform) -> Row {
         let params = MacParams {
             initial_increment: 1 << 20,
             max_increment: 4 << 20,
-            ..MacParams::default()
         };
         Mac::new(os, params)
             .available_estimate(2 * usable * PAGE)

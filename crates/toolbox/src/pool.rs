@@ -45,7 +45,10 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload rendered to text: `&str` and `String` payloads
+/// verbatim, anything else a placeholder. The pool's [`JobPanic`] and the
+/// simulator's per-process panic report both read it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

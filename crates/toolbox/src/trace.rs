@@ -145,7 +145,7 @@ pub enum TraceEvent {
     },
     /// A memory request was admitted (or not).
     AdmissionDecision {
-        /// Who decided (e.g. `mac.gb_alloc`, `sched.admission`).
+        /// Who decided (e.g. `mac.gb_alloc`, `mac.admit_all`).
         source: &'static str,
         /// Bytes requested.
         requested: u64,

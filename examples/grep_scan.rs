@@ -7,7 +7,7 @@
 //! layout-only (FLDC), and the composed FCCD+FLDC ordering — over repeated
 //! warm-cache runs, plus the gbp pipeline for unmodified binaries.
 
-use graybox_icl::apps::gbp::{Gbp, GbpMode};
+use graybox_icl::apps::gbp::Gbp;
 use graybox_icl::apps::grep::{Grep, GrepMode, GrepOptions, Needle};
 use graybox_icl::apps::workload::make_files;
 use graybox_icl::graybox::fccd::FccdParams;
@@ -68,7 +68,7 @@ fn main() {
         let r = sim.run_one(move |os| {
             let t0 = os.now();
             let ordered = Gbp::new(os, params())
-                .order_files(&paths, GbpMode::Mem)
+                .order_files(&paths, &GrepMode::GrayBox(params()))
                 .unwrap();
             let rep = Grep::new(os, GrepOptions::default())
                 .run(&ordered, &needle, &GrepMode::Unmodified)

@@ -20,9 +20,9 @@ use graybox_icl::covert::{
 use graybox_icl::simos::Platform;
 use graybox_icl::toolbox::pool::Pool;
 use graybox_icl::toolbox::profile;
-use graybox_icl::toolbox::GrayDuration;
 
-/// The demo's cell shape: 16 bits, 50 ms slots, 4-page groups.
+/// The demo's cell shape: 16 bits (in the channel's 50 ms slots and
+/// 4-page groups).
 fn cell(channel: ChannelKind, defender: DefenderKind, seed: u64) -> ChannelSpec {
     ChannelSpec {
         index: 0,
@@ -30,8 +30,6 @@ fn cell(channel: ChannelKind, defender: DefenderKind, seed: u64) -> ChannelSpec 
         channel,
         defender,
         bits: 16,
-        slot: GrayDuration::from_millis(50),
-        pages_per_bit: 4,
         seed,
     }
 }

@@ -24,7 +24,7 @@
 
 use graybox_icl::gbd::{Gbd, GbdConfig, Query, Reply};
 use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams};
-use graybox_icl::graybox::mac::Mac;
+use graybox_icl::graybox::mac::{Mac, MacParams};
 use graybox_icl::graybox::os::GrayBoxOs;
 use graybox_icl::sched::SchedConfig;
 use graybox_icl::simos::{Sim, SimConfig};
@@ -164,9 +164,10 @@ fn single_tenant_daemon_matches_direct_mac_estimate() {
 
             let (direct, direct_now) = {
                 let mut sim = Sim::new(SimConfig::small().without_noise());
-                let params = cfg.mac.clone();
                 let bytes = sim
-                    .run_one(move |os| Mac::new(os, params).available_estimate(ceiling))
+                    .run_one(move |os| {
+                        Mac::new(os, MacParams::default()).available_estimate(ceiling)
+                    })
                     .unwrap();
                 (bytes, sim.now())
             };

@@ -353,8 +353,8 @@ fn gbp_pipeline_equals_library_ordering() {
                 .into_iter()
                 .map(|r| r.path)
                 .collect();
-            let gbp = graybox_icl::apps::gbp::Gbp::new(os, params)
-                .order_files(&paths, graybox_icl::apps::gbp::GbpMode::Mem)
+            let gbp = graybox_icl::apps::gbp::Gbp::new(os, params.clone())
+                .order_files(&paths, &graybox_icl::apps::GrepMode::GrayBox(params))
                 .unwrap();
             (lib, gbp)
         }

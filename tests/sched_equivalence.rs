@@ -19,11 +19,11 @@
 //! `half_warm_fleet_keeps_wave_width_and_verdicts` that waves stay that
 //! wide on half-warm traffic without moving a verdict.
 //!
-//! The last test covers the MAC side of the scheduler: pooling
-//! `gb_alloc` requests behind one [`MacAdmissionQueue`] probe pass must
-//! not blind MAC's paging detection — with a memory hog running
-//! concurrently, the shared probe still sees the daemon wake up and the
-//! pooled grants shrink accordingly.
+//! The last test covers the other pooled path gbd runs beside the
+//! scheduler's waves: pooling `gb_alloc` requests behind one
+//! [`Mac::admit_all`] probe pass must not blind MAC's paging detection —
+//! with a memory hog running concurrently, the shared probe still sees
+//! the daemon wake up and the pooled grants shrink accordingly.
 //!
 //! Replay recipes — the harness prints the failing case's seed in a
 //! banner; rerun it (or widen the sweep) with:
@@ -39,12 +39,9 @@ use std::collections::BTreeSet;
 
 use graybox_icl::apps::workload::make_file;
 use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FileRank};
-use graybox_icl::graybox::mac::{Mac, MacParams};
+use graybox_icl::graybox::mac::{AdmissionRequest, Mac, MacParams};
 use graybox_icl::graybox::os::GrayBoxOs;
-use graybox_icl::sched::{
-    AdmissionRequest, FccdFleet, InlineExecutor, MacAdmissionQueue, SchedConfig, Scheduler,
-    SimExecutor,
-};
+use graybox_icl::sched::{FccdFleet, InlineExecutor, SchedConfig, Scheduler, SimExecutor};
 use graybox_icl::simos::exec::Workload;
 use graybox_icl::simos::{scenario, DiskParams, Sim, SimConfig, SimProc};
 use graybox_icl::toolbox::prop::{check, Gen};
@@ -372,12 +369,9 @@ fn pooled_grant_total(contended: bool) -> u64 {
         // Give the hog time to establish residency before probing, so the
         // shared probe pass measures a genuinely contended machine.
         os.sleep(GrayDuration::from_millis(100));
-        let mac = Mac::new(os, MacParams::default());
-        let mut queue = MacAdmissionQueue::new();
-        for req in requests {
-            queue.submit(req);
-        }
-        let grants = queue.admit_all(&mac).unwrap();
+        let grants = Mac::new(os, MacParams::default())
+            .admit_all(&requests)
+            .unwrap();
         grants.iter().flatten().map(|g| g.bytes).sum()
     };
     if !contended {
@@ -425,7 +419,7 @@ fn mac_admission_queue_detects_competition() {
         contended / MB
     );
     // The grants plus the hog's hot set must still fit in physical
-    // memory — the queue backed off rather than overcommitting.
+    // memory — the pooled pass backed off rather than overcommitting.
     assert!(
         contended + 28 * MB <= 64 * MB,
         "pooled grants overcommit a contended machine: {} MB granted",
