@@ -122,6 +122,22 @@ pub(crate) fn sleep_until(os: &SimProc, target_ns: u64) -> bool {
     false
 }
 
+/// Times `op` on the virtual clock — `now`, `op`, `now`, the syscalls
+/// [`GrayBoxOs::timed`] issues — and traces it as a `ProbeIssued` at
+/// `offset`, stamped at the second clock read so it lands on the run's
+/// virtual timeline. Returns the elapsed time.
+pub(crate) fn timed_probe(os: &SimProc, offset: u64, op: impl FnOnce(&SimProc)) -> GrayDuration {
+    let t0 = os.now();
+    op(os);
+    let t1 = os.now();
+    let elapsed = t1.since(t0);
+    trace::emit_with_at(t1, || TraceEvent::ProbeIssued {
+        offset,
+        latency_ns: elapsed.as_nanos(),
+    });
+    elapsed
+}
+
 /// What each of the three processes reports back.
 pub(crate) enum ProcOut {
     /// Transmitter: virtual time spent encoding, schedule overruns.
@@ -224,7 +240,7 @@ impl ChannelSpec {
                 late += sleep_until(os, base + i as u64 * s) as u64;
                 if bit {
                     let off = i as u64 * k * PAGE_SIZE;
-                    let (_, d) = os.timed(|os| match kind {
+                    let d = timed_probe(os, off, |os| match kind {
                         ChannelKind::Fccd => {
                             os.read_discard(fd, off, k * PAGE_SIZE).unwrap();
                         }
@@ -233,10 +249,6 @@ impl ChannelSpec {
                         }
                     });
                     work_ns += d.as_nanos();
-                    trace::emit_with(|| TraceEvent::ProbeIssued {
-                        offset: off,
-                        latency_ns: d.as_nanos(),
-                    });
                 }
             }
             os.close(fd).unwrap();
@@ -265,10 +277,8 @@ impl ChannelSpec {
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
                         let probe_off = (i as u64 * k + (k - 1)) * PAGE_SIZE;
-                        let (_, t) = os.timed(|os| os.read_byte(fd, probe_off).unwrap());
-                        trace::emit_with(|| TraceEvent::ProbeIssued {
-                            offset: probe_off,
-                            latency_ns: t.as_nanos(),
+                        let t = timed_probe(os, probe_off, |os| {
+                            os.read_byte(fd, probe_off).unwrap();
                         });
                         trace::emit_with(|| TraceEvent::ThresholdCrossed {
                             what: "covert.bit",

@@ -28,12 +28,12 @@
 //! pins the transmitter/receiver schedule only.
 
 use gray_toolbox::rng::{RngExt, SeedableRng, StdRng};
-use gray_toolbox::trace::{self, TraceEvent};
+use gray_toolbox::trace;
 use graybox::os::GrayBoxOs;
 use simos::exec::Workload;
 use simos::{SimProc, PAGE_SIZE};
 
-use crate::channel::{sleep_until, ProcOut};
+use crate::channel::{sleep_until, timed_probe, ProcOut};
 
 /// Who tries to degrade the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub(crate) fn defender_workload(
                         break;
                     }
                     sleep_until(os, t);
-                    let (_, d) = os.timed(|os| {
+                    let d = timed_probe(os, j, |os| {
                         for _ in 0..NOISE_TOUCHES {
                             let p = rng.random_range(0..region_pages);
                             os.read_byte(fd, p * PAGE_SIZE).unwrap();
@@ -116,10 +116,6 @@ pub(crate) fn defender_workload(
                             .unwrap();
                     });
                     work_ns += d.as_nanos();
-                    trace::emit_with(|| TraceEvent::ProbeIssued {
-                        offset: j,
-                        latency_ns: d.as_nanos(),
-                    });
                     // Self-pace: a burst of cold seeks can overrun its
                     // phase; skip the missed phases instead of racing.
                     let now = os.now().as_nanos();
@@ -139,12 +135,8 @@ pub(crate) fn defender_workload(
                         break;
                     }
                     sleep_until(os, t);
-                    let (_, d) = os.timed(|os| os.sync().unwrap());
+                    let d = timed_probe(os, j, |os| os.sync().unwrap());
                     work_ns += d.as_nanos();
-                    trace::emit_with(|| TraceEvent::ProbeIssued {
-                        offset: j,
-                        latency_ns: d.as_nanos(),
-                    });
                     let now = os.now().as_nanos();
                     j += 1;
                     while base + slot / 8 + j * (slot / 4) <= now {

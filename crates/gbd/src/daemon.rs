@@ -150,6 +150,12 @@ impl Query {
     fn needs_probes(&self) -> bool {
         !matches!(self, Query::FldcOrder { .. } | Query::MetricsSnapshot)
     }
+
+    /// Whether the answer publishes per-key verdicts, so a later pass can
+    /// contradict it and churn re-infers it.
+    fn bears_verdicts(&self) -> bool {
+        matches!(self, Query::FccdClassify { .. } | Query::WbdResidue { .. })
+    }
 }
 
 /// The daemon's answer to one query.
@@ -293,6 +299,10 @@ impl GbdClient {
         self.inner.try_take(ticket)
     }
 }
+
+/// Per-key verdicts an inference publishes (a file path's cached bit, or
+/// [`WBD_DIRTY_VERDICT`]), joined by the staleness policy.
+type Verdicts = BTreeMap<String, bool>;
 
 /// One coalesced unit of execution: a query plus everyone waiting on it.
 struct ExecItem {
@@ -489,79 +499,31 @@ impl Gbd {
         }
         self.key = key;
 
-        // Phase 3: execution, grouped so probes pool into shared waves.
+        // Phase 3: execution. FCCD plans pool into shared waves and
+        // allocation requests behind one MAC pass; every other query runs
+        // alone, in arrival order.
         tick.executed = exec.len();
-        let mut fresh_verdicts: BTreeMap<String, bool> = BTreeMap::new();
-
-        let mut fccd_items = Vec::new();
-        let mut alloc_items = Vec::new();
-        let mut other_items = Vec::new();
-        for item in exec {
-            match &item.query {
-                Query::FccdClassify { .. } => fccd_items.push(item),
-                Query::GbAlloc { .. } => alloc_items.push(item),
-                _ => other_items.push(item),
+        let mut fresh_verdicts = Verdicts::new();
+        let (fccd, rest): (Vec<_>, Vec<_>) = exec
+            .into_iter()
+            .partition(|item| matches!(item.query, Query::FccdClassify { .. }));
+        let (allocs, alone): (Vec<_>, Vec<_>) = rest
+            .into_iter()
+            .partition(|item| matches!(item.query, Query::GbAlloc { .. }));
+        let groups = [fccd, allocs]
+            .into_iter()
+            .chain(alone.into_iter().map(|item| vec![item]));
+        for group in groups {
+            let outcomes = self.execute(sim, &group);
+            for (item, (reply, verdicts)) in group.iter().zip(outcomes) {
+                fresh_verdicts.extend(verdicts.iter().map(|(key, &v)| (key.clone(), v)));
+                self.finish_item(sim, item, reply, verdicts, now);
             }
-        }
-
-        // FCCD: every tenant's plans submit to the shared scheduler, then
-        // one dispatch fans them out together.
-        let outcomes = self.execute_fccd(sim, &fccd_items);
-        for (item, (reply, verdicts)) in fccd_items.iter().zip(outcomes) {
-            for (path, v) in &verdicts {
-                fresh_verdicts.insert(path.clone(), *v);
-            }
-            self.finish_item(sim, item, reply, verdicts, now);
-        }
-
-        // MAC allocations: pooled behind one probe pass.
-        if !alloc_items.is_empty() {
-            let replies = self.execute_allocs(sim, &alloc_items);
-            for (item, reply) in alloc_items.iter().zip(replies) {
-                self.finish_item(sim, item, reply, BTreeMap::new(), now);
-            }
-        }
-
-        // MAC estimates, FLDC orders, and WBD residues, one by one.
-        for item in &other_items {
-            let (reply, verdicts) = match &item.query {
-                Query::MacAvailable { ceiling } => {
-                    let ceiling = *ceiling;
-                    let reply = match sim.run_one(move |os| {
-                        Mac::new(os, MacParams::default()).available_estimate(ceiling)
-                    }) {
-                        Ok(bytes) => Reply::Available { bytes },
-                        Err(e) => Reply::Failed(e.to_string()),
-                    };
-                    (reply, BTreeMap::new())
-                }
-                Query::FldcOrder { dir } => {
-                    let dir = dir.clone();
-                    let reply = match sim.run_one(move |os| Fldc::new(os).order_directory(&dir)) {
-                        Ok(ranks) => Reply::Layout {
-                            order: ranks.into_iter().map(|r| r.path).collect(),
-                        },
-                        Err(e) => Reply::Failed(e.to_string()),
-                    };
-                    (reply, BTreeMap::new())
-                }
-                Query::WbdResidue { calib_pages } => self.execute_wbd(sim, *calib_pages),
-                Query::MetricsSnapshot => {
-                    // Pure introspection: reads daemon state, touches
-                    // neither the sim nor the probe budget.
-                    let m = self.metrics_snapshot(sim.now());
-                    (Reply::Metrics(Box::new(m)), BTreeMap::new())
-                }
-                _ => unreachable!("grouped above"),
-            };
-            for (key, v) in &verdicts {
-                fresh_verdicts.insert(key.clone(), *v);
-            }
-            self.finish_item(sim, item, reply, verdicts, now);
         }
 
         // Phase 4: observed churn. Entries the fresh verdicts contradict
-        // are evicted; budget permitting, they re-infer right away.
+        // are evicted; budget permitting, they re-infer right away, one at
+        // a time, and their verdicts do not feed this tick's churn set.
         if !fresh_verdicts.is_empty() {
             let stale = self.policy.invalidated_by(&self.cache, &fresh_verdicts);
             for key in stale {
@@ -569,40 +531,33 @@ impl Gbd {
                     continue;
                 };
                 self.stats.invalidated += 1;
-                trace::emit_with(|| TraceEvent::CacheAccess {
+                trace::emit_with_at(sim.now(), || TraceEvent::CacheAccess {
                     key: key.clone(),
                     outcome: "churned",
                 });
-                if admitted < self.admission_budget() {
-                    let item = ExecItem {
-                        key: key.clone(),
-                        query: entry.query,
-                        waiters: Vec::new(),
-                    };
-                    // Re-infer by the entry's own query type. Only
-                    // verdict-bearing inferences can be contradicted, so
-                    // anything else stays evicted until re-queried.
-                    let outcome = match &item.query {
-                        Query::FccdClassify { .. } => {
-                            self.execute_fccd(sim, std::slice::from_ref(&item)).pop()
-                        }
-                        Query::WbdResidue { calib_pages } => {
-                            Some(self.execute_wbd(sim, *calib_pages))
-                        }
-                        _ => None,
-                    };
-                    if let Some((reply, verdicts)) = outcome {
-                        admitted += 1;
-                        self.stats.admitted += 1;
-                        self.stats.reinfers += 1;
-                        tick.reinfers += 1;
-                        trace::emit_with(|| TraceEvent::CacheAccess {
-                            key: key.clone(),
-                            outcome: "reinfer",
-                        });
-                        self.finish_item(sim, &item, reply, verdicts, now);
-                    }
+                // Only verdict-bearing inferences can be contradicted, so
+                // anything else stays evicted until re-queried.
+                if admitted >= self.admission_budget() || !entry.query.bears_verdicts() {
+                    continue;
                 }
+                let item = ExecItem {
+                    key,
+                    query: entry.query,
+                    waiters: Vec::new(),
+                };
+                let (reply, verdicts) = self
+                    .execute(sim, std::slice::from_ref(&item))
+                    .pop()
+                    .expect("one outcome per item");
+                admitted += 1;
+                self.stats.admitted += 1;
+                self.stats.reinfers += 1;
+                tick.reinfers += 1;
+                trace::emit_with_at(sim.now(), || TraceEvent::CacheAccess {
+                    key: item.key.clone(),
+                    outcome: "reinfer",
+                });
+                self.finish_item(sim, &item, reply, verdicts, now);
             }
         }
 
@@ -611,17 +566,61 @@ impl Gbd {
         tick
     }
 
+    /// The one execution path: runs a group of same-kind items and
+    /// returns one `(reply, verdicts)` per item, in order. FCCD items
+    /// submit their plans to the shared scheduler and dispatch together;
+    /// allocation requests pool behind one [`Mac::admit_all`] probe pass;
+    /// any other kind runs alone, in a group of one.
+    fn execute(&mut self, sim: &mut Sim, items: &[ExecItem]) -> Vec<(Reply, Verdicts)> {
+        let Some(first) = items.first() else {
+            return Vec::new();
+        };
+        // The other kinds execute one query at a time.
+        let alone = |reply| {
+            debug_assert_eq!(items.len(), 1, "only FCCD and allocations group");
+            vec![(reply, Verdicts::new())]
+        };
+        match &first.query {
+            Query::FccdClassify { .. } => self.execute_fccd(sim, items),
+            Query::GbAlloc { .. } => {
+                let replies = self.execute_allocs(sim, items);
+                replies.into_iter().map(|r| (r, Verdicts::new())).collect()
+            }
+            Query::MacAvailable { ceiling } => {
+                let ceiling = *ceiling;
+                alone(
+                    match sim.run_one(move |os| {
+                        Mac::new(os, MacParams::default()).available_estimate(ceiling)
+                    }) {
+                        Ok(bytes) => Reply::Available { bytes },
+                        Err(e) => Reply::Failed(e.to_string()),
+                    },
+                )
+            }
+            Query::FldcOrder { dir } => {
+                let dir = dir.clone();
+                alone(
+                    match sim.run_one(move |os| Fldc::new(os).order_directory(&dir)) {
+                        Ok(ranks) => Reply::Layout {
+                            order: ranks.into_iter().map(|r| r.path).collect(),
+                        },
+                        Err(e) => Reply::Failed(e.to_string()),
+                    },
+                )
+            }
+            Query::WbdResidue { calib_pages } => vec![self.execute_wbd(sim, *calib_pages)],
+            // Pure introspection: reads daemon state, touches neither the
+            // sim nor the probe budget.
+            Query::MetricsSnapshot => {
+                alone(Reply::Metrics(Box::new(self.metrics_snapshot(sim.now()))))
+            }
+        }
+    }
+
     /// Runs a batch of FCCD classifications through the shared scheduler:
     /// submit every item's plans, dispatch once, fold each. Returns one
     /// `(reply, verdicts)` per item, in order.
-    fn execute_fccd(
-        &mut self,
-        sim: &mut Sim,
-        items: &[ExecItem],
-    ) -> Vec<(Reply, BTreeMap<String, bool>)> {
-        if items.is_empty() {
-            return Vec::new();
-        }
+    fn execute_fccd(&mut self, sim: &mut Sim, items: &[ExecItem]) -> Vec<(Reply, Verdicts)> {
         let mut submitted = Vec::with_capacity(items.len());
         for item in items {
             let Query::FccdClassify { files } = &item.query else {
@@ -646,7 +645,7 @@ impl Gbd {
                     .map(|(tenant, _)| self.tenants[*tenant].lane);
                 let _scope = lane.map(trace::lane_scope);
                 let classified = classify_ranks(fleet.fold_files(&mut self.sched, pending));
-                let mut verdicts = BTreeMap::new();
+                let mut verdicts = Verdicts::new();
                 for rank in &classified.cached {
                     verdicts.insert(rank.path.clone(), true);
                 }
@@ -714,7 +713,7 @@ impl Gbd {
     /// observation converts to pages after the fact. Publishes the
     /// [`WBD_DIRTY_VERDICT`] verdict, so a cached dirty/clean answer is
     /// churned out when a later pass contradicts it.
-    fn execute_wbd(&mut self, sim: &mut Sim, calib_pages: u64) -> (Reply, BTreeMap<String, bool>) {
+    fn execute_wbd(&mut self, sim: &mut Sim, calib_pages: u64) -> (Reply, Verdicts) {
         let params = WbdParams {
             calib_pages: calib_pages.max(1),
             ..WbdParams::default()
@@ -731,11 +730,11 @@ impl Gbd {
         });
         match outcome {
             Ok(pages) => {
-                let mut verdicts = BTreeMap::new();
+                let mut verdicts = Verdicts::new();
                 verdicts.insert(WBD_DIRTY_VERDICT.to_string(), pages > 0);
                 (Reply::Residue { pages }, verdicts)
             }
-            Err(e) => (Reply::Failed(e.to_string()), BTreeMap::new()),
+            Err(e) => (Reply::Failed(e.to_string()), Verdicts::new()),
         }
     }
 
@@ -747,7 +746,7 @@ impl Gbd {
         sim: &Sim,
         item: &ExecItem,
         reply: Reply,
-        verdicts: BTreeMap<String, bool>,
+        verdicts: Verdicts,
         drained_at: Nanos,
     ) {
         let served_at = sim.now();
@@ -764,7 +763,7 @@ impl Gbd {
             );
             self.stats.capacity_evictions += evicted.len() as u64;
             for key in evicted {
-                trace::emit_with(|| TraceEvent::CacheAccess {
+                trace::emit_with_at(served_at, || TraceEvent::CacheAccess {
                     key,
                     outcome: "evicted",
                 });

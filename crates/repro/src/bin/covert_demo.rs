@@ -10,15 +10,20 @@
 //! `covert:rx`, `covert:def`) are visible in the timeline.
 //!
 //! ```text
-//! covert-demo [--trace [path]]   # default path gray-trace.jsonl
+//! covert-demo [--trace [path]] [--profile [path]]
 //! ```
 //!
-//! With `--trace`, every event streams to JSONL; either way the run
-//! ends with the in-process timeline of the replayed cell.
+//! With `--trace`, every event streams to JSONL (default path
+//! `gray-trace.jsonl`), and `--profile` writes the folded virtual-time
+//! profile; either way the run ends with the in-process timeline of the
+//! replayed cell.
 
 use covert::{message_bits, ChannelKind, ChannelSpec, DefenderKind};
 use gray_toolbox::trace;
+use repro::{Flags, Tracing};
 use simos::Platform;
+
+const USAGE: &str = "usage: covert-demo [--trace [path]] [--profile [path]]";
 
 /// The demo's fixed cell shape: 16 bits (in the channel's 50 ms slots and
 /// 4-page groups).
@@ -34,7 +39,9 @@ fn spec(index: usize, channel: ChannelKind, defender: DefenderKind) -> ChannelSp
 }
 
 fn main() {
-    let tracing = repro::init_tracing();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse_or_exit(&args, false, USAGE);
+    let tracing = Tracing::start(&flags);
 
     let message = message_bits(0x00DE_C0DE, 16);
     let rendered: String = message.iter().map(|&b| if b { '1' } else { '0' }).collect();
@@ -75,5 +82,5 @@ fn main() {
         replay.label
     );
     print!("{}", trace::render_timeline(&trace::drain()));
-    repro::finish_tracing(tracing);
+    tracing.finish();
 }

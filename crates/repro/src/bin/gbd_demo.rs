@@ -7,20 +7,27 @@
 //! re-inferring a contradicted entry.
 //!
 //! ```text
-//! gbd-demo [--trace [path]]      # default path gray-trace.jsonl
+//! gbd-demo [--trace [path]] [--profile [path]]
 //! ```
 //!
-//! With `--trace`, every event streams to JSONL; either way the run ends
-//! with the in-process timeline (`render_timeline`) of the last ticks.
+//! With `--trace`, every event streams to JSONL (default path
+//! `gray-trace.jsonl`), and `--profile` writes the folded virtual-time
+//! profile; either way the run ends with the in-process timeline
+//! (`render_timeline`) of the last ticks.
 
 use gbd::{render_gray_top, Gbd, GbdConfig, Query, Reply};
 use gray_sched::SchedConfig;
 use gray_toolbox::trace;
 use graybox::fccd::FccdParams;
+use repro::{Flags, Tracing};
 use simos::scenario;
 
+const USAGE: &str = "usage: gbd-demo [--trace [path]] [--profile [path]]";
+
 fn main() {
-    let tracing = repro::init_tracing();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse_or_exit(&args, false, USAGE);
+    let tracing = Tracing::start(&flags);
     // No JSONL sink: still capture into the ring for the timeline.
     let _ring = (!trace::enabled()).then(trace::capture);
 
@@ -155,5 +162,5 @@ fn main() {
     println!();
     println!("== trace timeline (per wave, per tenant/plan lane) ==");
     print!("{}", trace::render_timeline(&trace::drain()));
-    repro::finish_tracing(tracing);
+    tracing.finish();
 }

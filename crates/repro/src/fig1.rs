@@ -21,7 +21,7 @@ use gray_toolbox::trace;
 use graybox::os::GrayBoxOs;
 use simos::{Sim, PAGE_SIZE};
 
-use crate::Scale;
+use crate::{format_table, paper_note, Scale};
 
 /// One measured cell: mean and stddev of the correlation across trials.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +135,32 @@ fn probe_correlation(bitmap: &[bool], unit_pages: u64, rng: &mut StdRng) -> f64 
         ys.push(frac);
     }
     correlation(&xs, &ys)
+}
+
+/// Renders Figure 1 as `repro fig1` prints it.
+pub fn render(fig: &Fig1) -> String {
+    let mut header = vec!["pred unit".to_string()];
+    for &au in &fig.access_units {
+        header.push(format!("AU {:.2} MB", au as f64 / (1 << 20) as f64));
+    }
+    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut rows = Vec::new();
+    for (x, &pu) in fig.prediction_units.iter().enumerate() {
+        let mut row = vec![format!("{:.2} MB", pu as f64 / (1 << 20) as f64)];
+        for series in &fig.cells {
+            row.push(format!("{:.2} ±{:.2}", series[x].mean, series[x].stddev));
+        }
+        rows.push(row);
+    }
+    let title = format!(
+        "Figure 1: Probe Correlation (file {} MB)",
+        fig.file_size >> 20
+    );
+    format_table(&title, &header_refs, &rows)
+        + &paper_note(
+            "correlation is high while the prediction unit is <= the access \
+             unit and falls off noticeably beyond it",
+        )
 }
 
 #[cfg(test)]

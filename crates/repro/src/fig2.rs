@@ -14,7 +14,7 @@ use gray_apps::workload::make_file;
 use gray_toolbox::GrayDuration;
 use simos::{disk::BANDWIDTH, Sim, COSTS, PAGE_SIZE};
 
-use crate::{Scale, TrialStats};
+use crate::{format_table, paper_note, Scale, TrialStats};
 
 /// One x-axis point.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,6 +93,39 @@ pub fn run(scale: Scale) -> Fig2 {
         points,
         cache_bytes,
     }
+}
+
+/// Renders Figure 2 as `repro fig2` prints it.
+pub fn render(fig: &Fig2) -> String {
+    let rows: Vec<Vec<String>> = fig
+        .points
+        .iter()
+        .map(|p| {
+            vec![
+                format!("{} MB", p.file_size >> 20),
+                p.linear.to_string(),
+                p.graybox.to_string(),
+                format!("{:8.3}s", p.model_worst),
+                format!("{:8.3}s", p.model_ideal),
+            ]
+        })
+        .collect();
+    let title = format!(
+        "Figure 2: Single-File Scan (cache {} MB)",
+        fig.cache_bytes >> 20
+    );
+    let header = [
+        "file size",
+        "linear",
+        "gray-box",
+        "model worst",
+        "model ideal",
+    ];
+    format_table(&title, &header, &rows)
+        + &paper_note(
+            "linear scan falls off a cliff once the file exceeds the cache \
+             (LRU worst case); the gray-box scan tracks the ideal model",
+        )
 }
 
 #[cfg(test)]

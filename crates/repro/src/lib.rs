@@ -2,10 +2,11 @@
 //! evaluation.
 //!
 //! Each experiment is a library function (`fig1::run`, `fig2::run`, …)
-//! returning structured rows, so the same code backs the printable
-//! binaries (`cargo run -p repro --bin fig2`) and the integration tests
-//! that assert the paper's *shape claims* (who wins, by roughly what
-//! factor, where crossovers fall).
+//! returning structured rows, so the same code backs the printed tables
+//! (each module's `render`, which the one `repro` binary prints: `repro
+//! fig2`) and the integration tests that assert the paper's *shape
+//! claims* (who wins, by roughly what factor, where crossovers fall).
+//! [`EXPERIMENTS`] lists what `repro` can run.
 //!
 //! Experiments run at two scales:
 //!
@@ -14,6 +15,10 @@
 //!   in the paper is preserved while the full suite runs in minutes.
 //! - [`Scale::Paper`] (`--full`): the 896 MB / five-disk testbed at the
 //!   paper's workload sizes.
+//!
+//! Every binary reads its command line through one parser,
+//! [`Flags::parse`]: `--full`, `--trace [path]` and `--profile [path]`,
+//! and nothing else.
 //!
 //! Absolute numbers are not expected to match the paper (this substrate is
 //! a simulator, not the authors' hardware); EXPERIMENTS.md records the
@@ -44,15 +49,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` from a binary's argument list.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Paper
-        } else {
-            Scale::Small
-        }
-    }
-
     /// The simulator configuration for this scale (Linux personality).
     pub fn sim_config(self) -> simos::SimConfig {
         match self {
@@ -90,51 +86,115 @@ impl Scale {
     }
 }
 
+/// How an experiment runs and renders at a scale.
+pub type Render = fn(Scale) -> String;
+
+/// Every experiment the `repro` binary runs, by name, with how it renders;
+/// `repro all` prints them all in this order.
+pub const EXPERIMENTS: [(&str, Render); 10] = [
+    ("table1", |_| tables::render_table1() + "\n"),
+    ("table2", |_| tables::render_table2() + "\n"),
+    ("fig1", |scale| fig1::render(&fig1::run(scale))),
+    ("fig2", |scale| fig2::render(&fig2::run(scale))),
+    ("fig3", |scale| fig3::render(&fig3::run(scale))),
+    ("fig4", |scale| fig4::render(&fig4::run(scale))),
+    ("fig5", |scale| fig5::render(&fig5::run(scale))),
+    ("fig6", |scale| fig6::render(&fig6::run(scale))),
+    ("fig7", |scale| fig7::render(&fig7::run(scale))),
+    ("sleds", |scale| sleds::render(&sleds::run(scale))),
+];
+
+/// A binary's command line, as [`Flags::parse`] reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Flags {
+    /// `--full`: [`Scale::Paper`]; [`Scale::Small`] without it.
+    pub scale: Scale,
+    /// `--trace [path]`: stream every trace event to `path` as JSONL
+    /// (default `gray-trace.jsonl`).
+    pub trace: Option<String>,
+    /// `--profile [path]`: arm the virtual-time profiler for the whole run
+    /// and write its folded stacks (one `path ns` line per leaf,
+    /// flamegraph-ready) to `path` (default `gray-profile.folded`).
+    pub profile: Option<String>,
+}
+
+impl Flags {
+    /// The one parser every repro binary uses. Reads `--trace [path]`,
+    /// `--profile [path]` and, when `scaled` (an experiment, not a demo),
+    /// `--full`; a flag's path is the next argument unless that starts
+    /// with `--`. Any other argument is an error, so a typo such as
+    /// `--ful` cannot quietly run something else.
+    pub fn parse(args: &[String], scaled: bool) -> Result<Flags, String> {
+        let mut flags = Flags {
+            scale: Scale::Small,
+            trace: None,
+            profile: None,
+        };
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let (slot, default) = match arg.as_str() {
+                "--full" if scaled => {
+                    flags.scale = Scale::Paper;
+                    continue;
+                }
+                "--trace" => (&mut flags.trace, "gray-trace.jsonl"),
+                "--profile" => (&mut flags.profile, "gray-profile.folded"),
+                _ => return Err(format!("unknown argument {arg:?}")),
+            };
+            let path = args.next_if(|path| !path.starts_with("--"));
+            *slot = Some(path.map_or(default, String::as_str).to_string());
+        }
+        Ok(flags)
+    }
+
+    /// [`Flags::parse`], or exit with status 2 after printing the error
+    /// and `usage` to stderr.
+    pub fn parse_or_exit(args: &[String], scaled: bool, usage: &str) -> Flags {
+        Flags::parse(args, scaled).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2)
+        })
+    }
+}
+
 /// The captures a binary's flags armed on its main thread, each with the
-/// file it ends in; they record until [`finish_tracing`] ends them.
+/// file it ends in; they record until [`Tracing::finish`] ends them.
 pub struct Tracing {
     trace: Option<(String, trace::CaptureGuard)>,
     profile: Option<(String, profile::CaptureGuard)>,
 }
 
-/// The one place observability is switched on, by flags only:
-/// `--trace <path>` streams every trace event to `path` as JSONL (default
-/// `gray-trace.jsonl`); `--profile <path>` (default `gray-profile.folded`)
-/// arms the virtual-time profiler for the whole run, and
-/// [`finish_tracing`] writes the folded-stack attribution (one `path ns`
-/// line per leaf, flamegraph-ready) there.
-pub fn init_tracing() -> Tracing {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str, default: &str| {
-        let pos = args.iter().position(|a| a == name)?;
-        let path = args.get(pos + 1).filter(|p| !p.starts_with("--"));
-        Some(path.cloned().unwrap_or_else(|| default.to_string()))
-    };
-    Tracing {
-        profile: flag("--profile", "gray-profile.folded").map(|path| (path, profile::capture())),
-        trace: flag("--trace", "gray-trace.jsonl").map(|path| {
-            let guard = trace::enable_jsonl(&path)
-                .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
-            (path, guard)
-        }),
+impl Tracing {
+    /// The one place observability is switched on, by flags only: arms a
+    /// JSONL trace sink for `--trace` and the profiler for `--profile`.
+    pub fn start(flags: &Flags) -> Tracing {
+        Tracing {
+            profile: flags.profile.clone().map(|path| (path, profile::capture())),
+            trace: flags.trace.clone().map(|path| {
+                let guard = trace::enable_jsonl(&path)
+                    .unwrap_or_else(|e| panic!("cannot open trace sink {path}: {e}"));
+                (path, guard)
+            }),
+        }
     }
-}
 
-/// Ends the captures [`init_tracing`] armed — the JSONL sink closes with
-/// its footer — and tells the user where the output went.
-pub fn finish_tracing(tracing: Tracing) {
-    if let Some((path, guard)) = tracing.trace {
-        drop(guard);
-        eprintln!("trace: events written to {path}");
-    }
-    if let Some((path, _guard)) = tracing.profile {
-        let snap = profile::snapshot();
-        match std::fs::write(&path, snap.folded()) {
-            Ok(()) => eprintln!(
-                "profile: {} virtual ns attributed; folded stacks written to {path}",
-                snap.total_ns
-            ),
-            Err(e) => eprintln!("profile: cannot write {path}: {e}"),
+    /// Ends the captures — the JSONL sink closes with its footer, the
+    /// profile is written as folded stacks — and tells the user where the
+    /// output went.
+    pub fn finish(self) {
+        if let Some((path, guard)) = self.trace {
+            drop(guard);
+            eprintln!("trace: events written to {path}");
+        }
+        if let Some((path, _guard)) = self.profile {
+            let snap = profile::snapshot();
+            match std::fs::write(&path, snap.folded()) {
+                Ok(()) => eprintln!(
+                    "profile: {} virtual ns attributed; folded stacks written to {path}",
+                    snap.total_ns
+                ),
+                Err(e) => eprintln!("profile: cannot write {path}: {e}"),
+            }
         }
     }
 }
@@ -166,9 +226,9 @@ impl std::fmt::Display for TrialStats {
     }
 }
 
-/// Prints an aligned table: `header` then one row per entry.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders an aligned table: a blank line, `=== title ===`, `header`,
+/// then one line per row.
+pub fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -185,13 +245,46 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<String>()
     };
     let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
+    let mut out = format!("\n=== {title} ===\n{}\n", fmt_row(&head));
     for row in rows {
-        println!("{}", fmt_row(row));
+        out.push_str(&fmt_row(row));
+        out.push('\n');
     }
+    out
 }
 
-/// Prints the paper-reported reference for an experiment.
-pub fn print_paper_note(note: &str) {
-    println!("--- paper reports: {note}");
+/// The paper-reported reference for an experiment, as one line.
+pub fn paper_note(note: &str) -> String {
+    format!("--- paper reports: {note}\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], scaled: bool) -> Result<Flags, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Flags::parse(&args, scaled)
+    }
+
+    #[test]
+    fn flags_take_an_optional_path_and_nothing_unknown() {
+        let flags = parse(&["--trace", "--full", "--profile", "p.folded"], true).unwrap();
+        assert_eq!(flags.scale, Scale::Paper);
+        assert_eq!(flags.trace.as_deref(), Some("gray-trace.jsonl"));
+        assert_eq!(flags.profile.as_deref(), Some("p.folded"));
+        assert_eq!(parse(&[], true).unwrap().scale, Scale::Small);
+        assert!(parse(&["--ful"], true).is_err());
+        assert!(parse(&["fig2"], true).is_err());
+        assert!(parse(&["--full"], false).is_err(), "a demo has one scale");
+    }
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+        assert!(!names.contains(&"all"), "`all` is every experiment");
+    }
 }

@@ -20,11 +20,10 @@
 
 use gray_apps::scan::{graybox_scan, linear_scan};
 use gray_apps::workload::make_file;
-use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOs;
 use simos::{disk::BANDWIDTH, Sim, COSTS, PAGE_SIZE};
 
-use crate::{Scale, TrialStats};
+use crate::{format_table, paper_note, Scale, TrialStats};
 
 /// The comparison result.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,9 +141,25 @@ pub fn run(scale: Scale) -> Sleds {
     }
 }
 
-/// A GrayDuration mean helper for display.
-pub fn fmt_secs(d: GrayDuration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
+/// Renders the SLED comparison as `repro sleds` prints it.
+pub fn render(r: &Sleds) -> String {
+    let rows = vec![
+        vec!["linear (no info)".to_string(), r.linear.to_string()],
+        vec!["FCCD (gray-box)".to_string(), r.fccd.to_string()],
+        vec!["SLED (modified kernel)".to_string(), r.sled.to_string()],
+        vec!["ideal model".to_string(), format!("{:8.3}s", r.model_ideal)],
+    ];
+    format_table(
+        "FCCD vs SLEDs (partially cached scan)",
+        &["strategy", "time"],
+        &rows,
+    ) + &format!(
+        "FCCD captured {:.0}% of the SLED's improvement over the uninformed scan\n",
+        r.utility_captured * 100.0
+    ) + &paper_note(
+        "\"a great deal of the utility of their proposed system can be \
+         obtained without any modification to the operating system\"",
+    )
 }
 
 #[cfg(test)]

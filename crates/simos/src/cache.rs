@@ -66,6 +66,20 @@ pub struct PageId {
     pub page: u64,
 }
 
+impl PageId {
+    /// Page `page` of file `ino` on mount `dev`.
+    #[inline]
+    pub fn file(dev: usize, ino: u64, page: u64) -> Self {
+        PageId {
+            owner: Owner::File {
+                dev: dev as u32,
+                ino,
+            },
+            page,
+        }
+    }
+}
+
 /// A page pushed out of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {

@@ -13,7 +13,7 @@
 //! behavior that makes memory pressure visible to MAC's probes.
 
 use gray_toolbox::hash::FastMap;
-use gray_toolbox::profile;
+use gray_toolbox::{profile, trace};
 use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::{Fd, OsError, OsResult, ProbeSample, ProbeSpec, Stat};
 
@@ -56,6 +56,17 @@ pub struct KernelStats {
     pub flusher_runs: u64,
     /// Dirty file pages written back by the flusher.
     pub flusher_pages: u64,
+}
+
+/// What a kernel entry charges before its body runs.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// The user/kernel crossing, `COSTS.syscall`.
+    Syscall,
+    /// Nothing: the body charges its own work (a timer read, a page
+    /// touch, a compute burst, a sleep), or is a batch whose probes each
+    /// enter on their own.
+    Free,
 }
 
 /// Per-open-file state.
@@ -335,13 +346,7 @@ impl Kernel {
     fn charge_meta(&mut self, pid: usize, dev: usize) -> OsResult<()> {
         let io = self.fss[dev].take_io();
         for r in io.reads {
-            let id = PageId {
-                owner: Owner::File {
-                    dev: dev as u32,
-                    ino: r.ino,
-                },
-                page: r.page,
-            };
+            let id = PageId::file(dev, r.ino, r.page);
             if self.cache.lookup_touch(id) {
                 self.charge_cpu(pid, COSTS.page_lookup);
             } else {
@@ -352,14 +357,7 @@ impl Kernel {
             }
         }
         for w in io.writes {
-            let id = PageId {
-                owner: Owner::File {
-                    dev: dev as u32,
-                    ino: w.ino,
-                },
-                page: w.page,
-            };
-            let ev = self.cache.insert(id, true);
+            let ev = self.cache.insert(PageId::file(dev, w.ino, w.page), true);
             self.handle_evictions(pid, ev)?;
             self.charge_cpu(pid, COSTS.page_lookup);
         }
@@ -392,48 +390,72 @@ impl Kernel {
         Ok((0, path.to_string()))
     }
 
+    /// The namespace path every path syscall takes: resolve the mount,
+    /// run `op` on that file system at the caller's clock, then charge
+    /// the metadata I/O `op` did, whether or not it succeeded (a failed
+    /// lookup still read the directories it walked). Returns the device
+    /// beside `op`'s value.
+    fn namespace<T>(
+        &mut self,
+        pid: usize,
+        path: &str,
+        op: impl FnOnce(&mut Fs, &str, Nanos) -> OsResult<T>,
+    ) -> OsResult<(usize, T)> {
+        let (dev, local) = self.mount_of(path)?;
+        let r = op(&mut self.fss[dev], &local, self.procs[pid].now);
+        self.charge_meta(pid, dev)?;
+        Ok((dev, r?))
+    }
+
     // --- Syscalls -------------------------------------------------------------
+
+    /// The one way into the kernel. Every syscall opens its op frame for
+    /// the profiler, fires the flusher epochs the caller's clock has
+    /// crossed, pays the user/kernel crossing if `entry` says so, and then
+    /// runs `body`. Anything a syscall rejects before this point charges
+    /// nothing and records nothing.
+    #[inline]
+    fn enter<R>(
+        &mut self,
+        pid: usize,
+        op: &'static str,
+        entry: Entry,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let _op = profile::op_scope(op);
+        self.poll_flusher(pid);
+        if let Entry::Syscall = entry {
+            self.charge_cpu(pid, COSTS.syscall);
+        }
+        body(self)
+    }
 
     /// The high-resolution clock, with read cost and quantization.
     #[inline]
     pub fn sys_now(&mut self, pid: usize) -> Nanos {
-        let _op = profile::op_scope("sys_now");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, TIMER_READ);
-        self.noise.quantize(self.procs[pid].now)
+        self.enter(pid, "sys_now", Entry::Free, |k| {
+            k.charge_cpu(pid, TIMER_READ);
+            k.noise.quantize(k.procs[pid].now)
+        })
     }
 
     /// Opens an existing file.
     pub fn sys_open(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
-        let _op = profile::op_scope("sys_open");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let ino = {
-            let r = self.fss[dev].resolve(&local);
-            self.charge_meta(pid, dev)?;
-            r?
-        };
-        if self.fss[dev].inode(ino).is_some_and(|i| i.is_dir) {
-            return Err(OsError::IsADirectory);
-        }
-        let fd = self.alloc_fd(pid, dev, ino);
-        Ok(fd)
+        self.enter(pid, "sys_open", Entry::Syscall, |k| {
+            let (dev, ino) = k.namespace(pid, path, |fs, local, _| fs.resolve(local))?;
+            if k.fss[dev].inode(ino).is_some_and(|i| i.is_dir) {
+                return Err(OsError::IsADirectory);
+            }
+            Ok(k.alloc_fd(pid, dev, ino))
+        })
     }
 
     /// Creates and opens a new file.
     pub fn sys_create(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
-        let _op = profile::op_scope("sys_create");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let now = self.procs[pid].now;
-        let ino = {
-            let r = self.fss[dev].create(&local, now);
-            self.charge_meta(pid, dev)?;
-            r?
-        };
-        Ok(self.alloc_fd(pid, dev, ino))
+        self.enter(pid, "sys_create", Entry::Syscall, |k| {
+            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.create(local, now))?;
+            Ok(k.alloc_fd(pid, dev, ino))
+        })
     }
 
     fn alloc_fd(&mut self, pid: usize, dev: usize, ino: Ino) -> Fd {
@@ -453,13 +475,9 @@ impl Kernel {
 
     /// Closes a descriptor.
     pub fn sys_close(&mut self, pid: usize, fd: Fd) -> OsResult<()> {
-        let _op = profile::op_scope("sys_close");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        self.fdt[pid]
-            .remove(&fd.0)
-            .map(|_| ())
-            .ok_or(OsError::BadFd)
+        self.enter(pid, "sys_close", Entry::Syscall, |k| {
+            k.fdt[pid].remove(&fd.0).map(|_| ()).ok_or(OsError::BadFd)
+        })
     }
 
     /// `pread`-style read. When `buf` is `None`, behaves identically
@@ -472,100 +490,82 @@ impl Kernel {
         len: u64,
         mut buf: Option<&mut [u8]>,
     ) -> OsResult<u64> {
-        let _op = profile::op_scope("sys_read");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let of = *self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-        let size = self.fss[of.dev]
-            .inode(of.ino)
-            .ok_or(OsError::NotFound)?
-            .size;
-        if offset >= size || len == 0 {
-            return Ok(0);
-        }
-        let len = len.min(size - offset);
-        let first_page = offset / PAGE_SIZE;
-        let last_page = (offset + len - 1) / PAGE_SIZE;
+        self.enter(pid, "sys_read", Entry::Syscall, |k| {
+            let of = *k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
+            let size = k.fss[of.dev].inode(of.ino).ok_or(OsError::NotFound)?.size;
+            if offset >= size || len == 0 {
+                return Ok(0);
+            }
+            let len = len.min(size - offset);
+            let first_page = offset / PAGE_SIZE;
+            let last_page = (offset + len - 1) / PAGE_SIZE;
 
-        // Sequential-read detection feeds the readahead window.
-        let mut window = if first_page == of.next_seq_page {
-            (of.ra_window * 2).min(self.cfg.readahead_pages)
-        } else {
-            RA_INITIAL
-        };
-
-        let file_pages = size.div_ceil(PAGE_SIZE);
-        let mut cpu = GrayDuration::ZERO;
-        let mut page = first_page;
-        // Pages below `run_end` were fetched by this call's own readahead:
-        // consuming them is part of the same logical access, so they are
-        // *not* re-referenced (otherwise a single sequential scan would
-        // mark everything referenced and scan-resistant policies could
-        // never tell streams from reuse).
-        let mut run_end = first_page;
-        while page <= last_page {
-            let id = PageId {
-                owner: Owner::File {
-                    dev: of.dev as u32,
-                    ino: of.ino,
-                },
-                page,
-            };
-            // Pages below `run_end` came from this call's own readahead
-            // and are not re-referenced (one sequential access = one
-            // reference); genuine hits bump the LRU position.
-            if page < run_end || self.cache.lookup_touch(id) {
-                self.stats.cache_hits += 1;
-                cpu += COSTS.page_lookup;
+            // Sequential-read detection feeds the readahead window.
+            let mut window = if first_page == of.next_seq_page {
+                (of.ra_window * 2).min(k.cfg.readahead_pages)
             } else {
-                self.stats.cache_misses += 1;
-                // Fetch a readahead run: contiguous on disk, not cached,
-                // within the file and the window.
-                let run = self.plan_fetch_run(of.dev, of.ino, page, file_pages, window);
-                let start_block = self.fss[of.dev].ensure_block(of.ino, page)?;
-                // Metadata I/O from block mapping (indirect blocks are
-                // folded into the inode cost model).
-                self.fss[of.dev].take_io();
-                self.disk_io(pid, of.dev, start_block, run);
-                for k in 0..run {
-                    let rid = PageId {
-                        owner: Owner::File {
-                            dev: of.dev as u32,
-                            ino: of.ino,
-                        },
-                        page: page + k,
-                    };
-                    let ev = self.cache.insert(rid, false);
-                    self.handle_evictions(pid, ev)?;
+                RA_INITIAL
+            };
+
+            let file_pages = size.div_ceil(PAGE_SIZE);
+            let mut cpu = GrayDuration::ZERO;
+            let mut page = first_page;
+            // Pages below `run_end` were fetched by this call's own readahead:
+            // consuming them is part of the same logical access, so they are
+            // *not* re-referenced (otherwise a single sequential scan would
+            // mark everything referenced and scan-resistant policies could
+            // never tell streams from reuse).
+            let mut run_end = first_page;
+            while page <= last_page {
+                // Pages below `run_end` came from this call's own readahead
+                // and are not re-referenced (one sequential access = one
+                // reference); genuine hits bump the LRU position.
+                if page < run_end || k.cache.lookup_touch(PageId::file(of.dev, of.ino, page)) {
+                    k.stats.cache_hits += 1;
+                    cpu += COSTS.page_lookup;
+                } else {
+                    k.stats.cache_misses += 1;
+                    // Fetch a readahead run: contiguous on disk, not cached,
+                    // within the file and the window.
+                    let run = k.plan_fetch_run(of.dev, of.ino, page, file_pages, window);
+                    let start_block = k.fss[of.dev].ensure_block(of.ino, page)?;
+                    // Metadata I/O from block mapping (indirect blocks are
+                    // folded into the inode cost model).
+                    k.fss[of.dev].take_io();
+                    k.disk_io(pid, of.dev, start_block, run);
+                    for p in page..page + run {
+                        let ev = k.cache.insert(PageId::file(of.dev, of.ino, p), false);
+                        k.handle_evictions(pid, ev)?;
+                    }
+                    k.stats.file_page_reads += run;
+                    run_end = page + run;
+                    window = (window * 2).min(k.cfg.readahead_pages);
+                    cpu += COSTS.page_lookup;
                 }
-                self.stats.file_page_reads += run;
-                run_end = page + run;
-                window = (window * 2).min(self.cfg.readahead_pages);
-                cpu += COSTS.page_lookup;
-            }
-            // Copy the requested fraction of this page to the user.
-            let page_start = page * PAGE_SIZE;
-            let copy_from = offset.max(page_start);
-            let copy_to = (offset + len).min(page_start + PAGE_SIZE);
-            let bytes = copy_to - copy_from;
-            cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
-            if let Some(out) = buf.as_deref_mut() {
-                if let Some(disk_block) = self.fss[of.dev].block_of(of.ino, page) {
-                    let dst_start = (copy_from - offset) as usize;
-                    let dst = &mut out[dst_start..dst_start + bytes as usize];
-                    self.fss[of.dev].read_content(disk_block, copy_from - page_start, dst);
+                // Copy the requested fraction of this page to the user.
+                let page_start = page * PAGE_SIZE;
+                let copy_from = offset.max(page_start);
+                let copy_to = (offset + len).min(page_start + PAGE_SIZE);
+                let bytes = copy_to - copy_from;
+                cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
+                if let Some(out) = buf.as_deref_mut() {
+                    if let Some(disk_block) = k.fss[of.dev].block_of(of.ino, page) {
+                        let dst_start = (copy_from - offset) as usize;
+                        let dst = &mut out[dst_start..dst_start + bytes as usize];
+                        k.fss[of.dev].read_content(disk_block, copy_from - page_start, dst);
+                    }
                 }
+                page += 1;
             }
-            page += 1;
-        }
-        self.charge_cpu(pid, cpu);
-        let now = self.procs[pid].now;
-        self.fss[of.dev].note_read(of.ino, now)?;
-        // Update sequential state.
-        let entry = self.fdt[pid].get_mut(&fd.0).expect("checked above");
-        entry.ra_window = window;
-        entry.next_seq_page = last_page + 1;
-        Ok(len)
+            k.charge_cpu(pid, cpu);
+            let now = k.procs[pid].now;
+            k.fss[of.dev].note_read(of.ino, now)?;
+            // Update sequential state.
+            let entry = k.fdt[pid].get_mut(&fd.0).expect("checked above");
+            entry.ra_window = window;
+            entry.next_seq_page = last_page + 1;
+            Ok(len)
+        })
     }
 
     /// Services a whole batch of timed 1-byte read probes in one kernel
@@ -577,30 +577,74 @@ impl Kernel {
     /// bit-identical to a loop of individually dispatched probes. What the
     /// batch elides is purely executor overhead: the caller borrows the
     /// kernel (and holds the scheduler baton) once for the whole batch
-    /// instead of three times per probe.
+    /// instead of three times per probe. Each probe is traced as a
+    /// `ProbeIssued` event stamped at its second clock read.
     pub fn sys_probe_batch(&mut self, pid: usize, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
-        let _op = profile::op_scope("sys_probe_batch");
-        let mut out = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let t0 = self.sys_now(pid);
-            let res = self.sys_read(pid, fd, spec.offset, 1, None);
-            let t1 = self.sys_now(pid);
-            let elapsed = t1.since(t0);
-            // Virtual-time probe event: the simulated clock, not the host
-            // clock, is what a timeline of this run must be drawn in.
-            gray_toolbox::trace::emit_with_at(t1, || {
-                gray_toolbox::trace::TraceEvent::ProbeIssued {
-                    offset: spec.offset,
-                    latency_ns: elapsed.as_nanos(),
-                }
-            });
-            out.push(ProbeSample {
-                offset: spec.offset,
-                elapsed,
-                ok: matches!(res, Ok(n) if n > 0),
-            });
+        let offsets = specs.iter().map(|s| s.offset);
+        self.timed_batch(
+            pid,
+            "sys_probe_batch",
+            offsets,
+            true,
+            |k, offset| matches!(k.sys_read(pid, fd, offset, 1, None), Ok(n) if n > 0),
+        )
+    }
+
+    /// Services a batch of timed page write-touches in one kernel entry —
+    /// the memory-side sibling of [`Kernel::sys_probe_batch`], with the
+    /// same per-probe replay of the scalar `sys_now` / touch / `sys_now`
+    /// sequence (the sample's `offset` carries the page index). Not
+    /// traced.
+    pub fn sys_mem_probe_batch(
+        &mut self,
+        pid: usize,
+        region: u64,
+        pages: &[u64],
+    ) -> Vec<ProbeSample> {
+        let pages = pages.iter().copied();
+        self.timed_batch(pid, "sys_mem_probe_batch", pages, false, |k, page| {
+            k.sys_mem_touch_write(pid, region, page).is_ok()
+        })
+    }
+
+    /// The timed loop both probe batches share: for each offset, inside
+    /// one kernel entry, `sys_now`, then `probe` (which reports success),
+    /// then `sys_now`. With `traced`, each probe emits a virtual-time
+    /// `ProbeIssued` event: the simulated clock, not the host clock, is
+    /// what a timeline of this run must be drawn in. An empty batch
+    /// enters nothing.
+    fn timed_batch(
+        &mut self,
+        pid: usize,
+        op: &'static str,
+        offsets: impl ExactSizeIterator<Item = u64>,
+        traced: bool,
+        mut probe: impl FnMut(&mut Self, u64) -> bool,
+    ) -> Vec<ProbeSample> {
+        if offsets.len() == 0 {
+            return Vec::new();
         }
-        out
+        self.enter(pid, op, Entry::Free, |k| {
+            offsets
+                .map(|offset| {
+                    let t0 = k.sys_now(pid);
+                    let ok = probe(k, offset);
+                    let t1 = k.sys_now(pid);
+                    let elapsed = t1.since(t0);
+                    if traced {
+                        trace::emit_with_at(t1, || trace::TraceEvent::ProbeIssued {
+                            offset,
+                            latency_ns: elapsed.as_nanos(),
+                        });
+                    }
+                    ProbeSample {
+                        offset,
+                        elapsed,
+                        ok,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Longest run of pages starting at `page` that is contiguous on disk,
@@ -618,14 +662,7 @@ impl Kernel {
             return 1;
         };
         while run < window && page + run < file_pages {
-            let id = PageId {
-                owner: Owner::File {
-                    dev: dev as u32,
-                    ino,
-                },
-                page: page + run,
-            };
-            if self.cache.contains(id) {
+            if self.cache.contains(PageId::file(dev, ino, page + run)) {
                 break;
             }
             match self.fss[dev].block_of(ino, page + run) {
@@ -646,182 +683,144 @@ impl Kernel {
         len: u64,
         data: Option<&[u8]>,
     ) -> OsResult<u64> {
-        let _op = profile::op_scope("sys_write");
         if let Some(d) = data {
             debug_assert_eq!(d.len() as u64, len);
         }
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        if len == 0 {
-            return Ok(0);
-        }
-        let of = *self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-        let first_page = offset / PAGE_SIZE;
-        let last_page = (offset + len - 1) / PAGE_SIZE;
-        let mut cpu = GrayDuration::ZERO;
-        for page in first_page..=last_page {
-            let disk_block = {
-                let existed = self.fss[of.dev].block_of(of.ino, page).is_some();
-                let r = if existed && self.fss[of.dev].layout() == crate::config::LayoutPolicy::Lfs
-                {
-                    // LFS: overwrites append at the log head.
-                    self.fss[of.dev].relocate_block(of.ino, page)
-                } else {
-                    self.fss[of.dev].ensure_block(of.ino, page)
+        self.enter(pid, "sys_write", Entry::Syscall, |k| {
+            // An empty write pays the crossing and does nothing else.
+            if len == 0 {
+                return Ok(0);
+            }
+            let of = *k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
+            let first_page = offset / PAGE_SIZE;
+            let last_page = (offset + len - 1) / PAGE_SIZE;
+            let mut cpu = GrayDuration::ZERO;
+            for page in first_page..=last_page {
+                let disk_block = {
+                    let existed = k.fss[of.dev].block_of(of.ino, page).is_some();
+                    let r = if existed && k.fss[of.dev].layout() == crate::config::LayoutPolicy::Lfs
+                    {
+                        // LFS: overwrites append at the log head.
+                        k.fss[of.dev].relocate_block(of.ino, page)
+                    } else {
+                        k.fss[of.dev].ensure_block(of.ino, page)
+                    };
+                    k.charge_meta(pid, of.dev)?;
+                    r?
                 };
-                self.charge_meta(pid, of.dev)?;
-                r?
-            };
-            let page_start = page * PAGE_SIZE;
-            let copy_from = offset.max(page_start);
-            let copy_to = (offset + len).min(page_start + PAGE_SIZE);
-            let bytes = copy_to - copy_from;
-            // A partial overwrite of an uncached page must read it first
-            // (read-modify-write).
-            let id = PageId {
-                owner: Owner::File {
-                    dev: of.dev as u32,
-                    ino: of.ino,
-                },
-                page,
-            };
-            let whole_page = bytes == PAGE_SIZE;
-            if !self.cache.lookup_touch(id) && !whole_page {
-                let within_old_size =
-                    page_start < self.fss[of.dev].inode(of.ino).map(|i| i.size).unwrap_or(0);
-                if within_old_size {
-                    self.disk_io(pid, of.dev, disk_block, 1);
-                    self.stats.file_page_reads += 1;
+                let page_start = page * PAGE_SIZE;
+                let copy_from = offset.max(page_start);
+                let copy_to = (offset + len).min(page_start + PAGE_SIZE);
+                let bytes = copy_to - copy_from;
+                // A partial overwrite of an uncached page must read it first
+                // (read-modify-write).
+                let id = PageId::file(of.dev, of.ino, page);
+                let whole_page = bytes == PAGE_SIZE;
+                if !k.cache.lookup_touch(id) && !whole_page {
+                    let within_old_size =
+                        page_start < k.fss[of.dev].inode(of.ino).map(|i| i.size).unwrap_or(0);
+                    if within_old_size {
+                        k.disk_io(pid, of.dev, disk_block, 1);
+                        k.stats.file_page_reads += 1;
+                    }
                 }
+                let ev = k.cache.insert(id, true);
+                k.handle_evictions(pid, ev)?;
+                match data {
+                    Some(d) => {
+                        let src_start = (copy_from - offset) as usize;
+                        let src = &d[src_start..src_start + bytes as usize];
+                        k.fss[of.dev].write_content(disk_block, copy_from - page_start, src);
+                    }
+                    None => {
+                        k.fss[of.dev].fill_content(disk_block);
+                    }
+                }
+                cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
             }
-            let ev = self.cache.insert(id, true);
-            self.handle_evictions(pid, ev)?;
-            match data {
-                Some(d) => {
-                    let src_start = (copy_from - offset) as usize;
-                    let src = &d[src_start..src_start + bytes as usize];
-                    self.fss[of.dev].write_content(disk_block, copy_from - page_start, src);
-                }
-                None => {
-                    self.fss[of.dev].fill_content(disk_block);
-                }
-            }
-            cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
-        }
-        self.charge_cpu(pid, cpu);
-        let now = self.procs[pid].now;
-        self.fss[of.dev].note_write(of.ino, offset + len, now)?;
-        self.charge_meta(pid, of.dev)?;
-        Ok(len)
+            k.charge_cpu(pid, cpu);
+            let now = k.procs[pid].now;
+            k.fss[of.dev].note_write(of.ino, offset + len, now)?;
+            k.charge_meta(pid, of.dev)?;
+            Ok(len)
+        })
     }
 
     /// Size of an open file.
     pub fn sys_file_size(&mut self, pid: usize, fd: Fd) -> OsResult<u64> {
-        let _op = profile::op_scope("sys_file_size");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let of = self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-        Ok(self.fss[of.dev]
-            .inode(of.ino)
-            .ok_or(OsError::NotFound)?
-            .size)
+        self.enter(pid, "sys_file_size", Entry::Syscall, |k| {
+            let of = k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
+            Ok(k.fss[of.dev].inode(of.ino).ok_or(OsError::NotFound)?.size)
+        })
     }
 
     /// Writes back every dirty page (`sync(2)`), charged to the caller.
     pub fn sys_sync(&mut self, pid: usize) -> OsResult<()> {
-        let _op = profile::op_scope("sys_sync");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let dirty = self.cache.dirty_pages();
-        for id in dirty {
-            match id.owner {
-                Owner::File { dev, ino } => {
-                    let dev = dev as usize;
-                    if let Some(block) = self.home_block(dev, ino, id.page) {
-                        self.disk_io(pid, dev, block, 1);
-                        self.stats.file_page_writes += 1;
-                    }
-                    self.cache.clean(id);
+        self.enter(pid, "sys_sync", Entry::Syscall, |k| {
+            for id in k.cache.dirty_pages() {
+                // sync(2) does not touch anonymous memory.
+                let Owner::File { dev, ino } = id.owner else {
+                    continue;
+                };
+                let dev = dev as usize;
+                if let Some(block) = k.home_block(dev, ino, id.page) {
+                    k.disk_io(pid, dev, block, 1);
+                    k.stats.file_page_writes += 1;
                 }
-                Owner::Anon { .. } => {
-                    // sync(2) does not touch anonymous memory.
-                }
+                k.cache.clean(id);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// `stat(2)`.
     pub fn sys_stat(&mut self, pid: usize, path: &str) -> OsResult<Stat> {
-        let _op = profile::op_scope("sys_stat");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let ino = {
-            let r = self.fss[dev].resolve(&local);
-            self.charge_meta(pid, dev)?;
-            r?
-        };
-        let inode = self.fss[dev].inode(ino).ok_or(OsError::NotFound)?;
-        Ok(Stat {
-            ino,
-            dev: dev as u64,
-            size: inode.size,
-            is_dir: inode.is_dir,
-            atime: inode.atime,
-            mtime: inode.mtime,
+        self.enter(pid, "sys_stat", Entry::Syscall, |k| {
+            let (dev, ino) = k.namespace(pid, path, |fs, local, _| fs.resolve(local))?;
+            let inode = k.fss[dev].inode(ino).ok_or(OsError::NotFound)?;
+            Ok(Stat {
+                ino,
+                dev: dev as u64,
+                size: inode.size,
+                is_dir: inode.is_dir,
+                atime: inode.atime,
+                mtime: inode.mtime,
+            })
         })
     }
 
     /// Lists a directory in creation order.
     pub fn sys_list_dir(&mut self, pid: usize, path: &str) -> OsResult<Vec<String>> {
-        let _op = profile::op_scope("sys_list_dir");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let r = self.fss[dev].list_dir(&local);
-        self.charge_meta(pid, dev)?;
-        r
+        self.enter(pid, "sys_list_dir", Entry::Syscall, |k| {
+            let (_, names) = k.namespace(pid, path, |fs, local, _| fs.list_dir(local))?;
+            Ok(names)
+        })
     }
 
     /// Creates a directory.
     pub fn sys_mkdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        let _op = profile::op_scope("sys_mkdir");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let now = self.procs[pid].now;
-        let r = self.fss[dev].mkdir(&local, now).map(|_| ());
-        self.charge_meta(pid, dev)?;
-        r
+        self.enter(pid, "sys_mkdir", Entry::Syscall, |k| {
+            k.namespace(pid, path, |fs, local, now| fs.mkdir(local, now))?;
+            Ok(())
+        })
     }
 
     /// Removes an empty directory.
     pub fn sys_rmdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        let _op = profile::op_scope("sys_rmdir");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let now = self.procs[pid].now;
-        let r = self.fss[dev].rmdir(&local, now);
-        self.charge_meta(pid, dev)?;
-        let ino = r?;
-        self.purge_file_pages(dev, ino);
-        Ok(())
+        self.enter(pid, "sys_rmdir", Entry::Syscall, |k| {
+            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.rmdir(local, now))?;
+            k.purge_file_pages(dev, ino);
+            Ok(())
+        })
     }
 
     /// Unlinks a file.
     pub fn sys_unlink(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        let _op = profile::op_scope("sys_unlink");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let now = self.procs[pid].now;
-        let r = self.fss[dev].unlink(&local, now);
-        self.charge_meta(pid, dev)?;
-        let ino = r?;
-        self.purge_file_pages(dev, ino);
-        Ok(())
+        self.enter(pid, "sys_unlink", Entry::Syscall, |k| {
+            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.unlink(local, now))?;
+            k.purge_file_pages(dev, ino);
+            Ok(())
+        })
     }
 
     fn purge_file_pages(&mut self, dev: usize, ino: Ino) {
@@ -834,18 +833,15 @@ impl Kernel {
 
     /// Renames within one file system.
     pub fn sys_rename(&mut self, pid: usize, from: &str, to: &str) -> OsResult<()> {
-        let _op = profile::op_scope("sys_rename");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (fdev, flocal) = self.mount_of(from)?;
-        let (tdev, tlocal) = self.mount_of(to)?;
-        if fdev != tdev {
-            return Err(OsError::Unsupported);
-        }
-        let now = self.procs[pid].now;
-        let r = self.fss[fdev].rename(&flocal, &tlocal, now);
-        self.charge_meta(pid, fdev)?;
-        r
+        self.enter(pid, "sys_rename", Entry::Syscall, |k| {
+            let (fdev, _) = k.mount_of(from)?;
+            let (tdev, tlocal) = k.mount_of(to)?;
+            if fdev != tdev {
+                return Err(OsError::Unsupported);
+            }
+            k.namespace(pid, from, |fs, flocal, now| fs.rename(flocal, &tlocal, now))?;
+            Ok(())
+        })
     }
 
     /// Sets file times.
@@ -856,50 +852,46 @@ impl Kernel {
         atime: Nanos,
         mtime: Nanos,
     ) -> OsResult<()> {
-        let _op = profile::op_scope("sys_set_times");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        let (dev, local) = self.mount_of(path)?;
-        let r = self.fss[dev].set_times(&local, atime, mtime);
-        self.charge_meta(pid, dev)?;
-        r
+        self.enter(pid, "sys_set_times", Entry::Syscall, |k| {
+            k.namespace(pid, path, |fs, local, _| fs.set_times(local, atime, mtime))?;
+            Ok(())
+        })
     }
 
-    /// Allocates an anonymous region (address space only).
+    /// Allocates an anonymous region (address space only). A zero-byte
+    /// request is refused before it enters the kernel.
     pub fn sys_mem_alloc(&mut self, pid: usize, bytes: u64) -> OsResult<u64> {
-        let _op = profile::op_scope("sys_mem_alloc");
         if bytes == 0 {
             return Err(OsError::InvalidArgument);
         }
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        Ok(self.vm.alloc(bytes.div_ceil(PAGE_SIZE)))
+        self.enter(pid, "sys_mem_alloc", Entry::Syscall, |k| {
+            Ok(k.vm.alloc(bytes.div_ceil(PAGE_SIZE)))
+        })
     }
 
     /// Frees a region and purges its pages.
     pub fn sys_mem_free(&mut self, pid: usize, region: u64) -> OsResult<()> {
-        let _op = profile::op_scope("sys_mem_free");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, COSTS.syscall);
-        self.vm.free(region)?;
-        let _ = self.cache.remove_owner(Owner::Anon { region });
-        Ok(())
+        self.enter(pid, "sys_mem_free", Entry::Syscall, |k| {
+            k.vm.free(region)?;
+            let _ = k.cache.remove_owner(Owner::Anon { region });
+            Ok(())
+        })
     }
 
     /// Write-touches one page of a region.
     pub fn sys_mem_touch_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
-        let _op = profile::op_scope("sys_mem_touch_write");
-        self.poll_flusher(pid);
-        self.vm.check(region, page)?;
-        let id = PageId {
-            owner: Owner::Anon { region },
-            page,
-        };
-        if self.cache.mark_dirty(id) {
-            self.charge_cpu(pid, COSTS.mem_touch);
-            return Ok(());
-        }
-        self.fault_write(pid, region, page)
+        self.enter(pid, "sys_mem_touch_write", Entry::Free, |k| {
+            k.vm.check(region, page)?;
+            let id = PageId {
+                owner: Owner::Anon { region },
+                page,
+            };
+            if k.cache.mark_dirty(id) {
+                k.charge_cpu(pid, COSTS.mem_touch);
+                return Ok(());
+            }
+            k.fault_write(pid, region, page)
+        })
     }
 
     /// The write-touch of a page that is not resident: a demand-zero fault
@@ -933,76 +925,49 @@ impl Kernel {
         Ok(())
     }
 
-    /// Services a batch of timed page write-touches in one kernel entry —
-    /// the memory-side sibling of [`Kernel::sys_probe_batch`], with the
-    /// same per-probe replay of the scalar `sys_now` / touch / `sys_now`
-    /// sequence (the sample's `offset` carries the page index).
-    pub fn sys_mem_probe_batch(
-        &mut self,
-        pid: usize,
-        region: u64,
-        pages: &[u64],
-    ) -> Vec<ProbeSample> {
-        let _op = profile::op_scope("sys_mem_probe_batch");
-        let mut out = Vec::with_capacity(pages.len());
-        for &page in pages {
-            let t0 = self.sys_now(pid);
-            let res = self.sys_mem_touch_write(pid, region, page);
-            let t1 = self.sys_now(pid);
-            out.push(ProbeSample {
-                offset: page,
-                elapsed: t1.since(t0),
-                ok: res.is_ok(),
-            });
-        }
-        out
-    }
-
     /// Read-touches one page of a region.
     pub fn sys_mem_touch_read(&mut self, pid: usize, region: u64, page: u64) -> OsResult<u8> {
-        let _op = profile::op_scope("sys_mem_touch_read");
-        self.poll_flusher(pid);
-        self.vm.check(region, page)?;
-        let id = PageId {
-            owner: Owner::Anon { region },
-            page,
-        };
-        if self.cache.lookup_touch(id) {
-            self.charge_cpu(pid, COSTS.mem_touch);
-            return Ok(0);
-        }
-        match self.vm.touch_kind(region, page)? {
-            TouchKind::Untouched => {
-                // Copy-on-write zero page: reads allocate nothing.
-                self.charge_cpu(pid, COSTS.mem_touch);
+        self.enter(pid, "sys_mem_touch_read", Entry::Free, |k| {
+            k.vm.check(region, page)?;
+            let id = PageId {
+                owner: Owner::Anon { region },
+                page,
+            };
+            if k.cache.lookup_touch(id) {
+                k.charge_cpu(pid, COSTS.mem_touch);
+                return Ok(0);
             }
-            TouchKind::Swapped(slot) => {
-                self.stats.swap_ins += 1;
-                self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
-                let ev = self.cache.insert(id, false);
-                self.handle_evictions(pid, ev)?;
-                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
+            match k.vm.touch_kind(region, page)? {
+                TouchKind::Untouched => {
+                    // Copy-on-write zero page: reads allocate nothing.
+                    k.charge_cpu(pid, COSTS.mem_touch);
+                }
+                TouchKind::Swapped(slot) => {
+                    k.stats.swap_ins += 1;
+                    k.disk_io(pid, k.swap_disk, k.swap_base + slot, 1);
+                    let ev = k.cache.insert(id, false);
+                    k.handle_evictions(pid, ev)?;
+                    k.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
+                }
+                TouchKind::Materialized => {
+                    unreachable!("materialized page missing from cache and swap")
+                }
             }
-            TouchKind::Materialized => {
-                unreachable!("materialized page missing from cache and swap")
-            }
-        }
-        Ok(0)
+            Ok(0)
+        })
     }
 
     /// Burns CPU time.
     pub fn sys_compute(&mut self, pid: usize, work: GrayDuration) {
-        let _op = profile::op_scope("sys_compute");
-        self.poll_flusher(pid);
-        self.charge_cpu(pid, work);
+        self.enter(pid, "sys_compute", Entry::Free, |k| k.charge_cpu(pid, work));
     }
 
     /// Advances the process clock without consuming CPU.
     pub fn sys_sleep(&mut self, pid: usize, d: GrayDuration) {
-        let _op = profile::op_scope("sys_sleep");
-        self.poll_flusher(pid);
-        self.set_time(pid, self.procs[pid].now + d);
-        profile::charge(pid as u64, "sleep", d.as_nanos());
+        self.enter(pid, "sys_sleep", Entry::Free, |k| {
+            k.set_time(pid, k.procs[pid].now + d);
+            profile::charge(pid as u64, "sleep", d.as_nanos());
+        });
     }
 
     // --- Experiment scaffolding (not part of the gray-box surface) --------

@@ -19,7 +19,8 @@ use graybox_icl::covert::{
 };
 use graybox_icl::simos::Platform;
 use graybox_icl::toolbox::pool::Pool;
-use graybox_icl::toolbox::profile;
+use graybox_icl::toolbox::trace::{self, TraceEvent};
+use graybox_icl::toolbox::{profile, GrayDuration};
 
 /// The demo's cell shape: 16 bits (in the channel's 50 ms slots and
 /// 4-page groups).
@@ -163,4 +164,33 @@ fn defenders_measurably_degrade_capacity() {
         flushed_fccd.errors, 0,
         "eager flush must not touch the read-side channel"
     );
+}
+
+/// The receiver probes once per slot, mid-slot. Each `ProbeIssued` is
+/// stamped on the virtual clock when its probe returns, so stamp minus
+/// latency is the instant the probe began, and those instants are at
+/// least one 50 ms slot apart. Host-clock stamps would sit microseconds
+/// apart.
+#[test]
+fn receiver_probes_are_stamped_one_slot_apart() {
+    const SLOT: GrayDuration = GrayDuration::from_millis(50);
+    let _capture = trace::capture();
+    cell(ChannelKind::Fccd, DefenderKind::Idle, 7).run();
+    let starts: Vec<u64> = trace::drain()
+        .into_iter()
+        .filter(|rec| rec.span == "covert:rx")
+        .filter_map(|rec| match rec.event {
+            TraceEvent::ProbeIssued { latency_ns, .. } => Some(rec.ts.as_nanos() - latency_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(starts.len(), 16, "one receiver probe per bit");
+    for pair in starts.windows(2) {
+        assert!(
+            pair[1] >= pair[0] + SLOT.as_nanos(),
+            "receiver probes began at {} and {} ns",
+            pair[0],
+            pair[1]
+        );
+    }
 }

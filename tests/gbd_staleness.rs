@@ -26,6 +26,7 @@ use graybox_icl::graybox::fccd::FccdParams;
 use graybox_icl::sched::SchedConfig;
 use graybox_icl::simos::{scenario, Sim};
 use graybox_icl::toolbox::prop::{check, Gen};
+use graybox_icl::toolbox::trace::{self, TraceEvent};
 use graybox_icl::toolbox::GrayDuration;
 
 /// Virtual TTL: far above the probe time of a few small files, so the
@@ -49,10 +50,10 @@ fn boot(nfiles: usize, mask: &[bool]) -> (Sim, Vec<(String, u64)>) {
     (sim, files)
 }
 
-/// A daemon with the given staleness policy and a deterministic FCCD
-/// geometry sized for the small machine.
-fn daemon(seed: u64, churn_aware: bool) -> Gbd {
-    let cfg = GbdConfig {
+/// A daemon configuration with a deterministic FCCD geometry sized for
+/// the small machine.
+fn config(seed: u64) -> GbdConfig {
+    GbdConfig {
         cache_ttl: TTL,
         fccd: FccdParams {
             access_unit: 1 << 20,
@@ -65,7 +66,12 @@ fn daemon(seed: u64, churn_aware: bool) -> Gbd {
             sub_batch: 0,
         },
         ..GbdConfig::default()
-    };
+    }
+}
+
+/// A daemon with the given staleness policy over [`config`].
+fn daemon(seed: u64, churn_aware: bool) -> Gbd {
+    let cfg = config(seed);
     let policy: Box<dyn graybox_icl::gbd::StalenessPolicy> = if churn_aware {
         Box::new(cfg.churn_policy())
     } else {
@@ -214,4 +220,72 @@ fn churn_aware_reinfers_while_ttl_only_serves_stale_until_expiry() {
             assert!(gbd.stats().expired >= 1);
         },
     );
+}
+
+/// Every `CacheAccess` record the daemon emits is stamped on the virtual
+/// clock: inside its tick, between the drain instant and the machine's
+/// clock after `serve`. One churn scenario, with a two-entry cache and a
+/// TTL expiry, walks all six outcomes.
+#[test]
+fn cache_access_records_are_stamped_in_virtual_time() {
+    let mask = [true, false, true, false];
+    let (mut sim, files) = boot(mask.len(), &mask);
+    let cfg = GbdConfig {
+        cache_capacity: 2,
+        ..config(7)
+    };
+    let policy = Box::new(cfg.churn_policy());
+    let mut gbd = Gbd::new(cfg, policy);
+    let client = gbd.register_tenant("watcher").unwrap();
+    let query = Query::FccdClassify {
+        files: files.clone(),
+    };
+    let mut reversed = files.clone();
+    reversed.reverse();
+
+    let _capture = trace::capture();
+    let mut outcomes = Vec::new();
+    let mut tick = |sim: &mut Sim, gbd: &mut Gbd, query: Query| {
+        let t = client.submit(query);
+        let drained = sim.now();
+        gbd.serve(sim);
+        let end = sim.now();
+        client.take(t).expect("served");
+        for rec in trace::drain() {
+            if let TraceEvent::CacheAccess { outcome, .. } = rec.event {
+                assert!(
+                    (drained..=end).contains(&rec.ts),
+                    "{outcome} stamped {} outside its tick [{drained}, {end}]",
+                    rec.ts
+                );
+                outcomes.push(outcome);
+            }
+        }
+    };
+    // Miss; the churn tick's miss contradicts it (churned, reinfer); the
+    // repeat hits; a third key evicts the oldest entry; past the TTL the
+    // repeat has expired.
+    tick(&mut sim, &mut gbd, query.clone());
+    let flipped: Vec<(String, u64)> = files
+        .iter()
+        .zip(mask)
+        .filter(|(_, m)| !m)
+        .map(|(f, _)| f.clone())
+        .collect();
+    scenario::churn(&mut sim, &flipped);
+    tick(&mut sim, &mut gbd, Query::FccdClassify { files: reversed });
+    tick(&mut sim, &mut gbd, query.clone());
+    let dir = "/d1".to_string();
+    tick(&mut sim, &mut gbd, Query::FldcOrder { dir });
+    sim.run_one(|os| {
+        use graybox_icl::graybox::os::GrayBoxOs;
+        os.sleep(TTL + GrayDuration::from_secs(1));
+    });
+    tick(&mut sim, &mut gbd, query);
+    for outcome in ["hit", "miss", "expired", "churned", "reinfer", "evicted"] {
+        assert!(
+            outcomes.contains(&outcome),
+            "no {outcome} record in {outcomes:?}"
+        );
+    }
 }
