@@ -20,6 +20,7 @@ use graybox::fccd::{Fccd, FccdParams};
 use graybox::os::{GrayBoxOs, OsResult};
 
 use crate::grep::GrepMode;
+use crate::scan::read_extents;
 
 /// Modelled cost of one fork+exec of the utility.
 pub const FORK_EXEC_COST: GrayDuration = GrayDuration::from_millis(3);
@@ -115,12 +116,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         let fd = self.os.open(path)?;
         let size = self.os.file_size(fd)?;
         let plan = fccd.plan_file(fd, size);
-        let mut total = 0u64;
-        for extent in plan {
-            let n = self.os.read_discard(fd, extent.offset, extent.len)?;
-            self.charge_pipe(n);
-            total += n;
-        }
+        let total = read_extents(self.os, fd, &plan, u64::MAX, |n| self.charge_pipe(n))?;
         self.os.close(fd)?;
         Ok(total)
     }

@@ -6,10 +6,13 @@
 //! repeated runs this is also the paper's *positive feedback* control: the
 //! file is accessed in access-unit-sized chunks, so access-unit-sized
 //! chunks are what ends up cached, stabilizing the prediction.
+//!
+//! [`read_extents`] is the one loop that reads a file's ranges in order;
+//! both scans read through it.
 
 use gray_toolbox::GrayDuration;
-use graybox::fccd::{Fccd, FccdParams};
-use graybox::os::{GrayBoxOs, OsResult};
+use graybox::fccd::{Extent, Fccd, FccdParams};
+use graybox::os::{Fd, GrayBoxOs, OsResult};
 
 /// Result of one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,26 +25,50 @@ pub struct ScanReport {
     pub bytes: u64,
 }
 
+/// Reads each extent of `fd` in order, in reads of at most `chunk` bytes
+/// (`u64::MAX`: one read per extent), moving to the next extent at the
+/// end of one or at a 0-byte read. Calls `on_read(n)` after each read and
+/// returns the bytes covered.
+pub fn read_extents<O: GrayBoxOs>(
+    os: &O,
+    fd: Fd,
+    extents: &[Extent],
+    chunk: u64,
+    mut on_read: impl FnMut(u64),
+) -> OsResult<u64> {
+    let mut bytes = 0;
+    for extent in extents {
+        let end = extent.offset + extent.len;
+        let mut off = extent.offset;
+        while off < end {
+            let n = os.read_discard(fd, off, chunk.min(end - off))?;
+            if n == 0 {
+                break;
+            }
+            on_read(n);
+            off += n;
+            bytes += n;
+        }
+    }
+    Ok(bytes)
+}
+
 /// Reads the whole file front to back in `chunk`-byte reads.
 pub fn linear_scan<O: GrayBoxOs>(os: &O, path: &str, chunk: u64) -> OsResult<ScanReport> {
     assert!(chunk > 0, "chunk must be positive");
     let t0 = os.now();
     let fd = os.open(path)?;
     let size = os.file_size(fd)?;
-    let mut off = 0u64;
-    while off < size {
-        let want = chunk.min(size - off);
-        let n = os.read_discard(fd, off, want)?;
-        if n == 0 {
-            break;
-        }
-        off += n;
-    }
+    let whole = Extent {
+        offset: 0,
+        len: size,
+    };
+    let bytes = read_extents(os, fd, &[whole], chunk, |_| {})?;
     os.close(fd)?;
     Ok(ScanReport {
         elapsed: os.now().since(t0),
         probe_time: GrayDuration::ZERO,
-        bytes: off,
+        bytes,
     })
 }
 
@@ -61,20 +88,7 @@ pub fn graybox_scan<O: GrayBoxOs>(
     let probe_t0 = os.now();
     let plan = fccd.plan_file(fd, size);
     let probe_time = os.now().since(probe_t0);
-    let mut bytes = 0u64;
-    for extent in plan {
-        let mut off = extent.offset;
-        let end = extent.offset + extent.len;
-        while off < end {
-            let want = chunk.min(end - off);
-            let n = os.read_discard(fd, off, want)?;
-            if n == 0 {
-                break;
-            }
-            off += n;
-            bytes += n;
-        }
-    }
+    let bytes = read_extents(os, fd, &plan, chunk, |_| {})?;
     os.close(fd)?;
     Ok(ScanReport {
         elapsed: os.now().since(t0),

@@ -1,7 +1,5 @@
 //! Synthetic workload generators for the experiments.
 
-use gray_toolbox::rng::SeedableRng;
-use gray_toolbox::rng::SliceRandom;
 use gray_toolbox::rng::StdRng;
 use graybox::os::{GrayBoxOs, GrayBoxOsExt, OsResult};
 
@@ -51,7 +49,7 @@ pub fn age_epoch<O: GrayBoxOs>(
 ) -> OsResult<Vec<String>> {
     let names = os.list_dir(dir)?;
     let mut victims: Vec<&String> = names.iter().collect();
-    victims.shuffle(rng);
+    rng.shuffle(&mut victims);
     for name in victims.into_iter().take(churn) {
         os.unlink(&os.join(dir, name))?;
     }
@@ -68,9 +66,8 @@ pub fn age_epoch<O: GrayBoxOs>(
 
 /// A deterministic shuffled copy of `paths`.
 pub fn shuffled(paths: &[String], seed: u64) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut out = paths.to_vec();
-    out.shuffle(&mut rng);
+    StdRng::seed_from_u64(seed).shuffle(&mut out);
     out
 }
 

@@ -45,7 +45,6 @@ use std::cell::RefCell;
 
 use gray_toolbox::cluster::{split_fast_slow, TRUST_FLOOR};
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::trace::{self, TraceEvent, Verdict};
 use gray_toolbox::GrayDuration;
 

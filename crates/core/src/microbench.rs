@@ -16,7 +16,6 @@
 
 use gray_toolbox::repository::keys;
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::{split_fast_slow, GrayDuration, ParamRepository, Summary};
 
 use crate::mac;

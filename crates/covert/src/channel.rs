@@ -55,7 +55,7 @@
 
 use gray_toolbox::rng::splitmix64;
 use gray_toolbox::trace::{self, TraceEvent};
-use gray_toolbox::GrayDuration;
+use gray_toolbox::{GrayDuration, Nanos};
 use graybox::os::GrayBoxOs;
 use graybox::wbd::{Wbd, WbdParams};
 use simos::exec::Workload;
@@ -125,8 +125,14 @@ pub(crate) fn sleep_until(os: &SimProc, target_ns: u64) -> bool {
 /// Times `op` on the virtual clock — `now`, `op`, `now`, the syscalls
 /// [`GrayBoxOs::timed`] issues — and traces it as a `ProbeIssued` at
 /// `offset`, stamped at the second clock read so it lands on the run's
-/// virtual timeline. Returns the elapsed time.
-pub(crate) fn timed_probe(os: &SimProc, offset: u64, op: impl FnOnce(&SimProc)) -> GrayDuration {
+/// virtual timeline. Returns the elapsed time and that second read, so a
+/// record of what the caller decides from the probe can carry the same
+/// stamp without another clock syscall.
+pub(crate) fn timed_probe(
+    os: &SimProc,
+    offset: u64,
+    op: impl FnOnce(&SimProc),
+) -> (GrayDuration, Nanos) {
     let t0 = os.now();
     op(os);
     let t1 = os.now();
@@ -135,7 +141,7 @@ pub(crate) fn timed_probe(os: &SimProc, offset: u64, op: impl FnOnce(&SimProc)) 
         offset,
         latency_ns: elapsed.as_nanos(),
     });
-    elapsed
+    (elapsed, t1)
 }
 
 /// What each of the three processes reports back.
@@ -240,7 +246,7 @@ impl ChannelSpec {
                 late += sleep_until(os, base + i as u64 * s) as u64;
                 if bit {
                     let off = i as u64 * k * PAGE_SIZE;
-                    let d = timed_probe(os, off, |os| match kind {
+                    let (d, _) = timed_probe(os, off, |os| match kind {
                         ChannelKind::Fccd => {
                             os.read_discard(fd, off, k * PAGE_SIZE).unwrap();
                         }
@@ -277,10 +283,10 @@ impl ChannelSpec {
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
                         let probe_off = (i as u64 * k + (k - 1)) * PAGE_SIZE;
-                        let t = timed_probe(os, probe_off, |os| {
+                        let (t, at) = timed_probe(os, probe_off, |os| {
                             os.read_byte(fd, probe_off).unwrap();
                         });
-                        trace::emit_with(|| TraceEvent::ThresholdCrossed {
+                        trace::emit_with_at(at, || TraceEvent::ThresholdCrossed {
                             what: "covert.bit",
                             value: t.as_nanos() as f64,
                             threshold: threshold.as_nanos() as f64,
@@ -304,6 +310,9 @@ impl ChannelSpec {
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
                         let residue = wbd.residue_pages(&cal).unwrap();
+                        // No clock reading is at hand here, and taking one
+                        // would move the digest: this record carries host
+                        // time.
                         trace::emit_with(|| TraceEvent::ThresholdCrossed {
                             what: "covert.bit",
                             value: residue as f64,

@@ -389,13 +389,11 @@ impl Gbd {
         0
     }
 
-    /// Drains and answers every pending query: one tick.
+    /// Drains and answers every pending query: one tick. Its counts are
+    /// the difference of the cumulative [`GbdStats`] across it.
     pub fn serve(&mut self, sim: &mut Sim) -> TickStats {
+        let before = self.stats;
         let batch = self.mailbox.drain();
-        let mut tick = TickStats {
-            queries: batch.len(),
-            ..TickStats::default()
-        };
         self.stats.ticks += 1;
         self.stats.queries += batch.len() as u64;
 
@@ -426,7 +424,6 @@ impl Gbd {
                         t.stats.hits += 1;
                         t.stats.latency.record(0);
                         self.stats.hits += 1;
-                        tick.hits += 1;
                         self.mailbox.reply(
                             env.ticket,
                             Response {
@@ -455,7 +452,6 @@ impl Gbd {
                 if let Some(&i) = exec_by_key.get(key.as_str()) {
                     exec[i].waiters.push((tenant, env.ticket));
                     self.stats.coalesced += 1;
-                    tick.coalesced += 1;
                     continue;
                 }
             }
@@ -469,7 +465,6 @@ impl Gbd {
                     });
                     self.tenants[tenant].stats.shed += 1;
                     self.stats.shed += 1;
-                    tick.shed += 1;
                     self.mailbox.reply(
                         env.ticket,
                         Response {
@@ -502,7 +497,7 @@ impl Gbd {
         // Phase 3: execution. FCCD plans pool into shared waves and
         // allocation requests behind one MAC pass; every other query runs
         // alone, in arrival order.
-        tick.executed = exec.len();
+        let executed = exec.len();
         let mut fresh_verdicts = Verdicts::new();
         let (fccd, rest): (Vec<_>, Vec<_>) = exec
             .into_iter()
@@ -552,7 +547,6 @@ impl Gbd {
                 admitted += 1;
                 self.stats.admitted += 1;
                 self.stats.reinfers += 1;
-                tick.reinfers += 1;
                 trace::emit_with_at(sim.now(), || TraceEvent::CacheAccess {
                     key: item.key.clone(),
                     outcome: "reinfer",
@@ -562,8 +556,16 @@ impl Gbd {
         }
 
         self.stats.waves += self.sched.take_waves().len() as u64;
-        tick.budget = self.admission_budget();
-        tick
+        let after = self.stats;
+        TickStats {
+            queries: (after.queries - before.queries) as usize,
+            hits: (after.hits - before.hits) as usize,
+            coalesced: (after.coalesced - before.coalesced) as usize,
+            shed: (after.shed - before.shed) as usize,
+            executed,
+            reinfers: (after.reinfers - before.reinfers) as usize,
+            budget: self.admission_budget(),
+        }
     }
 
     /// The one execution path: runs a group of same-kind items and

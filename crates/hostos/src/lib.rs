@@ -56,16 +56,17 @@ impl HostOs {
     pub fn new(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
+        let timer = FastTimer::new();
         if gray_toolbox::trace::enabled() {
-            // Give the tracer this backend's clock, so records emitted
+            // Give the tracer this backend's own clock, so records emitted
             // outside the probe loop (plans, verdicts, guard moves) share
             // a timebase with the probe events' fast-timer stamps.
-            let timer = FastTimer::new();
-            gray_toolbox::trace::set_clock(move || timer.now());
+            let clock = timer.clone();
+            gray_toolbox::trace::set_clock(move || clock.now());
         }
         Ok(HostOs {
             root,
-            timer: FastTimer::new(),
+            timer,
             files: RefCell::new(HashMap::new()),
             next_fd: RefCell::new(3),
             regions: RefCell::new(HashMap::new()),
@@ -476,6 +477,27 @@ mod tests {
         let a = os.now();
         let b = os.now();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn trace_records_are_stamped_on_the_backends_clock() {
+        use gray_toolbox::trace::{self, TraceEvent};
+        let _capture = trace::capture();
+        let os = host();
+        let a = os.now();
+        trace::emit_with(|| TraceEvent::Estimated {
+            quantity: "hostos.clock",
+            value: 0.0,
+        });
+        let b = os.now();
+        let stamp = trace::drain()[0].ts;
+        assert!(
+            (a..=b).contains(&stamp),
+            "record stamped {} ns, outside the backend's reads [{}, {}] ns",
+            stamp.as_nanos(),
+            a.as_nanos(),
+            b.as_nanos()
+        );
     }
 
     #[test]

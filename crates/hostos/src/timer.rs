@@ -10,7 +10,8 @@ use std::time::Instant;
 
 use gray_toolbox::Nanos;
 
-/// A calibrated high-resolution timer.
+/// A calibrated high-resolution timer. A clone reads the same clock.
+#[derive(Clone)]
 pub struct FastTimer {
     base: Instant,
     #[cfg(target_arch = "x86_64")]
@@ -18,6 +19,7 @@ pub struct FastTimer {
 }
 
 #[cfg(target_arch = "x86_64")]
+#[derive(Clone)]
 struct TscCalibration {
     base_ticks: u64,
     nanos_per_tick: f64,

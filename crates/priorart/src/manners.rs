@@ -17,7 +17,6 @@
 
 use gray_toolbox::paired_sign_test;
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use graybox::technique::{Technique, TechniqueInventory};
 
 /// Total ticks simulated.

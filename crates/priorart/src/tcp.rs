@@ -17,7 +17,6 @@
 //! cause of each loss event so the run can report inference accuracy.
 
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use graybox::technique::{Technique, TechniqueInventory};
 
 /// Number of competing senders.

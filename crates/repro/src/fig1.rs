@@ -16,7 +16,6 @@
 use gray_apps::workload::make_file;
 use gray_toolbox::correlation;
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::trace;
 use graybox::os::GrayBoxOs;
 use simos::{Sim, PAGE_SIZE};

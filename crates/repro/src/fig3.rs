@@ -12,9 +12,10 @@
 
 use gray_apps::gbp::Gbp;
 use gray_apps::grep::{Grep, GrepMode, GrepOptions, Needle};
+use gray_apps::scan::read_extents;
 use gray_apps::workload::{make_file, make_files};
 use gray_toolbox::GrayDuration;
-use graybox::fccd::{Fccd, FccdParams};
+use graybox::fccd::{Extent, Fccd, FccdParams};
 use graybox::os::GrayBoxOs;
 use simos::{Sim, PAGE_SIZE};
 
@@ -168,29 +169,14 @@ fn fastsort_read_phase<O: GrayBoxOs>(
     } else {
         let fd = os.open(input).unwrap();
         let size = os.file_size(fd).unwrap();
-        let extents: Vec<(u64, u64)> = match plan {
-            None => vec![(0, size)],
-            Some(params) => {
-                let fccd = Fccd::new(os, params.clone().with_align(100));
-                fccd.plan_file(fd, size)
-                    .into_iter()
-                    .map(|e| (e.offset, e.len))
-                    .collect()
-            }
+        let extents = match plan {
+            None => vec![Extent {
+                offset: 0,
+                len: size,
+            }],
+            Some(params) => Fccd::new(os, params.clone().with_align(100)).plan_file(fd, size),
         };
-        for (offset, len) in extents {
-            let mut off = offset;
-            let end = offset + len;
-            while off < end {
-                let want = chunk.min(end - off);
-                let n = os.read_discard(fd, off, want).unwrap();
-                if n == 0 {
-                    break;
-                }
-                consume(os, n, &mut touched);
-                off += n;
-            }
-        }
+        read_extents(os, fd, &extents, chunk, |n| consume(os, n, &mut touched)).unwrap();
         os.close(fd).unwrap();
     }
     os.mem_free(region).unwrap();

@@ -20,8 +20,7 @@
 use gray_apps::grep::{Grep, GrepMode, GrepOptions, Needle};
 use gray_apps::scan::{graybox_scan, linear_scan};
 use gray_apps::workload::{make_file, make_files};
-use graybox::os::GrayBoxOs;
-use simos::{Platform, Sim, PAGE_SIZE};
+use simos::{scenario, Platform, Sim, PAGE_SIZE};
 
 use crate::{format_table, paper_note, Scale, TrialStats};
 
@@ -179,21 +178,13 @@ fn run_search(scale: Scale, platform: Platform) -> Bars {
         })]
     };
 
-    let warm_target = |sim: &mut Sim, target: &str| {
-        sim.flush_file_cache();
-        let t = target.to_string();
-        let bytes = file_bytes;
-        sim.run_one(move |os| {
-            let fd = os.open(&t).unwrap();
-            os.read_discard(fd, 0, bytes).unwrap();
-            os.close(fd).unwrap();
-        });
-    };
+    // Only the match file is warm before each warm run.
+    let warm_target = [(target, file_bytes)];
 
     // Warm traditional: match file cached, but the scan order is fixed.
     let mut warm = Vec::with_capacity(trials);
     for _ in 0..trials {
-        warm_target(&mut sim, &target);
+        scenario::churn(&mut sim, &warm_target);
         let paths = paths.clone();
         let needle = needle.clone();
         let opts = opts.clone();
@@ -207,7 +198,7 @@ fn run_search(scale: Scale, platform: Platform) -> Bars {
     // Warm gray-box: probes find the cached file first.
     let mut gray = Vec::with_capacity(trials);
     for _ in 0..trials {
-        warm_target(&mut sim, &target);
+        scenario::churn(&mut sim, &warm_target);
         let paths = paths.clone();
         let needle = needle.clone();
         let opts = opts.clone();

@@ -9,7 +9,6 @@
 //! the original level after the refresh.
 
 use gray_apps::workload::{age_epoch, make_files, read_files_in_order, shuffled};
-use gray_toolbox::rng::SeedableRng;
 use gray_toolbox::rng::StdRng;
 use graybox::fldc::{Fldc, RefreshOrder};
 use graybox::os::GrayBoxOs;
@@ -119,7 +118,6 @@ pub fn run(scale: Scale) -> Fig6 {
 }
 
 fn rng_next(rng: &mut StdRng) -> u64 {
-    use gray_toolbox::rng::RngExt;
     rng.random_range(0..u64::MAX)
 }
 

@@ -18,10 +18,11 @@
 //!    same access-unit machinery otherwise;
 //! 4. the analytic **ideal** model (cached bytes at memory rate).
 
-use gray_apps::scan::{graybox_scan, linear_scan};
+use gray_apps::scan::{graybox_scan, linear_scan, read_extents};
 use gray_apps::workload::make_file;
+use graybox::fccd::Extent;
 use graybox::os::GrayBoxOs;
-use simos::{disk::BANDWIDTH, Sim, COSTS, PAGE_SIZE};
+use simos::{disk::BANDWIDTH, scenario, Sim, COSTS, PAGE_SIZE};
 
 use crate::{format_table, paper_note, Scale, TrialStats};
 
@@ -61,28 +62,21 @@ pub fn run(scale: Scale) -> Sleds {
 
     // The warm state every strategy starts from: the residue of one
     // sequential pass (flush first so trials are identical).
-    let prepare = |sim: &mut Sim| {
-        sim.flush_file_cache();
-        sim.run_one(|os| {
-            let fd = os.open("/sled").unwrap();
-            os.read_discard(fd, 0, file_size).unwrap();
-            os.close(fd).unwrap();
-        });
-    };
+    let one_pass = [("/sled".to_string(), file_size)];
 
     let mut linear_times = Vec::with_capacity(trials);
     let mut fccd_times = Vec::with_capacity(trials);
     let mut sled_times = Vec::with_capacity(trials);
     for _trial in 0..trials as u64 {
         // Linear rescan: the LRU worst case.
-        prepare(&mut sim);
+        scenario::churn(&mut sim, &one_pass);
         linear_times.push(
             sim.run_one(|os| linear_scan(os, "/sled", chunk).unwrap())
                 .elapsed,
         );
 
         // FCCD.
-        prepare(&mut sim);
+        scenario::churn(&mut sim, &one_pass);
         let p = params.clone();
         fccd_times.push(
             sim.run_one(move |os| graybox_scan(os, "/sled", p, chunk).unwrap())
@@ -91,7 +85,7 @@ pub fn run(scale: Scale) -> Sleds {
 
         // SLED: rank units by the kernel's own presence bitmap, cached
         // fraction descending — no probes at all.
-        prepare(&mut sim);
+        scenario::churn(&mut sim, &one_pass);
         let bitmap = sim.oracle().file_presence("/sled").unwrap();
         let unit_pages = (unit / 4096) as usize;
         let mut ranked: Vec<(usize, usize)> = bitmap
@@ -100,23 +94,20 @@ pub fn run(scale: Scale) -> Sleds {
             .map(|(u, pages)| (u, pages.iter().filter(|&&b| !b).count()))
             .collect();
         ranked.sort_by_key(|&(u, missing)| (missing, u));
-        let order: Vec<u64> = ranked.into_iter().map(|(u, _)| u as u64).collect();
+        let order: Vec<Extent> = ranked
+            .into_iter()
+            .map(|(u, _)| {
+                let offset = u as u64 * unit;
+                Extent {
+                    offset,
+                    len: unit.min(file_size - offset),
+                }
+            })
+            .collect();
         sled_times.push(sim.run_one(move |os| {
             let t0 = os.now();
             let fd = os.open("/sled").unwrap();
-            for u in order {
-                let off = u * unit;
-                let len = unit.min(file_size - off);
-                let mut done = 0u64;
-                while done < len {
-                    let want = chunk.min(len - done);
-                    let n = os.read_discard(fd, off + done, want).unwrap();
-                    if n == 0 {
-                        break;
-                    }
-                    done += n;
-                }
-            }
+            read_extents(os, fd, &order, chunk, |_| {}).unwrap();
             os.close(fd).unwrap();
             os.now().since(t0)
         }));

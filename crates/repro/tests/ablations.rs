@@ -129,7 +129,6 @@ fn ablation_mac_doubling_probes_fewer_pages_than_fixed() {
 /// ordering on the *next* refresh.
 #[test]
 fn ablation_refresh_small_files_first_beats_directory_order() {
-    use gray_toolbox::rng::SeedableRng;
     use gray_toolbox::rng::StdRng;
 
     let layout_spread = |order: RefreshOrder| -> u64 {

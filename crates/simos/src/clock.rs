@@ -7,7 +7,6 @@
 //! this is a conservative sequential discrete-event simulation.
 
 use gray_toolbox::rng::StdRng;
-use gray_toolbox::rng::{RngExt, SeedableRng};
 use gray_toolbox::{GrayDuration, Nanos};
 
 use crate::config::NoiseParams;

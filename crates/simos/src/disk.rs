@@ -39,19 +39,6 @@ pub const HEADS: u64 = 10;
 
 const BLOCKS_PER_CYLINDER: u64 = BLOCKS_PER_TRACK * HEADS;
 
-/// Running counters for one disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Number of I/O requests served.
-    pub requests: u64,
-    /// Blocks transferred.
-    pub blocks: u64,
-    /// Requests that streamed (no seek, no rotation).
-    pub sequential_requests: u64,
-    /// Total time the disk was busy.
-    pub busy: GrayDuration,
-}
-
 /// One simulated disk.
 #[derive(Debug, Clone)]
 pub struct Disk {
@@ -62,7 +49,6 @@ pub struct Disk {
     seek_coef_ns: f64,
     head_block: u64,
     busy_until: Nanos,
-    stats: DiskStats,
 }
 
 impl Disk {
@@ -84,18 +70,12 @@ impl Disk {
             seek_coef_ns,
             head_block: 0,
             busy_until: Nanos::ZERO,
-            stats: DiskStats::default(),
         }
     }
 
     /// Total number of blocks on the disk.
     pub fn blocks(&self) -> u64 {
         self.blocks
-    }
-
-    /// The running counters.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
     }
 
     /// The instant the disk becomes idle.
@@ -120,7 +100,6 @@ impl Disk {
         );
         let start = now.max(self.busy_until);
         let positioned = if block == self.head_block {
-            self.stats.sequential_requests += 1;
             start
         } else {
             let seek = self.seek_time(block);
@@ -130,9 +109,6 @@ impl Disk {
         let done = positioned + self.block_time * nblocks;
         self.head_block = block + nblocks;
         self.busy_until = done;
-        self.stats.requests += 1;
-        self.stats.blocks += nblocks;
-        self.stats.busy += done.since(start);
         done
     }
 
@@ -190,7 +166,6 @@ mod tests {
         let expected = GrayDuration::from_secs_f64(256.0 * 4096.0 / (20u64 << 20) as f64);
         let ratio = streaming.as_nanos() as f64 / expected.as_nanos() as f64;
         assert!((0.99..=1.01).contains(&ratio), "streamed in {streaming}");
-        assert_eq!(d.stats().sequential_requests, 1);
     }
 
     #[test]

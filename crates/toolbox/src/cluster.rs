@@ -201,7 +201,6 @@ pub fn split_fast_slow(times_ns: &[f64]) -> FastSlow {
 mod tests {
     use super::*;
     use crate::prop::{check, Gen};
-    use crate::rng::SliceRandom;
 
     /// The definition [`two_means`] scans for: exact k-means for k = 2 as
     /// the interval dynamic program over the sorted data (O(n²)) that the
@@ -319,7 +318,7 @@ mod tests {
     fn two_means_matches_its_dp_definition() {
         check("two_means_matches_its_dp_definition", 256, |g: &mut Gen| {
             let mut xs = shaped_input(g);
-            xs.shuffle(g.rng());
+            g.rng().shuffle(&mut xs);
             let scan = two_means(&xs);
             let dp = two_means_by_dp(&xs);
             assert_eq!(scan.assignment, dp.assignment, "{xs:?}");

@@ -17,10 +17,11 @@
 //! Everything in this crate is OS-agnostic: it depends neither on the
 //! simulated substrate nor on the host backend, so both can use it.
 //!
-//! The crate is also the workspace's *determinism substrate*: seeded
-//! random numbers ([`rng`]) and a seeded property-testing harness
-//! ([`prop`]) — both in-tree, so the workspace builds and tests with zero
-//! external dependencies.
+//! The crate is also the workspace's *determinism substrate*: one seeded
+//! generator ([`rng::StdRng`], xoshiro256++ expanded from a `u64` seed by
+//! splitmix64, whose draws are its own methods) and a seeded
+//! property-testing harness ([`prop`]) — both in-tree, so the workspace
+//! builds and tests with zero external dependencies.
 //!
 //! It also hosts the event tracer ([`trace`]) and the virtual-time profiler
 //! ([`profile`]). Both stay off until a capture arms them on the thread

@@ -27,7 +27,7 @@
 //! });
 //! ```
 
-use crate::rng::{RngCore, RngExt, SampleRange, SampleUniform, SeedableRng, SliceRandom, StdRng};
+use crate::rng::{SampleRange, StdRng};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -53,7 +53,7 @@ impl Gen {
 
     /// A uniform draw from any supported range, e.g. `g.range(1u64..100)`
     /// or `g.range(-1.0f64..=1.0)`.
-    pub fn range<T: SampleUniform>(&mut self, r: impl SampleRange<T>) -> T {
+    pub fn range<T>(&mut self, r: impl SampleRange<T>) -> T {
         self.rng.random_range(r)
     }
 
@@ -92,8 +92,8 @@ impl Gen {
     /// A uniformly chosen element of `items` (panics on empty input — an
     /// empty choice set is a bug in the property, not a test input).
     pub fn select<T: Clone>(&mut self, items: &[T]) -> T {
-        items
-            .choose(&mut self.rng)
+        self.rng
+            .choose(items)
             .expect("select requires a non-empty slice")
             .clone()
     }
@@ -101,12 +101,6 @@ impl Gen {
     /// Direct access to the underlying generator for shuffles etc.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-}
-
-impl RngCore for Gen {
-    fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
     }
 }
 

@@ -1,25 +1,32 @@
 //! Seeded, in-tree pseudo-random numbers for reproducible probing.
 //!
 //! Every randomized choice in this workspace — FCCD's random probe
-//! offsets, workload shuffles, simulated clock jitter — must replay
-//! identically from an explicit seed, on every platform, with no external
-//! crates. This module provides that substrate:
+//! offsets, workload shuffles, simulated clock jitter, the covert
+//! defenders' touches — must replay identically from an explicit seed, on
+//! every platform, with no external crates. This module provides that
+//! substrate:
 //!
 //! - [`splitmix64`]: the standard 64-bit seed expander (Steele, Lea &
 //!   Flood, "Fast splittable pseudorandom number generators", OOPSLA '14),
 //!   used to turn one `u64` seed into full generator state;
-//! - [`Xoshiro256PlusPlus`] (aliased as [`StdRng`]): Blackman & Vigna's
-//!   xoshiro256++ 1.0, a small, fast, well-tested generator suitable for
-//!   everything except cryptography;
-//! - the [`SeedableRng`] / [`RngExt`] / [`SliceRandom`] traits, shaped
-//!   like the subset of the external `rand` crate's API this codebase
-//!   historically imported, so call sites read conventionally while
-//!   staying hermetic.
+//! - [`StdRng`]: Blackman & Vigna's xoshiro256++ 1.0, a small, fast,
+//!   well-tested generator suitable for everything except cryptography,
+//!   and the workspace's one generator. Every draw is one of its methods:
+//!   [`StdRng::random_range`], [`StdRng::random_bool`],
+//!   [`StdRng::shuffle`] and [`StdRng::choose`];
+//! - [`SampleRange`]: what `random_range` draws from, `a..b` or `a..=b`
+//!   over `f64` and the integer types the workspace draws.
 //!
-//! Determinism contract: the output of every generator and every derived
-//! operation (`random_range`, `shuffle`, …) is a pure function of the seed
-//! and the call sequence. Known-answer tests below pin the exact streams;
-//! changing them is a breaking change to every recorded experiment.
+//! There is one generator, so there is no generator trait: callers name
+//! `StdRng`. `SampleRange` is the one trait, because one `random_range`
+//! takes two range shapes over several types.
+//!
+//! Determinism contract: every draw is a pure function of the seed and the
+//! call sequence. Known-answer tests below pin the generator's stream and
+//! the values of every kind of draw; changing them is a breaking change to
+//! every recorded experiment.
+
+use std::ops::{Range, RangeInclusive};
 
 /// Advances a SplitMix64 state and returns the next output.
 ///
@@ -36,66 +43,33 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The minimal generator interface: a stream of uniform `u64`s.
-pub trait RngCore {
-    /// The next 64 uniformly distributed bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// The next 32 uniformly distributed bits (high bits of `next_u64`).
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with uniformly distributed bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
-/// Construction from seeds. Only explicit seeding exists — there is
-/// deliberately no `from_entropy`; every random stream in this workspace
-/// must be reproducible from a written-down seed.
-pub trait SeedableRng: Sized {
-    /// Builds a generator whose state is expanded from `seed` via
-    /// [`splitmix64`], so nearby seeds yield uncorrelated streams.
-    fn seed_from_u64(seed: u64) -> Self;
-}
-
 /// xoshiro256++ 1.0 (Blackman & Vigna, 2019): 256 bits of state, period
-/// 2^256 − 1, passes BigCrush. The workspace's standard generator.
+/// 2^256 − 1, passes BigCrush. The workspace's one generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xoshiro256PlusPlus {
+pub struct StdRng {
     s: [u64; 4],
 }
 
-/// The workspace's default generator, named `StdRng` so call sites read
-/// conventionally.
-pub type StdRng = Xoshiro256PlusPlus;
+impl StdRng {
+    /// Builds a generator whose state is expanded from `seed` via
+    /// [`splitmix64`], so nearby seeds yield uncorrelated streams. Only
+    /// explicit seeding exists — there is deliberately no `from_entropy`;
+    /// every random stream in this workspace must be reproducible from a
+    /// written-down seed.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let mut sm = seed;
+        // splitmix64 never returns four zeros in a row, so the state is
+        // always valid.
+        StdRng {
+            s: [
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+            ],
+        }
+    }
 
-/// Compatibility path: `gray_toolbox::rng::rngs::StdRng` mirrors the
-/// conventional `rngs` submodule import shape.
-pub mod rngs {
-    pub use super::StdRng;
-}
-
-/// Compatibility path: `gray_toolbox::rng::seq::SliceRandom` mirrors the
-/// conventional `seq` submodule import shape.
-pub mod seq {
-    pub use super::SliceRandom;
-}
-
-impl Xoshiro256PlusPlus {
     /// Builds a generator from a full 256-bit state.
     ///
     /// # Panics
@@ -107,29 +81,12 @@ impl Xoshiro256PlusPlus {
             s.iter().any(|&w| w != 0),
             "xoshiro256++ state must be non-zero"
         );
-        Xoshiro256PlusPlus { s }
+        StdRng { s }
     }
-}
 
-impl SeedableRng for Xoshiro256PlusPlus {
-    fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        // splitmix64 never returns four zeros in a row, so the state is
-        // always valid.
-        Xoshiro256PlusPlus {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
-        }
-    }
-}
-
-impl RngCore for Xoshiro256PlusPlus {
+    /// The next 64 uniformly distributed bits.
     #[inline]
-    fn next_u64(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -143,59 +100,109 @@ impl RngCore for Xoshiro256PlusPlus {
         self.s[3] = self.s[3].rotate_left(45);
         result
     }
-}
 
-/// Types that can be drawn uniformly from a range.
-pub trait SampleUniform: Copy + PartialOrd {
-    /// A uniform draw from `[low, high)` (`high` exclusive).
-    fn sample_exclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self;
-    /// A uniform draw from `[low, high]` (`high` inclusive).
-    fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self;
-}
+    /// A uniform draw from `range` (`a..b` or `a..=b`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty.
+    #[inline]
+    pub fn random_range<T>(&mut self, range: impl SampleRange<T>) -> T {
+        range.sample(self)
+    }
 
-/// A uniform `u64` in `[0, n)` without modulo bias, by rejection from the
-/// largest multiple of `n` below 2^64 (Lemire-style widening multiply).
-#[inline]
-fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
-    debug_assert!(n > 0);
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (n as u128);
-        let lo = m as u64;
-        if lo >= n || lo >= n.wrapping_neg() % n {
-            return (m >> 64) as u64;
+    /// `true` with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`.
+    #[inline]
+    pub fn random_bool(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+        // Compare 53 uniform bits against p scaled to the same grid, so
+        // p = 0.0 is never true and p = 1.0 is always true.
+        ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
+    }
+
+    /// Shuffles `items` uniformly in place.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        // Durstenfeld's Fisher–Yates, swapping down from the top.
+        for i in (1..items.len()).rev() {
+            let j = self.uniform_below(i as u64 + 1) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    /// A uniformly chosen element of `items`, or `None` if it is empty.
+    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
+        if items.is_empty() {
+            None
+        } else {
+            Some(&items[self.uniform_below(items.len() as u64) as usize])
+        }
+    }
+
+    /// A uniform `u64` in `[0, n)` without modulo bias, by rejection from
+    /// the largest multiple of `n` below 2^64 (Lemire-style widening
+    /// multiply).
+    #[inline]
+    fn uniform_below(&mut self, n: u64) -> u64 {
+        debug_assert!(n > 0);
+        loop {
+            let x = self.next_u64();
+            let m = (x as u128) * (n as u128);
+            let lo = m as u64;
+            if lo >= n || lo >= n.wrapping_neg() % n {
+                return (m >> 64) as u64;
+            }
         }
     }
 }
 
-macro_rules! impl_sample_uniform_int {
+/// Ranges a value can be drawn from: `low..high` and `low..=high` over
+/// `f64` and the integer types the workspace draws.
+pub trait SampleRange<T> {
+    /// Draws one uniform value from the range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty.
+    fn sample(self, rng: &mut StdRng) -> T;
+}
+
+macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
-        impl SampleUniform for $t {
+        impl SampleRange<$t> for Range<$t> {
             #[inline]
-            fn sample_exclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
-                assert!(low < high, "empty sample range");
-                let span = (high as i128 - low as i128) as u64;
-                low.wrapping_add(uniform_u64_below(rng, span) as $t)
+            fn sample(self, rng: &mut StdRng) -> $t {
+                assert!(self.start < self.end, "empty sample range");
+                let span = (self.end as i128 - self.start as i128) as u64;
+                self.start.wrapping_add(rng.uniform_below(span) as $t)
             }
+        }
+
+        impl SampleRange<$t> for RangeInclusive<$t> {
             #[inline]
-            fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
+            fn sample(self, rng: &mut StdRng) -> $t {
+                let (low, high) = self.into_inner();
                 assert!(low <= high, "empty sample range");
                 let span = (high as i128 - low as i128) as u128 + 1;
                 if span > u64::MAX as u128 {
                     // Only reachable for the full u64/i64 domain.
                     return rng.next_u64() as $t;
                 }
-                low.wrapping_add(uniform_u64_below(rng, span as u64) as $t)
+                low.wrapping_add(rng.uniform_below(span as u64) as $t)
             }
         }
     )*};
 }
 
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_range_int!(u8, u16, u32, u64, usize, i64);
 
-impl SampleUniform for f64 {
+impl SampleRange<f64> for Range<f64> {
     #[inline]
-    fn sample_exclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
+    fn sample(self, rng: &mut StdRng) -> f64 {
+        let (low, high) = (self.start, self.end);
         assert!(low < high, "empty sample range");
         // 53 uniform bits in [0, 1); scale preserves the exclusive bound
         // up to rounding, which we clamp away from `high`.
@@ -208,98 +215,17 @@ impl SampleUniform for f64 {
             x
         }
     }
+}
+
+impl SampleRange<f64> for RangeInclusive<f64> {
     #[inline]
-    fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
+    fn sample(self, rng: &mut StdRng) -> f64 {
+        let (low, high) = self.into_inner();
         assert!(low <= high, "empty sample range");
         // 53 uniform bits in [0, 1]; denominator 2^53 − 1 makes both
         // endpoints reachable.
         let u01 = (rng.next_u64() >> 11) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
         (low + u01 * (high - low)).clamp(low, high)
-    }
-}
-
-/// Ranges a value can be drawn from: `low..high` and `low..=high`.
-pub trait SampleRange<T> {
-    /// Draws one uniform value from the range.
-    fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
-}
-
-impl<T: SampleUniform> SampleRange<T> for std::ops::Range<T> {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
-        T::sample_exclusive(rng, self.start, self.end)
-    }
-}
-
-impl<T: SampleUniform> SampleRange<T> for std::ops::RangeInclusive<T> {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
-        T::sample_inclusive(rng, *self.start(), *self.end())
-    }
-}
-
-/// Convenience draws on any generator — the conventional `Rng`-extension
-/// surface the codebase uses.
-pub trait RngExt: RngCore {
-    /// A uniform draw from `range` (`a..b` or `a..=b`).
-    #[inline]
-    fn random_range<T, Rng2>(&mut self, range: Rng2) -> T
-    where
-        T: SampleUniform,
-        Rng2: SampleRange<T>,
-        Self: Sized,
-    {
-        range.sample(self)
-    }
-
-    /// `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    #[inline]
-    fn random_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-        // Compare 53 uniform bits against p scaled to the same grid, so
-        // p = 0.0 is never true and p = 1.0 is always true.
-        ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
-    }
-}
-
-impl<R: RngCore> RngExt for R {}
-
-/// In-place randomization of slices.
-pub trait SliceRandom {
-    /// The element type.
-    type Item;
-
-    /// A uniform Fisher–Yates shuffle.
-    fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-
-    /// A uniformly chosen element, or `None` if empty.
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
-}
-
-impl<T> SliceRandom for [T] {
-    type Item = T;
-
-    fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-        // Durstenfeld's Fisher–Yates, swapping down from the top.
-        for i in (1..self.len()).rev() {
-            let j = uniform_u64_below(rng, i as u64 + 1) as usize;
-            self.swap(i, j);
-        }
-    }
-
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[uniform_u64_below(rng, self.len() as u64) as usize])
-        }
     }
 }
 
@@ -337,7 +263,7 @@ mod tests {
     #[test]
     fn xoshiro256pp_known_answers_from_state() {
         // The reference implementation's stream from state [1, 2, 3, 4].
-        let mut rng = Xoshiro256PlusPlus::from_state([1, 2, 3, 4]);
+        let mut rng = StdRng::from_state([1, 2, 3, 4]);
         let got: Vec<u64> = (0..6).map(|_| rng.next_u64()).collect();
         assert_eq!(
             got,
@@ -377,6 +303,78 @@ mod tests {
                 0xfbe07cfb0c24ed8c,
                 0xb37d9f600cd835b8
             ]
+        );
+    }
+
+    /// The values every kind of draw derives from `seed_from_u64(7)`, each
+    /// kind from a fresh stream: the simulator's noise, FCCD's probe
+    /// offsets, the workload shuffles and the covert defenders replay
+    /// through exactly these. Recorded from the generator-trait
+    /// implementation this one replaced.
+    #[test]
+    fn every_kind_of_draw_replays_its_known_answers() {
+        fn draws<T>(mut f: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+            let mut rng = StdRng::seed_from_u64(7);
+            (0..6).map(|_| f(&mut rng)).collect()
+        }
+        assert_eq!(
+            draws(|r| r.random_range(10u64..1000)),
+            [64, 180, 720, 432, 964, 471]
+        );
+        assert_eq!(
+            draws(|r| r.random_range(10u64..=1000)),
+            [64, 180, 721, 433, 964, 471]
+        );
+        assert_eq!(
+            draws(|r| r.random_range(0u64..=u64::MAX)),
+            [
+                0x0e2c1a002aae913d,
+                0x2c0fc8ddfa4e9e14,
+                0xb7b311b3b0d45872,
+                0x6d5d9f6a6318013c,
+                0xf6b263f2f5790376,
+                0x77385b627c22c489,
+            ]
+        );
+        assert_eq!(draws(|r| r.random_range(0usize..7)), [0, 1, 5, 2, 6, 3]);
+        assert_eq!(draws(|r| r.random_range(b'a'..=b'z')), *b"beslzm");
+        assert_eq!(
+            draws(|r| r.random_range(1u32..4096)),
+            [227, 705, 2939, 1750, 3947, 1908]
+        );
+        assert_eq!(draws(|r| r.random_range(-5i64..=5)), [-5, -4, 2, -1, 5, 0]);
+        assert_eq!(
+            draws(|r| r.random_range(-1.5f64..1.5)),
+            [
+                -1.3339186905650007,
+                -0.9836524366556468,
+                0.652728385075978,
+                -0.21837054212548423,
+                1.3909785656436888,
+                -0.10288893257856468,
+            ]
+        );
+        assert_eq!(
+            draws(|r| r.random_range(-0.05f64..=0.05)),
+            [
+                -0.04446395635216669,
+                -0.03278841455518823,
+                0.02175761283586594,
+                -0.007279018070849463,
+                0.04636595218812299,
+                -0.0034296310859521437,
+            ]
+        );
+        assert_eq!(
+            draws(|r| r.random_bool(0.25)),
+            [true, true, false, false, false, false]
+        );
+        let mut v: Vec<u32> = (0..10).collect();
+        StdRng::seed_from_u64(7).shuffle(&mut v);
+        assert_eq!(v, [3, 8, 9, 4, 6, 7, 2, 5, 1, 0]);
+        assert_eq!(
+            draws(|r| *r.choose(&[10, 20, 30, 40, 50]).unwrap()),
+            [10, 10, 40, 30, 50, 30]
         );
     }
 
@@ -460,7 +458,7 @@ mod tests {
         let base: Vec<u32> = (0..100).collect();
         let shuffle_with = |seed: u64| {
             let mut v = base.clone();
-            v.shuffle(&mut StdRng::seed_from_u64(seed));
+            StdRng::seed_from_u64(seed).shuffle(&mut v);
             v
         };
         let a = shuffle_with(9);
@@ -476,28 +474,18 @@ mod tests {
     fn choose_is_uniform_ish_and_none_on_empty() {
         let mut rng = StdRng::seed_from_u64(5);
         let empty: [u8; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
+        assert!(rng.choose(&empty).is_none());
         let items = [0usize, 1, 2, 3];
         let mut counts = [0u32; 4];
         for _ in 0..4000 {
-            counts[*items.choose(&mut rng).unwrap()] += 1;
+            counts[*rng.choose(&items).unwrap()] += 1;
         }
         assert!(counts.iter().all(|&c| c > 800), "counts {counts:?}");
     }
 
     #[test]
-    fn fill_bytes_is_deterministic_and_covers_partial_chunks() {
-        let mut a = [0u8; 13];
-        let mut b = [0u8; 13];
-        StdRng::seed_from_u64(6).fill_bytes(&mut a);
-        StdRng::seed_from_u64(6).fill_bytes(&mut b);
-        assert_eq!(a, b);
-        assert_ne!(a, [0u8; 13]);
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn all_zero_state_is_rejected() {
-        let _ = Xoshiro256PlusPlus::from_state([0; 4]);
+        let _ = StdRng::from_state([0; 4]);
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --example layout_refresh`
 
-use gray_toolbox::rng::SeedableRng;
 use gray_toolbox::rng::StdRng;
 use graybox_icl::apps::workload::{age_epoch, make_files, read_files_in_order, shuffled};
 use graybox_icl::graybox::fldc::{Fldc, RefreshOrder};
@@ -26,12 +25,7 @@ fn main() {
             println!("---- refresh: rewrote {n} files into a fresh cylinder group ----");
         }
         if epoch > 0 {
-            let mut erng = StdRng::seed_from_u64(
-                0x1000 + epoch + {
-                    use gray_toolbox::rng::RngExt;
-                    rng.random_range(0..1u64 << 32)
-                },
-            );
+            let mut erng = StdRng::seed_from_u64(0x1000 + epoch + rng.random_range(0..1u64 << 32));
             sim.run_one(|os| {
                 age_epoch(os, "/dir", 5, 8 << 10, epoch, &mut erng).unwrap();
             });

@@ -194,3 +194,35 @@ fn receiver_probes_are_stamped_one_slot_apart() {
         );
     }
 }
+
+/// The FCCD receiver decides each bit from the clock read that ended its
+/// probe, so its `covert.bit` record carries the stamp of the receiver
+/// `ProbeIssued` just before it: both on the virtual clock.
+#[test]
+fn fccd_bit_decisions_carry_their_probes_stamp() {
+    let _capture = trace::capture();
+    cell(ChannelKind::Fccd, DefenderKind::Idle, 7).run();
+    let rx: Vec<_> = trace::drain()
+        .into_iter()
+        .filter(|rec| rec.span == "covert:rx")
+        .collect();
+    let mut bits = 0;
+    for pair in rx.windows(2) {
+        if let TraceEvent::ThresholdCrossed {
+            what: "covert.bit", ..
+        } = pair[1].event
+        {
+            assert!(
+                matches!(pair[0].event, TraceEvent::ProbeIssued { .. }),
+                "bit {bits} follows {:?}",
+                pair[0].event
+            );
+            assert_eq!(
+                pair[1].ts, pair[0].ts,
+                "bit {bits} stamped apart from its probe"
+            );
+            bits += 1;
+        }
+    }
+    assert_eq!(bits, 16, "one decision per bit");
+}

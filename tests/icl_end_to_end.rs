@@ -114,7 +114,6 @@ fn fldc_inumber_order_matches_physical_layout() {
 
 #[test]
 fn fldc_refresh_restores_monotone_layout_after_churn() {
-    use gray_toolbox::rng::SeedableRng;
     use gray_toolbox::rng::StdRng;
     let mut sim = Sim::new(SimConfig::small());
     sim.run_one(|os| make_files(os, "/churned", 40, 8 << 10).unwrap());
@@ -436,7 +435,6 @@ fn lfs_layout_follows_write_time_not_inumbers() {
 
 #[test]
 fn refresh_advisor_fires_under_real_aging() {
-    use gray_toolbox::rng::SeedableRng;
     use gray_toolbox::rng::StdRng;
     use graybox_icl::graybox::fldc::RefreshAdvisor;
     let mut sim = Sim::new(SimConfig::small());
