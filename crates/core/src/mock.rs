@@ -169,7 +169,9 @@ impl MockOs {
 
 impl GrayBoxOs for MockOs {
     fn now(&self) -> Nanos {
-        self.inner.borrow().clock
+        let now = self.inner.borrow().clock;
+        gray_toolbox::trace::set_now(now);
+        now
     }
 
     fn page_size(&self) -> u64 {

@@ -55,7 +55,7 @@
 
 use gray_toolbox::rng::splitmix64;
 use gray_toolbox::trace::{self, TraceEvent};
-use gray_toolbox::{GrayDuration, Nanos};
+use gray_toolbox::GrayDuration;
 use graybox::os::GrayBoxOs;
 use graybox::wbd::{Wbd, WbdParams};
 use simos::exec::Workload;
@@ -124,24 +124,16 @@ pub(crate) fn sleep_until(os: &SimProc, target_ns: u64) -> bool {
 
 /// Times `op` on the virtual clock — `now`, `op`, `now`, the syscalls
 /// [`GrayBoxOs::timed`] issues — and traces it as a `ProbeIssued` at
-/// `offset`, stamped at the second clock read so it lands on the run's
-/// virtual timeline. Returns the elapsed time and that second read, so a
-/// record of what the caller decides from the probe can carry the same
-/// stamp without another clock syscall.
-pub(crate) fn timed_probe(
-    os: &SimProc,
-    offset: u64,
-    op: impl FnOnce(&SimProc),
-) -> (GrayDuration, Nanos) {
+/// `offset`, stamped at the second clock read. Returns the elapsed time.
+pub(crate) fn timed_probe(os: &SimProc, offset: u64, op: impl FnOnce(&SimProc)) -> GrayDuration {
     let t0 = os.now();
     op(os);
-    let t1 = os.now();
-    let elapsed = t1.since(t0);
-    trace::emit_with_at(t1, || TraceEvent::ProbeIssued {
+    let elapsed = os.now().since(t0);
+    trace::emit_with(|| TraceEvent::ProbeIssued {
         offset,
         latency_ns: elapsed.as_nanos(),
     });
-    (elapsed, t1)
+    elapsed
 }
 
 /// What each of the three processes reports back.
@@ -246,7 +238,7 @@ impl ChannelSpec {
                 late += sleep_until(os, base + i as u64 * s) as u64;
                 if bit {
                     let off = i as u64 * k * PAGE_SIZE;
-                    let (d, _) = timed_probe(os, off, |os| match kind {
+                    let d = timed_probe(os, off, |os| match kind {
                         ChannelKind::Fccd => {
                             os.read_discard(fd, off, k * PAGE_SIZE).unwrap();
                         }
@@ -283,10 +275,10 @@ impl ChannelSpec {
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
                         let probe_off = (i as u64 * k + (k - 1)) * PAGE_SIZE;
-                        let (t, at) = timed_probe(os, probe_off, |os| {
+                        let t = timed_probe(os, probe_off, |os| {
                             os.read_byte(fd, probe_off).unwrap();
                         });
-                        trace::emit_with_at(at, || TraceEvent::ThresholdCrossed {
+                        trace::emit_with(|| TraceEvent::ThresholdCrossed {
                             what: "covert.bit",
                             value: t.as_nanos() as f64,
                             threshold: threshold.as_nanos() as f64,
@@ -310,9 +302,6 @@ impl ChannelSpec {
                     for i in 0..bits_n {
                         late += sleep_until(os, base + i as u64 * s + s / 2) as u64;
                         let residue = wbd.residue_pages(&cal).unwrap();
-                        // No clock reading is at hand here, and taking one
-                        // would move the digest: this record carries host
-                        // time.
                         trace::emit_with(|| TraceEvent::ThresholdCrossed {
                             what: "covert.bit",
                             value: residue as f64,

@@ -107,7 +107,7 @@ pub(crate) fn defender_workload(
                         break;
                     }
                     sleep_until(os, t);
-                    let (d, _) = timed_probe(os, j, |os| {
+                    let d = timed_probe(os, j, |os| {
                         for _ in 0..NOISE_TOUCHES {
                             let p = rng.random_range(0..region_pages);
                             os.read_byte(fd, p * PAGE_SIZE).unwrap();
@@ -135,7 +135,7 @@ pub(crate) fn defender_workload(
                         break;
                     }
                     sleep_until(os, t);
-                    let (d, _) = timed_probe(os, j, |os| os.sync().unwrap());
+                    let d = timed_probe(os, j, |os| os.sync().unwrap());
                     work_ns += d.as_nanos();
                     let now = os.now().as_nanos();
                     j += 1;

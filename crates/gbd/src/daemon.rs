@@ -416,7 +416,7 @@ impl Gbd {
             if env.req.cacheable() {
                 match self.cache.lookup(&key, now, self.policy.as_ref()) {
                     Lookup::Hit(reply) => {
-                        trace::emit_with_at(now, || TraceEvent::CacheAccess {
+                        trace::emit_with(|| TraceEvent::CacheAccess {
                             key: key.clone(),
                             outcome: "hit",
                         });
@@ -435,14 +435,14 @@ impl Gbd {
                         continue;
                     }
                     Lookup::Expired => {
-                        trace::emit_with_at(now, || TraceEvent::CacheAccess {
+                        trace::emit_with(|| TraceEvent::CacheAccess {
                             key: key.clone(),
                             outcome: "expired",
                         });
                         self.stats.expired += 1;
                     }
                     Lookup::Miss => {
-                        trace::emit_with_at(now, || TraceEvent::CacheAccess {
+                        trace::emit_with(|| TraceEvent::CacheAccess {
                             key: key.clone(),
                             outcome: "miss",
                         });
@@ -458,7 +458,7 @@ impl Gbd {
             // Fresh execution: pass admission if it needs probes.
             if env.req.needs_probes() {
                 if admitted >= self.admission_budget() {
-                    trace::emit_with_at(now, || TraceEvent::AdmissionDecision {
+                    trace::emit_with(|| TraceEvent::AdmissionDecision {
                         source: "gbd.query",
                         requested: 1,
                         granted: 0,
@@ -477,7 +477,7 @@ impl Gbd {
                 }
                 admitted += 1;
                 self.stats.admitted += 1;
-                trace::emit_with_at(now, || TraceEvent::AdmissionDecision {
+                trace::emit_with(|| TraceEvent::AdmissionDecision {
                     source: "gbd.query",
                     requested: 1,
                     granted: 1,
@@ -526,7 +526,7 @@ impl Gbd {
                     continue;
                 };
                 self.stats.invalidated += 1;
-                trace::emit_with_at(sim.now(), || TraceEvent::CacheAccess {
+                trace::emit_with(|| TraceEvent::CacheAccess {
                     key: key.clone(),
                     outcome: "churned",
                 });
@@ -547,7 +547,7 @@ impl Gbd {
                 admitted += 1;
                 self.stats.admitted += 1;
                 self.stats.reinfers += 1;
-                trace::emit_with_at(sim.now(), || TraceEvent::CacheAccess {
+                trace::emit_with(|| TraceEvent::CacheAccess {
                     key: item.key.clone(),
                     outcome: "reinfer",
                 });
@@ -765,7 +765,7 @@ impl Gbd {
             );
             self.stats.capacity_evictions += evicted.len() as u64;
             for key in evicted {
-                trace::emit_with_at(served_at, || TraceEvent::CacheAccess {
+                trace::emit_with(|| TraceEvent::CacheAccess {
                     key,
                     outcome: "evicted",
                 });

@@ -56,17 +56,9 @@ impl HostOs {
     pub fn new(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
-        let timer = FastTimer::new();
-        if gray_toolbox::trace::enabled() {
-            // Give the tracer this backend's own clock, so records emitted
-            // outside the probe loop (plans, verdicts, guard moves) share
-            // a timebase with the probe events' fast-timer stamps.
-            let clock = timer.clone();
-            gray_toolbox::trace::set_clock(move || clock.now());
-        }
         Ok(HostOs {
             root,
-            timer,
+            timer: FastTimer::new(),
             files: RefCell::new(HashMap::new()),
             next_fd: RefCell::new(3),
             regions: RefCell::new(HashMap::new()),
@@ -122,7 +114,9 @@ fn map_err(e: io::Error) -> OsError {
 
 impl GrayBoxOs for HostOs {
     fn now(&self) -> Nanos {
-        self.timer.now()
+        let now = self.timer.now();
+        gray_toolbox::trace::set_now(now);
+        now
     }
 
     fn page_size(&self) -> u64 {
@@ -364,15 +358,11 @@ impl GrayBoxOs for HostOs {
         for spec in specs {
             let t0 = self.timer.now();
             let res = file.read_at(&mut byte, spec.offset);
-            let t1 = self.timer.now();
+            let t1 = self.now();
             let elapsed = t1.since(t0);
-            // Trace timestamps come from the calibrated fast timer — the
-            // same clock that timed the probe — not the tracer's default.
-            gray_toolbox::trace::emit_with_at(t1, || {
-                gray_toolbox::trace::TraceEvent::ProbeIssued {
-                    offset: spec.offset,
-                    latency_ns: elapsed.as_nanos(),
-                }
+            gray_toolbox::trace::emit_with(|| gray_toolbox::trace::TraceEvent::ProbeIssued {
+                offset: spec.offset,
+                latency_ns: elapsed.as_nanos(),
             });
             out.push(ProbeSample {
                 offset: spec.offset,
@@ -498,6 +488,19 @@ mod tests {
             a.as_nanos(),
             b.as_nanos()
         );
+    }
+
+    #[test]
+    fn a_backend_built_before_the_capture_stamps_on_its_clock() {
+        use gray_toolbox::trace::{self, TraceEvent};
+        let os = host();
+        let _capture = trace::capture();
+        let reading = os.now();
+        trace::emit_with(|| TraceEvent::Estimated {
+            quantity: "hostos.clock",
+            value: 0.0,
+        });
+        assert_eq!(trace::drain()[0].ts, reading, "not the backend's reading");
     }
 
     #[test]

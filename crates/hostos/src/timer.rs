@@ -10,8 +10,7 @@ use std::time::Instant;
 
 use gray_toolbox::Nanos;
 
-/// A calibrated high-resolution timer. A clone reads the same clock.
-#[derive(Clone)]
+/// A calibrated high-resolution timer.
 pub struct FastTimer {
     base: Instant,
     #[cfg(target_arch = "x86_64")]
@@ -19,7 +18,6 @@ pub struct FastTimer {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone)]
 struct TscCalibration {
     base_ticks: u64,
     nanos_per_tick: f64,

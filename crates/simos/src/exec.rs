@@ -214,13 +214,15 @@ impl Sim {
     /// Runs a single process directly on the calling stack (no
     /// coroutine, no run queue: it has nobody to yield to) and returns
     /// its result. The process starts at the latest virtual time any
-    /// previous process reached.
+    /// previous process reached, and that instant is its first trace
+    /// reading.
     pub fn run_one<R>(&mut self, f: impl FnOnce(&SimProc) -> R) -> R {
         let pid = {
             let mut st = self.shared.state();
             let start = st.kernel.max_time();
             let pid = st.kernel.add_proc(start);
             st.sched.running = pid;
+            trace::set_now(start);
             pid
         };
         let proc_handle = SimProc {
@@ -229,7 +231,9 @@ impl Sim {
             yielder: None,
         };
         let r = f(&proc_handle);
-        self.shared.state().kernel.finish_proc(pid);
+        let mut st = self.shared.state();
+        st.kernel.finish_proc(pid);
+        trace::set_now(st.kernel.max_time());
         r
     }
 
@@ -296,14 +300,15 @@ impl Sim {
 
     /// Registers one kernel process per workload, all starting at the
     /// current maximum virtual time, and installs them as the active set.
-    fn register_procs(&mut self, n: usize) -> Vec<usize> {
+    /// Returns the pids and their start instant.
+    fn register_procs(&mut self, n: usize) -> (Vec<usize>, Nanos) {
         let mut st = self.shared.state();
         let start = st.kernel.max_time();
         let pids: Vec<usize> = (0..n).map(|_| st.kernel.add_proc(start)).collect();
         let State { kernel, sched } = &mut *st;
         sched.runq.install(&pids, kernel);
         sched.active = pids.clone();
-        pids
+        (pids, start)
     }
 
     /// Every process is a coroutine; this loop always resumes the
@@ -312,17 +317,19 @@ impl Sim {
         &mut self,
         workloads: Vec<Workload<'env, R>>,
     ) -> (Vec<usize>, Vec<Outcome<R>>) {
-        let pids = self.register_procs(workloads.len());
+        let (pids, start) = self.register_procs(workloads.len());
         let base = pids[0];
         let slots: Vec<Cell<Option<Outcome<R>>>> =
             workloads.iter().map(|_| Cell::new(None)).collect();
         {
-            // Each process gets its own trace identity (open spans +
-            // lane), swapped in around every resume: all coroutines share
-            // this one driver thread, and without the swap a span opened
-            // by one process would attach to records of the next.
-            let mut trace_ctxs: Vec<trace::TraceCtx> =
-                workloads.iter().map(|_| trace::TraceCtx::new()).collect();
+            // Each process gets its own trace identity (open spans, lane,
+            // and clock reading from its start instant), swapped in around
+            // every resume: all coroutines share this one driver thread,
+            // and without the swap one process's would leak into the next.
+            let mut trace_ctxs: Vec<trace::TraceCtx> = workloads
+                .iter()
+                .map(|_| trace::TraceCtx::new(start))
+                .collect();
             let mut coros: Vec<coro::Coro<'_>> = workloads
                 .into_iter()
                 .zip(pids.iter().zip(slots.iter()))
@@ -365,6 +372,7 @@ impl Sim {
             let mut st = self.shared.state();
             st.sched.running = usize::MAX;
             st.sched.active.clear();
+            trace::set_now(st.kernel.max_time());
         }
 
         let outcomes = slots
@@ -385,9 +393,12 @@ impl Sim {
         self.shared.state().kernel.flush_file_cache();
     }
 
-    /// The latest virtual time any process reached.
+    /// The latest virtual time any process reached: a clock reading of
+    /// the driver, and the stamp of its next trace records.
     pub fn now(&self) -> Nanos {
-        self.shared.state().kernel.max_time()
+        let now = self.shared.state().kernel.max_time();
+        trace::set_now(now);
+        now
     }
 }
 

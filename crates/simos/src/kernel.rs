@@ -430,12 +430,15 @@ impl Kernel {
         body(self)
     }
 
-    /// The high-resolution clock, with read cost and quantization.
+    /// The high-resolution clock, with read cost and quantization. The
+    /// reading is also the stamp of the process's next trace records.
     #[inline]
     pub fn sys_now(&mut self, pid: usize) -> Nanos {
         self.enter(pid, "sys_now", Entry::Free, |k| {
             k.charge_cpu(pid, TIMER_READ);
-            k.noise.quantize(k.procs[pid].now)
+            let now = k.noise.quantize(k.procs[pid].now);
+            trace::set_now(now);
+            now
         })
     }
 
@@ -609,10 +612,9 @@ impl Kernel {
 
     /// The timed loop both probe batches share: for each offset, inside
     /// one kernel entry, `sys_now`, then `probe` (which reports success),
-    /// then `sys_now`. With `traced`, each probe emits a virtual-time
-    /// `ProbeIssued` event: the simulated clock, not the host clock, is
-    /// what a timeline of this run must be drawn in. An empty batch
-    /// enters nothing.
+    /// then `sys_now`. With `traced`, each probe emits a `ProbeIssued`
+    /// event, stamped at the second reading. An empty batch enters
+    /// nothing.
     fn timed_batch(
         &mut self,
         pid: usize,
@@ -632,7 +634,7 @@ impl Kernel {
                     let t1 = k.sys_now(pid);
                     let elapsed = t1.since(t0);
                     if traced {
-                        trace::emit_with_at(t1, || trace::TraceEvent::ProbeIssued {
+                        trace::emit_with(|| trace::TraceEvent::ProbeIssued {
                             offset,
                             latency_ns: elapsed.as_nanos(),
                         });

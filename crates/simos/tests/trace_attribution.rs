@@ -4,12 +4,17 @@
 //! one host thread, so thread-local span stacks and lane bindings would
 //! interleave garbage without `trace::TraceCtx` swapping around each
 //! resume. These tests pin the contract end to end through the
-//! profiler: a span opened inside a process's workload stays attached
-//! to *that process's* charges across arbitrarily many suspensions, and
-//! each process keeps its own lane.
+//! profiler and the tracer: a span opened inside a process's workload
+//! stays attached to *that process's* charges across arbitrarily many
+//! suspensions, each process keeps its own lane, and each record is
+//! stamped with the last clock reading of the process that emitted it.
 
-use gray_toolbox::{profile, trace, GrayDuration};
+use gray_toolbox::trace::TraceEvent;
+use gray_toolbox::{profile, trace, GrayDuration, Nanos};
+use graybox::fccd::{Fccd, FccdParams};
+use graybox::mac::{Mac, MacParams};
 use graybox::os::{GrayBoxOs, GrayBoxOsExt};
+use graybox::wbd::{Wbd, WbdParams};
 use simos::exec::Workload;
 use simos::{Sim, SimConfig, SimProc};
 
@@ -20,14 +25,26 @@ fn attribution_sim() -> Sim {
     Sim::new(SimConfig::small().without_noise())
 }
 
+/// Emits a record whose payload is `reading`, the clock reading it
+/// must be stamped with.
+fn emit_reading(who: &'static str, reading: Nanos) {
+    trace::emit_with(|| TraceEvent::Estimated {
+        quantity: who,
+        value: reading.as_nanos() as f64,
+    });
+}
+
 #[test]
 fn spans_stay_with_their_process_across_resumes() {
     let guard = profile::capture();
+    let capture = trace::capture();
     let mut sim = attribution_sim();
     // Both processes open a named span, then alternate compute and
     // sleep. Every sleep suspends the coroutine and resumes the sibling,
     // so the span stacks swap many times mid-span; distinct durations
-    // make the two processes' charge totals distinguishable.
+    // make the two processes' charge totals distinguishable. Each
+    // process reads its clock before sleeping and emits after waking:
+    // the sibling read its own clock in between.
     let workloads: Vec<(String, Workload<'_, ()>)> = vec![
         (
             "alpha".to_string(),
@@ -35,7 +52,9 @@ fn spans_stay_with_their_process_across_resumes() {
                 let _span = trace::span("proc", || "alpha".to_string());
                 for _ in 0..3 {
                     os.compute(GrayDuration::from_millis(1));
+                    let reading = os.now();
                     os.sleep(GrayDuration::from_millis(2));
+                    emit_reading("alpha", reading);
                 }
             }),
         ),
@@ -45,14 +64,38 @@ fn spans_stay_with_their_process_across_resumes() {
                 let _span = trace::span("proc", || "beta".to_string());
                 for _ in 0..2 {
                     os.compute(GrayDuration::from_millis(3));
+                    let reading = os.now();
                     os.sleep(GrayDuration::from_millis(5));
+                    emit_reading("beta", reading);
                 }
             }),
         ),
     ];
     sim.run(workloads);
+    // Back on the driver, whose reading is the latest instant reached.
+    emit_reading("driver", Nanos::ZERO);
+    let end = sim.now();
     let snap = profile::snapshot();
     drop(guard);
+
+    // Every record carries its own process's last reading, not the
+    // neighbour's.
+    let mut records = trace::drain();
+    drop(capture);
+    let driver = records.pop().expect("records");
+    assert_eq!(records.len(), 5, "{records:?}");
+    for rec in &records {
+        let TraceEvent::Estimated { quantity, value } = rec.event else {
+            panic!("unexpected {rec:?}");
+        };
+        assert_eq!(
+            rec.ts.as_nanos() as f64,
+            value,
+            "{quantity}'s record is stamped {} ns, not its own reading",
+            rec.ts.as_nanos()
+        );
+    }
+    assert_eq!(driver.ts, end, "the driver resumes at the run's end");
 
     // Every charge landed under exactly one process's span — a single
     // leaked frame would produce a path with both labels or neither.
@@ -123,4 +166,71 @@ fn op_frames_nest_under_swapped_spans() {
             .any(|p| p.starts_with("sim;plan:/data;sys_read;")),
         "sys_read frame must nest under the plan span: {keys:?}"
     );
+}
+
+/// Every record an ICL emits carries the virtual clock of the process
+/// that runs it: stamped between that process's own clock reads before
+/// and after, in `seq` order. The process first sleeps 1 000 virtual
+/// seconds, so a stamp on any other clock cannot land in range.
+#[test]
+fn icl_records_carry_their_process_virtual_clock() {
+    const MIB: u64 = 1 << 20;
+    let mut sim = attribution_sim();
+    let paths: Vec<String> = (0..2).map(|i| format!("/f{i}")).collect();
+    sim.run_one(|os| {
+        for path in &paths {
+            let fd = os.create(path).unwrap();
+            os.write_fill(fd, 0, 2 * MIB).unwrap();
+            os.close(fd).unwrap();
+        }
+        os.sync().unwrap();
+    });
+    let _capture = trace::capture();
+    let (a, b) = sim.run_one(|os| {
+        os.sleep(GrayDuration::from_secs(1000));
+        let a = os.now();
+        let mac = MacParams {
+            initial_increment: MIB,
+            max_increment: 4 * MIB,
+        };
+        Mac::new(os, mac).available_estimate(16 * MIB).unwrap();
+        let wbd = Wbd::new(os, WbdParams::default());
+        let cal = wbd.calibrate().unwrap();
+        wbd.residue_pages(&cal).unwrap();
+        let fccd = FccdParams {
+            access_unit: MIB,
+            prediction_unit: 256 << 10,
+            ..FccdParams::default()
+        };
+        Fccd::new(os, fccd).classify_files(&paths);
+        let b = os.now();
+        // The process ends a second after its last reading.
+        os.sleep(GrayDuration::from_secs(1));
+        (a, b)
+    });
+    emit_reading("driver", Nanos::ZERO);
+    let end = sim.now();
+    let mut records = trace::drain();
+    let driver = records.pop().expect("records");
+    for kind in ["Estimated", "ProbePlanned", "ProbeIssued", "Classified"] {
+        assert!(
+            records.iter().any(|r| r.event.kind() == kind),
+            "no {kind} record"
+        );
+    }
+    let mut last = a;
+    for rec in &records {
+        assert!(
+            (a..=b).contains(&rec.ts),
+            "{} #{} stamped {} ns, outside the process's reads [{}, {}] ns",
+            rec.event.kind(),
+            rec.seq,
+            rec.ts.as_nanos(),
+            a.as_nanos(),
+            b.as_nanos()
+        );
+        assert!(rec.ts >= last, "{rec:?} steps back from {last}");
+        last = rec.ts;
+    }
+    assert_eq!(driver.ts, end, "the driver resumes at the run's end");
 }

@@ -26,11 +26,11 @@
 //! Nothing here is process-global except the lane-id counter. What a run
 //! records lives in one recorder held by the thread that runs it: a trace
 //! half (the ring, the JSONL sink, the sequence counter, the per-kind
-//! counts, the probe-latency histogram and the timestamp source) and a
-//! profile half ([`crate::profile`]'s attribution tree). [`capture`] arms
-//! a fresh trace half on the calling thread, and its guard puts back
-//! whatever was there: captures on two threads never see each other's
-//! records, and a capture inside a capture nests. [`crate::pool::Pool`]
+//! counts and the probe-latency histogram) and a profile half
+//! ([`crate::profile`]'s attribution tree). [`capture`] arms a fresh
+//! trace half on the calling thread, and its guard puts back whatever
+//! was there: captures on two threads never see each other's records,
+//! and a capture inside a capture nests. [`crate::pool::Pool`]
 //! installs the spawner's recorder in each worker for the length of one
 //! `map`; a thread spawned any other way starts with nothing armed.
 //!
@@ -39,22 +39,28 @@
 //! Call sites never need `#[cfg]`s: while nothing is armed on the thread
 //! (the default), [`emit_with`] is one thread-local load and a branch —
 //! no allocation, no lock, and the event-constructing closure is never
-//! called. Armed, a record takes the trace half's mutex (shared only with
+//! called; a clock reading ([`set_now`]) is one thread-local store,
+//! armed or not. Armed, a record takes the trace half's mutex (shared only with
 //! the pool workers of the same run) to push into a bounded ring buffer
 //! and, if configured, a buffered JSONL sink; counters plus a log2 latency
 //! histogram aggregate alongside.
 //!
 //! # Identity
 //!
-//! Each record carries three coordinates so a timeline can be
+//! Each record carries four coordinates so a timeline can be
 //! reconstructed per wave, per plan, and per process:
 //!
+//! - `ts` — the last clock reading made by the code that emitted it: the
+//!   backends store every reading they take anyway ([`set_now`]), so a
+//!   record lands on the emitting process's own clock (virtual time
+//!   under simos, `FastTimer` time under hostos) without a read of its
+//!   own, and a thread that has never read a clock stamps 0;
 //! - `wave` — the scheduler stamps the current wave index onto its own
 //!   thread while a wave is in flight ([`set_wave`]);
 //! - `span` — a thread-local stack of `kind:label` segments pushed by
-//!   [`span`] guards (e.g. `plan:/f3`); the executor swaps it per
-//!   simulated process ([`swap_ctx`]), so a span pushed inside a worker
-//!   names that worker's plan;
+//!   [`span`] guards (e.g. `plan:/f3`); the executor swaps it, with the
+//!   reading and the lane, per simulated process ([`swap_ctx`]), so a
+//!   span pushed inside a worker names that worker's plan;
 //! - `lane` — a small per-thread integer; under simos one lane is one
 //!   simulated process.
 //!
@@ -74,7 +80,6 @@ use std::io::{self, BufWriter, Write};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 use crate::stats::Log2Histogram;
 use crate::time::Nanos;
@@ -243,10 +248,9 @@ pub struct TraceRecord {
     /// Sequence number within its capture, from 0 (a total order across
     /// the pool workers that share the capture).
     pub seq: u64,
-    /// Timestamp in nanoseconds. From the emitting backend's clock when
-    /// the site used [`emit_with_at`]; otherwise from the clock given to
-    /// [`set_clock`], or host-monotonic nanoseconds since the capture
-    /// began.
+    /// Timestamp in nanoseconds: the last clock reading the emitting
+    /// code made ([`set_now`]), on its backend's own clock; 0 if it has
+    /// made none.
     pub ts: Nanos,
     /// Scheduler wave index in flight when the event fired, if any.
     pub wave: Option<u64>,
@@ -342,8 +346,6 @@ struct Tracer {
     ring: Ring,
     sink: Option<BufWriter<File>>,
     metrics: TraceMetrics,
-    clock: Option<Box<dyn Fn() -> Nanos + Send>>,
-    epoch: Instant,
 }
 
 impl Tracer {
@@ -353,16 +355,6 @@ impl Tracer {
             ring: Ring::new(capacity),
             sink,
             metrics: TraceMetrics::default(),
-            clock: None,
-            epoch: Instant::now(),
-        }
-    }
-
-    /// The registered clock's reading, or host time since the capture.
-    fn now(&self) -> Nanos {
-        match &self.clock {
-            Some(clock) => clock(),
-            None => Nanos(self.epoch.elapsed().as_nanos() as u64),
         }
     }
 }
@@ -411,6 +403,8 @@ thread_local! {
     static ARMED: Cell<u8> = const { Cell::new(0) };
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     static LANE: Cell<u64> = const { Cell::new(u64::MAX) };
+    /// The last clock reading ([`set_now`]): every record's stamp.
+    static NOW: Cell<Nanos> = const { Cell::new(Nanos::ZERO) };
     static CURRENT_WAVE: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
@@ -494,36 +488,51 @@ impl Drop for LaneGuard {
 }
 
 /// A detached copy of this thread's per-context trace identity: the open
-/// span stack and the lane binding. Executors that multiplex many
-/// logical processes over one driver thread (the event-driven `simos`
-/// backend) keep one `TraceCtx` per process and [`swap_ctx`] it in
-/// around every resume, so spans opened by one process never leak into
-/// another's records and each process keeps a stable lane.
-#[derive(Debug, Default)]
+/// span stack, the lane binding and the last clock reading. Executors
+/// that multiplex many logical processes over one driver thread (the
+/// event-driven `simos` backend) keep one `TraceCtx` per process and
+/// [`swap_ctx`] it in around every resume, so spans opened by one
+/// process never leak into another's records and each process keeps a
+/// stable lane and its own clock reading.
+#[derive(Debug)]
 pub struct TraceCtx {
     spans: Vec<String>,
     lane: u64,
+    now: Nanos,
 }
 
 impl TraceCtx {
-    /// A fresh context: no open spans, lane unbound (lazily allocated on
-    /// first record, exactly like a fresh thread).
-    pub fn new() -> Self {
+    /// A fresh context for a process that starts at `start`: no open
+    /// spans, lane unbound (lazily allocated on first record, exactly
+    /// like a fresh thread), and `start` as its first reading.
+    pub fn new(start: Nanos) -> Self {
         TraceCtx {
             spans: Vec::new(),
             lane: u64::MAX,
+            now: start,
         }
     }
 }
 
-/// Exchanges this thread's span stack and lane with `ctx`. Call once to
-/// install a context before resuming its process and once after it
-/// suspends to stow it away again; the pairing restores the caller's own
-/// identity in between. Swapping (rather than set/clear) makes the
+/// Exchanges this thread's span stack, lane and reading with `ctx`. Call
+/// once to install a context before resuming its process and once after
+/// it suspends to stow it away again; the pairing restores the caller's
+/// own identity in between. Swapping (rather than set/clear) makes the
 /// operation self-inverse and allocation-free.
 pub fn swap_ctx(ctx: &mut TraceCtx) {
     SPAN_STACK.with(|s| std::mem::swap(&mut *s.borrow_mut(), &mut ctx.spans));
     ctx.lane = LANE.with(|c| c.replace(ctx.lane));
+    ctx.now = NOW.with(|c| c.replace(ctx.now));
+}
+
+/// Stores a clock reading: records this thread (or the simulated process
+/// swapped onto it) emits from here on are stamped `now`, until the next
+/// reading. Backends call it where they read their clock anyway, so a
+/// stamp costs no read of its own. It stores whether or not a capture is
+/// armed: a capture armed later still sees the reading made before it.
+#[inline]
+pub fn set_now(now: Nanos) {
+    NOW.with(|c| c.set(now));
 }
 
 /// Whether this thread's recorder has its trace half armed. One
@@ -535,33 +544,22 @@ pub fn enabled() -> bool {
 }
 
 /// Records an event if tracing is enabled; the closure is never called
-/// (and nothing allocates) when it is not. Timestamped from the
-/// registered clock, or host-monotonic time by default.
+/// (and nothing allocates) when it is not. Stamped with the last clock
+/// reading ([`set_now`]).
 #[inline]
 pub fn emit_with(f: impl FnOnce() -> TraceEvent) {
     if !enabled() {
         return;
     }
-    record(None, f());
+    record(f());
 }
 
-/// Like [`emit_with`], but the caller supplies the timestamp — used by
-/// backends whose probes are timed on their own clock (simos virtual
-/// time, hostos `FastTimer`).
-#[inline]
-pub fn emit_with_at(ts: Nanos, f: impl FnOnce() -> TraceEvent) {
-    if !enabled() {
-        return;
-    }
-    record(Some(ts), f());
-}
-
-fn record(ts: Option<Nanos>, event: TraceEvent) {
+fn record(event: TraceEvent) {
+    let ts = NOW.with(Cell::get);
     let lane = current_lane();
     let span = SPAN_STACK.with(|s| s.borrow().join("/"));
     let wave = wave();
     with_tracer(|t| {
-        let ts = ts.unwrap_or_else(|| t.now());
         let seq = t.seq;
         t.seq += 1;
         *t.metrics.counts.entry(event.kind()).or_insert(0) += 1;
@@ -618,13 +616,6 @@ impl Drop for CaptureGuard {
         let prev = self.prev.take();
         drop(update_recorder(|r| mem::replace(&mut r.trace, prev)));
     }
-}
-
-/// Registers the timestamp source for records this capture takes
-/// without an explicit time (e.g. hostos registers its calibrated
-/// `FastTimer`). Does nothing while no capture is armed on the thread.
-pub fn set_clock(clock: impl Fn() -> Nanos + Send + 'static) {
-    with_tracer(|t| t.clock = Some(Box::new(clock)));
 }
 
 /// Stamps the scheduler wave index onto records subsequently emitted by
@@ -895,7 +886,8 @@ mod tests {
     fn ring_eviction_is_accounted() {
         let _guard = arm(Tracer::new(4, None));
         for i in 0..7u64 {
-            emit_with_at(Nanos(i), || TraceEvent::ProbeIssued {
+            set_now(Nanos(i));
+            emit_with(|| TraceEvent::ProbeIssued {
                 offset: i,
                 latency_ns: 1,
             });
@@ -912,17 +904,42 @@ mod tests {
             unit: "/f0".to_string(),
             verdict: Verdict::Cached,
         });
-        emit_with_at(Nanos(42), || TraceEvent::ProbeIssued {
+        set_now(Nanos(42));
+        emit_with(|| TraceEvent::ProbeIssued {
             offset: 4096,
             latency_ns: 2500,
         });
         let recs = drain();
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].ts, Nanos(42), "explicit ts honoured");
+        assert_eq!(recs[1].ts, Nanos(42), "stamped with the last reading");
         let m = metrics();
         assert_eq!(m.counts["Classified"], 1);
         assert_eq!(m.counts["ProbeIssued"], 1);
         assert_eq!(m.probe_latency.count(), 1);
+    }
+
+    #[test]
+    fn a_reading_stays_on_its_thread() {
+        let _guard = capture();
+        set_now(Nanos(7));
+        miss("reader");
+        // A thread that has never read a clock stamps 0, whatever the
+        // spawner read; it records into the spawner's capture.
+        let done = crate::pool::Pool::with_workers(2).map(vec![0u64, 1], |_, i| {
+            miss(&format!("worker {i}"));
+        });
+        assert!(done.iter().all(Result::is_ok));
+        let mut stamps: Vec<(String, Nanos)> = drain()
+            .into_iter()
+            .map(|r| match r.event {
+                TraceEvent::RepositoryMiss { key } => (key, r.ts),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        stamps.sort();
+        let expected = [("reader", 7), ("worker 0", 0), ("worker 1", 0)]
+            .map(|(key, ts)| (key.to_string(), Nanos(ts)));
+        assert_eq!(stamps, expected);
     }
 
     #[test]
@@ -1027,7 +1044,8 @@ mod tests {
         let path = temp_jsonl("drops");
         let guard = capture_jsonl_with_capacity(&path, 2);
         for i in 0..5u64 {
-            emit_with_at(Nanos(i), || TraceEvent::ProbeIssued {
+            set_now(Nanos(i));
+            emit_with(|| TraceEvent::ProbeIssued {
                 offset: i,
                 latency_ns: 1,
             });

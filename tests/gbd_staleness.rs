@@ -222,12 +222,13 @@ fn churn_aware_reinfers_while_ttl_only_serves_stale_until_expiry() {
     );
 }
 
-/// Every `CacheAccess` record the daemon emits is stamped on the virtual
-/// clock: inside its tick, between the drain instant and the machine's
-/// clock after `serve`. One churn scenario, with a two-entry cache and a
-/// TTL expiry, walks all six outcomes.
+/// Every record a daemon tick emits — cache accesses, admissions, plans,
+/// probes and verdicts — is stamped on the virtual clock: inside its
+/// tick, between the drain instant and the machine's clock after
+/// `serve`. One churn scenario, with a two-entry cache and a TTL expiry,
+/// walks all six cache outcomes.
 #[test]
-fn cache_access_records_are_stamped_in_virtual_time() {
+fn every_record_of_a_tick_is_stamped_inside_it() {
     let mask = [true, false, true, false];
     let (mut sim, files) = boot(mask.len(), &mask);
     let cfg = GbdConfig {
@@ -252,12 +253,13 @@ fn cache_access_records_are_stamped_in_virtual_time() {
         let end = sim.now();
         client.take(t).expect("served");
         for rec in trace::drain() {
+            assert!(
+                (drained..=end).contains(&rec.ts),
+                "{:?} stamped {} outside its tick [{drained}, {end}]",
+                rec.event,
+                rec.ts
+            );
             if let TraceEvent::CacheAccess { outcome, .. } = rec.event {
-                assert!(
-                    (drained..=end).contains(&rec.ts),
-                    "{outcome} stamped {} outside its tick [{drained}, {end}]",
-                    rec.ts
-                );
                 outcomes.push(outcome);
             }
         }

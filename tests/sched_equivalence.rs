@@ -188,9 +188,9 @@ fn sched_and_direct_classify_identically_under_simos() {
 }
 
 /// The trace a concurrency-1 dispatch emits is a pure function of the
-/// case seed: two identical runs produce identical `(wave, span, event)`
-/// streams. Timestamps are host time and are excluded; lanes are drawn
-/// from a process-wide counter and are excluded too. (`run_one` plus
+/// case seed: two identical runs produce identical `(ts, wave, span,
+/// event)` streams, timestamps being virtual time. Lanes are drawn from
+/// a process-wide counter and are excluded. (`run_one` plus
 /// [`InlineExecutor`] keeps every event of the dispatch, the kernel's
 /// probe events included, on the test thread and so in its capture.)
 #[test]
@@ -223,7 +223,7 @@ fn serial_dispatch_trace_is_deterministic() {
                 });
                 trace::drain()
                     .into_iter()
-                    .map(|r| (r.seq, r.wave, r.span, r.event))
+                    .map(|r| (r.seq, r.ts, r.wave, r.span, r.event))
                     .collect::<Vec<_>>()
             };
             let a = run();
