@@ -40,6 +40,17 @@
 //! backends service with amortized dispatch. Batching changes neither which
 //! pages are touched nor their order, so the Heisenberg footprint is the
 //! same as the scalar loop's.
+//!
+//! # Two dispatch paths, one planner
+//!
+//! [`Fccd`] probes inline: it opens a file, reads its size, and only then
+//! draws that file's plan. A `gray-sched` worker must hold its offsets
+//! *before* dispatch, so [`FccdPlanner::draw_plans`] draws them from the
+//! caller's size hints as [`ProbePlan`]s, [`execute_plan`] runs one in a
+//! worker, and [`FccdPlanner::rank_results`] folds the results. Routing
+//! the inline path through [`execute_plan`] too would add a syscall (the
+//! size, read before the probing open) or reorder the RNG draws, and
+//! every digest would move; so the paths share the planner and the fold.
 
 use std::cell::RefCell;
 
@@ -48,7 +59,7 @@ use gray_toolbox::rng::StdRng;
 use gray_toolbox::trace::{self, TraceEvent, Verdict};
 use gray_toolbox::GrayDuration;
 
-use crate::os::{Fd, GrayBoxOs, OsResult, ProbeSample, ProbeSpec};
+use crate::os::{Fd, GrayBoxOs, OsError, OsResult, ProbeSample, ProbeSpec};
 use crate::technique::{Technique, TechniqueInventory};
 
 /// Fake probe time reported for files too small to probe without pulling
@@ -172,14 +183,86 @@ pub struct FccdFilePlan {
     pub unit_probes: Vec<u32>,
     /// Rounds per prediction unit (the fold keeps the minimum).
     pub rounds: u32,
+    /// The file size the plan was drawn for.
+    pub size: u64,
+}
+
+/// One file's worth of probes, ready for dispatch to a worker process.
+///
+/// A plan is inert data: FCCD draws every offset up front
+/// ([`FccdPlanner::draw_plans`]) and the worker merely executes them, so
+/// the RNG, the parameters and the fold all stay with the planner.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbePlan {
+    /// The file to open in the worker.
+    pub path: String,
+    /// Probe offsets in issue order.
+    pub specs: Vec<ProbeSpec>,
+    /// Most specs per `probe_batch` syscall, `0` for one batch. A bounded
+    /// batch is one scheduling point, not an atomic sweep, so concurrent
+    /// workers' probes interleave; gbd takes `SchedConfig::sub_batch`.
+    pub sub_batch: usize,
+}
+
+/// What came back from executing one [`ProbePlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanResult {
+    /// The plan's file path (so results are interpretable standalone).
+    pub path: String,
+    /// File size observed by the worker (0 if the open failed).
+    pub size: u64,
+    /// One sample per spec, in spec order. Empty if the open failed.
+    pub samples: Vec<ProbeSample>,
+    /// Why the plan could not run (open failure); `None` on success.
+    pub error: Option<OsError>,
+}
+
+/// Executes one plan against a backend: open, size, probe in sub-batches,
+/// close — the syscalls [`Fccd`]'s inline path issues for one file, so a
+/// concurrency-1 scheduler run is syscall for syscall the same as inline
+/// probing (the equivalence tests pin this).
+pub fn execute_plan<O: GrayBoxOs>(os: &O, plan: &ProbePlan) -> PlanResult {
+    // Runs on the worker (one simulated process per plan under simos), so
+    // the span names the plan on every backend-emitted probe event.
+    let _span = trace::span("plan", || plan.path.clone());
+    let fd: Fd = match os.open(&plan.path) {
+        Ok(fd) => fd,
+        Err(e) => {
+            return PlanResult {
+                path: plan.path.clone(),
+                size: 0,
+                samples: Vec::new(),
+                error: Some(e),
+            }
+        }
+    };
+    let size = os.file_size(fd).unwrap_or(0);
+    // An empty plan issues no batch at all, not even an empty one.
+    let bound = match plan.sub_batch {
+        0 => plan.specs.len().max(1),
+        n => n,
+    };
+    let mut samples = Vec::with_capacity(plan.specs.len());
+    for chunk in plan.specs.chunks(bound) {
+        samples.extend(os.probe_batch(fd, chunk));
+    }
+    let _ = os.close(fd);
+    PlanResult {
+        path: plan.path.clone(),
+        size,
+        samples,
+        error: None,
+    }
 }
 
 /// The OS-free half of FCCD: draws probe plans and folds their samples.
 ///
-/// [`Fccd`] owns one of these and executes plans inline; the `gray-sched`
-/// scheduler uses a standalone planner to draw plans client-side, dispatch
-/// them to worker processes, and fold the returned samples. Both paths
-/// share this code, so a fixed seed places probes identically either way.
+/// [`Fccd`] owns one of these and executes plans inline; gbd takes one
+/// out of a fixed-seed detector ([`Fccd::into_planner`]) to draw plans
+/// ([`draw_plans`](Self::draw_plans)), dispatch them to worker processes
+/// through `gray-sched`, and fold the returned results
+/// ([`rank_results`](Self::rank_results)). Both paths share this code, so
+/// a fixed seed places probes identically either way.
 pub struct FccdPlanner {
     params: FccdParams,
     rng: RefCell<StdRng>,
@@ -223,11 +306,6 @@ impl FccdPlanner {
         planner
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &FccdParams {
-        &self.params
-    }
-
     /// The access units of a file of `size` bytes: `access_unit`-sized,
     /// snapped to the record alignment, covering the whole file.
     pub fn access_units(&self, size: u64) -> Vec<(u64, u64)> {
@@ -246,6 +324,7 @@ impl FccdPlanner {
             units: Vec::new(),
             unit_probes: Vec::new(),
             rounds: self.params.probe_rounds,
+            size,
         };
         if size == 0 {
             return plan;
@@ -273,6 +352,72 @@ impl FccdPlanner {
             plan.unit_probes.push(probes);
         }
         plan
+    }
+
+    /// Draws one plan per `(path, size)` of `files`, in input order: one
+    /// [`draw_plan`](Self::draw_plan) each, the RNG consumption of ranking
+    /// the files inline one by one. Returns each file's client half, for
+    /// [`rank_results`](Self::rank_results), and its worker half, for
+    /// [`execute_plan`], which sends at most `sub_batch` specs per
+    /// `probe_batch` (0: one batch).
+    pub fn draw_plans(
+        &self,
+        files: &[(String, u64)],
+        page_size: u64,
+        sub_batch: usize,
+    ) -> Vec<(FccdFilePlan, ProbePlan)> {
+        files
+            .iter()
+            .map(|(path, size)| {
+                let plan = self.draw_plan(*size, page_size);
+                trace::emit_with(|| TraceEvent::ProbePlanned {
+                    target: path.clone(),
+                    probes: plan.specs.len() as u64,
+                });
+                let probe = ProbePlan {
+                    path: path.clone(),
+                    specs: plan.specs.clone(),
+                    sub_batch,
+                };
+                (plan, probe)
+            })
+            .collect()
+    }
+
+    /// Folds the results of [`draw_plans`](Self::draw_plans)' worker
+    /// halves, one per client half and in the same order, into ranks
+    /// sorted by [`sort_ranks`].
+    ///
+    /// A file the worker could not open ranks with the small-file
+    /// penalty, as inline. So does a file whose size the worker saw
+    /// differ from the size its plan was drawn for: its probes covered
+    /// some other file (none at all for a hint of 0), and FCCD ranks a
+    /// file it could not probe with the paper's fake high probe-time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` and `plans` differ in length.
+    pub fn rank_results(&self, plans: &[FccdFilePlan], results: Vec<PlanResult>) -> Vec<FileRank> {
+        assert_eq!(plans.len(), results.len(), "one result per plan");
+        let mut ranks: Vec<FileRank> = plans
+            .iter()
+            .zip(results)
+            .map(|(plan, result)| {
+                if result.error.is_some() {
+                    self.rank_unopenable(&result.path)
+                } else if result.size != plan.size {
+                    FileRank {
+                        size: result.size,
+                        ..self.rank_unopenable(&result.path)
+                    }
+                } else {
+                    let report = self.fold(plan, &result.samples);
+                    self.rank(&result.path, result.size, &report)
+                }
+            })
+            .collect();
+        sort_ranks(&mut ranks);
+        ranks
     }
 
     /// Folds the samples of an executed plan back into a report: minimum
@@ -359,8 +504,8 @@ pub fn sort_ranks(ranks: &mut [FileRank]) {
 
 /// Splits sorted ranks into predicted-cached and predicted-uncached groups
 /// by [`split_fast_slow`] over the mean probe times (paper Section 4.2.4) —
-/// the classification core shared by [`Fccd::classify_files`] and the
-/// `gray-sched` multi-file frontend.
+/// the classification core shared by [`Fccd::classify_files`] and gbd's
+/// scheduled path.
 pub fn classify_ranks(ranks: Vec<FileRank>) -> Classified {
     let times: Vec<f64> = ranks
         .iter()
@@ -461,9 +606,10 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// with the same seed probe the same bytes, so a prior run's probes
     /// skew the next run's measurements. Not only the ablation suite and
     /// tests needing bit-exact probe placement build FCCD this way: gbd's
-    /// daemon (through the same planner, `FccdFleet::with_fixed_seed`),
-    /// both phases of the scenario matrix and graybench's `fleet_probe`
-    /// do too, so every process of a fleet draws the same first offset.
+    /// daemon (which keeps the [planner](Fccd::into_planner) of one such
+    /// detector per query), both phases of the scenario matrix and
+    /// graybench's `fleet_probe` do too, so every process of a fleet
+    /// draws the same first offset.
     /// Whether those paths move to [`Fccd::new`] is ROADMAP item 1's call
     /// (cause B, the probe's residue).
     pub fn with_fixed_seed(os: &'a O, params: FccdParams) -> Self {
@@ -476,14 +622,10 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
         fccd
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &FccdParams {
-        self.planner.params()
-    }
-
-    /// The OS-free planner half of the detector.
-    pub fn planner(&self) -> &FccdPlanner {
-        &self.planner
+    /// The OS-free planner half of the detector, for a caller that
+    /// dispatches its plans elsewhere (gbd, through `gray-sched`).
+    pub fn into_planner(self) -> FccdPlanner {
+        self.planner
     }
 
     /// Probes every access unit of the open file `fd` of size `size`.
@@ -573,12 +715,6 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// no signal when everything costs the same.
     pub fn classify_files(&self, paths: &[String]) -> Classified {
         classify_ranks(self.order_files(paths))
-    }
-
-    /// The access units of a file of `size` bytes: `access_unit`-sized,
-    /// snapped to the record alignment, covering the whole file.
-    pub fn access_units(&self, size: u64) -> Vec<(u64, u64)> {
-        self.planner.access_units(size)
     }
 
     fn rank_one(&self, path: &str) -> FileRank {
@@ -805,6 +941,84 @@ mod tests {
         assert_eq!(ranks[0].path, "/real");
         assert_eq!(ranks[1].path, "/ghost");
         assert_eq!(ranks[1].size, 0);
+    }
+
+    /// What a worker returns for `probe` from a file of `size` bytes that
+    /// is entirely warm or entirely cold.
+    fn worker_result(probe: &ProbePlan, size: u64, warm: bool) -> PlanResult {
+        PlanResult {
+            path: probe.path.clone(),
+            size,
+            samples: probe
+                .specs
+                .iter()
+                .map(|spec| ProbeSample {
+                    offset: spec.offset,
+                    elapsed: if warm { HIT } else { MISS },
+                    ok: true,
+                })
+                .collect(),
+            error: None,
+        }
+    }
+
+    #[test]
+    fn rank_results_folds_sorts_and_penalizes_unprobed_files() {
+        let planner = planner();
+        let size = 8 * PAGE;
+        // `/stale` grew after its hint; `/zero`'s hint is 0, so its plan
+        // probes nothing at all.
+        let files: Vec<(String, u64)> = [
+            ("/zero", 0),
+            ("/cold", size),
+            ("/ghost", size),
+            ("/stale", size),
+            ("/warm", size),
+        ]
+        .map(|(path, hint)| (path.to_string(), hint))
+        .to_vec();
+        let (plans, probes): (Vec<_>, Vec<_>) =
+            planner.draw_plans(&files, PAGE, 3).into_iter().unzip();
+        for (plan, probe) in plans.iter().zip(&probes) {
+            assert_eq!((&probe.specs, probe.sub_batch), (&plan.specs, 3));
+        }
+        let results = vec![
+            worker_result(&probes[0], size, true),
+            worker_result(&probes[1], size, false),
+            PlanResult {
+                path: "/ghost".to_string(),
+                size: 0,
+                samples: Vec::new(),
+                error: Some(OsError::NotFound),
+            },
+            worker_result(&probes[3], 2 * size, true),
+            worker_result(&probes[4], size, true),
+        ];
+        let ranks = planner.rank_results(&plans, results.clone());
+
+        let mut sorted = ranks.clone();
+        sort_ranks(&mut sorted);
+        assert_eq!(ranks, sorted, "ranks come out sorted as sort_ranks sorts");
+        let rank_of = |path: &str| ranks.iter().find(|r| r.path == path).unwrap();
+        for i in [1, 4] {
+            let report = planner.fold(&plans[i], &results[i].samples);
+            assert_eq!(
+                *rank_of(&files[i].0),
+                planner.rank(&files[i].0, size, &report),
+                "matching samples rank as fold + rank"
+            );
+        }
+        assert_eq!(*rank_of("/ghost"), planner.rank_unopenable("/ghost"));
+        for (path, seen) in [("/zero", size), ("/stale", 2 * size)] {
+            let rank = rank_of(path);
+            assert_eq!(
+                (rank.mean_probe, rank.total_probe, rank.size),
+                (SMALL_FILE_PENALTY, SMALL_FILE_PENALTY, seen),
+                "{path}: a size mismatch ranks with the penalty"
+            );
+        }
+        let order: Vec<&str> = ranks.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(order, ["/warm", "/cold", "/ghost", "/stale", "/zero"]);
     }
 
     #[test]

@@ -25,17 +25,17 @@
 
 use std::collections::BTreeMap;
 
-use gray_sched::{FccdFleet, Scheduler, SimExecutor};
+use gray_sched::{Scheduler, SimExecutor};
 use gray_toolbox::mailbox::{Mailbox, MailboxClient, Ticket};
 use gray_toolbox::stats::Log2Histogram;
 use gray_toolbox::trace::{self, TraceEvent};
 use gray_toolbox::Nanos;
-use graybox::fccd::{classify_ranks, FileRank};
+use graybox::fccd::{classify_ranks, Fccd, FileRank};
 use graybox::fldc::Fldc;
 use graybox::mac::{AdmissionRequest, Mac, MacParams};
 use graybox::os::GrayBoxOs;
 use graybox::wbd::{Wbd, WbdParams};
-use simos::Sim;
+use simos::{Sim, PAGE_SIZE};
 
 /// The verdict key WBD residue inferences publish. FCCD verdicts key on
 /// file paths; WBD's single system-wide dirty/clean bit keys on this
@@ -50,7 +50,9 @@ use crate::{GbdConfig, GbdError};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// FCCD: split these files into predicted-cached / predicted-uncached.
-    /// `(path, size-hint)` pairs, exactly as the fleet planner takes them.
+    /// `(path, size-hint)` pairs, exactly as `FccdPlanner::draw_plans`
+    /// takes them; a file whose hint is not its size ranks with FCCD's
+    /// small-file penalty.
     FccdClassify {
         /// The candidate files.
         files: Vec<(String, u64)>,
@@ -230,7 +232,9 @@ pub struct Tenant {
     /// The tenant's name (spans read `tenant:<name>`).
     pub name: String,
     /// The tenant's gray-trace lane: every daemon-side record emitted on
-    /// this tenant's behalf carries it.
+    /// this tenant's behalf carries it. A churn re-inference and the
+    /// tick's pooled allocation pass serve no single tenant and trace on
+    /// the daemon's own lane.
     pub lane: u64,
     /// Accounting.
     pub stats: TenantStats,
@@ -310,6 +314,8 @@ struct ExecItem {
     query: Query,
     /// `(tenant index, ticket)`; the first waiter triggered the execution.
     waiters: Vec<(usize, Ticket)>,
+    /// The first waiter's trace lane; `None` for a re-inference.
+    lane: Option<u64>,
 }
 
 /// The daemon.
@@ -490,6 +496,7 @@ impl Gbd {
                 key: key.clone(),
                 query: env.req,
                 waiters: vec![(tenant, env.ticket)],
+                lane: Some(lane),
             });
         }
         self.key = key;
@@ -539,6 +546,7 @@ impl Gbd {
                     key,
                     query: entry.query,
                     waiters: Vec::new(),
+                    lane: None,
                 };
                 let (reply, verdicts) = self
                     .execute(sim, std::slice::from_ref(&item))
@@ -577,11 +585,18 @@ impl Gbd {
         let Some(first) = items.first() else {
             return Vec::new();
         };
-        // The other kinds execute one query at a time.
+        // The other kinds execute one query at a time, on the lane of the
+        // tenant that asked (FCCD items scope their own lanes; the pooled
+        // allocation pass serves many tenants and stays on the daemon's).
         let alone = |reply| {
             debug_assert_eq!(items.len(), 1, "only FCCD and allocations group");
             vec![(reply, Verdicts::new())]
         };
+        let lane = match first.query {
+            Query::FccdClassify { .. } | Query::GbAlloc { .. } => None,
+            _ => first.lane,
+        };
+        let _scope = lane.map(trace::lane_scope);
         match &first.query {
             Query::FccdClassify { .. } => self.execute_fccd(sim, items),
             Query::GbAlloc { .. } => {
@@ -620,7 +635,8 @@ impl Gbd {
     }
 
     /// Runs a batch of FCCD classifications through the shared scheduler:
-    /// submit every item's plans, dispatch once, fold each. Returns one
+    /// each item's planner draws its plans, the scheduler dispatches all of
+    /// them at once, and each planner folds its own results. Returns one
     /// `(reply, verdicts)` per item, in order.
     fn execute_fccd(&mut self, sim: &mut Sim, items: &[ExecItem]) -> Vec<(Reply, Verdicts)> {
         let mut submitted = Vec::with_capacity(items.len());
@@ -628,25 +644,34 @@ impl Gbd {
             let Query::FccdClassify { files } = &item.query else {
                 unreachable!("execute_fccd takes FCCD items only");
             };
+            // Plan (and emit `ProbePlanned` events) on the lane of the
+            // tenant that triggered the execution, when there is one.
+            let _scope = item.lane.map(trace::lane_scope);
             let params = self.cfg.fccd.clone();
-            let sub_batch = self.cfg.sched.sub_batch;
-            let fleet = sim.run_one(move |os| FccdFleet::with_fixed_seed(os, params, sub_batch));
-            let pending = fleet.submit_files(&mut self.sched, files);
-            submitted.push((fleet, pending));
+            let planner = sim.run_one(move |os| Fccd::with_fixed_seed(os, params).into_planner());
+            let (plans, handles): (Vec<_>, Vec<_>) = planner
+                .draw_plans(files, PAGE_SIZE, self.cfg.sched.sub_batch)
+                .into_iter()
+                .map(|(plan, probe)| (plan, self.sched.submit(probe)))
+                .unzip();
+            submitted.push((planner, plans, handles));
         }
         self.sched.dispatch(&mut SimExecutor::new(sim));
         items
             .iter()
             .zip(submitted)
-            .map(|(item, (fleet, pending))| {
-                // Fold (and emit `Classified` events) on the lane of the
-                // tenant that triggered the execution, when there is one.
-                let lane = item
-                    .waiters
-                    .first()
-                    .map(|(tenant, _)| self.tenants[*tenant].lane);
-                let _scope = lane.map(trace::lane_scope);
-                let classified = classify_ranks(fleet.fold_files(&mut self.sched, pending));
+            .map(|(item, (planner, plans, handles))| {
+                // Fold (and emit `Classified` events) on the same lane.
+                let _scope = item.lane.map(trace::lane_scope);
+                let results = handles
+                    .into_iter()
+                    .map(|handle| {
+                        self.sched
+                            .take(handle)
+                            .expect("dispatch resolves every submitted handle")
+                    })
+                    .collect();
+                let classified = classify_ranks(planner.rank_results(&plans, results));
                 let mut verdicts = Verdicts::new();
                 for rank in &classified.cached {
                     verdicts.insert(rank.path.clone(), true);

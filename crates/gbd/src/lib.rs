@@ -26,8 +26,11 @@
 //!   by `graybox`'s `Mac::admit_all`, behind one probe pass.
 //! - **A trace lane per tenant.** Each tenant gets its own gray-trace
 //!   lane; daemon-side events (cache accesses, admission decisions,
-//!   classification verdicts) carry the lane of the tenant they serve, so
-//!   per-client telemetry falls out of the PR 5 tracer for free.
+//!   probe plans, classification verdicts, the estimates of a query
+//!   executing on its own) carry the lane of the tenant they serve, so
+//!   per-client telemetry falls out of the tracer for free. A churn
+//!   re-inference and the pooled allocation pass serve no single tenant
+//!   and trace on the daemon's own lane.
 //!
 //! Every tunable is a field of [`GbdConfig`]. MAC runs at its default
 //! parameters, the ones every gray-box allocator in the workspace uses
@@ -161,6 +164,90 @@ mod tests {
         .write_fingerprint(&mut key);
         Query::MacAvailable { ceiling: 7 }.write_fingerprint(&mut key);
         assert_eq!(key, "mac.available:7");
+    }
+
+    /// A size hint that is not the file's size must not make a cold file
+    /// look cached. A hint of 0 draws an empty plan; folded as a probed
+    /// file, it ranked fastest at 0 ns a probe, and the daemon cached that
+    /// verdict. A file FCCD could not probe ranks with the penalty.
+    #[test]
+    fn a_stale_size_hint_never_reads_as_cached() {
+        let cfg = GbdConfig {
+            fccd: FccdParams {
+                access_unit: 64 << 10,
+                prediction_unit: 16 << 10,
+                ..FccdParams::default()
+            },
+            ..small_cfg()
+        };
+        let policy = cfg.ttl_policy();
+        let mut gbd = Gbd::new(cfg, Box::new(policy));
+        let mut sim = scenario::daemon_machine(2, 2);
+        let mut files = scenario::spread_corpus(&mut sim, 2, 3, 256 << 10);
+        scenario::warm(&mut sim, &files[..2]);
+        let stale = files[5].0.clone();
+        assert_eq!(stale, "/d1/sc02");
+        files[5].1 = 0;
+        let c = gbd.register_tenant("t").unwrap();
+        let t = c.submit(Query::FccdClassify { files });
+        gbd.serve(&mut sim);
+        let Reply::Classified {
+            cached, uncached, ..
+        } = c.take(t).expect("served").reply
+        else {
+            panic!("expected a classification");
+        };
+        assert_eq!(sim.oracle().cached_fraction(&stale), Ok(0.0));
+        let cached: Vec<&str> = cached.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(cached, ["/sc00", "/sc01"], "only the warm files are cached");
+        let rank = uncached.iter().find(|r| r.path == stale).expect("ranked");
+        assert_eq!(rank.mean_probe, graybox::fccd::SMALL_FILE_PENALTY);
+    }
+
+    /// Records emitted on a tenant's behalf carry its lane: the plans of
+    /// its FCCD query, pooled into shared waves with the other tenant's,
+    /// and the estimate of its MAC query, which executes on its own.
+    #[test]
+    fn a_tenants_plans_and_estimates_trace_on_its_lane() {
+        use gray_toolbox::trace::{self, TraceEvent};
+        let cfg = small_cfg();
+        let policy = cfg.ttl_policy();
+        let mut gbd = Gbd::new(cfg, Box::new(policy));
+        let mut sim = scenario::daemon_machine(2, 4);
+        let files = scenario::spread_corpus(&mut sim, 2, 3, 256 << 10);
+        let (alice_files, bob_files) = files.split_at(2);
+        let alice = gbd.register_tenant("alice").unwrap();
+        let bob = gbd.register_tenant("bob").unwrap();
+        let _capture = trace::capture();
+        alice.submit(Query::FccdClassify {
+            files: alice_files.to_vec(),
+        });
+        bob.submit(Query::FccdClassify {
+            files: bob_files.to_vec(),
+        });
+        bob.submit(Query::MacAvailable { ceiling: 8 << 20 });
+        gbd.serve(&mut sim);
+        let records = trace::drain();
+        let lanes: Vec<u64> = gbd.tenants().iter().map(|t| t.lane).collect();
+        let planned_on = |lane: u64| {
+            records
+                .iter()
+                .filter(|r| r.lane == lane && matches!(r.event, TraceEvent::ProbePlanned { .. }))
+                .count()
+        };
+        assert_eq!(planned_on(lanes[0]), alice_files.len(), "alice's plans");
+        assert_eq!(planned_on(lanes[1]), bob_files.len(), "bob's plans");
+        let estimates: Vec<u64> = records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::Estimated { .. }))
+            .map(|r| r.lane)
+            .collect();
+        assert!(!estimates.is_empty(), "MAC estimates are traced");
+        assert!(
+            estimates.iter().all(|&lane| lane == lanes[1]),
+            "bob's estimate records trace on lanes {estimates:?}, not {}",
+            lanes[1]
+        );
     }
 
     #[test]

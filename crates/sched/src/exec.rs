@@ -12,11 +12,10 @@
 //!   virtual time.
 
 use gray_toolbox::GrayDuration;
+use graybox::fccd::{execute_plan, PlanResult, ProbePlan};
 use graybox::os::GrayBoxOs;
 use simos::exec::Workload;
 use simos::{Sim, SimProc};
-
-use crate::plan::{execute_plan, PlanResult, ProbePlan};
 
 /// The result of running one wave.
 #[derive(Debug)]
@@ -78,11 +77,6 @@ impl<'a> SimExecutor<'a> {
     /// Creates an executor over the simulation.
     pub fn new(sim: &'a mut Sim) -> Self {
         SimExecutor { sim }
-    }
-
-    /// The underlying simulation (for cache flushes between experiments).
-    pub fn sim(&mut self) -> &mut Sim {
-        self.sim
     }
 }
 

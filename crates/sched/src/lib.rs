@@ -16,17 +16,18 @@
 //!    classification an ICL makes through the scheduler is bit-identical
 //!    to the PR 3 inline path (`tests/sched_equivalence.rs` pins this).
 //! 2. **Overlap where the bottleneck allows it.** Plans probing files on
-//!    different disks overlap their disk service; the FCCD fleet path
-//!    ([`fccd::FccdFleet`]) exploits this for multi-file classification.
+//!    different disks overlap their disk service; gbd's multi-file FCCD
+//!    queries exploit this.
 //!
 //! Waves are fixed-width ([`SchedConfig::concurrency`]). Dispatch does not
 //! judge its own probes: a cached file beside an uncached one is the
 //! signal, not interference, so whether probe times can be trusted is
-//! the fold's call (`graybox::fccd::classify_ranks`' separation floor).
+//! the fold's call, in `graybox`.
 //!
-//! The crate schedules probes and nothing else: what an ICL concludes
-//! from them stays in `graybox`, including MAC's pooling of allocation
-//! requests (`Mac::admit_all`).
+//! The crate schedules probes and nothing else: the plans, what runs
+//! them in a worker ([`execute_plan`]) and what an ICL concludes from
+//! them stay in `graybox` — FCCD's planning and folding, and MAC's
+//! pooling of allocation requests (`Mac::admit_all`).
 //!
 //! Every tunable is a field of [`SchedConfig`].
 
@@ -36,12 +37,11 @@ use gray_toolbox::trace;
 use gray_toolbox::GrayDuration;
 
 pub mod exec;
-pub mod fccd;
-pub mod plan;
 
 pub use exec::{InlineExecutor, PlanExecutor, SimExecutor, WaveOutcome};
-pub use fccd::{FccdFleet, PendingFiles};
-pub use plan::{execute_plan, PlanResult, ProbePlan};
+// The plan types are FCCD's (`graybox::fccd`); graybench names them
+// through this crate.
+pub use graybox::fccd::{execute_plan, PlanResult, ProbePlan};
 
 /// Completion handle for a submitted plan; redeem with [`Scheduler::take`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,9 +52,9 @@ pub struct PlanHandle(u64);
 pub struct SchedConfig {
     /// Wave width: plans per dispatched wave (the last may be short).
     pub concurrency: usize,
-    /// Sub-batch bound stamped onto dispatched plans that ask for one
-    /// (`ProbePlan.sub_batch` is left alone; this is the default used by
-    /// plan builders such as [`FccdFleet`]).
+    /// The sub-batch bound plan builders take by default: the scheduler
+    /// leaves each plan's own `ProbePlan::sub_batch` alone, and gbd stamps
+    /// this value on the FCCD plans it draws.
     pub sub_batch: usize,
 }
 
@@ -108,22 +108,12 @@ impl Scheduler {
         }
     }
 
-    /// The configured default sub-batch bound for plan builders.
-    pub fn sub_batch(&self) -> usize {
-        self.cfg.sub_batch
-    }
-
     /// Enqueues a plan; the handle redeems its result after dispatch.
     pub fn submit(&mut self, plan: ProbePlan) -> PlanHandle {
         let id = self.next_handle;
         self.next_handle += 1;
         self.queue.push_back((id, plan));
         PlanHandle(id)
-    }
-
-    /// Number of plans waiting for dispatch.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Drains the queue through `exec` in submission order, in waves of
@@ -214,7 +204,6 @@ mod tests {
             .map(|i| sched.submit(plan(&format!("/f{i}"))))
             .collect();
         sched.dispatch(&mut NoProbes);
-        assert_eq!(sched.pending(), 0);
         for (i, h) in handles.into_iter().enumerate() {
             let r = sched.take(h).expect("result present");
             assert_eq!(r.path, format!("/f{i}"));

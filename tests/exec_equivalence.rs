@@ -35,12 +35,12 @@
 //! [`ProcPanic`]: graybox_icl::simos::ProcPanic
 
 use graybox_icl::apps::workload::make_file;
-use graybox_icl::graybox::fccd::{classify_ranks, FccdParams, FileRank};
+use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FileRank};
 use graybox_icl::graybox::os::{Fd, GrayBoxOs, ProbeSample, ProbeSpec};
-use graybox_icl::sched::{FccdFleet, SchedConfig, Scheduler, SimExecutor};
+use graybox_icl::sched::{SchedConfig, Scheduler, SimExecutor};
 use graybox_icl::simos::exec::Workload;
 use graybox_icl::simos::kernel::Kernel;
-use graybox_icl::simos::{Sim, SimConfig, SimProc};
+use graybox_icl::simos::{Sim, SimConfig, SimProc, PAGE_SIZE};
 use graybox_icl::toolbox::profile;
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::GrayDuration;
@@ -368,12 +368,22 @@ fn assert_fleet_goldens() {
                 os.close(fd).unwrap();
             }
         });
-        let fleet = sim.run_one(|os| FccdFleet::with_fixed_seed(os, params, 0));
+        let planner = sim.run_one(|os| Fccd::with_fixed_seed(os, params).into_planner());
         let mut sched = Scheduler::new(SchedConfig {
             concurrency,
             ..SchedConfig::default()
         });
-        let ranks = fleet.order_files(&mut sched, &mut SimExecutor::new(&mut sim), &files);
+        let (plans, handles): (Vec<_>, Vec<_>) = planner
+            .draw_plans(&files, PAGE_SIZE, 0)
+            .into_iter()
+            .map(|(plan, probe)| (plan, sched.submit(probe)))
+            .unzip();
+        sched.dispatch(&mut SimExecutor::new(&mut sim));
+        let results = handles
+            .into_iter()
+            .map(|handle| sched.take(handle).expect("dispatched"))
+            .collect();
+        let ranks = planner.rank_results(&plans, results);
         let clock = sim.now().as_nanos();
 
         let split = classify_ranks(ranks.clone());

@@ -10,11 +10,12 @@
 //! against a direct `available_estimate`.
 //!
 //! This rests on the concurrency-1 scheduler equivalence pinned by
-//! `tests/sched_equivalence.rs`: the daemon builds its `FccdFleet` in
-//! its own process and dispatches one plan at a time (`sub_batch` 0),
-//! exactly the configuration that test proves issues the same syscalls
-//! in the same order as inline `Fccd`. The daemon's probe offsets come
-//! from the same fixed seed.
+//! `tests/sched_equivalence.rs`: the daemon builds a fixed-seed `Fccd` in
+//! its own process, keeps its planner (`Fccd::into_planner`), and
+//! dispatches the planner's plans one at a time (`sub_batch` 0), exactly
+//! the configuration that test proves issues the same syscalls in the
+//! same order as inline `Fccd`. The daemon's probe offsets come from the
+//! same fixed seed.
 //!
 //! Replay a failing case with the seed from the harness banner:
 //!

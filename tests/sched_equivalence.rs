@@ -4,12 +4,15 @@
 //! per-file probe plans to a one-worker [`Scheduler`] and dispatching
 //! them through an executor must issue the same syscalls in the same
 //! order as the inline `Fccd` path, and therefore rank and classify any
-//! cache state bit-identically. On simos this holds with timing noise and
-//! readahead on. Through an [`InlineExecutor`] the plans run inside the
-//! process that built the fleet, so both paths are one process issuing
-//! one syscall sequence. Through a [`SimExecutor`] each plan is a process
-//! of its own that starts at the latest virtual time the previous one
-//! reached, exactly where the inline path's single process would have
+//! cache state bit-identically. The scheduled path is the one gbd runs:
+//! a fixed-seed `Fccd`'s planner ([`Fccd::into_planner`]),
+//! [`FccdPlanner::draw_plans`], submit, dispatch, take,
+//! [`FccdPlanner::rank_results`]. On simos this holds with timing noise
+//! and readahead on. Through an [`InlineExecutor`] the plans run inside
+//! the process that built the planner, so both paths are one process
+//! issuing one syscall sequence. Through a [`SimExecutor`] each plan is a
+//! process of its own that starts at the latest virtual time the previous
+//! one reached, exactly where the inline path's single process would have
 //! been, so the charge sequence, the CPU-bank bookings and the noise
 //! stream all align.
 //!
@@ -38,12 +41,12 @@
 use std::collections::BTreeSet;
 
 use graybox_icl::apps::workload::make_file;
-use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FileRank};
+use graybox_icl::graybox::fccd::{classify_ranks, Fccd, FccdParams, FccdPlanner, FileRank};
 use graybox_icl::graybox::mac::{AdmissionRequest, Mac, MacParams};
 use graybox_icl::graybox::os::GrayBoxOs;
-use graybox_icl::sched::{FccdFleet, InlineExecutor, SchedConfig, Scheduler, SimExecutor};
+use graybox_icl::sched::{InlineExecutor, PlanExecutor, SchedConfig, Scheduler, SimExecutor};
 use graybox_icl::simos::exec::Workload;
-use graybox_icl::simos::{scenario, DiskParams, Sim, SimConfig, SimProc};
+use graybox_icl::simos::{scenario, DiskParams, Sim, SimConfig, SimProc, PAGE_SIZE};
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::GrayDuration;
 
@@ -54,6 +57,29 @@ fn serial_scheduler() -> Scheduler {
         concurrency: 1,
         ..SchedConfig::default()
     })
+}
+
+/// Ranks `files` through `sched` the way gbd does: the planner draws one
+/// plan per file (at most `sub_batch` specs a batch), the scheduler
+/// dispatches them through `exec`, and the planner folds the results.
+fn order_files<E: PlanExecutor>(
+    planner: &FccdPlanner,
+    sched: &mut Scheduler,
+    exec: &mut E,
+    files: &[(String, u64)],
+    sub_batch: usize,
+) -> Vec<FileRank> {
+    let (plans, handles): (Vec<_>, Vec<_>) = planner
+        .draw_plans(files, PAGE_SIZE, sub_batch)
+        .into_iter()
+        .map(|(plan, probe)| (plan, sched.submit(probe)))
+        .unzip();
+    sched.dispatch(exec);
+    let results = handles
+        .into_iter()
+        .map(|handle| sched.take(handle).expect("dispatched"))
+        .collect();
+    planner.rank_results(&plans, results)
 }
 
 /// A fresh `SimConfig::small()` machine holding `files`, flushed, then
@@ -120,9 +146,9 @@ fn sched_and_direct_classify_identically_inline() {
             let sched = machine_with(&files, &warm, page).run_one(|os| {
                 // sub_batch 0: one probe_batch per file, exactly like the
                 // inline path's single vectored call.
-                let fleet = FccdFleet::with_fixed_seed(os, params.clone(), 0);
+                let planner = Fccd::with_fixed_seed(os, params.clone()).into_planner();
                 let mut exec = InlineExecutor::new(os);
-                fleet.order_files(&mut serial_scheduler(), &mut exec, &files)
+                order_files(&planner, &mut serial_scheduler(), &mut exec, &files, 0)
             });
             assert_eq!(direct, sched, "concurrency-1 scheduler ranks diverge");
             // Classification is a pure function of the ranks, so equal
@@ -136,7 +162,7 @@ fn sched_and_direct_classify_identically_inline() {
 
 /// The same property with one simulated process per plan: the inline
 /// path probes all files from one process; the scheduler path builds the
-/// fleet in one process and then runs one process per plan. Each plan
+/// planner in one process and then runs one process per plan. Each plan
 /// process starts at the latest virtual time reached — exactly where the
 /// inline process would have opened that file — so every charge lands at
 /// the same absolute time, the noise stream stays in step, and the ranks
@@ -174,10 +200,11 @@ fn sched_and_direct_classify_identically_under_simos() {
             let sched = {
                 let mut sim = machine_with(&files, &warm, access_unit);
                 let params = params.clone();
-                let fleet = sim.run_one(move |os| FccdFleet::with_fixed_seed(os, params, 0));
+                let planner =
+                    sim.run_one(move |os| Fccd::with_fixed_seed(os, params).into_planner());
                 let mut sched = serial_scheduler();
                 let mut exec = SimExecutor::new(&mut sim);
-                fleet.order_files(&mut sched, &mut exec, &files)
+                order_files(&planner, &mut sched, &mut exec, &files, 0)
             };
             assert_eq!(direct, sched, "concurrency-1 scheduler ranks diverge");
             let (d, s) = (classify_ranks(direct), classify_ranks(sched));
@@ -217,9 +244,11 @@ fn serial_dispatch_trace_is_deterministic() {
             let run = || {
                 let _cap = trace::capture();
                 machine_with(&files, &warm, page).run_one(|os| {
-                    let fleet = FccdFleet::with_fixed_seed(os, params.clone(), 0);
+                    let planner = Fccd::with_fixed_seed(os, params.clone()).into_planner();
                     let mut exec = InlineExecutor::new(os);
-                    let _ = fleet.classify_files(&mut serial_scheduler(), &mut exec, &files);
+                    let ranks =
+                        order_files(&planner, &mut serial_scheduler(), &mut exec, &files, 0);
+                    let _ = classify_ranks(ranks);
                 });
                 trace::drain()
                     .into_iter()
@@ -292,12 +321,13 @@ fn run_fleet(concurrency: usize) -> u64 {
     // their disk waits genuinely overlap. (A whole-plan batch is one
     // kernel entry, which serializes the wave — the batch bound is the
     // concurrency granularity, not just dispatch amortization.)
-    let fleet = sim.run_one(|os| FccdFleet::with_fixed_seed(os, params, 1));
+    let planner = sim.run_one(|os| Fccd::with_fixed_seed(os, params).into_planner());
     let mut sched = Scheduler::new(SchedConfig {
         concurrency,
         ..SchedConfig::default()
     });
-    let ranks = fleet.order_files(&mut sched, &mut SimExecutor::new(&mut sim), &files);
+    let mut exec = SimExecutor::new(&mut sim);
+    let ranks = order_files(&planner, &mut sched, &mut exec, &files, 1);
     assert_eq!(ranks.len(), FLEET_FILES);
     sched
         .waves()
@@ -334,12 +364,13 @@ fn half_warm_fleet_keeps_wave_width_and_verdicts() {
         let (mut sim, files) = sched_sim(3);
         let warm: Vec<_> = files.iter().step_by(2).cloned().collect();
         scenario::warm(&mut sim, &warm);
-        let fleet = sim.run_one(|os| FccdFleet::with_fixed_seed(os, fleet_params(), 1));
+        let planner = sim.run_one(|os| Fccd::with_fixed_seed(os, fleet_params()).into_planner());
         let mut sched = Scheduler::new(SchedConfig {
             concurrency,
             ..SchedConfig::default()
         });
-        let split = fleet.classify_files(&mut sched, &mut SimExecutor::new(&mut sim), &files);
+        let mut exec = SimExecutor::new(&mut sim);
+        let split = classify_ranks(order_files(&planner, &mut sched, &mut exec, &files, 1));
         let widths: Vec<usize> = sched.waves().iter().map(|w| w.plans).collect();
         let paths = |ranks: &[FileRank]| -> BTreeSet<String> {
             ranks.iter().map(|r| r.path.clone()).collect()
