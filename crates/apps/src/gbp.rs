@@ -85,7 +85,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         let fccd = Fccd::new(self.os, self.fccd_params.clone());
         let fd = self.os.open(path)?;
         let size = self.os.file_size(fd)?;
-        let plan = fccd.plan_file(fd, size);
+        let plan = fccd.probe_file(fd, size).plan();
         let mut total = 0u64;
         let chunk = 1u64 << 20;
         let mut buf = vec![0u8; chunk as usize];
@@ -115,7 +115,7 @@ impl<'a, O: GrayBoxOs> Gbp<'a, O> {
         let fccd = Fccd::new(self.os, self.fccd_params.clone());
         let fd = self.os.open(path)?;
         let size = self.os.file_size(fd)?;
-        let plan = fccd.plan_file(fd, size);
+        let plan = fccd.probe_file(fd, size).plan();
         let total = read_extents(self.os, fd, &plan, u64::MAX, |n| self.charge_pipe(n))?;
         self.os.close(fd)?;
         Ok(total)

@@ -86,7 +86,7 @@ pub fn graybox_scan<O: GrayBoxOs>(
     let fd = os.open(path)?;
     let size = os.file_size(fd)?;
     let probe_t0 = os.now();
-    let plan = fccd.plan_file(fd, size);
+    let plan = fccd.probe_file(fd, size).plan();
     let probe_time = os.now().since(probe_t0);
     let bytes = read_extents(os, fd, &plan, chunk, |_| {})?;
     os.close(fd)?;

@@ -41,16 +41,17 @@
 //! pages are touched nor their order, so the Heisenberg footprint is the
 //! same as the scalar loop's.
 //!
-//! # Two dispatch paths, one planner
+//! # One probing pass, two callers
 //!
-//! [`Fccd`] probes inline: it opens a file, reads its size, and only then
-//! draws that file's plan. A `gray-sched` worker must hold its offsets
-//! *before* dispatch, so [`FccdPlanner::draw_plans`] draws them from the
-//! caller's size hints as [`ProbePlan`]s, [`execute_plan`] runs one in a
-//! worker, and [`FccdPlanner::rank_results`] folds the results. Routing
-//! the inline path through [`execute_plan`] too would add a syscall (the
-//! size, read before the probing open) or reorder the RNG draws, and
-//! every digest would move; so the paths share the planner and the fold.
+//! Every set of files is ranked by one pass per file: open, read the
+//! size, probe the plan drawn for that size, close. [`Fccd::order_files`]
+//! runs it inline and draws each file's plan after its size read, so a
+//! file costs the same syscalls and RNG draws as ever; a `gray-sched`
+//! worker must hold its offsets *before* dispatch, so gbd draws them from
+//! size hints ([`FccdPlanner::draw_plans`]) and [`execute_plan`] runs the
+//! pass on the pre-drawn specs. Both callers emit `ProbePlanned` from
+//! [`FccdPlanner::draw_plans`], with the path as target, and fold with
+//! [`FccdPlanner::rank_results`]: one fold and one size rule.
 
 use std::cell::RefCell;
 
@@ -59,7 +60,7 @@ use gray_toolbox::rng::StdRng;
 use gray_toolbox::trace::{self, TraceEvent, Verdict};
 use gray_toolbox::GrayDuration;
 
-use crate::os::{Fd, GrayBoxOs, OsError, OsResult, ProbeSample, ProbeSpec};
+use crate::os::{Fd, GrayBoxOs, OsError, ProbeSample, ProbeSpec};
 use crate::technique::{Technique, TechniqueInventory};
 
 /// Fake probe time reported for files too small to probe without pulling
@@ -209,55 +210,82 @@ pub struct ProbePlan {
 pub struct PlanResult {
     /// The plan's file path (so results are interpretable standalone).
     pub path: String,
-    /// File size observed by the worker (0 if the open failed).
+    /// File size observed by the worker (0 if the open or the size read
+    /// failed).
     pub size: u64,
-    /// One sample per spec, in spec order. Empty if the open failed.
+    /// One sample per spec, in spec order. Empty if the plan could not run.
     pub samples: Vec<ProbeSample>,
-    /// Why the plan could not run (open failure); `None` on success.
+    /// Why the plan could not run (the open or the size read failed);
+    /// `None` on success.
     pub error: Option<OsError>,
 }
 
-/// Executes one plan against a backend: open, size, probe in sub-batches,
-/// close — the syscalls [`Fccd`]'s inline path issues for one file, so a
-/// concurrency-1 scheduler run is syscall for syscall the same as inline
-/// probing (the equivalence tests pin this).
+/// Executes one plan against a backend: FCCD's probing pass on the plan's
+/// pre-drawn specs, the same syscalls [`Fccd::order_files`] issues for one
+/// file, so a concurrency-1 scheduler run is syscall for syscall the same
+/// as inline ranking (the equivalence tests pin this).
 pub fn execute_plan<O: GrayBoxOs>(os: &O, plan: &ProbePlan) -> PlanResult {
-    // Runs on the worker (one simulated process per plan under simos), so
+    probe_pass(os, &plan.path, plan.sub_batch, |_| &plan.specs)
+}
+
+/// FCCD's one probing pass over a file, under a `plan:<path>` span: opens
+/// `path`, reads its size, probes the specs `draw` returns for that size
+/// ([`probe_specs`]), and closes. A file that fails to open, or whose size
+/// cannot be read, is never drawn or probed: its result carries the error,
+/// and [`FccdPlanner::rank_results`] ranks it with the small-file penalty.
+fn probe_pass<'s, O: GrayBoxOs>(
+    os: &O,
+    path: &str,
+    sub_batch: usize,
+    draw: impl FnOnce(u64) -> &'s [ProbeSpec],
+) -> PlanResult {
+    // Inline or on a worker (one simulated process per plan under simos),
     // the span names the plan on every backend-emitted probe event.
-    let _span = trace::span("plan", || plan.path.clone());
-    let fd: Fd = match os.open(&plan.path) {
-        Ok(fd) => fd,
-        Err(e) => {
-            return PlanResult {
-                path: plan.path.clone(),
-                size: 0,
-                samples: Vec::new(),
-                error: Some(e),
-            }
-        }
+    let _span = trace::span("plan", || path.to_string());
+    let probed = os.open(path).and_then(|fd| {
+        let probed = os
+            .file_size(fd)
+            .map(|size| (size, probe_specs(os, fd, draw(size), sub_batch)));
+        let _ = os.close(fd);
+        probed
+    });
+    let (size, samples, error) = match probed {
+        Ok((size, samples)) => (size, samples, None),
+        Err(e) => (0, Vec::new(), Some(e)),
     };
-    let size = os.file_size(fd).unwrap_or(0);
-    // An empty plan issues no batch at all, not even an empty one.
-    let bound = match plan.sub_batch {
-        0 => plan.specs.len().max(1),
-        n => n,
-    };
-    let mut samples = Vec::with_capacity(plan.specs.len());
-    for chunk in plan.specs.chunks(bound) {
-        samples.extend(os.probe_batch(fd, chunk));
-    }
-    let _ = os.close(fd);
     PlanResult {
-        path: plan.path.clone(),
+        path: path.to_string(),
         size,
         samples,
-        error: None,
+        error,
+    }
+}
+
+/// Probes `specs` on `fd`, at most `sub_batch` per
+/// [`GrayBoxOs::probe_batch`] (0: one batch).
+fn probe_specs<O: GrayBoxOs>(
+    os: &O,
+    fd: Fd,
+    specs: &[ProbeSpec],
+    sub_batch: usize,
+) -> Vec<ProbeSample> {
+    match sub_batch {
+        // No specs send no batch at all, not even an empty one.
+        _ if specs.is_empty() => Vec::new(),
+        0 => os.probe_batch(fd, specs),
+        n => {
+            let mut samples = Vec::with_capacity(specs.len());
+            for chunk in specs.chunks(n) {
+                samples.extend(os.probe_batch(fd, chunk));
+            }
+            samples
+        }
     }
 }
 
 /// The OS-free half of FCCD: draws probe plans and folds their samples.
 ///
-/// [`Fccd`] owns one of these and executes plans inline; gbd takes one
+/// [`Fccd`] owns one of these and runs its plans inline; gbd takes one
 /// out of a fixed-seed detector ([`Fccd::into_planner`]) to draw plans
 /// ([`draw_plans`](Self::draw_plans)), dispatch them to worker processes
 /// through `gray-sched`, and fold the returned results
@@ -271,7 +299,8 @@ pub struct FccdPlanner {
 impl FccdPlanner {
     /// Creates a planner whose probe offsets are decorrelated across runs
     /// by mixing `clock` (a reading of the backend clock) into the seed —
-    /// the same defense [`Fccd::new`] applies.
+    /// the same defense [`Fccd::new`] applies. A `clock` of zero leaves
+    /// the seed as it is: [`Fccd::with_fixed_seed`]'s planner.
     ///
     /// # Panics
     ///
@@ -294,16 +323,6 @@ impl FccdPlanner {
             .wrapping_add(clock.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let rng = RefCell::new(StdRng::seed_from_u64(seed));
         FccdPlanner { params, rng }
-    }
-
-    /// Creates a planner whose offsets depend *only* on `params.seed` —
-    /// the planner behind [`Fccd::with_fixed_seed`], whose callers it
-    /// shares.
-    pub fn with_fixed_seed(params: FccdParams) -> Self {
-        let seed = params.seed;
-        let mut planner = FccdPlanner::new(params, gray_toolbox::Nanos::ZERO);
-        planner.rng = RefCell::new(StdRng::seed_from_u64(seed));
-        planner
     }
 
     /// The access units of a file of `size` bytes: `access_unit`-sized,
@@ -388,8 +407,8 @@ impl FccdPlanner {
     /// halves, one per client half and in the same order, into ranks
     /// sorted by [`sort_ranks`].
     ///
-    /// A file the worker could not open ranks with the small-file
-    /// penalty, as inline. So does a file whose size the worker saw
+    /// A file the pass could not open or size ranks with the small-file
+    /// penalty. So does a file whose size the worker saw
     /// differ from the size its plan was drawn for: its probes covered
     /// some other file (none at all for a hint of 0), and FCCD ranks a
     /// file it could not probe with the paper's fake high probe-time.
@@ -599,27 +618,16 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     }
 
     /// Creates a detector whose probe offsets depend *only* on
-    /// `params.seed`, without mixing in the clock.
-    ///
-    /// This reinstates the fixed-offset behavior the paper warns against
-    /// (and that [`Fccd::new`] deliberately avoids): two detectors built
-    /// with the same seed probe the same bytes, so a prior run's probes
-    /// skew the next run's measurements. Not only the ablation suite and
-    /// tests needing bit-exact probe placement build FCCD this way: gbd's
-    /// daemon (which keeps the [planner](Fccd::into_planner) of one such
-    /// detector per query), both phases of the scenario matrix and
-    /// graybench's `fleet_probe` do too, so every process of a fleet
-    /// draws the same first offset.
-    /// Whether those paths move to [`Fccd::new`] is ROADMAP item 1's call
-    /// (cause B, the probe's residue).
+    /// `params.seed`: two such detectors probe the same bytes, the
+    /// fixed-offset behaviour the paper warns against. It reads the clock
+    /// as [`Fccd::new`] does, so both issue the same syscalls. Tests that
+    /// need bit-exact probe placement build FCCD this way, and so do
+    /// gbd's daemon, the scenario matrix and graybench; whether those
+    /// move to [`Fccd::new`] is ROADMAP item 1's call.
     pub fn with_fixed_seed(os: &'a O, params: FccdParams) -> Self {
-        // Keep the clock read `Fccd::new` performs, so both constructors
-        // issue the same syscall sequence (the equivalence tests compare
-        // runs syscall for syscall).
-        let mut fccd = Fccd::new(os, params);
-        let params = fccd.planner.params.clone();
-        fccd.planner = FccdPlanner::with_fixed_seed(params);
-        fccd
+        os.now();
+        let planner = FccdPlanner::new(params, gray_toolbox::Nanos::ZERO);
+        Fccd { os, planner }
     }
 
     /// The OS-free planner half of the detector, for a caller that
@@ -633,77 +641,45 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// Returns measurements in file order; call [`FileProbeReport::plan`]
     /// for the fastest-first ordering. Files smaller than one page are not
     /// probed at all (probing would pull the whole file in — pure
-    /// Heisenberg) and instead receive [`SMALL_FILE_PENALTY`].
+    /// Heisenberg) and instead receive [`SMALL_FILE_PENALTY`]. Handed an
+    /// fd, not a path, it plans against `size:<size>` in the trace.
     pub fn probe_file(&self, fd: Fd, size: u64) -> FileProbeReport {
-        self.probe_file_impl(fd, size, true)
-    }
-
-    /// Reference implementation of [`probe_file`](Fccd::probe_file) that
-    /// dispatches every probe as an individual timed 1-byte read instead
-    /// of one vectored [`GrayBoxOs::probe_batch`] call.
-    ///
-    /// Same plan, same RNG draws, same fold — only the dispatch differs.
-    /// Kept public to pin the batched engine: the equivalence property
-    /// tests (`tests/probe_equivalence.rs`) assert both paths classify
-    /// identical cache states identically.
-    pub fn probe_file_scalar(&self, fd: Fd, size: u64) -> FileProbeReport {
-        self.probe_file_impl(fd, size, false)
-    }
-
-    fn probe_file_impl(&self, fd: Fd, size: u64, batched: bool) -> FileProbeReport {
-        // Plan the whole file's probes up front (one RNG borrow, scalar
-        // draw order), dispatch, fold — the planner half is OS-free, so
-        // the same plan/fold code serves the gray-sched worker path.
         let plan = self.planner.draw_plan(size, self.os.page_size());
         trace::emit_with(|| TraceEvent::ProbePlanned {
             target: format!("size:{size}"),
             probes: plan.specs.len() as u64,
         });
-        let samples = if plan.specs.is_empty() {
-            // Tiny and empty files issue no probes at all — not even an
-            // empty batch syscall.
-            Vec::new()
-        } else if batched {
-            self.os.probe_batch(fd, &plan.specs)
-        } else {
-            plan.specs
-                .iter()
-                .map(|spec| {
-                    let (res, elapsed) = self.os.timed(|os| os.read_byte(fd, spec.offset));
-                    ProbeSample {
-                        offset: spec.offset,
-                        elapsed,
-                        ok: res.is_ok(),
-                    }
-                })
-                .collect()
-        };
+        let samples = probe_specs(self.os, fd, &plan.specs, 0);
         self.planner.fold(&plan, &samples)
     }
 
-    /// Probes the file and returns its access units fastest-first.
-    pub fn plan_file(&self, fd: Fd, size: u64) -> Vec<Extent> {
-        self.probe_file(fd, size).plan()
-    }
-
-    /// Opens `path`, probes it, and returns its access units fastest-first.
-    pub fn plan_path(&self, path: &str) -> OsResult<Vec<Extent>> {
-        let fd = self.os.open(path)?;
-        let size = self.os.file_size(fd)?;
-        let plan = self.plan_file(fd, size);
-        self.os.close(fd)?;
-        Ok(plan)
-    }
-
-    /// Ranks a set of files by predicted access cost, fastest first.
+    /// Ranks a set of files by predicted access cost, fastest first: one
+    /// probing pass per file, whose plan is drawn
+    /// ([`FccdPlanner::draw_plans`]) once its size is read, then
+    /// [`FccdPlanner::rank_results`].
     ///
-    /// Files that fail to open sort last with the small-file penalty (a
-    /// vanished file is certainly not in the cache). Ranking uses the
-    /// *mean* per-probe time so that large and small files compare fairly.
+    /// Files that fail to open or to size sort last with the small-file
+    /// penalty (a vanished file is certainly not in the cache). Ranking
+    /// uses the *mean* per-probe time so that large and small files
+    /// compare fairly.
     pub fn order_files(&self, paths: &[String]) -> Vec<FileRank> {
-        let mut ranks: Vec<FileRank> = paths.iter().map(|p| self.rank_one(p)).collect();
-        sort_ranks(&mut ranks);
-        ranks
+        let page_size = self.os.page_size();
+        let (plans, results): (Vec<_>, Vec<_>) = paths
+            .iter()
+            .map(|path| {
+                // The empty plan stands in for a file the pass cannot
+                // size: its result's error alone ranks it.
+                let mut plan = self.planner.draw_plan(0, page_size);
+                let slot = &mut plan;
+                let result = probe_pass(self.os, path, 0, move |size| {
+                    let files = [(path.clone(), size)];
+                    (*slot, _) = self.planner.draw_plans(&files, page_size, 0).remove(0);
+                    &slot.specs
+                });
+                (plan, result)
+            })
+            .unzip();
+        self.planner.rank_results(&plans, results)
     }
 
     /// Splits files into a predicted-cached and a predicted-uncached group
@@ -715,17 +691,6 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// no signal when everything costs the same.
     pub fn classify_files(&self, paths: &[String]) -> Classified {
         classify_ranks(self.order_files(paths))
-    }
-
-    fn rank_one(&self, path: &str) -> FileRank {
-        let _span = trace::span("plan", || path.to_string());
-        let Ok(fd) = self.os.open(path) else {
-            return self.planner.rank_unopenable(path);
-        };
-        let size = self.os.file_size(fd).unwrap_or(0);
-        let report = self.probe_file(fd, size);
-        let _ = self.os.close(fd);
-        self.planner.rank(path, size, &report)
     }
 }
 
@@ -852,7 +817,7 @@ mod tests {
     }
 
     fn planner() -> FccdPlanner {
-        FccdPlanner::with_fixed_seed(small_params())
+        FccdPlanner::new(small_params(), gray_toolbox::Nanos::ZERO)
     }
 
     /// Executes `plan` against a cache in which exactly the bytes `cached`
@@ -1037,7 +1002,7 @@ mod tests {
             ..FccdParams::default()
         }
         .with_align(100);
-        let planner = FccdPlanner::with_fixed_seed(params);
+        let planner = FccdPlanner::new(params, gray_toolbox::Nanos::ZERO);
         let plan = report(&planner, 100 * 1000, |off| off % 3 == 0).plan();
         assert!(plan.len() > 1);
         for e in plan {

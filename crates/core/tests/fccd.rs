@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{cold_machine, warm};
+use common::{cold_machine, warm, FailingOs};
 use gray_toolbox::cluster::TRUST_FLOOR;
 use gray_toolbox::GrayDuration;
 use graybox::fccd::{Fccd, FccdParams, SMALL_FILE_PENALTY};
@@ -47,7 +47,7 @@ fn cached_units_sort_before_uncached_units() {
     warm(&mut sim, "/big", AU, AU);
     let plan = sim.run_one(|os| {
         let fd = os.open("/big").unwrap();
-        Fccd::new(os, small_params()).plan_file(fd, size)
+        Fccd::new(os, small_params()).probe_file(fd, size).plan()
     });
     assert_eq!(plan.len(), 4);
     assert_eq!(
@@ -128,11 +128,36 @@ fn missing_file_ranks_last() {
     assert_eq!(ranks[1].size, 0);
 }
 
+/// A file that opens but whose size cannot be read was never probed: it
+/// ranks with the penalty, behind the cold file, not at 0 ns ahead of
+/// every cached one.
+#[test]
+fn an_unreadable_size_ranks_with_the_penalty() {
+    let mut sim = cold_files(3);
+    warm(&mut sim, "/f2", 0, 2 * AU);
+    let ranks = sim.run_one(|os| {
+        // The first operation the wrapper counts is /f0's size query.
+        let failing = FailingOs::new(os, 1);
+        Fccd::new(&failing, small_params()).order_files(&paths(3))
+    });
+    let order: Vec<&str> = ranks.iter().map(|r| r.path.as_str()).collect();
+    assert_eq!(order, ["/f2", "/f1", "/f0"]);
+    let f0 = &ranks[2];
+    assert_eq!(
+        (f0.mean_probe, f0.total_probe, f0.size),
+        (SMALL_FILE_PENALTY, SMALL_FILE_PENALTY, 0),
+        "{ranks:?}"
+    );
+}
+
 #[test]
 fn empty_file_yields_empty_plan() {
     let mut sim = cold_machine(&[("/empty", 0)]);
-    let plan = sim.run_one(|os| Fccd::new(os, small_params()).plan_path("/empty"));
-    assert!(plan.unwrap().is_empty());
+    let plan = sim.run_one(|os| {
+        let fd = os.open("/empty").unwrap();
+        Fccd::new(os, small_params()).probe_file(fd, 0).plan()
+    });
+    assert!(plan.is_empty());
 }
 
 #[test]
@@ -147,7 +172,7 @@ fn plan_respects_record_alignment() {
     .with_align(100);
     let plan = sim.run_one(|os| {
         let fd = os.open("/rec").unwrap();
-        Fccd::new(os, params).plan_file(fd, size)
+        Fccd::new(os, params).probe_file(fd, size).plan()
     });
     for e in plan {
         assert_eq!(e.offset % 100, 0, "extent must be record-aligned: {e:?}");

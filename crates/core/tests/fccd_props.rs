@@ -67,7 +67,7 @@ fn resident_units_always_sort_first() {
         };
         let plan = sim.run_one(|os| {
             let fd = os.open("/f").unwrap();
-            Fccd::new(os, params).plan_file(fd, size)
+            Fccd::new(os, params).probe_file(fd, size).plan()
         });
         let ranked: Vec<u64> = plan.iter().map(|e| e.offset / unit).collect();
         for (rank, u) in ranked.iter().enumerate() {

@@ -9,14 +9,15 @@
 //! pass of fewer than 50 pages (where the 2 % slow tolerance allows
 //! none) reads as paging and collapses an estimate.
 
-use std::cell::Cell;
+mod common;
 
+use common::FailingOs;
 use gray_toolbox::repository::keys;
-use gray_toolbox::{GrayDuration, Nanos, ParamRepository};
+use gray_toolbox::{GrayDuration, ParamRepository};
 use graybox::mac::{AdmissionRequest, Mac, MacParams, MacStats, CALIBRATION_PAGES};
 use graybox::microbench::Microbench;
-use graybox::os::{Fd, GrayBoxOs, MemRegion, OsError, OsResult, ProbeSample, Stat};
-use simos::{Sim, SimConfig, SimProc};
+use graybox::os::GrayBoxOs;
+use simos::{Sim, SimConfig};
 
 const PAGE: u64 = 4096;
 
@@ -241,128 +242,12 @@ fn admit_all_answers_each_request_in_order() {
     });
 }
 
-/// A simulated process whose `fail_at`-th memory write-touch or file read
-/// (counted together over the wrapper's life) fails: a touch inside
-/// `mem_probe_batch` comes back `ok: false`, and a lone touch or a read
-/// returns an error without happening.
-struct FailingTouch<'a> {
-    os: &'a SimProc,
-    fail_at: u64,
-    ops: Cell<u64>,
-}
-
-impl FailingTouch<'_> {
-    /// Counts one touch or read; true if it is the one to fail.
-    fn fails(&self) -> bool {
-        self.ops.set(self.ops.get() + 1);
-        self.ops.get() == self.fail_at
-    }
-}
-
-fn injected() -> OsError {
-    OsError::Io("injected failure".into())
-}
-
-impl GrayBoxOs for FailingTouch<'_> {
-    fn now(&self) -> Nanos {
-        self.os.now()
-    }
-    fn page_size(&self) -> u64 {
-        self.os.page_size()
-    }
-    fn open(&self, path: &str) -> OsResult<Fd> {
-        self.os.open(path)
-    }
-    fn create(&self, path: &str) -> OsResult<Fd> {
-        self.os.create(path)
-    }
-    fn close(&self, fd: Fd) -> OsResult<()> {
-        self.os.close(fd)
-    }
-    fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> OsResult<usize> {
-        if self.fails() {
-            return Err(injected());
-        }
-        self.os.read_at(fd, offset, buf)
-    }
-    fn read_discard(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
-        if self.fails() {
-            return Err(injected());
-        }
-        self.os.read_discard(fd, offset, len)
-    }
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> OsResult<usize> {
-        self.os.write_at(fd, offset, data)
-    }
-    fn write_fill(&self, fd: Fd, offset: u64, len: u64) -> OsResult<u64> {
-        self.os.write_fill(fd, offset, len)
-    }
-    fn file_size(&self, fd: Fd) -> OsResult<u64> {
-        self.os.file_size(fd)
-    }
-    fn sync(&self) -> OsResult<()> {
-        self.os.sync()
-    }
-    fn stat(&self, path: &str) -> OsResult<Stat> {
-        self.os.stat(path)
-    }
-    fn list_dir(&self, path: &str) -> OsResult<Vec<String>> {
-        self.os.list_dir(path)
-    }
-    fn mkdir(&self, path: &str) -> OsResult<()> {
-        self.os.mkdir(path)
-    }
-    fn rmdir(&self, path: &str) -> OsResult<()> {
-        self.os.rmdir(path)
-    }
-    fn unlink(&self, path: &str) -> OsResult<()> {
-        self.os.unlink(path)
-    }
-    fn rename(&self, from: &str, to: &str) -> OsResult<()> {
-        self.os.rename(from, to)
-    }
-    fn set_times(&self, path: &str, atime: Nanos, mtime: Nanos) -> OsResult<()> {
-        self.os.set_times(path, atime, mtime)
-    }
-    fn mem_alloc(&self, bytes: u64) -> OsResult<MemRegion> {
-        self.os.mem_alloc(bytes)
-    }
-    fn mem_free(&self, region: MemRegion) -> OsResult<()> {
-        self.os.mem_free(region)
-    }
-    fn mem_touch_write(&self, region: MemRegion, page: u64) -> OsResult<()> {
-        if self.fails() {
-            return Err(injected());
-        }
-        self.os.mem_touch_write(region, page)
-    }
-    fn mem_touch_read(&self, region: MemRegion, page: u64) -> OsResult<u8> {
-        self.os.mem_touch_read(region, page)
-    }
-    fn compute(&self, work: GrayDuration) {
-        self.os.compute(work)
-    }
-    fn sleep(&self, d: GrayDuration) {
-        self.os.sleep(d)
-    }
-    fn yield_now(&self) {
-        self.os.yield_now()
-    }
-    fn mem_probe_batch(&self, region: MemRegion, pages: &[u64]) -> Vec<ProbeSample> {
-        let mut samples = self.os.mem_probe_batch(region, pages);
-        for s in &mut samples {
-            s.ok &= !self.fails();
-        }
-        samples
-    }
-}
-
 /// The scratch file the microbenchmarks create and must delete.
 const SCRATCH: &str = "/scratch";
 
 /// Every MAC entry point and every microbenchmark once, in order, freeing
 /// whatever was granted.
-fn every_entry_point(os: &FailingTouch<'_>) {
+fn every_entry_point(os: &FailingOs<'_>) {
     let mac = Mac::new(os, small_params());
     let _ = mac.available_estimate(64 * PAGE);
     if let Ok(Some(alloc)) = mac.gb_alloc(8 * PAGE, 48 * PAGE, PAGE) {
@@ -399,13 +284,9 @@ fn a_failed_touch_leaves_no_memory_resident() {
         let mut sim = machine(256);
         let oracle = sim.oracle();
         let (ops, left) = sim.run_one(|os| {
-            let failing = FailingTouch {
-                os,
-                fail_at,
-                ops: Cell::new(0),
-            };
+            let failing = FailingOs::new(os, fail_at);
             every_entry_point(&failing);
-            (failing.ops.get(), os.stat(SCRATCH).is_ok())
+            (failing.ops(), os.stat(SCRATCH).is_ok())
         });
         sim.flush_file_cache();
         (ops, oracle.resident_pages(), left)

@@ -568,8 +568,9 @@ mod tests {
             ..Default::default()
         };
         let fccd = graybox::fccd::Fccd::new(&os, params);
-        let plan = fccd.plan_path("/data").unwrap();
-        assert_eq!(plan.len(), 1);
+        let ranks = fccd.order_files(&["/missing".to_string(), "/data".to_string()]);
+        let seen: Vec<(&str, u64)> = ranks.iter().map(|r| (r.path.as_str(), r.size)).collect();
+        assert_eq!(seen, [("/data", 64 * 1024), ("/missing", 0)]);
     }
 
     #[test]

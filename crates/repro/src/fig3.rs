@@ -174,7 +174,9 @@ fn fastsort_read_phase<O: GrayBoxOs>(
                 offset: 0,
                 len: size,
             }],
-            Some(params) => Fccd::new(os, params.clone().with_align(100)).plan_file(fd, size),
+            Some(params) => Fccd::new(os, params.clone().with_align(100))
+                .probe_file(fd, size)
+                .plan(),
         };
         read_extents(os, fd, &extents, chunk, |n| consume(os, n, &mut touched)).unwrap();
         os.close(fd).unwrap();

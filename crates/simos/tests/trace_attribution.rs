@@ -218,6 +218,13 @@ fn icl_records_carry_their_process_virtual_clock() {
             "no {kind} record"
         );
     }
+    // FCCD plans a ranked file against its path, as gbd's scheduled
+    // path does: one record shape per job.
+    for rec in &records {
+        if let TraceEvent::ProbePlanned { target, .. } = &rec.event {
+            assert!(paths.contains(target), "{rec:?} plans no ranked path");
+        }
+    }
     let mut last = a;
     for rec in &records {
         assert!(

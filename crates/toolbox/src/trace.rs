@@ -118,7 +118,9 @@ impl Verdict {
 pub enum TraceEvent {
     /// An ICL drew a probe plan: `probes` offsets against `target`.
     ProbePlanned {
-        /// What will be probed (a file path, or a memory-region tag).
+        /// What will be probed: a file path (FCCD ranking a set of files,
+        /// inline or through gbd), or `size:N` (FCCD's by-fd
+        /// `probe_file`, handed an open file of N bytes, not a path).
         target: String,
         /// Number of probe offsets in the plan.
         probes: u64,

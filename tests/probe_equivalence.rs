@@ -21,13 +21,36 @@
 //! ```
 
 use graybox_icl::apps::workload::make_file;
-use graybox_icl::graybox::fccd::{Fccd, FccdParams};
-use graybox_icl::graybox::os::{GrayBoxOs, ProbeSample, ProbeSpec};
+use graybox_icl::graybox::fccd::{Fccd, FccdParams, FileProbeReport};
+use graybox_icl::graybox::os::{Fd, GrayBoxOs, ProbeSample, ProbeSpec};
 use graybox_icl::simos::cache::Owner;
 use graybox_icl::simos::kernel::Kernel;
 use graybox_icl::simos::{NoiseParams, Sim, SimConfig, PAGE_SIZE};
 use graybox_icl::toolbox::prop::{check, Gen};
 use graybox_icl::toolbox::{GrayDuration, Nanos};
+
+/// The scalar reference dispatch: one `timed(read_byte)` per spec, in
+/// spec order.
+fn timed_reads<O: GrayBoxOs>(os: &O, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
+    let one = |spec: &ProbeSpec| {
+        let (res, elapsed) = os.timed(|os| os.read_byte(fd, spec.offset));
+        ProbeSample {
+            offset: spec.offset,
+            elapsed,
+            ok: res.is_ok(),
+        }
+    };
+    specs.iter().map(one).collect()
+}
+
+/// `Fccd::with_fixed_seed(os, params).probe_file(fd, size)` with the batch
+/// replaced by [`timed_reads`]: the same planner, the same draws, the
+/// same fold.
+fn scalar_report<O: GrayBoxOs>(os: &O, params: FccdParams, fd: Fd, size: u64) -> FileProbeReport {
+    let planner = Fccd::with_fixed_seed(os, params).into_planner();
+    let plan = planner.draw_plan(size, os.page_size());
+    planner.fold(&plan, &timed_reads(os, fd, &plan.specs))
+}
 
 /// End to end through the simulated kernel: two identically prepared
 /// machines, one probed through the vectored batch syscall, one through
@@ -75,11 +98,10 @@ fn batched_and_scalar_classify_identically_under_simos() {
                     for &u in &warm {
                         os.read_discard(fd, u * warm_unit, warm_unit).unwrap();
                     }
-                    let fccd = Fccd::with_fixed_seed(os, params);
                     let report = if batched {
-                        fccd.probe_file(fd, size)
+                        Fccd::with_fixed_seed(os, params).probe_file(fd, size)
                     } else {
-                        fccd.probe_file_scalar(fd, size)
+                        scalar_report(os, params, fd, size)
                     };
                     // The batch's edges, raw: a repeated offset, a run of
                     // consecutive pages that walks off the initial
@@ -93,17 +115,10 @@ fn batched_and_scalar_classify_identically_under_simos() {
                         .collect();
                     let probe = |fd| {
                         if batched {
-                            return os.probe_batch(fd, &specs);
+                            os.probe_batch(fd, &specs)
+                        } else {
+                            timed_reads(os, fd, &specs)
                         }
-                        let one = |spec: &ProbeSpec| {
-                            let (res, elapsed) = os.timed(|os| os.read_byte(fd, spec.offset));
-                            ProbeSample {
-                                offset: spec.offset,
-                                elapsed,
-                                ok: res.is_ok(),
-                            }
-                        };
-                        specs.iter().map(one).collect()
                     };
                     let mut edges = probe(fd);
                     os.close(fd).unwrap();
