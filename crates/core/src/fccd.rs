@@ -41,17 +41,22 @@
 //! pages are touched nor their order, so the Heisenberg footprint is the
 //! same as the scalar loop's.
 //!
-//! # One probing pass, two callers
+//! # One plan type, one probing pass, one fold
 //!
-//! Every set of files is ranked by one pass per file: open, read the
-//! size, probe the plan drawn for that size, close. [`Fccd::order_files`]
-//! runs it inline and draws each file's plan after its size read, so a
-//! file costs the same syscalls and RNG draws as ever; a `gray-sched`
-//! worker must hold its offsets *before* dispatch, so gbd draws them from
-//! size hints ([`FccdPlanner::draw_plans`]) and [`execute_plan`] runs the
-//! pass on the pre-drawn specs. Both callers emit `ProbePlanned` from
-//! [`FccdPlanner::draw_plans`], with the path as target, and fold with
-//! [`FccdPlanner::rank_results`]: one fold and one size rule.
+//! A file's plan is its probe offsets and nothing else ([`ProbePlan`]):
+//! the access units and their probe counts follow from the parameters and
+//! the file size, so the fold ([`FccdPlanner::fold`]) reads only the size,
+//! the page size and the samples, and any verdict can be re-derived from
+//! those. Every set of files is ranked by one pass per file: open, read
+//! the size, probe the plan drawn for that size, close.
+//! [`Fccd::order_files`] runs it inline and draws each file's plan after
+//! its size read; a `gray-sched` worker must hold its offsets *before*
+//! dispatch, so gbd draws them from size hints
+//! ([`FccdPlanner::draw_plans`]) and [`execute_plan`] runs the pass on the
+//! pre-drawn specs. Both callers emit `ProbePlanned` from
+//! [`FccdPlanner::draw_plans`], with the path as target, and rank with
+//! [`FccdPlanner::rank_results`] over the same `(path, size)` list: one
+//! fold and one size rule.
 
 use std::cell::RefCell;
 
@@ -84,10 +89,6 @@ pub struct FccdParams {
     /// of this, so records never straddle two access units (the paper's
     /// fastsort passes 100 here).
     pub align: u64,
-    /// How many times to probe each prediction unit; the minimum time is
-    /// kept. More rounds increase confidence against interrupt noise at the
-    /// cost of more Heisenberg perturbation.
-    pub probe_rounds: u32,
     /// Seed for the probe-offset randomization.
     pub seed: u64,
 }
@@ -98,7 +99,6 @@ impl Default for FccdParams {
             access_unit: 20 << 20,
             prediction_unit: 5 << 20,
             align: 1,
-            probe_rounds: 1,
             seed: 0x9e3779b97f4a7c15,
         }
     }
@@ -162,30 +162,6 @@ impl FileProbeReport {
             })
             .collect()
     }
-}
-
-/// A fully drawn probe plan for one file: every offset the probe pass
-/// will touch, plus the shape needed to fold the resulting samples back
-/// into a [`FileProbeReport`].
-///
-/// Plans are produced by [`FccdPlanner::draw_plan`] and are inert data —
-/// they can be shipped to another process (a `gray-sched` worker) and
-/// executed there, then folded by the planner that drew them. Files too
-/// small to probe get an empty spec list and a single penalty unit, so
-/// executing the plan touches nothing (no Heisenberg on tiny files).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FccdFilePlan {
-    /// Every probe offset, in issue order (access unit, then prediction
-    /// unit, then round) — exactly the order the scalar loop drew them.
-    pub specs: Vec<ProbeSpec>,
-    /// The access units `(offset, len)` the specs cover, in file order.
-    pub units: Vec<(u64, u64)>,
-    /// Probes issued into each access unit (0 for a penalty unit).
-    pub unit_probes: Vec<u32>,
-    /// Rounds per prediction unit (the fold keeps the minimum).
-    pub rounds: u32,
-    /// The file size the plan was drawn for.
-    pub size: u64,
 }
 
 /// One file's worth of probes, ready for dispatch to a worker process.
@@ -283,12 +259,16 @@ fn probe_specs<O: GrayBoxOs>(
     }
 }
 
-/// The OS-free half of FCCD: draws probe plans and folds their samples.
+/// The OS-free half of FCCD: draws probe offsets and folds their samples.
 ///
-/// [`Fccd`] owns one of these and runs its plans inline; gbd takes one
-/// out of a fixed-seed detector ([`Fccd::into_planner`]) to draw plans
-/// ([`draw_plans`](Self::draw_plans)), dispatch them to worker processes
-/// through `gray-sched`, and fold the returned results
+/// The planner holds the parameters and the RNG; a plan is only offsets.
+/// Drawing ([`draw_plan`](Self::draw_plan)) and folding
+/// ([`fold`](Self::fold)) walk the same shape of a file, computed from
+/// its size and the page size, so the fold needs nothing from the draw
+/// but the samples. [`Fccd`] owns one planner and runs its plans inline;
+/// gbd takes one out of a fixed-seed detector ([`Fccd::into_planner`]) to
+/// draw plans ([`draw_plans`](Self::draw_plans)), dispatch them to worker
+/// processes through `gray-sched`, and rank the returned results
 /// ([`rank_results`](Self::rank_results)). Both paths share this code, so
 /// a fixed seed places probes identically either way.
 pub struct FccdPlanner {
@@ -317,7 +297,6 @@ impl FccdPlanner {
             "prediction unit cannot exceed the access unit"
         );
         assert!(params.align > 0, "alignment must be positive");
-        assert!(params.probe_rounds > 0, "at least one probe round");
         let seed = params
             .seed
             .wrapping_add(clock.as_nanos().wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -328,192 +307,169 @@ impl FccdPlanner {
     /// The access units of a file of `size` bytes: `access_unit`-sized,
     /// snapped to the record alignment, covering the whole file.
     pub fn access_units(&self, size: u64) -> Vec<(u64, u64)> {
-        let au = snap_down(self.params.access_unit, self.params.align).max(self.params.align);
-        chunks(0, size, au)
+        // With a page size of 0 no file is too small to probe.
+        self.shape(size, 0)
+            .map(|(offset, len, _)| (offset, len))
+            .collect()
     }
 
-    /// Draws the complete probe plan for a file of `size` bytes on a
-    /// system with `page_size`-byte pages. Every random offset is drawn
-    /// under a single RNG borrow, in the same order the scalar loop drew
-    /// them, so a fixed seed places probes identically across dispatch
-    /// paths.
-    pub fn draw_plan(&self, size: u64, page_size: u64) -> FccdFilePlan {
-        let mut plan = FccdFilePlan {
-            specs: Vec::new(),
-            units: Vec::new(),
-            unit_probes: Vec::new(),
-            rounds: self.params.probe_rounds,
-            size,
-        };
-        if size == 0 {
-            return plan;
-        }
-        if size < page_size {
-            // Probing would pull the whole file in — pure Heisenberg.
-            plan.units.push((0, size));
-            plan.unit_probes.push(0);
-            return plan;
-        }
-        plan.units = self.access_units(size);
-        let rounds = self.params.probe_rounds;
+    /// The shape [`draw_plan`](Self::draw_plan) and [`fold`](Self::fold)
+    /// both walk: each access unit of a file of `size` bytes, as
+    /// `(offset, len, probes)`, with one probe per prediction unit. A file
+    /// smaller than one page is one unprobed unit (probing would pull the
+    /// whole file in — pure Heisenberg); an empty file has no unit.
+    fn shape(&self, size: u64, page_size: u64) -> impl Iterator<Item = (u64, u64, u32)> {
+        let p = &self.params;
+        let au = snap_down(p.access_unit, p.align).max(p.align);
+        let (pu, probed) = (p.prediction_unit, size >= page_size);
+        let unit = if probed { au } else { page_size };
+        chunks(0, size, unit).map(move |(offset, len)| {
+            let probes = if probed { len.div_ceil(pu) as u32 } else { 0 };
+            (offset, len, probes)
+        })
+    }
+
+    /// Draws the probe offsets for a file of `size` bytes on a system with
+    /// `page_size`-byte pages: one random byte per prediction unit, in
+    /// file order, all under a single RNG borrow, so a fixed seed places
+    /// probes identically across dispatch paths.
+    pub fn draw_plan(&self, size: u64, page_size: u64) -> Vec<ProbeSpec> {
         let mut rng = self.rng.borrow_mut();
-        for &(offset, len) in &plan.units {
-            let mut probes = 0u32;
-            for (p_off, p_len) in chunks(offset, len, self.params.prediction_unit) {
-                debug_assert!(p_len > 0);
-                for _ in 0..rounds {
-                    plan.specs.push(ProbeSpec {
-                        offset: p_off + rng.random_range(0..p_len),
-                    });
-                }
-                probes += rounds;
-            }
-            plan.unit_probes.push(probes);
-        }
-        plan
+        self.shape(size, page_size)
+            .filter(|&(_, _, probes)| probes > 0)
+            .flat_map(|(offset, len, _)| chunks(offset, len, self.params.prediction_unit))
+            .map(|(p_off, p_len)| ProbeSpec {
+                offset: p_off + rng.random_range(0..p_len),
+            })
+            .collect()
     }
 
     /// Draws one plan per `(path, size)` of `files`, in input order: one
     /// [`draw_plan`](Self::draw_plan) each, the RNG consumption of ranking
-    /// the files inline one by one. Returns each file's client half, for
-    /// [`rank_results`](Self::rank_results), and its worker half, for
-    /// [`execute_plan`], which sends at most `sub_batch` specs per
-    /// `probe_batch` (0: one batch).
+    /// the files inline one by one. Each plan goes to [`execute_plan`],
+    /// which sends at most `sub_batch` specs per `probe_batch` (0: one
+    /// batch), and its result back to [`rank_results`](Self::rank_results)
+    /// with the same `files`.
     pub fn draw_plans(
         &self,
         files: &[(String, u64)],
         page_size: u64,
         sub_batch: usize,
-    ) -> Vec<(FccdFilePlan, ProbePlan)> {
+    ) -> Vec<ProbePlan> {
         files
             .iter()
             .map(|(path, size)| {
-                let plan = self.draw_plan(*size, page_size);
+                let specs = self.draw_plan(*size, page_size);
                 trace::emit_with(|| TraceEvent::ProbePlanned {
                     target: path.clone(),
-                    probes: plan.specs.len() as u64,
+                    probes: specs.len() as u64,
                 });
-                let probe = ProbePlan {
+                ProbePlan {
                     path: path.clone(),
-                    specs: plan.specs.clone(),
+                    specs,
                     sub_batch,
-                };
-                (plan, probe)
+                }
             })
             .collect()
     }
 
-    /// Folds the results of [`draw_plans`](Self::draw_plans)' worker
-    /// halves, one per client half and in the same order, into ranks
-    /// sorted by [`sort_ranks`].
+    /// Ranks `files`, the `(path, size)` list [`draw_plans`](Self::draw_plans)
+    /// drew for, from their results (one per file, in the same order),
+    /// fastest first.
     ///
-    /// A file the pass could not open or size ranks with the small-file
-    /// penalty. So does a file whose size the worker saw
-    /// differ from the size its plan was drawn for: its probes covered
-    /// some other file (none at all for a hint of 0), and FCCD ranks a
-    /// file it could not probe with the paper's fake high probe-time.
+    /// A file whose result carries an error, or a size other than the one
+    /// its plan was drawn for, was not probed: its probes covered some
+    /// other file, or none at all. It ranks with the small-file penalty at
+    /// the size the pass saw (0 after an error), as FCCD ranks any file it
+    /// could not probe with the paper's fake high probe-time.
     ///
     /// # Panics
     ///
-    /// Panics if `results` and `plans` differ in length.
-    pub fn rank_results(&self, plans: &[FccdFilePlan], results: Vec<PlanResult>) -> Vec<FileRank> {
-        assert_eq!(plans.len(), results.len(), "one result per plan");
-        let mut ranks: Vec<FileRank> = plans
+    /// Panics if `results` and `files` differ in length.
+    pub fn rank_results(
+        &self,
+        files: &[(String, u64)],
+        page_size: u64,
+        results: Vec<PlanResult>,
+    ) -> Vec<FileRank> {
+        assert_eq!(files.len(), results.len(), "one result per file");
+        let mut ranks: Vec<FileRank> = files
             .iter()
             .zip(results)
-            .map(|(plan, result)| {
-                if result.error.is_some() {
-                    self.rank_unopenable(&result.path)
-                } else if result.size != plan.size {
-                    FileRank {
-                        size: result.size,
-                        ..self.rank_unopenable(&result.path)
-                    }
+            .map(|((_, drawn), result)| {
+                let report = if result.error.is_none() && result.size == *drawn {
+                    self.fold(result.size, page_size, &result.samples)
                 } else {
-                    let report = self.fold(plan, &result.samples);
-                    self.rank(&result.path, result.size, &report)
-                }
+                    FileProbeReport::default()
+                };
+                rank(result.path, result.size, &report)
             })
             .collect();
         sort_ranks(&mut ranks);
         ranks
     }
 
-    /// Folds the samples of an executed plan back into a report: minimum
-    /// over the rounds of each prediction unit, summed per access unit.
-    /// Penalty units (0 probes) receive the small-file penalty.
+    /// Folds the samples of a file of `size` bytes, one per spec
+    /// [`draw_plan`](Self::draw_plan) drew for that size and in that order,
+    /// into a report: per access unit, the sum of its samples. Failed
+    /// probes and unprobed units take the small-file penalty.
     ///
     /// # Panics
     ///
-    /// Panics if `samples.len() != plan.specs.len()`.
-    pub fn fold(&self, plan: &FccdFilePlan, samples: &[ProbeSample]) -> FileProbeReport {
-        assert_eq!(samples.len(), plan.specs.len(), "one sample per spec");
-        let mut report = FileProbeReport::default();
-        let rounds = plan.rounds.max(1);
+    /// Panics if there is not one sample per spec.
+    pub fn fold(&self, size: u64, page_size: u64, samples: &[ProbeSample]) -> FileProbeReport {
+        let probes: usize = self.shape(size, page_size).map(|u| u.2 as usize).sum();
+        assert_eq!(samples.len(), probes, "one sample per spec");
         let mut cursor = samples.iter();
-        for (&(offset, len), &probes) in plan.units.iter().zip(&plan.unit_probes) {
-            let probe_time = if probes == 0 {
-                SMALL_FILE_PENALTY
-            } else {
-                let mut total = GrayDuration::ZERO;
-                for _ in 0..probes / rounds {
-                    let mut best: Option<GrayDuration> = None;
-                    for _ in 0..rounds {
-                        let s = cursor.next().expect("sample count checked above");
-                        let t = if s.ok {
-                            s.elapsed
-                        } else {
-                            // A failed probe tells us nothing good about
-                            // residency.
-                            SMALL_FILE_PENALTY
-                        };
-                        best = Some(match best {
-                            None => t,
-                            Some(b) => b.min(t),
-                        });
-                    }
-                    total += best.expect("probe_rounds >= 1");
+        let units = self
+            .shape(size, page_size)
+            .map(|(offset, len, probes)| {
+                let probe_time = match probes {
+                    0 => SMALL_FILE_PENALTY,
+                    n => cursor
+                        .by_ref()
+                        .take(n as usize)
+                        // A failed probe tells us nothing good about
+                        // residency.
+                        .map(|s| if s.ok { s.elapsed } else { SMALL_FILE_PENALTY })
+                        .sum(),
+                };
+                UnitProbe {
+                    offset,
+                    len,
+                    probe_time,
+                    probes,
                 }
-                total
-            };
-            report.units.push(UnitProbe {
-                offset,
-                len,
-                probe_time,
-                probes,
-            });
-        }
-        report
+            })
+            .collect();
+        FileProbeReport { units }
     }
+}
 
-    /// Builds a [`FileRank`] from a folded report, normalizing by probe
-    /// count so files of different sizes compare fairly.
-    pub fn rank(&self, path: &str, size: u64, report: &FileProbeReport) -> FileRank {
-        let total: GrayDuration = report.units.iter().map(|u| u.probe_time).sum();
-        let n = report.total_probes().max(1);
-        FileRank {
-            path: path.to_string(),
-            mean_probe: total / n,
-            total_probe: total,
-            size,
+/// Builds a [`FileRank`] from a folded report, normalizing by probe count
+/// so files of different sizes compare fairly. A report with no probes —
+/// an empty file, a file smaller than a page, a file the pass could not
+/// probe — ranks with the small-file penalty: an unprobed file is not
+/// known to be cached.
+fn rank(path: String, size: u64, report: &FileProbeReport) -> FileRank {
+    let (mean_probe, total_probe) = match report.total_probes() {
+        0 => (SMALL_FILE_PENALTY, SMALL_FILE_PENALTY),
+        n => {
+            let total: GrayDuration = report.units.iter().map(|u| u.probe_time).sum();
+            (total / n, total)
         }
-    }
-
-    /// The rank a file receives when it cannot be opened at all: the
-    /// small-file penalty (a vanished file is certainly not in the cache).
-    pub fn rank_unopenable(&self, path: &str) -> FileRank {
-        FileRank {
-            path: path.to_string(),
-            mean_probe: SMALL_FILE_PENALTY,
-            total_probe: SMALL_FILE_PENALTY,
-            size: 0,
-        }
+    };
+    FileRank {
+        path,
+        mean_probe,
+        total_probe,
+        size,
     }
 }
 
 /// Sorts ranks fastest-first (ties broken by path, so the order is
 /// deterministic).
-pub fn sort_ranks(ranks: &mut [FileRank]) {
+fn sort_ranks(ranks: &mut [FileRank]) {
     ranks.sort_by(|a, b| {
         a.mean_probe
             .cmp(&b.mean_probe)
@@ -644,13 +600,14 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// Heisenberg) and instead receive [`SMALL_FILE_PENALTY`]. Handed an
     /// fd, not a path, it plans against `size:<size>` in the trace.
     pub fn probe_file(&self, fd: Fd, size: u64) -> FileProbeReport {
-        let plan = self.planner.draw_plan(size, self.os.page_size());
+        let page_size = self.os.page_size();
+        let specs = self.planner.draw_plan(size, page_size);
         trace::emit_with(|| TraceEvent::ProbePlanned {
             target: format!("size:{size}"),
-            probes: plan.specs.len() as u64,
+            probes: specs.len() as u64,
         });
-        let samples = probe_specs(self.os, fd, &plan.specs, 0);
-        self.planner.fold(&plan, &samples)
+        let samples = probe_specs(self.os, fd, &specs, 0);
+        self.planner.fold(size, page_size, &samples)
     }
 
     /// Ranks a set of files by predicted access cost, fastest first: one
@@ -664,22 +621,21 @@ impl<'a, O: GrayBoxOs> Fccd<'a, O> {
     /// compare fairly.
     pub fn order_files(&self, paths: &[String]) -> Vec<FileRank> {
         let page_size = self.os.page_size();
-        let (plans, results): (Vec<_>, Vec<_>) = paths
+        let (files, results): (Vec<_>, Vec<_>) = paths
             .iter()
             .map(|path| {
-                // The empty plan stands in for a file the pass cannot
-                // size: its result's error alone ranks it.
-                let mut plan = self.planner.draw_plan(0, page_size);
-                let slot = &mut plan;
+                let mut plans = Vec::new();
+                let slot = &mut plans;
                 let result = probe_pass(self.os, path, 0, move |size| {
-                    let files = [(path.clone(), size)];
-                    (*slot, _) = self.planner.draw_plans(&files, page_size, 0).remove(0);
-                    &slot.specs
+                    *slot = self
+                        .planner
+                        .draw_plans(&[(path.clone(), size)], page_size, 0);
+                    &slot[0].specs
                 });
-                (plan, result)
+                ((path.clone(), result.size), result)
             })
             .unzip();
-        self.planner.rank_results(&plans, results)
+        self.planner.rank_results(&files, page_size, results)
     }
 
     /// Splits files into a predicted-cached and a predicted-uncached group
@@ -715,16 +671,11 @@ pub fn techniques() -> TechniqueInventory {
 
 /// Splits `[start, start + total)` into `unit`-sized chunks (last chunk may
 /// be short). `total == 0` yields nothing.
-fn chunks(start: u64, total: u64, unit: u64) -> Vec<(u64, u64)> {
-    debug_assert!(unit > 0);
-    let mut out = Vec::new();
-    let mut off = 0;
-    while off < total {
-        let len = unit.min(total - off);
-        out.push((start + off, len));
-        off += len;
-    }
-    out
+fn chunks(start: u64, total: u64, unit: u64) -> impl Iterator<Item = (u64, u64)> {
+    let end = start + total;
+    (start..end)
+        .step_by(unit as usize)
+        .map(move |off| (off, unit.min(end - off)))
 }
 
 /// Largest multiple of `align` not exceeding `x` (0 if `x < align`).
@@ -738,10 +689,10 @@ mod tests {
 
     #[test]
     fn chunks_cover_exactly() {
-        let c = chunks(0, 10, 4);
+        let c: Vec<_> = chunks(0, 10, 4).collect();
         assert_eq!(c, vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(chunks(100, 4, 4), vec![(100, 4)]);
-        assert!(chunks(0, 0, 4).is_empty());
+        assert_eq!(chunks(100, 4, 4).collect::<Vec<_>>(), vec![(100, 4)]);
+        assert_eq!(chunks(0, 0, 4).next(), None);
     }
 
     #[test]
@@ -820,10 +771,10 @@ mod tests {
         FccdPlanner::new(small_params(), gray_toolbox::Nanos::ZERO)
     }
 
-    /// Executes `plan` against a cache in which exactly the bytes `cached`
+    /// Executes `specs` against a cache in which exactly the bytes `cached`
     /// says are resident.
-    fn samples(plan: &FccdFilePlan, cached: impl Fn(u64) -> bool) -> Vec<ProbeSample> {
-        plan.specs
+    fn samples(specs: &[ProbeSpec], cached: impl Fn(u64) -> bool) -> Vec<ProbeSample> {
+        specs
             .iter()
             .map(|spec| ProbeSample {
                 offset: spec.offset,
@@ -835,8 +786,8 @@ mod tests {
 
     /// Draws, executes and folds the plan of one file.
     fn report(planner: &FccdPlanner, size: u64, cached: impl Fn(u64) -> bool) -> FileProbeReport {
-        let plan = planner.draw_plan(size, PAGE);
-        planner.fold(&plan, &samples(&plan, cached))
+        let specs = planner.draw_plan(size, PAGE);
+        planner.fold(size, PAGE, &samples(&specs, cached))
     }
 
     /// Ranks files of eight pages each; the files in `warm` are cached.
@@ -846,7 +797,11 @@ mod tests {
             .iter()
             .map(|&name| {
                 let hot = warm.contains(&name);
-                planner.rank(name, 8 * PAGE, &report(&planner, 8 * PAGE, |_| hot))
+                rank(
+                    name.to_string(),
+                    8 * PAGE,
+                    &report(&planner, 8 * PAGE, |_| hot),
+                )
             })
             .collect();
         sort_ranks(&mut ranks);
@@ -871,9 +826,11 @@ mod tests {
     #[test]
     fn small_file_is_not_probed() {
         let planner = planner();
-        let plan = planner.draw_plan(16, PAGE);
-        assert!(plan.specs.is_empty(), "no Heisenberg on tiny files");
-        let report = planner.fold(&plan, &[]);
+        assert!(
+            planner.draw_plan(16, PAGE).is_empty(),
+            "no Heisenberg on tiny files"
+        );
+        let report = planner.fold(16, PAGE, &[]);
         assert_eq!(report.total_probes(), 0, "tiny files must not be probed");
         assert_eq!(report.units.len(), 1);
         assert_eq!(report.units[0].probe_time, SMALL_FILE_PENALTY);
@@ -899,8 +856,12 @@ mod tests {
     fn missing_file_ranks_last() {
         let planner = planner();
         let mut ranks = vec![
-            planner.rank_unopenable("/ghost"),
-            planner.rank("/real", 8 * PAGE, &report(&planner, 8 * PAGE, |_| false)),
+            rank("/ghost".to_string(), 0, &FileProbeReport::default()),
+            rank(
+                "/real".to_string(),
+                8 * PAGE,
+                &report(&planner, 8 * PAGE, |_| false),
+            ),
         ];
         sort_ranks(&mut ranks);
         assert_eq!(ranks[0].path, "/real");
@@ -942,10 +903,9 @@ mod tests {
         ]
         .map(|(path, hint)| (path.to_string(), hint))
         .to_vec();
-        let (plans, probes): (Vec<_>, Vec<_>) =
-            planner.draw_plans(&files, PAGE, 3).into_iter().unzip();
-        for (plan, probe) in plans.iter().zip(&probes) {
-            assert_eq!((&probe.specs, probe.sub_batch), (&plan.specs, 3));
+        let probes = planner.draw_plans(&files, PAGE, 3);
+        for (probe, (path, _)) in probes.iter().zip(&files) {
+            assert_eq!((&probe.path, probe.sub_batch), (path, 3));
         }
         let results = vec![
             worker_result(&probes[0], size, true),
@@ -959,21 +919,25 @@ mod tests {
             worker_result(&probes[3], 2 * size, true),
             worker_result(&probes[4], size, true),
         ];
-        let ranks = planner.rank_results(&plans, results.clone());
+        let ranks = planner.rank_results(&files, PAGE, results.clone());
 
         let mut sorted = ranks.clone();
         sort_ranks(&mut sorted);
         assert_eq!(ranks, sorted, "ranks come out sorted as sort_ranks sorts");
         let rank_of = |path: &str| ranks.iter().find(|r| r.path == path).unwrap();
         for i in [1, 4] {
-            let report = planner.fold(&plans[i], &results[i].samples);
+            let report = planner.fold(size, PAGE, &results[i].samples);
             assert_eq!(
                 *rank_of(&files[i].0),
-                planner.rank(&files[i].0, size, &report),
+                rank(files[i].0.clone(), size, &report),
                 "matching samples rank as fold + rank"
             );
         }
-        assert_eq!(*rank_of("/ghost"), planner.rank_unopenable("/ghost"));
+        assert_eq!(
+            *rank_of("/ghost"),
+            rank("/ghost".to_string(), 0, &FileProbeReport::default()),
+            "an open error ranks as an unprobed file"
+        );
         for (path, seen) in [("/zero", size), ("/stale", 2 * size)] {
             let rank = rank_of(path);
             assert_eq!(
@@ -989,9 +953,8 @@ mod tests {
     #[test]
     fn empty_file_yields_empty_plan() {
         let planner = planner();
-        let plan = planner.draw_plan(0, PAGE);
-        assert!(plan.specs.is_empty());
-        assert!(planner.fold(&plan, &[]).plan().is_empty());
+        assert!(planner.draw_plan(0, PAGE).is_empty());
+        assert!(planner.fold(0, PAGE, &[]).plan().is_empty());
     }
 
     #[test]
@@ -1020,7 +983,7 @@ mod tests {
             FccdPlanner::new(params, gray_toolbox::Nanos(clock)).draw_plan(16 * PAGE, PAGE)
         };
         assert_eq!(draw(1, 7), draw(1, 7));
-        assert_ne!(draw(1, 7).specs, draw(2, 7).specs);
-        assert_ne!(draw(1, 7).specs, draw(1, 8).specs);
+        assert_ne!(draw(1, 7), draw(2, 7));
+        assert_ne!(draw(1, 7), draw(1, 8));
     }
 }

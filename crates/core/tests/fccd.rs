@@ -150,6 +150,37 @@ fn an_unreadable_size_ranks_with_the_penalty() {
     );
 }
 
+/// An empty file has nothing to probe, so, like a file smaller than a
+/// page, it ranks with the penalty at its own size and is called
+/// uncached — not cached at 0 ns ahead of every hit.
+#[test]
+fn an_empty_file_ranks_with_the_penalty() {
+    let mut sim = cold_machine(&[
+        ("/f0", 2 * AU),
+        ("/f1", 2 * AU),
+        ("/f2", 2 * AU),
+        ("/small", 100),
+        ("/empty", 0),
+    ]);
+    warm(&mut sim, "/f0", 0, 2 * AU);
+    let names = ["/f0", "/f1", "/f2", "/small", "/empty"].map(String::from);
+    let classified = sim.run_one(|os| Fccd::new(os, small_params()).classify_files(&names));
+    let cached: Vec<&str> = classified.cached.iter().map(|r| r.path.as_str()).collect();
+    assert_eq!(cached, ["/f0"], "{classified:?}");
+    let tail: Vec<_> = classified.uncached[2..]
+        .iter()
+        .map(|r| (r.path.as_str(), r.mean_probe, r.total_probe, r.size))
+        .collect();
+    assert_eq!(
+        tail,
+        [
+            ("/empty", SMALL_FILE_PENALTY, SMALL_FILE_PENALTY, 0),
+            ("/small", SMALL_FILE_PENALTY, SMALL_FILE_PENALTY, 100),
+        ],
+        "{classified:?}"
+    );
+}
+
 #[test]
 fn empty_file_yields_empty_plan() {
     let mut sim = cold_machine(&[("/empty", 0)]);

@@ -649,18 +649,18 @@ impl Gbd {
             let _scope = item.lane.map(trace::lane_scope);
             let params = self.cfg.fccd.clone();
             let planner = sim.run_one(move |os| Fccd::with_fixed_seed(os, params).into_planner());
-            let (plans, handles): (Vec<_>, Vec<_>) = planner
+            let handles: Vec<_> = planner
                 .draw_plans(files, PAGE_SIZE, self.cfg.sched.sub_batch)
                 .into_iter()
-                .map(|(plan, probe)| (plan, self.sched.submit(probe)))
-                .unzip();
-            submitted.push((planner, plans, handles));
+                .map(|probe| self.sched.submit(probe))
+                .collect();
+            submitted.push((planner, files, handles));
         }
         self.sched.dispatch(&mut SimExecutor::new(sim));
         items
             .iter()
             .zip(submitted)
-            .map(|(item, (planner, plans, handles))| {
+            .map(|(item, (planner, files, handles))| {
                 // Fold (and emit `Classified` events) on the same lane.
                 let _scope = item.lane.map(trace::lane_scope);
                 let results = handles
@@ -671,7 +671,7 @@ impl Gbd {
                             .expect("dispatch resolves every submitted handle")
                     })
                     .collect();
-                let classified = classify_ranks(planner.rank_results(&plans, results));
+                let classified = classify_ranks(planner.rank_results(files, PAGE_SIZE, results));
                 let mut verdicts = Verdicts::new();
                 for rank in &classified.cached {
                     verdicts.insert(rank.path.clone(), true);

@@ -35,11 +35,10 @@ const ACCESS_UNIT: u64 = 1 << 20;
 
 /// FCCD geometry proportioned to `SimConfig::small`, with a fixed probe
 /// seed drawn by the property harness.
-fn params(seed: u64, probe_rounds: u32) -> FccdParams {
+fn params(seed: u64) -> FccdParams {
     FccdParams {
         access_unit: ACCESS_UNIT,
         prediction_unit: 256 << 10,
-        probe_rounds,
         seed,
         ..FccdParams::default()
     }
@@ -100,7 +99,7 @@ fn single_tenant_daemon_matches_direct_fccd_bit_for_bit() {
         "single_tenant_daemon_matches_direct_fccd_bit_for_bit",
         8,
         |g: &mut Gen| {
-            let p = params(g.u64(1..u64::MAX), g.range(1u32..3));
+            let p = params(g.u64(1..u64::MAX));
             let nfiles = g.range(2usize..4);
             let files: Vec<(String, u64)> = (0..nfiles)
                 .map(|i| (format!("/f{i}"), g.u64(1..4) * ACCESS_UNIT))

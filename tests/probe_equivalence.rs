@@ -48,8 +48,9 @@ fn timed_reads<O: GrayBoxOs>(os: &O, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSa
 /// same fold.
 fn scalar_report<O: GrayBoxOs>(os: &O, params: FccdParams, fd: Fd, size: u64) -> FileProbeReport {
     let planner = Fccd::with_fixed_seed(os, params).into_planner();
-    let plan = planner.draw_plan(size, os.page_size());
-    planner.fold(&plan, &timed_reads(os, fd, &plan.specs))
+    let page_size = os.page_size();
+    let specs = planner.draw_plan(size, page_size);
+    planner.fold(size, page_size, &timed_reads(os, fd, &specs))
 }
 
 /// End to end through the simulated kernel: two identically prepared
@@ -59,8 +60,7 @@ fn scalar_report<O: GrayBoxOs>(os: &O, params: FccdParams, fd: Fd, size: u64) ->
 /// identical plans. Half the cases use megabyte units warmed a unit at a
 /// time; half use 1–5-page access units of 1-page prediction units,
 /// warmed page by page at random, where every probe's readahead reaches
-/// the next units. Either way the last access unit may be ragged and
-/// each unit is probed 1–3 rounds.
+/// the next units. Either way the last access unit may be ragged.
 #[test]
 fn batched_and_scalar_classify_identically_under_simos() {
     check(
@@ -80,7 +80,6 @@ fn batched_and_scalar_classify_identically_under_simos() {
             let params = FccdParams {
                 access_unit,
                 prediction_unit,
-                probe_rounds: g.range(1u32..4),
                 seed: g.u64(1..u64::MAX),
                 ..FccdParams::default()
             };

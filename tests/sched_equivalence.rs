@@ -69,17 +69,17 @@ fn order_files<E: PlanExecutor>(
     files: &[(String, u64)],
     sub_batch: usize,
 ) -> Vec<FileRank> {
-    let (plans, handles): (Vec<_>, Vec<_>) = planner
+    let handles: Vec<_> = planner
         .draw_plans(files, PAGE_SIZE, sub_batch)
         .into_iter()
-        .map(|(plan, probe)| (plan, sched.submit(probe)))
-        .unzip();
+        .map(|probe| sched.submit(probe))
+        .collect();
     sched.dispatch(exec);
     let results = handles
         .into_iter()
         .map(|handle| sched.take(handle).expect("dispatched"))
         .collect();
-    planner.rank_results(&plans, results)
+    planner.rank_results(files, PAGE_SIZE, results)
 }
 
 /// A fresh `SimConfig::small()` machine holding `files`, flushed, then
@@ -121,7 +121,6 @@ fn sched_and_direct_classify_identically_inline() {
             let params = FccdParams {
                 access_unit,
                 prediction_unit: page,
-                probe_rounds: g.range(1u32..3),
                 seed: g.u64(1..u64::MAX),
                 ..FccdParams::default()
             };
@@ -177,7 +176,6 @@ fn sched_and_direct_classify_identically_under_simos() {
             let params = FccdParams {
                 access_unit,
                 prediction_unit: 256 << 10,
-                probe_rounds: g.range(1u32..3),
                 seed: g.u64(1..u64::MAX),
                 ..FccdParams::default()
             };
