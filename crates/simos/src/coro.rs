@@ -10,14 +10,23 @@
 //! hand-written context switch that saves and restores exactly the
 //! callee-saved register set of the platform C ABI.
 //!
-//! Only two operations exist. [`Coro::resume`] switches from the driver
-//! onto the coroutine's stack; [`yield_to_driver`] switches back. Both
+//! Only two operations exist. [`Coros::resume`] switches from the driver
+//! onto a coroutine's stack; [`yield_to_driver`] switches back. Both
 //! are plain symmetric context switches through the same assembly
 //! routine, so the whole scheduler state is two saved stack pointers in
-//! a [`YieldCore`].
+//! a [`YieldCore`]. A third, [`Coros::prefetch`], is a cache hint and
+//! switches nothing.
 //!
 //! Safety story, in one place:
 //!
+//! - **A coroutine's context never moves.** A run's coroutines live in
+//!   one [`Coros`] table, a boxed slice of rows built once and never
+//!   resized. A row holds the coroutine's [`YieldCore`], its start
+//!   context (the entry closure, taken by the trampoline on the first
+//!   resume) and its stack. Frames are fabricated only after the table
+//!   is built, so the row address each frame hands the trampoline, and
+//!   the `YieldCore` address the entry hands `SimProc`, stay valid until
+//!   the table is dropped; nothing gives out a `&mut` to a row.
 //! - **Unwinding never crosses the assembly frame.** The coroutine entry
 //!   wrapper catches every panic ([`std::panic::catch_unwind`]) before
 //!   the final switch back, and aborts the process if the impossible
@@ -30,7 +39,7 @@
 //!   is one size: see [`STACK_BYTES`] for the measured depth behind it.
 //! - **Stacks are pooled per thread and never trimmed.** A finished
 //!   coroutine's stack goes on its thread's free list and the next
-//!   [`Coro::new`] on that thread takes it back, dirty pages and all:
+//!   [`Coros::new`] on that thread takes it back, dirty pages and all:
 //!   a new stack per simulated process, unguarded, was a third of a
 //!   one-shot probe process's host time in allocation and demand-zero
 //!   faults, and guarded it was more. The pool holds as many
@@ -43,7 +52,9 @@
 //!   live frames on its stack — their destructors never run — and
 //!   returns the stack to the pool like any other. The executor always
 //!   drives every coroutine to completion, so this only occurs if the
-//!   driver itself panics mid-run.
+//!   driver itself panics mid-run. An unstarted coroutine's entry is
+//!   still in its row and drops with it; a finished one's was consumed
+//!   by its call.
 //!
 //! Ceiling: each mapped stack is two host mappings (guard, stack), and
 //! Linux caps a process at `vm.max_map_count` of them (65 530 by
@@ -87,9 +98,10 @@ const _: () = assert!(STACK_BYTES.is_multiple_of(GUARD_BYTES));
 const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
 
 /// The two saved stack pointers a suspended coroutine consists of, plus
-/// its completion flag. Lives in a `Box` so its address is stable across
-/// switches; the executor hands raw pointers to it into workload
-/// closures (via `SimProc`) so a kernel call can yield mid-call.
+/// its completion flag. Lives in its coroutine's row of a [`Coros`]
+/// table, so its address is stable across switches; the executor hands
+/// raw pointers to it into workload closures (via `SimProc`) so a kernel
+/// call can yield mid-call.
 pub(crate) struct YieldCore {
     /// The coroutine's stack pointer while it is suspended.
     coro_sp: *mut u8,
@@ -99,19 +111,32 @@ pub(crate) struct YieldCore {
     finished: bool,
 }
 
-/// Start-of-life context handed to the trampoline in a callee-saved
-/// register: the entry closure plus the core to report into.
-struct StartCtx {
-    core: *mut YieldCore,
-    entry: Option<Box<dyn FnOnce(*mut YieldCore) + 'static>>,
+/// What a coroutine runs; a [`Slot`] holds it with its lifetime erased
+/// (see [`Coros::new`]).
+type Entry<'env> = Box<dyn FnOnce(*mut YieldCore) + 'env>;
+
+/// One coroutine's row of a [`Coros`] table: its saved stack pointers,
+/// the entry closure the trampoline takes on the first resume, and its
+/// stack. The trampoline gets a pointer to the whole row in a
+/// callee-saved register.
+struct Slot {
+    core: YieldCore,
+    entry: Option<Entry<'static>>,
+    stack: Stack,
 }
 
 /// First Rust frame on every coroutine stack. Never returns normally:
 /// the tail context switch hands control back to the driver for good.
-extern "C" fn coro_start(ctx: *mut StartCtx) -> ! {
-    // SAFETY: `ctx` points into the owning `Coro`, which outlives the
-    // coroutine's whole execution (the driver borrows it to resume).
-    let (core, entry) = unsafe { ((*ctx).core, (*ctx).entry.take().expect("entry present")) };
+extern "C" fn coro_start(slot: *mut Slot) -> ! {
+    // SAFETY: `slot` is a row of a `Coros` table, which never moves its
+    // rows and outlives the coroutine's whole execution (the driver
+    // borrows it to resume).
+    let (core, entry) = unsafe {
+        (
+            ptr::addr_of_mut!((*slot).core),
+            (*slot).entry.take().expect("entry present"),
+        )
+    };
     // Backstop: the executor already wraps workloads in catch_unwind,
     // but *nothing* may ever unwind through the fabricated assembly
     // frame below this one.
@@ -129,7 +154,7 @@ extern "C" fn coro_start(ctx: *mut StartCtx) -> ! {
 }
 
 /// Suspends the currently running coroutine and switches to the driver.
-/// The next [`Coro::resume`] returns control to just after this call.
+/// The next [`Coros::resume`] returns control to just after this call.
 ///
 /// # Safety
 /// `core` must point at the [`YieldCore`] of the coroutine whose stack
@@ -306,79 +331,99 @@ pub(crate) fn last_freed_high_water() -> usize {
     STACK_BYTES - bytes.iter().position(|&b| b != 0).unwrap_or(STACK_BYTES)
 }
 
-/// One resumable simulated process: its stack, its saved-stack-pointer
-/// pair, and the boxed start context the trampoline reads. The `'env`
-/// lifetime ties the coroutine to the borrows its entry closure
-/// captures (workload references, result slots).
-pub(crate) struct Coro<'env> {
-    core: Box<YieldCore>,
-    _ctx: Box<StartCtx>,
-    _stack: Stack,
+/// A run's resumable simulated processes, one [`Slot`] each, in one
+/// allocation that is never resized: the trampoline and every `SimProc`
+/// hold pointers into it. The `'env` lifetime ties the coroutines to the
+/// borrows their entry closures capture (workload references, result
+/// slots).
+pub(crate) struct Coros<'env> {
+    slots: Box<[Slot]>,
     _env: PhantomData<&'env mut &'env ()>,
 }
 
-impl<'env> Coro<'env> {
-    /// Fabricates a suspended coroutine that, on first resume, calls
-    /// `entry` with a pointer to its own [`YieldCore`].
-    pub(crate) fn new(entry: Box<dyn FnOnce(*mut YieldCore) + 'env>) -> Coro<'env> {
-        let stack = Stack::new();
-        let mut core = Box::new(YieldCore {
-            coro_sp: ptr::null_mut(),
-            sched_sp: ptr::null_mut(),
-            finished: false,
-        });
-        // SAFETY: lifetime erasure only. `Coro<'env>` carries `'env` in
-        // PhantomData, so the coroutine (and therefore the closure) cannot
-        // outlive the borrows the closure captures.
-        let entry: Box<dyn FnOnce(*mut YieldCore) + 'static> =
-            unsafe { std::mem::transmute(entry) };
-        let mut ctx = Box::new(StartCtx {
-            core: ptr::addr_of_mut!(*core),
-            entry: Some(entry),
-        });
-        // SAFETY: `stack.top()` is the page-aligned top of `STACK_BYTES`
-        // writable bytes that nothing else is running on; `ctx` is boxed
-        // and owned by the returned Coro, so its address is stable.
-        core.coro_sp = unsafe { arch::fabricate(stack.top(), ptr::addr_of_mut!(*ctx)) };
-        Coro {
-            core,
-            _ctx: ctx,
-            _stack: stack,
+impl<'env> Coros<'env> {
+    /// Fabricates one suspended coroutine per entry. On its first resume,
+    /// coroutine `i` calls entry `i` with a pointer to its own
+    /// [`YieldCore`]. The entry's box is the one allocation a coroutine
+    /// makes of its own.
+    pub(crate) fn new<F>(entries: impl IntoIterator<Item = F>) -> Coros<'env>
+    where
+        F: FnOnce(*mut YieldCore) + 'env,
+    {
+        let mut slots: Box<[Slot]> = entries
+            .into_iter()
+            .map(|entry| Slot {
+                core: YieldCore {
+                    coro_sp: ptr::null_mut(),
+                    sched_sp: ptr::null_mut(),
+                    finished: false,
+                },
+                // SAFETY: lifetime erasure only. `Coros<'env>` carries
+                // `'env` in PhantomData, so the coroutines (and
+                // therefore the closures) cannot outlive the borrows
+                // the closures capture.
+                entry: Some(unsafe {
+                    std::mem::transmute::<Entry<'env>, Entry<'static>>(Box::new(entry))
+                }),
+                stack: Stack::new(),
+            })
+            .collect();
+        // Every row is at its final address only now that the table is
+        // built: fabricating earlier would hand the trampoline a pointer
+        // the collection moved.
+        for slot in slots.iter_mut() {
+            let row: *mut Slot = slot;
+            // SAFETY: `stack.top()` is the page-aligned top of
+            // `STACK_BYTES` writable bytes that nothing else is running
+            // on; `row` lives in the table's one allocation, which no
+            // method resizes, so its address is stable.
+            slot.core.coro_sp = unsafe { arch::fabricate(slot.stack.top(), row) };
+        }
+        Coros {
+            slots,
             _env: PhantomData,
         }
     }
 
-    /// Whether the entry closure has run to completion (or panicked and
-    /// been caught). A finished coroutine must not be resumed.
+    /// Whether coroutine `i`'s entry has run to completion (or panicked
+    /// and been caught). A finished coroutine must not be resumed.
     #[allow(dead_code)] // the executor tracks liveness in the kernel; tests use this
-    pub(crate) fn finished(&self) -> bool {
-        self.core.finished
+    pub(crate) fn finished(&self, i: usize) -> bool {
+        self.slots[i].core.finished
     }
 
-    /// Switches onto the coroutine's stack until it yields or finishes.
-    /// Returns `finished()` for the driver's convenience.
-    pub(crate) fn resume(&mut self) -> bool {
-        assert!(!self.core.finished, "resumed a finished coroutine");
-        let core: *mut YieldCore = ptr::addr_of_mut!(*self.core);
+    /// Switches onto coroutine `i`'s stack until it yields or finishes.
+    /// Returns `finished(i)` for the driver's convenience.
+    pub(crate) fn resume(&mut self, i: usize) -> bool {
+        let core = &mut self.slots[i].core;
+        assert!(!core.finished, "resumed a finished coroutine");
+        let core: *mut YieldCore = core;
         // SAFETY: `coro_sp` is either the fabricated initial frame or the
         // pointer saved by the coroutine's last yield; both are valid
         // suspension points on the coroutine's own (live) stack.
         unsafe {
             arch::switch(ptr::addr_of_mut!((*core).sched_sp), (*core).coro_sp);
         }
-        self.core.finished
+        self.slots[i].core.finished
+    }
+
+    /// Asks the host's caches for the frame coroutine `i` will restore
+    /// first when it is next resumed. A hint: it changes no state, only
+    /// how long the first loads of that resume wait.
+    pub(crate) fn prefetch(&self, i: usize) {
+        arch::prefetch(self.slots[i].core.coro_sp);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod arch {
-    use super::StartCtx;
+    use super::Slot;
 
     // Symmetric context switch, SysV x86_64. Saves the callee-saved
     // register set on the current stack, publishes the stack pointer
     // through `save`, then adopts `restore` and unwinds the same frame
     // shape. A fabricated initial frame (below) restores into the
-    // trampoline instead, which forwards r12 (the StartCtx) to
+    // trampoline instead, which forwards r12 (the Slot) to
     // `coro_start` in rbx. rsp is 8 mod 16 at every save point (post
     // call-push plus six pushes), so a restored frame re-enters Rust
     // with standard ABI alignment.
@@ -422,7 +467,7 @@ mod arch {
 
     /// Builds the initial 7-slot frame `ctx_switch` will restore:
     /// r15 r14 r13 r12=ctx rbx=coro_start rbp=0 ret=trampoline.
-    pub(super) unsafe fn fabricate(top: *mut u8, ctx: *mut StartCtx) -> *mut u8 {
+    pub(super) unsafe fn fabricate(top: *mut u8, ctx: *mut Slot) -> *mut u8 {
         // SAFETY: caller guarantees `top` is the 16-aligned top of an
         // allocation with ≥ 7 usize slots below it.
         unsafe {
@@ -430,8 +475,8 @@ mod arch {
             sp.add(0).write(0); // r15
             sp.add(1).write(0); // r14
             sp.add(2).write(0); // r13
-            sp.add(3).write(ctx as usize); // r12 → StartCtx
-            let start: extern "C" fn(*mut StartCtx) -> ! = super::coro_start;
+            sp.add(3).write(ctx as usize); // r12 → Slot
+            let start: extern "C" fn(*mut Slot) -> ! = super::coro_start;
             sp.add(4).write(start as usize); // rbx → entry fn
             sp.add(5).write(0); // rbp
             let tramp: unsafe extern "C" fn() = graybox_simos_coro_tramp;
@@ -439,15 +484,24 @@ mod arch {
             sp.cast()
         }
     }
+
+    /// One `prefetcht0` of the line at a suspended coroutine's saved
+    /// stack pointer, which the first pops of its resume read.
+    pub(super) fn prefetch(sp: *const u8) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch loads nothing into a register and cannot
+        // fault, whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(sp.cast()) }
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod arch {
-    use super::StartCtx;
+    use super::Slot;
 
     // Symmetric context switch, AAPCS64. The saved frame is 160 bytes:
     // x19–x28, the frame pair x29/x30, and the callee-saved low halves
-    // d8–d15. A fabricated frame restores x19=StartCtx, x20=coro_start
+    // d8–d15. A fabricated frame restores x19=Slot, x20=coro_start
     // and returns (via x30) into the trampoline.
     core::arch::global_asm!(
         ".text",
@@ -500,19 +554,33 @@ mod arch {
 
     /// Builds the initial 160-byte frame `ctx_switch` will restore:
     /// x19=ctx, x20=coro_start, x30=trampoline, everything else zero.
-    pub(super) unsafe fn fabricate(top: *mut u8, ctx: *mut StartCtx) -> *mut u8 {
+    pub(super) unsafe fn fabricate(top: *mut u8, ctx: *mut Slot) -> *mut u8 {
         // SAFETY: caller guarantees `top` is the 16-aligned top of an
         // allocation with ≥ 160 bytes below it.
         unsafe {
             let sp = top.sub(160);
             core::ptr::write_bytes(sp, 0, 160);
             let slots = sp.cast::<usize>();
-            slots.add(0).write(ctx as usize); // x19 → StartCtx
-            let start: extern "C" fn(*mut StartCtx) -> ! = super::coro_start;
+            slots.add(0).write(ctx as usize); // x19 → Slot
+            let start: extern "C" fn(*mut Slot) -> ! = super::coro_start;
             slots.add(1).write(start as usize); // x20 → entry fn
             let tramp: unsafe extern "C" fn() = graybox_simos_coro_tramp;
             slots.add(11).write(tramp as usize); // x30 (offset 88)
             sp
+        }
+    }
+
+    /// One `prfm pldl1keep` of the line at a suspended coroutine's saved
+    /// stack pointer, which the first `ldp`s of its resume read.
+    pub(super) fn prefetch(sp: *const u8) {
+        // SAFETY: `prfm` is a hint: it writes no register or memory and
+        // cannot fault, whatever the address.
+        unsafe {
+            core::arch::asm!(
+                "prfm pldl1keep, [{sp}]",
+                sp = in(reg) sp,
+                options(nostack, readonly, preserves_flags)
+            );
         }
     }
 }
@@ -530,22 +598,27 @@ mod tests {
         unsafe { yield_to_driver(core) };
     }
 
+    /// A table of one coroutine.
+    fn one<'env>(entry: impl FnOnce(*mut YieldCore) + 'env) -> Coros<'env> {
+        Coros::new([entry])
+    }
+
     #[test]
     fn resume_yield_ping_pong() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let inner = Rc::clone(&log);
-        let mut c = Coro::new(Box::new(move |core| {
+        let mut c = one(move |core| {
             inner.borrow_mut().push("a");
             pause(core);
             inner.borrow_mut().push("b");
             pause(core);
             inner.borrow_mut().push("c");
-        }));
-        assert!(!c.resume());
+        });
+        assert!(!c.resume(0));
         log.borrow_mut().push("driver1");
-        assert!(!c.resume());
+        assert!(!c.resume(0));
         log.borrow_mut().push("driver2");
-        assert!(c.resume());
+        assert!(c.resume(0));
         assert_eq!(
             *log.borrow(),
             vec!["a", "driver1", "b", "driver2", "c"],
@@ -557,20 +630,22 @@ mod tests {
         const N: usize = 64;
         const ROUNDS: usize = 10;
         let tally = Rc::new(RefCell::new(vec![0usize; N]));
-        let mut coros: Vec<Coro<'_>> = (0..N)
-            .map(|i| {
-                let tally = Rc::clone(&tally);
-                Coro::new(Box::new(move |core| {
-                    for _ in 0..ROUNDS {
-                        tally.borrow_mut()[i] += 1;
-                        pause(core);
-                    }
-                }))
-            })
-            .collect();
-        while coros.iter().any(|c| !c.finished()) {
-            for c in coros.iter_mut().filter(|c| !c.finished()) {
-                c.resume();
+        let mut coros = Coros::new((0..N).map(|i| {
+            let tally = Rc::clone(&tally);
+            move |core| {
+                for _ in 0..ROUNDS {
+                    tally.borrow_mut()[i] += 1;
+                    pause(core);
+                }
+            }
+        }));
+        while (0..N).any(|i| !coros.finished(i)) {
+            for i in 0..N {
+                if !coros.finished(i) {
+                    // Out of order on purpose: a hint names any row.
+                    coros.prefetch(N - 1 - i);
+                    coros.resume(i);
+                }
             }
         }
         assert!(tally.borrow().iter().all(|&n| n == ROUNDS));
@@ -607,25 +682,25 @@ mod tests {
 
     #[test]
     fn stack_dropped_while_suspended_runs_the_next_coroutine() {
-        let mut abandoned = Coro::new(Box::new(|core| {
+        let mut abandoned = one(|core| {
             let live = std::hint::black_box([0xA5u8; 2048]);
             pause(core);
             unreachable!("never resumed again: {}", live[0]);
-        }));
-        assert!(!abandoned.resume());
-        let base = abandoned._stack.base;
+        });
+        assert!(!abandoned.resume(0));
+        let base = abandoned.slots[0].stack.base;
         drop(abandoned);
 
         let mut sum = 0u64;
-        let mut next = Coro::new(Box::new(|_| {
+        let mut next = one(|_| {
             let fresh = std::hint::black_box([1u64; 512]);
             sum = fresh.iter().sum();
-        }));
+        });
         assert_eq!(
-            next._stack.base, base,
+            next.slots[0].stack.base, base,
             "fabricated over the abandoned frames"
         );
-        assert!(next.resume());
+        assert!(next.resume(0));
         drop(next);
         assert_eq!(sum, 512);
         assert_eq!(mapped_by_this_thread(), 1);
@@ -641,33 +716,69 @@ mod tests {
             }
             frame.iter().sum::<u64>() % 7 + burn(depth - 1, core)
         }
-        let mut c = Coro::new(Box::new(|core| {
+        let mut c = one(|core| {
             let n = burn(500, core);
             assert!(n >= 500);
-        }));
-        assert!(!c.resume(), "suspended at the bottom of the recursion");
-        assert!(c.resume(), "ran back up and finished");
+        });
+        assert!(!c.resume(0), "suspended at the bottom of the recursion");
+        assert!(c.resume(0), "ran back up and finished");
     }
 
     #[test]
     fn panicking_entry_is_contained() {
-        let mut c = Coro::new(Box::new(|core| {
+        let mut c = one(|core| {
             pause(core);
             panic!("inside coroutine");
-        }));
-        assert!(!c.resume());
+        });
+        assert!(!c.resume(0));
         // The panic unwinds to coro_start's backstop, which marks the
         // coroutine finished and switches back here.
-        assert!(c.resume());
+        assert!(c.resume(0));
     }
 
     #[test]
     fn captures_environment_borrows() {
         let mut out = 0u64;
         {
-            let mut c = Coro::new(Box::new(|_| out = 41 + 1));
-            assert!(c.resume());
+            let mut c = one(|_| out = 41 + 1);
+            assert!(c.resume(0));
         }
         assert_eq!(out, 42);
+    }
+
+    #[test]
+    fn unstarted_coroutine_drops_its_captures_once() {
+        let held = Rc::new(());
+        let table = Coros::new((0..2).map(|_| {
+            let capture = Rc::clone(&held);
+            move |_: *mut YieldCore| drop(capture)
+        }));
+        assert_eq!(Rc::strong_count(&held), 3);
+        drop(table);
+        assert_eq!(
+            Rc::strong_count(&held),
+            1,
+            "each never-resumed entry dropped its capture exactly once"
+        );
+    }
+
+    #[test]
+    fn finished_coroutine_has_dropped_its_captures() {
+        let held = Rc::new(());
+        let inner = Rc::clone(&held);
+        let mut c = one(move |core| {
+            let _kept = inner;
+            pause(core);
+        });
+        assert!(!c.resume(0));
+        assert_eq!(Rc::strong_count(&held), 2, "a suspended entry holds it");
+        assert!(c.resume(0));
+        assert_eq!(
+            Rc::strong_count(&held),
+            1,
+            "finishing dropped the capture before the table went"
+        );
+        drop(c);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 }

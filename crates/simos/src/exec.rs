@@ -10,14 +10,18 @@
 //! Every process spawned by [`Sim::run`] is a stackful coroutine
 //! (`crate::coro`) and one driver loop on the calling thread resumes the
 //! minimum-time runnable one, so fleets of thousands of processes cost
-//! one context switch per handoff. The simulation state lives in one
+//! one context switch per handoff. A run's coroutines sit in one table
+//! built per run, so a spawn allocates only the process's entry closure,
+//! and before each resume the driver prefetches the saved frame of the
+//! process most likely to run after it. The simulation state lives in one
 //! `Rc<RefCell<State>>` shared by the [`Sim`], its [`SimProc`] handles and
 //! its [`Oracle`]s: each syscall borrows it for exactly one kernel
 //! operation and releases it before the coroutine can suspend, so no
 //! borrow is ever held across a context switch and no lock is needed.
 //!
 //! [`Kernel::next_runnable`] is the semantic definition of the resume
-//! rule. The driver answers it from an incremental `RunQueue` that is
+//! rule. The driver answers it from an exact `RunQueue` (one heap entry
+//! per live process, the running one on top) that is
 //! debug-asserted against the kernel's scan at every decision, and
 //! `tests/exec_equivalence.rs` replays random syscall programs through a
 //! coroutine-free interpreter over a bare `Kernel` to pin that the
@@ -79,21 +83,21 @@ impl std::fmt::Display for ProcPanic {
 impl std::error::Error for ProcPanic {}
 
 /// Incremental view of [`Kernel::next_runnable`]: a `(time, pid)` binary
-/// min-heap with lazy invalidation.
+/// min-heap with exactly one entry per live process of the current run.
 ///
 /// The kernel's scan is the *semantic definition* of the resume rule —
 /// the minimum `(local time, pid)` over live active processes — but it
 /// is O(n) per context switch, which made the events driver O(n²) for
-/// the 2048-process fleet. Only the **running** process's clock can
-/// change per syscall, so the minimum is maintainable incrementally:
+/// the 2048-process fleet. The process that is running is always the
+/// top of the heap: it was the minimum when the driver resumed it, and
+/// only its own clock moves during its syscall. So:
 ///
-/// - [`RunQueue::touch`] pushes a `(time, pid)` entry when a pid's clock
-///   actually changed (zero-cost syscalls like `yield_now` push
-///   nothing, else the heap would grow without bound);
-/// - superseded and retired entries stay in the heap and are discarded
-///   lazily when they surface at the top ([`RunQueue::min`]);
-/// - `pushed[pid - base]` records the single live entry per pid, so
-///   staleness is one vector compare.
+/// - [`RunQueue::touch`] rewrites the top's time in place (and writes
+///   nothing when a zero-cost syscall like `yield_now` left it alone);
+/// - [`RunQueue::retire`] pops the top;
+/// - [`RunQueue::min`] is the top, and [`RunQueue::runner_up`] the
+///   smaller of its two children: the process that runs next unless the
+///   running one still holds the minimum after its syscall.
 ///
 /// Equivalence with the scan is enforced by a `debug_assert` on every
 /// scheduling decision (all tests run with it) and by a dedicated
@@ -101,52 +105,48 @@ impl std::error::Error for ProcPanic {}
 #[derive(Debug, Default)]
 struct RunQueue {
     heap: BinaryHeap<Reverse<(Nanos, usize)>>,
-    /// First pid of the current run; a run's pids are dense and
-    /// consecutive, so `pushed` is sized by the run, not by every pid the
-    /// machine ever issued.
-    base: usize,
-    /// `pushed[pid - base]` is the time of pid's current (valid) heap
-    /// entry; `None` means the pid has finished.
-    pushed: Vec<Option<Nanos>>,
 }
 
 impl RunQueue {
-    /// Rebuilds the queue for a fresh run over the consecutive `pids`.
+    /// Rebuilds the queue for a fresh run over `pids`.
     fn install(&mut self, pids: &[usize], kernel: &Kernel) {
         self.heap.clear();
-        self.base = pids[0];
-        self.pushed.clear();
-        self.pushed.resize(pids.len(), None);
-        for &pid in pids {
-            self.touch(pid, kernel.proc_time(pid));
-        }
+        self.heap.extend(
+            pids.iter()
+                .map(|&pid| Reverse((kernel.proc_time(pid), pid))),
+        );
     }
 
-    /// Records that `pid`'s clock is now `now`. No-op when unchanged, so
-    /// heap growth is bounded by the number of *time-advancing* syscalls.
+    /// Records that the running process `pid`, the top, is now at `now`.
     fn touch(&mut self, pid: usize, now: Nanos) {
-        let slot = &mut self.pushed[pid - self.base];
-        if *slot != Some(now) {
-            *slot = Some(now);
-            self.heap.push(Reverse((now, pid)));
+        let mut top = self.heap.peek_mut().expect("the running process is queued");
+        debug_assert_eq!(top.0 .1, pid, "touched a process that is not running");
+        // Only a write through `PeekMut` sifts, so an unchanged clock
+        // costs one compare.
+        if top.0 .0 != now {
+            top.0 .0 = now;
         }
     }
 
-    /// Removes `pid` from scheduling (its heap entries die lazily).
+    /// Removes the running process `pid`, the top, from scheduling.
     fn retire(&mut self, pid: usize) {
-        self.pushed[pid - self.base] = None;
+        let top = self.heap.pop();
+        debug_assert_eq!(
+            top.map(|e| e.0 .1),
+            Some(pid),
+            "retired a process that is not running"
+        );
     }
 
-    /// The schedulable pid with the smallest `(time, pid)`, discarding
-    /// stale heap entries on the way.
-    fn min(&mut self) -> Option<usize> {
-        while let Some(&Reverse((time, pid))) = self.heap.peek() {
-            if self.pushed[pid - self.base] == Some(time) {
-                return Some(pid);
-            }
-            self.heap.pop();
-        }
-        None
+    /// The schedulable pid with the smallest `(time, pid)`.
+    fn min(&self) -> Option<usize> {
+        self.heap.peek().map(|e| e.0 .1)
+    }
+
+    /// The smaller of the top's two children: the second-smallest entry.
+    fn runner_up(&self) -> Option<usize> {
+        let children = self.heap.as_slice().get(1..)?;
+        children.iter().take(2).max().map(|e| e.0 .1)
     }
 }
 
@@ -330,43 +330,45 @@ impl Sim {
                 .iter()
                 .map(|_| trace::TraceCtx::new(start))
                 .collect();
-            let mut coros: Vec<coro::Coro<'_>> = workloads
-                .into_iter()
-                .zip(pids.iter().zip(slots.iter()))
-                .map(|(workload, (&pid, slot))| {
-                    let shared = Rc::clone(&self.shared);
-                    coro::Coro::new(Box::new(move |core| {
-                        let proc_handle = SimProc {
-                            shared: Rc::clone(&shared),
-                            pid,
-                            yielder: Some(core),
-                        };
-                        let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
-                        slot.set(Some(outcome));
-                        // Retire the process so the driver's next
-                        // decision moves past it, panic or no panic.
-                        let mut st = shared.state();
-                        st.kernel.finish_proc(pid);
-                        st.sched.runq.retire(pid);
-                    }))
-                })
-                .collect();
+            let mut coros =
+                coro::Coros::new(workloads.into_iter().zip(pids.iter().zip(&slots)).map(
+                    |(workload, (&pid, slot))| {
+                        let shared = Rc::clone(&self.shared);
+                        move |core| {
+                            let proc_handle = SimProc {
+                                shared: Rc::clone(&shared),
+                                pid,
+                                yielder: Some(core),
+                            };
+                            let outcome = catch_unwind(AssertUnwindSafe(|| workload(&proc_handle)));
+                            slot.set(Some(outcome));
+                            // Retire the process so the driver's next
+                            // decision moves past it, panic or no panic.
+                            let mut st = shared.state();
+                            st.kernel.finish_proc(pid);
+                            st.sched.runq.retire(pid);
+                        }
+                    },
+                ));
 
             loop {
-                let next = {
+                let (next, then) = {
                     let mut st = self.shared.state();
-                    match choose_next(&mut st) {
+                    match choose_next(&st) {
                         Some(pid) => {
                             st.sched.running = pid;
-                            pid
+                            (pid, st.sched.runq.runner_up())
                         }
                         None => break,
                     }
                 };
                 // Pids from add_proc are dense and consecutive.
+                if let Some(then) = then {
+                    coros.prefetch(then - base);
+                }
                 let idx = next - base;
                 trace::swap_ctx(&mut trace_ctxs[idx]);
-                coros[idx].resume();
+                coros.resume(idx);
                 trace::swap_ctx(&mut trace_ctxs[idx]);
             }
             let mut st = self.shared.state();
@@ -406,8 +408,8 @@ impl Sim {
 /// O(log n) by the incremental [`RunQueue`]; the kernel's O(n) scan
 /// remains the semantic definition and cross-checks every decision in
 /// debug builds.
-fn choose_next(st: &mut State) -> Option<usize> {
-    let State { kernel, sched } = &mut *st;
+fn choose_next(st: &State) -> Option<usize> {
+    let State { kernel, sched } = st;
     let next = sched.runq.min();
     debug_assert_eq!(
         next,
@@ -449,7 +451,7 @@ impl SimProc {
         // touch keeps the run queue exact.
         let now = st.kernel.proc_time(self.pid);
         st.sched.runq.touch(self.pid, now);
-        if choose_next(&mut st) != Some(self.pid) {
+        if choose_next(&st) != Some(self.pid) {
             // The driver loop and the process it resumes next borrow the
             // state again, so this borrow must end before switching.
             drop(st);
@@ -850,14 +852,17 @@ mod tests {
     fn run_queue_matches_kernel_scan_under_random_ops() {
         // Drive the kernel directly with the same op mix the executor
         // issues — clock advances on the scheduled minimum, zero-cost
-        // touches, and retirements — and assert the incremental queue
-        // answers every scheduling question exactly like the O(n) scan.
+        // touches, and retirements of the scheduled minimum — and assert
+        // the incremental queue answers every scheduling question exactly
+        // like the O(n) scan, holding one entry per live process.
         gray_toolbox::prop::check("run_queue_matches_scan", 40, |g| {
             let mut kernel = Kernel::new(SimConfig::small().with_seed(g.u64(0..u64::MAX)));
             let n = g.usize(1..12);
             let active: Vec<usize> = (0..n).map(|_| kernel.add_proc(kernel.max_time())).collect();
             let mut rq = RunQueue::default();
             rq.install(&active, &kernel);
+            let live = |kernel: &Kernel| active.iter().filter(|&&p| kernel.proc_live(p)).count();
+            assert_eq!(rq.heap.len(), n, "one entry per installed process");
             for _ in 0..g.usize(5..80) {
                 let scan = kernel.next_runnable(&active);
                 assert_eq!(rq.min(), scan, "queue and scan disagree");
@@ -869,11 +874,8 @@ mod tests {
                         rq.retire(pid);
                     }
                     1 => {
-                        // Zero-cost syscall: the clock does not move and
-                        // the heap must not grow a duplicate entry.
-                        let before = rq.heap.len();
+                        // Zero-cost syscall: the clock does not move.
                         rq.touch(pid, kernel.proc_time(pid));
-                        assert_eq!(rq.heap.len(), before, "no-op touch grew the heap");
                     }
                     _ => {
                         // Time-advancing syscall on the scheduled pid —
@@ -882,13 +884,24 @@ mod tests {
                         rq.touch(pid, kernel.proc_time(pid));
                     }
                 }
+                assert_eq!(rq.heap.len(), live(&kernel), "an entry per live process");
+                let mut order: Vec<_> = active.iter().filter(|&&p| kernel.proc_live(p)).collect();
+                order.sort_by_key(|&&p| (kernel.proc_time(p), p));
+                assert_eq!(
+                    rq.runner_up(),
+                    order.get(1).map(|&&p| p),
+                    "runner-up is the second minimum"
+                );
                 let latest = (0..n).map(|pid| kernel.proc_time(pid)).max();
                 assert_eq!(Some(kernel.max_time()), latest, "high-water mark drifted");
             }
-            // Drain: retire everything and the queue must empty out.
-            for &pid in &active {
+            // Drain: retire the minimum until the queue is empty, as the
+            // executor does when every process runs to its end.
+            while let Some(pid) = kernel.next_runnable(&active) {
+                assert_eq!(rq.min(), Some(pid), "queue and scan disagree");
                 kernel.finish_proc(pid);
                 rq.retire(pid);
+                assert_eq!(rq.heap.len(), live(&kernel), "an entry per live process");
             }
             assert_eq!(rq.min(), None);
         });
