@@ -139,6 +139,8 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
             PassPolicy::Static(_) => None,
         };
 
+        // The pages of one touch batch, refilled for every batch.
+        let mut plan = Vec::with_capacity(TOUCH_BATCH as usize);
         let mut offset = 0u64;
         let mut run_idx = 0usize;
         while offset < total_bytes {
@@ -186,7 +188,8 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
                 let last_page = (done + n - 1) / page;
                 for batch_start in (first_page..=last_page).step_by(TOUCH_BATCH as usize) {
                     let batch_end = (batch_start + TOUCH_BATCH - 1).min(last_page);
-                    let plan: Vec<u64> = (batch_start..=batch_end).collect();
+                    plan.clear();
+                    plan.extend(batch_start..=batch_end);
                     if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
                         return Err(OsError::InvalidArgument);
                     }
@@ -206,13 +209,9 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
             for _ in 0..2 {
                 for batch_start in (0..buf_pages).step_by(TOUCH_BATCH as usize) {
                     let batch_end = (batch_start + TOUCH_BATCH).min(buf_pages);
-                    let sweep: Vec<u64> = (batch_start..batch_end).collect();
-                    if self
-                        .os
-                        .mem_probe_batch(region, &sweep)
-                        .iter()
-                        .any(|s| !s.ok)
-                    {
+                    plan.clear();
+                    plan.extend(batch_start..batch_end);
+                    if self.os.mem_probe_batch(region, &plan).iter().any(|s| !s.ok) {
                         return Err(OsError::InvalidArgument);
                     }
                 }

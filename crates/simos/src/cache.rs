@@ -204,11 +204,12 @@ impl Resident {
 }
 
 /// A pool's owner records: a slab, the map from owner to slab index, and
-/// a memo of the last owner a touch or insert found, which turns one hash
-/// per page of a scan or probe sweep into one per run. The memo can only
-/// go stale by naming a record that is gone, and records go in exactly one
-/// place, [`Owners::drop_record`], which clears it; a record's index never
-/// changes while it lives.
+/// a memo of the last two owners a touch or insert found (a written page
+/// alternates between its inode-table block and itself), which turns one
+/// hash per page of a scan or probe sweep into one per run. The memo can
+/// only go stale by naming a record that is gone, and records go in exactly
+/// one place, [`Owners::drop_record`], which clears the entry naming it; a
+/// record's index never changes while it lives.
 #[derive(Debug, Default)]
 struct Owners {
     records: Vec<Resident>,
@@ -216,16 +217,24 @@ struct Owners {
     vacant: Vec<u32>,
     /// Every owner with a resident page, to its record.
     index: FastMap<Owner, u32>,
-    memo: Option<(Owner, u32)>,
+    /// Most recently found first.
+    memo: [Option<(Owner, u32)>; 2],
 }
 
 impl Owners {
     /// The record of `owner`, if it has a resident page.
     #[inline]
     fn find(&self, owner: Owner) -> Option<u32> {
-        match self.memo {
-            Some((o, r)) if o == owner => Some(r),
-            _ => self.index.get(&owner).copied(),
+        let memo = self.memo.into_iter().flatten().find(|&(o, _)| o == owner);
+        memo.map(|(_, r)| r)
+            .or_else(|| self.index.get(&owner).copied())
+    }
+
+    /// Puts `owner`'s record at the front of the memo.
+    #[inline]
+    fn remember(&mut self, owner: Owner, r: u32) {
+        if self.memo[0] != Some((owner, r)) {
+            self.memo = [Some((owner, r)), self.memo[0]];
         }
     }
 
@@ -234,7 +243,7 @@ impl Owners {
     #[inline]
     fn find_run(&mut self, owner: Owner) -> Option<u32> {
         let r = self.find(owner)?;
-        self.memo = Some((owner, r));
+        self.remember(owner, r);
         Some(r)
     }
 
@@ -248,16 +257,14 @@ impl Owners {
             (self.records.len() - 1) as u32
         });
         self.index.insert(owner, r);
-        self.memo = Some((owner, r));
+        self.remember(owner, r);
         r
     }
 
     /// Takes `owner`'s record out, table and all.
     fn drop_record(&mut self, owner: Owner) -> Option<Resident> {
         let r = self.index.remove(&owner)?;
-        if self.memo.is_some_and(|(o, _)| o == owner) {
-            self.memo = None;
-        }
+        self.memo = self.memo.map(|m| m.filter(|&(o, _)| o != owner));
         self.vacant.push(r);
         Some(std::mem::replace(
             &mut self.records[r as usize],
@@ -956,12 +963,8 @@ mod tests {
 
         let (mut owned, mut slots) = (0, 0);
         let owners = &pool.owners;
-        if let Some((owner, r)) = owners.memo {
-            assert_eq!(
-                owners.index.get(&owner),
-                Some(&r),
-                "memo names a dead record"
-            );
+        for (owner, r) in owners.memo.iter().flatten() {
+            assert_eq!(owners.index.get(owner), Some(r), "memo names a dead record");
         }
         assert_eq!(
             owners.index.len() + owners.vacant.len(),

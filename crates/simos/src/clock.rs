@@ -179,6 +179,43 @@ mod tests {
         }
     }
 
+    /// The charge arithmetic's known answers at seed 7 — jitter draw,
+    /// `mul_f64`, spike draw — with spikes frequent enough to land on every
+    /// duration; 0 ns takes no jitter draw. Every digest rests on these.
+    #[test]
+    fn noise_replays_its_known_answers() {
+        const KNOWN: [u64; 256] = [
+            0, 36, 245, 1485, 8541, 871_985, 0, 43, 250, 1348, 7947, 1_052_686, 0, 40, 317_566,
+            1448, 9818, 1_002_275, 0, 41, 257, 1608, 9317, 969_812, 0, 38, 235, 1300, 8243,
+            1_019_836, 0, 37, 241, 1598, 10_024, 938_063, 0, 92_779, 261, 1659, 9921, 1_147_820, 0,
+            44, 245, 1496, 8582, 851_001, 0, 42, 255, 1489, 10_070, 1_108_902, 0, 39, 243, 1304,
+            9471, 1_036_891, 0, 37, 226, 1690, 8658, 878_363, 0, 44, 242, 1712, 9044, 916_901, 0,
+            34, 285, 1423, 9968, 999_500, 119_876, 45, 413_271, 1483, 8807, 1_007_931, 0, 42, 243,
+            1551, 8512, 970_728, 0, 31_637, 261, 1388, 8144, 1_028_235, 0, 36, 259, 1430, 9467,
+            850_375, 0, 42, 232, 1452, 10_317, 1_056_884, 0, 34, 245, 1399, 8722, 861_244, 15_598,
+            37, 262, 256_058, 8535, 971_869, 0, 98_850, 236, 1570, 8883, 996_392, 0, 35, 270, 1344,
+            212_832, 1_115_177, 0, 43, 262, 1587, 10_261, 1_471_707, 0, 42, 270, 1668, 9118,
+            1_109_005, 0, 45, 282, 1498, 9177, 1_003_218, 0, 42, 254, 1648, 8518, 937_265, 7043,
+            46, 265, 1352, 9869, 936_304, 0, 35, 278, 1703, 9163, 1_134_696, 0, 42, 251, 1428,
+            8151, 1_099_710, 0, 45, 278, 1622, 9860, 929_223, 0, 37, 271, 1347, 8307, 1_033_389, 0,
+            39, 227, 1644, 8971, 1_124_935, 0, 36, 265, 1302, 7894, 1_149_552, 0, 35, 217, 781_393,
+            8147, 864_500, 0, 37, 231, 1566, 9007, 1_032_599, 0, 45, 284, 1483, 10_030, 922_574, 0,
+            46, 235, 1413, 10_093, 1_136_634, 0, 37, 282, 158_529, 7926, 934_349, 0, 246_613, 261,
+            86_622, 9465, 990_623, 0, 43, 251, 1447, 9631, 1_041_276, 0, 35, 278, 1562, 8952,
+            880_473, 0, 35, 287, 1600, 9180, 1_022_486, 0, 39, 263, 1539,
+        ];
+        let params = NoiseParams {
+            jitter_frac: 0.15,
+            spike_prob: 0.05,
+            timer_quantum_ns: 1,
+        };
+        let mut n = Noise::new(params, 7);
+        let durations = [0, 40, 250, 1_500, 9_000, 1_000_000].into_iter().cycle();
+        for (i, (d, want)) in durations.zip(KNOWN).enumerate() {
+            assert_eq!(n.apply(GrayDuration(d)), GrayDuration(want), "charge {i}");
+        }
+    }
+
     #[test]
     fn quantization_truncates() {
         let n = Noise::new(

@@ -357,6 +357,17 @@ impl SimConfig {
                 "flusher interval must be positive"
             );
         }
+        // `1 ± jitter_frac` must stay a positive factor and `spike_prob` a
+        // probability; NaN is neither.
+        let (jitter, spike) = (self.noise.jitter_frac, self.noise.spike_prob);
+        assert!(
+            (0.0..1.0).contains(&jitter),
+            "noise.jitter_frac {jitter} outside [0, 1)"
+        );
+        assert!(
+            (0.0..=1.0).contains(&spike),
+            "noise.spike_prob {spike} outside [0, 1]"
+        );
     }
 }
 
@@ -392,6 +403,38 @@ mod tests {
         let mut cfg = SimConfig::small();
         cfg.swap_disk = 9;
         cfg.validate();
+    }
+
+    /// Boots a machine whose noise has `jitter_frac` and `spike_prob`.
+    fn boot_with_noise(jitter_frac: f64, spike_prob: f64) {
+        let mut cfg = SimConfig::small();
+        cfg.noise.jitter_frac = jitter_frac;
+        cfg.noise.spike_prob = spike_prob;
+        crate::Sim::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise.spike_prob 1.5 outside [0, 1]")]
+    fn spike_prob_above_one_is_rejected() {
+        boot_with_noise(0.05, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise.spike_prob NaN outside [0, 1]")]
+    fn nan_spike_prob_is_rejected() {
+        boot_with_noise(0.05, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise.jitter_frac 1 outside [0, 1)")]
+    fn jitter_frac_of_one_is_rejected() {
+        boot_with_noise(1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise.jitter_frac NaN outside [0, 1)")]
+    fn nan_jitter_frac_is_rejected() {
+        boot_with_noise(f64::NAN, 0.0);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 
-/// A set of `u64`s kept as disjoint, non-adjacent half-open runs.
-#[derive(Debug, Clone)]
+/// A set of `u64`s kept as disjoint, non-adjacent half-open runs (so two
+/// sets are equal exactly when their runs are).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FreeSet {
     /// `end` (exclusive) `-> start` of every maximal run.
     runs: BTreeMap<u64, u64>,

@@ -196,19 +196,105 @@ struct Group {
     rotor: u64,
 }
 
+/// The cylinder groups and the data-block allocator over them, apart from
+/// the inodes so that a file grows with its inode in hand.
+#[derive(Debug, Clone)]
+struct Space {
+    groups: Vec<Group>,
+    /// Exactly the groups with a free data block (DESIGN.md §19).
+    spacious: FreeSet,
+    /// LFS log head: the group index the log is currently writing into
+    /// (the per-group rotor supplies the position within the group).
+    log_group: usize,
+    layout: crate::config::LayoutPolicy,
+    /// Blocks per group, inode table included.
+    span: u64,
+}
+
 /// The file system over one disk.
 #[derive(Debug)]
 pub struct Fs {
     params: crate::config::FsParams,
     dev: u32,
-    groups: Vec<Group>,
+    space: Space,
     inodes: FastMap<Ino, Inode>,
     content: Content,
     io: IoLog,
     next_fill: u8,
-    /// LFS log head: the group index the log is currently writing into
-    /// (the per-group rotor supplies the position within the group).
-    log_group: usize,
+}
+
+impl Space {
+    fn group_of_block(&self, block: u64) -> usize {
+        (block / self.span) as usize
+    }
+
+    /// A free data block for a file whose home is `group`: `near` (for
+    /// contiguity) if it is free in `group`; else, in the first group with
+    /// space at or after `group` (wrapping), the first free block at or
+    /// after that group's rotor (wrapping to the start of its data area).
+    ///
+    /// Under [`crate::config::LayoutPolicy::Lfs`], all of that is ignored:
+    /// every block comes from the global log head, so temporal write
+    /// order *is* spatial order.
+    fn alloc_data_block(&mut self, group: usize, near: Option<u64>) -> OsResult<u64> {
+        if self.layout == crate::config::LayoutPolicy::Lfs {
+            return self.alloc_log_block();
+        }
+        if let Some(want) = near.filter(|&b| self.group_of_block(b) == group) {
+            if self.take(group, want) {
+                return Ok(want);
+            }
+        }
+        let spacious = &self.spacious;
+        let gi = spacious
+            .first_from(group as u64)
+            .or_else(|| spacious.first());
+        let gi = gi.ok_or(OsError::NoSpace)? as usize;
+        Ok(self.take_at_rotor(gi, true).expect("a group with space"))
+    }
+
+    /// LFS: the next block at the log head, advancing through groups and
+    /// wrapping (a trivial "cleaner": freed blocks become allocatable once
+    /// the head wraps back around to them).
+    fn alloc_log_block(&mut self) -> OsResult<u64> {
+        if let Some(b) = self.take_at_rotor(self.log_group, false) {
+            return Ok(b);
+        }
+        // The head's own group comes round last, and wraps only then.
+        let spacious = &self.spacious;
+        let next = spacious.first_from(self.log_group as u64 + 1);
+        let gi = next.or_else(|| spacious.first()).ok_or(OsError::NoSpace)? as usize;
+        self.log_group = gi;
+        Ok(self.take_at_rotor(gi, true).expect("a group with space"))
+    }
+
+    /// Rotor search in group `gi`: takes the first free block at or after
+    /// the rotor, or with `wrap` the first of the group, and moves the
+    /// rotor past it.
+    fn take_at_rotor(&mut self, gi: usize, wrap: bool) -> Option<u64> {
+        let free = &self.groups[gi].free_blocks;
+        let from_rotor = free.first_from(self.groups[gi].rotor);
+        let b = from_rotor.or_else(|| free.first().filter(|_| wrap))?;
+        self.take(gi, b);
+        self.groups[gi].rotor = b + 1;
+        Some(b)
+    }
+
+    /// Takes `block` from group `gi`; `false` if it was not free there.
+    fn take(&mut self, gi: usize, block: u64) -> bool {
+        let free = &mut self.groups[gi].free_blocks;
+        let took = free.take(block);
+        if took && free.len() == 0 {
+            self.spacious.take(gi as u64);
+        }
+        took
+    }
+
+    fn free(&mut self, block: u64) {
+        let g = self.group_of_block(block);
+        self.groups[g].free_blocks.insert(block);
+        self.spacious.insert(g as u64);
+    }
 }
 
 impl Fs {
@@ -232,20 +318,27 @@ impl Fs {
                 rotor: data_start,
             });
         }
+        // Every group has the same data area, or none has one.
+        let with_space = groups.iter().filter(|g| g.free_blocks.len() > 0).count();
         let mut fs = Fs {
             params,
             dev,
-            groups,
+            space: Space {
+                groups,
+                spacious: FreeSet::new(0, with_space as u64),
+                log_group: 0,
+                layout: params.layout,
+                span: group_span,
+            },
             inodes: FastMap::default(),
             content: Content::new(),
             io: IoLog::default(),
             next_fill: 1,
-            log_group: 0,
         };
         // Materialize the root directory. I-numbers 0..=2 are reserved;
         // claim them from group 0.
         for reserved in 0..=ROOT_INO {
-            fs.groups[0].free_inos.take(reserved);
+            fs.space.groups[0].free_inos.take(reserved);
         }
         fs.inodes.insert(
             ROOT_INO,
@@ -275,6 +368,19 @@ impl Fs {
         std::mem::take(&mut self.io)
     }
 
+    /// Hands back a log [`Fs::take_io`] returned, to log into (emptied).
+    pub fn return_io(&mut self, io: IoLog) {
+        debug_assert_eq!(self.io, IoLog::default(), "logged while taken");
+        self.io = io;
+        self.discard_io();
+    }
+
+    /// Forgets the metadata I/O logged since the last take.
+    pub fn discard_io(&mut self) {
+        self.io.reads.clear();
+        self.io.writes.clear();
+    }
+
     /// Looks at an inode (oracle/tests; does not log I/O).
     pub fn inode(&self, ino: Ino) -> Option<&Inode> {
         self.inodes.get(&ino)
@@ -282,7 +388,7 @@ impl Fs {
 
     /// Number of cylinder groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.space.groups.len()
     }
 
     // --- Metadata I/O accounting ----------------------------------------
@@ -291,7 +397,7 @@ impl Fs {
     fn inode_disk_block(&self, ino: Ino) -> u64 {
         let g = (ino / self.params.inodes_per_group) as usize;
         let idx_in_group = ino % self.params.inodes_per_group;
-        self.groups[g].itable_start + idx_in_group / INODES_PER_BLOCK
+        self.space.groups[g].itable_start + idx_in_group / INODES_PER_BLOCK
     }
 
     fn log_inode_read(&mut self, ino: Ino) {
@@ -355,7 +461,7 @@ impl Fs {
         };
         while self.inodes[&dir].blocks.len() < needed {
             let near = last.map(|b| b + 1);
-            let block = self.alloc_data_block(group, near)?;
+            let block = self.space.alloc_data_block(group, near)?;
             self.inodes
                 .get_mut(&dir)
                 .expect("dir exists")
@@ -369,78 +475,12 @@ impl Fs {
 
     /// Lowest free i-number, preferring `group` then scanning onward.
     fn alloc_ino(&mut self, group: usize) -> OsResult<(Ino, usize)> {
-        let n = self.groups.len();
+        let n = self.space.groups.len();
         for off in 0..n {
             let g = (group + off) % n;
-            if let Some(ino) = self.groups[g].free_inos.first() {
-                self.groups[g].free_inos.take(ino);
+            if let Some(ino) = self.space.groups[g].free_inos.first() {
+                self.space.groups[g].free_inos.take(ino);
                 return Ok((ino, g));
-            }
-        }
-        Err(OsError::NoSpace)
-    }
-
-    /// A free data block, preferring `near` (for contiguity), then
-    /// first-fit in `group`, then any group.
-    ///
-    /// Under [`crate::config::LayoutPolicy::Lfs`], all of that is ignored:
-    /// every block comes from the global log head, so temporal write
-    /// order *is* spatial order.
-    fn alloc_data_block(&mut self, group: usize, near: Option<u64>) -> OsResult<u64> {
-        if self.params.layout == crate::config::LayoutPolicy::Lfs {
-            return self.alloc_log_block();
-        }
-        if let Some(want) = near {
-            let g = &mut self.groups[group];
-            if g.free_blocks.take(want) {
-                return Ok(want);
-            }
-        }
-        let n = self.groups.len();
-        for off in 0..n {
-            let gi = (group + off) % n;
-            let g = &mut self.groups[gi];
-            // A file that has outgrown its home group passes the groups it
-            // filled on the way to every further block.
-            if g.free_blocks.len() == 0 {
-                continue;
-            }
-            // Rotor search: first free block at or after the rotor, then
-            // wrap to the start of the group's data area.
-            let found = g
-                .free_blocks
-                .first_from(g.rotor)
-                .or_else(|| g.free_blocks.first());
-            if let Some(b) = found {
-                g.free_blocks.take(b);
-                g.rotor = b + 1;
-                return Ok(b);
-            }
-        }
-        Err(OsError::NoSpace)
-    }
-
-    /// LFS: the next block at the log head, advancing through groups and
-    /// wrapping (a trivial "cleaner": freed blocks become allocatable once
-    /// the head wraps back around to them).
-    fn alloc_log_block(&mut self) -> OsResult<u64> {
-        let n = self.groups.len();
-        for off in 0..=n {
-            let gi = (self.log_group + off) % n;
-            let g = &mut self.groups[gi];
-            let found = g.free_blocks.first_from(g.rotor).or_else(|| {
-                // Wrap within the group only when moving to it fresh.
-                if off > 0 {
-                    g.free_blocks.first()
-                } else {
-                    None
-                }
-            });
-            if let Some(b) = found {
-                g.free_blocks.take(b);
-                g.rotor = b + 1;
-                self.log_group = gi;
-                return Ok(b);
             }
         }
         Err(OsError::NoSpace)
@@ -457,7 +497,7 @@ impl Fs {
                 .get(page as usize)
                 .ok_or(OsError::InvalidArgument)?
         };
-        let new = self.alloc_log_block()?;
+        let new = self.space.alloc_log_block()?;
         self.content.relocate(old, new);
         self.free_data_block(old);
         let inode = self.inodes.get_mut(&ino).expect("checked above");
@@ -471,15 +511,8 @@ impl Fs {
         self.params.layout
     }
 
-    fn group_of_block(&self, block: u64) -> usize {
-        let itable_blocks = self.params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
-        let span = itable_blocks + self.params.blocks_per_group;
-        (block / span) as usize
-    }
-
     fn free_data_block(&mut self, block: u64) {
-        let g = self.group_of_block(block);
-        self.groups[g].free_blocks.insert(block);
+        self.space.free(block);
         self.content.set_fill(block, 0);
     }
 
@@ -493,12 +526,13 @@ impl Fs {
             self.free_data_block(block);
         }
         let g = (ino / self.params.inodes_per_group) as usize;
-        self.groups[g].free_inos.insert(ino);
+        self.space.groups[g].free_inos.insert(ino);
     }
 
     /// The group with the most free i-numbers (FFS spreads directories).
     fn emptiest_group(&self) -> usize {
-        self.groups
+        self.space
+            .groups
             .iter()
             .enumerate()
             .max_by_key(|(i, g)| (g.free_inos.len(), usize::MAX - i))
@@ -745,36 +779,27 @@ impl Fs {
     /// Allocates (if needed) the data block for `page` of `ino`, extending
     /// the file. Intervening holes are allocated too (no sparse files).
     pub fn ensure_block(&mut self, ino: Ino, page: u64) -> OsResult<u64> {
-        let (group, mut last) = {
-            let inode = self.inodes.get(&ino).ok_or(OsError::NotFound)?;
-            if let Some(&b) = inode.blocks.get(page as usize) {
-                return Ok(b);
-            }
-            (inode.group, inode.blocks.last().copied())
-        };
-        let mut allocated = Vec::new();
-        let have = self.inodes[&ino].blocks.len() as u64;
-        for _ in have..=page {
-            let near = last.map(|b| b + 1);
-            let b = match self.alloc_data_block(group, near) {
-                Ok(b) => b,
+        let inode = self.inodes.get_mut(&ino).ok_or(OsError::NotFound)?;
+        if let Some(&b) = inode.blocks.get(page as usize) {
+            return Ok(b);
+        }
+        let had = inode.blocks.len();
+        while inode.blocks.len() as u64 <= page {
+            let near = inode.blocks.last().map(|b| b + 1);
+            match self.space.alloc_data_block(inode.group, near) {
+                Ok(b) => inode.blocks.push(b),
                 Err(e) => {
                     // The extension is all or nothing: give back what
                     // this call took before the disk ran out.
-                    for b in allocated.into_iter().rev() {
+                    let taken = inode.blocks.split_off(had);
+                    for b in taken.into_iter().rev() {
                         self.free_data_block(b);
                     }
                     return Err(e);
                 }
-            };
-            allocated.push(b);
-            last = Some(b);
+            }
         }
-        let block = {
-            let inode = self.inodes.get_mut(&ino).expect("checked above");
-            inode.blocks.extend_from_slice(&allocated);
-            *inode.blocks.get(page as usize).expect("just allocated")
-        };
+        let block = inode.blocks[page as usize];
         self.log_inode_write(ino);
         Ok(block)
     }
@@ -844,14 +869,17 @@ impl Fs {
 
     /// Free space in bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.free_blocks.len()).sum::<u64>() * PAGE_SIZE
+        let free_blocks = self.space.groups.iter().map(|g| g.free_blocks.len());
+        free_blocks.sum::<u64>() * PAGE_SIZE
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use gray_toolbox::prop::{check, Gen};
+
     use super::*;
-    use crate::config::FsParams;
+    use crate::config::{FsParams, LayoutPolicy};
 
     fn fs() -> Fs {
         // 2 groups of (32 itable + 4096 data) blocks.
@@ -1188,15 +1216,15 @@ mod tests {
         f.unlink("/a", Nanos::ZERO).unwrap();
         let b = f.create("/b", Nanos::ZERO).unwrap();
         f.ensure_block(b, 5).unwrap();
-        let before = (f.free_bytes(), f.groups[0].free_inos.len());
+        let before = (f.free_bytes(), f.space.groups[0].free_inos.len());
         assert_eq!(before.0, 4096);
         // The directory gets its block, but root cannot grow to name it.
         assert_eq!(f.mkdir("/d", Nanos::ZERO), Err(OsError::NoSpace));
-        assert_eq!((f.free_bytes(), f.groups[0].free_inos.len()), before);
+        assert_eq!((f.free_bytes(), f.space.groups[0].free_inos.len()), before);
         f.ensure_block(b, 6).unwrap();
         // No block at all: a file cannot be entered either.
         assert_eq!(f.create("/x", Nanos::ZERO), Err(OsError::NoSpace));
-        assert_eq!(f.groups[0].free_inos.len(), before.1);
+        assert_eq!(f.space.groups[0].free_inos.len(), before.1);
         assert!(f.resolve("/d").is_err() && f.resolve("/x").is_err());
         assert_eq!(f.list_dir("/").unwrap().len(), 128);
         // With an entry to spare both succeed, on the lowest i-numbers.
@@ -1221,5 +1249,207 @@ mod tests {
         let a = f.create("/a", Nanos::ZERO).unwrap();
         f.ensure_block(a, 0).unwrap();
         assert!(f.free_bytes() < before);
+    }
+
+    /// The allocator before `spacious`, kept as the definition of where a
+    /// block goes: under LFS the log head; otherwise `near` if it is free
+    /// in the home group, else a walk over every group cyclically from the
+    /// home group, skipping full ones, to the first free block at or after
+    /// the rotor of the first group with one. Takes the block.
+    fn walk(space: &mut Space, group: usize, near: Option<u64>) -> OsResult<u64> {
+        let n = space.groups.len();
+        if space.layout == LayoutPolicy::Lfs {
+            for off in 0..=n {
+                let gi = (space.log_group + off) % n;
+                let g = &mut space.groups[gi];
+                let found = g.free_blocks.first_from(g.rotor).or_else(|| {
+                    // Wrap within the group only when moving to it fresh.
+                    if off > 0 {
+                        g.free_blocks.first()
+                    } else {
+                        None
+                    }
+                });
+                if let Some(b) = found {
+                    g.free_blocks.take(b);
+                    g.rotor = b + 1;
+                    space.log_group = gi;
+                    return Ok(b);
+                }
+            }
+            return Err(OsError::NoSpace);
+        }
+        if let Some(want) = near {
+            if space.groups[group].free_blocks.take(want) {
+                return Ok(want);
+            }
+        }
+        for off in 0..n {
+            let g = &mut space.groups[(group + off) % n];
+            if g.free_blocks.len() == 0 {
+                continue;
+            }
+            let found = g
+                .free_blocks
+                .first_from(g.rotor)
+                .or_else(|| g.free_blocks.first());
+            if let Some(b) = found {
+                g.free_blocks.take(b);
+                g.rotor = b + 1;
+                return Ok(b);
+            }
+        }
+        Err(OsError::NoSpace)
+    }
+
+    /// Gives `block` back in the reference, as `release_inode` does.
+    fn give_back(reference: &mut Space, block: u64) {
+        let g = reference.group_of_block(block);
+        assert!(reference.groups[g].free_blocks.insert(block));
+    }
+
+    /// Has the reference walk pick the blocks `ino` holds beyond its first
+    /// `had`, in order, and checks that it picks the same ones.
+    fn replay_growth(reference: &mut Space, f: &Fs, ino: Ino, had: usize) {
+        let inode = f.inode(ino).expect("live inode");
+        for i in had..inode.blocks.len() {
+            let near = i.checked_sub(1).map(|j| inode.blocks[j] + 1);
+            let want = walk(reference, inode.group, near);
+            assert_eq!(Ok(inode.blocks[i]), want, "block {i} of inode {ino}");
+        }
+    }
+
+    fn block_count(f: &Fs, ino: Ino) -> usize {
+        f.inode(ino).expect("live inode").blocks.len()
+    }
+
+    /// Random create / extend / unlink / rename (and, under LFS, overwrite)
+    /// sequences on a small multi-group file system, against a copy of its
+    /// groups that allocates by the cyclic walk. After every operation the
+    /// free blocks, rotors and log head agree with the walk's, and
+    /// `spacious` holds exactly the groups with a free block. CI runs this
+    /// with `PROP_CASES=500`.
+    #[test]
+    fn allocator_matches_the_group_walk() {
+        check("allocator_model", 60, |g: &mut Gen| {
+            let layout = g.select(&[LayoutPolicy::Ffs, LayoutPolicy::Lfs]);
+            let params = FsParams {
+                layout,
+                blocks_per_group: g.u64(3..12),
+                inodes_per_group: 32,
+            };
+            // One i-table block a group, and sometimes a partial group's
+            // worth of blocks left over at the end of the disk.
+            let groups = g.u64(2..6);
+            let disk = groups * (1 + params.blocks_per_group) + g.u64(0..3);
+            let mut f = Fs::new(params, 0, disk);
+            let mut reference = f.space.clone();
+            // Directories land in the emptiest group, and their files follow.
+            let mut dirs = vec![String::new()];
+            for d in 0..g.usize(0..3) {
+                let root_had = block_count(&f, ROOT_INO);
+                let ino = f.mkdir(&format!("/d{d}"), Nanos::ZERO).unwrap();
+                replay_growth(&mut reference, &f, ino, 0);
+                replay_growth(&mut reference, &f, ROOT_INO, root_had);
+                dirs.push(format!("/d{d}"));
+            }
+            let mut files: Vec<(String, Ino)> = Vec::new();
+            for step in 0..g.usize(1..150) {
+                let pick = if files.is_empty() { 0 } else { g.usize(0..10) };
+                match pick {
+                    0..=2 => {
+                        let dir = g.select(&dirs);
+                        let dino = f.resolve(if dir.is_empty() { "/" } else { &dir }).unwrap();
+                        let had = block_count(&f, dino);
+                        let path = format!("{dir}/f{step}");
+                        match f.create(&path, Nanos::ZERO) {
+                            Ok(ino) => files.push((path, ino)),
+                            Err(e) => assert_eq!(e, OsError::NoSpace, "create {path}"),
+                        }
+                        replay_growth(&mut reference, &f, dino, had);
+                    }
+                    3..=6 => {
+                        let ino = files[g.usize(0..files.len())].1;
+                        let had = block_count(&f, ino);
+                        // Now and then a page the file already has.
+                        let page = (had as u64 + g.u64(0..4)).saturating_sub(1);
+                        match f.ensure_block(ino, page) {
+                            Ok(_) => replay_growth(&mut reference, &f, ino, had),
+                            Err(e) => {
+                                assert_eq!(e, OsError::NoSpace);
+                                assert_eq!(block_count(&f, ino), had, "all or nothing");
+                                // The walk takes every free block before
+                                // it runs out, and the file gives them back.
+                                let inode = f.inode(ino).unwrap();
+                                let mut near = inode.blocks.last().map(|b| b + 1);
+                                let mut taken = Vec::new();
+                                while let Ok(b) = walk(&mut reference, inode.group, near) {
+                                    taken.push(b);
+                                    near = Some(b + 1);
+                                }
+                                for b in taken.into_iter().rev() {
+                                    give_back(&mut reference, b);
+                                }
+                            }
+                        }
+                    }
+                    7 => {
+                        let (path, ino) = files.swap_remove(g.usize(0..files.len()));
+                        let blocks = f.inode(ino).unwrap().blocks.clone();
+                        f.unlink(&path, Nanos::ZERO).unwrap();
+                        for b in blocks.into_iter().rev() {
+                            give_back(&mut reference, b);
+                        }
+                    }
+                    8 => {
+                        let i = g.usize(0..files.len());
+                        let dir = g.select(&dirs);
+                        let tdir = f.resolve(if dir.is_empty() { "/" } else { &dir }).unwrap();
+                        let had = block_count(&f, tdir);
+                        let to = format!("{dir}/r{step}");
+                        match f.rename(&files[i].0, &to, Nanos::ZERO) {
+                            Ok(()) => files[i].0 = to,
+                            Err(e) => {
+                                // The target directory could not grow;
+                                // the file is no longer worth following.
+                                assert_eq!(e, OsError::NoSpace, "rename to {to}");
+                                files.swap_remove(i);
+                            }
+                        }
+                        replay_growth(&mut reference, &f, tdir, had);
+                    }
+                    _ => {
+                        let ino = files[g.usize(0..files.len())].1;
+                        let had = block_count(&f, ino);
+                        if layout == LayoutPolicy::Lfs && had > 0 {
+                            // An overwrite moves the page to the log head.
+                            let page = g.u64(0..had as u64);
+                            let old = f.block_of(ino, page).unwrap();
+                            match f.relocate_block(ino, page) {
+                                Ok(new) => {
+                                    assert_eq!(walk(&mut reference, 0, None), Ok(new));
+                                    give_back(&mut reference, old);
+                                }
+                                Err(e) => assert_eq!(e, OsError::NoSpace),
+                            }
+                        }
+                    }
+                }
+                let (got, want) = (&f.space, &reference);
+                for (gi, (a, b)) in got.groups.iter().zip(&want.groups).enumerate() {
+                    assert_eq!(a.free_blocks, b.free_blocks, "group {gi}, step {step}");
+                    assert_eq!(a.rotor, b.rotor, "rotor of group {gi}, step {step}");
+                }
+                assert_eq!(got.log_group, want.log_group, "log head, step {step}");
+                let with_space: Vec<u64> = (0..got.groups.len() as u64)
+                    .filter(|&gi| got.groups[gi as usize].free_blocks.len() > 0)
+                    .collect();
+                let spacious: Vec<u64> = (0..got.groups.len() as u64)
+                    .filter(|&gi| got.spacious.first_from(gi) == Some(gi))
+                    .collect();
+                assert_eq!(spacious, with_space, "spacious, step {step}");
+                assert_eq!(got.spacious.len(), with_space.len() as u64);
+            }
+        });
     }
 }

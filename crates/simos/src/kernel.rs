@@ -342,26 +342,32 @@ impl Kernel {
         }
     }
 
-    /// Charges the metadata I/O a file-system operation performed.
+    /// Charges the metadata I/O a file-system operation performed, then
+    /// hands the emptied log back to the file system for the next one.
     fn charge_meta(&mut self, pid: usize, dev: usize) -> OsResult<()> {
         let io = self.fss[dev].take_io();
-        for r in io.reads {
-            let id = PageId::file(dev, r.ino, r.page);
-            if self.cache.lookup_touch(id) {
-                self.charge_cpu(pid, COSTS.page_lookup);
-            } else {
-                self.disk_io(pid, dev, r.disk_block, 1);
-                let ev = self.cache.insert(id, false);
+        let mut charge = || {
+            for r in &io.reads {
+                let id = PageId::file(dev, r.ino, r.page);
+                if self.cache.lookup_touch(id) {
+                    self.charge_cpu(pid, COSTS.page_lookup);
+                } else {
+                    self.disk_io(pid, dev, r.disk_block, 1);
+                    let ev = self.cache.insert(id, false);
+                    self.handle_evictions(pid, ev)?;
+                    self.charge_cpu(pid, COSTS.page_lookup);
+                }
+            }
+            for w in &io.writes {
+                let ev = self.cache.insert(PageId::file(dev, w.ino, w.page), true);
                 self.handle_evictions(pid, ev)?;
                 self.charge_cpu(pid, COSTS.page_lookup);
             }
-        }
-        for w in io.writes {
-            let ev = self.cache.insert(PageId::file(dev, w.ino, w.page), true);
-            self.handle_evictions(pid, ev)?;
-            self.charge_cpu(pid, COSTS.page_lookup);
-        }
-        Ok(())
+            Ok(())
+        };
+        let charged = charge();
+        self.fss[dev].return_io(io);
+        charged
     }
 
     // --- Mount resolution ---------------------------------------------------
@@ -534,7 +540,7 @@ impl Kernel {
                     let start_block = k.fss[of.dev].ensure_block(of.ino, page)?;
                     // Metadata I/O from block mapping (indirect blocks are
                     // folded into the inode cost model).
-                    k.fss[of.dev].take_io();
+                    k.fss[of.dev].discard_io();
                     k.disk_io(pid, of.dev, start_block, run);
                     for p in page..page + run {
                         let ev = k.cache.insert(PageId::file(of.dev, of.ino, p), false);
@@ -698,18 +704,17 @@ impl Kernel {
             let last_page = (offset + len - 1) / PAGE_SIZE;
             let mut cpu = GrayDuration::ZERO;
             for page in first_page..=last_page {
-                let disk_block = {
-                    let existed = k.fss[of.dev].block_of(of.ino, page).is_some();
-                    let r = if existed && k.fss[of.dev].layout() == crate::config::LayoutPolicy::Lfs
-                    {
-                        // LFS: overwrites append at the log head.
-                        k.fss[of.dev].relocate_block(of.ino, page)
-                    } else {
-                        k.fss[of.dev].ensure_block(of.ino, page)
-                    };
-                    k.charge_meta(pid, of.dev)?;
-                    r?
+                let fs = &mut k.fss[of.dev];
+                let r = if fs.layout() == crate::config::LayoutPolicy::Lfs
+                    && fs.block_of(of.ino, page).is_some()
+                {
+                    // LFS: overwrites append at the log head.
+                    fs.relocate_block(of.ino, page)
+                } else {
+                    fs.ensure_block(of.ino, page)
                 };
+                k.charge_meta(pid, of.dev)?;
+                let disk_block = r?;
                 let page_start = page * PAGE_SIZE;
                 let copy_from = offset.max(page_start);
                 let copy_to = (offset + len).min(page_start + PAGE_SIZE);
@@ -1005,7 +1010,7 @@ impl Kernel {
     pub fn oracle_resolve(&mut self, path: &str) -> OsResult<(usize, Ino)> {
         let (dev, local) = self.mount_of(path)?;
         let ino = self.fss[dev].resolve(&local)?;
-        self.fss[dev].take_io();
+        self.fss[dev].discard_io();
         Ok((dev, ino))
     }
 }

@@ -300,7 +300,7 @@ mod tests {
             assert_eq!(reference(x), want, "reference at {x:e}");
         }
         crate::prop::check("round_to_u64", 2000, |g| {
-            let x = match g.usize(0..5) {
+            let x = match g.usize(0..6) {
                 // Ties and their two neighbours, wherever halves still exist.
                 0 => {
                     let tie = g.u64(0..1 << 52) as f64 + 0.5;
@@ -312,6 +312,18 @@ mod tests {
                 // Around 2^52 and around the saturation point 2^64.
                 2 => g.f64(4.0e15..5.0e15),
                 3 => g.f64(1.0e19..2.0e19),
+                // `mul_f64` over every duration, `i64::MAX` and above too.
+                4 => {
+                    let d = match g.usize(0..3) {
+                        0 => g.u64(0..=u64::MAX),
+                        1 => i64::MAX as u64 - 2 + g.u64(0..5),
+                        _ => g.u64(0..10_000_000_000),
+                    };
+                    let f = g.f64(0.0..4.0);
+                    let want = (d as f64 * f).round().max(0.0) as u64;
+                    assert_eq!(Duration(d).mul_f64(f), Duration(want), "{d} x {f:e}");
+                    d as f64 * f
+                }
                 // What the simulator feeds it: a duration times a factor.
                 _ => g.u64(0..10_000_000_000) as f64 * g.f64(0.0..4.0),
             };
