@@ -22,8 +22,16 @@
 //! block), and the kernel charges cache hits or disk I/O accordingly. File
 //! *content* is kept only for explicitly written data; bulk synthetic data
 //! is a per-block fill marker, so simulating gigabyte files costs megabytes.
-
-use std::collections::HashMap;
+//!
+//! The namespace is one small mechanism. A directory *is* its entry list:
+//! a name is found by scanning it, and the position found is what the
+//! directory reads are charged by. Every path is walked by one loop from
+//! the root, over slices of the caller's path. Every namespace edit is all
+//! or nothing: a directory grows before an entry joins it, a new inode
+//! that cannot be linked is released, a rename whose target cannot grow
+//! puts its entry back, and a directory never moves into its own subtree.
+//! Each inode carries a generation, so a descriptor opened on a removed
+//! file cannot read the next file given its i-number.
 
 use gray_toolbox::hash::FastMap;
 use gray_toolbox::Nanos;
@@ -44,6 +52,10 @@ pub const ITABLE_INO: Ino = 1;
 
 /// Inodes stored per on-disk block (128-byte inodes in 4 KB blocks).
 pub const INODES_PER_BLOCK: u64 = 32;
+
+/// A name's position in its directory's entry list, and the i-number it
+/// names.
+type Entry = (usize, Ino);
 
 /// Directory entries per block: 32-byte entries (name + i-number),
 /// FFS-flavored.
@@ -114,10 +126,9 @@ impl Content {
 /// An in-core inode.
 #[derive(Debug, Clone)]
 pub struct Inode {
-    /// The i-number.
-    pub ino: Ino,
-    /// Whether this is a directory.
-    pub is_dir: bool,
+    /// Tells this inode from the earlier ones on its i-number (32 bits,
+    /// as FFS's `di_gen`): a descriptor opened on an earlier one is stale.
+    pub generation: u32,
     /// File size in bytes (0 for directories; their size is derived from
     /// the entry count).
     pub size: u64,
@@ -128,54 +139,17 @@ pub struct Inode {
     /// Last modification time.
     pub mtime: Nanos,
     /// Directory entries in creation order (`None` for regular files).
+    /// A name is found by its position here, which is also what
+    /// `log_dir_read` charges for finding it.
     pub entries: Option<Vec<(String, Ino)>>,
-    /// Name → position in `entries`, so path resolution is a hash lookup
-    /// instead of a linear scan. The *position* (not just the i-number) is
-    /// what the cost model needs: `log_dir_read` charges the directory
-    /// blocks a scan would have read to reach that entry, and that charge
-    /// must not change just because the lookup got faster. Empty for
-    /// regular files.
-    name_index: HashMap<String, usize>,
     /// Home cylinder group.
     pub group: usize,
 }
 
 impl Inode {
-    /// Position of `name` in `entries`, via the hash index.
-    fn entry_position(&self, name: &str) -> Option<usize> {
-        let idx = *self.name_index.get(name)?;
-        debug_assert_eq!(
-            self.entries
-                .as_ref()
-                .and_then(|e| e.get(idx))
-                .map(|(n, _)| n.as_str()),
-            Some(name),
-            "name index and entries agree"
-        );
-        Some(idx)
-    }
-
-    /// Appends a directory entry, returning its position.
-    fn push_entry(&mut self, name: String, ino: Ino) -> usize {
-        let entries = self.entries.as_mut().expect("checked dir");
-        let idx = entries.len();
-        entries.push((name.clone(), ino));
-        self.name_index.insert(name, idx);
-        idx
-    }
-
-    /// Removes the entry at `idx`, keeping the name index consistent.
-    /// `Vec::remove` shifts every later entry down one slot, so their
-    /// indexed positions shift with them.
-    fn remove_entry_at(&mut self, idx: usize) {
-        let entries = self.entries.as_mut().expect("checked dir");
-        let (name, _) = entries.remove(idx);
-        self.name_index.remove(&name);
-        for pos in self.name_index.values_mut() {
-            if *pos > idx {
-                *pos -= 1;
-            }
-        }
+    /// Whether this is a directory.
+    pub fn is_dir(&self) -> bool {
+        self.entries.is_some()
     }
 }
 
@@ -221,6 +195,14 @@ pub struct Fs {
     content: Content,
     io: IoLog,
     next_fill: u8,
+    /// Inodes made so far, wrapping: the next one's generation.
+    made: u32,
+}
+
+/// The names in a `/`-separated path; doubled and trailing slashes name
+/// nothing.
+fn components(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|c| !c.is_empty())
 }
 
 impl Space {
@@ -334,26 +316,14 @@ impl Fs {
             content: Content::new(),
             io: IoLog::default(),
             next_fill: 1,
+            made: 0,
         };
         // Materialize the root directory. I-numbers 0..=2 are reserved;
         // claim them from group 0.
         for reserved in 0..=ROOT_INO {
             fs.space.groups[0].free_inos.take(reserved);
         }
-        fs.inodes.insert(
-            ROOT_INO,
-            Inode {
-                ino: ROOT_INO,
-                is_dir: true,
-                size: 0,
-                blocks: Vec::new(),
-                atime: Nanos::ZERO,
-                mtime: Nanos::ZERO,
-                entries: Some(Vec::new()),
-                name_index: HashMap::new(),
-                group: 0,
-            },
-        );
+        fs.new_inode(ROOT_INO, 0, true, Nanos::ZERO);
         fs
     }
 
@@ -448,26 +418,17 @@ impl Fs {
         }
     }
 
-    /// Ensures the directory has enough data blocks for its entries.
-    fn grow_dir(&mut self, dir: Ino) -> OsResult<()> {
-        let (needed, group, last) = {
-            let inode = &self.inodes[&dir];
-            let n = inode.entries.as_ref().map(|e| e.len()).unwrap_or(0) as u64;
-            (
-                n.div_ceil(DIRENTS_PER_BLOCK).max(1) as usize,
-                inode.group,
-                inode.blocks.last().copied(),
-            )
-        };
-        while self.inodes[&dir].blocks.len() < needed {
-            let near = last.map(|b| b + 1);
-            let block = self.space.alloc_data_block(group, near)?;
-            self.inodes
-                .get_mut(&dir)
-                .expect("dir exists")
-                .blocks
-                .push(block);
+    /// Gives directory `dir` the blocks `n` entries need (at least one).
+    /// Entries arrive one at a time and blocks are never given back, so
+    /// at most one block is ever missing.
+    fn grow_dir(&mut self, dir: Ino, n: usize) -> OsResult<()> {
+        let inode = self.inodes.get_mut(&dir).expect("a directory");
+        if inode.blocks.len() as u64 >= (n as u64).div_ceil(DIRENTS_PER_BLOCK).max(1) {
+            return Ok(());
         }
+        let near = inode.blocks.last().map(|b| b + 1);
+        let block = self.space.alloc_data_block(inode.group, near)?;
+        inode.blocks.push(block);
         Ok(())
     }
 
@@ -542,101 +503,107 @@ impl Fs {
 
     // --- Path walking ----------------------------------------------------
 
-    fn split_path(path: &str) -> OsResult<Vec<&str>> {
-        if !path.starts_with('/') {
-            return Err(OsError::InvalidArgument);
-        }
-        Ok(path.split('/').filter(|c| !c.is_empty()).collect())
+    /// The position and i-number of `name` in directory `dir`, if it is
+    /// there: a scan of the entry list, as FFS scans the directory's
+    /// blocks.
+    fn find(&self, dir: Ino, name: &str) -> OsResult<Option<Entry>> {
+        let entries = self.inodes[&dir].entries.as_ref();
+        let entries = entries.ok_or(OsError::NotADirectory)?;
+        let pos = entries.iter().position(|(n, _)| n == name);
+        Ok(pos.map(|pos| (pos, entries[pos].1)))
     }
 
-    /// Resolves a path to an i-number, logging the directory and inode
-    /// reads the walk performs.
-    pub fn resolve(&mut self, path: &str) -> OsResult<Ino> {
-        let components = Self::split_path(path)?;
+    /// Walks the names in `dirs` down from the root, logging for each the
+    /// directory blocks scanned to reach it and the inode it names.
+    fn walk(&mut self, dirs: &str) -> OsResult<Ino> {
         let mut cur = ROOT_INO;
-        for comp in components {
-            let inode = self.inodes.get(&cur).ok_or(OsError::NotFound)?;
-            let entries = inode.entries.as_ref().ok_or(OsError::NotADirectory)?;
-            let found = inode.entry_position(comp).ok_or(OsError::NotFound)?;
-            let next = entries[found].1;
-            self.log_dir_read(cur, found + 1);
+        for name in components(dirs) {
+            let (pos, next) = self.find(cur, name)?.ok_or(OsError::NotFound)?;
+            self.log_dir_read(cur, pos + 1);
             self.log_inode_read(next);
             cur = next;
         }
         Ok(cur)
     }
 
-    /// Resolves the parent directory of `path`, returning `(dir_ino,
-    /// final_name)`.
-    fn resolve_parent<'p>(&mut self, path: &'p str) -> OsResult<(Ino, &'p str)> {
-        let components = Self::split_path(path)?;
-        let Some((&name, parents)) = components.split_last() else {
+    /// Resolves a path to an i-number, logging the directory and inode
+    /// reads the walk performs.
+    pub fn resolve(&mut self, path: &str) -> OsResult<Ino> {
+        self.walk(path.strip_prefix('/').ok_or(OsError::InvalidArgument)?)
+    }
+
+    /// Walks to the directory holding `path`'s last name. Returns the
+    /// directory, the name, and the name's position and i-number if the
+    /// directory has it.
+    fn locate<'p>(&mut self, path: &'p str) -> OsResult<(Ino, &'p str, Option<Entry>)> {
+        let rest = path.strip_prefix('/').ok_or(OsError::InvalidArgument)?;
+        let rest = rest.trim_end_matches('/');
+        let (dirs, name) = rest.rsplit_once('/').unwrap_or(("", rest));
+        if name.is_empty() {
             return Err(OsError::InvalidArgument);
-        };
-        let mut cur = ROOT_INO;
-        for comp in parents {
-            let inode = self.inodes.get(&cur).ok_or(OsError::NotFound)?;
-            let entries = inode.entries.as_ref().ok_or(OsError::NotADirectory)?;
-            let found = inode.entry_position(comp).ok_or(OsError::NotFound)?;
-            let next = entries[found].1;
-            self.log_dir_read(cur, found + 1);
-            self.log_inode_read(next);
-            cur = next;
         }
-        if self
-            .inodes
-            .get(&cur)
-            .and_then(|i| i.entries.as_ref())
-            .is_none()
-        {
-            return Err(OsError::NotADirectory);
-        }
-        Ok((cur, name))
+        let dir = self.walk(dirs)?;
+        Ok((dir, name, self.find(dir, name)?))
     }
 
     // --- Namespace operations ---------------------------------------------
 
-    /// Enters the freshly made inode `ino` into `dir` as `name`, returning
-    /// the entry's position. If the directory cannot grow to hold the
-    /// entry, the inode is released again: a failed `create` or `mkdir`
-    /// leaves the file system as it found it.
+    /// Gives i-number `ino`, in `group`, a fresh inode: an empty directory
+    /// or regular file made at `now`, of the file system's next generation.
+    fn new_inode(&mut self, ino: Ino, group: usize, dir: bool, now: Nanos) {
+        self.made = self.made.wrapping_add(1);
+        let inode = Inode {
+            generation: self.made,
+            size: 0,
+            blocks: Vec::new(),
+            atime: now,
+            mtime: now,
+            entries: dir.then(Vec::new),
+            group,
+        };
+        self.inodes.insert(ino, inode);
+    }
+
+    /// Enters `ino` into directory `dir` as `name`, returning the entry's
+    /// position. The directory grows first, so if it cannot, nothing has
+    /// changed.
     fn link(&mut self, dir: Ino, name: &str, ino: Ino, now: Nanos) -> OsResult<usize> {
-        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-        let idx = dir_inode.push_entry(name.to_string(), ino);
-        if let Err(e) = self.grow_dir(dir) {
-            let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-            dir_inode.remove_entry_at(idx);
-            self.release_inode(ino);
-            return Err(e);
+        let pos = self.inodes[&dir].entries.as_ref().map_or(0, Vec::len);
+        self.grow_dir(dir, pos + 1)?;
+        self.edit(dir, now).push((name.to_string(), ino));
+        Ok(pos)
+    }
+
+    /// Directory `dir`'s entries, to edit at `now` (its new mtime).
+    fn edit(&mut self, dir: Ino, now: Nanos) -> &mut Vec<(String, Ino)> {
+        let inode = self.inodes.get_mut(&dir).expect("a directory");
+        inode.mtime = now;
+        inode.entries.as_mut().expect("a directory")
+    }
+
+    /// Makes a regular file, or with `dir` a directory and its first
+    /// block, and links it into its parent. All or nothing: if a block
+    /// cannot be had, the inode is released again. Returns the parent,
+    /// the i-number and the entry's position.
+    fn make(&mut self, path: &str, dir: bool, now: Nanos) -> OsResult<(Ino, Ino, usize)> {
+        let (parent, name, found) = self.locate(path)?;
+        if found.is_some() {
+            return Err(OsError::AlreadyExists);
         }
-        self.inodes.get_mut(&dir).expect("checked dir").mtime = now;
-        Ok(idx)
+        // A file lives in its directory's group; directories spread.
+        let home = self.inodes[&parent].group;
+        let (ino, group) = self.alloc_ino(if dir { self.emptiest_group() } else { home })?;
+        self.new_inode(ino, group, dir, now);
+        let made = if dir { self.grow_dir(ino, 0) } else { Ok(()) };
+        let linked = made.and_then(|()| self.link(parent, name, ino, now));
+        let pos = linked.inspect_err(|_| self.release_inode(ino))?;
+        Ok((parent, ino, pos))
     }
 
     /// Creates a regular file; fails if the path exists.
     pub fn create(&mut self, path: &str, now: Nanos) -> OsResult<Ino> {
-        let (dir, name) = self.resolve_parent(path)?;
-        if self.inodes[&dir].entry_position(name).is_some() {
-            return Err(OsError::AlreadyExists);
-        }
-        let group = self.inodes[&dir].group;
-        let (ino, actual_group) = self.alloc_ino(group)?;
-        self.inodes.insert(
-            ino,
-            Inode {
-                ino,
-                is_dir: false,
-                size: 0,
-                blocks: Vec::new(),
-                atime: now,
-                mtime: now,
-                entries: None,
-                name_index: HashMap::new(),
-                group: actual_group,
-            },
-        );
-        let idx = self.link(dir, name, ino, now)?;
-        self.log_dir_write(dir, idx);
+        let (dir, ino, pos) = self.make(path, false, now)?;
+        self.log_dir_write(dir, pos);
         self.log_inode_write(ino);
         self.log_inode_write(dir);
         Ok(ino)
@@ -644,32 +611,8 @@ impl Fs {
 
     /// Creates a directory (placed in the emptiest group).
     pub fn mkdir(&mut self, path: &str, now: Nanos) -> OsResult<Ino> {
-        let (dir, name) = self.resolve_parent(path)?;
-        if self.inodes[&dir].entry_position(name).is_some() {
-            return Err(OsError::AlreadyExists);
-        }
-        let group = self.emptiest_group();
-        let (ino, actual_group) = self.alloc_ino(group)?;
-        self.inodes.insert(
-            ino,
-            Inode {
-                ino,
-                is_dir: true,
-                size: 0,
-                blocks: Vec::new(),
-                atime: now,
-                mtime: now,
-                entries: Some(Vec::new()),
-                name_index: HashMap::new(),
-                group: actual_group,
-            },
-        );
-        if let Err(e) = self.grow_dir(ino) {
-            self.release_inode(ino);
-            return Err(e);
-        }
-        let idx = self.link(dir, name, ino, now)?;
-        self.log_dir_write(dir, idx);
+        let (dir, ino, pos) = self.make(path, true, now)?;
+        self.log_dir_write(dir, pos);
         self.log_inode_write(ino);
         Ok(ino)
     }
@@ -677,83 +620,83 @@ impl Fs {
     /// Lists a directory's names in creation (directory) order.
     pub fn list_dir(&mut self, path: &str) -> OsResult<Vec<String>> {
         let ino = self.resolve(path)?;
-        let inode = self.inodes.get(&ino).ok_or(OsError::NotFound)?;
-        let entries = inode.entries.as_ref().ok_or(OsError::NotADirectory)?;
-        let names: Vec<String> = entries.iter().map(|(n, _)| n.clone()).collect();
+        let names: Vec<String> = match &self.inodes[&ino].entries {
+            Some(entries) => entries.iter().map(|(n, _)| n.clone()).collect(),
+            None => return Err(OsError::NotADirectory),
+        };
         self.log_dir_read(ino, names.len());
         Ok(names)
+    }
+
+    /// Takes `path`'s entry out of its directory if `removable` accepts
+    /// the inode it names, and releases that inode; later entries move up
+    /// one. Returns the i-number.
+    fn remove(
+        &mut self,
+        path: &str,
+        now: Nanos,
+        removable: impl FnOnce(&Inode) -> OsResult<()>,
+    ) -> OsResult<Ino> {
+        let (dir, _, found) = self.locate(path)?;
+        let (pos, ino) = found.ok_or(OsError::NotFound)?;
+        removable(&self.inodes[&ino])?;
+        self.edit(dir, now).remove(pos);
+        self.release_inode(ino);
+        self.log_dir_write(dir, pos);
+        Ok(ino)
     }
 
     /// Unlinks a regular file, freeing its inode and blocks. Returns its
     /// i-number so the kernel can purge cached pages.
     pub fn unlink(&mut self, path: &str, now: Nanos) -> OsResult<Ino> {
-        let (dir, name) = self.resolve_parent(path)?;
-        let idx = self.inodes[&dir]
-            .entry_position(name)
-            .ok_or(OsError::NotFound)?;
-        let ino = self.inodes[&dir].entries.as_ref().expect("checked dir")[idx].1;
-        if self.inodes[&ino].is_dir {
-            return Err(OsError::IsADirectory);
-        }
-        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-        dir_inode.remove_entry_at(idx);
-        dir_inode.mtime = now;
-        self.release_inode(ino);
-        self.log_dir_write(dir, idx);
+        let ino = self.remove(path, now, |inode| match inode.is_dir() {
+            true => Err(OsError::IsADirectory),
+            false => Ok(()),
+        })?;
         self.log_inode_write(ino);
         Ok(ino)
     }
 
     /// Removes an empty directory.
     pub fn rmdir(&mut self, path: &str, now: Nanos) -> OsResult<Ino> {
-        let (dir, name) = self.resolve_parent(path)?;
-        let idx = self.inodes[&dir]
-            .entry_position(name)
-            .ok_or(OsError::NotFound)?;
-        let ino = self.inodes[&dir].entries.as_ref().expect("checked dir")[idx].1;
-        {
-            let target = self.inodes.get(&ino).ok_or(OsError::NotFound)?;
-            let target_entries = target.entries.as_ref().ok_or(OsError::NotADirectory)?;
-            if !target_entries.is_empty() {
-                return Err(OsError::NotEmpty);
-            }
-        }
-        let dir_inode = self.inodes.get_mut(&dir).expect("checked dir");
-        dir_inode.remove_entry_at(idx);
-        dir_inode.mtime = now;
-        self.release_inode(ino);
-        self.log_dir_write(dir, idx);
-        Ok(ino)
+        self.remove(path, now, |inode| match &inode.entries {
+            None => Err(OsError::NotADirectory),
+            Some(entries) if !entries.is_empty() => Err(OsError::NotEmpty),
+            Some(_) => Ok(()),
+        })
     }
 
     /// Renames a file or directory. Layout (inode, blocks) is untouched —
-    /// only directory entries move, matching UNIX `rename(2)`.
+    /// only the directory entry moves, to the end of the target directory,
+    /// matching UNIX `rename(2)`. All or nothing: if the target directory
+    /// cannot grow, the entry goes back where it was. A directory cannot
+    /// move into its own subtree (`InvalidArgument`, before any walk).
     pub fn rename(&mut self, from: &str, to: &str, now: Nanos) -> OsResult<()> {
-        let (fdir, fname) = self.resolve_parent(from)?;
-        let fidx = self.inodes[&fdir]
-            .entry_position(fname)
-            .ok_or(OsError::NotFound)?;
-        let ino = self.inodes[&fdir].entries.as_ref().expect("checked dir")[fidx].1;
-        let (tdir, tname) = self.resolve_parent(to)?;
-        if self.inodes[&tdir].entry_position(tname).is_some() {
+        let mut below = components(to);
+        if components(from).all(|c| below.next() == Some(c)) && below.next().is_some() {
+            return Err(OsError::InvalidArgument);
+        }
+        let (fdir, _, found) = self.locate(from)?;
+        let (fpos, ino) = found.ok_or(OsError::NotFound)?;
+        let (tdir, tname, found) = self.locate(to)?;
+        if found.is_some() {
             return Err(OsError::AlreadyExists);
         }
-        let tname = tname.to_string();
-        {
-            let fdir_inode = self.inodes.get_mut(&fdir).expect("checked dir");
-            fdir_inode.remove_entry_at(fidx);
-            fdir_inode.mtime = now;
+        // Out of the source first: within one directory the count then
+        // stays what it was, and the directory never grows.
+        let mtime = self.inodes[&fdir].mtime;
+        let entry = self.edit(fdir, now).remove(fpos);
+        match self.link(tdir, tname, ino, now) {
+            Ok(tpos) => {
+                self.log_dir_write(fdir, fpos);
+                self.log_dir_write(tdir, tpos);
+                Ok(())
+            }
+            Err(e) => {
+                self.edit(fdir, mtime).insert(fpos, entry);
+                Err(e)
+            }
         }
-        let idx = {
-            let tdir_inode = self.inodes.get_mut(&tdir).expect("checked dir");
-            let idx = tdir_inode.push_entry(tname, ino);
-            tdir_inode.mtime = now;
-            idx
-        };
-        self.grow_dir(tdir)?;
-        self.log_dir_write(fdir, fidx);
-        self.log_dir_write(tdir, idx);
-        Ok(())
     }
 
     /// Sets access/modification times.
@@ -876,6 +819,8 @@ impl Fs {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use gray_toolbox::prop::{check, Gen};
 
     use super::*;
@@ -1003,6 +948,25 @@ mod tests {
         assert_eq!(f.resolve("/b").unwrap(), a);
         assert_eq!(f.block_of(a, 0), Some(block));
         assert!(f.resolve("/a").is_err());
+    }
+
+    #[test]
+    fn a_directory_cannot_move_into_its_own_subtree() {
+        let mut f = fs();
+        f.mkdir("/a", Nanos::ZERO).unwrap();
+        f.mkdir("/a/b", Nanos::ZERO).unwrap();
+        f.take_io();
+        for to in ["/a/c", "/a/b/c", "/a/b", "//a//c/"] {
+            let moved = f.rename("/a", to, Nanos::ZERO);
+            assert_eq!(moved, Err(OsError::InvalidArgument), "rename to {to}");
+            assert_eq!(f.take_io(), IoLog::default(), "refused before any walk");
+        }
+        assert_eq!(f.list_dir("/").unwrap(), ["a"]);
+        assert_eq!(f.list_dir("/a").unwrap(), ["b"]);
+        // A name that only starts like the source is not below it.
+        f.rename("/a", "/ab", Nanos::ZERO).unwrap();
+        f.rename("/ab/b", "/b", Nanos::ZERO).unwrap();
+        assert_eq!(f.list_dir("/").unwrap(), ["ab", "b"]);
     }
 
     #[test]
@@ -1449,6 +1413,393 @@ mod tests {
                     .collect();
                 assert_eq!(spacious, with_space, "spacious, step {step}");
                 assert_eq!(got.spacious.len(), with_space.len() as u64);
+            }
+        });
+    }
+
+    /// The namespace as the model sees it: a directory is its entries, in
+    /// creation order, each a name and what it names.
+    #[derive(Debug)]
+    struct Node {
+        /// What the file system said on creation.
+        ino: Ino,
+        generation: u32,
+        /// Data blocks held; a directory's never shrink.
+        blocks: u64,
+        entries: Option<Vec<(String, Node)>>,
+    }
+
+    /// The model tree and its free counts.
+    struct Model {
+        root: Node,
+        free_blocks: u64,
+        free_inos: u64,
+    }
+
+    impl Model {
+        /// The node at `path` (which exists).
+        fn node(&self, path: &[String]) -> &Node {
+            let mut cur = &self.root;
+            for name in path {
+                let entries = cur.entries.as_ref().expect("a directory");
+                cur = &entries.iter().find(|(n, _)| n == name).expect("present").1;
+            }
+            cur
+        }
+
+        fn node_mut(&mut self, path: &[String]) -> &mut Node {
+            let mut cur = &mut self.root;
+            for name in path {
+                let entries = cur.entries.as_mut().expect("a directory");
+                cur = &mut entries
+                    .iter_mut()
+                    .find(|(n, _)| n == name)
+                    .expect("present")
+                    .1;
+            }
+            cur
+        }
+
+        /// The directory `dirs` names, with the errors a walk meets.
+        fn dir(&self, dirs: &[String]) -> OsResult<&Node> {
+            let mut cur = &self.root;
+            for name in dirs {
+                let entries = cur.entries.as_ref().ok_or(OsError::NotADirectory)?;
+                let found = entries.iter().find(|(n, _)| n == name);
+                cur = &found.ok_or(OsError::NotFound)?.1;
+            }
+            cur.entries.as_ref().ok_or(OsError::NotADirectory)?;
+            Ok(cur)
+        }
+
+        fn pos(dir: &Node, name: &str) -> Option<usize> {
+            let entries = dir.entries.as_ref().expect("a directory");
+            entries.iter().position(|(n, _)| n == name)
+        }
+
+        /// Whether one more entry in `dir` needs another block.
+        fn grows(dir: &Node) -> bool {
+            let n = dir.entries.as_ref().expect("a directory").len() as u64 + 1;
+            dir.blocks < n.div_ceil(DIRENTS_PER_BLOCK).max(1)
+        }
+
+        /// Appends `node` to directory `dirs`, which takes a block if it
+        /// needs one.
+        fn append(&mut self, dirs: &[String], name: &str, node: Node) -> &mut Node {
+            let grow = u64::from(Self::grows(self.node(dirs)));
+            self.free_blocks -= grow;
+            let dir = self.node_mut(dirs);
+            dir.blocks += grow;
+            let entries = dir.entries.as_mut().expect("a directory");
+            entries.push((name.to_string(), node));
+            &mut entries.last_mut().expect("just pushed").1
+        }
+
+        /// `create`, or with `dir` `mkdir`; the caller fills in the
+        /// i-number and generation.
+        fn make(&mut self, path: &[String], dir: bool) -> OsResult<&mut Node> {
+            let (name, dirs) = path.split_last().expect("a name");
+            let parent = self.dir(dirs)?;
+            if Self::pos(parent, name).is_some() {
+                return Err(OsError::AlreadyExists);
+            }
+            let blocks = u64::from(dir);
+            if self.free_inos == 0 || self.free_blocks < blocks + u64::from(Self::grows(parent)) {
+                return Err(OsError::NoSpace);
+            }
+            self.free_inos -= 1;
+            self.free_blocks -= blocks;
+            let entries = dir.then(Vec::new);
+            let node = Node {
+                ino: 0,
+                generation: 0,
+                blocks,
+                entries,
+            };
+            Ok(self.append(dirs, name, node))
+        }
+
+        /// `unlink`, or with `dir` `rmdir`.
+        fn remove(&mut self, path: &[String], dir: bool) -> OsResult<()> {
+            let (name, dirs) = path.split_last().expect("a name");
+            let parent = self.dir(dirs)?;
+            let pos = Self::pos(parent, name).ok_or(OsError::NotFound)?;
+            match (
+                &parent.entries.as_ref().expect("a directory")[pos].1.entries,
+                dir,
+            ) {
+                (Some(_), false) => return Err(OsError::IsADirectory),
+                (None, true) => return Err(OsError::NotADirectory),
+                (Some(entries), true) if !entries.is_empty() => return Err(OsError::NotEmpty),
+                _ => {}
+            }
+            let entries = self.node_mut(dirs).entries.as_mut().expect("a directory");
+            self.free_blocks += entries.remove(pos).1.blocks;
+            self.free_inos += 1;
+            Ok(())
+        }
+
+        fn rename(&mut self, from: &[String], to: &[String]) -> OsResult<()> {
+            if to.len() > from.len() && to.starts_with(from) {
+                return Err(OsError::InvalidArgument);
+            }
+            let (fname, fdirs) = from.split_last().expect("a name");
+            let fpos = Self::pos(self.dir(fdirs)?, fname).ok_or(OsError::NotFound)?;
+            let (tname, tdirs) = to.split_last().expect("a name");
+            let tdir = self.dir(tdirs)?;
+            if Self::pos(tdir, tname).is_some() {
+                return Err(OsError::AlreadyExists);
+            }
+            if fdirs != tdirs && Self::grows(tdir) && self.free_blocks == 0 {
+                return Err(OsError::NoSpace);
+            }
+            let entries = self.node_mut(fdirs).entries.as_mut().expect("a directory");
+            let (_, node) = entries.remove(fpos);
+            self.append(tdirs, tname, node);
+            Ok(())
+        }
+
+        /// `ensure_block(page)` on the file at `path`: all or nothing.
+        fn grow(&mut self, path: &[String], page: u64) -> OsResult<()> {
+            let need = (page + 1).saturating_sub(self.node(path).blocks);
+            if need > self.free_blocks {
+                return Err(OsError::NoSpace);
+            }
+            self.free_blocks -= need;
+            self.node_mut(path).blocks += need;
+            Ok(())
+        }
+
+        /// Every path in the tree, directories first flagged.
+        fn paths(&self) -> Vec<(Vec<String>, bool)> {
+            let mut out = Vec::new();
+            let mut stack = vec![(Vec::new(), &self.root)];
+            while let Some((path, node)) = stack.pop() {
+                for (name, child) in node.entries.iter().flatten() {
+                    let mut p: Vec<String> = path.clone();
+                    p.push(name.clone());
+                    out.push((p.clone(), child.entries.is_some()));
+                    stack.push((p, child));
+                }
+            }
+            out
+        }
+    }
+
+    /// Checks `f` against the model: every directory lists the model's
+    /// names in order, naming the same inodes of the same kind,
+    /// generation and size; every allocated i-number is reachable from
+    /// the root exactly once; and every data block is free or held by
+    /// exactly one reachable inode.
+    fn check_tree(f: &Fs, model: &Model, data_area: u64, step: usize) {
+        let mut seen = HashSet::new();
+        let mut held = HashSet::new();
+        let mut stack = vec![(ROOT_INO, &model.root)];
+        while let Some((ino, node)) = stack.pop() {
+            assert!(
+                seen.insert(ino),
+                "i-number {ino} reached twice, step {step}"
+            );
+            let inode = &f.inodes[&ino];
+            let got = (inode.generation, inode.blocks.len() as u64);
+            assert_eq!(
+                got,
+                (node.generation, node.blocks),
+                "inode {ino}, step {step}"
+            );
+            for &b in &inode.blocks {
+                assert!(held.insert(b), "block {b} held twice, step {step}");
+            }
+            match (&inode.entries, &node.entries) {
+                (None, None) => {}
+                (Some(got), Some(want)) => {
+                    let got_names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
+                    let want_names: Vec<&str> = want.iter().map(|(n, _)| n.as_str()).collect();
+                    assert_eq!(got_names, want_names, "directory {ino}, step {step}");
+                    for ((_, child), (_, node)) in got.iter().zip(want) {
+                        assert_eq!(*child, node.ino, "entry of directory {ino}, step {step}");
+                        stack.push((*child, node));
+                    }
+                }
+                _ => panic!("inode {ino} is of another kind, step {step}"),
+            }
+        }
+        let live: HashSet<Ino> = f.inodes.keys().copied().collect();
+        assert_eq!(live, seen, "allocated but unreachable, step {step}");
+        let groups = &f.space.groups;
+        let is_free = |set: &FreeSet, x: u64| set.first_from(x) == Some(x);
+        let ipg = f.params.inodes_per_group;
+        for &ino in &live {
+            assert!(
+                !is_free(&groups[(ino / ipg) as usize].free_inos, ino),
+                "{ino} step {step}"
+            );
+        }
+        let free_inos: u64 = groups.iter().map(|g| g.free_inos.len()).sum();
+        // I-numbers 0 and 1 are reserved.
+        assert_eq!(free_inos + live.len() as u64 + 2, groups.len() as u64 * ipg);
+        assert_eq!(free_inos, model.free_inos, "free i-numbers, step {step}");
+        for &b in &held {
+            let g = f.space.group_of_block(b);
+            assert!(
+                !is_free(&groups[g].free_blocks, b),
+                "block {b} free, step {step}"
+            );
+        }
+        let free_blocks: u64 = groups.iter().map(|g| g.free_blocks.len()).sum();
+        assert_eq!(
+            free_blocks + held.len() as u64,
+            data_area,
+            "blocks, step {step}"
+        );
+        assert_eq!(free_blocks, model.free_blocks, "free blocks, step {step}");
+    }
+
+    fn path_str(path: &[String]) -> String {
+        path.iter().map(|n| format!("/{n}")).collect()
+    }
+
+    /// Random create / mkdir / unlink / rmdir / rename / extend sequences
+    /// on a small multi-group file system, FFS or LFS, against a model
+    /// tree. Paths are drawn from the tree and a few names, so they also
+    /// run into files, missing names, existing names and, for a rename,
+    /// the source's own subtree; a directory often starts with one full
+    /// block of entries, and the disk runs out. After every operation its
+    /// result is the model's and [`check_tree`] holds. CI runs this with
+    /// `PROP_CASES=500`.
+    #[test]
+    fn namespace_stays_a_tree() {
+        check("namespace_model", 60, |g: &mut Gen| {
+            let params = FsParams {
+                layout: g.select(&[LayoutPolicy::Ffs, LayoutPolicy::Lfs]),
+                blocks_per_group: g.u64(2..10),
+                inodes_per_group: 64,
+            };
+            let groups = g.u64(3..5);
+            let f = &mut Fs::new(params, 0, groups * (2 + params.blocks_per_group));
+            let data_area = f.free_bytes() / PAGE_SIZE;
+            let root = Node {
+                ino: ROOT_INO,
+                generation: f.inodes[&ROOT_INO].generation,
+                blocks: 0,
+                entries: Some(Vec::new()),
+            };
+            let free_inos = groups * params.inodes_per_group - 3;
+            let model = &mut Model {
+                root,
+                free_blocks: data_area,
+                free_inos,
+            };
+            let mut last_generation = model.root.generation;
+            let now = Nanos::ZERO;
+            let mut made = |f: &mut Fs, model: &mut Model, path: &[String], dir: bool| {
+                let p = path_str(path);
+                let got = if dir {
+                    f.mkdir(&p, now)
+                } else {
+                    f.create(&p, now)
+                };
+                match (model.make(path, dir), got) {
+                    (Ok(node), Ok(ino)) => {
+                        let generation = f.inodes[&ino].generation;
+                        assert!(generation > last_generation, "{p}: a new generation");
+                        last_generation = generation;
+                        (node.ino, node.generation) = (ino, generation);
+                    }
+                    (want, got) => assert_eq!(got.map(|_| ()), want.map(|_| ()), "make {p}"),
+                }
+            };
+            let full = vec!["full".to_string()];
+            if g.bool() {
+                // One full block of entries ...
+                made(f, model, &full, true);
+                for i in 0..DIRENTS_PER_BLOCK {
+                    made(f, model, &[full[0].clone(), format!("f{i}")], false);
+                }
+            }
+            if g.bool() {
+                // ... and a disk with no block to spare.
+                let big = vec!["big".to_string()];
+                made(f, model, &big, false);
+                let last = model.free_blocks.saturating_sub(1);
+                let ino = f.resolve("/big").unwrap();
+                assert_eq!(
+                    f.ensure_block(ino, last).map(|_| ()),
+                    model.grow(&big, last)
+                );
+            }
+            let names = ["a", "b", "c", "full"].map(String::from);
+            for step in 0..g.usize(1..120) {
+                let paths = model.paths();
+                let mut dirs: Vec<&[String]> = vec![&[]];
+                dirs.extend(paths.iter().filter(|p| p.1).map(|p| p.0.as_slice()));
+                // A directory of the tree, and in it one of its entries
+                // or a name that may not exist; now and then, below a
+                // file instead.
+                let pick = |g: &mut Gen| {
+                    let mut path = g.select(&dirs).to_vec();
+                    if g.bool_with(0.1) && !paths.is_empty() {
+                        path = g.select(&paths).0;
+                    }
+                    let in_path =
+                        |p: &&Vec<String>| p.len() == path.len() + 1 && p.starts_with(&path);
+                    let entries: Vec<&Vec<String>> =
+                        paths.iter().map(|p| &p.0).filter(in_path).collect();
+                    if g.bool() && !entries.is_empty() {
+                        return g.select(&entries).clone();
+                    }
+                    path.push(g.select(&names));
+                    path
+                };
+                // A name, often new, in a directory of the tree (often the
+                // full one) or below a file.
+                let fresh = |g: &mut Gen| {
+                    let mut path = match g.bool_with(0.2) {
+                        true => full.clone(),
+                        false => g.select(&dirs).to_vec(),
+                    };
+                    if g.bool_with(0.1) && !paths.is_empty() {
+                        path = g.select(&paths).0;
+                    }
+                    path.push(g.select(&names));
+                    path
+                };
+                match g.usize(0..12) {
+                    0..=1 => made(f, model, &fresh(g), false),
+                    2..=3 => made(f, model, &fresh(g), true),
+                    4..=5 => {
+                        let (path, dir) = (pick(g), g.bool());
+                        let p = path_str(&path);
+                        let got = if dir {
+                            f.rmdir(&p, now)
+                        } else {
+                            f.unlink(&p, now)
+                        };
+                        assert_eq!(got.map(|_| ()), model.remove(&path, dir), "remove {p}");
+                    }
+                    6..=8 => {
+                        let (from, to) = (pick(g), fresh(g));
+                        let (pf, pt) = (path_str(&from), path_str(&to));
+                        let got = f.rename(&pf, &pt, now);
+                        assert_eq!(got, model.rename(&from, &to), "rename {pf} to {pt}");
+                    }
+                    _ => {
+                        let files: Vec<&Vec<String>> =
+                            paths.iter().filter(|p| !p.1).map(|p| &p.0).collect();
+                        if files.is_empty() {
+                            continue;
+                        }
+                        let path = g.select(&files).clone();
+                        let p = path_str(&path);
+                        // Now and then a page the file already has.
+                        let page = (model.node(&path).blocks + g.u64(0..6)).saturating_sub(1);
+                        let ino = f.resolve(&p).expect("a file of the tree");
+                        let got = f.ensure_block(ino, page).map(|_| ());
+                        assert_eq!(got, model.grow(&path, page), "grow {p}");
+                    }
+                }
+                f.take_io();
+                check_tree(f, model, data_area, step);
             }
         });
     }

@@ -21,14 +21,14 @@ use crate::cache::{Evicted, Owner, PageCache, PageId};
 use crate::clock::{CpuBank, Noise};
 use crate::config::{SimConfig, COSTS, PAGE_SIZE};
 use crate::disk::Disk;
-use crate::fs::{Fs, Ino, ITABLE_INO};
+use crate::fs::{Fs, Ino, Inode, ITABLE_INO};
 use crate::vm::{TouchKind, Vm};
 
 /// Cost of reading the high-resolution timer.
 const TIMER_READ: GrayDuration = GrayDuration(40);
 
 /// Initial readahead window in pages.
-const RA_INITIAL: u64 = 4;
+const RA_INITIAL: u32 = 4;
 
 /// Most dirty *file* pages the flusher writes back per epoch (a
 /// kupdate-style bounded sweep). Anonymous pages are the swap path's
@@ -76,8 +76,13 @@ struct OpenFile {
     ino: Ino,
     /// Next page a sequential reader would touch.
     next_seq_page: u64,
-    /// Current readahead window in pages.
-    ra_window: u64,
+    /// The inode's generation at open: a later inode on the same
+    /// i-number is another file.
+    generation: u32,
+    /// Current readahead window in pages. Two `u32`s keep a descriptor
+    /// at 32 bytes: a finished process's table keeps its capacity, so
+    /// every byte here is paid once per process a run spawns.
+    ra_window: u32,
 }
 
 /// One process's clock.
@@ -372,28 +377,25 @@ impl Kernel {
 
     // --- Mount resolution ---------------------------------------------------
 
-    /// Splits a path into `(disk index, fs-local path)`.
-    fn mount_of(&self, path: &str) -> OsResult<(usize, String)> {
+    /// Splits a path into `(disk index, fs-local path)`, the latter a
+    /// slice of `path`.
+    fn mount_of<'p>(&self, path: &'p str) -> OsResult<(usize, &'p str)> {
         if !path.starts_with('/') {
             return Err(OsError::InvalidArgument);
         }
-        if self.disks.len() > 1 {
-            if let Some(rest) = path.strip_prefix("/d") {
-                let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-                if !digits.is_empty() {
-                    let after = &rest[digits.len()..];
-                    if after.is_empty() || after.starts_with('/') {
-                        let idx: usize = digits.parse().map_err(|_| OsError::InvalidArgument)?;
-                        if idx == 0 || idx >= self.disks.len() {
-                            return Err(OsError::NotFound);
-                        }
-                        let local = if after.is_empty() { "/" } else { after };
-                        return Ok((idx, local.to_string()));
-                    }
-                }
-            }
+        let Some(rest) = path.strip_prefix("/d").filter(|_| self.disks.len() > 1) else {
+            return Ok((0, path));
+        };
+        let after = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+        let digits = &rest[..rest.len() - after.len()];
+        if digits.is_empty() || !(after.is_empty() || after.starts_with('/')) {
+            return Ok((0, path));
         }
-        Ok((0, path.to_string()))
+        let idx: usize = digits.parse().map_err(|_| OsError::InvalidArgument)?;
+        if idx == 0 || idx >= self.disks.len() {
+            return Err(OsError::NotFound);
+        }
+        Ok((idx, if after.is_empty() { "/" } else { after }))
     }
 
     /// The namespace path every path syscall takes: resolve the mount,
@@ -408,9 +410,18 @@ impl Kernel {
         op: impl FnOnce(&mut Fs, &str, Nanos) -> OsResult<T>,
     ) -> OsResult<(usize, T)> {
         let (dev, local) = self.mount_of(path)?;
-        let r = op(&mut self.fss[dev], &local, self.procs[pid].now);
+        let r = op(&mut self.fss[dev], local, self.procs[pid].now);
         self.charge_meta(pid, dev)?;
         Ok((dev, r?))
+    }
+
+    /// The open file `fd` names and its inode: `NotFound` once the file
+    /// is gone, even if its i-number names a newer one.
+    fn open_file(&self, pid: usize, fd: Fd) -> OsResult<(OpenFile, &Inode)> {
+        let of = *self.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
+        let inode = self.fss[of.dev].inode(of.ino);
+        let inode = inode.filter(|i| i.generation == of.generation);
+        Ok((of, inode.ok_or(OsError::NotFound)?))
     }
 
     // --- Syscalls -------------------------------------------------------------
@@ -452,7 +463,7 @@ impl Kernel {
     pub fn sys_open(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
         self.enter(pid, "sys_open", Entry::Syscall, |k| {
             let (dev, ino) = k.namespace(pid, path, |fs, local, _| fs.resolve(local))?;
-            if k.fss[dev].inode(ino).is_some_and(|i| i.is_dir) {
+            if k.fss[dev].inode(ino).is_some_and(Inode::is_dir) {
                 return Err(OsError::IsADirectory);
             }
             Ok(k.alloc_fd(pid, dev, ino))
@@ -475,6 +486,7 @@ impl Kernel {
             OpenFile {
                 dev,
                 ino,
+                generation: self.fss[dev].inode(ino).expect("just resolved").generation,
                 next_seq_page: 0,
                 ra_window: RA_INITIAL,
             },
@@ -500,8 +512,8 @@ impl Kernel {
         mut buf: Option<&mut [u8]>,
     ) -> OsResult<u64> {
         self.enter(pid, "sys_read", Entry::Syscall, |k| {
-            let of = *k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-            let size = k.fss[of.dev].inode(of.ino).ok_or(OsError::NotFound)?.size;
+            let (of, inode) = k.open_file(pid, fd)?;
+            let size = inode.size;
             if offset >= size || len == 0 {
                 return Ok(0);
             }
@@ -511,9 +523,9 @@ impl Kernel {
 
             // Sequential-read detection feeds the readahead window.
             let mut window = if first_page == of.next_seq_page {
-                (of.ra_window * 2).min(k.cfg.readahead_pages)
+                (u64::from(of.ra_window) * 2).min(k.cfg.readahead_pages)
             } else {
-                RA_INITIAL
+                u64::from(RA_INITIAL)
             };
 
             let file_pages = size.div_ceil(PAGE_SIZE);
@@ -571,7 +583,7 @@ impl Kernel {
             k.fss[of.dev].note_read(of.ino, now)?;
             // Update sequential state.
             let entry = k.fdt[pid].get_mut(&fd.0).expect("checked above");
-            entry.ra_window = window;
+            entry.ra_window = u32::try_from(window).unwrap_or(u32::MAX);
             entry.next_seq_page = last_page + 1;
             Ok(len)
         })
@@ -699,7 +711,7 @@ impl Kernel {
             if len == 0 {
                 return Ok(0);
             }
-            let of = *k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
+            let (of, _) = k.open_file(pid, fd)?;
             let first_page = offset / PAGE_SIZE;
             let last_page = (offset + len - 1) / PAGE_SIZE;
             let mut cpu = GrayDuration::ZERO;
@@ -756,8 +768,7 @@ impl Kernel {
     /// Size of an open file.
     pub fn sys_file_size(&mut self, pid: usize, fd: Fd) -> OsResult<u64> {
         self.enter(pid, "sys_file_size", Entry::Syscall, |k| {
-            let of = k.fdt[pid].get(&fd.0).ok_or(OsError::BadFd)?;
-            Ok(k.fss[of.dev].inode(of.ino).ok_or(OsError::NotFound)?.size)
+            Ok(k.open_file(pid, fd)?.1.size)
         })
     }
 
@@ -789,7 +800,7 @@ impl Kernel {
                 ino,
                 dev: dev as u64,
                 size: inode.size,
-                is_dir: inode.is_dir,
+                is_dir: inode.is_dir(),
                 atime: inode.atime,
                 mtime: inode.mtime,
             })
@@ -841,12 +852,15 @@ impl Kernel {
     /// Renames within one file system.
     pub fn sys_rename(&mut self, pid: usize, from: &str, to: &str) -> OsResult<()> {
         self.enter(pid, "sys_rename", Entry::Syscall, |k| {
-            let (fdev, _) = k.mount_of(from)?;
-            let (tdev, tlocal) = k.mount_of(to)?;
-            if fdev != tdev {
-                return Err(OsError::Unsupported);
-            }
-            k.namespace(pid, from, |fs, flocal, now| fs.rename(flocal, &tlocal, now))?;
+            // Parsed once, up front; its error still comes after `from`'s.
+            let to = k.mount_of(to);
+            k.namespace(pid, from, |fs, from, now| {
+                let (dev, to) = to?;
+                if dev != fs.dev() as usize {
+                    return Err(OsError::Unsupported);
+                }
+                fs.rename(from, to, now)
+            })?;
             Ok(())
         })
     }
@@ -1009,7 +1023,7 @@ impl Kernel {
     /// Resolves a path for oracle use (mount + ino), without charging.
     pub fn oracle_resolve(&mut self, path: &str) -> OsResult<(usize, Ino)> {
         let (dev, local) = self.mount_of(path)?;
-        let ino = self.fss[dev].resolve(&local)?;
+        let ino = self.fss[dev].resolve(local)?;
         self.fss[dev].discard_io();
         Ok((dev, ino))
     }
@@ -1197,6 +1211,79 @@ mod tests {
     }
 
     #[test]
+    fn a_descriptor_does_not_outlive_its_file() {
+        let (mut k, pid) = kernel();
+        let a = k.sys_create(pid, "/a").unwrap();
+        k.sys_write(pid, a, 0, 4, Some(b"AAAA")).unwrap();
+        let ino = k.sys_stat(pid, "/a").unwrap().ino;
+        k.sys_unlink(pid, "/a").unwrap();
+        let b = k.sys_create(pid, "/b").unwrap();
+        k.sys_write(pid, b, 0, 8, Some(b"BBBBBBBB")).unwrap();
+        assert_eq!(
+            k.sys_stat(pid, "/b").unwrap().ino,
+            ino,
+            "the i-number is reused"
+        );
+        // Through `a`, the new file is another file.
+        let mut buf = [0u8; 8];
+        let read = k.sys_read(pid, a, 0, 8, Some(&mut buf));
+        assert_eq!((read, buf), (Err(OsError::NotFound), [0; 8]));
+        assert_eq!(
+            k.sys_write(pid, a, 0, 1, Some(b"A")),
+            Err(OsError::NotFound)
+        );
+        assert_eq!(k.sys_file_size(pid, a), Err(OsError::NotFound));
+        let probes = k.sys_probe_batch(pid, a, &[ProbeSpec { offset: 0 }]);
+        assert!(!probes[0].ok, "a stale probe reads nothing");
+        // Through `b`, it is intact.
+        assert_eq!(k.sys_read(pid, b, 0, 8, Some(&mut buf)), Ok(8));
+        assert_eq!(&buf, b"BBBBBBBB");
+        assert_eq!(k.sys_close(pid, a), Ok(()));
+    }
+
+    #[test]
+    fn a_rename_that_cannot_grow_its_target_changes_nothing() {
+        let disks = vec![crate::config::DiskParams { capacity: 4 << 20 }; 2];
+        let cfg = SimConfig {
+            disks,
+            ..SimConfig::small().without_noise()
+        };
+        let mut k = Kernel::new(cfg);
+        let pid = k.add_proc(Nanos::ZERO);
+        // `/d`'s 128 entries fill its one block.
+        k.sys_mkdir(pid, "/d").unwrap();
+        for i in 0..128 {
+            let fd = k.sys_create(pid, &format!("/d/f{i}")).unwrap();
+            k.sys_close(pid, fd).unwrap();
+        }
+        k.sys_create(pid, "/mover").unwrap();
+        let fill = k.sys_create(pid, "/fill").unwrap();
+        assert_eq!(
+            k.sys_write(pid, fill, 0, 4 << 20, None),
+            Err(OsError::NoSpace)
+        );
+        let listings = |k: &mut Kernel| {
+            let root = k.sys_list_dir(pid, "/").unwrap();
+            (
+                root,
+                k.sys_list_dir(pid, "/d").unwrap(),
+                k.fs(0).free_bytes(),
+            )
+        };
+        let before = listings(&mut k);
+        assert_eq!(before.0, ["d", "mover", "fill"]);
+        assert_eq!(
+            k.sys_rename(pid, "/mover", "/d/mover"),
+            Err(OsError::NoSpace)
+        );
+        assert_eq!(listings(&mut k), before);
+        assert!(k.sys_stat(pid, "/mover").is_ok());
+        // A rename within the full directory needs no block.
+        k.sys_rename(pid, "/d/f0", "/d/g0").unwrap();
+        assert_eq!(k.sys_list_dir(pid, "/d").unwrap().last().unwrap(), "g0");
+    }
+
+    #[test]
     fn read_discard_matches_read_semantics() {
         let (mut k, pid) = kernel();
         let fd = k.sys_create(pid, "/f").unwrap();
@@ -1240,8 +1327,8 @@ mod tests {
     fn mount_parsing_edge_cases() {
         let (k, _pid) = kernel(); // Two disks: "/" and "/d1".
         assert_eq!(k.mount_of("/plain").unwrap().0, 0);
-        assert_eq!(k.mount_of("/d1").unwrap(), (1, "/".to_string()));
-        assert_eq!(k.mount_of("/d1/x").unwrap(), (1, "/x".to_string()));
+        assert_eq!(k.mount_of("/d1").unwrap(), (1, "/"));
+        assert_eq!(k.mount_of("/d1/x").unwrap(), (1, "/x"));
         // "/d1abc" is a root file, not a mount.
         assert_eq!(k.mount_of("/d1abc").unwrap().0, 0);
         // "/d0" and out-of-range indices are not mounts.
