@@ -308,8 +308,9 @@ struct Pool {
     /// architectures; pools that hold only one kind of page don't care.
     prefer_file_eviction: bool,
     frames: Vec<Frame>,
-    /// Slab slots not holding a page.
-    free: Vec<u32>,
+    /// Slab slots not holding a page: a stack threaded through the free
+    /// frames' `links[LRU].next`, so releasing a frame never allocates.
+    free: u32,
     /// How many frames hold a page.
     resident: usize,
     lru: [List; 2],
@@ -341,7 +342,7 @@ impl Pool {
             policy,
             prefer_file_eviction,
             frames: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             resident: 0,
             lru: [List::EMPTY; 2],
             owners: Owners::default(),
@@ -402,14 +403,15 @@ impl Pool {
             }; 2],
         };
         self.next_seq += 1;
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.frames[i as usize] = frame;
-                i
-            }
-            None => {
+        let i = match self.free {
+            NIL => {
                 self.frames.push(frame);
                 (self.frames.len() - 1) as u32
+            }
+            i => {
+                self.free = self.frames[i as usize].links[LRU].next;
+                self.frames[i as usize] = frame;
+                i
             }
         };
         self.resident += 1;
@@ -426,16 +428,18 @@ impl Pool {
         evicted
     }
 
-    /// Takes frame `i` off the recency list and returns its slot to the
-    /// free list. The owner's record is the caller's business (`release`
-    /// takes one frame out of it, the purges drop whole records).
+    /// Takes frame `i` off the recency list and pushes its slot on the
+    /// free stack. The owner's record is the caller's business (`release`
+    /// takes one frame out of it, `release_owner` drops the whole record).
     fn vacate(&mut self, i: u32) -> Evicted {
         let Frame { id, dirty, .. } = self.frames[i as usize];
         self.lru[lru_of(id.owner)].unlink(&mut self.frames, LRU, i);
         self.resident -= 1;
         self.dirty -= usize::from(dirty);
-        self.frames[i as usize].dirty = false;
-        self.free.push(i);
+        let f = &mut self.frames[i as usize];
+        f.dirty = false;
+        f.links[LRU].next = self.free;
+        self.free = i;
         Evicted { id, dirty }
     }
 
@@ -452,20 +456,18 @@ impl Pool {
         self.vacate(i)
     }
 
-    /// Frees every page of `owner`, reporting them in page order.
-    fn release_owner(&mut self, owner: Owner, out: &mut Vec<Evicted>) {
+    /// Frees every page of `owner`, in one walk of its page list.
+    fn release_owner(&mut self, owner: Owner) {
         let Some(record) = self.owners.drop_record(owner) else {
             return;
         };
-        let from = out.len();
         let mut at = record.list.head;
         while at != NIL {
             // `vacate` leaves the owner links alone.
             let next = self.frames[at as usize].links[OWN].next;
-            out.push(self.vacate(at));
+            self.vacate(at);
             at = next;
         }
-        out[from..].sort_unstable_by_key(|e| e.id.page);
     }
 
     fn evict_one(&mut self, inserting_owner: Owner) -> Option<Evicted> {
@@ -637,18 +639,15 @@ impl PageCache {
         self.pool_mut(id.owner).remove(id)
     }
 
-    /// Removes every page of an owner, returning how many were dropped and
-    /// which of them were dirty.
-    pub fn remove_owner(&mut self, owner: Owner) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        self.pool_mut(owner).release_owner(owner, &mut out);
-        out
+    /// Removes every page of an owner, dirty ones included: nothing is
+    /// written back.
+    pub fn remove_owner(&mut self, owner: Owner) {
+        self.pool_mut(owner).release_owner(owner);
     }
 
     /// Drops **all file pages** (the experimental "flush the file cache"
-    /// between runs), returning the dirty ones for write-back accounting.
-    pub fn drop_file_pages(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
+    /// between runs), dirty ones included: nothing is written back.
+    pub fn drop_file_pages(&mut self) {
         for pool in &mut self.pools {
             let mut owners: Vec<Owner> = pool
                 .owners
@@ -657,17 +656,17 @@ impl PageCache {
                 .filter(|o| o.is_file())
                 .copied()
                 .collect();
-            // Sorted so the write-back list (and any cost charged from it)
-            // does not depend on hash-table order.
+            // Sorted so the order frames go back on the free stack, and
+            // so which slot each later page lands in, does not depend on
+            // hash-table order.
             owners.sort_unstable();
             for owner in owners {
-                pool.release_owner(owner, &mut out);
+                pool.release_owner(owner);
             }
             pool.own_stacks.clear();
             pool.global_stack
                 .retain(|id| pool.owners.frame_of(id).is_some());
         }
-        out
     }
 
     /// How many resident pages are dirty.
@@ -905,11 +904,11 @@ mod tests {
         let mut c = PageCache::new(CacheArch::Unified, 8);
         c.insert(file_page(1, 0), false);
         c.insert(file_page(2, 0), true);
-        let dropped = c.remove_owner(Owner::File { dev: 0, ino: 2 });
-        assert_eq!(dropped.len(), 1);
-        assert!(dropped[0].dirty);
+        c.remove_owner(Owner::File { dev: 0, ino: 2 });
         assert!(c.contains(file_page(1, 0)));
         assert!(!c.contains(file_page(2, 0)));
+        // The dirty page went with it, unwritten.
+        assert_eq!((c.resident_pages(), c.dirty_count()), (1, 0));
     }
 
     #[test]
@@ -1007,9 +1006,12 @@ mod tests {
             "table slots and resident count disagree"
         );
 
-        for &i in &pool.free {
-            mark(&mut seen, i, "free");
-            assert!(!pool.frames[i as usize].dirty, "free frame {i} left dirty");
+        let mut free = pool.free;
+        while free != NIL {
+            mark(&mut seen, free, "free");
+            let f = &pool.frames[free as usize];
+            assert!(!f.dirty, "free frame {free} left dirty");
+            free = f.links[LRU].next;
         }
         assert!(
             seen.iter().all(|&s| s),
@@ -1030,13 +1032,13 @@ mod tests {
                 }
                 assert_pool_consistent(&c.pools[0]);
                 match round % 4 {
-                    0 => drop(c.remove_owner(Owner::File {
+                    0 => c.remove_owner(Owner::File {
                         dev: 0,
                         ino: round % 3,
-                    })),
+                    }),
                     1 => drop(c.remove(anon_page(round % 2, round % 8))),
                     2 => c.clean(file_page(round % 3, 504 + round % 16)),
-                    _ => drop(c.drop_file_pages()),
+                    _ => c.drop_file_pages(),
                 }
                 assert_pool_consistent(&c.pools[0]);
             }

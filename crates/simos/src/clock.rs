@@ -6,46 +6,201 @@
 //! smallest local time, so state mutations are applied in causal order —
 //! this is a conservative sequential discrete-event simulation.
 
-use gray_toolbox::rng::StdRng;
+use gray_toolbox::rng::{inclusive_f64, StdRng, BITS_DROPPED};
 use gray_toolbox::{GrayDuration, Nanos};
 
-use crate::config::NoiseParams;
+use crate::config::{NoiseParams, COSTS};
 
 /// Mean extra latency of an "interrupt" spike (exponentially distributed).
 pub const SPIKE_MEAN: GrayDuration = GrayDuration::from_micros(150);
+
+/// Cost of reading the high-resolution timer.
+pub(crate) const TIMER_READ: GrayDuration = GrayDuration(40);
+
+/// The costs a timed page touch charges — a timer read on either side of
+/// the touch — and the only ones with a jitter table (DESIGN.md §2).
+const TABLED: [GrayDuration; 2] = [TIMER_READ, COSTS.mem_touch];
+
+/// The jittered charge of `d` for a draw whose top 53 bits are `bits`:
+/// `round(d · (1 + f))`, `f` the draw from `±jitter`. The definition every
+/// jittered charge follows, tabled or not.
+fn jittered(d: GrayDuration, jitter: f64, bits: u64) -> u64 {
+    d.mul_f64(1.0 + inclusive_f64(bits, -jitter, jitter))
+        .as_nanos()
+}
+
+/// One bucket of a [`JitterTable`]: the charge is `low` from the bucket's
+/// first draw and `low + 1` from `step` on.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    low: u64,
+    /// Past the bucket's last draw when the charge is flat across it.
+    step: u64,
+}
+
+/// [`jittered`] for one cost and jitter, looked up instead of computed.
+///
+/// As a function of the draw's 53 bits the jittered charge never
+/// decreases (every IEEE step in it is monotone) and climbs one nanosecond
+/// at a time. Split the draws into 2^k equal buckets with at most one step
+/// in each, and a bucket's first charge and the draw its step sits at say
+/// everything; both are found with the exact function, so the table is a
+/// cache of it, not a model.
+#[derive(Debug, Default)]
+struct JitterTable {
+    /// A draw's bucket is its bits shifted right by this.
+    shift: u32,
+    buckets: Box<[Bucket]>,
+}
+
+impl JitterTable {
+    fn new(d: GrayDuration, jitter: f64) -> Self {
+        let exact = |bits| jittered(d, jitter, bits);
+        let steps = exact((1 << 53) - 1) - exact(0);
+        // The steps are all but evenly spaced, so twice as many buckets
+        // as steps holds at most one in each; more if one does not.
+        let mut k = (2 * steps).max(1).next_power_of_two().trailing_zeros();
+        loop {
+            if let Some(table) = Self::with_buckets(k, exact) {
+                return table;
+            }
+            k += 1;
+        }
+    }
+
+    /// The table with 2^k buckets, if none of them holds two steps.
+    fn with_buckets(k: u32, exact: impl Fn(u64) -> u64) -> Option<Self> {
+        let shift = 53 - k;
+        let buckets = (0..1u64 << k).map(|i| {
+            let (first, last) = (i << shift, ((i + 1) << shift) - 1);
+            let low = exact(first);
+            match exact(last) - low {
+                0 => Some(Bucket {
+                    low,
+                    step: last + 1,
+                }),
+                1 => {
+                    // The first draw charged `low + 1`: in `(lo, hi]`.
+                    let (mut lo, mut hi) = (first, last);
+                    while hi - lo > 1 {
+                        let mid = lo + (hi - lo) / 2;
+                        if exact(mid) > low {
+                            hi = mid;
+                        } else {
+                            lo = mid;
+                        }
+                    }
+                    Some(Bucket { low, step: hi })
+                }
+                _ => None,
+            }
+        });
+        Some(JitterTable {
+            shift,
+            buckets: buckets.collect::<Option<_>>()?,
+        })
+    }
+
+    /// One load, one compare, one add.
+    #[inline]
+    fn charge(&self, bits: u64) -> u64 {
+        let b = self.buckets[(bits >> self.shift) as usize];
+        b.low + u64::from(bits >= b.step)
+    }
+}
 
 /// Deterministic latency noise generator.
 #[derive(Debug)]
 pub struct Noise {
     params: NoiseParams,
     rng: StdRng,
+    /// No jitter and no spikes: `apply` is the identity and draws nothing.
+    quiet: bool,
+    /// A spike draw whose top 53 bits fall below this spikes: `⌈p · 2^53⌉`,
+    /// exactly the draws `random_bool(p)` says yes to; 0 with spikes off.
+    spike_below: u64,
+    /// One per [`TABLED`] cost; empty without jitter.
+    tables: [JitterTable; 2],
 }
 
 impl Noise {
     /// Creates a noise source with the given parameters and seed.
     pub fn new(params: NoiseParams, seed: u64) -> Self {
+        let NoiseParams {
+            jitter_frac,
+            spike_prob,
+            ..
+        } = params;
+        let jitter = jitter_frac > 0.0;
+        // `p · 2^53` is exact and the draw is an integer, so the draw is
+        // below it exactly when it is below its ceiling.
+        let spike_below = if spike_prob > 0.0 {
+            assert!(spike_prob <= 1.0, "probability {spike_prob} outside [0, 1]");
+            (spike_prob * (1u64 << 53) as f64).ceil() as u64
+        } else {
+            0
+        };
+        let table = |d| {
+            if jitter {
+                JitterTable::new(d, jitter_frac)
+            } else {
+                JitterTable::default()
+            }
+        };
         Noise {
             params,
             rng: StdRng::seed_from_u64(seed),
+            quiet: !jitter && spike_below == 0,
+            spike_below,
+            tables: TABLED.map(table),
         }
     }
 
     /// Applies jitter and occasional spikes to a duration.
+    #[inline(always)]
     pub fn apply(&mut self, d: GrayDuration) -> GrayDuration {
-        let mut out = d;
-        if self.params.jitter_frac > 0.0 && d > GrayDuration::ZERO {
-            let f = self
-                .rng
-                .random_range(-self.params.jitter_frac..=self.params.jitter_frac);
-            out = d.mul_f64(1.0 + f);
+        // Inlined whole: what is left is the quiet check, a tabled cost's
+        // lookup and the spike compare; the exact jitter and the spike
+        // itself stay out of line.
+        if self.quiet {
+            return d;
         }
-        if self.params.spike_prob > 0.0 && self.rng.random_bool(self.params.spike_prob) {
-            // Exponentially distributed spike via inverse transform.
-            let u: f64 = self.rng.random_range(f64::EPSILON..1.0);
-            let extra = SPIKE_MEAN.mul_f64(-u.ln());
-            out += extra;
+        // `d` is a constant at the kernel's call sites, so this folds away.
+        let out = match TABLED.iter().position(|&t| t == d) {
+            Some(i) if self.params.jitter_frac > 0.0 => {
+                let bits = self.draw();
+                GrayDuration(self.tables[i].charge(bits))
+            }
+            Some(_) => d,
+            None => self.jitter_exact(d),
+        };
+        if self.spike_below > 0 && self.draw() < self.spike_below {
+            return out + self.spike();
         }
         out
+    }
+
+    /// The top 53 bits of the next draw.
+    #[inline]
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> BITS_DROPPED
+    }
+
+    /// The jitter of a cost with no table.
+    #[inline(never)]
+    fn jitter_exact(&mut self, d: GrayDuration) -> GrayDuration {
+        let jitter = self.params.jitter_frac;
+        if jitter > 0.0 && d > GrayDuration::ZERO {
+            return GrayDuration(jittered(d, jitter, self.draw()));
+        }
+        d
+    }
+
+    /// An exponentially distributed spike, via inverse transform.
+    #[cold]
+    fn spike(&mut self) -> GrayDuration {
+        let u: f64 = self.rng.random_range(f64::EPSILON..1.0);
+        SPIKE_MEAN.mul_f64(-u.ln())
     }
 
     /// Quantizes a clock reading to the configured timer granularity. A
@@ -214,6 +369,69 @@ mod tests {
         for (i, (d, want)) in durations.zip(KNOWN).enumerate() {
             assert_eq!(n.apply(GrayDuration(d)), GrayDuration(want), "charge {i}");
         }
+    }
+
+    /// Each jitter table against the exact function it caches, for every
+    /// tabled cost: at the first draw of every step and the draw before
+    /// it, both found by bisecting the exact function (not the table), and
+    /// at random draws. Alongside, the spike cutoff against `random_bool`'s
+    /// own comparison either side of it. At 0.05 and 0.15, then at random
+    /// jitters in (0, 1); CI runs this with `PROP_CASES=500`.
+    #[test]
+    fn jitter_tables_and_spike_cutoff_match_their_definitions() {
+        const TOP: u64 = (1 << 53) - 1;
+        fn agree(g: &mut Gen, jitter_frac: f64) {
+            let spike_prob = g.f64(0.0..=1.0) * [1.0, 1e-6, 1e-15][g.usize(0..3)];
+            let params = NoiseParams {
+                jitter_frac,
+                spike_prob,
+                timer_quantum_ns: 1,
+            };
+            let noise = Noise::new(params, 0);
+            for (d, table) in TABLED.into_iter().zip(&noise.tables) {
+                let exact = |bits| jittered(d, jitter_frac, bits);
+                let mut draws = vec![0, TOP];
+                for charge in exact(0) + 1..=exact(TOP) {
+                    // exact(lo) < charge <= exact(hi)
+                    let (mut lo, mut hi) = (0, TOP);
+                    while hi - lo > 1 {
+                        let mid = lo + (hi - lo) / 2;
+                        if exact(mid) >= charge {
+                            hi = mid;
+                        } else {
+                            lo = mid;
+                        }
+                    }
+                    draws.extend([hi - 1, hi]);
+                }
+                draws.extend((0..64).map(|_| g.u64(0..=TOP)));
+                for bits in draws {
+                    let want = exact(bits);
+                    assert_eq!(
+                        table.charge(bits),
+                        want,
+                        "{d} at {jitter_frac}, draw {bits:#x}"
+                    );
+                }
+            }
+            let cutoff = noise.spike_below;
+            let draws = [0, 1, TOP, g.u64(0..=TOP), cutoff.saturating_sub(1), cutoff];
+            for bits in draws.into_iter().filter(|&b| b <= TOP) {
+                let random_bool = (bits as f64) < spike_prob * (1u64 << 53) as f64;
+                assert_eq!(
+                    bits < cutoff,
+                    random_bool,
+                    "p {spike_prob:e}, draw {bits:#x}"
+                );
+            }
+        }
+        let mut g = Gen::from_seed(0);
+        agree(&mut g, 0.05);
+        agree(&mut g, 0.15);
+        check("jitter_tables", 60, |g: &mut Gen| {
+            let jitter_frac = g.f64(0.0..1.0).max(f64::MIN_POSITIVE);
+            agree(g, jitter_frac);
+        });
     }
 
     #[test]

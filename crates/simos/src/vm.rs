@@ -114,6 +114,11 @@ impl Vm {
         self.regions.get(&region).ok_or(OsError::BadRegion)
     }
 
+    /// A region's size in pages, `None` if it is not live.
+    pub(crate) fn size(&self, region: u64) -> Option<u64> {
+        self.regions.get(&region).map(|r| r.pages)
+    }
+
     /// Validates a (region, page) pair.
     pub fn check(&self, region: u64, page: u64) -> OsResult<()> {
         self.region(region)?.check(page)

@@ -15,7 +15,9 @@
 //! numbers from one of three shapes, because the cache finds a page through
 //! a per-owner table indexed by page number: dense from zero, straddling a
 //! table chunk boundary, or far apart and far from zero as the inode
-//! table's are.
+//! table's are. The purges report nothing, so what one dropped is read
+//! off the cache itself: the pages resident before and not after, each
+//! dirty or not as it was before.
 //!
 //! CI runs this with `PROP_CASES=500`; `PROP_SEED` replays one case.
 
@@ -232,6 +234,36 @@ fn page_numbers(g: &mut Gen) -> [u64; PAGES] {
     }
 }
 
+/// Runs `purge` on `cache` and returns what it took out, in `PageId`
+/// order: every page of `owners` resident before and not after, with its
+/// dirty bit from before.
+fn dropped(
+    cache: &mut PageCache,
+    owners: &[Owner],
+    purge: impl FnOnce(&mut PageCache),
+) -> Vec<Evicted> {
+    let resident = |cache: &PageCache| -> Vec<PageId> {
+        let pages = |owner| cache.resident_of(owner).into_iter();
+        let ids = owners
+            .iter()
+            .flat_map(|&owner| pages(owner).map(move |page| PageId { owner, page }));
+        ids.collect()
+    };
+    let (before, dirty) = (resident(cache), cache.dirty_pages());
+    purge(cache);
+    let after = resident(cache);
+    let mut out: Vec<Evicted> = before
+        .into_iter()
+        .filter(|id| !after.contains(id))
+        .map(|id| Evicted {
+            id,
+            dirty: dirty.contains(&id),
+        })
+        .collect();
+    out.sort_unstable_by_key(|e| e.id);
+    out
+}
+
 fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
     let mut cache = PageCache::new(arch, total_pages);
     let mut model = Model::new(arch, total_pages);
@@ -283,8 +315,9 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
                 "remove"
             }
             91..=96 => {
-                let dropped = model.pool(owner).purge(|o| o == owner);
-                assert_eq!(cache.remove_owner(owner), dropped, "step {step}");
+                let want = model.pool(owner).purge(|o| o == owner);
+                let got = dropped(&mut cache, &owners, |c| c.remove_owner(owner));
+                assert_eq!(got, want, "step {step}");
                 "remove_owner"
             }
             97..=99 => {
@@ -300,8 +333,9 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
                     assert!(cache.lookup_touch(id) && model.pool(owner).touch(id, false));
                 }
                 if g.bool() {
-                    let dropped = model.pool(owner).purge(|o| o == owner);
-                    assert_eq!(cache.remove_owner(owner), dropped, "step {step}");
+                    let want = model.pool(owner).purge(|o| o == owner);
+                    let got = dropped(&mut cache, &owners, |c| c.remove_owner(owner));
+                    assert_eq!(got, want, "step {step}");
                 } else {
                     for &page in &held {
                         let pool = model.pool(owner);
@@ -332,7 +366,8 @@ fn run_case(g: &mut Gen, arch: CacheArch, total_pages: u64) {
                 "run_empty_and_refill"
             }
             _ => {
-                assert_eq!(cache.drop_file_pages(), model.drop_file_pages());
+                let got = dropped(&mut cache, &owners, PageCache::drop_file_pages);
+                assert_eq!(got, model.drop_file_pages(), "step {step}");
                 "drop_file_pages"
             }
         };

@@ -121,7 +121,7 @@ impl StdRng {
         assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
         // Compare 53 uniform bits against p scaled to the same grid, so
         // p = 0.0 is never true and p = 1.0 is always true.
-        ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
+        ((self.next_u64() >> BITS_DROPPED) as f64) < p * (1u64 << 53) as f64
     }
 
     /// Shuffles `items` uniformly in place.
@@ -206,7 +206,7 @@ impl SampleRange<f64> for Range<f64> {
         assert!(low < high, "empty sample range");
         // 53 uniform bits in [0, 1); scale preserves the exclusive bound
         // up to rounding, which we clamp away from `high`.
-        let u01 = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u01 = (rng.next_u64() >> BITS_DROPPED) as f64 * (1.0 / (1u64 << 53) as f64);
         let x = low + u01 * (high - low);
         if x >= high {
             // Rounding at the top of huge ranges; step back inside.
@@ -222,11 +222,24 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     fn sample(self, rng: &mut StdRng) -> f64 {
         let (low, high) = self.into_inner();
         assert!(low <= high, "empty sample range");
-        // 53 uniform bits in [0, 1]; denominator 2^53 − 1 makes both
-        // endpoints reachable.
-        let u01 = (rng.next_u64() >> 11) as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
-        (low + u01 * (high - low)).clamp(low, high)
+        inclusive_f64(rng.next_u64() >> BITS_DROPPED, low, high)
     }
+}
+
+/// How many low bits of a 64-bit draw the `f64` draws discard: they keep
+/// the top 53, one `f64` mantissa's worth.
+pub const BITS_DROPPED: u32 = 11;
+
+/// The value `random_range(low..=high)` returns for a draw whose top 53
+/// bits are `bits` (`next_u64() >> BITS_DROPPED`). A pure function, so a
+/// caller can tabulate a draw's consequences ahead of time and stay exact.
+/// Every step is monotone, so it never decreases as `bits` grows.
+#[inline]
+pub fn inclusive_f64(bits: u64, low: f64, high: f64) -> f64 {
+    // 53 uniform bits in [0, 1]; denominator 2^53 − 1 makes both
+    // endpoints reachable.
+    let u01 = bits as f64 * (1.0 / ((1u64 << 53) - 1) as f64);
+    (low + u01 * (high - low)).clamp(low, high)
 }
 
 #[cfg(test)]

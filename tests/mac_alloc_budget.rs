@@ -10,13 +10,22 @@
 //! refilled. This pins it the way `boot_budget.rs` pins boot: a counting
 //! allocator, no clock.
 //!
+//! Each estimate also frees its scratch regions. Freeing hands every
+//! resident frame back in one walk of the region's page list and builds
+//! no list of them, so freeing a probed region allocates nothing.
+//!
 //! One `#[test]` only (see `counting_alloc`).
 
 mod counting_alloc;
 
 use counting_alloc::counted;
 use graybox::mac::{Mac, MacParams, SUB_BATCH_PAGES};
-use simos::{Sim, SimConfig};
+use graybox::os::GrayBoxOs;
+use simos::{Sim, SimConfig, PAGE_SIZE};
+
+/// Pages of the region freed under the counter: 16 MB, resident in full
+/// on `SimConfig::small()`.
+const FREED_PAGES: u64 = 4096;
 
 /// Everything one estimate allocates that is not a sub-batch's samples:
 /// threshold calibration, two scratch regions with their
@@ -33,11 +42,20 @@ fn an_estimate_allocates_one_vector_per_sub_batch() {
         max_increment: 4 << 20,
     };
     let mut sim = Sim::new(SimConfig::small());
-    let (calls, pages) = sim.run_one(move |os| {
+    let (calls, pages, freed) = sim.run_one(move |os| {
         let mac = Mac::new(os, params);
         let (fit, calls, _bytes) = counted(|| mac.available_estimate(128 << 20));
         assert!(fit.expect("estimate succeeds") > 0);
-        (calls, mac.take_stats().pages_probed)
+        let region = os.mem_alloc(FREED_PAGES * PAGE_SIZE).unwrap();
+        let pages: Vec<u64> = (0..FREED_PAGES).collect();
+        assert!(os.mem_probe_batch(region, &pages).iter().all(|s| s.ok));
+        let (freed, free_calls, free_bytes) = counted(|| os.mem_free(region));
+        freed.expect("the region was live");
+        (
+            calls,
+            mac.take_stats().pages_probed,
+            (free_calls, free_bytes),
+        )
     });
     let sub_batches = pages.div_ceil(SUB_BATCH_PAGES);
     println!("{calls} allocations for {pages} probed pages, {sub_batches} full sub-batches");
@@ -45,5 +63,10 @@ fn an_estimate_allocates_one_vector_per_sub_batch() {
     assert!(
         calls <= sub_batches + FIXED,
         "{calls} allocations for {sub_batches} sub-batches: more than one each"
+    );
+    assert_eq!(
+        freed,
+        (0, 0),
+        "(allocations, bytes) freeing {FREED_PAGES} resident pages"
     );
 }
