@@ -6,8 +6,11 @@
 //! Figure 7 question is *how big should a run be?* — guess too high in a
 //! multiprogrammed system and the machine thrashes; `gb-fastsort` instead
 //! asks MAC for however much memory is actually available
-//! (`gb_alloc(min, max, record)`), freeing it between passes so it can
-//! never deadlock.
+//! (`gb_alloc(min, remaining, record)`) and sorts exactly what it is
+//! granted: a grant is resident when it arrives and never exceeds what is
+//! left of the input, so the last, usually not page-aligned, pass is
+//! granted in full. It frees each pass's memory before asking for the
+//! next, so it can never deadlock.
 //!
 //! [`FastSort::run_modelled`] is pass one over synthetic bulk data with
 //! realistic CPU and memory costs charged — what Figure 7, the
@@ -167,8 +170,7 @@ impl<'a, O: GrayBoxOs> FastSort<'a, O> {
                             }
                         }
                     };
-                    let bytes = got.bytes.min(remaining);
-                    (bytes, got.region, Some(got))
+                    (got.bytes, got.region, Some(got))
                 }
             };
             report.passes.push(pass_bytes);

@@ -46,20 +46,24 @@
 //! self-calibration: time repeated touches of a few certainly-resident
 //! pages, and call anything "significantly larger" slow.
 //!
-//! # Pooled requests
+//! # One grant path
 //!
-//! Requests that arrive together (gbd's `GbAlloc` queries of one tick)
-//! go through [`Mac::admit_all`]: one probe pass for all of them instead
-//! of one each, with every grant still verified resident. It and
-//! `gb_alloc` read a request through the same rounding rule.
+//! [`Mac::admit_all`] is how MAC grants memory: requests that arrive
+//! together (gbd's `GbAlloc` queries of one tick) share one probe pass,
+//! and [`Mac::gb_alloc`] is the same call with one request. Every grant is
+//! first-touched with page-daemon detection and verified resident before
+//! it is returned. Bytes become pages by one rule: a byte bound covers
+//! `bound.div_ceil(page)` pages, and every answer is clamped to the bound
+//! it was asked under, so a grant never exceeds its request's `max` and an
+//! exact request that is not a whole number of pages can be met.
 //!
 //! # Deadlock
 //!
-//! `gb_alloc` is admission control, not a transaction manager: two
-//! processes that each hold half of memory and wait for more will starve
-//! each other. Callers should allocate everything they need in one call,
-//! or free before re-allocating (the paper's gb-fastsort frees each pass
-//! before allocating the next, so it cannot deadlock).
+//! MAC is admission control, not a transaction manager: two processes
+//! that each hold half of memory and wait for more will starve each other.
+//! Callers should ask for everything they need in one call, or free
+//! before re-allocating (the paper's gb-fastsort frees each pass before
+//! allocating the next, so it cannot deadlock).
 
 use core::fmt;
 use std::cell::RefCell;
@@ -123,8 +127,8 @@ pub struct GbAlloc {
 }
 
 /// One `gb_alloc`-shaped request: at least `min`, at most `max`, in units
-/// of `multiple` (all in bytes). [`Mac::gb_alloc`] answers one;
-/// [`Mac::admit_all`] pools many behind one probe pass.
+/// of `multiple` (all in bytes). [`Mac::admit_all`] answers any number of
+/// them behind one probe pass; [`Mac::gb_alloc`] asks for one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionRequest {
     /// Smallest useful grant; the request is denied rather than take less.
@@ -157,7 +161,7 @@ impl AdmissionRequest {
 pub struct MacStats {
     /// Time spent inside probe loops.
     pub probe_time: GrayDuration,
-    /// Number of admission attempts.
+    /// Number of requests answered (granted or not).
     pub attempts: u64,
     /// Total pages touched by probes.
     pub pages_probed: u64,
@@ -241,6 +245,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     /// Allocates between `min` and `max` bytes, in multiples of `multiple`,
     /// returning `None` if `min` bytes are not available now (the paper's
     /// NULL return): the caller waits, and asks again when it chooses.
+    /// This is [`Mac::admit_all`] of the one request, so the grant is
+    /// probed, first-touched and verified resident like any pooled one.
     ///
     /// An application that cannot adapt its memory use passes
     /// `min == max`.
@@ -249,50 +255,8 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     ///
     /// Panics if `multiple` is zero or `min > max`.
     pub fn gb_alloc(&self, min: u64, max: u64, multiple: u64) -> OsResult<Option<GbAlloc>> {
-        let (min, max) = AdmissionRequest { min, max, multiple }.bounds();
-        if min > max {
-            return Ok(None);
-        }
-        let page = self.os.page_size();
-        self.stats.borrow_mut().attempts += 1;
-        let fit = self.probe_available(max, page)?;
-        let admitted = round_down(fit, multiple);
-        let granted = if admitted >= min { admitted } else { 0 };
-        trace::emit_with(|| TraceEvent::AdmissionDecision {
-            source: "mac.gb_alloc",
-            requested: max,
-            granted,
-        });
-        if granted == 0 {
-            return Ok(None);
-        }
-        // Re-allocate exactly the admitted amount and make it resident, so
-        // the caller starts from a known state and the identify-and-allocate
-        // step is atomic from the caller's perspective.
-        self.materialize(admitted, page).map(Some)
-    }
-
-    /// A fairness-aware variant of [`Mac::gb_alloc`] — the "higher-level
-    /// interface" the paper leaves as future work (§4.3.2).
-    ///
-    /// `peers` is the caller's estimate of how many processes are
-    /// competing for memory (in the paper's Figure 7 workload, each
-    /// gb-fastsort knows it is one of four). The request's maximum is
-    /// clamped to a fair share of what currently looks available, so an
-    /// early arriver does not grab everything and starve the rest; the
-    /// minimum is still honored, so a process never accepts less than it
-    /// can use.
-    pub fn gb_alloc_fair(
-        &self,
-        min: u64,
-        max: u64,
-        multiple: u64,
-        peers: u32,
-    ) -> OsResult<Option<GbAlloc>> {
-        let peers = peers.max(1) as u64;
-        let available = self.available_estimate(max)?;
-        let fair_max = (available / peers).max(min).min(max);
-        self.gb_alloc(min, fair_max, multiple)
+        let request = AdmissionRequest { min, max, multiple };
+        Ok(self.admit_all(&[request])?.pop().flatten())
     }
 
     /// Releases an allocation made by [`Mac::gb_alloc`].
@@ -300,20 +264,21 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         self.os.mem_free(alloc.region)
     }
 
-    /// Admits every request against one shared availability probe.
+    /// Admits every request against one shared availability probe — MAC's
+    /// one grant path ([`Mac::gb_alloc`] is this with one request).
     ///
-    /// Back-to-back [`Mac::gb_alloc`] calls would each run their own
-    /// probe, and each probe allocates and touches memory, perturbing
-    /// exactly what the next caller is about to measure. Here one
+    /// Back-to-back single requests would each run their own probe, and
+    /// each probe allocates and touches memory, perturbing exactly what the
+    /// next caller is about to measure. Here one
     /// [`Mac::available_estimate`] pass, bounded by the sum of the
-    /// requests' (rounded) maxima, serves them all, and grants are carved
-    /// from it in request order: each request gets `min(remaining, max)`
-    /// rounded down to its multiple, provided that still covers its
-    /// minimum. Every grant is first-touched with page-daemon detection
-    /// and verified resident, so a grant that comes back `None` means the
-    /// shared estimate went stale (memory was taken between the probe and
-    /// the grant). The remaining budget is then halved before the next
-    /// request: the estimate overstated reality.
+    /// grantable requests' (rounded) maxima, serves them all, and grants
+    /// are carved from it in request order: each request gets
+    /// `min(remaining, max)` rounded down to its multiple, provided that
+    /// still covers its minimum. Every grant is first-touched with
+    /// page-daemon detection and verified resident, so a grant that comes
+    /// back `None` means the shared estimate went stale (memory was taken
+    /// between the probe and the grant). The remaining budget is then
+    /// halved before the next request: the estimate overstated reality.
     ///
     /// Returns one slot per request, in request order: `Some(alloc)` on
     /// success, `None` if the request was not admitted or its grant went
@@ -325,12 +290,13 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     /// `min > max`.
     pub fn admit_all(&self, requests: &[AdmissionRequest]) -> OsResult<Vec<Option<GbAlloc>>> {
         let bounds: Vec<(u64, u64)> = requests.iter().map(AdmissionRequest::bounds).collect();
+        self.stats.borrow_mut().attempts += requests.len() as u64;
+        // A request whose rounded bounds cross is never granted, so it
+        // adds nothing to the probe.
         let ceiling = bounds
             .iter()
+            .filter(|(min, max)| min <= max)
             .fold(0u64, |sum, &(_, max)| sum.saturating_add(max));
-        if ceiling == 0 {
-            return Ok(requests.iter().map(|_| None).collect());
-        }
         let mut remaining = self.available_estimate(ceiling)?;
         let mut grants = Vec::with_capacity(requests.len());
         for (req, &(min, max)) in requests.iter().zip(&bounds) {
@@ -349,7 +315,7 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
                 grants.push(None);
                 continue;
             }
-            let admitted = match self.gb_alloc_admitted(grant) {
+            let admitted = match self.grant(grant) {
                 Ok(admitted) => admitted,
                 Err(e) => {
                     // Simulated memory outlives the caller's process (gbd
@@ -387,22 +353,19 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
     }
 
     /// Allocates exactly `bytes` (positive) that [`Mac::admit_all`]'s
-    /// shared probe pass already admitted, without re-probing
-    /// availability. The first-touch loop keeps the page-daemon run
-    /// detection, and the region is verified resident afterwards, so if
-    /// the shared estimate went stale between the probe pass and this
-    /// grant (a competitor grabbed memory), the grant fails with `None`
-    /// rather than silently overcommitting.
-    fn gb_alloc_admitted(&self, bytes: u64) -> OsResult<Option<GbAlloc>> {
-        let page = self.os.page_size();
+    /// probe pass already admitted, without re-probing availability. The
+    /// first-touch loop keeps the page-daemon run detection, and the region
+    /// is verified resident afterwards, so if the estimate went stale
+    /// between the probe pass and this grant (a competitor grabbed memory),
+    /// the grant fails with `None` rather than silently overcommitting.
+    fn grant(&self, bytes: u64) -> OsResult<Option<GbAlloc>> {
         let th = self.ensure_thresholds()?;
-        self.stats.borrow_mut().attempts += 1;
         let probe_start = self.os.now();
         let region = self.os.mem_alloc(bytes)?;
-        let pages = bytes.div_ceil(page);
+        let pages = bytes.div_ceil(self.os.page_size());
         // First loop: materialize the grant; a page-daemon run means the
-        // shared estimate is stale. Second loop: verify residency. A failed
-        // touch gives the region back before the error goes up.
+        // estimate is stale. Second loop: verify residency. A failed touch
+        // gives the region back before the error goes up.
         let checked = self
             .first_touch(region, 0..pages, th)
             .and_then(|daemon| match daemon {
@@ -417,11 +380,6 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
             }
         };
         self.stats.borrow_mut().probe_time += self.os.now().since(probe_start);
-        trace::emit_with(|| TraceEvent::AdmissionDecision {
-            source: "mac.gb_alloc_admitted",
-            requested: bytes,
-            granted: if fits { bytes } else { 0 },
-        });
         if !fits {
             self.os.mem_free(region)?;
             return Ok(None);
@@ -429,43 +387,32 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         Ok(Some(GbAlloc { region, bytes }))
     }
 
-    /// Allocates `bytes` (already admitted by a probe pass) and makes the
-    /// region resident in bounded sub-batches, so the sweep is not one
-    /// atomic step that starves competitors of scheduling points.
-    fn materialize(&self, bytes: u64, page: u64) -> OsResult<GbAlloc> {
-        let region = self.os.mem_alloc(bytes)?;
-        let pages = bytes.div_ceil(page);
-        for batch in sub_batches(0..pages) {
-            if self.probe_pages(region, batch).iter().any(|s| !s.ok) {
-                self.os.mem_free(region)?;
-                return Err(OsError::InvalidArgument);
-            }
-        }
-        Ok(GbAlloc { region, bytes })
-    }
-
     /// Estimates currently available memory, in bytes, without retaining
-    /// it. `ceiling` bounds the search (and the probe cost).
-    pub fn available_estimate(&self, ceiling: u64) -> OsResult<u64> {
-        let page = self.os.page_size();
-        let fit = self.probe_available(round_down(ceiling, page).max(page), page)?;
-        Ok(fit)
-    }
-
-    /// Core probe: returns the largest number of bytes `<= max` that fits
-    /// in available memory right now. The scratch region is freed before
-    /// returning.
+    /// it: the largest amount that fits right now, at most `ceiling`.
+    /// `ceiling` bounds the search (and the probe cost) under MAC's one
+    /// byte-to-page rule: a byte bound covers `bound.div_ceil(page)` pages,
+    /// and the answer is clamped back to the bound. [`Mac::admit_all`]
+    /// sizes its grants from this answer, so an exact request that is not
+    /// a whole number of pages can still be granted in full.
     ///
     /// Probing runs up to two rounds. Round one grows until it either
-    /// covers `max` cleanly or hits a boundary (the page daemon fired, or
-    /// verification failed). A boundary probe leaves its own region partly
-    /// swapped, which poisons further measurement of it — so round two
-    /// releases everything and re-probes a *fresh* region with the ceiling
-    /// clamped just below the detected boundary, where verification can
-    /// succeed cleanly. (The cost of the second round is part of the probe
-    /// overhead the paper reports.)
-    fn probe_available(&self, max: u64, page: u64) -> OsResult<u64> {
-        let fit = self.probe_available_rounds(max, page)?;
+    /// covers the ceiling cleanly or hits a boundary (the page daemon
+    /// fired, or verification failed). A boundary probe leaves its own
+    /// region partly swapped, which poisons further measurement of it — so
+    /// round two releases everything and re-probes a *fresh* region with
+    /// the ceiling clamped just below the detected boundary, where
+    /// verification can succeed cleanly. (The cost of the second round is
+    /// part of the probe overhead the paper reports.) The scratch regions
+    /// are freed before returning.
+    pub fn available_estimate(&self, ceiling: u64) -> OsResult<u64> {
+        let page = self.os.page_size();
+        // Capped so the probe region's size in bytes still fits a `u64`.
+        let pages = ceiling.div_ceil(page).min(u64::MAX / page);
+        let fit = if pages == 0 {
+            0
+        } else {
+            (self.fit_pages(pages, page)? * page).min(ceiling)
+        };
         trace::emit_with(|| TraceEvent::Estimated {
             quantity: "mac.available_bytes",
             value: fit as f64,
@@ -473,21 +420,23 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
         Ok(fit)
     }
 
-    fn probe_available_rounds(&self, max: u64, page: u64) -> OsResult<u64> {
+    /// The probe rounds of [`Mac::available_estimate`] over at most
+    /// `pages` (positive) pages; returns the pages that fit.
+    fn fit_pages(&self, pages: u64, page: u64) -> OsResult<u64> {
         let thresholds = self.ensure_thresholds()?;
         let init_pages = (self.params.initial_increment / page).max(1);
-        let mut ceiling = max.div_ceil(page);
+        let mut ceiling = pages;
         for round in 0..2 {
             let region = self.os.mem_alloc(ceiling * page)?;
             let outcome = self.probe_region(region, ceiling, page, thresholds);
             self.os.mem_free(region)?;
             let (good, boundary) = outcome?;
             match boundary {
-                None => return Ok(good * page),
+                None => return Ok(good),
                 Some(b) if round == 0 => {
                     ceiling = b.saturating_sub(init_pages).max(good).max(1);
                 }
-                Some(_) => return Ok(good * page),
+                Some(_) => return Ok(good),
             }
         }
         unreachable!("two rounds always return");

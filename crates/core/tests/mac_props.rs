@@ -5,7 +5,7 @@
 //! small verification pass reads as paging.
 
 use gray_toolbox::prop::{check, Gen};
-use graybox::mac::{Mac, MacParams};
+use graybox::mac::{AdmissionRequest, GbAlloc, Mac, MacParams};
 use simos::{Sim, SimConfig};
 
 const PAGE: u64 = 4096;
@@ -48,27 +48,72 @@ fn estimate_tracks_capacity() {
     });
 }
 
-/// `gb_alloc` honors its contract for arbitrary (min, max, multiple):
-/// the result is a multiple in [min', max'] or a clean None — never a
-/// panic, never a stray allocation left behind.
+/// An arbitrary byte-granular request: `min` below 64 pages, `max` up to
+/// 64 pages above it, `multiple` anywhere from one byte to eight pages;
+/// none of them page-aligned unless drawn so.
+fn request(g: &mut Gen) -> AdmissionRequest {
+    let min = g.u64(0..64 * PAGE);
+    AdmissionRequest {
+        min,
+        max: min + g.u64(0..64 * PAGE),
+        multiple: g.u64(1..8 * PAGE),
+    }
+}
+
+/// The smallest and largest grant `req` accepts: `min` and `max` cut to
+/// the request's `multiple` (at least one `multiple`).
+fn grant_bounds(req: &AdmissionRequest) -> (u64, u64) {
+    let lo = req.min.max(req.multiple).next_multiple_of(req.multiple);
+    (lo, req.max / req.multiple * req.multiple)
+}
+
+/// Requests that together fit in this many bytes are granted in full on
+/// an idle 128-page machine.
+const SURELY_FITS: u64 = 32 * PAGE;
+
+/// Every slot of `grants` answers its request: a multiple of its
+/// `multiple` within `[min', max']`, and — when the requests' `max'` sum
+/// to at most [`SURELY_FITS`] on an idle machine — exactly `max'`.
+fn assert_contract(requests: &[AdmissionRequest], grants: &[Option<GbAlloc>]) {
+    assert_eq!(grants.len(), requests.len(), "one slot per request");
+    let grantable: Vec<(u64, u64)> = requests.iter().map(grant_bounds).collect();
+    let demand: u64 = grantable
+        .iter()
+        .filter(|(lo, hi)| lo <= hi)
+        .map(|b| b.1)
+        .sum();
+    for ((req, &(lo, hi)), grant) in requests.iter().zip(&grantable).zip(grants) {
+        if let Some(alloc) = grant {
+            assert_eq!(alloc.bytes % req.multiple, 0, "{req:?}: {}", alloc.bytes);
+            assert!(
+                (lo..=hi).contains(&alloc.bytes),
+                "{req:?}: granted {} outside [{lo}, {hi}]",
+                alloc.bytes
+            );
+        }
+        if lo <= hi && demand <= SURELY_FITS {
+            assert_eq!(grant.as_ref().map(|a| a.bytes), Some(hi), "{req:?}");
+        }
+    }
+}
+
+/// `gb_alloc` honors its contract for arbitrary byte-granular (min, max,
+/// multiple): the result is a multiple in [min', max'] or a clean None —
+/// never a panic, never a grant past `max`, never a stray allocation left
+/// behind.
 #[test]
 fn gb_alloc_contract() {
     check("gb_alloc_contract", 24, |g: &mut Gen| {
-        let min_pages = g.u64(0..64);
-        let extra_pages = g.u64(0..64);
-        let multiple_pages = g.u64(1..8);
-        let min = min_pages * PAGE;
-        let max = (min_pages + extra_pages) * PAGE;
-        let multiple = multiple_pages * PAGE;
+        let req = request(g);
         let mut sim = machine(128);
         let oracle = sim.oracle();
         sim.run_one(|os| {
             let mac = Mac::new(os, params());
             let before = oracle.resident_pages();
-            if let Some(alloc) = mac.gb_alloc(min, max, multiple).unwrap() {
-                assert_eq!(alloc.bytes % multiple, 0);
-                assert!(alloc.bytes >= min.max(multiple));
-                assert!(alloc.bytes <= max.max(multiple));
+            let grant = mac.gb_alloc(req.min, req.max, req.multiple).unwrap();
+            let grants = [grant];
+            assert_contract(&[req], &grants);
+            for alloc in grants.into_iter().flatten() {
                 mac.gb_free(alloc).unwrap();
             }
             assert_eq!(
@@ -80,32 +125,28 @@ fn gb_alloc_contract() {
     });
 }
 
-/// Fair allocation never returns more than the plain allocation would
-/// and still respects the floor.
+/// The same contract through `admit_all`, for one to three pooled
+/// requests: every slot answers its own request, and nothing stays
+/// resident once the grants are freed.
 #[test]
-fn fair_alloc_is_bounded_by_plain() {
-    check("fair_alloc_is_bounded_by_plain", 24, |g: &mut Gen| {
-        let peers = g.range(1u32..8);
-        machine(256).run_one(|os| {
+fn admit_all_contract() {
+    check("admit_all_contract", 24, |g: &mut Gen| {
+        let requests = g.vec(1..4, request);
+        let mut sim = machine(128);
+        let oracle = sim.oracle();
+        sim.run_one(|os| {
             let mac = Mac::new(os, params());
-            let plain = mac.gb_alloc(PAGE, 256 * PAGE, PAGE).unwrap().unwrap();
-            let plain_bytes = plain.bytes;
-            mac.gb_free(plain).unwrap();
-            let fair = mac
-                .gb_alloc_fair(PAGE, 256 * PAGE, PAGE, peers)
-                .unwrap()
-                .unwrap();
-            assert!(fair.bytes <= plain_bytes + 32 * PAGE);
-            if peers > 1 {
-                assert!(
-                    fair.bytes <= plain_bytes / (peers as u64) + 48 * PAGE,
-                    "fair share too large: {} of {} for {} peers",
-                    fair.bytes,
-                    plain_bytes,
-                    peers
-                );
+            let before = oracle.resident_pages();
+            let grants = mac.admit_all(&requests).unwrap();
+            assert_contract(&requests, &grants);
+            for alloc in grants.into_iter().flatten() {
+                mac.gb_free(alloc).unwrap();
             }
-            mac.gb_free(fair).unwrap();
+            assert_eq!(
+                oracle.resident_pages(),
+                before,
+                "no residual allocation may survive"
+            );
         });
     });
 }

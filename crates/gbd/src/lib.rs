@@ -458,6 +458,27 @@ mod tests {
         }
     }
 
+    /// An exact request that is not a whole number of pages is granted in
+    /// full, not answered with a zero grant on every tick.
+    #[test]
+    fn exact_unaligned_alloc_is_granted_in_full() {
+        let cfg = small_cfg();
+        let policy = cfg.ttl_policy();
+        let mut gbd = Gbd::new(cfg, Box::new(policy));
+        let mut sim = scenario::daemon_machine(2, 2);
+        let c = gbd.register_tenant("t").unwrap();
+        let t = c.submit(Query::GbAlloc {
+            min: 12_300,
+            max: 12_300,
+            multiple: 100,
+        });
+        gbd.serve(&mut sim);
+        assert_eq!(
+            c.take(t).expect("served").reply,
+            Reply::Granted { bytes: 12_300 }
+        );
+    }
+
     #[test]
     fn malformed_alloc_fails_alone_and_the_daemon_keeps_serving() {
         let cfg = small_cfg();

@@ -152,7 +152,7 @@ pub enum TraceEvent {
     },
     /// A memory request was admitted (or not).
     AdmissionDecision {
-        /// Who decided (e.g. `mac.gb_alloc`, `mac.admit_all`).
+        /// Who decided (e.g. `mac.admit_all`, `gbd.query`).
         source: &'static str,
         /// Bytes requested.
         requested: u64,
