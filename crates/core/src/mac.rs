@@ -95,6 +95,10 @@ pub const SLOW_TOLERANCE: f64 = 0.02;
 /// Pages used for self-calibration when the repository has no numbers.
 pub const CALIBRATION_PAGES: u64 = 64;
 
+/// The fewest pages calibration halves down to on a machine too small to
+/// hold [`CALIBRATION_PAGES`].
+const CALIBRATION_FLOOR_PAGES: u64 = 8;
+
 /// Tuning parameters for the admission controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacParams {
@@ -612,13 +616,32 @@ impl<'a, O: GrayBoxOs> Mac<'a, O> {
 /// resident touches and of the first touches, in nanoseconds (the first
 /// at least 1, the second at least the first). MAC scales its thresholds
 /// from them, and the microbenchmark suite publishes them
-/// ([`crate::microbench::Microbench::page_costs`]). The scratch region is
-/// freed on every path.
+/// ([`crate::microbench::Microbench::page_costs`]).
+///
+/// A re-touch median above the first-touch median means the region did
+/// not fit and the re-touches were swap-ins: the pass runs again on half
+/// as many pages, down to [`CALIBRATION_FLOOR_PAGES`], rather than scale
+/// "resident" thresholds from paging.
 pub(crate) fn page_cost_medians<O: GrayBoxOs>(os: &O) -> OsResult<(f64, f64)> {
-    let region = os.mem_alloc(CALIBRATION_PAGES * os.page_size())?;
-    let plan: Vec<u64> = (0..CALIBRATION_PAGES).collect();
+    let mut pages = CALIBRATION_PAGES;
+    loop {
+        let (touch, zero) = time_page_costs(os, pages)?;
+        if touch <= zero || pages <= CALIBRATION_FLOOR_PAGES {
+            let touch = touch.max(1.0);
+            return Ok((touch, zero.max(touch)));
+        }
+        pages /= 2;
+    }
+}
+
+/// One calibration pass over `pages` fresh pages: the raw medians of the
+/// resident and the first touches. The scratch region is freed on every
+/// path.
+fn time_page_costs<O: GrayBoxOs>(os: &O, pages: u64) -> OsResult<(f64, f64)> {
+    let region = os.mem_alloc(pages * os.page_size())?;
+    let plan: Vec<u64> = (0..pages).collect();
     let mut zero_times = Vec::new();
-    let mut touch_times = Vec::with_capacity(2 * CALIBRATION_PAGES as usize);
+    let mut touch_times = Vec::with_capacity(2 * pages as usize);
     for round in 0..4 {
         let samples = os.mem_probe_batch(region, &plan);
         if samples.iter().any(|s| !s.ok) {
@@ -633,9 +656,8 @@ pub(crate) fn page_cost_medians<O: GrayBoxOs>(os: &O) -> OsResult<(f64, f64)> {
         }
     }
     os.mem_free(region)?;
-    let touch = Summary::new(&touch_times).median().max(1.0);
-    let zero = Summary::new(&zero_times).median().max(touch);
-    Ok((touch, zero))
+    let median = |times: &[f64]| Summary::new(times).median();
+    Ok((median(&touch_times), median(&zero_times)))
 }
 
 /// `pages` cut into runs of at most [`SUB_BATCH_PAGES`], in order.

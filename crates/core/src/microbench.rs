@@ -62,8 +62,8 @@ impl<'a, O: GrayBoxOs> Microbench<'a, O> {
 
     /// Measures the cost of touching resident pages and of first-touch
     /// allocate-and-zero, with MAC's own calibration pass (the medians over
-    /// [`crate::mac::CALIBRATION_PAGES`] pages, rounded down to whole
-    /// nanoseconds).
+    /// [`crate::mac::CALIBRATION_PAGES`] pages, fewer on a machine too
+    /// small to hold them, rounded down to whole nanoseconds).
     pub fn page_costs(&self) -> OsResult<PageCosts> {
         let (touch, zero) = mac::page_cost_medians(self.os)?;
         Ok(PageCosts {

@@ -18,16 +18,16 @@
 //!   of a file is retained ("once placed in the Solaris file cache, it is
 //!   quite difficult to dislodge") while later scans churn in place.
 //!
-//! Each pool is a *frame table*, as in the kernels it models: one record
-//! per resident page in a slab, linked by slab index onto a recency list
-//! and its owner's page list. A page is found the way a kernel finds it,
-//! through its owner: each file or region with a resident page has a
-//! record, also in a slab, holding a page table from page number to frame
-//! index. Touches come in runs on one owner, so the pool remembers the last
-//! owner it found: a touch costs one compare against that memo, two array
-//! indices and a list splice — the map of owners is hashed into once per
-//! run, not once per page — and a scan walks its owner's table in memory
-//! order (DESIGN.md §19).
+//! Each pool is a *frame table*, as in the kernels it models: one 32-byte
+//! record per resident page in a slab, linked by slab index onto one
+//! recency list and naming its owner's record. A page is found the way a
+//! kernel finds it, through its owner: each file or region with a resident
+//! page has a record, also in a slab, holding a page table from page
+//! number to frame index and a count of its pages. Touches come in runs on
+//! one owner, so the pool remembers the last owner it found: a touch costs
+//! one compare against that memo, two array indices and a list splice —
+//! the map of owners is hashed into once per run, not once per page — and
+//! a scan walks its owner's table in memory order (DESIGN.md §19).
 
 use gray_toolbox::hash::FastMap;
 
@@ -103,10 +103,6 @@ enum Policy {
 /// "No frame": the null link of the index-based lists.
 const NIL: u32 = u32::MAX;
 
-/// Which of a frame's two link pairs a list threads through.
-const LRU: usize = 0;
-const OWN: usize = 1;
-
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
@@ -116,7 +112,11 @@ struct Link {
 /// One resident page: the only per-page record the pool keeps.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    id: PageId,
+    /// The owner's record in [`Owners::records`], whose table maps `page`
+    /// back to this frame.
+    rec: u32,
+    /// Page index within the owner.
+    page: u64,
     /// Recency stamp, rewritten on every touch; within one LRU list it
     /// rises from head to tail, and it is what orders the file list's
     /// head against the anonymous list's.
@@ -126,12 +126,13 @@ struct Frame {
     referenced: bool,
     /// Always false on a free frame, so `dirty_pages` may scan the slab.
     dirty: bool,
-    /// `links[LRU]`: the file or anonymous recency list; `links[OWN]`:
-    /// the owner's page list.
-    links: [Link; 2],
+    /// The file or anonymous recency list, or the free stack.
+    link: Link,
 }
 
-/// A doubly linked list of frames, threaded through `links[which]`.
+const _: () = assert!(std::mem::size_of::<Frame>() == 32);
+
+/// A doubly linked list of frames, threaded through their `link`.
 #[derive(Debug, Clone, Copy)]
 struct List {
     head: u32,
@@ -144,39 +145,40 @@ impl List {
         tail: NIL,
     };
 
-    fn push_back(&mut self, frames: &mut [Frame], which: usize, i: u32) {
-        frames[i as usize].links[which] = Link {
+    fn push_back(&mut self, frames: &mut [Frame], i: u32) {
+        frames[i as usize].link = Link {
             prev: self.tail,
             next: NIL,
         };
         match self.tail {
             NIL => self.head = i,
-            t => frames[t as usize].links[which].next = i,
+            t => frames[t as usize].link.next = i,
         }
         self.tail = i;
     }
 
-    fn unlink(&mut self, frames: &mut [Frame], which: usize, i: u32) {
-        let Link { prev, next } = frames[i as usize].links[which];
+    fn unlink(&mut self, frames: &mut [Frame], i: u32) {
+        let Link { prev, next } = frames[i as usize].link;
         match prev {
             NIL => self.head = next,
-            p => frames[p as usize].links[which].next = next,
+            p => frames[p as usize].link.next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => frames[n as usize].links[which].prev = prev,
+            n => frames[n as usize].link.prev = prev,
         }
     }
 
     /// Frame indices from head to tail.
-    fn iter<'f>(&self, frames: &'f [Frame], which: usize) -> impl Iterator<Item = u32> + 'f {
+    #[cfg(test)]
+    fn iter<'f>(&self, frames: &'f [Frame]) -> impl Iterator<Item = u32> + 'f {
         let mut at = self.head;
         std::iter::from_fn(move || {
             let i = at;
             if i == NIL {
                 return None;
             }
-            at = frames[i as usize].links[which].next;
+            at = frames[i as usize].link.next;
             Some(i)
         })
     }
@@ -186,8 +188,10 @@ impl List {
 /// table and all, when the last page leaves.
 #[derive(Debug)]
 struct Resident {
-    /// The owner's frames, in no particular order (listings sort).
-    list: List,
+    /// Whose record this is; a vacant slot keeps its last tenant's.
+    owner: Owner,
+    /// How many pages `pages` maps: the record goes when it reaches 0.
+    count: u32,
     /// Page number to frame index, `NIL` where the page is not resident.
     pages: PageTable<u32>,
 }
@@ -195,9 +199,10 @@ struct Resident {
 impl Resident {
     /// No pages and nothing allocated: a new record, and what a vacant
     /// slot of the record slab holds.
-    fn empty() -> Self {
+    fn empty(owner: Owner) -> Self {
         Resident {
-            list: List::EMPTY,
+            owner,
+            count: 0,
             pages: PageTable::new(NIL),
         }
     }
@@ -253,23 +258,22 @@ impl Owners {
             return r;
         }
         let r = self.vacant.pop().unwrap_or_else(|| {
-            self.records.push(Resident::empty());
+            self.records.push(Resident::empty(owner));
             (self.records.len() - 1) as u32
         });
+        self.records[r as usize].owner = owner;
         self.index.insert(owner, r);
         self.remember(owner, r);
         r
     }
 
-    /// Takes `owner`'s record out, table and all.
-    fn drop_record(&mut self, owner: Owner) -> Option<Resident> {
-        let r = self.index.remove(&owner)?;
-        self.memo = self.memo.map(|m| m.filter(|&(o, _)| o != owner));
+    /// Takes record `r` out, table and all.
+    fn drop_record(&mut self, r: u32) -> Resident {
+        let owner = self.records[r as usize].owner;
+        self.index.remove(&owner);
+        self.memo = self.memo.map(|m| m.filter(|&(_, x)| x != r));
         self.vacant.push(r);
-        Some(std::mem::replace(
-            &mut self.records[r as usize],
-            Resident::empty(),
-        ))
+        std::mem::replace(&mut self.records[r as usize], Resident::empty(owner))
     }
 
     /// The frame holding `id`, if it is resident.
@@ -293,11 +297,11 @@ impl Owners {
 /// One replacement pool: a frame table.
 ///
 /// Every resident page is one [`Frame`] in the `frames` slab, found through
-/// its owner's page table and threaded on two lists at once: the recency
-/// list of its kind (`lru[0]` file, `lru[1]` anonymous; head = least
-/// recently used) and its owner's page list. All links are slab indices,
-/// so a touch is an owner compare (a hash only when the run of touches
-/// changes owner), two array indices, an unlink and a push-tail.
+/// its owner's page table, naming its owner's record, and threaded on one
+/// list: the recency list of its kind (`lru[0]` file, `lru[1]` anonymous;
+/// head = least recently used). All links are slab indices, so a touch is
+/// an owner compare (a hash only when the run of touches changes owner),
+/// two array indices, an unlink and a push-tail.
 #[derive(Debug)]
 struct Pool {
     capacity: usize,
@@ -309,7 +313,7 @@ struct Pool {
     prefer_file_eviction: bool,
     frames: Vec<Frame>,
     /// Slab slots not holding a page: a stack threaded through the free
-    /// frames' `links[LRU].next`, so releasing a frame never allocates.
+    /// frames' `link.next`, so releasing a frame never allocates.
     free: u32,
     /// How many frames hold a page.
     resident: usize,
@@ -366,8 +370,8 @@ impl Pool {
         }
         let list = &mut self.lru[lru_of(id.owner)];
         if list.tail != i {
-            list.unlink(&mut self.frames, LRU, i);
-            list.push_back(&mut self.frames, LRU, i);
+            list.unlink(&mut self.frames, i);
+            list.push_back(&mut self.frames, i);
         }
         let f = &mut self.frames[i as usize];
         f.seq = self.next_seq;
@@ -392,15 +396,19 @@ impl Pool {
         } else {
             None
         };
+        // After the eviction, which may have taken the owner's last page
+        // and its record with it.
+        let rec = self.owners.find_or_add(id.owner);
         let frame = Frame {
-            id,
+            rec,
+            page: id.page,
             seq: self.next_seq,
             referenced: false,
             dirty,
-            links: [Link {
+            link: Link {
                 prev: NIL,
                 next: NIL,
-            }; 2],
+            },
         };
         self.next_seq += 1;
         let i = match self.free {
@@ -409,17 +417,16 @@ impl Pool {
                 (self.frames.len() - 1) as u32
             }
             i => {
-                self.free = self.frames[i as usize].links[LRU].next;
+                self.free = self.frames[i as usize].link.next;
                 self.frames[i as usize] = frame;
                 i
             }
         };
         self.resident += 1;
-        self.lru[lru_of(id.owner)].push_back(&mut self.frames, LRU, i);
-        let r = self.owners.find_or_add(id.owner);
-        let owner = &mut self.owners.records[r as usize];
-        owner.pages.set(id.page, i);
-        owner.list.push_back(&mut self.frames, OWN, i);
+        self.lru[lru_of(id.owner)].push_back(&mut self.frames, i);
+        let record = &mut self.owners.records[rec as usize];
+        record.pages.set(id.page, i);
+        record.count += 1;
         self.dirty += usize::from(dirty);
         if self.policy == Policy::Sticky {
             self.own_stacks.entry(id.owner).or_default().push(id);
@@ -428,45 +435,42 @@ impl Pool {
         evicted
     }
 
-    /// Takes frame `i` off the recency list and pushes its slot on the
-    /// free stack. The owner's record is the caller's business (`release`
-    /// takes one frame out of it, `release_owner` drops the whole record).
-    fn vacate(&mut self, i: u32) -> Evicted {
-        let Frame { id, dirty, .. } = self.frames[i as usize];
-        self.lru[lru_of(id.owner)].unlink(&mut self.frames, LRU, i);
+    /// Takes frame `i`, which holds `id`, off the recency list and pushes
+    /// its slot on the free stack. The owner's record is the caller's
+    /// business (`release` takes one page out of it, `release_owner` drops
+    /// the whole record).
+    fn vacate(&mut self, i: u32, id: PageId) -> Evicted {
+        let dirty = self.frames[i as usize].dirty;
+        self.lru[lru_of(id.owner)].unlink(&mut self.frames, i);
         self.resident -= 1;
         self.dirty -= usize::from(dirty);
         let f = &mut self.frames[i as usize];
         f.dirty = false;
-        f.links[LRU].next = self.free;
+        f.link.next = self.free;
         self.free = i;
         Evicted { id, dirty }
     }
 
     /// Frees one resident frame.
     fn release(&mut self, i: u32) -> Evicted {
-        let PageId { owner, page } = self.frames[i as usize].id;
-        let r = self.owners.find(owner).expect("resident owner");
-        let record = &mut self.owners.records[r as usize];
+        let Frame { rec, page, .. } = self.frames[i as usize];
+        let record = &mut self.owners.records[rec as usize];
+        let owner = record.owner;
         record.pages.set(page, NIL);
-        record.list.unlink(&mut self.frames, OWN, i);
-        if record.list.head == NIL {
-            self.owners.drop_record(owner);
+        record.count -= 1;
+        if record.count == 0 {
+            self.owners.drop_record(rec);
         }
-        self.vacate(i)
+        self.vacate(i, PageId { owner, page })
     }
 
-    /// Frees every page of `owner`, in one walk of its page list.
+    /// Frees every page of `owner`, in one walk of its table, in page order.
     fn release_owner(&mut self, owner: Owner) {
-        let Some(record) = self.owners.drop_record(owner) else {
+        let Some(r) = self.owners.find(owner) else {
             return;
         };
-        let mut at = record.list.head;
-        while at != NIL {
-            // `vacate` leaves the owner links alone.
-            let next = self.frames[at as usize].links[OWN].next;
-            self.vacate(at);
-            at = next;
+        for (page, i) in self.owners.drop_record(r).pages.iter() {
+            self.vacate(i, PageId { owner, page });
         }
     }
 
@@ -685,7 +689,13 @@ impl PageCache {
         let mut out: Vec<PageId> = self
             .pools
             .iter()
-            .flat_map(|p| p.frames.iter().filter(|f| f.dirty).map(|f| f.id))
+            .flat_map(|p| {
+                let dirty = p.frames.iter().filter(|f| f.dirty);
+                dirty.map(|f| PageId {
+                    owner: p.owners.records[f.rec as usize].owner,
+                    page: f.page,
+                })
+            })
             .collect();
         out.sort_unstable();
         out
@@ -702,14 +712,8 @@ impl PageCache {
         let Some(r) = pool.owners.find(owner) else {
             return Vec::new();
         };
-        let record = &pool.owners.records[r as usize];
-        let mut pages: Vec<u64> = record
-            .list
-            .iter(&pool.frames, OWN)
-            .map(|i| pool.frames[i as usize].id.page)
-            .collect();
-        pages.sort_unstable();
-        pages
+        let pages = pool.owners.records[r as usize].pages.iter();
+        pages.map(|(page, _)| page).collect()
     }
 
     /// Free frames in the pool that would host `owner`.
@@ -930,9 +934,10 @@ mod tests {
     }
 
     /// Walks every list of a pool and checks that the recency lists, the
-    /// owners' lists and page tables, the resident and dirty counts and the
-    /// free list all describe the same set of frames.
+    /// owners' records and page tables, the resident and dirty counts and
+    /// the free list all describe the same set of frames.
     fn assert_pool_consistent(pool: &Pool) {
+        let owners = &pool.owners;
         let mut seen = vec![false; pool.frames.len()];
         let mark = |seen: &mut [bool], i: u32, what: &str| {
             let twice = std::mem::replace(&mut seen[i as usize], true);
@@ -941,12 +946,18 @@ mod tests {
         let mut dirty = 0;
         for (kind, list) in pool.lru.iter().enumerate() {
             let mut prev = NIL;
-            for i in list.iter(&pool.frames, LRU) {
+            for i in list.iter(&pool.frames) {
                 let f = &pool.frames[i as usize];
                 mark(&mut seen, i, "lru");
-                assert_eq!(f.links[LRU].prev, prev, "back link of frame {i}");
-                assert_eq!(lru_of(f.id.owner), kind, "frame {i} on the wrong list");
-                assert_eq!(pool.owners.frame_of(&f.id), Some(i), "table slot of {i}");
+                assert_eq!(f.link.prev, prev, "back link of frame {i}");
+                let record = &owners.records[f.rec as usize];
+                assert_eq!(
+                    owners.index.get(&record.owner),
+                    Some(&f.rec),
+                    "frame {i} names a dead record"
+                );
+                assert_eq!(lru_of(record.owner), kind, "frame {i} on the wrong list");
+                assert_eq!(record.pages.get(f.page), i, "table slot of {i}");
                 if prev != NIL {
                     assert!(pool.frames[prev as usize].seq < f.seq, "seq order at {i}");
                 }
@@ -960,8 +971,6 @@ mod tests {
         assert!(listed <= pool.capacity.max(1));
         assert_eq!(dirty, pool.dirty, "dirty count");
 
-        let (mut owned, mut slots) = (0, 0);
-        let owners = &pool.owners;
         for (owner, r) in owners.memo.iter().flatten() {
             assert_eq!(owners.index.get(owner), Some(r), "memo names a dead record");
         }
@@ -970,37 +979,36 @@ mod tests {
             owners.records.len()
         );
         for &r in &owners.vacant {
-            let Resident { list, pages } = &owners.records[r as usize];
-            assert!(list.head == NIL && pages.iter().next().is_none());
+            let Resident { count, pages, .. } = &owners.records[r as usize];
+            assert_eq!(*count, 0, "vacant record {r} counts pages");
+            assert!(
+                pages.iter().next().is_none(),
+                "vacant record {r} maps pages"
+            );
         }
+        let mut slots = 0;
         for (owner, &r) in &owners.index {
-            let Resident { list, pages } = &owners.records[r as usize];
-            assert_ne!(list.head, NIL, "record kept for {owner:?} with no pages");
+            let Resident {
+                owner: named,
+                count,
+                pages,
+            } = &owners.records[r as usize];
+            assert_eq!(named, owner, "record {r} is filed under another owner");
+            assert_ne!(*count, 0, "record kept for {owner:?} with no pages");
             // Table to slab: every slot names a live frame holding that page.
+            let mut entries = 0;
             for (page, i) in pages.iter() {
                 assert!(
                     seen[i as usize],
                     "{owner:?} page {page} names free frame {i}"
                 );
-                let id = PageId {
-                    owner: *owner,
-                    page,
-                };
-                assert_eq!(pool.frames[i as usize].id, id, "slot of frame {i}");
-                slots += 1;
-            }
-            let mut prev = NIL;
-            for i in list.iter(&pool.frames, OWN) {
                 let f = &pool.frames[i as usize];
-                assert!(seen[i as usize], "owner list holds a free frame {i}");
-                assert_eq!(f.id.owner, *owner);
-                assert_eq!(f.links[OWN].prev, prev);
-                prev = i;
-                owned += 1;
+                assert_eq!((f.rec, f.page), (r, page), "slot of frame {i}");
+                entries += 1;
             }
-            assert_eq!(list.tail, prev);
+            assert_eq!(entries, *count as usize, "page count of {owner:?}");
+            slots += entries;
         }
-        assert_eq!(owned, listed, "owner lists and recency lists disagree");
         assert_eq!(
             slots, pool.resident,
             "table slots and resident count disagree"
@@ -1011,7 +1019,7 @@ mod tests {
             mark(&mut seen, free, "free");
             let f = &pool.frames[free as usize];
             assert!(!f.dirty, "free frame {free} left dirty");
-            free = f.links[LRU].next;
+            free = f.link.next;
         }
         assert!(
             seen.iter().all(|&s| s),

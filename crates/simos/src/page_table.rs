@@ -78,7 +78,6 @@ impl<T: Copy + PartialEq> PageTable<T> {
     }
 
     /// Every stored `(page, value)`, in page order.
-    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
         let chunks = self.dir.iter().enumerate();
         chunks.flat_map(move |(at, chunk)| {

@@ -4,7 +4,7 @@
 //!
 //! The reference keeps each pool as one `Vec` in recency order and finds
 //! everything by linear scan — no index, no links, no counters — so the
-//! frame table's list surgery, index upkeep, owner lists, dirty count and
+//! frame table's list surgery, index upkeep, owner records, dirty count and
 //! free-list reuse each have something independent to disagree with.
 //! Capacities are tiny so nearly every insert evicts, and owners empty and
 //! refill all the time — also straight after a run of touches on the owner

@@ -11,7 +11,7 @@
 //! allocator, no clock.
 //!
 //! Each estimate also frees its scratch regions. Freeing hands every
-//! resident frame back in one walk of the region's page list and builds
+//! resident frame back in one walk of the region's page table and builds
 //! no list of them, so freeing a probed region allocates nothing.
 //!
 //! One `#[test]` only (see `counting_alloc`).

@@ -9,6 +9,13 @@
 //! the way `exec_alloc_budget.rs` pins a spawn: a counting allocator, no
 //! clock.
 //!
+//! What the cache keeps per resident page is pinned here too, in bytes:
+//! the frame slab is most of what the write requests, so a frame that
+//! grows past 32 bytes overruns [`BYTES_BUDGET`]. The write requested
+//! 152 864 bytes in 25 allocations with 32-byte frames, and 250 976 bytes
+//! in 25 allocations with the 56-byte frames that also carried a
+//! `PageId` and the owner's page list.
+//!
 //! One `#[test]` only (see `counting_alloc`).
 
 mod counting_alloc;
@@ -24,18 +31,31 @@ const BYTES: u64 = 4 << 20;
 /// page tables its owners grow.
 const BUDGET: u64 = 64;
 
+/// What the whole write may request, in bytes: the frame slab's doublings
+/// up to 2 048 frames of 32 bytes (4 092 frames' worth), and 32 KB for the
+/// block list, the metadata log's buffers and the page-table chunks
+/// (measured at 22 KB together).
+const BYTES_BUDGET: u64 = 4092 * 32 + (32 << 10);
+
 #[test]
 fn a_written_page_allocates_nothing() {
     let mut sim = Sim::new(SimConfig::small().without_noise());
-    let calls = sim.run_one(|os| {
+    let (calls, bytes) = sim.run_one(|os| {
         let fd = os.create("/out").expect("file is created");
-        let (written, calls, _bytes) = counted(|| os.write_fill(fd, 0, BYTES));
+        let (written, calls, bytes) = counted(|| os.write_fill(fd, 0, BYTES));
         assert_eq!(written.expect("the write succeeds"), BYTES);
-        calls
+        (calls, bytes)
     });
-    println!("{calls} allocations to write {} pages", BYTES / 4096);
+    println!(
+        "{calls} allocations, {bytes} bytes to write {} pages",
+        BYTES / 4096
+    );
     assert!(
         calls <= BUDGET,
         "{calls} allocations to write {BYTES} bytes: the write path allocates per page"
+    );
+    assert!(
+        bytes <= BYTES_BUDGET,
+        "{bytes} bytes requested to write {BYTES} bytes: a resident page costs more than 32 bytes"
     );
 }
