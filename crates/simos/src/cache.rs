@@ -230,9 +230,12 @@ impl Owners {
     /// The record of `owner`, if it has a resident page.
     #[inline]
     fn find(&self, owner: Owner) -> Option<u32> {
-        let memo = self.memo.into_iter().flatten().find(|&(o, _)| o == owner);
-        memo.map(|(_, r)| r)
-            .or_else(|| self.index.get(&owner).copied())
+        // Each memo entry compared in place: this runs on every touch.
+        match &self.memo {
+            [Some((o, r)), _] if *o == owner => Some(*r),
+            [_, Some((o, r))] if *o == owner => Some(*r),
+            _ => self.index.get(&owner).copied(),
+        }
     }
 
     /// Puts `owner`'s record at the front of the memo.

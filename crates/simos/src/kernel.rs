@@ -60,9 +60,9 @@ pub struct KernelStats {
 enum Entry {
     /// The user/kernel crossing, `COSTS.syscall`.
     Syscall,
-    /// Nothing: the body charges its own work (a timer read, a page
-    /// touch, a compute burst, a sleep), or is a batch whose probes each
-    /// enter on their own.
+    /// Nothing: the body charges its own work (a read-touch, a page
+    /// fault, a compute burst, a sleep), or is a probe batch, whose steps
+    /// charge theirs.
     Free,
 }
 
@@ -222,22 +222,26 @@ impl Kernel {
 
     // --- Charging helpers -------------------------------------------------
 
+    /// The instant CPU work `d` started at `now` completes: the noise
+    /// draw, then the CPU bank. Every CPU charge is this, in program order.
     /// Inlined at every site, so a constant `d` reaches `Noise::apply` as a
     /// constant and picks its jitter table at compile time: a timed page
     /// touch makes three of these charges, none of them a call.
     #[inline(always)]
-    fn charge_cpu(&mut self, pid: usize, d: GrayDuration) {
+    fn cpu_done(&mut self, now: Nanos, d: GrayDuration) -> Nanos {
         let d = self.noise.apply(d);
+        self.cpus.run(now, d)
+    }
+
+    /// Charges CPU work `d` to `pid`'s clock.
+    #[inline(always)]
+    fn charge_cpu(&mut self, pid: usize, d: GrayDuration) {
         let before = self.procs[pid].now;
-        let done = self.cpus.run(before, d);
+        let done = self.cpu_done(before, d);
         self.set_time(pid, done);
         // Observation only: the delta was already committed above, so the
         // profiler cannot perturb virtual time (pinned by a tier-1 test).
-        profile::charge(
-            pid as u64,
-            "cpu",
-            self.procs[pid].now.as_nanos() - before.as_nanos(),
-        );
+        profile::charge(pid as u64, "cpu", done.as_nanos() - before.as_nanos());
     }
 
     /// Synchronous disk transfer charged to `pid`.
@@ -299,10 +303,7 @@ impl Kernel {
     /// side effect WBD observes.
     #[inline]
     fn poll_flusher(&mut self, pid: usize) {
-        let now = self.procs[pid].now;
-        if self.next_flush <= now {
-            self.run_flusher(now);
-        }
+        self.step_poll(pid, self.procs[pid].now);
     }
 
     /// The flusher epochs up to `now`; almost no kernel entry gets here.
@@ -426,11 +427,13 @@ impl Kernel {
 
     // --- Syscalls -------------------------------------------------------------
 
-    /// The one way into the kernel. Every syscall opens its op frame for
-    /// the profiler, fires the flusher epochs the caller's clock has
-    /// crossed, pays the user/kernel crossing if `entry` says so, and then
-    /// runs `body`. Anything a syscall rejects before this point charges
-    /// nothing and records nothing.
+    /// The way into the kernel. Every syscall opens its op frame for the
+    /// profiler, fires the flusher epochs the caller's clock has crossed,
+    /// pays the user/kernel crossing if `entry` says so, and then runs
+    /// `body`. The syscalls that are steps (below) do the same on a local
+    /// clock, with the op name on their charges in place of the frame.
+    /// Anything a syscall rejects before this point charges nothing and
+    /// records nothing.
     #[inline]
     fn enter<R>(
         &mut self,
@@ -447,16 +450,112 @@ impl Kernel {
         body(self)
     }
 
+    // --- Steps: kernel work on a clock held in a local ----------------------
+    //
+    // A step is what one of the two cheapest syscalls, `sys_now` and
+    // `sys_mem_touch_write`, does once it is inside: a flusher poll, then
+    // its work, charged to a clock the caller keeps in a local `now`
+    // instead of `procs[pid].now`. Its CPU charges go to the profiler under
+    // the step's own op name, so a step opens no op frame. The syscall is
+    // a step on its own ([`Kernel::one_step`]); a probe batch is one
+    // [`Kernel::enter`] and a run of steps. The local is written back
+    // before anything that reads the process's clock — the flusher, a
+    // page fault, a nested `sys_read` (the last two through
+    // [`Kernel::on_proc_clock`]) — and read back after it.
+
+    /// Runs `f` with the local clock `now` written back as the process's
+    /// clock, then reads the clock back into `now`.
+    #[inline]
+    fn on_proc_clock<R>(
+        &mut self,
+        pid: usize,
+        now: &mut Nanos,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.procs[pid].now = *now;
+        let r = f(self);
+        *now = self.procs[pid].now;
+        r
+    }
+
+    /// A syscall that is one step: the step on a local copy of the
+    /// process's clock, committed (with [`Kernel::max_time`]) after it.
+    #[inline(always)]
+    fn one_step<R>(&mut self, pid: usize, step: impl FnOnce(&mut Self, &mut Nanos) -> R) -> R {
+        let mut now = self.procs[pid].now;
+        let r = step(self, &mut now);
+        self.set_time(pid, now);
+        r
+    }
+
+    /// [`Kernel::poll_flusher`] at `now`: fires the epochs it has crossed.
+    #[inline(always)]
+    fn step_poll(&mut self, pid: usize, now: Nanos) {
+        if self.next_flush <= now {
+            // Written back like any other reader's; the flusher moves the
+            // disks' timelines, not the process's clock.
+            self.procs[pid].now = now;
+            self.run_flusher(now);
+        }
+    }
+
+    /// [`Kernel::charge_cpu`] on a local clock, charged to the profiler
+    /// as `op`'s.
+    #[inline(always)]
+    fn step_cpu(&mut self, pid: usize, now: &mut Nanos, op: &'static str, d: GrayDuration) {
+        let done = self.cpu_done(*now, d);
+        profile::charge_in(pid as u64, op, "cpu", done.as_nanos() - now.as_nanos());
+        *now = done;
+    }
+
+    /// The clock-read step: the read's cost, then the quantized reading.
+    #[inline(always)]
+    fn step_now(&mut self, pid: usize, now: &mut Nanos) -> Nanos {
+        self.step_poll(pid, *now);
+        self.step_cpu(pid, now, "sys_now", TIMER_READ);
+        self.noise.quantize(*now)
+    }
+
+    /// The write-touch step, given the region's size in pages (`None` if
+    /// it is not live): a resident page is marked dirty and charged here;
+    /// any other page faults, on the process's clock.
+    #[inline(always)]
+    fn step_touch_write(
+        &mut self,
+        pid: usize,
+        now: &mut Nanos,
+        region: u64,
+        size: Option<u64>,
+        page: u64,
+    ) -> OsResult<()> {
+        self.step_poll(pid, *now);
+        if page >= size.ok_or(OsError::BadRegion)? {
+            return Err(OsError::InvalidArgument);
+        }
+        let id = PageId {
+            owner: Owner::Anon { region },
+            page,
+        };
+        if self.cache.mark_dirty(id) {
+            self.step_cpu(pid, now, "sys_mem_touch_write", COSTS.mem_touch);
+            return Ok(());
+        }
+        // A fault enters the kernel under the touch's op frame. Its
+        // flusher poll is at the instant of the step's, so it fires nothing.
+        self.on_proc_clock(pid, now, |k| {
+            k.enter(pid, "sys_mem_touch_write", Entry::Free, |k| {
+                k.fault_write(pid, region, page)
+            })
+        })
+    }
+
     /// The high-resolution clock, with read cost and quantization. The
     /// reading is also the stamp of the process's next trace records.
     #[inline]
     pub fn sys_now(&mut self, pid: usize) -> Nanos {
-        self.enter(pid, "sys_now", Entry::Free, |k| {
-            k.charge_cpu(pid, TIMER_READ);
-            let now = k.noise.quantize(k.procs[pid].now);
-            trace::set_now(now);
-            now
-        })
+        let reading = self.one_step(pid, |k, now| k.step_now(pid, now));
+        trace::set_now(reading);
+        reading
     }
 
     /// Opens an existing file.
@@ -592,31 +691,31 @@ impl Kernel {
     /// Services a whole batch of timed 1-byte read probes in one kernel
     /// entry.
     ///
-    /// Each probe is the scalar sequence itself — `sys_now`, 1-byte
-    /// `sys_read`, `sys_now` — so the charged costs, the noise/quantization
-    /// stream, the readahead state machine, and the cache side effects are
-    /// bit-identical to a loop of individually dispatched probes. What the
-    /// batch elides is purely executor overhead: the caller borrows the
-    /// kernel (and holds the scheduler baton) once for the whole batch
-    /// instead of three times per probe. Each probe is traced as a
+    /// Each probe is a clock-read step, a nested 1-byte `sys_read`, and a
+    /// clock-read step — the scalar `sys_now` / `sys_read` / `sys_now`
+    /// sequence, so the charged costs, the flusher polls, the
+    /// noise/quantization stream, the readahead state machine, the cache
+    /// side effects and the profile are bit-identical to a loop of
+    /// individually dispatched probes. What the batch elides is host
+    /// work: the caller borrows the kernel (and holds the scheduler baton)
+    /// once for the whole batch, and each clock read is a step on a local
+    /// clock, with no op frame of its own. Each probe is traced as a
     /// `ProbeIssued` event stamped at its second clock read.
     pub fn sys_probe_batch(&mut self, pid: usize, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
         let offsets = specs.iter().map(|s| s.offset);
-        self.timed_batch(
-            pid,
-            "sys_probe_batch",
-            offsets,
-            true,
-            |k, offset| matches!(k.sys_read(pid, fd, offset, 1, None), Ok(n) if n > 0),
-        )
+        self.timed_batch(pid, "sys_probe_batch", offsets, true, |k, now, offset| {
+            let read = k.on_proc_clock(pid, now, |k| k.sys_read(pid, fd, offset, 1, None));
+            matches!(read, Ok(n) if n > 0)
+        })
     }
 
     /// Services a batch of timed page write-touches in one kernel entry —
-    /// the memory-side sibling of [`Kernel::sys_probe_batch`], with the
-    /// same per-probe replay of the scalar `sys_now` / touch / `sys_now`
-    /// sequence (the sample's `offset` carries the page index). Not
-    /// traced. The region's size is looked up once for the batch: nothing
-    /// inside one kernel entry frees a region.
+    /// the memory-side sibling of [`Kernel::sys_probe_batch`]: each probe
+    /// is a clock-read step, a write-touch step and a clock-read step,
+    /// the scalar `sys_now` / `sys_mem_touch_write` / `sys_now` sequence
+    /// (the sample's `offset` carries the page index). Not traced. The
+    /// region's size is looked up once for the batch: nothing inside one
+    /// kernel entry frees a region.
     pub fn sys_mem_probe_batch(
         &mut self,
         pid: usize,
@@ -625,35 +724,41 @@ impl Kernel {
     ) -> Vec<ProbeSample> {
         let size = self.vm.size(region);
         let pages = pages.iter().copied();
-        self.timed_batch(pid, "sys_mem_probe_batch", pages, false, |k, page| {
-            k.touch_write(pid, region, size, page).is_ok()
+        self.timed_batch(pid, "sys_mem_probe_batch", pages, false, |k, now, page| {
+            k.step_touch_write(pid, now, region, size, page).is_ok()
         })
     }
 
-    /// The timed loop both probe batches share: for each offset, inside
-    /// one kernel entry, `sys_now`, then `probe` (which reports success),
-    /// then `sys_now`. With `traced`, each probe emits a `ProbeIssued`
-    /// event, stamped at the second reading. An empty batch enters
-    /// nothing.
+    /// The timed loop both probe batches share, one kernel entry: for each
+    /// offset a clock-read step, `probe` (which reports success), and a
+    /// clock-read step, all on the caller's clock held in a local. The
+    /// clock is committed, with [`Kernel::max_time`], once at the end;
+    /// whatever reads it in between goes through
+    /// [`Kernel::on_proc_clock`]. With `traced`, each probe emits a
+    /// `ProbeIssued` event stamped at its second reading; the last reading
+    /// stamps the process's next records. An empty batch enters nothing.
     fn timed_batch(
         &mut self,
         pid: usize,
         op: &'static str,
         offsets: impl ExactSizeIterator<Item = u64>,
         traced: bool,
-        mut probe: impl FnMut(&mut Self, u64) -> bool,
+        mut probe: impl FnMut(&mut Self, &mut Nanos, u64) -> bool,
     ) -> Vec<ProbeSample> {
         if offsets.len() == 0 {
             return Vec::new();
         }
         self.enter(pid, op, Entry::Free, |k| {
-            offsets
+            let mut now = k.procs[pid].now;
+            let mut reading = Nanos::ZERO;
+            let samples = offsets
                 .map(|offset| {
-                    let t0 = k.sys_now(pid);
-                    let ok = probe(k, offset);
-                    let t1 = k.sys_now(pid);
-                    let elapsed = t1.since(t0);
+                    let t0 = k.step_now(pid, &mut now);
+                    let ok = probe(k, &mut now, offset);
+                    reading = k.step_now(pid, &mut now);
+                    let elapsed = reading.since(t0);
                     if traced {
+                        trace::set_now(reading);
                         trace::emit_with(|| trace::TraceEvent::ProbeIssued {
                             offset,
                             latency_ns: elapsed.as_nanos(),
@@ -665,7 +770,10 @@ impl Kernel {
                         ok,
                     }
                 })
-                .collect()
+                .collect();
+            k.set_time(pid, now);
+            trace::set_now(reading);
+            samples
         })
     }
 
@@ -903,38 +1011,16 @@ impl Kernel {
 
     /// Write-touches one page of a region.
     pub fn sys_mem_touch_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
-        self.touch_write(pid, region, self.vm.size(region), page)
-    }
-
-    /// [`Kernel::sys_mem_touch_write`] given the region's size in pages,
-    /// `None` if it is not live.
-    #[inline]
-    fn touch_write(
-        &mut self,
-        pid: usize,
-        region: u64,
-        size: Option<u64>,
-        page: u64,
-    ) -> OsResult<()> {
-        self.enter(pid, "sys_mem_touch_write", Entry::Free, |k| {
-            if page >= size.ok_or(OsError::BadRegion)? {
-                return Err(OsError::InvalidArgument);
-            }
-            let id = PageId {
-                owner: Owner::Anon { region },
-                page,
-            };
-            if k.cache.mark_dirty(id) {
-                k.charge_cpu(pid, COSTS.mem_touch);
-                return Ok(());
-            }
-            k.fault_write(pid, region, page)
+        let size = self.vm.size(region);
+        self.one_step(pid, |k, now| {
+            k.step_touch_write(pid, now, region, size, page)
         })
     }
 
     /// The write-touch of a page that is not resident: a demand-zero fault
     /// or a swap-in, either of which may evict. Out of line, so the
-    /// resident case above is all a probe loop carries.
+    /// resident case of [`Kernel::step_touch_write`] is all a probe loop
+    /// carries.
     #[inline(never)]
     fn fault_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
         let id = PageId {
@@ -1055,6 +1141,69 @@ mod tests {
         let mut k = Kernel::new(SimConfig::small().without_noise());
         let pid = k.add_proc(Nanos::ZERO);
         (k, pid)
+    }
+
+    /// A probe batch commits its local clock with [`Kernel::max_time`] at
+    /// its end, whichever path moved the clock last: after every batch —
+    /// zero faults across flusher epochs, evictions to swap, swap-ins, a
+    /// file batch, a freed region — the latest instant is the larger of
+    /// the two process clocks, with a second process that sometimes leads.
+    #[test]
+    fn max_time_stays_exact_across_probe_batches() {
+        use gray_toolbox::prop::{check, Gen};
+        check(
+            "max_time_stays_exact_across_probe_batches",
+            16,
+            |g: &mut Gen| {
+                let mut cfg = SimConfig::small()
+                    .with_seed(g.u64(1..u64::MAX))
+                    .with_writeback(GrayDuration::from_micros(g.u64(100..400)));
+                cfg.mem_bytes = 10 << 20; // 512 usable pages.
+                cfg.cpus = g.usize(1..4) as u32;
+                let mut k = Kernel::new(cfg);
+                let prober = k.add_proc(Nanos::ZERO);
+                let writer = k.add_proc(Nanos::ZERO);
+                let wfd = k.sys_create(writer, "/churn").unwrap();
+                k.sys_write(writer, wfd, 0, 256 << 10, None).unwrap();
+                let pfd = k.sys_open(prober, "/churn").unwrap();
+                let pages = k.cfg.usable_pages() + g.u64(16..64);
+                let region = k.sys_mem_alloc(prober, pages * PAGE_SIZE).unwrap();
+                let half: Vec<u64> = (0..256).collect();
+                let all: Vec<u64> = (0..pages).collect();
+                let mut revisit = g.vec(16..64, |g| g.u64(0..pages));
+                revisit[0] = 0; // Evicted on the way past memory.
+                let offsets = g.vec(4..32, |g| ProbeSpec {
+                    offset: g.u64(0..(320 << 10)),
+                });
+
+                let batch = |k: &mut Kernel, g: &mut Gen, which: usize| {
+                    match g.usize(0..3) {
+                        0 => drop(k.sys_write(writer, wfd, g.u64(0..64) * PAGE_SIZE, 8192, None)),
+                        1 => k.sys_sleep(writer, GrayDuration::from_micros(g.u64(0..3000))),
+                        _ => {}
+                    }
+                    match which {
+                        0 => drop(k.sys_mem_probe_batch(prober, region, &half)),
+                        1 => drop(k.sys_mem_probe_batch(prober, region, &all)),
+                        2 => drop(k.sys_probe_batch(prober, pfd, &offsets)),
+                        _ => drop(k.sys_mem_probe_batch(prober, region, &revisit)),
+                    }
+                    let latest = k.proc_time(prober).max(k.proc_time(writer));
+                    assert_eq!(k.max_time(), latest, "after batch {which}");
+                };
+                for which in 0..4 {
+                    batch(&mut k, g, which);
+                }
+                k.sys_mem_free(prober, region).unwrap();
+                batch(&mut k, g, 3);
+                let stats = k.stats();
+                assert!(
+                    stats.zero_faults > 0 && stats.swap_outs > 0 && stats.swap_ins > 0,
+                    "{stats:?}"
+                );
+                assert!(stats.flusher_runs > 0, "{stats:?}");
+            },
+        );
     }
 
     /// A probe batch over a region that was freed, or never allocated,

@@ -19,7 +19,8 @@
 //! 2. this module's own operation stack, pushed by [`op_scope`] at
 //!    kernel syscall entries (`sys_read`, `sys_probe_batch`, …) —
 //!    kernel operations complete without suspending, so these frames
-//!    are always balanced within one resume and need no swapping;
+//!    are always balanced within one resume and need no swapping (a
+//!    kernel step names its op on its charges instead, [`charge_in`]);
 //! 3. the charge *kind* leaf: `cpu`, `disk`, or `sleep`.
 //!
 //! A full path reads like a flamegraph frame:
@@ -89,10 +90,21 @@ pub fn charge(pid: u64, kind: &'static str, ns: u64) {
     if !enabled() {
         return;
     }
-    charge_slow(pid, kind, ns);
+    charge_slow(pid, None, kind, ns);
 }
 
-fn charge_slow(pid: u64, kind: &'static str, ns: u64) {
+/// [`charge`] as if `op` were pushed by [`op_scope`] for this one charge:
+/// the path is the same, and nothing is pushed. For the kernel's steps,
+/// which run inside another operation's frame without opening their own.
+#[inline]
+pub fn charge_in(pid: u64, op: &'static str, kind: &'static str, ns: u64) {
+    if !enabled() {
+        return;
+    }
+    charge_slow(pid, Some(op), kind, ns);
+}
+
+fn charge_slow(pid: u64, op: Option<&'static str>, kind: &'static str, ns: u64) {
     let mut path = String::from(ROOT);
     for seg in trace::span_segments() {
         path.push(';');
@@ -104,8 +116,10 @@ fn charge_slow(pid: u64, kind: &'static str, ns: u64) {
             path.push_str(op);
         }
     });
-    path.push(';');
-    path.push_str(kind);
+    for seg in op.into_iter().chain([kind]) {
+        path.push(';');
+        path.push_str(seg);
+    }
     let lane = trace::current_lane();
     trace::with_recorder(|r| {
         let Some(half) = &r.profile else { return };
@@ -276,6 +290,30 @@ mod tests {
         assert_eq!(snap.by_pid[&4], 250);
         assert_eq!(snap.by_kind["disk"], 1200);
         assert_eq!(snap.by_kind["cpu"], 250);
+    }
+
+    #[test]
+    fn a_charge_in_an_op_is_the_charge_under_its_frame() {
+        let run = |framed: bool| {
+            let _guard = capture();
+            let _span = trace::span("plan", || "/f1".to_string());
+            let _batch = op_scope("sys_mem_probe_batch");
+            if framed {
+                let _op = op_scope("sys_now");
+                charge(2, "cpu", 40);
+            } else {
+                charge_in(2, "sys_now", "cpu", 40);
+            }
+            charge(2, "cpu", 7);
+            snapshot()
+        };
+        let (framed, stepped) = (run(true), run(false));
+        assert_eq!(stepped, framed);
+        assert_eq!(
+            stepped.nodes["sim;plan:/f1;sys_mem_probe_batch;sys_now;cpu"].ns,
+            40
+        );
+        assert_eq!(stepped.nodes["sim;plan:/f1;sys_mem_probe_batch;cpu"].ns, 7);
     }
 
     #[test]

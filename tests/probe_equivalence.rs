@@ -6,7 +6,10 @@
 //! the same fastest-first sort order. Under simos this is bit-exact by
 //! construction — the kernel's batch services each probe with the exact
 //! scalar charging sequence, so virtual times and the noise stream
-//! match; the tests here are the executable form of that claim. The
+//! match; the tests here are the executable form of that claim. Both
+//! sides run under armed profile and trace captures, and must also charge
+//! the same virtual time to each process and each charge kind, charge
+//! every nanosecond a clock moves, and leave the same trace stamp. The
 //! memory-side batch (`mem_probe_batch`, MAC's probe) gets the same
 //! treatment at the kernel's own surface, where a second process can be
 //! stepped at fixed points.
@@ -27,7 +30,45 @@ use graybox_icl::simos::cache::Owner;
 use graybox_icl::simos::kernel::Kernel;
 use graybox_icl::simos::{NoiseParams, Sim, SimConfig, PAGE_SIZE};
 use graybox_icl::toolbox::prop::{check, Gen};
-use graybox_icl::toolbox::{GrayDuration, Nanos};
+use graybox_icl::toolbox::trace::{self, TraceEvent};
+use graybox_icl::toolbox::{profile, GrayDuration, Nanos};
+
+/// What a run charged, read from the profile and trace captures it ran
+/// under: virtual time per process and per charge kind, and the stamp
+/// of each [`mark`]. The attribution paths differ on purpose — a batch's
+/// charges sit under its own op frame — so the leaves are not compared.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    by_pid: Vec<(u64, u64)>,
+    by_kind: Vec<(String, u64)>,
+    marks: Vec<Nanos>,
+}
+
+/// Records the calling process's trace stamp: the last clock reading
+/// its kernel made.
+fn mark() {
+    trace::emit_with(|| TraceEvent::Estimated {
+        quantity: "probe_equivalence.mark",
+        value: 0.0,
+    });
+}
+
+/// Ends a run's captures: what they observed.
+fn observed() -> Observed {
+    let snap = profile::snapshot();
+    let marks = trace::drain().into_iter().filter_map(|r| match r.event {
+        TraceEvent::Estimated {
+            quantity: "probe_equivalence.mark",
+            ..
+        } => Some(r.ts),
+        _ => None,
+    });
+    Observed {
+        by_pid: snap.by_pid.into_iter().collect(),
+        by_kind: snap.by_kind.into_iter().collect(),
+        marks: marks.collect(),
+    }
+}
 
 /// The scalar reference dispatch: one `timed(read_byte)` per spec, in
 /// spec order.
@@ -60,7 +101,8 @@ fn scalar_report<O: GrayBoxOs>(os: &O, params: FccdParams, fd: Fd, size: u64) ->
 /// identical plans. Half the cases use megabyte units warmed a unit at a
 /// time; half use 1–5-page access units of 1-page prediction units,
 /// warmed page by page at random, where every probe's readahead reaches
-/// the next units. Either way the last access unit may be ragged.
+/// the next units. Either way the last access unit may be ragged. The
+/// profile and the trace stamps after each probing step agree too.
 #[test]
 fn batched_and_scalar_classify_identically_under_simos() {
     check(
@@ -87,6 +129,7 @@ fn batched_and_scalar_classify_identically_under_simos() {
             let edge = g.u64(0..size - 8 * page);
 
             let run = |batched: bool| {
+                let (_profile, _trace) = (profile::capture(), trace::capture());
                 let mut sim = Sim::new(SimConfig::small());
                 sim.run_one(move |os| make_file(os, "/f", size).unwrap());
                 sim.flush_file_cache();
@@ -102,6 +145,7 @@ fn batched_and_scalar_classify_identically_under_simos() {
                     } else {
                         scalar_report(os, params, fd, size)
                     };
+                    mark();
                     // The batch's edges, raw: a repeated offset, a run of
                     // consecutive pages that walks off the initial
                     // readahead window, an offset past EOF — then the
@@ -120,15 +164,18 @@ fn batched_and_scalar_classify_identically_under_simos() {
                         }
                     };
                     let mut edges = probe(fd);
+                    mark();
                     os.close(fd).unwrap();
                     edges.extend(probe(fd));
+                    mark();
                     (report, edges, os.stat("/f").unwrap().atime)
                 });
                 let presence = sim.oracle().file_presence("/f").unwrap();
-                (report, edges, atime, sim.now(), presence)
+                let now = sim.now();
+                (report, edges, atime, now, presence, observed())
             };
-            let (batched, b_edges, b_atime, b_now, b_presence) = run(true);
-            let (scalar, s_edges, s_atime, s_now, s_presence) = run(false);
+            let (batched, b_edges, b_atime, b_now, b_presence, b_seen) = run(true);
+            let (scalar, s_edges, s_atime, s_now, s_presence, s_seen) = run(false);
             assert_eq!(batched.units, scalar.units, "unit measurements diverge");
             assert_eq!(batched.plan(), scalar.plan(), "plan order diverges");
             assert_eq!(b_edges, s_edges, "edge samples diverge");
@@ -143,6 +190,11 @@ fn batched_and_scalar_classify_identically_under_simos() {
             assert_eq!(b_now, s_now, "virtual clocks diverge");
             assert_eq!(b_presence, s_presence, "resident pages diverge");
             assert_eq!(b_atime, s_atime, "atime diverges");
+            assert_eq!(b_seen, s_seen, "profile or trace stamps diverge");
+            // The two processes ran one after the other from 0, and every
+            // nanosecond a clock moves is charged to the profile.
+            let charged: u64 = b_seen.by_pid.iter().map(|&(_, ns)| ns).sum();
+            assert_eq!(charged, b_now.as_nanos(), "virtual time not profiled");
         },
     );
 }
@@ -156,7 +208,10 @@ fn batched_and_scalar_classify_identically_under_simos() {
 /// crosses flusher epochs, one runs past physical memory (zero-fault, then
 /// eviction to swap, then swap-in), and the region is freed and allocated
 /// again in between, which is when anything the cache remembers about "the
-/// last owner" must have been forgotten.
+/// last owner" must have been forgotten. The batch's clock reads and
+/// touches are steps on a local clock, so the profile (per process, per
+/// kind, and all of each clock's advance) and the trace stamp each batch
+/// leaves are compared too.
 #[test]
 fn mem_batch_and_scalar_touch_identically_under_simos() {
     check(
@@ -171,6 +226,7 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
             revisit[25] = first;
 
             let run = |batched: bool| {
+                let (_profile, _trace) = (profile::capture(), trace::capture());
                 let mut cfg = SimConfig::small()
                     .with_seed(seed)
                     .with_writeback(GrayDuration::from_millis(1));
@@ -193,7 +249,9 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
                 };
                 let probe = |k: &mut Kernel, region: u64, pages: &[u64]| {
                     if batched {
-                        return k.sys_mem_probe_batch(prober, region, pages);
+                        let samples = k.sys_mem_probe_batch(prober, region, pages);
+                        mark();
+                        return samples;
                     }
                     let one = |&page: &u64| {
                         let t0 = k.sys_now(prober);
@@ -205,7 +263,9 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
                             ok: res.is_ok(),
                         }
                     };
-                    pages.iter().map(one).collect()
+                    let samples = pages.iter().map(one).collect();
+                    mark();
+                    samples
                 };
                 let ascending = |pages: std::ops::Range<u64>| pages.collect::<Vec<u64>>();
                 let mut samples = Vec::new();
@@ -240,10 +300,11 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
 
                 let clocks = (k.proc_time(prober), k.proc_time(writer), k.max_time());
                 let resident = k.cache().resident_of(Owner::Anon { region: big });
-                (samples, clocks, stats, resident, k.cache().dirty_pages())
+                let dirty = k.cache().dirty_pages();
+                (samples, clocks, stats, resident, dirty, observed())
             };
-            let (b_samples, b_clocks, b_stats, b_resident, b_dirty) = run(true);
-            let (s_samples, s_clocks, s_stats, s_resident, s_dirty) = run(false);
+            let (b_samples, b_clocks, b_stats, b_resident, b_dirty, b_seen) = run(true);
+            let (s_samples, s_clocks, s_stats, s_resident, s_dirty, s_seen) = run(false);
             for (batch, (b, s)) in b_samples.iter().zip(&s_samples).enumerate() {
                 assert_eq!(b, s, "samples of batch {batch} diverge");
             }
@@ -254,6 +315,12 @@ fn mem_batch_and_scalar_touch_identically_under_simos() {
             assert_eq!(b_stats, s_stats, "kernel counters diverge");
             assert_eq!(b_resident, s_resident, "resident pages diverge");
             assert_eq!(b_dirty, s_dirty, "dirty pages diverge");
+            assert_eq!(b_seen, s_seen, "profile or trace stamps diverge");
+            // Both clocks start at 0, and every nanosecond they move is
+            // charged to the profile.
+            let (prober, writer, _) = b_clocks;
+            let want = vec![(0, prober.as_nanos()), (1, writer.as_nanos())];
+            assert_eq!(b_seen.by_pid, want, "virtual time not profiled");
         },
     );
 }
