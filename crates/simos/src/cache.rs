@@ -228,14 +228,21 @@ struct Owners {
 
 impl Owners {
     /// The record of `owner`, if it has a resident page.
-    #[inline]
+    #[inline(always)]
     fn find(&self, owner: Owner) -> Option<u32> {
         // Each memo entry compared in place: this runs on every touch.
         match &self.memo {
             [Some((o, r)), _] if *o == owner => Some(*r),
             [_, Some((o, r))] if *o == owner => Some(*r),
-            _ => self.index.get(&owner).copied(),
+            _ => self.find_indexed(owner),
         }
+    }
+
+    /// [`Owners::find`] past the memo: out of line, so that the memo
+    /// compares inline wherever a page is touched.
+    #[inline(never)]
+    fn find_indexed(&self, owner: Owner) -> Option<u32> {
+        self.index.get(&owner).copied()
     }
 
     /// Puts `owner`'s record at the front of the memo.
@@ -441,7 +448,9 @@ impl Pool {
     /// Takes frame `i`, which holds `id`, off the recency list and pushes
     /// its slot on the free stack. The owner's record is the caller's
     /// business (`release` takes one page out of it, `release_owner` drops
-    /// the whole record).
+    /// the whole record). Inlined into both: out of line, it is a call per
+    /// page of every purge and every eviction.
+    #[inline]
     fn vacate(&mut self, i: u32, id: PageId) -> Evicted {
         let dirty = self.frames[i as usize].dirty;
         self.lru[lru_of(id.owner)].unlink(&mut self.frames, i);

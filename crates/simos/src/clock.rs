@@ -17,9 +17,15 @@ pub const SPIKE_MEAN: GrayDuration = GrayDuration::from_micros(150);
 /// Cost of reading the high-resolution timer.
 pub(crate) const TIMER_READ: GrayDuration = GrayDuration(40);
 
-/// The costs a timed page touch charges — a timer read on either side of
-/// the touch — and the only ones with a jitter table (DESIGN.md §2).
-const TABLED: [GrayDuration; 2] = [TIMER_READ, COSTS.mem_touch];
+/// The only costs with a jitter table (DESIGN.md §2): the three a page
+/// pays for again and again — the timer read on either side of a timed
+/// touch, the touch itself, and the page lookup each inode-table block a
+/// written page dirties is charged. Each table is built at every noisy
+/// boot, which is every matrix cell; at 5 % jitter the three hold 8, 64
+/// and 128 buckets. The page-fault charges (5 500 and 1 750 ns) stay
+/// exact: a fault already pays a cache insert and often a disk transfer,
+/// and their tables would hold up to 2 048 buckets, built per boot.
+const TABLED: [GrayDuration; 3] = [TIMER_READ, COSTS.mem_touch, COSTS.page_lookup];
 
 /// The jittered charge of `d` for a draw whose top 53 bits are `bits`:
 /// `round(d · (1 + f))`, `f` the draw from `±jitter`. The definition every
@@ -120,7 +126,7 @@ pub struct Noise {
     /// exactly the draws `random_bool(p)` says yes to; 0 with spikes off.
     spike_below: u64,
     /// One per [`TABLED`] cost; empty without jitter.
-    tables: [JitterTable; 2],
+    tables: [JitterTable; 3],
 }
 
 impl Noise {

@@ -22,6 +22,10 @@ use crate::config::{DiskParams, PAGE_SIZE};
 /// Spindle speed, revolutions per minute.
 pub const RPM: u64 = 10_000;
 
+/// One revolution: 6 ms, a multiple of [`BLOCKS_PER_TRACK`] nanoseconds,
+/// so each block's angular position is a whole number of them.
+const ROT_PERIOD: GrayDuration = GrayDuration::from_nanos(60_000_000_000 / RPM);
+
 /// Minimum (track-to-track) seek time.
 pub const SEEK_MIN: GrayDuration = GrayDuration::from_micros(600);
 
@@ -43,7 +47,6 @@ const BLOCKS_PER_CYLINDER: u64 = BLOCKS_PER_TRACK * HEADS;
 #[derive(Debug, Clone)]
 pub struct Disk {
     blocks: u64,
-    rot_period: GrayDuration,
     block_time: GrayDuration,
     /// Seek curve: `SEEK_MIN + coef * sqrt(cylinder_distance)` ns.
     seek_coef_ns: f64,
@@ -56,7 +59,6 @@ impl Disk {
     pub fn new(params: DiskParams) -> Self {
         let blocks = params.capacity / PAGE_SIZE;
         let cylinders = (blocks / BLOCKS_PER_CYLINDER).max(1);
-        let rot_period = GrayDuration::from_secs_f64(60.0 / RPM as f64);
         let block_time = GrayDuration::from_secs_f64(PAGE_SIZE as f64 / BANDWIDTH as f64);
         // Fit the curve so that the average seek (distance ≈ cylinders/3)
         // matches `SEEK_AVG`.
@@ -65,7 +67,6 @@ impl Disk {
             (SEEK_AVG.as_nanos() as f64 - SEEK_MIN.as_nanos() as f64).max(0.0) / avg_dist.sqrt();
         Disk {
             blocks,
-            rot_period,
             block_time,
             seek_coef_ns,
             head_block: 0,
@@ -104,7 +105,7 @@ impl Disk {
         } else {
             let seek = self.seek_time(block);
             let after_seek = start + seek;
-            after_seek + self.rotation_wait(after_seek, block)
+            after_seek + Self::rotation_wait(after_seek, block)
         };
         let done = positioned + self.block_time * nblocks;
         self.head_block = block + nblocks;
@@ -126,16 +127,17 @@ impl Disk {
     }
 
     /// Time until the platter rotates to `block`'s angular position,
-    /// starting from the absolute instant `t`.
-    fn rotation_wait(&self, t: Nanos, block: u64) -> GrayDuration {
-        let period = self.rot_period.as_nanos();
-        let current = t.as_nanos() % period;
-        let target_frac = (block % BLOCKS_PER_TRACK) as f64 / BLOCKS_PER_TRACK as f64;
-        let target = (target_frac * period as f64) as u64;
+    /// starting from the absolute instant `t`. The position is
+    /// `offset / BLOCKS_PER_TRACK` of a turn, reached at `offset · period /
+    /// BLOCKS_PER_TRACK`: exact in integers, as it was in `f64`.
+    fn rotation_wait(t: Nanos, block: u64) -> GrayDuration {
+        const PERIOD: u64 = ROT_PERIOD.as_nanos();
+        let current = t.as_nanos() % PERIOD;
+        let target = block % BLOCKS_PER_TRACK * PERIOD / BLOCKS_PER_TRACK;
         let wait = if target >= current {
             target - current
         } else {
-            period - current + target
+            PERIOD - current + target
         };
         GrayDuration::from_nanos(wait)
     }
@@ -214,14 +216,49 @@ mod tests {
 
     #[test]
     fn rotation_wait_is_bounded_by_period() {
-        let d = disk();
-        let period = d.rot_period;
         for t in [0u64, 123_456, 999_999_937] {
             for b in [0u64, 13, 63, 64, 1000] {
-                let w = d.rotation_wait(Nanos(t), b);
-                assert!(w < period, "wait {w} >= period {period}");
+                let w = Disk::rotation_wait(Nanos(t), b);
+                assert!(w < ROT_PERIOD, "wait {w} >= period {ROT_PERIOD}");
             }
         }
+    }
+
+    /// The integer rotation against the `f64` expression it replaced, on
+    /// the period the spindle speed gave in `f64`: every block offset of a
+    /// track, on a few tracks of both disks, from instants either side of
+    /// the target and anywhere.
+    #[test]
+    fn rotation_wait_model_matches_the_f64_angle() {
+        use gray_toolbox::prop::{check, Gen};
+        fn by_f64(t: Nanos, block: u64) -> GrayDuration {
+            let period = GrayDuration::from_secs_f64(60.0 / RPM as f64).as_nanos();
+            let current = t.as_nanos() % period;
+            let target_frac = (block % BLOCKS_PER_TRACK) as f64 / BLOCKS_PER_TRACK as f64;
+            let target = (target_frac * period as f64) as u64;
+            let wait = if target >= current {
+                target - current
+            } else {
+                period - current + target
+            };
+            GrayDuration::from_nanos(wait)
+        }
+        check("rotation_wait_model", 60, |g: &mut Gen| {
+            for params in [DiskParams::default(), DiskParams::small()] {
+                let blocks = Disk::new(params).blocks();
+                let track = g.u64(0..blocks / BLOCKS_PER_TRACK);
+                for offset in 0..BLOCKS_PER_TRACK {
+                    let block = track * BLOCKS_PER_TRACK + offset;
+                    let target = by_f64(Nanos::ZERO, block).as_nanos();
+                    let turn = g.u64(0..1 << 20) * ROT_PERIOD.as_nanos();
+                    let near = (turn + target).saturating_sub(1);
+                    for t in [near, near + 1, near + 2, g.u64(0..1 << 50)].map(Nanos) {
+                        let want = by_f64(t, block);
+                        assert_eq!(Disk::rotation_wait(t, block), want, "block {block} at {t}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //! it), what is the lowest free element, what is the lowest free element
 //! at or after the rotor, and how many are free — and each is one
 //! ordered-map probe here, answering with the same element an ordered
-//! set of the individual integers would.
+//! set of the individual integers would. Space comes back by extent: a
+//! deleted file's blocks and a dead region's swap slots are returned one
+//! maximal contiguous range at a time ([`FreeSet::insert_range`]), a few
+//! probes a range however long it is.
 //!
 //! Runs are keyed by their *end*. Allocation eats runs from the front —
 //! the near-hint extends a file into the run that follows it, the rotor
 //! and lowest-first take a run's first element — and with the end as the
 //! key that only moves the stored start: no entry is removed or added,
 //! where a start-keyed map would re-key the run for every block written.
-//! The same holds for giving elements back highest-first, which is the
-//! order `fs` frees a file's blocks in.
+//! The same holds for a range given back just below a run.
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -113,6 +115,39 @@ impl FreeSet {
         self.len += 1;
         true
     }
+
+    /// Adds every element of `[start, end)`, merging the runs it overlaps
+    /// or touches into one; returns how many elements were not already in
+    /// the set. The same set as inserting them one by one.
+    pub(crate) fn insert_range(&mut self, start: u64, end: u64) -> u64 {
+        if start >= end {
+            return 0;
+        }
+        let mut added = end - start;
+        // A run ending at `start` grows upwards over the range, the runs
+        // ending inside it are swallowed, and a run ending at or past
+        // `end` that starts by `end` grows downwards over all of them.
+        let mut low = self.runs.remove(&start).unwrap_or(start);
+        loop {
+            match self.runs.range_mut((Excluded(start), Unbounded)).next() {
+                Some((&run_end, run_start)) if *run_start <= end => {
+                    added -= run_end.min(end) - (*run_start).max(start);
+                    low = low.min(*run_start);
+                    if run_end >= end {
+                        *run_start = low;
+                        break;
+                    }
+                    self.runs.remove(&run_end);
+                }
+                _ => {
+                    self.runs.insert(end, low);
+                    break;
+                }
+            }
+        }
+        self.len += added;
+        added
+    }
 }
 
 #[cfg(test)]
@@ -186,7 +221,7 @@ mod tests {
             assert_invariants(&set, &model);
             for _ in 0..g.usize(1..400) {
                 let x = value(g, lo, hi);
-                match g.usize(0..8) {
+                match g.usize(0..9) {
                     0..=2 => assert_eq!(set.take(x), model.remove(&x), "take({x})"),
                     3 | 4 => assert_eq!(set.insert(x), model.insert(x), "insert({x})"),
                     5 => {
@@ -206,6 +241,18 @@ mod tests {
                         if let Some(found) = found {
                             assert!(set.take(found) && model.remove(&found));
                         }
+                    }
+                    7 => {
+                        // What `fs` and `vm` do with a freed extent; empty
+                        // and inverted ranges included.
+                        let end = match g.usize(0..6) {
+                            0 => x.saturating_sub(g.u64(0..3)),
+                            1 => value(g, lo, hi),
+                            _ => x + g.u64(1..12),
+                        };
+                        let added = (x..end).filter(|&y| model.insert(y)).count() as u64;
+                        assert_eq!(set.insert_range(x, end), added, "insert_range({x}, {end})");
+                        assert_eq!(set.insert_range(x, end), 0, "again ({x}, {end})");
                     }
                     _ => {
                         assert_eq!(set.insert(x), model.insert(x), "insert({x})");
@@ -243,6 +290,16 @@ mod tests {
         assert!(s.insert(19) && s.insert(10) && s.insert(30));
         assert_eq!(runs(&s), [(10, 20), (30, 31)]);
         assert_eq!(s.len(), 11);
+        // A range bridges the gap between two runs, and swallows a run
+        // inside it.
+        assert_eq!(s.insert_range(20, 30), 10);
+        assert_eq!(runs(&s), [(10, 31)]);
+        assert_eq!(s.insert_range(36, 38), 2);
+        assert_eq!(s.insert_range(33, 45), 10);
+        assert_eq!(runs(&s), [(10, 31), (33, 45)]);
+        assert_eq!((s.insert_range(31, 33), s.insert_range(9, 9)), (2, 0));
+        assert_eq!(runs(&s), [(10, 45)]);
+        assert_eq!(s.len(), 35);
         // An empty or inverted range is the empty set.
         for empty in [FreeSet::new(9, 9), FreeSet::new(10, 9)] {
             assert_eq!(

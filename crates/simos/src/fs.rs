@@ -272,10 +272,23 @@ impl Space {
         took
     }
 
-    fn free(&mut self, block: u64) {
-        let g = self.group_of_block(block);
-        self.groups[g].free_blocks.insert(block);
-        self.spacious.insert(g as u64);
+    /// Gives back `blocks`, each held and none twice, by extent: each
+    /// maximal run of consecutive blocks within one group is one range
+    /// insert, and `spacious` hears of a group once per stretch of runs
+    /// in it.
+    fn free(&mut self, blocks: &[u64]) {
+        let mut last_group = None;
+        let span = self.span;
+        for run in blocks.chunk_by(|&a, &b| b == a + 1 && b % span != 0) {
+            let (start, len) = (run[0], run.len() as u64);
+            let g = self.group_of_block(start);
+            let added = self.groups[g].free_blocks.insert_range(start, start + len);
+            debug_assert_eq!(added, len, "a block freed twice in {run:?}");
+            if last_group != Some(g) {
+                self.spacious.insert(g as u64);
+                last_group = Some(g);
+            }
+        }
     }
 }
 
@@ -460,7 +473,7 @@ impl Fs {
         };
         let new = self.space.alloc_log_block()?;
         self.content.relocate(old, new);
-        self.free_data_block(old);
+        self.free_data_blocks(&[old]);
         let inode = self.inodes.get_mut(&ino).expect("checked above");
         inode.blocks[page as usize] = new;
         self.log_inode_write(ino);
@@ -472,20 +485,19 @@ impl Fs {
         self.params.layout
     }
 
-    fn free_data_block(&mut self, block: u64) {
-        self.space.free(block);
-        self.content.set_fill(block, 0);
+    /// Frees data blocks that are held, none twice, and empties them.
+    fn free_data_blocks(&mut self, blocks: &[u64]) {
+        self.space.free(blocks);
+        for &block in blocks {
+            self.content.set_fill(block, 0);
+        }
     }
 
     /// Drops an inode no directory names any more: its blocks and its
     /// i-number become free again.
     fn release_inode(&mut self, ino: Ino) {
         let inode = self.inodes.remove(&ino).expect("present");
-        // Highest first: a contiguous file then grows one free run
-        // downwards in place.
-        for block in inode.blocks.into_iter().rev() {
-            self.free_data_block(block);
-        }
+        self.free_data_blocks(&inode.blocks);
         let g = (ino / self.params.inodes_per_group) as usize;
         self.space.groups[g].free_inos.insert(ino);
     }
@@ -735,9 +747,7 @@ impl Fs {
                     // The extension is all or nothing: give back what
                     // this call took before the disk ran out.
                     let taken = inode.blocks.split_off(had);
-                    for b in taken.into_iter().rev() {
-                        self.free_data_block(b);
-                    }
+                    self.free_data_blocks(&taken);
                     return Err(e);
                 }
             }

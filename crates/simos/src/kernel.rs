@@ -32,6 +32,20 @@ const RA_INITIAL: u32 = 4;
 /// business.
 pub const FLUSH_PAGES_PER_EPOCH: u64 = 64;
 
+/// The CPU cost of copying `bytes` of one page between the cache and the
+/// caller: `COSTS.copy_per_page` prorated by `bytes / PAGE_SIZE`. A whole
+/// page, which is almost every page of a bulk read or write, is the
+/// constant itself, as the prorating's `mul_f64(1.0)` of an integer below
+/// 2^52 is; only a partial page is scaled in floating point.
+#[inline]
+fn copy_charge(bytes: u64) -> GrayDuration {
+    if bytes == PAGE_SIZE {
+        COSTS.copy_per_page
+    } else {
+        COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64)
+    }
+}
+
 /// Kernel-wide event counters (oracle / debugging).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -266,13 +280,14 @@ impl Kernel {
                     self.stats.file_page_writes += 1;
                 }
             }
-            // A dirty page of a region that died is just dropped.
-            Owner::Anon { region } if self.vm.region_exists(region) => {
-                let slot = self.vm.ensure_slot(region, e.id.page)?;
-                self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
-                self.stats.swap_outs += 1;
-            }
-            Owner::Anon { .. } => {}
+            Owner::Anon { region } => match self.vm.ensure_slot(region, e.id.page) {
+                // A dirty page of a region that died is just dropped.
+                Err(OsError::BadRegion) => {}
+                slot => {
+                    self.disk_io(pid, self.swap_disk, self.swap_base + slot?, 1);
+                    self.stats.swap_outs += 1;
+                }
+            },
         }
         Ok(())
     }
@@ -667,7 +682,7 @@ impl Kernel {
                 let copy_from = offset.max(page_start);
                 let copy_to = (offset + len).min(page_start + PAGE_SIZE);
                 let bytes = copy_to - copy_from;
-                cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
+                cpu += copy_charge(bytes);
                 if let Some(out) = buf.as_deref_mut() {
                     if let Some(disk_block) = k.fss[of.dev].block_of(of.ino, page) {
                         let dst_start = (copy_from - offset) as usize;
@@ -779,24 +794,18 @@ impl Kernel {
 
     /// Longest run of pages starting at `page` that is contiguous on disk,
     /// uncached, within the file, and at most `window` long.
-    fn plan_fetch_run(
-        &mut self,
-        dev: usize,
-        ino: Ino,
-        page: u64,
-        file_pages: u64,
-        window: u64,
-    ) -> u64 {
-        let mut run = 1u64;
-        let Some(first) = self.fss[dev].block_of(ino, page) else {
+    fn plan_fetch_run(&self, dev: usize, ino: Ino, page: u64, file_pages: u64, window: u64) -> u64 {
+        let blocks = self.fss[dev].inode(ino).map_or(&[][..], |i| &i.blocks);
+        let Some(&first) = blocks.get(page as usize) else {
             return 1;
         };
+        let mut run = 1u64;
         while run < window && page + run < file_pages {
             if self.cache.contains(PageId::file(dev, ino, page + run)) {
                 break;
             }
-            match self.fss[dev].block_of(ino, page + run) {
-                Some(b) if b == first + run => run += 1,
+            match blocks.get((page + run) as usize) {
+                Some(&b) if b == first + run => run += 1,
                 _ => break,
             }
         }
@@ -842,10 +851,12 @@ impl Kernel {
                 let copy_to = (offset + len).min(page_start + PAGE_SIZE);
                 let bytes = copy_to - copy_from;
                 // A partial overwrite of an uncached page must read it first
-                // (read-modify-write).
+                // (read-modify-write). A whole page is not looked up: the
+                // insert below touches it if it is resident, as the lookup
+                // would have, so it is probed once.
                 let id = PageId::file(of.dev, of.ino, page);
                 let whole_page = bytes == PAGE_SIZE;
-                if !k.cache.lookup_touch(id) && !whole_page {
+                if !whole_page && !k.cache.lookup_touch(id) {
                     let within_old_size =
                         page_start < k.fss[of.dev].inode(of.ino).map(|i| i.size).unwrap_or(0);
                     if within_old_size {
@@ -865,7 +876,7 @@ impl Kernel {
                         k.fss[of.dev].fill_content(disk_block);
                     }
                 }
-                cpu += COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
+                cpu += copy_charge(bytes);
             }
             k.charge_cpu(pid, cpu);
             let now = k.procs[pid].now;
@@ -1027,10 +1038,9 @@ impl Kernel {
             owner: Owner::Anon { region },
             page,
         };
-        match self.vm.touch_kind(region, page)? {
+        match self.vm.touch_for_write(region, page)? {
             TouchKind::Untouched => {
                 self.stats.zero_faults += 1;
-                self.vm.mark_touched(region, page)?;
                 let ev = self.cache.insert(id, true);
                 self.handle_evictions(pid, ev)?;
                 self.charge_cpu(pid, COSTS.fault_overhead + COSTS.page_zero);
@@ -1052,7 +1062,9 @@ impl Kernel {
     /// Read-touches one page of a region.
     pub fn sys_mem_touch_read(&mut self, pid: usize, region: u64, page: u64) -> OsResult<u8> {
         self.enter(pid, "sys_mem_touch_read", Entry::Free, |k| {
-            k.vm.check(region, page)?;
+            // Classified up front, in the one region lookup that checks
+            // the page; used only if the page is not resident.
+            let kind = k.vm.touch_kind(region, page)?;
             let id = PageId {
                 owner: Owner::Anon { region },
                 page,
@@ -1061,7 +1073,7 @@ impl Kernel {
                 k.charge_cpu(pid, COSTS.mem_touch);
                 return Ok(0);
             }
-            match k.vm.touch_kind(region, page)? {
+            match kind {
                 TouchKind::Untouched => {
                     // Copy-on-write zero page: reads allocate nothing.
                     k.charge_cpu(pid, COSTS.mem_touch);
@@ -1141,6 +1153,16 @@ mod tests {
         let mut k = Kernel::new(SimConfig::small().without_noise());
         let pid = k.add_proc(Nanos::ZERO);
         (k, pid)
+    }
+
+    /// The copy charge against the prorating it shortcuts, for every byte
+    /// count a page copy can have.
+    #[test]
+    fn copy_charge_model_matches_the_prorated_page() {
+        for bytes in 0..=PAGE_SIZE {
+            let prorated = COSTS.copy_per_page.mul_f64(bytes as f64 / PAGE_SIZE as f64);
+            assert_eq!(copy_charge(bytes), prorated, "{bytes} bytes");
+        }
     }
 
     /// A probe batch commits its local clock with [`Kernel::max_time`] at

@@ -17,6 +17,9 @@
 //! a population count per chunk would put a second write on every page
 //! touch to save memory that the table's owner is about to release
 //! anyway: the page cache drops an owner's table with its last page.
+//! Because chunks only come, the table also keeps their indices in order,
+//! and a walk visits the allocated chunks alone, not every directory slot
+//! below the highest page.
 
 /// Slots per chunk, as a power of two. 512 frame indices are 2 KB and
 /// cover a 2 MB file; 1024 ran `apps_bulk` no faster and cost the
@@ -29,6 +32,8 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 #[derive(Debug, Clone)]
 pub(crate) struct PageTable<T> {
     dir: Vec<Option<Box<[T; CHUNK]>>>,
+    /// The indices of the allocated chunks, ascending.
+    allocated: Vec<usize>,
     absent: T,
 }
 
@@ -37,6 +42,7 @@ impl<T: Copy + PartialEq> PageTable<T> {
     pub(crate) fn new(absent: T) -> Self {
         PageTable {
             dir: Vec::new(),
+            allocated: Vec::new(),
             absent,
         }
     }
@@ -64,24 +70,33 @@ impl<T: Copy + PartialEq> PageTable<T> {
         if let Some(Some(c)) = self.dir.get_mut(chunk) {
             return std::mem::replace(&mut c[slot], value);
         }
-        if value == self.absent {
-            return self.absent;
+        if value != self.absent {
+            self.allocate(chunk)[slot] = value;
         }
-        if chunk >= self.dir.len() {
-            self.dir.resize_with(chunk + 1, || None);
-        }
-        let fresh: Box<[T]> = vec![self.absent; CHUNK].into_boxed_slice();
-        let mut fresh: Box<[T; CHUNK]> = fresh.try_into().ok().expect("CHUNK slots");
-        fresh[slot] = value;
-        self.dir[chunk] = Some(fresh);
         self.absent
     }
 
-    /// Every stored `(page, value)`, in page order.
+    /// Allocates chunk `chunk`, which is not there yet: out of line, so
+    /// that the store above inlines at its callers.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, chunk: usize) -> &mut [T; CHUNK] {
+        if chunk >= self.dir.len() {
+            self.dir.resize_with(chunk + 1, || None);
+        }
+        let at = self.allocated.partition_point(|&c| c < chunk);
+        self.allocated.insert(at, chunk);
+        let fresh: Box<[T]> = vec![self.absent; CHUNK].into_boxed_slice();
+        let fresh: Box<[T; CHUNK]> = fresh.try_into().ok().expect("CHUNK slots");
+        self.dir[chunk].insert(fresh)
+    }
+
+    /// Every stored `(page, value)`, in page order. Visits the allocated
+    /// chunks only.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
-        let chunks = self.dir.iter().enumerate();
-        chunks.flat_map(move |(at, chunk)| {
-            let slots = chunk.iter().flat_map(|c| c.iter().enumerate());
+        self.allocated.iter().flat_map(move |&at| {
+            let chunk = self.dir[at].as_deref().expect("an allocated chunk");
+            let slots = chunk.iter().enumerate();
             slots
                 .filter(move |(_, v)| **v != self.absent)
                 .map(move |(slot, v)| (((at << CHUNK_BITS) + slot) as u64, *v))
@@ -129,6 +144,9 @@ mod tests {
                 let probe = page(g);
                 assert_eq!(table.get(probe), model.get(&probe).copied().unwrap_or(NIL));
                 assert!(table.iter().eq(model.iter().map(|(&p, &v)| (p, v))));
+                let present = table.dir.iter().enumerate().filter(|(_, c)| c.is_some());
+                let allocated = table.allocated.iter().copied();
+                assert!(allocated.eq(present.map(|(at, _)| at)));
             }
         });
     }
@@ -141,6 +159,7 @@ mod tests {
         assert!(t.dir.is_empty(), "erasing from an empty table allocated");
         assert_eq!(t.set(3 * CHUNK as u64, 7), 0);
         assert_eq!(t.dir.iter().filter(|c| c.is_some()).count(), 1);
+        assert_eq!(t.allocated, [3]);
         assert_eq!(
             (t.get(3 * CHUNK as u64), t.get(3 * CHUNK as u64 - 1)),
             (7, 0)

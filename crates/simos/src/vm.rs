@@ -49,6 +49,18 @@ impl Region {
             .copied()
             .filter(|&s| s != NO_SLOT)
     }
+
+    fn touch_kind(&self, page: u64) -> OsResult<TouchKind> {
+        self.check(page)?;
+        if let Some(slot) = self.slot(page) {
+            return Ok(TouchKind::Swapped(slot));
+        }
+        let word = self.touched.get((page / 64) as usize).copied().unwrap_or(0);
+        if word >> (page % 64) & 1 == 1 {
+            return Ok(TouchKind::Materialized);
+        }
+        Ok(TouchKind::Untouched)
+    }
 }
 
 /// The VM subsystem.
@@ -100,18 +112,18 @@ impl Vm {
         id
     }
 
-    /// Frees a region, returning its swap slots to the pool. The caller
-    /// must separately purge the region's cached pages.
+    /// Frees a region, returning its swap slots to the pool one maximal
+    /// run of consecutive slots at a time. The caller must separately
+    /// purge the region's cached pages.
     pub fn free(&mut self, region: u64) -> OsResult<()> {
-        let r = self.regions.remove(&region).ok_or(OsError::BadRegion)?;
-        for slot in r.slots.into_iter().filter(|&s| s != NO_SLOT) {
-            self.free_slots.insert(slot);
+        let Region { mut slots, .. } = self.regions.remove(&region).ok_or(OsError::BadRegion)?;
+        slots.retain(|&s| s != NO_SLOT);
+        slots.sort_unstable();
+        for run in slots.chunk_by(|&a, &b| b == a + 1) {
+            let (start, len) = (run[0], run.len() as u64);
+            self.free_slots.insert_range(start, start + len);
         }
         Ok(())
-    }
-
-    fn region(&self, region: u64) -> OsResult<&Region> {
-        self.regions.get(&region).ok_or(OsError::BadRegion)
     }
 
     /// A region's size in pages, `None` if it is not live.
@@ -119,39 +131,31 @@ impl Vm {
         self.regions.get(&region).map(|r| r.pages)
     }
 
-    /// Validates a (region, page) pair.
-    pub fn check(&self, region: u64, page: u64) -> OsResult<()> {
-        self.region(region)?.check(page)
-    }
-
     /// Classifies a page that was *not* found resident in the cache.
     pub fn touch_kind(&self, region: u64, page: u64) -> OsResult<TouchKind> {
-        let r = self.region(region)?;
-        r.check(page)?;
-        if let Some(slot) = r.slot(page) {
-            return Ok(TouchKind::Swapped(slot));
-        }
-        let word = r.touched.get((page / 64) as usize).copied().unwrap_or(0);
-        if word >> (page % 64) & 1 == 1 {
-            return Ok(TouchKind::Materialized);
-        }
-        Ok(TouchKind::Untouched)
+        let r = self.regions.get(&region).ok_or(OsError::BadRegion)?;
+        r.touch_kind(page)
     }
 
-    /// Records that a page has been materialized (first write).
-    pub fn mark_touched(&mut self, region: u64, page: u64) -> OsResult<()> {
+    /// [`Vm::touch_kind`] for a write fault, in one region lookup: an
+    /// untouched page is recorded as materialized (first write) before it
+    /// is reported `Untouched`.
+    pub fn touch_for_write(&mut self, region: u64, page: u64) -> OsResult<TouchKind> {
         let r = self.regions.get_mut(&region).ok_or(OsError::BadRegion)?;
-        r.check(page)?;
-        let word = (page / 64) as usize;
-        if word >= r.touched.len() {
-            r.touched.resize(word + 1, 0);
+        let kind = r.touch_kind(page)?;
+        if kind == TouchKind::Untouched {
+            let word = (page / 64) as usize;
+            if word >= r.touched.len() {
+                r.touched.resize(word + 1, 0);
+            }
+            r.touched[word] |= 1 << (page % 64);
         }
-        r.touched[word] |= 1 << (page % 64);
-        Ok(())
+        Ok(kind)
     }
 
     /// Returns the page's swap slot, allocating one if needed (called when
-    /// a dirty anonymous page is evicted). Allocation is lowest-first.
+    /// a dirty anonymous page is evicted; `BadRegion` is a region that
+    /// died). Allocation is lowest-first.
     pub fn ensure_slot(&mut self, region: u64, page: u64) -> OsResult<u64> {
         let r = self.regions.get_mut(&region).ok_or(OsError::BadRegion)?;
         r.check(page)?;
@@ -166,11 +170,6 @@ impl Vm {
         }
         r.slots[page as usize] = slot;
         Ok(slot)
-    }
-
-    /// Whether a region is live.
-    pub fn region_exists(&self, region: u64) -> bool {
-        self.regions.contains_key(&region)
     }
 
     /// Swap slots currently in use.
@@ -197,7 +196,7 @@ mod tests {
         let mut vm = Vm::new(8);
         let r = vm.alloc(4);
         assert_eq!(vm.touch_kind(r, 0).unwrap(), TouchKind::Untouched);
-        vm.mark_touched(r, 0).unwrap();
+        vm.touch_for_write(r, 0).unwrap();
         assert_eq!(vm.touch_kind(r, 0).unwrap(), TouchKind::Materialized);
         let slot = vm.ensure_slot(r, 0).unwrap();
         assert_eq!(vm.touch_kind(r, 0).unwrap(), TouchKind::Swapped(slot));
@@ -207,7 +206,7 @@ mod tests {
     fn slots_are_sticky_and_reused() {
         let mut vm = Vm::new(8);
         let r = vm.alloc(4);
-        vm.mark_touched(r, 1).unwrap();
+        vm.touch_for_write(r, 1).unwrap();
         let s1 = vm.ensure_slot(r, 1).unwrap();
         let s2 = vm.ensure_slot(r, 1).unwrap();
         assert_eq!(s1, s2, "a page keeps its slot");
@@ -218,22 +217,22 @@ mod tests {
     fn free_returns_slots() {
         let mut vm = Vm::new(2);
         let r = vm.alloc(4);
-        vm.mark_touched(r, 0).unwrap();
-        vm.mark_touched(r, 1).unwrap();
+        vm.touch_for_write(r, 0).unwrap();
+        vm.touch_for_write(r, 1).unwrap();
         vm.ensure_slot(r, 0).unwrap();
         vm.ensure_slot(r, 1).unwrap();
         assert_eq!(vm.slots_in_use(), 2);
         vm.free(r).unwrap();
         assert_eq!(vm.slots_in_use(), 0);
-        assert!(!vm.region_exists(r));
+        assert_eq!(vm.size(r), None);
     }
 
     #[test]
     fn swap_exhaustion_is_out_of_memory() {
         let mut vm = Vm::new(1);
         let r = vm.alloc(4);
-        vm.mark_touched(r, 0).unwrap();
-        vm.mark_touched(r, 1).unwrap();
+        vm.touch_for_write(r, 0).unwrap();
+        vm.touch_for_write(r, 1).unwrap();
         vm.ensure_slot(r, 0).unwrap();
         assert_eq!(vm.ensure_slot(r, 1), Err(OsError::OutOfMemory));
     }
@@ -242,9 +241,9 @@ mod tests {
     fn bounds_are_checked() {
         let mut vm = Vm::new(8);
         let r = vm.alloc(2);
-        assert_eq!(vm.check(r, 2), Err(OsError::InvalidArgument));
-        assert_eq!(vm.check(r + 99, 0), Err(OsError::BadRegion));
-        assert_eq!(vm.mark_touched(r, 5), Err(OsError::InvalidArgument));
+        assert_eq!(vm.touch_kind(r, 2), Err(OsError::InvalidArgument));
+        assert_eq!(vm.touch_kind(r + 99, 0), Err(OsError::BadRegion));
+        assert_eq!(vm.touch_for_write(r, 5), Err(OsError::InvalidArgument));
         // An out-of-range page must not grow the region's slot table.
         assert_eq!(vm.ensure_slot(r, 2), Err(OsError::InvalidArgument));
         assert_eq!(vm.ensure_slot(r + 99, 0), Err(OsError::BadRegion));
