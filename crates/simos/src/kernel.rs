@@ -6,11 +6,14 @@
 //! swap disk (the file system on that disk gets the rest), so swap I/O
 //! contends with file I/O exactly when the configuration says it should.
 //!
-//! Costs are charged to the calling process's local clock: CPU work runs on
+//! Every syscall is one kernel entry (`Kernel::enter`): its body runs on a
+//! copy of the calling process's clock held in a local, each charge moves
+//! that local, and the entry commits it once at the end. CPU work runs on
 //! the [`crate::clock::CpuBank`] (with seeded noise), disk work queues FCFS
-//! on the owning [`crate::disk::Disk`]. Dirty evictions are charged
-//! *synchronously* to the process that forced them — the direct-reclaim
-//! behavior that makes memory pressure visible to MAC's probes.
+//! on the owning [`crate::disk::Disk`], a sleep only adds. Dirty evictions
+//! are charged *synchronously* to the process that forced them — the
+//! direct-reclaim behavior that makes memory pressure visible to MAC's
+//! probes.
 
 use gray_toolbox::hash::FastMap;
 use gray_toolbox::{profile, trace};
@@ -67,17 +70,6 @@ pub struct KernelStats {
     pub flusher_runs: u64,
     /// Dirty file pages written back by the flusher.
     pub flusher_pages: u64,
-}
-
-/// What a kernel entry charges before its body runs.
-#[derive(Debug, Clone, Copy)]
-enum Entry {
-    /// The user/kernel crossing, `COSTS.syscall`.
-    Syscall,
-    /// Nothing: the body charges its own work (a read-touch, a page
-    /// fault, a compute burst, a sleep), or is a probe batch, whose steps
-    /// charge theirs.
-    Free,
 }
 
 /// Per-open-file state.
@@ -235,40 +227,45 @@ impl Kernel {
     }
 
     // --- Charging helpers -------------------------------------------------
+    //
+    // One helper per kind of charge. Each moves the entry's local clock
+    // `now` and then tells the profiler, so the profiler cannot perturb
+    // virtual time (pinned by a tier-1 test).
 
-    /// The instant CPU work `d` started at `now` completes: the noise
-    /// draw, then the CPU bank. Every CPU charge is this, in program order.
-    /// Inlined at every site, so a constant `d` reaches `Noise::apply` as a
-    /// constant and picks its jitter table at compile time: a timed page
-    /// touch makes three of these charges, none of them a call.
+    /// Charges CPU work `d` to `pid` at `now`: the noise draw, then the
+    /// CPU bank. Every CPU charge is this, in program order. The profiler
+    /// files it under the open op frame, or under `op` for a step that
+    /// runs inside another entry without a frame of its own. Inlined at
+    /// every site, so a constant `d` reaches `Noise::apply` as a constant
+    /// and picks its jitter table at compile time: a timed page touch
+    /// makes three of these charges, none of them a call.
     #[inline(always)]
-    fn cpu_done(&mut self, now: Nanos, d: GrayDuration) -> Nanos {
+    fn cpu(&mut self, pid: usize, now: &mut Nanos, op: Option<&'static str>, d: GrayDuration) {
         let d = self.noise.apply(d);
-        self.cpus.run(now, d)
+        let done = self.cpus.run(*now, d);
+        let ns = done.as_nanos() - now.as_nanos();
+        *now = done;
+        match op {
+            Some(op) => profile::charge_in(pid as u64, op, "cpu", ns),
+            None => profile::charge(pid as u64, "cpu", ns),
+        }
     }
 
-    /// Charges CPU work `d` to `pid`'s clock.
-    #[inline(always)]
-    fn charge_cpu(&mut self, pid: usize, d: GrayDuration) {
-        let before = self.procs[pid].now;
-        let done = self.cpu_done(before, d);
-        self.set_time(pid, done);
-        // Observation only: the delta was already committed above, so the
-        // profiler cannot perturb virtual time (pinned by a tier-1 test).
-        profile::charge(pid as u64, "cpu", done.as_nanos() - before.as_nanos());
-    }
-
-    /// Synchronous disk transfer charged to `pid`.
-    fn disk_io(&mut self, pid: usize, dev: usize, block: u64, nblocks: u64) {
-        let now = self.procs[pid].now;
-        let done = self.disks[dev].transfer(now, block, nblocks);
-        self.set_time(pid, done);
+    /// Synchronous disk transfer at `now`, charged to `pid`.
+    fn disk_io(&mut self, pid: usize, now: &mut Nanos, dev: usize, block: u64, nblocks: u64) {
+        let done = self.disks[dev].transfer(*now, block, nblocks);
         profile::charge(pid as u64, "disk", done.as_nanos() - now.as_nanos());
+        *now = done;
     }
 
     /// Handles a cache eviction: a dirty file page is written back to its
     /// home, a dirty anonymous page to swap; a clean page just vanishes.
-    fn handle_evictions(&mut self, pid: usize, evicted: Option<Evicted>) -> OsResult<()> {
+    fn handle_evictions(
+        &mut self,
+        pid: usize,
+        now: &mut Nanos,
+        evicted: Option<Evicted>,
+    ) -> OsResult<()> {
         let Some(e) = evicted.filter(|e| e.dirty) else {
             return Ok(());
         };
@@ -276,7 +273,7 @@ impl Kernel {
             Owner::File { dev, ino } => {
                 let dev = dev as usize;
                 if let Some(block) = self.home_block(dev, ino, e.id.page) {
-                    self.disk_io(pid, dev, block, 1);
+                    self.disk_io(pid, now, dev, block, 1);
                     self.stats.file_page_writes += 1;
                 }
             }
@@ -284,7 +281,7 @@ impl Kernel {
                 // A dirty page of a region that died is just dropped.
                 Err(OsError::BadRegion) => {}
                 slot => {
-                    self.disk_io(pid, self.swap_disk, self.swap_base + slot?, 1);
+                    self.disk_io(pid, now, self.swap_disk, self.swap_base + slot?, 1);
                     self.stats.swap_outs += 1;
                 }
             },
@@ -303,9 +300,9 @@ impl Kernel {
         }
     }
 
-    /// Fires any flusher epochs the calling process's clock has crossed.
+    /// Fires any flusher epochs `now` has crossed.
     ///
-    /// Called at every kernel entry. The conservative executor always
+    /// Called at every kernel entry and step. The conservative executor always
     /// resumes the minimum-(time, pid) runnable process, so the identity
     /// of the first process to cross an epoch — and therefore the cache
     /// state the flusher sees — is a pure function of virtual time:
@@ -316,9 +313,11 @@ impl Kernel {
     /// FCFS queue starting at the epoch instant, so foreground I/O
     /// issued afterwards waits behind it. That queueing delay is the
     /// side effect WBD observes.
-    #[inline]
-    fn poll_flusher(&mut self, pid: usize) {
-        self.step_poll(pid, self.procs[pid].now);
+    #[inline(always)]
+    fn poll_epochs(&mut self, now: Nanos) {
+        if self.next_flush <= now {
+            self.run_flusher(now);
+        }
     }
 
     /// The flusher epochs up to `now`; almost no kernel entry gets here.
@@ -352,7 +351,7 @@ impl Kernel {
                 let dev = dev as usize;
                 if let Some(block) = self.home_block(dev, ino, id.page) {
                     // On the disk's own timeline; the return (completion
-                    // instant) is deliberately not charged to `pid`.
+                    // instant) is deliberately charged to no process.
                     self.disks[dev].transfer(epoch, block, 1);
                     self.stats.file_page_writes += 1;
                     self.stats.flusher_pages += 1;
@@ -365,24 +364,24 @@ impl Kernel {
 
     /// Charges the metadata I/O a file-system operation performed, then
     /// hands the emptied log back to the file system for the next one.
-    fn charge_meta(&mut self, pid: usize, dev: usize) -> OsResult<()> {
+    fn charge_meta(&mut self, pid: usize, now: &mut Nanos, dev: usize) -> OsResult<()> {
         let io = self.fss[dev].take_io();
         let mut charge = || {
             for r in &io.reads {
                 let id = PageId::file(dev, r.ino, r.page);
                 if self.cache.lookup_touch(id) {
-                    self.charge_cpu(pid, COSTS.page_lookup);
+                    self.cpu(pid, now, None, COSTS.page_lookup);
                 } else {
-                    self.disk_io(pid, dev, r.disk_block, 1);
+                    self.disk_io(pid, now, dev, r.disk_block, 1);
                     let ev = self.cache.insert(id, false);
-                    self.handle_evictions(pid, ev)?;
-                    self.charge_cpu(pid, COSTS.page_lookup);
+                    self.handle_evictions(pid, now, ev)?;
+                    self.cpu(pid, now, None, COSTS.page_lookup);
                 }
             }
             for w in &io.writes {
                 let ev = self.cache.insert(PageId::file(dev, w.ino, w.page), true);
-                self.handle_evictions(pid, ev)?;
-                self.charge_cpu(pid, COSTS.page_lookup);
+                self.handle_evictions(pid, now, ev)?;
+                self.cpu(pid, now, None, COSTS.page_lookup);
             }
             Ok(())
         };
@@ -415,19 +414,20 @@ impl Kernel {
     }
 
     /// The namespace path every path syscall takes: resolve the mount,
-    /// run `op` on that file system at the caller's clock, then charge
-    /// the metadata I/O `op` did, whether or not it succeeded (a failed
-    /// lookup still read the directories it walked). Returns the device
-    /// beside `op`'s value.
+    /// run `op` on that file system at `now`, then charge the metadata
+    /// I/O `op` did, whether or not it succeeded (a failed lookup still
+    /// read the directories it walked). Returns the device beside `op`'s
+    /// value.
     fn namespace<T>(
         &mut self,
         pid: usize,
+        now: &mut Nanos,
         path: &str,
         op: impl FnOnce(&mut Fs, &str, Nanos) -> OsResult<T>,
     ) -> OsResult<(usize, T)> {
         let (dev, local) = self.mount_of(path)?;
-        let r = op(&mut self.fss[dev], local, self.procs[pid].now);
-        self.charge_meta(pid, dev)?;
+        let r = op(&mut self.fss[dev], local, *now);
+        self.charge_meta(pid, now, dev)?;
         Ok((dev, r?))
     }
 
@@ -442,108 +442,75 @@ impl Kernel {
 
     // --- Syscalls -------------------------------------------------------------
 
-    /// The way into the kernel. Every syscall opens its op frame for the
-    /// profiler, fires the flusher epochs the caller's clock has crossed,
-    /// pays the user/kernel crossing if `entry` says so, and then runs
-    /// `body`. The syscalls that are steps (below) do the same on a local
-    /// clock, with the op name on their charges in place of the frame.
-    /// Anything a syscall rejects before this point charges nothing and
-    /// records nothing.
+    /// The way into the kernel, and the one shape of every syscall: open
+    /// the profiler's op frame `op`, copy the caller's clock into a local,
+    /// fire the flusher epochs it has crossed, run `body` on the local,
+    /// and commit it once, through `set_time` (so [`Kernel::max_time`]
+    /// moves once per entry). Nothing reads the process's clock in
+    /// between. Anything a syscall rejects before this point charges
+    /// nothing and records nothing.
     #[inline]
     fn enter<R>(
         &mut self,
         pid: usize,
         op: &'static str,
-        entry: Entry,
-        body: impl FnOnce(&mut Self) -> R,
+        body: impl FnOnce(&mut Self, &mut Nanos) -> R,
     ) -> R {
-        let _op = profile::op_scope(op);
-        self.poll_flusher(pid);
-        if let Entry::Syscall = entry {
-            self.charge_cpu(pid, COSTS.syscall);
-        }
-        body(self)
-    }
-
-    // --- Steps: kernel work on a clock held in a local ----------------------
-    //
-    // A step is what one of the two cheapest syscalls, `sys_now` and
-    // `sys_mem_touch_write`, does once it is inside: a flusher poll, then
-    // its work, charged to a clock the caller keeps in a local `now`
-    // instead of `procs[pid].now`. Its CPU charges go to the profiler under
-    // the step's own op name, so a step opens no op frame. The syscall is
-    // a step on its own ([`Kernel::one_step`]); a probe batch is one
-    // [`Kernel::enter`] and a run of steps. The local is written back
-    // before anything that reads the process's clock — the flusher, a
-    // page fault, a nested `sys_read` (the last two through
-    // [`Kernel::on_proc_clock`]) — and read back after it.
-
-    /// Runs `f` with the local clock `now` written back as the process's
-    /// clock, then reads the clock back into `now`.
-    #[inline]
-    fn on_proc_clock<R>(
-        &mut self,
-        pid: usize,
-        now: &mut Nanos,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        self.procs[pid].now = *now;
-        let r = f(self);
-        *now = self.procs[pid].now;
-        r
-    }
-
-    /// A syscall that is one step: the step on a local copy of the
-    /// process's clock, committed (with [`Kernel::max_time`]) after it.
-    #[inline(always)]
-    fn one_step<R>(&mut self, pid: usize, step: impl FnOnce(&mut Self, &mut Nanos) -> R) -> R {
         let mut now = self.procs[pid].now;
-        let r = step(self, &mut now);
+        let r = self.enter_on(op, &mut now, body);
         self.set_time(pid, now);
         r
     }
 
-    /// [`Kernel::poll_flusher`] at `now`: fires the epochs it has crossed.
-    #[inline(always)]
-    fn step_poll(&mut self, pid: usize, now: Nanos) {
-        if self.next_flush <= now {
-            // Written back like any other reader's; the flusher moves the
-            // disks' timelines, not the process's clock.
-            self.procs[pid].now = now;
-            self.run_flusher(now);
-        }
+    /// [`Kernel::enter`] on a clock the caller already holds in a local,
+    /// which the caller commits: an entry nested in a probe batch (a file
+    /// probe's `sys_read`, a touch's page fault) keeps its op frame and
+    /// its flusher poll.
+    #[inline]
+    fn enter_on<R>(
+        &mut self,
+        op: &'static str,
+        now: &mut Nanos,
+        body: impl FnOnce(&mut Self, &mut Nanos) -> R,
+    ) -> R {
+        let _op = profile::op_scope(op);
+        self.poll_epochs(*now);
+        body(self, now)
     }
 
-    /// [`Kernel::charge_cpu`] on a local clock, charged to the profiler
-    /// as `op`'s.
-    #[inline(always)]
-    fn step_cpu(&mut self, pid: usize, now: &mut Nanos, op: &'static str, d: GrayDuration) {
-        let done = self.cpu_done(*now, d);
-        profile::charge_in(pid as u64, op, "cpu", done.as_nanos() - now.as_nanos());
-        *now = done;
-    }
+    // --- Steps: the work a probe batch repeats ------------------------------
+    //
+    // A step is the work of one of the two cheapest syscalls, `sys_now`
+    // and `sys_mem_touch_write`: a flusher poll, then the work, on the
+    // entry's local clock. The syscall runs its step once, in its own op
+    // frame (`op` is `None`). A probe batch runs two or three steps per
+    // probe in the batch's entry, with no frame of their own, so it passes
+    // the syscall's name as `op`: the step files its CPU charges under it
+    // and opens it as the frame of a page fault, the one part of a step
+    // that enters the kernel (nested, on the batch's clock).
 
     /// The clock-read step: the read's cost, then the quantized reading.
     #[inline(always)]
-    fn step_now(&mut self, pid: usize, now: &mut Nanos) -> Nanos {
-        self.step_poll(pid, *now);
-        self.step_cpu(pid, now, "sys_now", TIMER_READ);
+    fn step_now(&mut self, pid: usize, now: &mut Nanos, op: Option<&'static str>) -> Nanos {
+        self.poll_epochs(*now);
+        self.cpu(pid, now, op, TIMER_READ);
         self.noise.quantize(*now)
     }
 
     /// The write-touch step, given the region's size in pages (`None` if
     /// it is not live): a resident page is marked dirty and charged here;
-    /// any other page faults, on the process's clock.
+    /// any other page faults.
     #[inline(always)]
     fn step_touch_write(
         &mut self,
         pid: usize,
         now: &mut Nanos,
+        op: Option<&'static str>,
         region: u64,
         size: Option<u64>,
         page: u64,
     ) -> OsResult<()> {
-        self.step_poll(pid, *now);
+        self.poll_epochs(*now);
         if page >= size.ok_or(OsError::BadRegion)? {
             return Err(OsError::InvalidArgument);
         }
@@ -552,31 +519,31 @@ impl Kernel {
             page,
         };
         if self.cache.mark_dirty(id) {
-            self.step_cpu(pid, now, "sys_mem_touch_write", COSTS.mem_touch);
+            self.cpu(pid, now, op, COSTS.mem_touch);
             return Ok(());
         }
-        // A fault enters the kernel under the touch's op frame. Its
-        // flusher poll is at the instant of the step's, so it fires nothing.
-        self.on_proc_clock(pid, now, |k| {
-            k.enter(pid, "sys_mem_touch_write", Entry::Free, |k| {
-                k.fault_write(pid, region, page)
-            })
-        })
+        // In a batch the fault's poll is at the step's instant, so it
+        // fires nothing.
+        match op {
+            Some(op) => self.enter_on(op, now, |k, now| k.fault_write(pid, now, region, page)),
+            None => self.fault_write(pid, now, region, page),
+        }
     }
 
     /// The high-resolution clock, with read cost and quantization. The
     /// reading is also the stamp of the process's next trace records.
     #[inline]
     pub fn sys_now(&mut self, pid: usize) -> Nanos {
-        let reading = self.one_step(pid, |k, now| k.step_now(pid, now));
+        let reading = self.enter(pid, "sys_now", |k, now| k.step_now(pid, now, None));
         trace::set_now(reading);
         reading
     }
 
     /// Opens an existing file.
     pub fn sys_open(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
-        self.enter(pid, "sys_open", Entry::Syscall, |k| {
-            let (dev, ino) = k.namespace(pid, path, |fs, local, _| fs.resolve(local))?;
+        self.enter(pid, "sys_open", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (dev, ino) = k.namespace(pid, now, path, |fs, local, _| fs.resolve(local))?;
             if k.fss[dev].inode(ino).is_some_and(Inode::is_dir) {
                 return Err(OsError::IsADirectory);
             }
@@ -586,8 +553,9 @@ impl Kernel {
 
     /// Creates and opens a new file.
     pub fn sys_create(&mut self, pid: usize, path: &str) -> OsResult<Fd> {
-        self.enter(pid, "sys_create", Entry::Syscall, |k| {
-            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.create(local, now))?;
+        self.enter(pid, "sys_create", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (dev, ino) = k.namespace(pid, now, path, |fs, local, t| fs.create(local, t))?;
             Ok(k.alloc_fd(pid, dev, ino))
         })
     }
@@ -610,7 +578,8 @@ impl Kernel {
 
     /// Closes a descriptor.
     pub fn sys_close(&mut self, pid: usize, fd: Fd) -> OsResult<()> {
-        self.enter(pid, "sys_close", Entry::Syscall, |k| {
+        self.enter(pid, "sys_close", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             k.fdt[pid].remove(&fd.0).map(|_| ()).ok_or(OsError::BadFd)
         })
     }
@@ -623,84 +592,96 @@ impl Kernel {
         fd: Fd,
         offset: u64,
         len: u64,
+        buf: Option<&mut [u8]>,
+    ) -> OsResult<u64> {
+        self.enter(pid, "sys_read", |k, now| {
+            k.read(pid, now, fd, offset, len, buf)
+        })
+    }
+
+    /// The body of [`Kernel::sys_read`], on the entry's clock `now`; a
+    /// file probe runs it in a nested entry.
+    fn read(
+        &mut self,
+        pid: usize,
+        now: &mut Nanos,
+        fd: Fd,
+        offset: u64,
+        len: u64,
         mut buf: Option<&mut [u8]>,
     ) -> OsResult<u64> {
-        self.enter(pid, "sys_read", Entry::Syscall, |k| {
-            let (of, inode) = k.open_file(pid, fd)?;
-            let size = inode.size;
-            if offset >= size || len == 0 {
-                return Ok(0);
-            }
-            let len = len.min(size - offset);
-            let first_page = offset / PAGE_SIZE;
-            let last_page = (offset + len - 1) / PAGE_SIZE;
+        self.cpu(pid, now, None, COSTS.syscall);
+        let (of, inode) = self.open_file(pid, fd)?;
+        let size = inode.size;
+        if offset >= size || len == 0 {
+            return Ok(0);
+        }
+        let len = len.min(size - offset);
+        let first_page = offset / PAGE_SIZE;
+        let last_page = (offset + len - 1) / PAGE_SIZE;
 
-            // Sequential-read detection feeds the readahead window.
-            let mut window = if first_page == of.next_seq_page {
-                (u64::from(of.ra_window) * 2).min(k.cfg.readahead_pages)
+        // Sequential-read detection feeds the readahead window.
+        let mut window = if first_page == of.next_seq_page {
+            (u64::from(of.ra_window) * 2).min(self.cfg.readahead_pages)
+        } else {
+            u64::from(RA_INITIAL)
+        };
+
+        let file_pages = size.div_ceil(PAGE_SIZE);
+        let mut cpu = GrayDuration::ZERO;
+        let mut page = first_page;
+        // Pages below `run_end` were fetched by this call's own readahead:
+        // consuming them is part of the same logical access, so they are
+        // *not* re-referenced (otherwise a single sequential scan would
+        // mark everything referenced and scan-resistant policies could
+        // never tell streams from reuse). Genuine hits bump the LRU
+        // position.
+        let mut run_end = first_page;
+        while page <= last_page {
+            if page < run_end || self.cache.lookup_touch(PageId::file(of.dev, of.ino, page)) {
+                self.stats.cache_hits += 1;
+                cpu += COSTS.page_lookup;
             } else {
-                u64::from(RA_INITIAL)
-            };
-
-            let file_pages = size.div_ceil(PAGE_SIZE);
-            let mut cpu = GrayDuration::ZERO;
-            let mut page = first_page;
-            // Pages below `run_end` were fetched by this call's own readahead:
-            // consuming them is part of the same logical access, so they are
-            // *not* re-referenced (otherwise a single sequential scan would
-            // mark everything referenced and scan-resistant policies could
-            // never tell streams from reuse).
-            let mut run_end = first_page;
-            while page <= last_page {
-                // Pages below `run_end` came from this call's own readahead
-                // and are not re-referenced (one sequential access = one
-                // reference); genuine hits bump the LRU position.
-                if page < run_end || k.cache.lookup_touch(PageId::file(of.dev, of.ino, page)) {
-                    k.stats.cache_hits += 1;
-                    cpu += COSTS.page_lookup;
-                } else {
-                    k.stats.cache_misses += 1;
-                    // Fetch a readahead run: contiguous on disk, not cached,
-                    // within the file and the window.
-                    let run = k.plan_fetch_run(of.dev, of.ino, page, file_pages, window);
-                    let start_block = k.fss[of.dev].ensure_block(of.ino, page)?;
-                    // Metadata I/O from block mapping (indirect blocks are
-                    // folded into the inode cost model).
-                    k.fss[of.dev].discard_io();
-                    k.disk_io(pid, of.dev, start_block, run);
-                    for p in page..page + run {
-                        let ev = k.cache.insert(PageId::file(of.dev, of.ino, p), false);
-                        k.handle_evictions(pid, ev)?;
-                    }
-                    k.stats.file_page_reads += run;
-                    run_end = page + run;
-                    window = (window * 2).min(k.cfg.readahead_pages);
-                    cpu += COSTS.page_lookup;
+                self.stats.cache_misses += 1;
+                // Fetch a readahead run: contiguous on disk, not cached,
+                // within the file and the window.
+                let run = self.plan_fetch_run(of.dev, of.ino, page, file_pages, window);
+                let start_block = self.fss[of.dev].ensure_block(of.ino, page)?;
+                // Metadata I/O from block mapping (indirect blocks are
+                // folded into the inode cost model).
+                self.fss[of.dev].discard_io();
+                self.disk_io(pid, now, of.dev, start_block, run);
+                for p in page..page + run {
+                    let ev = self.cache.insert(PageId::file(of.dev, of.ino, p), false);
+                    self.handle_evictions(pid, now, ev)?;
                 }
-                // Copy the requested fraction of this page to the user.
-                let page_start = page * PAGE_SIZE;
-                let copy_from = offset.max(page_start);
-                let copy_to = (offset + len).min(page_start + PAGE_SIZE);
-                let bytes = copy_to - copy_from;
-                cpu += copy_charge(bytes);
-                if let Some(out) = buf.as_deref_mut() {
-                    if let Some(disk_block) = k.fss[of.dev].block_of(of.ino, page) {
-                        let dst_start = (copy_from - offset) as usize;
-                        let dst = &mut out[dst_start..dst_start + bytes as usize];
-                        k.fss[of.dev].read_content(disk_block, copy_from - page_start, dst);
-                    }
-                }
-                page += 1;
+                self.stats.file_page_reads += run;
+                run_end = page + run;
+                window = (window * 2).min(self.cfg.readahead_pages);
+                cpu += COSTS.page_lookup;
             }
-            k.charge_cpu(pid, cpu);
-            let now = k.procs[pid].now;
-            k.fss[of.dev].note_read(of.ino, now)?;
-            // Update sequential state.
-            let entry = k.fdt[pid].get_mut(&fd.0).expect("checked above");
-            entry.ra_window = u32::try_from(window).unwrap_or(u32::MAX);
-            entry.next_seq_page = last_page + 1;
-            Ok(len)
-        })
+            // Copy the requested fraction of this page to the user.
+            let page_start = page * PAGE_SIZE;
+            let copy_from = offset.max(page_start);
+            let copy_to = (offset + len).min(page_start + PAGE_SIZE);
+            let bytes = copy_to - copy_from;
+            cpu += copy_charge(bytes);
+            if let Some(out) = buf.as_deref_mut() {
+                if let Some(disk_block) = self.fss[of.dev].block_of(of.ino, page) {
+                    let dst_start = (copy_from - offset) as usize;
+                    let dst = &mut out[dst_start..dst_start + bytes as usize];
+                    self.fss[of.dev].read_content(disk_block, copy_from - page_start, dst);
+                }
+            }
+            page += 1;
+        }
+        self.cpu(pid, now, None, cpu);
+        self.fss[of.dev].note_read(of.ino, *now)?;
+        // Update sequential state.
+        let entry = self.fdt[pid].get_mut(&fd.0).expect("checked above");
+        entry.ra_window = u32::try_from(window).unwrap_or(u32::MAX);
+        entry.next_seq_page = last_page + 1;
+        Ok(len)
     }
 
     /// Services a whole batch of timed 1-byte read probes in one kernel
@@ -713,13 +694,15 @@ impl Kernel {
     /// side effects and the profile are bit-identical to a loop of
     /// individually dispatched probes. What the batch elides is host
     /// work: the caller borrows the kernel (and holds the scheduler baton)
-    /// once for the whole batch, and each clock read is a step on a local
-    /// clock, with no op frame of its own. Each probe is traced as a
-    /// `ProbeIssued` event stamped at its second clock read.
+    /// once for the whole batch, and each clock read is a step on the
+    /// batch's clock, with no op frame of its own. Each probe is traced as
+    /// a `ProbeIssued` event stamped at its second clock read.
     pub fn sys_probe_batch(&mut self, pid: usize, fd: Fd, specs: &[ProbeSpec]) -> Vec<ProbeSample> {
         let offsets = specs.iter().map(|s| s.offset);
         self.timed_batch(pid, "sys_probe_batch", offsets, true, |k, now, offset| {
-            let read = k.on_proc_clock(pid, now, |k| k.sys_read(pid, fd, offset, 1, None));
+            let read = k.enter_on("sys_read", now, |k, now| {
+                k.read(pid, now, fd, offset, 1, None)
+            });
             matches!(read, Ok(n) if n > 0)
         })
     }
@@ -739,19 +722,18 @@ impl Kernel {
     ) -> Vec<ProbeSample> {
         let size = self.vm.size(region);
         let pages = pages.iter().copied();
+        let op = Some("sys_mem_touch_write");
         self.timed_batch(pid, "sys_mem_probe_batch", pages, false, |k, now, page| {
-            k.step_touch_write(pid, now, region, size, page).is_ok()
+            k.step_touch_write(pid, now, op, region, size, page).is_ok()
         })
     }
 
     /// The timed loop both probe batches share, one kernel entry: for each
     /// offset a clock-read step, `probe` (which reports success), and a
-    /// clock-read step, all on the caller's clock held in a local. The
-    /// clock is committed, with [`Kernel::max_time`], once at the end;
-    /// whatever reads it in between goes through
-    /// [`Kernel::on_proc_clock`]. With `traced`, each probe emits a
-    /// `ProbeIssued` event stamped at its second reading; the last reading
-    /// stamps the process's next records. An empty batch enters nothing.
+    /// clock-read step, all on the entry's clock. With `traced`, each
+    /// probe emits a `ProbeIssued` event stamped at its second reading;
+    /// the last reading stamps the process's next records. An empty batch
+    /// enters nothing.
     fn timed_batch(
         &mut self,
         pid: usize,
@@ -763,14 +745,13 @@ impl Kernel {
         if offsets.len() == 0 {
             return Vec::new();
         }
-        self.enter(pid, op, Entry::Free, |k| {
-            let mut now = k.procs[pid].now;
+        self.enter(pid, op, |k, now| {
             let mut reading = Nanos::ZERO;
             let samples = offsets
                 .map(|offset| {
-                    let t0 = k.step_now(pid, &mut now);
-                    let ok = probe(k, &mut now, offset);
-                    reading = k.step_now(pid, &mut now);
+                    let t0 = k.step_now(pid, now, Some("sys_now"));
+                    let ok = probe(k, now, offset);
+                    reading = k.step_now(pid, now, Some("sys_now"));
                     let elapsed = reading.since(t0);
                     if traced {
                         trace::set_now(reading);
@@ -786,7 +767,6 @@ impl Kernel {
                     }
                 })
                 .collect();
-            k.set_time(pid, now);
             trace::set_now(reading);
             samples
         })
@@ -825,7 +805,8 @@ impl Kernel {
         if let Some(d) = data {
             debug_assert_eq!(d.len() as u64, len);
         }
-        self.enter(pid, "sys_write", Entry::Syscall, |k| {
+        self.enter(pid, "sys_write", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             // An empty write pays the crossing and does nothing else.
             if len == 0 {
                 return Ok(0);
@@ -844,7 +825,7 @@ impl Kernel {
                 } else {
                     fs.ensure_block(of.ino, page)
                 };
-                k.charge_meta(pid, of.dev)?;
+                k.charge_meta(pid, now, of.dev)?;
                 let disk_block = r?;
                 let page_start = page * PAGE_SIZE;
                 let copy_from = offset.max(page_start);
@@ -860,12 +841,12 @@ impl Kernel {
                     let within_old_size =
                         page_start < k.fss[of.dev].inode(of.ino).map(|i| i.size).unwrap_or(0);
                     if within_old_size {
-                        k.disk_io(pid, of.dev, disk_block, 1);
+                        k.disk_io(pid, now, of.dev, disk_block, 1);
                         k.stats.file_page_reads += 1;
                     }
                 }
                 let ev = k.cache.insert(id, true);
-                k.handle_evictions(pid, ev)?;
+                k.handle_evictions(pid, now, ev)?;
                 match data {
                     Some(d) => {
                         let src_start = (copy_from - offset) as usize;
@@ -878,24 +859,25 @@ impl Kernel {
                 }
                 cpu += copy_charge(bytes);
             }
-            k.charge_cpu(pid, cpu);
-            let now = k.procs[pid].now;
-            k.fss[of.dev].note_write(of.ino, offset + len, now)?;
-            k.charge_meta(pid, of.dev)?;
+            k.cpu(pid, now, None, cpu);
+            k.fss[of.dev].note_write(of.ino, offset + len, *now)?;
+            k.charge_meta(pid, now, of.dev)?;
             Ok(len)
         })
     }
 
     /// Size of an open file.
     pub fn sys_file_size(&mut self, pid: usize, fd: Fd) -> OsResult<u64> {
-        self.enter(pid, "sys_file_size", Entry::Syscall, |k| {
+        self.enter(pid, "sys_file_size", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             Ok(k.open_file(pid, fd)?.1.size)
         })
     }
 
     /// Writes back every dirty page (`sync(2)`), charged to the caller.
     pub fn sys_sync(&mut self, pid: usize) -> OsResult<()> {
-        self.enter(pid, "sys_sync", Entry::Syscall, |k| {
+        self.enter(pid, "sys_sync", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             for id in k.cache.dirty_pages() {
                 // sync(2) does not touch anonymous memory.
                 let Owner::File { dev, ino } = id.owner else {
@@ -903,7 +885,7 @@ impl Kernel {
                 };
                 let dev = dev as usize;
                 if let Some(block) = k.home_block(dev, ino, id.page) {
-                    k.disk_io(pid, dev, block, 1);
+                    k.disk_io(pid, now, dev, block, 1);
                     k.stats.file_page_writes += 1;
                 }
                 k.cache.clean(id);
@@ -914,8 +896,9 @@ impl Kernel {
 
     /// `stat(2)`.
     pub fn sys_stat(&mut self, pid: usize, path: &str) -> OsResult<Stat> {
-        self.enter(pid, "sys_stat", Entry::Syscall, |k| {
-            let (dev, ino) = k.namespace(pid, path, |fs, local, _| fs.resolve(local))?;
+        self.enter(pid, "sys_stat", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (dev, ino) = k.namespace(pid, now, path, |fs, local, _| fs.resolve(local))?;
             let inode = k.fss[dev].inode(ino).ok_or(OsError::NotFound)?;
             Ok(Stat {
                 ino,
@@ -930,24 +913,27 @@ impl Kernel {
 
     /// Lists a directory in creation order.
     pub fn sys_list_dir(&mut self, pid: usize, path: &str) -> OsResult<Vec<String>> {
-        self.enter(pid, "sys_list_dir", Entry::Syscall, |k| {
-            let (_, names) = k.namespace(pid, path, |fs, local, _| fs.list_dir(local))?;
+        self.enter(pid, "sys_list_dir", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (_, names) = k.namespace(pid, now, path, |fs, local, _| fs.list_dir(local))?;
             Ok(names)
         })
     }
 
     /// Creates a directory.
     pub fn sys_mkdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        self.enter(pid, "sys_mkdir", Entry::Syscall, |k| {
-            k.namespace(pid, path, |fs, local, now| fs.mkdir(local, now))?;
+        self.enter(pid, "sys_mkdir", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            k.namespace(pid, now, path, |fs, local, t| fs.mkdir(local, t))?;
             Ok(())
         })
     }
 
     /// Removes an empty directory.
     pub fn sys_rmdir(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        self.enter(pid, "sys_rmdir", Entry::Syscall, |k| {
-            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.rmdir(local, now))?;
+        self.enter(pid, "sys_rmdir", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (dev, ino) = k.namespace(pid, now, path, |fs, local, t| fs.rmdir(local, t))?;
             k.purge_file_pages(dev, ino);
             Ok(())
         })
@@ -955,8 +941,9 @@ impl Kernel {
 
     /// Unlinks a file.
     pub fn sys_unlink(&mut self, pid: usize, path: &str) -> OsResult<()> {
-        self.enter(pid, "sys_unlink", Entry::Syscall, |k| {
-            let (dev, ino) = k.namespace(pid, path, |fs, local, now| fs.unlink(local, now))?;
+        self.enter(pid, "sys_unlink", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            let (dev, ino) = k.namespace(pid, now, path, |fs, local, t| fs.unlink(local, t))?;
             k.purge_file_pages(dev, ino);
             Ok(())
         })
@@ -972,15 +959,16 @@ impl Kernel {
 
     /// Renames within one file system.
     pub fn sys_rename(&mut self, pid: usize, from: &str, to: &str) -> OsResult<()> {
-        self.enter(pid, "sys_rename", Entry::Syscall, |k| {
+        self.enter(pid, "sys_rename", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             // Parsed once, up front; its error still comes after `from`'s.
             let to = k.mount_of(to);
-            k.namespace(pid, from, |fs, from, now| {
+            k.namespace(pid, now, from, |fs, from, t| {
                 let (dev, to) = to?;
                 if dev != fs.dev() as usize {
                     return Err(OsError::Unsupported);
                 }
-                fs.rename(from, to, now)
+                fs.rename(from, to, t)
             })?;
             Ok(())
         })
@@ -994,8 +982,11 @@ impl Kernel {
         atime: Nanos,
         mtime: Nanos,
     ) -> OsResult<()> {
-        self.enter(pid, "sys_set_times", Entry::Syscall, |k| {
-            k.namespace(pid, path, |fs, local, _| fs.set_times(local, atime, mtime))?;
+        self.enter(pid, "sys_set_times", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
+            k.namespace(pid, now, path, |fs, local, _| {
+                fs.set_times(local, atime, mtime)
+            })?;
             Ok(())
         })
     }
@@ -1006,14 +997,16 @@ impl Kernel {
         if bytes == 0 {
             return Err(OsError::InvalidArgument);
         }
-        self.enter(pid, "sys_mem_alloc", Entry::Syscall, |k| {
+        self.enter(pid, "sys_mem_alloc", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             Ok(k.vm.alloc(bytes.div_ceil(PAGE_SIZE)))
         })
     }
 
     /// Frees a region and purges its pages.
     pub fn sys_mem_free(&mut self, pid: usize, region: u64) -> OsResult<()> {
-        self.enter(pid, "sys_mem_free", Entry::Syscall, |k| {
+        self.enter(pid, "sys_mem_free", |k, now| {
+            k.cpu(pid, now, None, COSTS.syscall);
             k.vm.free(region)?;
             k.cache.remove_owner(Owner::Anon { region });
             Ok(())
@@ -1022,9 +1015,8 @@ impl Kernel {
 
     /// Write-touches one page of a region.
     pub fn sys_mem_touch_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
-        let size = self.vm.size(region);
-        self.one_step(pid, |k, now| {
-            k.step_touch_write(pid, now, region, size, page)
+        self.enter(pid, "sys_mem_touch_write", |k, now| {
+            k.step_touch_write(pid, now, None, region, k.vm.size(region), page)
         })
     }
 
@@ -1033,7 +1025,7 @@ impl Kernel {
     /// resident case of [`Kernel::step_touch_write`] is all a probe loop
     /// carries.
     #[inline(never)]
-    fn fault_write(&mut self, pid: usize, region: u64, page: u64) -> OsResult<()> {
+    fn fault_write(&mut self, pid: usize, now: &mut Nanos, region: u64, page: u64) -> OsResult<()> {
         let id = PageId {
             owner: Owner::Anon { region },
             page,
@@ -1042,26 +1034,40 @@ impl Kernel {
             TouchKind::Untouched => {
                 self.stats.zero_faults += 1;
                 let ev = self.cache.insert(id, true);
-                self.handle_evictions(pid, ev)?;
-                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.page_zero);
+                self.handle_evictions(pid, now, ev)?;
+                self.cpu(pid, now, None, COSTS.fault_overhead + COSTS.page_zero);
+                Ok(())
             }
-            TouchKind::Swapped(slot) => {
-                self.stats.swap_ins += 1;
-                self.disk_io(pid, self.swap_disk, self.swap_base + slot, 1);
-                let ev = self.cache.insert(id, true);
-                self.handle_evictions(pid, ev)?;
-                self.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
-            }
-            TouchKind::Materialized => {
-                unreachable!("materialized page missing from cache and swap")
-            }
+            kind => self.swap_in(pid, now, id, kind, true),
         }
+    }
+
+    /// Brings a touched page that is in neither the cache nor the zero
+    /// page back from its swap slot: the read, the insert (`dirty` for a
+    /// write-touch), the eviction it may force, then the fault and the
+    /// touch.
+    fn swap_in(
+        &mut self,
+        pid: usize,
+        now: &mut Nanos,
+        id: PageId,
+        kind: TouchKind,
+        dirty: bool,
+    ) -> OsResult<()> {
+        let TouchKind::Swapped(slot) = kind else {
+            unreachable!("materialized page missing from cache and swap")
+        };
+        self.stats.swap_ins += 1;
+        self.disk_io(pid, now, self.swap_disk, self.swap_base + slot, 1);
+        let ev = self.cache.insert(id, dirty);
+        self.handle_evictions(pid, now, ev)?;
+        self.cpu(pid, now, None, COSTS.fault_overhead + COSTS.mem_touch);
         Ok(())
     }
 
     /// Read-touches one page of a region.
     pub fn sys_mem_touch_read(&mut self, pid: usize, region: u64, page: u64) -> OsResult<u8> {
-        self.enter(pid, "sys_mem_touch_read", Entry::Free, |k| {
+        self.enter(pid, "sys_mem_touch_read", |k, now| {
             // Classified up front, in the one region lookup that checks
             // the page; used only if the page is not resident.
             let kind = k.vm.touch_kind(region, page)?;
@@ -1069,25 +1075,12 @@ impl Kernel {
                 owner: Owner::Anon { region },
                 page,
             };
-            if k.cache.lookup_touch(id) {
-                k.charge_cpu(pid, COSTS.mem_touch);
-                return Ok(0);
-            }
-            match kind {
-                TouchKind::Untouched => {
-                    // Copy-on-write zero page: reads allocate nothing.
-                    k.charge_cpu(pid, COSTS.mem_touch);
-                }
-                TouchKind::Swapped(slot) => {
-                    k.stats.swap_ins += 1;
-                    k.disk_io(pid, k.swap_disk, k.swap_base + slot, 1);
-                    let ev = k.cache.insert(id, false);
-                    k.handle_evictions(pid, ev)?;
-                    k.charge_cpu(pid, COSTS.fault_overhead + COSTS.mem_touch);
-                }
-                TouchKind::Materialized => {
-                    unreachable!("materialized page missing from cache and swap")
-                }
+            // A resident page, or the copy-on-write zero page (reads
+            // allocate nothing), costs a touch; any other comes from swap.
+            if k.cache.lookup_touch(id) || matches!(kind, TouchKind::Untouched) {
+                k.cpu(pid, now, None, COSTS.mem_touch);
+            } else {
+                k.swap_in(pid, now, id, kind, false)?;
             }
             Ok(0)
         })
@@ -1095,13 +1088,13 @@ impl Kernel {
 
     /// Burns CPU time.
     pub fn sys_compute(&mut self, pid: usize, work: GrayDuration) {
-        self.enter(pid, "sys_compute", Entry::Free, |k| k.charge_cpu(pid, work));
+        self.enter(pid, "sys_compute", |k, now| k.cpu(pid, now, None, work));
     }
 
     /// Advances the process clock without consuming CPU.
     pub fn sys_sleep(&mut self, pid: usize, d: GrayDuration) {
-        self.enter(pid, "sys_sleep", Entry::Free, |k| {
-            k.set_time(pid, k.procs[pid].now + d);
+        self.enter(pid, "sys_sleep", |_, now| {
+            *now += d;
             profile::charge(pid as u64, "sleep", d.as_nanos());
         });
     }
@@ -1224,6 +1217,80 @@ mod tests {
                     "{stats:?}"
                 );
                 assert!(stats.flusher_runs > 0, "{stats:?}");
+            },
+        );
+    }
+
+    /// Every syscall commits its local clock with [`Kernel::max_time`]:
+    /// after each of a random run of scalar calls by two processes —
+    /// reads and writes that evict, syncs, read- and write-touches that
+    /// zero-fault and swap in, sleeps across flusher epochs, compute
+    /// bursts, clock reads and calls that fail — the latest instant is
+    /// the larger of the two process clocks.
+    #[test]
+    fn max_time_stays_exact_after_every_syscall() {
+        use gray_toolbox::prop::{check, Gen};
+        check(
+            "max_time_stays_exact_after_every_syscall",
+            16,
+            |g: &mut Gen| {
+                let mut cfg = SimConfig::small()
+                    .with_seed(g.u64(1..u64::MAX))
+                    .with_writeback(GrayDuration::from_micros(g.u64(100..400)));
+                cfg.mem_bytes = 10 << 20; // 512 usable pages.
+                cfg.cpus = g.usize(1..4) as u32;
+                let mut k = Kernel::new(cfg);
+                let pids = [k.add_proc(Nanos::ZERO), k.add_proc(Nanos::ZERO)];
+                let fds = [
+                    k.sys_create(pids[0], "/f").unwrap(),
+                    k.sys_open(pids[1], "/f").unwrap(),
+                ];
+                let pages = k.cfg.usable_pages() + g.u64(16..64);
+                let region = k.sys_mem_alloc(pids[0], pages * PAGE_SIZE).unwrap();
+                let exact = |k: &Kernel, what: &str| {
+                    let latest = k.proc_time(pids[0]).max(k.proc_time(pids[1]));
+                    assert_eq!(k.max_time(), latest, "after {what}");
+                };
+                // One pass past memory: every page zero-faults, and the first
+                // ones go to swap, so later touches of them swap in.
+                for page in 0..pages {
+                    let pid = pids[g.usize(0..2)];
+                    k.sys_mem_touch_write(pid, region, page).unwrap();
+                    exact(&k, "a first write-touch");
+                }
+                for _ in 0..200 {
+                    let who = g.usize(0..2);
+                    let (pid, fd) = (pids[who], fds[who]);
+                    let offset = g.u64(0..(256 << 10));
+                    let len = g.u64(1..(32 << 10));
+                    // Half the touches go to the first pages, the swapped ones.
+                    let first = if g.bool() { 64 } else { pages };
+                    let page = g.u64(0..first);
+                    let us = GrayDuration::from_micros(g.u64(0..3000));
+                    let call = g.usize(0..10);
+                    match call {
+                        0 => drop(k.sys_read(pid, fd, offset, len, None)),
+                        1 => drop(k.sys_write(pid, fd, offset, len, None)),
+                        2 => k.sys_sync(pid).unwrap(),
+                        3 => drop(k.sys_mem_touch_read(pid, region, page).unwrap()),
+                        4 => k.sys_mem_touch_write(pid, region, page).unwrap(),
+                        5 => k.sys_sleep(pid, us),
+                        6 => k.sys_compute(pid, us),
+                        7 => drop(k.sys_now(pid)),
+                        8 => assert_eq!(k.sys_stat(pid, "/a").unwrap_err(), OsError::NotFound),
+                        _ => assert!(k.sys_mem_touch_write(pid, region, pages).is_err()),
+                    }
+                    exact(&k, &format!("call {call}"));
+                }
+                let stats = k.stats();
+                assert!(
+                    stats.zero_faults > 0 && stats.swap_outs > 0 && stats.swap_ins > 0,
+                    "{stats:?}"
+                );
+                assert!(
+                    stats.flusher_runs > 0 && stats.file_page_reads > 0,
+                    "{stats:?}"
+                );
             },
         );
     }
