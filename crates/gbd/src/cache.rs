@@ -165,7 +165,8 @@ impl Default for InferenceCache {
 /// What a lookup found.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// A fresh entry; the reply is cloned out for the caller.
+    /// A fresh entry's reply. Its lists are the entry's own, shared: the
+    /// clone that hands it out bumps reference counts and copies nothing.
     Hit(Reply),
     /// An entry existed but the policy aged it out (it has been removed).
     Expired,

@@ -24,6 +24,7 @@
 //!    (budget permitting).
 
 use std::collections::BTreeMap;
+use std::{fmt, ops::Deref, sync::Arc};
 
 use gray_sched::{Scheduler, SimExecutor};
 use gray_toolbox::mailbox::{Mailbox, MailboxClient, Ticket};
@@ -103,38 +104,41 @@ impl Query {
         key
     }
 
-    /// Writes [`Query::fingerprint`] into `key`, replacing what it held:
-    /// the daemon keys every query of every tick in one buffer.
+    /// Writes [`Query::fingerprint`] into `key`, replacing what it held,
+    /// without `core::fmt`: the daemon keys every query in one buffer.
     pub(crate) fn write_fingerprint(&self, key: &mut String) {
-        use std::fmt::Write as _;
         key.clear();
-        // Writing to a `String` cannot fail.
-        let _ = match self {
+        match self {
             Query::FccdClassify { files } => {
                 key.push_str("fccd:");
-                files.iter().enumerate().try_for_each(|(i, (path, size))| {
+                for (i, (path, size)) in files.iter().enumerate() {
                     if i > 0 {
                         key.push(',');
                     }
                     // `,` and `#` delimit: escaped inside a path, two file
                     // lists can never print the same key.
-                    for c in path.chars() {
-                        if matches!(c, '\\' | ',' | '#') {
-                            key.push('\\');
+                    if path.bytes().any(|b| matches!(b, b'\\' | b',' | b'#')) {
+                        for c in path.chars() {
+                            if matches!(c, '\\' | ',' | '#') {
+                                key.push('\\');
+                            }
+                            key.push(c);
                         }
-                        key.push(c);
+                    } else {
+                        key.push_str(path);
                     }
-                    write!(key, "#{size}")
-                })
+                    key.push('#');
+                    push_decimal(key, *size);
+                }
             }
-            Query::MacAvailable { ceiling } => write!(key, "mac.available:{ceiling}"),
+            Query::MacAvailable { ceiling } => push_fields(key, "mac.available", &[*ceiling]),
             Query::GbAlloc { min, max, multiple } => {
-                write!(key, "mac.alloc:{min}:{max}:{multiple}")
+                push_fields(key, "mac.alloc", &[*min, *max, *multiple])
             }
-            Query::FldcOrder { dir } => write!(key, "fldc:{dir}"),
-            Query::WbdResidue { calib_pages } => write!(key, "wbd.residue:{calib_pages}"),
-            Query::MetricsSnapshot => write!(key, "gbd.metrics"),
-        };
+            Query::FldcOrder { dir } => key.extend(["fldc:", dir]),
+            Query::WbdResidue { calib_pages } => push_fields(key, "wbd.residue", &[*calib_pages]),
+            Query::MetricsSnapshot => key.push_str("gbd.metrics"),
+        }
     }
 
     /// Whether the answer may be served from cache. Allocation requests
@@ -160,15 +164,67 @@ impl Query {
     }
 }
 
+/// Appends `prefix`, then `:` and the decimal digits of each field.
+fn push_fields(key: &mut String, prefix: &str, fields: &[u64]) {
+    key.push_str(prefix);
+    for &n in fields {
+        key.push(':');
+        push_decimal(key, n);
+    }
+}
+
+/// Appends the decimal digits of `n`, as `write!(key, "{n}")` would.
+fn push_decimal(key: &mut String, n: u64) {
+    if n >= 10 {
+        push_decimal(key, n / 10);
+    }
+    key.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// An immutable list a reply shares with its cache entry and every copy
+/// of it: a clone bumps a reference count, so neither a hit nor a
+/// coalesced waiter copies a rank or a path. A newtype so that `&list`
+/// iterates like the `Vec` it replaced; an `Arc` because a [`Response`]
+/// crosses the mailbox's lock to a client's thread.
+#[derive(Clone, PartialEq)]
+pub struct Shared<T>(Arc<[T]>);
+
+impl<T> Deref for Shared<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Shared<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<T> From<Vec<T>> for Shared<T> {
+    fn from(list: Vec<T>) -> Self {
+        Shared(list.into())
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 /// The daemon's answer to one query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// FCCD verdicts, bit-identical to `graybox::fccd::Classified`.
     Classified {
         /// Files in the fast cluster, fastest first.
-        cached: Vec<FileRank>,
+        cached: Shared<FileRank>,
         /// Files in the slow cluster, fastest first.
-        uncached: Vec<FileRank>,
+        uncached: Shared<FileRank>,
         /// Two-means separation score in [0, 1].
         separation: f64,
     },
@@ -185,7 +241,7 @@ pub enum Reply {
     /// FLDC layout order: paths, nearest-first.
     Layout {
         /// Paths in predicted layout order.
-        order: Vec<String>,
+        order: Shared<String>,
     },
     /// WBD dirty-page residue estimate (0 = writeback has caught up).
     Residue {
@@ -619,7 +675,7 @@ impl Gbd {
                 alone(
                     match sim.run_one(move |os| Fldc::new(os).order_directory(&dir)) {
                         Ok(ranks) => Reply::Layout {
-                            order: ranks.into_iter().map(|r| r.path).collect(),
+                            order: Shared(ranks.into_iter().map(|r| r.path).collect()),
                         },
                         Err(e) => Reply::Failed(e.to_string()),
                     },
@@ -680,8 +736,8 @@ impl Gbd {
                     verdicts.insert(rank.path.clone(), false);
                 }
                 let reply = Reply::Classified {
-                    cached: classified.cached,
-                    uncached: classified.uncached,
+                    cached: classified.cached.into(),
+                    uncached: classified.uncached.into(),
                     separation: classified.separation,
                 };
                 (reply, verdicts)
@@ -968,4 +1024,188 @@ pub fn render_gray_top(m: &GbdMetrics) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gray_toolbox::prop::{check, Gen};
+    use gray_toolbox::GrayDuration;
+    use graybox::fccd::FccdParams;
+    use simos::scenario;
+
+    /// The key written with `core::fmt`: the reference `write_fingerprint`
+    /// must match byte for byte.
+    fn fmt_fingerprint(query: &Query) -> String {
+        use std::fmt::Write as _;
+        let mut key = String::new();
+        let _ = match query {
+            Query::FccdClassify { files } => {
+                key.push_str("fccd:");
+                files.iter().enumerate().try_for_each(|(i, (path, size))| {
+                    if i > 0 {
+                        key.push(',');
+                    }
+                    for c in path.chars() {
+                        if matches!(c, '\\' | ',' | '#') {
+                            key.push('\\');
+                        }
+                        key.push(c);
+                    }
+                    write!(key, "#{size}")
+                })
+            }
+            Query::MacAvailable { ceiling } => write!(key, "mac.available:{ceiling}"),
+            Query::GbAlloc { min, max, multiple } => {
+                write!(key, "mac.alloc:{min}:{max}:{multiple}")
+            }
+            Query::FldcOrder { dir } => write!(key, "fldc:{dir}"),
+            Query::WbdResidue { calib_pages } => write!(key, "wbd.residue:{calib_pages}"),
+            Query::MetricsSnapshot => write!(key, "gbd.metrics"),
+        };
+        key
+    }
+
+    /// A path of delimiters, escapes, multibyte characters and plain
+    /// ones, empty about one time in six.
+    fn path(g: &mut Gen) -> String {
+        let chars = ['a', '/', '\\', ',', '#', 'é', '日', '🦀', ' ', '0'];
+        g.vec(0..6, |g| g.select(&chars)).into_iter().collect()
+    }
+
+    /// 0, `u64::MAX`, a one-digit number or any other.
+    fn size(g: &mut Gen) -> u64 {
+        match g.usize(0..4) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => g.u64(1..10),
+            _ => g.u64(0..u64::MAX),
+        }
+    }
+
+    #[test]
+    fn fingerprint_matches_the_fmt_reference() {
+        check("fingerprint_matches_the_fmt_reference", 200, |g| {
+            let query = match g.usize(0..6) {
+                0 => Query::FccdClassify {
+                    files: g.vec(0..5, |g| (path(g), size(g))),
+                },
+                1 => Query::MacAvailable { ceiling: size(g) },
+                2 => Query::GbAlloc {
+                    min: size(g),
+                    max: size(g),
+                    multiple: size(g),
+                },
+                3 => Query::FldcOrder { dir: path(g) },
+                4 => Query::WbdResidue {
+                    calib_pages: size(g),
+                },
+                _ => Query::MetricsSnapshot,
+            };
+            // The daemon's buffer holds the previous query's key.
+            let mut key = path(g);
+            query.write_fingerprint(&mut key);
+            assert_eq!(key, fmt_fingerprint(&query), "{query:?}");
+        });
+    }
+
+    fn daemon(ttl: GrayDuration) -> Gbd {
+        let cfg = GbdConfig {
+            cache_ttl: ttl,
+            fccd: FccdParams {
+                access_unit: 1 << 20,
+                prediction_unit: 256 << 10,
+                ..FccdParams::default()
+            },
+            sched: gray_sched::SchedConfig {
+                concurrency: 1,
+                sub_batch: 0,
+            },
+            ..GbdConfig::default()
+        };
+        let policy = cfg.churn_policy();
+        Gbd::new(cfg, Box::new(policy))
+    }
+
+    fn lists(reply: &Reply) -> (&[FileRank], &[FileRank]) {
+        let Reply::Classified {
+            cached, uncached, ..
+        } = reply
+        else {
+            panic!("expected a classification, got {reply:?}");
+        };
+        (cached, uncached)
+    }
+
+    /// The lists of the reply cached under `query`'s key.
+    fn entry_lists<'a>(gbd: &'a Gbd, query: &Query) -> (&'a [FileRank], &'a [FileRank]) {
+        let key = query.fingerprint();
+        let (_, entry) = gbd.cache.iter().find(|(k, _)| *k == key).expect("cached");
+        lists(&entry.reply)
+    }
+
+    fn same_lists(a: (&[FileRank], &[FileRank]), b: (&[FileRank], &[FileRank])) -> bool {
+        std::ptr::eq(a.0, b.0) && std::ptr::eq(a.1, b.1)
+    }
+
+    /// The executing tenant, a coalesced waiter and two later hits all
+    /// hold the cache entry's own lists: nobody's answer is a copy.
+    #[test]
+    fn hits_and_coalesced_waiters_share_the_entrys_lists() {
+        let mut gbd = daemon(GrayDuration::from_secs(30));
+        let mut sim = scenario::daemon_machine(2, 4);
+        let files = scenario::spread_corpus(&mut sim, 2, 2, 512 << 10);
+        let warm: Vec<_> = files.iter().step_by(2).cloned().collect();
+        scenario::warm(&mut sim, &warm);
+        let (a, b) = (
+            gbd.register_tenant("a").unwrap(),
+            gbd.register_tenant("b").unwrap(),
+        );
+        let q = Query::FccdClassify { files };
+        let mut responses = Vec::new();
+        for tick in 0..2 {
+            let (ta, tb) = (a.submit(q.clone()), b.submit(q.clone()));
+            let stats = gbd.serve(&mut sim);
+            assert_eq!((stats.coalesced, stats.hits), [(1, 0), (0, 2)][tick]);
+            responses.extend([a.take(ta), b.take(tb)].map(|r| r.expect("served")));
+        }
+        let entry = entry_lists(&gbd, &q);
+        assert!(!entry.0.is_empty() && !entry.1.is_empty(), "{entry:?}");
+        for resp in &responses {
+            assert!(same_lists(lists(&resp.reply), entry), "{resp:?}");
+        }
+    }
+
+    /// Churn re-inference caches new lists; a response a client still
+    /// holds keeps the old ones, unchanged.
+    #[test]
+    fn a_reinference_allocates_new_lists_and_leaves_held_ones_alone() {
+        let mut gbd = daemon(GrayDuration::from_secs(30));
+        let mut sim = scenario::daemon_machine(2, 2);
+        let files = scenario::spread_corpus(&mut sim, 2, 2, 2 << 20);
+        let [warm, cold] = [0, 1].map(|i| vec![files[i].clone(), files[i + 2].clone()]);
+        scenario::warm(&mut sim, &warm);
+        let c = gbd.register_tenant("t").unwrap();
+        let q = Query::FccdClassify {
+            files: files.clone(),
+        };
+        let t = c.submit(q.clone());
+        gbd.serve(&mut sim);
+        let held = c.take(t).expect("served");
+        let (cached, uncached) = lists(&held.reply);
+        let copies = (cached.to_vec(), uncached.to_vec());
+
+        // Residency flips behind the daemon; the same files in another
+        // order (another key) contradict the entry, which re-infers.
+        scenario::churn(&mut sim, &cold);
+        let reversed = files.into_iter().rev().collect();
+        let t = c.submit(Query::FccdClassify { files: reversed });
+        assert_eq!(gbd.serve(&mut sim).reinfers, 1);
+        assert!(c.take(t).is_some());
+
+        let fresh = entry_lists(&gbd, &q);
+        assert!(!std::ptr::eq(fresh.0, cached) && !std::ptr::eq(fresh.1, uncached));
+        assert_ne!(fresh.0, &copies.0[..], "the re-inference saw the flip");
+        assert_eq!(lists(&held.reply), (&copies.0[..], &copies.1[..]));
+    }
 }

@@ -48,7 +48,7 @@ use graybox::fccd::FccdParams;
 
 pub use cache::{CacheEntry, ChurnAware, Disposition, InferenceCache, StalenessPolicy, TtlOnly};
 pub use daemon::{
-    render_gray_top, Gbd, GbdClient, GbdMetrics, GbdStats, Query, Reply, Response, Tenant,
+    render_gray_top, Gbd, GbdClient, GbdMetrics, GbdStats, Query, Reply, Response, Shared, Tenant,
     TickStats, WBD_DIRTY_VERDICT,
 };
 

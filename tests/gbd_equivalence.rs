@@ -134,8 +134,8 @@ fn single_tenant_daemon_matches_direct_fccd_bit_for_bit() {
             else {
                 panic!("FCCD query must classify, got {:?}", resp.reply);
             };
-            assert_eq!(direct.cached, cached, "cached split diverges");
-            assert_eq!(direct.uncached, uncached, "uncached split diverges");
+            assert_eq!(direct.cached, *cached, "cached split diverges");
+            assert_eq!(direct.uncached, *uncached, "uncached split diverges");
             assert_eq!(
                 direct.separation.to_bits(),
                 separation.to_bits(),
